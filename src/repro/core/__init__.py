@@ -10,11 +10,7 @@ then matches predictions into the target column (Eq. 5).
 from repro.core.interface import IncrementalSequenceModel, SequenceModel
 from repro.core.serializer import Decomposer, PromptSerializer, SubTask
 from repro.core.aggregator import Aggregator, MultiModelAggregator
-from repro.core.join_config import (
-    JOIN_MODES,
-    JoinAPIDeprecationWarning,
-    JoinConfig,
-)
+from repro.core.join_config import JOIN_MODES, JoinConfig
 from repro.core.joiner import EditDistanceJoiner, invert_matches
 from repro.core.pipeline import DTTPipeline
 
@@ -29,7 +25,6 @@ __all__ = [
     "EditDistanceJoiner",
     "DTTPipeline",
     "JOIN_MODES",
-    "JoinAPIDeprecationWarning",
     "JoinConfig",
     "invert_matches",
 ]

@@ -33,7 +33,7 @@ from bisect import insort
 from collections.abc import Sequence
 from dataclasses import replace
 
-from repro.core.join_config import JoinConfig, fold_legacy_kwargs
+from repro.core.join_config import JoinConfig
 from repro.exceptions import JoinError
 from repro.text.edit_distance import edit_distance_capped
 from repro.types import JoinCandidate, JoinResult, Prediction, TopKJoinResult
@@ -65,20 +65,17 @@ class EditDistanceJoiner:
     """Matches predictions into a target column by minimum edit distance.
 
     Args:
-        config: All tunables in one frozen :class:`JoinConfig`; only
-            ``max_distance`` / ``normalized_threshold`` / ``mode`` /
-            ``k`` / ``margin`` apply to the brute scan.
-        max_distance: Deprecated — use ``JoinConfig(max_distance=...)``.
-            When set, matches farther than this are rejected (the row
-            stays unmatched, reducing recall but protecting precision).
-        normalized_threshold: Deprecated — use
-            ``JoinConfig(normalized_threshold=...)``.  When set, reject
-            matches whose distance divided by the matched value's
-            length exceeds this value.
+        config: All tunables in one frozen :class:`JoinConfig` (``None``
+            = the defaults); only ``max_distance`` (matches farther
+            than this are rejected — the row stays unmatched, reducing
+            recall but protecting precision) / ``normalized_threshold``
+            (reject matches whose distance divided by the matched
+            value's length exceeds this) / ``mode`` / ``k`` /
+            ``margin`` apply to the brute scan.
 
     The config is a constructor-time carrier: thresholds and the
     ``mode``/``k``/``margin`` defaults land on plain mutable attributes
-    (``AutoJoiner`` re-points them on its delegates per call).
+    that every query reads at call time.
 
     ``config.kernel_backend`` resolves here, once, into the
     :attr:`kernel` every engine scores through
@@ -88,19 +85,13 @@ class EditDistanceJoiner:
     this single dispatch point.
     """
 
-    def __init__(
-        self,
-        config: JoinConfig | None = None,
-        *,
-        max_distance: int | None = None,
-        normalized_threshold: float | None = None,
-    ) -> None:
-        config = fold_legacy_kwargs(
-            "EditDistanceJoiner",
-            config,
-            max_distance=max_distance,
-            normalized_threshold=normalized_threshold,
-        )
+    def __init__(self, config: JoinConfig | None = None) -> None:
+        if config is None:
+            config = JoinConfig()
+        elif not isinstance(config, JoinConfig):
+            raise TypeError(
+                f"config must be a JoinConfig, got {type(config).__name__}"
+            )
         # Imported lazily: the kernels registry lives in the index
         # package, which imports this module — a top-level import
         # would cycle.

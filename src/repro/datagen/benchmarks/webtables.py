@@ -296,7 +296,7 @@ def build_webtables(
         seed: Base seed.
         n_tables: Number of table pairs (paper: 31).
         rows: Rows per table (paper average: 92; default reduced for
-            CPU-tractable benches — documented in EXPERIMENTS.md).
+            CPU-tractable benches).
         typo_rate: Per-row probability of a natural typo in the target.
         untransformable_rate: Per-row probability that the target is not
             derivable from the source at all.

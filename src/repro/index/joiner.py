@@ -1,33 +1,42 @@
 """Blocked join strategies, drop-in compatible with the brute joiner.
 
-:class:`IndexedJoiner` resolves Eq. 5's argmin through a
+:class:`IndexedJoiner` resolves Eq. 5 through a
 :class:`~repro.index.qgram.QGramIndex` plus the batched DP kernel, with
 **exact equivalence** to :class:`~repro.core.joiner.EditDistanceJoiner`:
 identical matches, distances, earliest-row tie-breaking, and
-``max_distance`` / ``normalized_threshold`` semantics.  The argmin uses
-iterative cap deepening — candidates within cap ``k`` are generated
-(provably completely), scored, and if none scores ``<= k`` the cap
-doubles; because the candidate set at cap ``k`` contains *every* target
-within ``k``, the first round that finds a distance ``<= k`` has found
-the global minimum and all its ties.
+``max_distance`` / ``normalized_threshold`` semantics.
 
-Two batch layers amortize that work across a whole source column:
+There is **one engine** for every single-column query.  ``join_many``
+(argmin) and ``topk_many`` are the same call frame — dedupe, length
+bucketing, worker dispatch, :class:`~repro.index.parallel.JoinStats`
+and ``join.*`` spans — and differ only in ``k`` and in whether an exact
+match short-circuits (a top-k query needs the runners-up regardless).
+Every bucket resolves through one ranked ladder,
+:meth:`IndexedJoiner._resolve_bucket`: candidates within a cap are
+generated (provably completely) and scored, and a probe is resolved the
+moment at least ``k`` of them score within that cap — the candidate set
+at cap ``c`` contains *every* target within ``c``, so those ``k`` are
+the global top-k with all their ties.  The argmin is the ladder at
+``k = 1``; reverse joins invert the argmin; a scalar ``match`` is a
+one-probe bucket.
 
-* :meth:`IndexedJoiner.join_many` deduplicates identical probes,
-  resolves exact matches with one dictionary lookup each, buckets the
-  remaining probes by length, and runs candidate generation and the
-  pair DP kernel per bucket — one kernel sweep per (bucket, cap) round
-  instead of one per probe.  Cap deepening **reuses scores**: the cap-1
-  round scores its candidates with a cap-2 kernel, so the cap-2 round
-  scores only the candidates the wider filters newly admit.
+Two layers amortize that work across a whole source column:
+
+* The frame deduplicates identical probes, resolves exact matches with
+  one dictionary lookup each (argmin only), buckets the remaining
+  probes by length, and runs candidate generation and the pair DP
+  kernel per bucket — one kernel sweep per (bucket, cap) round instead
+  of one per probe.  Cap deepening **reuses scores**: the cap-1 round
+  scores its candidates with a cap-2 kernel, so the cap-2 round scores
+  only the candidates the wider filters newly admit.
 * A process-level :class:`~repro.index.cache.IndexCache` shares one
   index per target-column *content* (entries are keyed on the column
   values themselves, so stale or aliased indexes are impossible)
   across joiners, pipelines, and eval runs — optionally backed by an
   on-disk tier shared across processes.
 
-Above a workload threshold (or at an explicit ``n_workers``),
-``join_many`` shards its buckets across a **persistent** process pool
+Above a workload threshold (or at an explicit ``n_workers``), the frame
+shards its buckets across a **persistent** process pool
 (:mod:`repro.index.parallel`) with a deterministic merge; the pool —
 and each worker's resolved indexes — survive across calls, so repeated
 joins pay worker startup once.  Results are byte-identical to the
@@ -35,9 +44,13 @@ serial engine in every configuration.  Long-lived owners should
 ``close()`` the joiner (or use it as a context manager) to tear the
 pool down deterministically.
 
-:class:`AutoJoiner` picks the brute scan for small target columns (where
-index construction dominates) and the blocked engine above a row-count
-threshold.
+Composite (multi-column) joins resolve in-process through their own
+blocked scan, :meth:`IndexedJoiner._composite_argmin`.
+
+Below ``IndexedJoiner.threshold`` target rows (where index construction
+dominates) every query falls through to the inherited brute scan;
+:class:`AutoJoiner` is the joiner with that threshold taken from
+``JoinConfig.auto_threshold``.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.join_config import JoinConfig, fold_legacy_kwargs
+from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.exceptions import JoinError
 from repro.index.cache import IndexCache, default_index_cache
@@ -60,6 +73,10 @@ from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:
     from repro.index.parallel import JoinStats, JoinWorkerPool
+
+# A probe's ranked answer: ``(value_ids, distances)`` in rank order.
+Ranked = tuple[np.ndarray, np.ndarray]
+_NO_RANKS: Ranked = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 class IndexedJoiner(EditDistanceJoiner):
@@ -85,16 +102,19 @@ class IndexedJoiner(EditDistanceJoiner):
             shared cache (:func:`~repro.index.cache.default_index_cache`).
             An object dependency, so it stays a direct argument rather
             than a config field.
-        max_distance, normalized_threshold, q, n_workers,
-            parallel_threshold: Deprecated — pass ``JoinConfig(...)``.
 
     Attributes:
+        threshold: Minimum target-column length (in rows) at which the
+            q-gram engine takes over; smaller columns run the inherited
+            brute scan (byte-identical, so the switch never changes
+            results).  ``0`` here — always blocked; :class:`AutoJoiner`
+            sets it from ``config.auto_threshold``.
         last_join_stats: :class:`~repro.index.parallel.JoinStats` for
-            the most recent :meth:`join_many` call (``None`` before the
-            first call).
+            the most recent :meth:`join_many` / :meth:`topk_many` call
+            — ``None`` before the first call and after a call that ran
+            the brute scan, which keeps no counters.
     """
 
-    DEFAULT_PARALLEL_THRESHOLD = 4096
     # Auto mode never spawns more workers than this, however many cores
     # the host reports: shard planning targets a few shards per worker,
     # and past ~8 workers pool startup and result pickling outweigh the
@@ -111,34 +131,24 @@ class IndexedJoiner(EditDistanceJoiner):
     _PAIR_GROUP_BUDGET = 1 << 22
     # Length-difference radius of the final stage's first wave: the
     # near-length slice of the column that almost always contains the
-    # argmin, scored first to tighten the bound for the wide wave.
+    # top-k, scored first to tighten the bound for the wide wave.
     _NEAR_LENGTHS = 2
+    # Max-gram-overlap neighbours scored per probe for the upper bound
+    # (raised to ``k`` when a query ranks more than this).
+    _BOUND_NEIGHBOURS = 8
 
     def __init__(
         self,
         config: JoinConfig | None = None,
         *,
         cache: IndexCache | None = None,
-        max_distance: int | None = None,
-        normalized_threshold: float | None = None,
-        q: int | None = None,
-        n_workers: int | None = None,
-        parallel_threshold: int | None = None,
     ) -> None:
-        config = fold_legacy_kwargs(
-            "IndexedJoiner",
-            config,
-            max_distance=max_distance,
-            normalized_threshold=normalized_threshold,
-            q=q,
-            n_workers=n_workers,
-            parallel_threshold=parallel_threshold,
-        )
         super().__init__(config)
-        self.q = config.q
+        self.q = self.config.q
         self.cache = cache if cache is not None else default_index_cache()
-        self.n_workers = config.n_workers
-        self.parallel_threshold = config.parallel_threshold
+        self.n_workers = self.config.n_workers
+        self.parallel_threshold = self.config.parallel_threshold
+        self.threshold = 0
         self.last_join_stats: JoinStats | None = None
         self._pool: JoinWorkerPool | None = None
 
@@ -156,7 +166,7 @@ class IndexedJoiner(EditDistanceJoiner):
     def _ensure_pool(self, n_workers: int) -> JoinWorkerPool:
         """Get the persistent worker pool, (re)building it on demand.
 
-        One pool lives across ``join_many`` calls — worker startup and
+        One pool lives across batch calls — worker startup and
         per-worker index resolution amortize over every batch the
         joiner ever runs — and is replaced only when the resolved
         worker count changes (auto mode crossing a threshold) or after
@@ -195,16 +205,19 @@ class IndexedJoiner(EditDistanceJoiner):
         Guards and threshold rejection stay in the shared
         :meth:`EditDistanceJoiner.match` / ``_apply_thresholds``; only
         the argmin strategy differs.  A scalar match is simply a
-        single-probe bucket, so it shares the batch engine's whole
-        ladder — including score reuse and the upper-bound waves.
+        single-probe bucket at ``k = 1``, so it shares the batch
+        engine's whole ladder — including score reuse and the
+        upper-bound waves.
         """
+        if len(targets) < self.threshold:
+            return super()._argmin(predicted, targets)
         index = self._index_for(targets)
         if index.value_id(predicted) is not None:
             return predicted, 0
-        vid, best = self._argmin_bucket(index, len(predicted), [predicted])[
-            predicted
-        ]
-        return index.values[vid], best
+        vids, distances = self._resolve_bucket(
+            index, len(predicted), [predicted], 1
+        )[predicted]
+        return index.values[vids[0]], int(distances[0])
 
     def join_many(
         self, probes: Sequence[str], targets: Sequence[str]
@@ -213,24 +226,90 @@ class IndexedJoiner(EditDistanceJoiner):
 
         Byte-identical to ``[self.match(p, targets) for p in probes]``
         — same matches, distances, earliest-row tie-breaks, and
-        threshold abstentions — but the work is amortized: the column
-        hash and index lookup happen once, identical probes are
-        resolved once, exact matches cost one dictionary lookup, and
-        the remaining probes run through bucketed candidate generation
-        plus the pair DP kernel.  Above the parallel threshold (or at
-        an explicit ``n_workers``) the buckets are sharded across a
-        process pool with a deterministic merge; per-probe results do
-        not depend on which other probes share a shard, so the sharded
-        output is byte-identical too.  Counters for the call land in
-        :attr:`last_join_stats`.
+        threshold abstentions — but the work is amortized by the shared
+        frame (:meth:`_ranked_many` at ``k = 1`` with the exact-match
+        shortcut on): the column hash and index lookup happen once,
+        identical probes are resolved once, exact matches cost one
+        dictionary lookup, and the remaining probes run through
+        bucketed candidate generation plus the pair DP kernel.
+        Counters for the call land in :attr:`last_join_stats`.
         """
+        if len(targets) < self.threshold:
+            self.last_join_stats = None
+            return super().join_many(probes, targets)
         if not probes:
             return []
         if not targets:
             raise JoinError("cannot join into an empty target column")
+        index, ranked = self._ranked_many(probes, targets, 1, exact_shortcut=True)
+        # Nothing ranked is the "" abstention (footnote 2): no match,
+        # before thresholds.
+        matches = {
+            probe: (
+                self._apply_thresholds(index.values[vids[0]], int(distances[0]))
+                if vids.size
+                else (None, 0)
+            )
+            for probe, (vids, distances) in ranked.items()
+        }
+        return [matches[probe] for probe in probes]
+
+    def topk_many(
+        self, probes: Sequence[str], targets: Sequence[str], k: int
+    ) -> list[list[tuple[int, int, str]]]:
+        """Blocked top-k, byte-identical to the brute reference.
+
+        The same frame as :meth:`join_many` (:meth:`_ranked_many` at
+        the caller's ``k``) with the exact-match shortcut off — a top-k
+        query needs the runners-up regardless — and no per-probe
+        thresholds here; selection/abstention live in the shared
+        :meth:`EditDistanceJoiner.topk_join_many`.  Counters for the
+        call land in :attr:`last_join_stats`.
+        """
+        if len(targets) < self.threshold:
+            self.last_join_stats = None
+            return super().topk_many(probes, targets, k)
+        self._validate_topk(targets, k)
+        if not probes:
+            return []
+        index, ranked = self._ranked_many(probes, targets, k, exact_shortcut=False)
+        triples = {
+            probe: [
+                (distance, int(index.first_rows[vid]), index.values[vid])
+                for vid, distance in zip(
+                    vids.tolist(), distances.tolist(), strict=True
+                )
+            ]
+            for probe, (vids, distances) in ranked.items()
+        }
+        return [list(triples[probe]) for probe in probes]
+
+    def _ranked_many(
+        self,
+        probes: Sequence[str],
+        targets: Sequence[str],
+        k: int,
+        exact_shortcut: bool,
+    ) -> tuple[QGramIndex, dict[str, Ranked]]:
+        """The one call frame behind :meth:`join_many` and :meth:`topk_many`.
+
+        Returns the column's index and, per distinct probe, its ``k``
+        nearest distinct target values as ``(value_ids, distances)`` in
+        ``(distance, earliest row)`` rank order — empty for the
+        abstaining ``""`` probe.  With ``exact_shortcut`` a probe equal
+        to a target value resolves to that value alone by dictionary
+        lookup (only sound at ``k = 1``).  Everything else is bucketed
+        by length and resolved by :meth:`_resolve_bucket` — serially,
+        or above the parallel threshold (or at an explicit
+        ``n_workers``) sharded across the persistent process pool with
+        a deterministic merge; per-probe results do not depend on which
+        other probes share a shard, so the sharded output is
+        byte-identical.  Publishes the call's :class:`JoinStats` and
+        ``join.*`` spans.
+        """
         # Imported lazily: parallel imports this module for its
         # worker-side scoring, so a module-level import would cycle.
-        from repro.index.parallel import JoinStats
+        from repro.index.parallel import JoinStats, PoolStats
 
         tracer = get_tracer()
         join_span = tracer.start_span("join.join_many")
@@ -240,9 +319,7 @@ class IndexedJoiner(EditDistanceJoiner):
         disk_misses = self.cache.disk_misses
         pairs_before = pairs_scored_snapshot()
         # Dedupe: every occurrence of a probe value gets the one result.
-        positions: dict[str, list[int]] = {}
-        for i, probe in enumerate(probes):
-            positions.setdefault(probe, []).append(i)
+        unique = dict.fromkeys(probes)
         try:
             phase_start = time.monotonic()
             index = self._index_for(targets)
@@ -253,18 +330,22 @@ class IndexedJoiner(EditDistanceJoiner):
                 time.monotonic(),
                 attributes={"targets": len(targets)},
             )
-            resolved: dict[str, tuple[str | None, int]] = {}
+            ranked: dict[str, Ranked] = {}
             buckets: dict[int, list[str]] = {}
             exact_matches = 0
             empty_probes = 0
             phase_start = time.monotonic()
-            for probe in positions:
+            for probe in unique:
                 if probe == "":
-                    # Abstention (footnote 2): no match, before thresholds.
-                    resolved[probe] = (None, 0)
+                    ranked[probe] = _NO_RANKS
                     empty_probes += 1
-                elif index.value_id(probe) is not None:
-                    resolved[probe] = self._apply_thresholds(probe, 0)
+                    continue
+                vid = index.value_id(probe) if exact_shortcut else None
+                if vid is not None:
+                    ranked[probe] = (
+                        np.array([vid], dtype=np.int64),
+                        np.zeros(1, dtype=np.int64),
+                    )
                     exact_matches += 1
                 else:
                     buckets.setdefault(len(probe), []).append(probe)
@@ -275,7 +356,7 @@ class IndexedJoiner(EditDistanceJoiner):
                 phase_start,
                 time.monotonic(),
                 attributes={
-                    "unique_probes": len(positions),
+                    "unique_probes": len(unique),
                     "exact_matches": exact_matches,
                     "empty_probes": empty_probes,
                     "pending": pending,
@@ -284,25 +365,14 @@ class IndexedJoiner(EditDistanceJoiner):
             n_workers = self._resolve_workers(pending)
             phase_start = time.monotonic()
             if n_workers > 1 and pending:
-                argmins, pool_stats = self._ensure_pool(n_workers).run_buckets(
-                    index, buckets, targets
+                pooled, pool_stats = self._ensure_pool(n_workers).run_buckets(
+                    index, buckets, targets, k
                 )
-                n_workers = pool_stats.workers
-                shards = pool_stats.shards
-                shard_sizes = pool_stats.shard_sizes
-                worker_disk_hits = pool_stats.disk_hits
-                worker_disk_misses = pool_stats.disk_misses
-                worker_pairs = pool_stats.kernel_pairs
+                ranked.update(pooled)
             else:
-                n_workers = 1
-                shards = 0
-                shard_sizes = ()
-                worker_disk_hits = 0
-                worker_disk_misses = 0
-                worker_pairs = ()
-                argmins = {}
+                pool_stats = PoolStats()
                 for length, bucket in buckets.items():
-                    argmins.update(self._argmin_bucket(index, length, bucket))
+                    ranked.update(self._resolve_bucket(index, length, bucket, k))
             tracer.record_span(
                 "join.kernel_sweep",
                 join_span,
@@ -310,8 +380,8 @@ class IndexedJoiner(EditDistanceJoiner):
                 time.monotonic(),
                 attributes={
                     "buckets": len(buckets),
-                    "n_workers": n_workers,
-                    "shards": shards,
+                    "n_workers": pool_stats.workers,
+                    "shards": pool_stats.shards,
                     "kernel_backend": self.kernel.name,
                 },
             )
@@ -319,28 +389,28 @@ class IndexedJoiner(EditDistanceJoiner):
             join_span.set_error(repr(error))
             join_span.finish()
             raise
-        for probe, (vid, distance) in argmins.items():
-            resolved[probe] = self._apply_thresholds(index.values[vid], distance)
         kernel_pairs = {
             name: count - pairs_before.get(name, 0)
             for name, count in pairs_scored_snapshot().items()
         }
-        for name, count in worker_pairs:
+        for name, count in pool_stats.kernel_pairs:
             kernel_pairs[name] = kernel_pairs.get(name, 0) + count
         self.last_join_stats = JoinStats(
             probes=len(probes),
-            unique_probes=len(positions),
+            unique_probes=len(unique),
             exact_matches=exact_matches,
             empty_probes=empty_probes,
             pending=pending,
             buckets=len(buckets),
-            n_workers=n_workers,
-            shards=shards,
-            shard_sizes=tuple(shard_sizes),
+            n_workers=pool_stats.workers,
+            shards=pool_stats.shards,
+            shard_sizes=pool_stats.shard_sizes,
             cache_hits=self.cache.hits - cache_hits,
             cache_misses=self.cache.misses - cache_misses,
-            disk_hits=self.cache.disk_hits - disk_hits + worker_disk_hits,
-            disk_misses=self.cache.disk_misses - disk_misses + worker_disk_misses,
+            disk_hits=self.cache.disk_hits - disk_hits + pool_stats.disk_hits,
+            disk_misses=(
+                self.cache.disk_misses - disk_misses + pool_stats.disk_misses
+            ),
             kernel_backend=self.kernel.name,
             kernel_pairs=tuple(
                 sorted(
@@ -352,133 +422,7 @@ class IndexedJoiner(EditDistanceJoiner):
         )
         join_span.set_attributes(self.last_join_stats.as_dict())
         join_span.finish()
-        results: list[tuple[str | None, int]] = [(None, 0)] * len(probes)
-        for probe, rows in positions.items():
-            result = resolved[probe]
-            for i in rows:
-                results[i] = result
-        return results
-
-    def topk_many(
-        self, probes: Sequence[str], targets: Sequence[str], k: int
-    ) -> list[list[tuple[int, int, str]]]:
-        """Blocked top-k, byte-identical to the brute reference.
-
-        Same dedupe/bucketing frame as :meth:`join_many`; each bucket
-        resolves through :meth:`_topk_bucket` (one bound round plus one
-        provably sufficient candidate round).  There is no exact-match
-        short-circuit — a top-k query needs the runners-up regardless —
-        and no per-probe thresholds here; selection/abstention live in
-        the shared :meth:`EditDistanceJoiner.topk_join_many`.  Above
-        the parallel threshold the buckets shard across the persistent
-        worker pool with a deterministic per-probe merge.
-        """
-        self._validate_topk(targets, k)
-        if not probes:
-            return []
-        positions: dict[str, list[int]] = {}
-        for i, probe in enumerate(probes):
-            positions.setdefault(probe, []).append(i)
-        index = self._index_for(targets)
-        resolved: dict[str, list[tuple[int, int, str]]] = {}
-        buckets: dict[int, list[str]] = {}
-        for probe in positions:
-            if probe == "":
-                resolved[probe] = []
-            else:
-                buckets.setdefault(len(probe), []).append(probe)
-        pending = sum(len(bucket) for bucket in buckets.values())
-        n_workers = self._resolve_workers(pending)
-        ranked: dict[str, list[tuple[int, int]]]
-        if n_workers > 1 and pending:
-            ranked, _ = self._ensure_pool(n_workers).run_buckets(
-                index, buckets, targets, k=k
-            )
-        else:
-            ranked = {}
-            for length, bucket in buckets.items():
-                ranked.update(self._topk_bucket(index, length, bucket, k))
-        for probe, pairs in ranked.items():
-            resolved[probe] = [
-                (distance, int(index.first_rows[vid]), index.values[vid])
-                for distance, vid in pairs
-            ]
-        return [list(resolved[probe]) for probe in probes]
-
-    def _topk_bucket(
-        self, index: QGramIndex, length: int, probes: list[str], k: int
-    ) -> dict[str, list[tuple[int, int]]]:
-        """Ranked ``probe -> [(distance, value_id), ...]`` for one bucket.
-
-        Reuses the argmin ladder's machinery but needs only **one
-        extra cap round** beyond the bound probe: exact distances to at
-        least ``k`` plausible neighbour values (max-gram-overlap
-        targets unioned with the ``k`` nearest-by-length values) make
-        the ``k``-th smallest of them a provable upper bound on the
-        ``k``-th best distance, so one ``candidates_bucket`` round at
-        that bound contains the entire top-k with exact scores.  Like
-        :meth:`_argmin_bucket`, each probe's result depends only on
-        ``(index, length, probe, k)`` — the basis for dedupe and
-        parallel-shard equivalence.
-        """
-        n_values = len(index.values)
-        kk = min(k, n_values)
-        vacuous = max(length, index.max_length)
-        probe_codes, _ = encode_strings(probes)
-        if n_values <= k:
-            # The whole column ranks: score every value exactly once.
-            all_vids = np.arange(n_values, dtype=np.int64)
-            cand_lists = [all_vids] * len(probes)
-            dist_lists = self._scored_lists(index, probe_codes, cand_lists, vacuous)
-            return {
-                probe: self._rank_topk(index, cand_lists[j], dist_lists[j], kk)
-                for j, probe in enumerate(probes)
-            }
-        neighbour_lists = index.overlap_best(probes, length, k=kk)
-        # Guarantee >= kk distinct neighbour values per probe so the
-        # kk-th smallest exact distance below is well defined.
-        nearest = np.sort(
-            np.argsort(np.abs(index.lengths - length), kind="stable")[:kk]
-        )
-        neighbour_lists = [
-            np.union1d(neighbours, nearest) for neighbours in neighbour_lists
-        ]
-        bound_dists = self._scored_lists(
-            index, probe_codes, neighbour_lists, vacuous
-        )
-        by_bound: dict[int, list[int]] = {}
-        for j, dists in enumerate(bound_dists):
-            bound = int(np.partition(dists, kk - 1)[kk - 1])
-            by_bound.setdefault(bound, []).append(j)
-        resolved: dict[str, list[tuple[int, int]]] = {}
-        for bound, rows in sorted(by_bound.items()):
-            group = [probes[j] for j in rows]
-            cand_lists = index.candidates_bucket(group, length, bound)
-            dist_lists = self._scored_lists(
-                index, probe_codes[rows], cand_lists, bound
-            )
-            for j, cands, dists in zip(rows, cand_lists, dist_lists, strict=True):
-                keep = dists <= bound
-                ranked = self._rank_topk(index, cands[keep], dists[keep], kk)
-                if len(ranked) < kk:
-                    raise RuntimeError(
-                        "q-gram blocking missed top-k candidates within a "
-                        "proven upper bound; the completeness invariant is "
-                        "broken"
-                    )
-                resolved[probes[j]] = ranked
-        return resolved
-
-    @staticmethod
-    def _rank_topk(
-        index: QGramIndex,
-        cands: np.ndarray,
-        dists: np.ndarray,
-        kk: int,
-    ) -> list[tuple[int, int]]:
-        """Top ``kk`` candidates by ``(distance, earliest row)``."""
-        order = np.lexsort((index.first_rows[cands], dists))[:kk]
-        return [(int(dists[i]), int(cands[i])) for i in order]
+        return index, ranked
 
     def join_composite(
         self,
@@ -494,53 +438,30 @@ class IndexedJoiner(EditDistanceJoiner):
         surviving rows exactly, and deepening the cap until the best
         scored sum is proven global.  Thresholds apply through the
         shared :meth:`EditDistanceJoiner._apply_composite_thresholds`.
-        Above the parallel threshold the deduplicated probes shard
-        across the persistent worker pool.
+        Always resolves in-process, whatever ``n_workers`` says.
         """
         columns = self._validate_composite(probes, target_columns)
-        positions: dict[tuple[str, ...], list[int]] = {}
-        for i, probe in enumerate(probes):
-            positions.setdefault(tuple(probe), []).append(i)
-        resolved: dict[tuple[str, ...], tuple[int | None, int]] = {}
+        if len(columns[0]) < self.threshold:
+            return super().join_composite(probes, target_columns)
+        # Dedupe: every occurrence of a probe tuple gets the one result.
+        resolved: dict[tuple[str, ...], tuple[int | None, int]] = {
+            tuple(probe): (None, 0) for probe in probes
+        }
         pending = [
-            probe
-            for probe in positions
-            if not all(part == "" for part in probe)
+            probe for probe in resolved if not all(part == "" for part in probe)
         ]
-        for probe in positions:
-            if all(part == "" for part in probe):
-                resolved[probe] = (None, 0)
         if pending:
             indexes = [self.cache.get(column, q=self.q) for column in columns]
-            n_workers = self._resolve_workers(len(pending))
-            if n_workers > 1:
-                argmins = self._ensure_pool(n_workers).run_composite(
-                    indexes, pending, columns
-                )
-            else:
-                row_vids = [self._row_value_ids(index) for index in indexes]
-                argmins = {
-                    probe: self._composite_argmin(indexes, row_vids, probe)
-                    for probe in pending
-                }
-            for probe, (best_row, best_sum, matched_length) in argmins.items():
+            row_vids = [self._row_value_ids(index) for index in indexes]
+            for probe in pending:
                 resolved[probe] = self._apply_composite_thresholds(
-                    best_row, best_sum, matched_length
+                    *self._composite_argmin(indexes, row_vids, probe)
                 )
-        results: list[tuple[int | None, int]] = [(None, 0)] * len(probes)
-        for probe, rows in positions.items():
-            result = resolved[probe]
-            for i in rows:
-                results[i] = result
-        return results
+        return [resolved[tuple(probe)] for probe in probes]
 
     @staticmethod
     def _row_value_ids(index: QGramIndex) -> np.ndarray:
-        """Map each target row to its value id, derived from the index.
-
-        Index-only on purpose: parallel workers hold the resolved index
-        but (on the warm path) never see the raw column bytes.
-        """
+        """Map each target row to its value id, derived from the index."""
         n_values = len(index.values)
         n_rows = sum(len(index.rows_for(vid)) for vid in range(n_values))
         out = np.empty(n_rows, dtype=np.int64)
@@ -618,54 +539,64 @@ class IndexedJoiner(EditDistanceJoiner):
                     )
                 cap *= 2
 
-    def _argmin_bucket(
-        self, index: QGramIndex, length: int, probes: list[str]
-    ) -> dict[str, tuple[int, int]]:
-        """Blocked argmin for a bucket of same-length probes.
+    def _resolve_bucket(
+        self, index: QGramIndex, length: int, probes: list[str], k: int
+    ) -> dict[str, Ranked]:
+        """The ``k`` nearest distinct values for a bucket of same-length probes.
 
-        Returns ``probe -> (winner_value_id, distance)``; value ids
-        keep the hot path (and the parallel workers' result payloads)
-        in integer space — callers map ids back to strings through the
-        index.  Each probe's result depends only on ``(index, length,
-        probe)``, never on which other probes share the bucket, which
-        is what makes both probe deduplication and parallel sharding
-        byte-identical to the serial scan.
+        Returns ``probe -> (value_ids, distances)`` in ``(distance,
+        earliest row)`` rank order, ``min(k, distinct values)`` entries
+        each; value ids keep the hot path (and the parallel workers'
+        result payloads) in integer space — callers map ids back to
+        strings through the index.  Each probe's result depends only on
+        ``(index, length, probe, k)``, never on which other probes
+        share the bucket, which is what makes both probe deduplication
+        and parallel sharding byte-identical to the serial scan.
+
+        One rule resolves a probe at every step: the candidate set at a
+        cap is complete, so once at least ``k`` candidates score within
+        the cap they are the global top-k with all their ties
+        (:meth:`_rank_topk`).  At ``k = 1`` that is the classic argmin
+        — minimum distance, earliest row among the ties.
 
         Two cheap rounds at caps 1 and 2 resolve the near probes — the
         common case for model predictions — on small count-filtered
         candidate blocks, scoring each candidate **once** across the
         ladder (the cap-1 round already scores with the cap-2 kernel,
         so the cap-2 round only scores newly admitted candidates).
-        Every probe still unresolved then gets an **upper bound** (the
-        exact distance to its max-gram-overlap targets) and finishes in
-        two waves, no cap ladder needed:
+        Every probe still unresolved then gets an **upper bound** on
+        its ``k``-th best distance (the ``k``-th smallest exact
+        distance to its max-gram-overlap targets) and finishes in two
+        waves, no cap ladder needed:
 
         * **Wave 1** scores only the near-length candidates
-          (``|len - length| <= 2``) at the bound.  The argmin almost
-          always lives there, so the wave-1 minimum ``b1`` is a much
-          tighter upper bound (``b1 <= bound`` always, since the
-          candidate set at the bound provably contains the argmin or
-          wave 2 covers it).
+          (``|len - length| <= 2``) at the bound.  The top-k almost
+          always lives there, so the ``k``-th smallest wave-1 score
+          ``b1`` is a much tighter upper bound (``b1 <= bound``
+          whenever ``k`` near candidates score within the bound;
+          otherwise the bound stands).
         * **Wave 2** scores the remaining candidates at cap ``b1`` —
           any target beating or tying ``b1`` is within edit distance
           ``b1``, hence within the ``b1`` length window and count
           filter — with the kernel's per-pair settlement trimming
           doomed pairs after about ``b1`` DP steps.
 
-        This is the batched analogue of the brute scan's best-so-far
+        This is the batched analogue of the brute scan's k-th-best
         pruning: far/garbage probes scan the wide part of the column
         exactly once, against the tightest bound known.
         """
-        resolved: dict[str, tuple[int, int]] = {}
-        pending = self._ladder_rounds(index, length, probes, resolved)
+        # Only distinct values rank, so a short column caps the answer.
+        kk = min(k, len(index.values))
+        resolved: dict[str, Ranked] = {}
+        pending = self._ladder_rounds(index, length, probes, kk, resolved)
         if not pending:
             return resolved
         probe_codes, _ = encode_strings(pending)
-        bounds = self._upper_bounds(index, length, pending, probe_codes)
+        bounds = self._upper_bounds(index, length, pending, probe_codes, kk)
         by_bound: dict[int, list[int]] = {}
         for j, bound in enumerate(bounds):
-            by_bound.setdefault(int(bound), []).append(j)
-        near_scores: dict[int, tuple[int, np.ndarray]] = {}
+            by_bound.setdefault(bound, []).append(j)
+        near_scores: dict[int, Ranked] = {}
         by_refined: dict[int, list[int]] = {}
         for bound, rows in sorted(by_bound.items()):
             group = [pending[j] for j in rows]
@@ -674,45 +605,76 @@ class IndexedJoiner(EditDistanceJoiner):
                 cands[np.abs(index.lengths[cands] - length) <= self._NEAR_LENGTHS]
                 for cands in cand_lists
             ]
-            wave1 = self._wave_scores(
-                index, probe_codes[rows], near_lists, bound
-            )
-            for j, score in zip(rows, wave1, strict=True):
-                near_scores[j] = score
-                by_refined.setdefault(min(bound, score[0]), []).append(j)
+            wave1 = self._scored_lists(index, probe_codes[rows], near_lists, bound)
+            for j, near, near_dists in zip(rows, near_lists, wave1, strict=True):
+                # Only scores within the bound can rank; keeping just
+                # those also bounds what the bucket holds until wave 2.
+                keep = near_dists <= bound
+                near_scores[j] = (near[keep], near_dists[keep])
+                refined = self._kth_smallest(near_dists[keep], kk, bound)
+                by_refined.setdefault(refined, []).append(j)
         for refined, rows in sorted(by_refined.items()):
             group = [pending[j] for j in rows]
-            group_codes = probe_codes[rows]
             cand_lists = index.candidates_bucket(group, length, refined)
             far_lists = [
                 cands[np.abs(index.lengths[cands] - length) > self._NEAR_LENGTHS]
                 for cands in cand_lists
             ]
-            wave2 = self._wave_scores(index, group_codes, far_lists, refined)
-            for j, probe, (far_best, far_tied) in zip(
-                rows, group, wave2, strict=True
+            wave2 = self._scored_lists(index, probe_codes[rows], far_lists, refined)
+            for j, probe, far, far_dists in zip(
+                rows, group, far_lists, wave2, strict=True
             ):
-                near_best, near_tied = near_scores[j]
-                best = min(near_best, far_best)
-                if best > refined:
+                near, near_dists = near_scores[j]
+                ranked = self._rank_topk(
+                    index,
+                    np.concatenate((near, far)),
+                    np.concatenate((near_dists, far_dists)),
+                    refined,
+                    kk,
+                )
+                if ranked is None:
                     raise RuntimeError(
                         "q-gram blocking missed a match within a proven "
                         "upper bound; the completeness invariant is broken"
                     )
-                waves = ((near_best, near_tied), (far_best, far_tied))
-                tied = np.concatenate(
-                    [tied for tied_best, tied in waves if tied_best == best]
-                )
-                winner = tied[np.argmin(index.first_rows[tied])]
-                resolved[probe] = (int(winner), best)
+                resolved[probe] = ranked
         return resolved
+
+    @staticmethod
+    def _rank_topk(
+        index: QGramIndex,
+        cands: np.ndarray,
+        dists: np.ndarray,
+        cap: int,
+        kk: int,
+    ) -> Ranked | None:
+        """Top ``kk`` of the candidates within ``cap``, or ``None``.
+
+        Ranks by ``(distance, earliest row)``.  ``None`` means fewer
+        than ``kk`` candidates score within the cap, i.e. a round at
+        this cap cannot resolve the probe.
+        """
+        keep = dists <= cap
+        if np.count_nonzero(keep) < kk:
+            return None
+        cands, dists = cands[keep], dists[keep]
+        order = np.lexsort((index.first_rows[cands], dists))[:kk]
+        return cands[order], dists[order]
+
+    @staticmethod
+    def _kth_smallest(dists: np.ndarray, kk: int, default: int) -> int:
+        """The ``kk``-th smallest score, ``default`` when there are fewer."""
+        if dists.size < kk:
+            return default
+        return int(np.partition(dists, kk - 1)[kk - 1])
 
     def _ladder_rounds(
         self,
         index: QGramIndex,
         length: int,
         probes: list[str],
-        resolved: dict[str, tuple[int, int]],
+        kk: int,
+        resolved: dict[str, Ranked],
     ) -> list[str]:
         """Caps-1-and-2 rounds with score reuse across the deepening.
 
@@ -724,9 +686,10 @@ class IndexedJoiner(EditDistanceJoiner):
         Resolution stays byte-identical to independent rounds: a
         distance within cap 1 is the same number under either kernel
         cap, candidate sets are monotone in the cap, and reused scores
-        clamped at 3 (beyond the lookahead) can never win a cap-2
-        round.  Resolves probes into ``resolved`` (as
-        ``(winner_value_id, distance)``) and returns the survivors.
+        clamped at 3 (beyond the lookahead) can never count towards a
+        cap-2 round.  Resolves a probe into ``resolved`` as soon as
+        ``kk`` candidates score within the round's cap and returns the
+        survivors.
         """
         max_cap = max(length, index.max_length)
         lookahead = min(2, max_cap)
@@ -735,15 +698,11 @@ class IndexedJoiner(EditDistanceJoiner):
         dist_lists = self._scored_lists(index, probe_codes, cand_lists, lookahead)
         survivors: list[int] = []
         for j, probe in enumerate(probes):
-            segment = dist_lists[j]
-            if segment.size:
-                best = int(segment.min())
-                if best <= 1:
-                    tied = cand_lists[j][segment == best]
-                    winner = tied[np.argmin(index.first_rows[tied])]
-                    resolved[probe] = (int(winner), best)
-                    continue
-            survivors.append(j)
+            ranked = self._rank_topk(index, cand_lists[j], dist_lists[j], 1, kk)
+            if ranked is None:
+                survivors.append(j)
+            else:
+                resolved[probe] = ranked
         if not survivors or max_cap < 2:
             return [probes[j] for j in survivors]
         rem = [probes[j] for j in survivors]
@@ -766,18 +725,17 @@ class IndexedJoiner(EditDistanceJoiner):
         for j, probe, fresh, fresh_d in zip(
             survivors, rem, fresh_lists, fresh_dists, strict=True
         ):
-            vids = np.concatenate((cand_lists[j], fresh))
-            dists = np.concatenate((dist_lists[j], fresh_d))
-            if not vids.size:
+            ranked = self._rank_topk(
+                index,
+                np.concatenate((cand_lists[j], fresh)),
+                np.concatenate((dist_lists[j], fresh_d)),
+                2,
+                kk,
+            )
+            if ranked is None:
                 still.append(probe)
-                continue
-            best = int(dists.min())
-            if best > 2:
-                still.append(probe)
-                continue
-            tied = vids[dists == best]
-            winner = tied[np.argmin(index.first_rows[tied])]
-            resolved[probe] = (int(winner), best)
+            else:
+                resolved[probe] = ranked
         return still
 
     def _scored_lists(
@@ -815,61 +773,41 @@ class IndexedJoiner(EditDistanceJoiner):
                     out[j] = distances[lo:hi]
         return out
 
-    def _wave_scores(
-        self,
-        index: QGramIndex,
-        probe_codes: np.ndarray,
-        cand_lists: list[np.ndarray],
-        cap: int,
-    ) -> list[tuple[int, np.ndarray]]:
-        """``(best, tied_value_ids)`` per probe over given candidates.
-
-        Scores all (probe, candidate) pairs with the lockstep pair DP
-        in bounded groups.  ``best`` is ``cap + 1`` (with an empty tie
-        array) when no candidate scores within the cap; otherwise the
-        ties are every candidate at exactly ``best``.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        results: list[tuple[int, np.ndarray]] = []
-        dist_lists = self._scored_lists(index, probe_codes, cand_lists, cap)
-        for cands, segment in zip(cand_lists, dist_lists, strict=True):
-            best = int(segment.min()) if segment.size else cap + 1
-            if best <= cap:
-                results.append((best, cands[segment == best]))
-            else:
-                results.append((cap + 1, empty))
-        return results
-
     def _upper_bounds(
         self,
         index: QGramIndex,
         length: int,
         pending: list[str],
         probe_codes: np.ndarray,
-    ) -> np.ndarray:
-        """Exact distance from each pending probe to a plausible neighbour.
+        kk: int,
+    ) -> list[int]:
+        """A proven upper bound on each pending probe's ``kk``-th best distance.
 
         One small pair-DP batch (a few candidates per probe) against the
-        max-gram-overlap targets from :meth:`QGramIndex.overlap_best`;
-        the per-probe minimum upper-bounds the probe's best distance.
+        max-gram-overlap targets from :meth:`QGramIndex.overlap_best`,
+        topped up with the nearest-by-length values wherever fewer than
+        ``kk`` targets share a gram: exact distances to ``kk`` distinct
+        values make the ``kk``-th smallest of them an upper bound on
+        the ``kk``-th best distance overall.
         """
-        neighbour_lists = index.overlap_best(pending, length)
-        sizes = np.fromiter(
-            (a.size for a in neighbour_lists),
-            dtype=np.int64,
-            count=len(neighbour_lists),
+        neighbour_lists = index.overlap_best(
+            pending, length, k=max(kk, self._BOUND_NEIGHBOURS)
         )
-        vids = np.concatenate(neighbour_lists)
-        probe_rep = np.repeat(np.arange(len(pending)), sizes)
-        cand_codes, cand_lengths = index.batch_codes(vids)
+        if any(neighbours.size < kk for neighbours in neighbour_lists):
+            nearest = np.argsort(np.abs(index.lengths - length), kind="stable")[:kk]
+            neighbour_lists = [
+                neighbours
+                if neighbours.size >= kk
+                else np.union1d(neighbours, nearest)
+                for neighbours in neighbour_lists
+            ]
         # Any target is within max(length, longest target), so the
         # distances come back exact.
         vacuous = max(length, index.max_length)
-        distances = self.kernel.edit_distance_pairs(
-            probe_codes[probe_rep], cand_codes, cand_lengths, vacuous
+        dist_lists = self._scored_lists(
+            index, probe_codes, neighbour_lists, vacuous
         )
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        return np.minimum.reduceat(distances, starts)
+        return [self._kth_smallest(dists, kk, vacuous) for dists in dist_lists]
 
     def _probe_groups(
         self, cand_lists: list[np.ndarray]
@@ -933,6 +871,8 @@ class IndexedJoiner(EditDistanceJoiner):
         self, predicted: str, targets: Sequence[str], lower: int = 0, upper: int = 0
     ) -> list[tuple[str, int]]:
         """Identical contract to :meth:`EditDistanceJoiner.match_many`."""
+        if len(targets) < self.threshold:
+            return super().match_many(predicted, targets, lower, upper)
         self._validate_many(targets, lower, upper)
         if predicted == "":
             return []
@@ -957,106 +897,25 @@ class IndexedJoiner(EditDistanceJoiner):
         return [(index.values[vid], distance) for distance, _, vid in entries]
 
 
-class AutoJoiner(EditDistanceJoiner):
+class AutoJoiner(IndexedJoiner):
     """Size-adaptive strategy: brute below ``threshold`` rows, else blocked.
 
     Index construction is linear in the column with a noticeable
     constant, so tiny columns (the common per-table benchmark case) stay
     on the scalar scan while large columns get sub-linear candidate
-    generation.  Both delegates are exactly equivalent, so the switch
-    never changes results.
-
-    Args:
-        config: All tunables in one frozen
-            :class:`~repro.core.JoinConfig`; ``auto_threshold`` is the
-            minimum target-column length (in rows) at which the q-gram
-            engine takes over.
-        cache: Index cache for the blocked delegate (``None`` = the
-            process-wide shared cache).
-        threshold, max_distance, normalized_threshold, q, n_workers,
-            parallel_threshold: Deprecated — pass ``JoinConfig(...)``
-            (``threshold`` folds into ``auto_threshold``).
+    generation.  Both sides are exactly equivalent, so the switch never
+    changes results.  This is an :class:`IndexedJoiner` whose
+    ``threshold`` comes from ``config.auto_threshold`` — nothing else.
     """
-
-    DEFAULT_THRESHOLD = 256
 
     def __init__(
         self,
         config: JoinConfig | None = None,
         *,
         cache: IndexCache | None = None,
-        threshold: int | None = None,
-        max_distance: int | None = None,
-        normalized_threshold: float | None = None,
-        q: int | None = None,
-        n_workers: int | None = None,
-        parallel_threshold: int | None = None,
     ) -> None:
-        config = fold_legacy_kwargs(
-            "AutoJoiner",
-            config,
-            auto_threshold=threshold,
-            max_distance=max_distance,
-            normalized_threshold=normalized_threshold,
-            q=q,
-            n_workers=n_workers,
-            parallel_threshold=parallel_threshold,
-        )
-        super().__init__(config)
-        self.threshold = config.auto_threshold
-        self.last_join_stats: JoinStats | None = None
-        self._brute = EditDistanceJoiner(config)
-        self._indexed = IndexedJoiner(config, cache=cache)
-
-    def _delegate(self, targets: Sequence[str]) -> EditDistanceJoiner:
-        delegate = (
-            self._indexed if len(targets) >= self.threshold else self._brute
-        )
-        # Thresholds and the query-surface defaults are read from this
-        # wrapper on every call so that post-construction mutation
-        # (joiner.max_distance = 2) behaves exactly as it does on a
-        # plain EditDistanceJoiner.
-        delegate.max_distance = self.max_distance
-        delegate.normalized_threshold = self.normalized_threshold
-        delegate.mode = self.mode
-        delegate.k = self.k
-        delegate.margin = self.margin
-        return delegate
-
-    def match(self, predicted: str, targets: Sequence[str]) -> tuple[str | None, int]:
-        return self._delegate(targets).match(predicted, targets)
-
-    def join_many(
-        self, probes: Sequence[str], targets: Sequence[str]
-    ) -> list[tuple[str | None, int]]:
-        delegate = self._delegate(targets)
-        results = delegate.join_many(probes, targets)
-        # Surface the blocked delegate's batch counters (the brute scan
-        # keeps none) so eval reports see stats wherever they exist.
-        self.last_join_stats = getattr(delegate, "last_join_stats", None)
-        return results
-
-    def match_many(
-        self, predicted: str, targets: Sequence[str], lower: int = 0, upper: int = 0
-    ) -> list[tuple[str, int]]:
-        return self._delegate(targets).match_many(predicted, targets, lower, upper)
-
-    def topk_many(
-        self, probes: Sequence[str], targets: Sequence[str], k: int
-    ) -> list[list[tuple[int, int, str]]]:
-        return self._delegate(targets).topk_many(probes, targets, k)
-
-    def join_composite(
-        self,
-        probes: Sequence[Sequence[str]],
-        target_columns: Sequence[Sequence[str]],
-    ) -> list[tuple[int | None, int]]:
-        first = target_columns[0] if target_columns else ()
-        return self._delegate(first).join_composite(probes, target_columns)
-
-    def close(self) -> None:
-        """Tear down the blocked delegate's persistent worker pool."""
-        self._indexed.close()
+        super().__init__(config, cache=cache)
+        self.threshold = self.config.auto_threshold
 
 
 def make_joiner(
@@ -1064,12 +923,6 @@ def make_joiner(
     config: JoinConfig | None = None,
     *,
     cache: IndexCache | None = None,
-    max_distance: int | None = None,
-    normalized_threshold: float | None = None,
-    q: int | None = None,
-    auto_threshold: int | None = None,
-    n_workers: int | None = None,
-    parallel_threshold: int | None = None,
 ) -> EditDistanceJoiner:
     """Build a join strategy by name.
 
@@ -1082,20 +935,7 @@ def make_joiner(
             ``mode``/``k``/``margin`` query defaults).
         cache: Index cache for the blocked strategies (``None`` = the
             process-wide shared cache).
-        max_distance, normalized_threshold, q, auto_threshold,
-            n_workers, parallel_threshold: Deprecated — pass
-            ``JoinConfig(...)``.
     """
-    config = fold_legacy_kwargs(
-        "make_joiner",
-        config,
-        max_distance=max_distance,
-        normalized_threshold=normalized_threshold,
-        q=q,
-        auto_threshold=auto_threshold,
-        n_workers=n_workers,
-        parallel_threshold=parallel_threshold,
-    )
     if strategy == "brute":
         return EditDistanceJoiner(config)
     if strategy == "indexed":

@@ -1,18 +1,24 @@
 """Parallel sharded execution for the batched join.
 
 :class:`JoinWorkerPool` owns a :class:`~concurrent.futures.ProcessPoolExecutor`
-that **persists across** :meth:`~repro.index.joiner.IndexedJoiner.join_many`
-calls — the pool is created on the first parallel batch and reused until
-:meth:`JoinWorkerPool.close` (the serving layer closes it on shutdown;
-a garbage-collected joiner releases it through the executor's own
-finalization).  Each call fans its length buckets out across the pool
-and merges the results deterministically.  The contract is the
-engine-wide one: **byte-identical results to the serial scan**, which
-the sharding preserves by construction —
+that **persists across** the joiner's batch calls (``join_many`` and
+``topk_many`` alike) — the pool is created on the first parallel batch
+and reused until :meth:`JoinWorkerPool.close` (the serving layer closes
+it on shutdown; a garbage-collected joiner releases it through the
+executor's own finalization).  There is **one shard protocol**: every
+call fans its length buckets out through :meth:`JoinWorkerPool.run_buckets`,
+every shard runs :func:`_score_shard` — the serial
+:meth:`~repro.index.joiner.IndexedJoiner._resolve_bucket` at the call's
+``k`` — and every payload has the same shape (per-probe rank counts
+plus flat value-id / distance arrays), merged deterministically.  The
+argmin is simply ``k = 1``.  Composite joins never come here; they
+resolve in-process.  The contract is the engine-wide one:
+**byte-identical results to the serial scan**, which the sharding
+preserves by construction —
 
-* a bucket probe's argmin depends only on ``(index, length, probe)``,
-  never on which other probes share the bucket, so buckets can split
-  anywhere;
+* a bucket probe's ranking depends only on ``(index, length, probe,
+  k)``, never on which other probes share the bucket, so buckets can
+  split anywhere;
 * every worker scores against an equal-content index — resolved from
   its own content-keyed cache (seeded with the parent's cache under the
   ``fork`` start method, loaded from the shared on-disk tier, or
@@ -35,9 +41,9 @@ Shards are planned by **candidate mass**, not probe count: a bucket's
 per-probe cost scales with how many targets sit within the near-length
 window, so a skewed workload (thousands of probes at the column's modal
 length) is split into more pieces than its probe share alone would
-suggest.  Workers return ``(value_id, distance)`` pairs as reduced
-``int32`` arrays — the parent maps ids back to strings through its own
-index — so result pickling stays cheap even for very wide batches.
+suggest.  Workers return value ids and distances as reduced ``int32``
+arrays — the parent maps ids back to strings through its own index —
+so result pickling stays cheap even for very wide batches.
 
 Worker startup prefers the ``fork`` start method where the platform
 offers it and no other threads are alive (forking a multi-threaded
@@ -69,12 +75,13 @@ from repro.index.qgram import QGramIndex
 
 @dataclass(frozen=True)
 class JoinStats:
-    """Counters from one :meth:`IndexedJoiner.join_many` call.
+    """Counters from one blocked ``join_many`` / ``topk_many`` call.
 
     Attributes:
         probes: Probe rows requested (duplicates included).
         unique_probes: Distinct probe values after deduplication.
-        exact_matches: Unique probes resolved by exact-match lookup.
+        exact_matches: Unique probes resolved by exact-match lookup
+            (always 0 for top-k, which takes no shortcut).
         empty_probes: Unique probes that were abstentions (``""``).
         pending: Unique probes that went through bucketed scoring.
         buckets: Length buckets those probes formed.
@@ -130,13 +137,16 @@ class JoinStats:
 
 @dataclass(frozen=True)
 class PoolStats:
-    """What one pool run can report back to ``join_many``."""
+    """What one pool run reports back to the joiner's call frame.
 
-    workers: int
-    shards: int
-    shard_sizes: tuple[int, ...]
-    disk_hits: int
-    disk_misses: int
+    The defaults describe serial execution (no pool involved).
+    """
+
+    workers: int = 1
+    shards: int = 0
+    shard_sizes: tuple[int, ...] = ()
+    disk_hits: int = 0
+    disk_misses: int = 0
     #: Summed per-shard ``(backend, pairs)`` deltas from the workers.
     kernel_pairs: tuple[tuple[str, int], ...] = ()
 
@@ -233,10 +243,6 @@ def pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("spawn")
 
 
-#: Backwards-compatible alias (pre-PR-9 internal name).
-_pool_context = pool_context
-
-
 def _init_worker(
     inherited_cache: IndexCache | None,
     cache_dir: str | None,
@@ -261,17 +267,47 @@ def _init_worker(
     _WORKER_DISK_BASE = (_WORKER_CACHE.disk_hits, _WORKER_CACHE.disk_misses)
 
 
-def _resolve_worker_index(
+def _score_shard(
     shard_id: int,
+    length: int,
+    probes: list[str],
     fingerprint: str,
     column: tuple[str, ...] | None,
     q: int | None,
-) -> QGramIndex:
-    """Resolve one column's index through this worker's memo/cache.
+    kernel_backend: str = "auto",
+    k: int = 1,
+) -> tuple:
+    """Rank one shard's probes; ship the results as reduced int32 arrays.
 
-    A miss with no column attached raises :class:`_ColumnNeeded` so the
-    parent can resubmit the shard with the column bytes.
+    Shards are addressed by column *fingerprint*: warm shards (the
+    persistent pool's steady state) carry no column bytes at all and
+    resolve through this worker's fingerprint memo; a miss with no
+    column attached raises :class:`_ColumnNeeded` so the parent can
+    resubmit with the column, which the worker then resolves through
+    its content-keyed cache (memory, disk tier, or rebuild).
+
+    ``kernel_backend`` is the parent joiner's *resolved* backend name,
+    so workers score with the same kernel whatever their environment
+    says (``"auto"`` stays per-call dispatch, which resolves the same
+    way in every process).
+
+    The payload is ``(shard_id, pid, disk_hits, disk_misses,
+    kernel_pairs, counts, vids, distances)``: a ragged triple of
+    per-probe rank counts plus flat value ids and distances in rank
+    order (one entry per probe at ``k = 1``), which the parent slices
+    back per probe.  It carries value ids, not matched strings — the
+    parent owns an equal-content index and maps ids back — plus this
+    worker's pid and disk-tier counters (cumulative since worker start)
+    so the parent can aggregate per-process cache behaviour without
+    double-counting shards, and this shard's per-backend kernel-pairs
+    delta (snapshotted around the scoring, so persistent workers never
+    double-report across shards or calls).
     """
+    # Imported lazily: joiner imports this module for the pool.
+    from repro.core.join_config import JoinConfig
+    from repro.index.joiner import IndexedJoiner
+    from repro.index.kernels import pairs_scored_snapshot
+
     cache = _WORKER_CACHE
     assert cache is not None, "worker initialized without a cache"
     index = _WORKER_INDEXES.get(fingerprint)
@@ -284,165 +320,38 @@ def _resolve_worker_index(
             _WORKER_INDEXES.popitem(last=False)
     else:
         _WORKER_INDEXES.move_to_end(fingerprint)
-    return index
-
-
-def _worker_scorer(q: int | None, kernel_backend: str = "auto"):
-    """Build the per-shard serial scorer (lazy import breaks the cycle).
-
-    ``kernel_backend`` is the parent joiner's *resolved* backend name,
-    so workers score with the same kernel whatever their environment
-    says (``"auto"`` stays per-call dispatch, which resolves the same
-    way in every process).
-    """
-    from repro.core.join_config import JoinConfig
-    from repro.index.joiner import IndexedJoiner
-
-    cache = _WORKER_CACHE
-    assert cache is not None, "worker initialized without a cache"
-    return IndexedJoiner(
+    scorer = IndexedJoiner(
         JoinConfig(q=q, n_workers=1, kernel_backend=kernel_backend),
         cache=cache,
     )
-
-
-def _worker_disk_counters() -> tuple[int, int]:
-    """This worker's disk-tier deltas since worker start."""
-    cache = _WORKER_CACHE
-    assert cache is not None, "worker initialized without a cache"
-    return (
-        cache.disk_hits - _WORKER_DISK_BASE[0],
-        cache.disk_misses - _WORKER_DISK_BASE[1],
-    )
-
-
-def _score_shard(
-    shard_id: int,
-    length: int,
-    probes: list[str],
-    fingerprint: str,
-    column: tuple[str, ...] | None,
-    q: int | None,
-    kernel_backend: str = "auto",
-    k: int | None = None,
-) -> tuple:
-    """Score one shard; ship the results as reduced int32 arrays.
-
-    Shards are addressed by column *fingerprint*: warm shards (the
-    persistent pool's steady state) carry no column bytes at all and
-    resolve through this worker's fingerprint memo; a miss with no
-    column attached raises :class:`_ColumnNeeded` so the parent can
-    resubmit with the column, which the worker then resolves through
-    its content-keyed cache (memory, disk tier, or rebuild).  The
-    payload carries value ids, not matched strings — the parent owns an
-    equal-content index and maps ids back — plus this worker's pid and
-    disk-tier counters (cumulative since worker start) so the parent
-    can aggregate per-process cache behaviour without double-counting
-    shards.
-
-    With ``k`` set the shard runs the top-k bucket instead of the
-    argmin: the payload becomes a ragged triple — per-probe candidate
-    counts plus flat ``(vids, distances)`` arrays in rank order — which
-    the parent slices back per probe.
-
-    Each payload also carries this shard's per-backend kernel-pairs
-    delta (snapshotted around the scoring, so persistent workers never
-    double-report across shards or calls).
-    """
-    from repro.index.kernels import pairs_scored_snapshot
-
-    index = _resolve_worker_index(shard_id, fingerprint, column, q)
-    scorer = _worker_scorer(q, kernel_backend)
     pairs_before = pairs_scored_snapshot()
-    if k is not None:
-        ranked = scorer._topk_bucket(index, length, probes, k)
-        counts = np.fromiter(
-            (len(ranked[probe]) for probe in probes),
-            dtype=np.int32,
-            count=len(probes),
-        )
-        flat = [pair for probe in probes for pair in ranked[probe]]
-        distances = np.fromiter(
-            (distance for distance, _ in flat), dtype=np.int32, count=len(flat)
-        )
-        vids = np.fromiter(
-            (vid for _, vid in flat), dtype=np.int32, count=len(flat)
-        )
-        payload = (counts, vids, distances)
-    else:
-        argmin = scorer._argmin_bucket(index, length, probes)
-        vids = np.fromiter(
-            (argmin[probe][0] for probe in probes),
-            dtype=np.int32,
-            count=len(probes),
-        )
-        distances = np.fromiter(
-            (argmin[probe][1] for probe in probes),
-            dtype=np.int32,
-            count=len(probes),
-        )
-        payload = (vids, distances)
+    ranked = scorer._resolve_bucket(index, length, probes, k)
+    counts = np.fromiter(
+        (ranked[probe][0].size for probe in probes),
+        dtype=np.int32,
+        count=len(probes),
+    )
+    vids = np.concatenate([ranked[probe][0] for probe in probes])
+    distances = np.concatenate([ranked[probe][1] for probe in probes])
     kernel_pairs = tuple(
         (name, count - pairs_before.get(name, 0))
         for name, count in pairs_scored_snapshot().items()
         if count - pairs_before.get(name, 0)
     )
-    disk_hits, disk_misses = _worker_disk_counters()
     return (
         shard_id,
         os.getpid(),
-        disk_hits,
-        disk_misses,
+        cache.disk_hits - _WORKER_DISK_BASE[0],
+        cache.disk_misses - _WORKER_DISK_BASE[1],
         kernel_pairs,
-        *payload,
+        counts,
+        vids.astype(np.int32),
+        distances.astype(np.int32),
     )
 
 
-def _composite_shard(
-    shard_id: int,
-    probes: list[tuple[str, ...]],
-    fingerprints: list[str],
-    columns: list[tuple[str, ...]] | None,
-    qs: list[int | None],
-    kernel_backend: str = "auto",
-) -> tuple:
-    """Resolve one composite-probe shard against per-column indexes.
-
-    Same fingerprint-addressed protocol as :func:`_score_shard`, one
-    fingerprint per target column; the payload is the per-probe
-    ``(best_row, best_sum, matched_length)`` triple as int32 arrays
-    (thresholds are applied by the parent, keeping rejection semantics
-    in one place).
-    """
-    from repro.index.joiner import IndexedJoiner
-
-    indexes = [
-        _resolve_worker_index(
-            shard_id,
-            fingerprint,
-            columns[position] if columns is not None else None,
-            qs[position],
-        )
-        for position, fingerprint in enumerate(fingerprints)
-    ]
-    scorer = _worker_scorer(qs[0], kernel_backend)
-    row_vids = [IndexedJoiner._row_value_ids(index) for index in indexes]
-    rows = np.empty(len(probes), dtype=np.int32)
-    sums = np.empty(len(probes), dtype=np.int32)
-    lengths = np.empty(len(probes), dtype=np.int32)
-    for j, probe in enumerate(probes):
-        best_row, best_sum, matched_length = scorer._composite_argmin(
-            indexes, row_vids, probe
-        )
-        rows[j] = best_row
-        sums[j] = best_sum
-        lengths[j] = matched_length
-    disk_hits, disk_misses = _worker_disk_counters()
-    return shard_id, os.getpid(), disk_hits, disk_misses, rows, sums, lengths
-
-
 class JoinWorkerPool:
-    """A process pool reused across ``join_many`` calls.
+    """A process pool reused across the joiner's batch calls.
 
     Args:
         n_workers: Maximum worker processes (the executor spawns them
@@ -458,7 +367,7 @@ class JoinWorkerPool:
             name, forwarded to workers with every shard so sharded
             scoring runs the exact kernel the serial path would.
 
-    The pool is not itself thread-safe — it executes one ``join_many``
+    The pool is not itself thread-safe — it executes one batch call
     at a time, which is how :class:`~repro.index.joiner.IndexedJoiner`
     drives it (the serving layer serializes joins through its batch
     executor).  ``close()`` is idempotent; a closed pool refuses new
@@ -509,7 +418,7 @@ class JoinWorkerPool:
             self._executor.shutdown(wait=True)
             self._executor = None
         if self._executor is None:
-            context = _pool_context()
+            context = pool_context()
             self._fork_started = context.get_start_method() == "fork"
             self._credited_disk.clear()
             self._shipped_fps.clear()
@@ -541,147 +450,23 @@ class JoinWorkerPool:
         index: QGramIndex,
         buckets: dict[int, list[str]],
         targets: Sequence[str],
-        k: int | None = None,
-    ) -> tuple[dict, PoolStats]:
-        """Run every bucket's argmin (or top-k) through the pool.
+        k: int,
+    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], PoolStats]:
+        """Rank every bucket's probes through the pool.
 
-        With ``k=None`` returns the merged ``probe -> (winner_value_id,
-        distance)`` mapping — byte-identical to running
-        :meth:`IndexedJoiner._argmin_bucket` serially per bucket — plus
-        the pool counters for :class:`JoinStats`.  With ``k`` set, the
-        mapping is ``probe -> [(distance, value_id), ...]`` in rank
-        order, byte-identical to :meth:`IndexedJoiner._topk_bucket`.
+        Returns the merged ``probe -> (value_ids, distances)`` mapping
+        in rank order — byte-identical to running
+        :meth:`IndexedJoiner._resolve_bucket` serially per bucket at
+        the same ``k`` — plus the pool counters for :class:`JoinStats`.
         """
         shards = plan_shards(index, buckets, self.n_workers)
-        if not shards:
-            return {}, PoolStats(0, 0, (), 0, 0, ())
-        try:
-            return self._run_shards(index, shards, targets, k)
-        except BrokenProcessPool:
-            # A killed worker (OOM, signal) breaks the executor for
-            # good.  Fail this call, but discard the executor so the
-            # next call starts a fresh one — a crash costs one batch,
-            # exactly as it did with per-call pools.
-            self._discard_executor()
-            raise
-
-    def run_composite(
-        self,
-        indexes: Sequence[QGramIndex],
-        probes: list[tuple[str, ...]],
-        columns: Sequence[Sequence[str]],
-    ) -> dict[tuple[str, ...], tuple[int, int, int]]:
-        """Shard composite probes across the pool and merge the results.
-
-        Returns ``probe -> (best_row, best_sum, matched_length)``,
-        byte-identical to :meth:`IndexedJoiner._composite_argmin` per
-        probe (each probe's result depends only on the indexes and the
-        probe itself, so the chunking is irrelevant).  Columns ship by
-        fingerprint with the same first-sighting / resend protocol as
-        :meth:`run_buckets`.
-        """
-        if not probes:
-            return {}
-        chunk = max(1, -(-len(probes) // (self.n_workers * _OVERSPLIT)))
-        shards = [
-            probes[start : start + chunk]
-            for start in range(0, len(probes), chunk)
-        ]
-        try:
-            return self._run_composite_shards(indexes, shards, columns)
-        except BrokenProcessPool:
-            self._discard_executor()
-            raise
-
-    def _run_composite_shards(
-        self,
-        indexes: Sequence[QGramIndex],
-        shards: list[list[tuple[str, ...]]],
-        columns: Sequence[Sequence[str]],
-    ) -> dict[tuple[str, ...], tuple[int, int, int]]:
-        executor = self._ensure_executor()
-        column_tuples = [tuple(column) for column in columns]
-        qs = [index.q for index in indexes]
-        fingerprints = [
-            column_fingerprint(column, q)
-            for column, q in zip(column_tuples, qs, strict=True)
-        ]
-        cold = any(fp not in self._shipped_fps for fp in fingerprints)
-        shipped = column_tuples if cold else None
-        self._shipped_fps.update(fingerprints)
-        futures = [
-            executor.submit(
-                _composite_shard,
-                shard_id,
-                shard,
-                fingerprints,
-                shipped,
-                qs,
-                self.kernel_backend,
-            )
-            for shard_id, shard in enumerate(shards)
-        ]
-        argmins: dict[tuple[str, ...], tuple[int, int, int]] = {}
-        worker_disk: dict[int, tuple[int, int]] = {}
-        for future in futures:
-            try:
-                result = future.result()
-            except _ColumnNeeded as missing:
-                result = executor.submit(
-                    _composite_shard,
-                    missing.shard_id,
-                    shards[missing.shard_id],
-                    fingerprints,
-                    column_tuples,
-                    qs,
-                    self.kernel_backend,
-                ).result()
-            shard_id, pid, disk_hits, disk_misses, rows, sums, lengths = result
-            for probe, row, total, length in zip(
-                shards[shard_id],
-                rows.tolist(),
-                sums.tolist(),
-                lengths.tolist(),
-                strict=True,
-            ):
-                argmins[probe] = (row, total, length)
-            worker_disk[pid] = (disk_hits, disk_misses)
-        self._credit_disk(worker_disk)
-        return argmins
-
-    def _credit_disk(self, worker_disk: dict[int, tuple[int, int]]) -> tuple[int, int]:
-        """Turn per-pid cumulative disk counters into this call's delta."""
-        call_hits = 0
-        call_misses = 0
-        for pid, (disk_hits, disk_misses) in worker_disk.items():
-            seen_hits, seen_misses = self._credited_disk.get(pid, (0, 0))
-            call_hits += disk_hits - seen_hits
-            call_misses += disk_misses - seen_misses
-            self._credited_disk[pid] = (disk_hits, disk_misses)
-        return call_hits, call_misses
-
-    def _discard_executor(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
-
-    def _run_shards(
-        self,
-        index: QGramIndex,
-        shards: list[tuple[int, list[str]]],
-        targets: Sequence[str],
-        k: int | None = None,
-    ) -> tuple[dict, PoolStats]:
         executor = self._ensure_executor()
         column = tuple(targets)
         fingerprint = column_fingerprint(column, index.q)
-        # First sighting of a column ships its bytes with every shard;
-        # after that, shards go fingerprint-only and a worker that
-        # still misses (fresh process, evicted memo) asks for a resend.
-        shipped = None if fingerprint in self._shipped_fps else column
-        self._shipped_fps.add(fingerprint)
-        futures = [
-            executor.submit(
+
+        def submit(shard_id: int, shipped: tuple[str, ...] | None):
+            length, probes = shards[shard_id]
+            return executor.submit(
                 _score_shard,
                 shard_id,
                 length,
@@ -692,28 +477,22 @@ class JoinWorkerPool:
                 self.kernel_backend,
                 k,
             )
-            for shard_id, (length, probes) in enumerate(shards)
-        ]
-        argmins: dict = {}
+
+        # First sighting of a column ships its bytes with every shard;
+        # after that, shards go fingerprint-only and a worker that
+        # still misses (fresh process, evicted memo) asks for a resend.
+        shipped = None if fingerprint in self._shipped_fps else column
+        self._shipped_fps.add(fingerprint)
+        ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         worker_disk: dict[int, tuple[int, int]] = {}
         call_pairs: dict[str, int] = {}
-        for future in futures:
-            try:
-                result = future.result()
-            except _ColumnNeeded as missing:
-                length, probes = shards[missing.shard_id]
-                result = executor.submit(
-                    _score_shard,
-                    missing.shard_id,
-                    length,
-                    probes,
-                    fingerprint,
-                    column,
-                    self.q,
-                    self.kernel_backend,
-                    k,
-                ).result()
-            if k is not None:
+        try:
+            futures = [submit(shard_id, shipped) for shard_id in range(len(shards))]
+            for future in futures:
+                try:
+                    result = future.result()
+                except _ColumnNeeded as missing:
+                    result = submit(missing.shard_id, column).result()
                 (
                     shard_id,
                     pid,
@@ -725,34 +504,35 @@ class JoinWorkerPool:
                     distances,
                 ) = result
                 _, probes = shards[shard_id]
-                offsets = np.concatenate(([0], np.cumsum(counts)))
-                vid_list = vids.tolist()
-                dist_list = distances.tolist()
-                for j, probe in enumerate(probes):
-                    lo, hi = int(offsets[j]), int(offsets[j + 1])
-                    argmins[probe] = list(
-                        zip(dist_list[lo:hi], vid_list[lo:hi], strict=True)
-                    )
-            else:
-                (
-                    shard_id,
-                    pid,
-                    disk_hits,
-                    disk_misses,
-                    shard_pairs,
-                    vids,
-                    distances,
-                ) = result
-                _, probes = shards[shard_id]
-                for probe, vid, distance in zip(
-                    probes, vids.tolist(), distances.tolist(), strict=True
+                stops = np.cumsum(counts).tolist()
+                for probe, count, stop in zip(
+                    probes, counts.tolist(), stops, strict=True
                 ):
-                    argmins[probe] = (vid, distance)
-            worker_disk[pid] = (disk_hits, disk_misses)
-            for name, count in shard_pairs:
-                call_pairs[name] = call_pairs.get(name, 0) + count
-        call_hits, call_misses = self._credit_disk(worker_disk)
-        return argmins, PoolStats(
+                    ranked[probe] = (
+                        vids[stop - count : stop],
+                        distances[stop - count : stop],
+                    )
+                worker_disk[pid] = (disk_hits, disk_misses)
+                for name, count in shard_pairs:
+                    call_pairs[name] = call_pairs.get(name, 0) + count
+        except BrokenProcessPool:
+            # A killed worker (OOM, signal) breaks the executor for
+            # good.  Fail this call, but discard the executor so the
+            # next call starts a fresh one — a crash costs one batch,
+            # exactly as it did with per-call pools.
+            self._executor.shutdown(wait=False)
+            self._executor = None
+            raise
+        # Workers report cumulative disk counters; credit this call
+        # with each worker's growth since the last call that saw it.
+        call_hits = 0
+        call_misses = 0
+        for pid, (disk_hits, disk_misses) in worker_disk.items():
+            seen_hits, seen_misses = self._credited_disk.get(pid, (0, 0))
+            call_hits += disk_hits - seen_hits
+            call_misses += disk_misses - seen_misses
+            self._credited_disk[pid] = (disk_hits, disk_misses)
+        return ranked, PoolStats(
             workers=min(self.n_workers, len(shards)),
             shards=len(shards),
             shard_sizes=tuple(len(probes) for _, probes in shards),

@@ -321,18 +321,32 @@ class TestAutoJoiner:
                 )
 
     def test_picks_indexed_at_threshold(self):
-        auto = AutoJoiner(JoinConfig(auto_threshold=3))
-        assert auto._delegate(["a", "b"]) is auto._brute
-        assert auto._delegate(["a", "b", "c"]) is auto._indexed
+        # Below the threshold nothing is indexed and no stats exist; at
+        # the threshold the blocked engine runs and publishes stats.
+        cache = IndexCache()
+        auto = AutoJoiner(JoinConfig(auto_threshold=3), cache=cache)
+        assert auto.join_many(["a"], ["a", "b"]) == [("a", 0)]
+        assert cache.misses == 0
+        assert auto.last_join_stats is None
+        assert auto.join_many(["a"], ["a", "b", "c"]) == [("a", 0)]
+        assert cache.misses == 1
+        assert auto.last_join_stats.probes == 1
+        # Back below: the previous call's stats must not linger.
+        auto.topk_many(["a"], ["a", "b"], 2)
+        assert cache.misses == 1
+        assert auto.last_join_stats is None
 
     def test_default_switchover_boundary_at_256(self):
-        auto = AutoJoiner()
-        assert auto.threshold == AutoJoiner.DEFAULT_THRESHOLD == 256
+        cache = IndexCache()
+        auto = AutoJoiner(cache=cache)
+        assert auto.threshold == JoinConfig().auto_threshold == 256
         rng = random.Random(_SEED + 20)
         below = [f"v{i:03d}" for i in range(255)]
         exactly = [f"v{i:03d}" for i in range(256)]
-        assert auto._delegate(below) is auto._brute
-        assert auto._delegate(exactly) is auto._indexed
+        auto.join_many(["v001"], below)
+        assert cache.misses == 0 and auto.last_join_stats is None
+        auto.join_many(["v001"], exactly)
+        assert cache.misses == 1 and auto.last_join_stats is not None
         # Crossing the boundary never changes results: match, batch,
         # and range queries agree with brute on both sides.
         brute = EditDistanceJoiner()
@@ -380,7 +394,8 @@ class TestMakeJoiner:
             "auto", JoinConfig(auto_threshold=7, normalized_threshold=0.5)
         )
         assert auto.threshold == 7
-        assert auto._indexed.normalized_threshold == 0.5
+        assert auto.normalized_threshold == 0.5
+        assert make_joiner("indexed", JoinConfig(auto_threshold=7)).threshold == 0
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

@@ -133,7 +133,7 @@ class TestParallelEquivalence:
         monkeypatch.setattr(
             parallel_module.threading, "active_count", lambda: 2
         )
-        assert parallel_module._pool_context().get_start_method() != "fork"
+        assert parallel_module.pool_context().get_start_method() != "fork"
         targets = [f"value-{i:04d}" for i in range(300)]
         probes = [f"valu-{i:04d}" for i in range(30)] + ["value-0007", ""]
         serial = IndexedJoiner(JoinConfig(n_workers=1), cache=IndexCache())
@@ -254,13 +254,20 @@ class TestPersistentPool:
         assert excinfo.value.shard_id == 7
         column = tuple(f"value-{i:03d}" for i in range(60))
         fingerprint = column_fingerprint(column, adaptive_q(column))
-        shard_id, _, _, _, kernel_pairs, vids, distances = (
+        shard_id, _, _, _, kernel_pairs, counts, vids, distances = (
             parallel_module._score_shard(
                 1, 9, ["value-0070"], fingerprint, column, None
             )
         )
         assert shard_id == 1 and distances.tolist() == [1]
+        assert counts.tolist() == [1] and vids.size == 1
         assert sum(dict(kernel_pairs).values()) >= 1
+        # One payload shape at any k: counts slice the flat rank arrays.
+        _, _, _, _, _, counts, vids, distances = parallel_module._score_shard(
+            3, 9, ["value-0070", "value-0081"], fingerprint, None, None, k=3
+        )
+        assert counts.tolist() == [3, 3] and vids.size == distances.size == 6
+        assert distances.tolist()[:3] == sorted(distances.tolist()[:3])
         # Fingerprint-only now resolves through the memo, no column.
         shard_id, *_ = parallel_module._score_shard(
             2, 9, ["value-0080"], fingerprint, None, None
@@ -274,8 +281,10 @@ class TestPersistentPool:
         probes = [f"valu-{i:04d}" for i in range(40)]
         with AutoJoiner(JoinConfig(n_workers=2), cache=IndexCache()) as joiner:
             joiner.join_many(probes, targets)
-            assert joiner._indexed._pool is not None
-        assert joiner._indexed._pool is None
+            pool = joiner._pool
+            assert joiner.last_join_stats.shards >= 1
+        assert joiner._pool is None
+        assert pool.closed
 
 
 class TestWorkerPolicy:
@@ -421,4 +430,4 @@ class TestJoinStatsThreading:
         pipeline = DTTPipeline(
             PretrainedDTT(seed=0), join_config=JoinConfig(n_workers=2)
         )
-        assert pipeline.joiner._indexed.n_workers == 2
+        assert pipeline.joiner.n_workers == 2

@@ -829,6 +829,32 @@ class TestTopKServing:
                 reverse_result = reverse.result()
                 assert len(reverse_result) == len(_TARGETS)
 
+    def test_topk_join_credits_its_own_kernel_pairs(self):
+        # An argmin join then a top-k join: each must publish its own
+        # JoinStats, so the service's per-backend totals grow by exactly
+        # what the kernels scored (a top-k call used to re-credit the
+        # previous argmin call's stale stats).
+        from repro.index import pairs_scored_snapshot
+
+        targets = [f"target-{i:04d}" for i in range(300)] + list(_TARGETS)
+
+        def total(pairs: dict) -> int:
+            return sum(pairs.values())
+
+        with TransformService(_surrogate_pipeline()) as service:
+            scored_before = total(pairs_scored_snapshot())
+            service.join(["Kim Campbell"], targets, _EXAMPLES)
+            after_argmin = total(
+                service.join_stats_snapshot()["kernel_pairs_total"]
+            )
+            assert after_argmin == total(pairs_scored_snapshot()) - scored_before
+            service.join(["Paul Martin"], targets, _EXAMPLES, mode="topk", k=3)
+            snapshot = service.join_stats_snapshot()
+            credited = total(snapshot["kernel_pairs_total"])
+            assert credited > after_argmin
+            assert credited == total(pairs_scored_snapshot()) - scored_before
+            assert snapshot["last_join"]["exact_matches"] == 0
+
     def test_submit_validation(self):
         with TransformService(_surrogate_pipeline()) as service:
             with pytest.raises(JoinError):

@@ -16,12 +16,7 @@ import random
 import pytest
 from repro.utils.fuzz import random_edits, random_unicode_string
 
-from repro.core.join_config import (
-    JoinAPIDeprecationWarning,
-    JoinConfig,
-    fold_legacy_kwargs,
-    reset_deprecation_warnings,
-)
+from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner, invert_matches
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
@@ -47,37 +42,76 @@ def _probes_for(targets, rng):
     return probes
 
 
+def _near_duplicate_titles():
+    """Clusters of single-character typos: >= 7 values within distance 2.
+
+    Every value has its whole cluster within two edits, so the ladder's
+    cap-1 / cap-2 rounds resolve a top-k outright instead of falling
+    through to the upper-bound waves.
+    """
+    rng = random.Random(_SEED + 7)
+    titles = [
+        "Astrophysical Journal",
+        "Astronomical Journal",
+        "Monthly Notices of the RAS",
+        "Astronomy and Astrophysics",
+        "Physical Review Letters",
+        "Annals of Mathematics",
+    ]
+    column = []
+    for title in titles:
+        column.append(title)
+        for position in rng.sample(range(len(title)), 7):
+            typo = "#" if title[position] != "#" else "%"
+            column.append(title[:position] + typo + title[position + 1 :])
+    rng.shuffle(column)
+    return column
+
+
+# Beyond the registry: inputs aimed at the ladder's resolution rule.
+_EXTRA_COLUMNS = {
+    "near-duplicate-titles": _near_duplicate_titles,
+    # k >= the number of distinct values: the whole column ranks.
+    "few-distinct-values": lambda: ["aa", "ab", "zz"] * 4,
+}
+_TOPK_INPUTS = [*dataset_names(), *_EXTRA_COLUMNS]
+
+
+def _topk_columns(name):
+    """``(label, target column)`` pairs for one equivalence input."""
+    if name in _EXTRA_COLUMNS:
+        return [(name, _EXTRA_COLUMNS[name]())]
+    tables = get_dataset(name, seed=0, scale=0.05)
+    return [(table.name, list(table.targets)) for table in tables]
+
+
 class TestTopKEquivalence:
     """Blocked and parallel top-k must match the brute reference."""
 
-    @pytest.mark.parametrize("name", dataset_names())
+    @pytest.mark.parametrize("name", _TOPK_INPUTS)
     def test_topk_identical_on_dataset(self, name):
         rng = random.Random(_SEED)
-        tables = get_dataset(name, seed=0, scale=0.05)
         brute = EditDistanceJoiner()
         blocked = IndexedJoiner(cache=IndexCache())
-        for table in tables:
-            targets = list(table.targets)
+        for label, targets in _topk_columns(name):
             probes = _probes_for(targets, rng)
             for k in (1, 3, 7):
                 assert blocked.topk_many(probes, targets, k) == brute.topk_many(
                     probes, targets, k
-                ), (name, table.name, k)
+                ), (name, label, k)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    @pytest.mark.parametrize("name", dataset_names())
+    @pytest.mark.parametrize("name", _TOPK_INPUTS)
     def test_parallel_topk_identical_on_dataset(self, name, n_workers):
         rng = random.Random(_SEED + n_workers)
-        tables = get_dataset(name, seed=0, scale=0.05)
         brute = EditDistanceJoiner()
         config = JoinConfig(n_workers=n_workers, parallel_threshold=0)
         with IndexedJoiner(config, cache=IndexCache()) as sharded:
-            for table in tables:
-                targets = list(table.targets)
+            for label, targets in _topk_columns(name):
                 probes = _probes_for(targets, rng)
                 assert sharded.topk_many(probes, targets, 4) == brute.topk_many(
                     probes, targets, 4
-                ), (name, table.name, n_workers)
+                ), (name, label, n_workers)
 
     def test_topk_join_many_identical_with_margin(self):
         rng = random.Random(_SEED + 50)
@@ -372,40 +406,7 @@ class TestJoinConfig:
         assert joiner.margin == 0.2
         assert joiner.max_distance == 3
 
-
-class TestDeprecationShim:
-    def setup_method(self):
-        reset_deprecation_warnings()
-
-    def teardown_method(self):
-        reset_deprecation_warnings()
-
-    def test_legacy_kwargs_warn_once_per_caller(self):
-        with pytest.warns(JoinAPIDeprecationWarning, match="max_distance"):
-            joiner = EditDistanceJoiner(max_distance=2)
-        assert joiner.max_distance == 2
-        # Second use from the same call site is silent.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            EditDistanceJoiner(max_distance=3)
-
-    def test_config_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(TypeError):
-            fold_legacy_kwargs("caller", JoinConfig(), max_distance=1)
-
-    def test_reset_reenables_warning(self):
-        with pytest.warns(JoinAPIDeprecationWarning):
-            fold_legacy_kwargs("reset-case", None, q=3)
-        reset_deprecation_warnings()
-        with pytest.warns(JoinAPIDeprecationWarning):
-            fold_legacy_kwargs("reset-case", None, q=3)
-
-    def test_none_means_not_passed(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = fold_legacy_kwargs("silent-case", None, max_distance=None)
-        assert config == JoinConfig()
+    def test_non_config_argument_is_rejected(self):
+        for joiner_type in (EditDistanceJoiner, IndexedJoiner, AutoJoiner):
+            with pytest.raises(TypeError, match="JoinConfig"):
+                joiner_type(2)

@@ -426,6 +426,31 @@ class TestEndToEndTracing:
                 assert "batch_primary_trace_id" in batch["attributes"]
         assert full_chains >= 1, "no batch primary captured the full chain"
 
+    def test_sampled_topk_request_carries_join_phase_spans(
+        self, traced_server
+    ):
+        # Top-k runs the same call frame as argmin, so its trace must
+        # show the join phases too (it used to emit no join.* spans).
+        base, _, _ = traced_server
+        targets = [f"target-{i:04d}" for i in range(300)] + ["jchretien"]
+        body, headers = _post_json(
+            base,
+            "/v1/join",
+            {
+                "sources": ["Jean Chretien"],
+                "targets": targets,
+                "examples": _EXAMPLES,
+                "mode": "topk",
+                "k": 3,
+            },
+        )
+        assert body["mode"] == "topk"
+        trace_id = headers["X-Repro-Trace-Id"]
+        snap = _wait_for_traces(base, {trace_id})
+        trace = next(t for t in snap["recent"] if t["trace_id"] == trace_id)
+        names = {span["name"] for span in trace["spans"]}
+        assert {"join.join_many", "join.kernel_sweep"} <= names
+
     def test_trace_header_matches_collector_and_limit_param(
         self, traced_server
     ):
