@@ -1,4 +1,4 @@
-"""Ablations of DTT's design choices (DESIGN.md §6).
+"""Ablations of DTT's design choices.
 
 Not a paper artifact — these quantify the contribution of each
 framework component the paper motivates qualitatively:

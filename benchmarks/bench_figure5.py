@@ -36,15 +36,15 @@ def test_figure5_noise_robustness(benchmark, results_dir):
     cst = result["CST"]
     # Negligible drop at typical (20%) noise on the real-world datasets;
     # on random-character Syn our surrogate is somewhat more
-    # noise-sensitive than the paper's model (see EXPERIMENTS.md).
+    # noise-sensitive than the paper's model.
     for dataset in ("WT", "SS"):
         by_x = {p.x: p.f1 for p in dtt[dataset]}
         assert by_x[0.2] < 0.12, f"DTT drop at 20% noise too large ({dataset})"
         # Paper: < 0.25 at 80% noise.  Our simulated WT carries inherent
         # noise *plus* conditional multi-rule topics, so the extreme
-        # point sits slightly higher (~0.35-0.45); see EXPERIMENTS.md.
+        # point sits slightly higher (~0.35-0.45).
         assert by_x[0.8] < 0.45, f"DTT drop at 80% noise too large ({dataset})"
-    # KNOWN DEVIATION (documented in EXPERIMENTS.md): the paper reports
+    # KNOWN DEVIATION: the paper reports
     # CST degrading *faster* than DTT under noise; our CST
     # re-implementation's coverage filter makes it more conservative
     # (it stops matching rather than matching wrongly), so its F1 drop

@@ -14,8 +14,12 @@ outputs before trusting the clocks).  The headline row forces every row
 to decode the full ``max_output_length=128`` budget so the measured
 speedup reflects 128-token-scale outputs regardless of where the model
 happens to emit ``<eos>``; a second row reports the regular
-stop-on-``<eos>`` path.  Results go to ``BENCH_generate.json`` at the
-repository root.
+stop-on-``<eos>`` path.  Beside the ratio each row carries the absolute
+costs of the incremental side: ``encode_seconds`` (time inside
+``model.start_decode`` — the no-grad encoder pass plus the one-time
+cross-attention K/V projection) and ``us_per_row_step`` (the remaining
+decode time per row-step, from ``EngineStats.row_steps``).  Results go
+to ``BENCH_generate.json`` at the repository root.
 
 Run directly (``python benchmarks/bench_generate.py``) for the full
 sweep, or with ``--smoke`` for a seconds-scale sanity run that does not
@@ -73,16 +77,49 @@ def _full_prefix_forced(
     input_ids, input_mask = model.tokenizer.pad_batch(
         model.tokenize_prompts(prompts)
     )
-    memory = model.network.encode(input_ids, input_mask)
+    memory = model.network.infer_encode(input_ids, input_mask)
     sequences = np.full((len(prompts), 1), vocab.sos_id, dtype=np.int64)
     for _ in range(steps):
-        logits = model.network.decode(sequences, memory, input_mask)
+        logits = model.network.infer_decode(sequences, memory, input_mask)
         next_ids = logits[:, -1, :].argmax(axis=-1)
         sequences = np.concatenate([sequences, next_ids[:, None]], axis=1)
     return [
         model.tokenizer.decode(row[1:], strip_special=True)
         for row in sequences
     ]
+
+
+def _timed_engine_run(
+    engine: GenerationEngine, model: ByteSeq2SeqModel, prompts: list[str]
+) -> tuple[list[str], dict]:
+    """Decode through ``engine``; returns outputs and the absolute costs."""
+    encode_seconds = 0.0
+    start_decode = model.start_decode
+
+    def timed_start_decode(prompt_ids):
+        nonlocal encode_seconds
+        started = time.perf_counter()
+        try:
+            return start_decode(prompt_ids)
+        finally:
+            encode_seconds += time.perf_counter() - started
+
+    model.start_decode = timed_start_decode
+    try:
+        started = time.perf_counter()
+        outputs = engine.generate(model, prompts)
+        seconds = time.perf_counter() - started
+    finally:
+        del model.start_decode
+    row_steps = engine.last_stats.row_steps
+    return outputs, {
+        "incremental_seconds": round(seconds, 4),
+        "encode_seconds": round(encode_seconds, 4),
+        "row_steps": row_steps,
+        "us_per_row_step": round(
+            (seconds - encode_seconds) / row_steps * 1e6, 1
+        ),
+    }
 
 
 def run_generate_bench(
@@ -102,10 +139,9 @@ def run_generate_bench(
     full_outputs = _full_prefix_forced(model, prompts, output_length - 1)
     full_seconds = time.perf_counter() - started
 
-    engine = GenerationEngine(stop_on_eos=False)
-    started = time.perf_counter()
-    engine_outputs = engine.generate(model, prompts)
-    engine_seconds = time.perf_counter() - started
+    engine_outputs, costs = _timed_engine_run(
+        GenerationEngine(stop_on_eos=False), model, prompts
+    )
     assert engine_outputs == full_outputs, "forced-mode equivalence violated"
     rows.append(
         {
@@ -113,8 +149,8 @@ def run_generate_bench(
             "prompts": n_prompts,
             "output_tokens": output_length - 1,
             "full_prefix_seconds": round(full_seconds, 4),
-            "incremental_seconds": round(engine_seconds, 4),
-            "speedup": round(full_seconds / engine_seconds, 2),
+            **costs,
+            "speedup": round(full_seconds / costs["incremental_seconds"], 2),
         }
     )
 
@@ -124,10 +160,7 @@ def run_generate_bench(
     full_outputs = model.generate_full_prefix(prompts)
     full_seconds = time.perf_counter() - started
 
-    engine = GenerationEngine()
-    started = time.perf_counter()
-    engine_outputs = engine.generate(model, prompts)
-    engine_seconds = time.perf_counter() - started
+    engine_outputs, costs = _timed_engine_run(GenerationEngine(), model, prompts)
     assert engine_outputs == full_outputs, "greedy equivalence violated"
     rows.append(
         {
@@ -137,8 +170,8 @@ def run_generate_bench(
                 sum(map(len, full_outputs)) / len(full_outputs), 1
             ),
             "full_prefix_seconds": round(full_seconds, 4),
-            "incremental_seconds": round(engine_seconds, 4),
-            "speedup": round(full_seconds / engine_seconds, 2),
+            **costs,
+            "speedup": round(full_seconds / costs["incremental_seconds"], 2),
         }
     )
     return stamp_provenance({
@@ -166,11 +199,14 @@ def test_bench_generate(results_dir):
         + "full-prefix".rjust(13)
         + "incremental".rjust(13)
         + "speedup".rjust(10)
+        + "encode".rjust(9)
+        + "us/row-step".rjust(13)
     )
     for row in report["rows"]:
         lines.append(
             f"{row['mode']:<22s}{row['full_prefix_seconds']:>13.3f}"
             f"{row['incremental_seconds']:>13.3f}{row['speedup']:>9.1f}x"
+            f"{row['encode_seconds']:>9.3f}{row['us_per_row_step']:>13.1f}"
         )
     lines.append(f"\n[json written to {_JSON_PATH}]")
     persist(results_dir, "generate", "\n".join(lines))

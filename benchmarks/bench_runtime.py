@@ -1,6 +1,6 @@
 """§5.5 runtime experiment — scaling with row length and row count.
 
-KNOWN SUBSTITUTION LIMIT (see EXPERIMENTS.md): the paper measures a
+KNOWN SUBSTITUTION LIMIT: the paper measures a
 GPU-bound neural model (time ~linear in length, independent of rows)
 against CPU-bound search baselines.  Our pretrained-model stand-in is a
 *symbolic induction engine*, so its constant factors and growth

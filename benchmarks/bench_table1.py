@@ -43,7 +43,7 @@ def test_table1_join_quality(benchmark, results_dir):
         )
     persist(results_dir, "table1", text)
 
-    # Shape assertions (see DESIGN.md §4).
+    # Shape assertions.
     f1 = {d: {m: r.f1 for m, r in per.items()} for d, per in result.items()}
     assert f1["WT"]["DTT"] == max(f1["WT"].values())
     assert f1["Syn"]["DTT"] == max(f1["Syn"].values())

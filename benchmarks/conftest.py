@@ -1,8 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark regenerates one table/figure of the paper at a reduced
-``scale`` (documented in EXPERIMENTS.md) and writes its rendered output
-to ``benchmarks/results/`` so the artifacts survive output capture.
+``scale`` (the ``_SCALE`` each bench file sets) and writes its rendered
+output to ``benchmarks/results/`` so the artifacts survive output
+capture.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ Generates a small corpus of transformation groupings, fine-tunes the
 numpy encoder-decoder on serialized subsets, and plugs the trained model
 into the same DTT pipeline used everywhere else.  This exercises the
 paper's full training recipe at laptop scale (the released-checkpoint
-behaviour in the benchmarks is provided by the PretrainedDTT stand-in —
-see DESIGN.md §2).
+behaviour in the benchmarks is provided by the PretrainedDTT stand-in).
 
 Run:  python examples/train_model.py          (~1-2 minutes on CPU)
 """

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs link-and-freshness check: the ``docs/`` site must stay true.
 
-Three classes of rot this catches, each a CI failure:
+Four classes of rot this catches, each a CI failure:
 
 * **Dead links** — every relative markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to a file inside the repository, and a
@@ -16,6 +16,10 @@ Three classes of rot this catches, each a CI failure:
   ``repro.serve.http.PUBLIC_ENDPOINTS`` must appear in
   ``docs/http_api.md``, so the API reference cannot silently lag the
   server.
+* **Dangling citations in code** — every ``*.md`` file a Python comment
+  or docstring names must exist (at the repository root, beside the
+  citing file, or under ``docs/``), so code cannot keep pointing at a
+  document that was renamed, dropped or never written.
 
 Usage::
 
@@ -27,8 +31,11 @@ the check gates merges even before the dedicated CI step runs.
 
 from __future__ import annotations
 
+import ast
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -43,8 +50,13 @@ REQUIRED_PAGES = (
     "operations.md",
 )
 
+#: Where first-party Python lives; comments and docstrings under these
+#: directories are scanned for markdown citations.
+SOURCE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
+
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*\S)\s*$")
+_MD_REF_RE = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def collect_doc_files(root: Path = REPO_ROOT) -> list[Path]:
@@ -138,6 +150,38 @@ def check_endpoint_coverage(root: Path = REPO_ROOT) -> list[str]:
     ]
 
 
+def _comments_and_docstrings(source: str) -> list[str]:
+    """The prose of a Python file: ``#`` comments plus docstrings."""
+    prose = [
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    documented = (
+        ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef
+    )
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, documented):
+            prose.append(ast.get_docstring(node, clean=False) or "")
+    return prose
+
+
+def check_source_references(root: Path = REPO_ROOT) -> list[str]:
+    """Every ``*.md`` a comment or docstring cites must exist."""
+    problems: list[str] = []
+    for directory in SOURCE_DIRS:
+        for source in sorted((root / directory).rglob("*.py")):
+            prose = "\n".join(_comments_and_docstrings(source.read_text()))
+            bases = (root, source.parent, root / "docs")
+            for reference in sorted(set(_MD_REF_RE.findall(prose))):
+                if not any((base / reference).is_file() for base in bases):
+                    problems.append(
+                        f"{source.relative_to(root)}: cites {reference}, "
+                        "which does not exist"
+                    )
+    return problems
+
+
 def check_required_pages(root: Path = REPO_ROOT) -> list[str]:
     """The pages the README promises must exist."""
     return [
@@ -154,6 +198,7 @@ def run_all(root: Path = REPO_ROOT) -> list[str]:
     problems += check_links(files, root)
     problems += check_bench_coverage(files, root)
     problems += check_endpoint_coverage(root)
+    problems += check_source_references(root)
     return problems
 
 

@@ -5,7 +5,7 @@ section (§5.5-§5.10) and returns plain data structures the benchmark
 harness renders.  All functions accept ``scale`` (shrinks table/row
 counts for quick runs) and ``seed``.
 
-Index (see DESIGN.md §4):
+Index:
     run_table1          Table 1  — DTT vs CST/AFJ/Ditto (+DataXFormer)
     run_table2          Table 2  — GPT-3 raw vs GPT-3-in-DTT, k examples
     run_figure3         Figure 3 — F1 bars (derived from Table 2 runs)

@@ -155,9 +155,12 @@ class GenerationEngine:
         caller, so concurrent schedulers (the serving layer's batch
         executor, an eval run on another thread) never read each
         other's counters.  The engine holds no per-call mutable state
-        beyond ``last_stats``, which this method does not touch, making
-        it safe to re-enter from multiple threads with externally
-        composed batches.
+        beyond ``last_stats``, which this method does not touch, and the
+        network beneath it is read-only during a decode — the encoder
+        and the decode steps run the no-grad ``infer`` forward, which
+        writes no module activation cache — so it is safe to re-enter
+        from multiple threads with externally composed batches, also
+        for jobs that share one model.
         """
         tracer = get_tracer()
         outputs: list[list[str]] = []

@@ -51,7 +51,7 @@ class DecodeSession:
                 (len(prompt_ids), 1), tokenizer.vocab.pad_id, dtype=np.int64
             )
             input_mask = np.zeros((len(prompt_ids), 1))
-        memory = network.encode(input_ids, input_mask)
+        memory = network.infer_encode(input_ids, input_mask)
         self._network = network
         self._tokenizer = tokenizer
         self.state = network.start_decoder_state(

@@ -9,7 +9,8 @@ stand-in or the GPT-3 surrogate — and because the model exposes
 decode loop (KV-cached incremental steps, prompt dedupe, length-bucketed
 micro-batching, live compaction).  ``generate_full_prefix`` keeps the
 original O(T²) re-decode loop as the equivalence reference and benchmark
-baseline.
+baseline.  Both run the network's no-grad ``infer`` side; only
+``loss_and_backward`` calls the caching training ``forward``.
 """
 
 from __future__ import annotations
@@ -139,11 +140,12 @@ class ByteSeq2SeqModel:
         return loss
 
     def evaluate_loss(self, prompts: list[str], labels: list[str]) -> float:
-        """Loss without touching gradients (for validation)."""
+        """Loss without touching gradients or caches (for validation)."""
         input_ids, input_mask, decoder_in, targets, target_mask = (
             self.prepare_batch(prompts, labels)
         )
-        logits = self.network.forward(input_ids, decoder_in, input_mask)
+        memory = self.network.infer_encode(input_ids, input_mask)
+        logits = self.network.infer_decode(decoder_in, memory, input_mask)
         loss, _ = masked_cross_entropy(logits, targets, target_mask)
         return loss
 
@@ -189,13 +191,13 @@ class ByteSeq2SeqModel:
         input_ids, input_mask = self.tokenizer.pad_batch(
             self.tokenize_prompts(prompts)
         )
-        memory = self.network.encode(input_ids, input_mask)
+        memory = self.network.infer_encode(input_ids, input_mask)
 
         batch = len(prompts)
         sequences = np.full((batch, 1), vocab.sos_id, dtype=np.int64)
         finished = np.zeros(batch, dtype=bool)
         for _ in range(self.config.max_output_length - 1):
-            logits = self.network.decode(sequences, memory, input_mask)
+            logits = self.network.infer_decode(sequences, memory, input_mask)
             next_ids = logits[:, -1, :].argmax(axis=-1)
             next_ids = np.where(finished, vocab.pad_id, next_ids)
             sequences = np.concatenate([sequences, next_ids[:, None]], axis=1)

@@ -11,7 +11,7 @@ weight (de)serialization.
 
 It exists because the paper fine-tunes ByT5-base on a GPU; this CPU
 re-implementation exercises the identical training/decoding code path
-at laptop scale (see DESIGN.md §2 for the substitution rationale).
+at laptop scale.
 """
 
 from repro.nn.parameter import Module, Parameter

@@ -4,10 +4,14 @@ Supports self-attention (queries, keys, values from one sequence),
 cross-attention (keys/values from encoder memory), causal masking for
 the auto-regressive decoder, and key padding masks.
 
-Two execution styles share the projection weights:
+Three execution styles share the projection weights and one score
+kernel (:meth:`MultiHeadAttention._weights`):
 
-* the **batch** path (:meth:`MultiHeadAttention.forward`) attends a full
-  query sequence and caches activations for :meth:`backward`; and
+* the **training** path (:meth:`MultiHeadAttention.forward`) attends a
+  full query sequence and caches activations for :meth:`backward` — it
+  is the only path that writes a cache;
+* the **no-grad batch** path (:meth:`MultiHeadAttention.infer`) is the
+  same arithmetic, bit for bit, and keeps nothing; and
 * the **incremental** path (:meth:`MultiHeadAttention.step` /
   :meth:`attend_cached`) attends a length-1 query against a
   :class:`KVCache` of previously projected keys/values, which is what
@@ -113,6 +117,7 @@ class MultiHeadAttention(Module):
         self.dim = dim
         self.n_heads = n_heads
         self.head_dim = dim // n_heads
+        self._scale = 1.0 / np.sqrt(self.head_dim)
         self.causal = causal
         self.query_proj = Dense(dim, dim, rng)
         self.key_proj = Dense(dim, dim, rng)
@@ -153,18 +158,49 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.query_proj.forward(queries))
         k = self._split_heads(self.key_proj.forward(source))
         v = self._split_heads(self.value_proj.forward(source))
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if key_mask is not None:
-            scores = scores + (1.0 - key_mask[:, None, None, :]) * _NEG_INF
-        if self.causal:
-            scores = scores + causal_bias(scores.shape[-2], scores.shape[-1])
-        probs = softmax(scores, axis=-1)
+        probs = self._weights(q, k, key_mask, self.causal)
         context = probs @ v
         output = self.output_proj.forward(self._merge_heads(context))
-        self._cache = (q, k, v, probs, scale, keys_values is None)
+        self._cache = (q, k, v, probs, self._scale, keys_values is None)
         return output
+
+    def infer(
+        self,
+        queries: np.ndarray,
+        keys_values: np.ndarray | None = None,
+        key_mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """:meth:`forward` without caching activations (inference path).
+
+        Bit-identical to :meth:`forward` on the same inputs, fully
+        padded rows included.
+        """
+        source = queries if keys_values is None else keys_values
+        q = self._split_heads(self.query_proj.infer(queries))
+        keys, values = self.project_kv(source)
+        context = self._weights(q, keys, key_mask, self.causal) @ values
+        return self.output_proj.infer(self._merge_heads(context))
+
+    def _weights(
+        self,
+        q: np.ndarray,
+        k: np.ndarray,
+        key_mask: np.ndarray | None,
+        causal: bool,
+    ) -> np.ndarray:
+        """Attention probabilities ``softmax(q kᵀ / sqrt(head_dim) + masks)``.
+
+        The one score kernel behind every path; the ``(batch, heads,
+        q_len, kv_len)`` score tensor is scaled, masked and normalized
+        in place.
+        """
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= self._scale
+        if key_mask is not None:
+            scores += (1.0 - key_mask[:, None, None, :]) * _NEG_INF
+        if causal:
+            scores += causal_bias(scores.shape[-2], scores.shape[-1])
+        return softmax(scores, out=scores)
 
     # -- incremental decoding ---------------------------------------------
 
@@ -198,12 +234,7 @@ class MultiHeadAttention(Module):
                 the batch path's degenerate uniform-over-padding mix.
         """
         q = self._split_heads(self.query_proj.infer(queries))
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ keys.transpose(0, 1, 3, 2)) * scale
-        if key_mask is not None:
-            scores = scores + (1.0 - key_mask[:, None, None, :]) * _NEG_INF
-        probs = softmax(scores, axis=-1)
-        context = probs @ values
+        context = self._weights(q, keys, key_mask, causal=False) @ values
         if key_mask is not None:
             empty = ~key_mask.any(axis=-1)
             if empty.any():

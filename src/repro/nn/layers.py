@@ -2,12 +2,15 @@
 
 Each layer's ``forward`` caches what its ``backward`` needs; layers are
 single-use per step (call forward, then backward, then the optimizer).
+``infer`` is the same arithmetic with nothing kept: it never touches a
+cache, so inference can run between a ``forward`` and its ``backward``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.functional import standardize
 from repro.nn.parameter import Module, Parameter
 
 
@@ -31,11 +34,13 @@ class Dense(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.weight.value + self.bias.value
+        return self.infer(x)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Forward without caching activations (inference hot path)."""
-        return x @ self.weight.value + self.bias.value
+        out = x @ self.weight.value
+        out += self.bias.value
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         assert self._x is not None, "forward must run before backward"
@@ -58,7 +63,7 @@ class Embedding(Module):
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         self._ids = ids
-        return self.table.value[ids]
+        return self.infer(ids)
 
     def infer(self, ids: np.ndarray) -> np.ndarray:
         """Lookup without caching ids (inference hot path)."""
@@ -82,19 +87,16 @@ class LayerNorm(Module):
         self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = (x - mean) * inv_std
+        normalized, inv_std = standardize(x, self.eps)
         self._cache = (normalized, inv_std, x)
         return normalized * self.gain.value + self.shift.value
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Normalize without caching activations (inference hot path)."""
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        return (x - mean) * inv_std * self.gain.value + self.shift.value
+        out, _ = standardize(x, self.eps)
+        out *= self.gain.value
+        out += self.shift.value
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         assert self._cache is not None, "forward must run before backward"

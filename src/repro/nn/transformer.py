@@ -5,10 +5,16 @@ byte-level vocabulary, learned positional embeddings, pre-layer-norm
 blocks, and an *unbalanced* stack — the encoder deeper than the decoder
 — which the paper adopts for character-level inputs (§4.2).
 
-Decoding has two paths.  :meth:`Seq2SeqTransformer.decode` is the
-teacher-forcing path: it attends the whole target prefix at once and
-caches activations for the backward pass.  The incremental path
-(:meth:`start_decoder_state` + :meth:`decode_step`) carries a
+Every module has a training ``forward`` — the only method that caches
+activations for ``backward`` — and a no-grad ``infer`` that runs the
+same kernels (``nn/functional.py``) and keeps nothing, so the two agree
+bit for bit.  On the model, :meth:`Seq2SeqTransformer.encode` /
+:meth:`~Seq2SeqTransformer.decode` are the teacher-forcing pair and
+:meth:`~Seq2SeqTransformer.infer_encode` /
+:meth:`~Seq2SeqTransformer.infer_decode` their inference twins.
+
+Generation decodes incrementally on top of ``infer_encode``:
+:meth:`start_decoder_state` + :meth:`decode_step` carry a
 :class:`DecoderState` — per-block self-attention KV caches, one-time
 cross-attention K/V projections of the encoder memory, and a position
 offset — so each generated token costs O(T) instead of re-decoding the
@@ -67,6 +73,12 @@ class EncoderBlock(Module):
         attended = self.attention.forward(self.attn_norm.forward(x), key_mask=mask)
         x = x + attended
         x = x + self.ffn.forward(self.ffn_norm.forward(x))
+        return x
+
+    def infer(self, x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """:meth:`forward` without caching activations (inference path)."""
+        x = x + self.attention.infer(self.attn_norm.infer(x), key_mask=mask)
+        x += self.ffn.infer(self.ffn_norm.infer(x))
         return x
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -155,6 +167,20 @@ class DecoderBlock(Module):
         x = x + self.ffn.forward(self.ffn_norm.forward(x))
         return x
 
+    def infer(
+        self,
+        x: np.ndarray,
+        memory: np.ndarray,
+        memory_mask: np.ndarray | None,
+    ) -> np.ndarray:
+        """:meth:`forward` without caching activations (inference path)."""
+        x = x + self.self_attention.infer(self.self_norm.infer(x))
+        x += self.cross_attention.infer(
+            self.cross_norm.infer(x), keys_values=memory, key_mask=memory_mask
+        )
+        x += self.ffn.infer(self.ffn_norm.infer(x))
+        return x
+
     def start_state(self, memory: np.ndarray, capacity: int) -> DecoderBlockState:
         """Build this block's incremental state for a decode micro-batch."""
         cross_keys, cross_values = self.cross_attention.project_kv(memory)
@@ -174,13 +200,13 @@ class DecoderBlock(Module):
     ) -> np.ndarray:
         """Incremental forward for one position ``(batch, 1, dim)``."""
         x = x + self.self_attention.step(self.self_norm.infer(x), state.self_kv)
-        x = x + self.cross_attention.attend_cached(
+        x += self.cross_attention.attend_cached(
             self.cross_norm.infer(x),
             state.cross_keys,
             state.cross_values,
             key_mask=memory_mask,
         )
-        x = x + self.ffn.infer(self.ffn_norm.infer(x))
+        x += self.ffn.infer(self.ffn_norm.infer(x))
         return x
 
     def backward(self, grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +269,7 @@ class Seq2SeqTransformer(Module):
         self.output_proj = Dense(dim, vocab_size, rng)
         self._cache: tuple | None = None
 
-    # -- forward -----------------------------------------------------------
+    # -- training forward (caches activations for backward) ----------------
 
     def encode(
         self, input_ids: np.ndarray, input_mask: np.ndarray | None = None
@@ -277,6 +303,39 @@ class Seq2SeqTransformer(Module):
         for block in self.decoder_blocks:
             y = block.forward(y, memory, memory_mask)
         return self.output_proj.forward(self.decoder_norm.forward(y))
+
+    # -- inference (no activation caches) -----------------------------------
+
+    def infer_encode(
+        self, input_ids: np.ndarray, input_mask: np.ndarray | None = None
+    ) -> np.ndarray:
+        """:meth:`encode` without caching activations, bit for bit."""
+        length = input_ids.shape[1]
+        self._check_length(length)
+        x = self.token_embedding.infer(input_ids)
+        x += self.position_embedding.infer(np.arange(length))
+        for block in self.encoder_blocks:
+            x = block.infer(x, input_mask)
+        return self.encoder_norm.infer(x)
+
+    def infer_decode(
+        self,
+        target_ids: np.ndarray,
+        memory: np.ndarray,
+        memory_mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """:meth:`decode` without caching activations, bit for bit.
+
+        Re-decodes the whole prefix; :meth:`decode_step` is the O(T)
+        incremental form of the same computation.
+        """
+        length = target_ids.shape[1]
+        self._check_length(length)
+        y = self.decoder_token_embedding.infer(target_ids)
+        y += self.decoder_position_embedding.infer(np.arange(length))
+        for block in self.decoder_blocks:
+            y = block.infer(y, memory, memory_mask)
+        return self.output_proj.infer(self.decoder_norm.infer(y))
 
     def start_decoder_state(
         self,
@@ -323,12 +382,8 @@ class Seq2SeqTransformer(Module):
             ``(batch, vocab_size)`` logits for the next token.
         """
         self._check_length(state.position + 1)
-        positions = np.full(
-            (token_ids.shape[0], 1), state.position, dtype=np.int64
-        )
-        y = self.decoder_token_embedding.infer(
-            token_ids[:, None]
-        ) + self.decoder_position_embedding.infer(positions)
+        y = self.decoder_token_embedding.infer(token_ids[:, None])
+        y += self.decoder_position_embedding.infer(np.array([state.position]))
         for block, block_state in zip(self.decoder_blocks, state.blocks, strict=True):
             y = block.step(y, block_state, state.memory_mask)
         state.position += 1

@@ -118,6 +118,20 @@ class TestBrokenDocsAreCaught:
         problems = check_docs.check_required_pages(fake_repo)
         assert problems == ["docs/operations.md: required page is missing"]
 
+    def test_dangling_citation_in_code_fails(self, fake_repo):
+        package = fake_repo / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "NOTES.md").write_text("# notes\n")
+        (package / "module.py").write_text(
+            '"""See GONE.md for why; NOTES.md sits beside this file."""\n'
+            "x = 1  # tuned per LOST.md, served per http_api.md\n"
+            'fixture = "a string naming UNCHECKED.md is data, not a citation"\n'
+        )
+        assert check_docs.check_source_references(fake_repo) == [
+            "src/pkg/module.py: cites GONE.md, which does not exist",
+            "src/pkg/module.py: cites LOST.md, which does not exist",
+        ]
+
     def test_undocumented_endpoint_fails(self, fake_repo):
         # The fixture's http_api.md mentions no endpoint at all, so
         # every real PUBLIC_ENDPOINTS entry must be reported.

@@ -1,7 +1,7 @@
 """Integration tests: the full system on scaled-down paper benchmarks.
 
-These assert the *shape* claims the reproduction targets (DESIGN.md §4)
-at small scale so they run in CI time.
+These assert the *shape* claims the reproduction targets at small scale
+so they run in CI time.
 """
 
 from __future__ import annotations

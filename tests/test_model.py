@@ -83,6 +83,33 @@ class TestByteSeq2SeqModel:
             last = loss
         assert last < first * 0.5
 
+    def test_inference_between_forward_and_backward_keeps_gradients(self):
+        # Regression: generate() used to run the training encoder, which
+        # overwrote every cache forward() had left for backward().
+        from repro.nn.loss import masked_cross_entropy
+
+        prompts = ["<sos>ab<tr>AB<eoe>cd<tr><eos>", "<sos>efg<tr>EFG<eoe>h<tr><eos>"]
+        labels = ["CD", "H"]
+
+        def gradients(interleave: bool) -> list[np.ndarray]:
+            model = ByteSeq2SeqModel(TINY_CONFIG)
+            input_ids, input_mask, decoder_in, targets, target_mask = (
+                model.prepare_batch(prompts, labels)
+            )
+            logits = model.network.forward(input_ids, decoder_in, input_mask)
+            if interleave:
+                model.generate(["<sos>a much longer and different prompt<tr><eos>"])
+                model.generate_full_prefix(prompts[:1])
+                model.evaluate_loss(prompts[:1], labels[:1])
+            _, grad_logits = masked_cross_entropy(logits, targets, target_mask)
+            model.network.backward(grad_logits)
+            return [p.grad.copy() for p in model.network.parameters()]
+
+        for plain, interleaved in zip(
+            gradients(False), gradients(True), strict=True
+        ):
+            assert np.array_equal(plain, interleaved)
+
     def test_save_load_roundtrip(self, tmp_path):
         model = ByteSeq2SeqModel(TINY_CONFIG)
         path = tmp_path / "model.npz"

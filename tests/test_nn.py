@@ -3,10 +3,16 @@ optimizers, serialization — including finite-difference gradient checks."""
 
 from __future__ import annotations
 
+import re
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError, ShapeError
+from repro.model import ByteSeq2SeqModel
+from repro.model.config import TINY_CONFIG
 from repro.nn import (
     Adam,
     Dense,
@@ -20,9 +26,16 @@ from repro.nn import (
     masked_cross_entropy,
     save_weights,
 )
-from repro.nn.functional import gelu, gelu_backward, softmax, softmax_backward
+from repro.nn import functional
+from repro.nn.functional import (
+    gelu,
+    gelu_backward,
+    softmax,
+    softmax_backward,
+    standardize,
+)
 from repro.nn.parameter import Module
-from repro.nn.transformer import Seq2SeqTransformer
+from repro.nn.transformer import FeedForward, Seq2SeqTransformer
 
 
 def _numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -72,6 +85,46 @@ class TestFunctional:
         analytic = gelu_backward(x, upstream)
         numeric = _numeric_gradient(scalar, x)
         assert np.allclose(analytic, numeric, atol=1e-6)
+
+
+    def test_softmax_out_overwrites_scores_with_the_same_bits(self):
+        scores = np.random.default_rng(8).normal(size=(2, 3, 5))
+        expected = softmax(scores)
+        assert softmax(scores, out=scores) is scores
+        assert np.array_equal(scores, expected)
+
+    def test_gelu_matches_the_tanh_formula(self):
+        x = np.random.default_rng(9).normal(scale=3.0, size=(64,))
+        inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x * x * x)
+        assert np.array_equal(gelu(x), 0.5 * x * (1.0 + np.tanh(inner)))
+
+    def test_standardize_keeps_the_bits_of_mean_and_var(self):
+        x = np.random.default_rng(10).normal(2.0, 3.0, size=(3, 7, 64))
+        inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        normalized, got_inv_std = standardize(x, 1e-5)
+        assert np.array_equal(got_inv_std, inv_std)
+        assert np.array_equal(
+            normalized, (x - x.mean(axis=-1, keepdims=True)) * inv_std
+        )
+
+    def test_no_array_power_other_than_square(self):
+        """``x**3`` costs a libm ``pow`` per element: 39x ``tanh`` where
+        three multiplies cost 3x.  Guard the source and the clock."""
+        source = Path(functional.__file__).read_text()
+        assert not re.findall(r"\*\*\s*(?!2\b)\S+", source)
+        assert "np.power" not in source and "np.float_power" not in source
+
+        x = np.random.default_rng(11).normal(size=1_000_000)
+
+        def best_of_5(function) -> float:
+            best = float("inf")
+            for _ in range(5):
+                started = time.perf_counter()
+                function(x)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        assert best_of_5(gelu) < 10 * best_of_5(np.tanh)
 
 
 class TestParameter:
@@ -357,6 +410,77 @@ class TestTransformerEndToEnd:
         )
         assert len(model.encoder_blocks) == 3
         assert len(model.decoder_blocks) == 1
+
+
+class TestInferenceForward:
+    """``infer`` is ``forward`` minus the caches: same bits, no state."""
+
+    @staticmethod
+    def _network() -> Seq2SeqTransformer:
+        return Seq2SeqTransformer(
+            vocab_size=40, dim=16, n_heads=4, encoder_layers=3,
+            decoder_layers=1, ffn_hidden=32, max_length=64, seed=5,
+        )
+
+    @staticmethod
+    def _ragged_batch(rng: np.random.Generator):
+        # One row with a single real token, lengths on both sides of the
+        # engine's 16-token bucket boundary, one row with no padding.
+        lengths = [1, 15, 16, 17, 33, 48]
+        ids = rng.integers(4, 40, size=(len(lengths), max(lengths)))
+        mask = np.zeros(ids.shape)
+        for row, length in enumerate(lengths):
+            mask[row, :length] = 1.0
+            ids[row, length:] = 0
+        return ids, mask
+
+    def test_infer_encode_equals_training_encode_bit_for_bit(self):
+        network = self._network()
+        ids, mask = self._ragged_batch(np.random.default_rng(12))
+        assert np.array_equal(
+            network.infer_encode(ids, mask), network.encode(ids, mask)
+        )
+        assert np.array_equal(network.infer_encode(ids), network.encode(ids))
+
+    def test_infer_decode_equals_training_decode_bit_for_bit(self):
+        network = self._network()
+        rng = np.random.default_rng(13)
+        ids, mask = self._ragged_batch(rng)
+        targets = rng.integers(4, 40, size=(ids.shape[0], 9))
+        memory = network.encode(ids, mask)
+        assert np.array_equal(
+            network.infer_decode(targets, memory, mask),
+            network.decode(targets, memory, mask),
+        )
+
+    def test_inference_leaves_no_activation_behind(self):
+        model = ByteSeq2SeqModel(TINY_CONFIG)
+        prompts = ["<sos>ab<tr>AB<eoe>cd<tr><eos>", "<sos>x<tr><eos>"]
+        assert model.generate(prompts) == model.generate_full_prefix(prompts)
+        model.evaluate_loss(prompts, ["CD", "X"])
+
+        def modules(module: Module):
+            yield module
+            for value in vars(module).values():
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, Module):
+                        yield from modules(item)
+
+        caches = {
+            Dense: "_x",
+            Embedding: "_ids",
+            LayerNorm: "_cache",
+            MultiHeadAttention: "_cache",
+            FeedForward: "_pre_activation",
+            Seq2SeqTransformer: "_cache",
+        }
+        seen = set()
+        for module in modules(model.network):
+            attribute = caches.get(type(module))
+            if attribute is not None:
+                seen.add(type(module))
+                assert getattr(module, attribute) is None, (module, attribute)
+        assert seen == set(caches)
 
 
 class TestSerialization:
