@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs link-and-freshness check: the ``docs/`` site must stay true.
 
-Four classes of rot this catches, each a CI failure:
+Five classes of rot this catches, each a CI failure:
 
 * **Dead links** — every relative markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to a file inside the repository, and a
@@ -20,6 +20,12 @@ Four classes of rot this catches, each a CI failure:
   or docstring names must exist (at the repository root, beside the
   citing file, or under ``docs/``), so code cannot keep pointing at a
   document that was renamed, dropped or never written.
+* **Stale metric series** — every ``serve_*`` / ``engine_*`` /
+  ``join_*`` / ``obs_*`` series the docs name must be emitted by a
+  freshly built ``TransformService`` registry, and every series that
+  registry emits must have a row in the series table of
+  ``docs/observability.md``, so a renamed or dropped counter fails
+  here instead of rotting in the prose.
 
 Usage::
 
@@ -57,6 +63,15 @@ SOURCE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*\S)\s*$")
 _MD_REF_RE = re.compile(r"[\w./-]*\w\.md\b")
+#: A metric series named in prose: a serving-registry namespace prefix
+#: and a Prometheus-typed suffix (gauges, which carry no suffix, are
+#: only recognisable in the series table).  ``<backend>`` is the docs'
+#: placeholder for one kernel backend name.
+_SERIES_RE = re.compile(
+    r"\b(?:serve|engine|join|obs)_[a-z0-9_<>]*_(?:total|seconds)\b"
+)
+#: The first cell of a series-table row: ``| `name` | ...``.
+_SERIES_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_<>]+)`\s*\|", re.M)
 
 
 def collect_doc_files(root: Path = REPO_ROOT) -> list[Path]:
@@ -182,6 +197,47 @@ def check_source_references(root: Path = REPO_ROOT) -> list[str]:
     return problems
 
 
+def emitted_series() -> set[str]:
+    """Every series name a freshly built serving registry exports."""
+    from repro.serve.router import build_pipeline
+    from repro.serve.service import TransformService
+
+    with TransformService(build_pipeline()) as service:
+        return set(service.metrics_snapshot())
+
+
+def check_metric_series(
+    files: list[Path], root: Path = REPO_ROOT
+) -> list[str]:
+    """Docs name only emitted series; the table lists every emitted one."""
+    emitted = emitted_series()
+
+    def matches(name: str) -> set[str]:
+        pattern = re.escape(name).replace(re.escape("<backend>"), "[a-z]+")
+        return {series for series in emitted if re.fullmatch(pattern, series)}
+
+    problems = []
+    table_page = root / "docs" / "observability.md"
+    listed = set(_SERIES_ROW_RE.findall(table_page.read_text()))
+    for doc in files:
+        named = set(_SERIES_RE.findall(doc.read_text()))
+        if doc == table_page:
+            named |= listed
+        problems += [
+            f"{doc.relative_to(root)}: names metric series {name}, which "
+            "the serving registry does not emit"
+            for name in sorted(named)
+            if not matches(name)
+        ]
+    covered = set().union(*(matches(name) for name in listed))
+    problems += [
+        f"docs/observability.md: emitted metric series {series} is "
+        "missing from the series table"
+        for series in sorted(emitted - covered)
+    ]
+    return problems
+
+
 def check_required_pages(root: Path = REPO_ROOT) -> list[str]:
     """The pages the README promises must exist."""
     return [
@@ -199,6 +255,7 @@ def run_all(root: Path = REPO_ROOT) -> list[str]:
     problems += check_bench_coverage(files, root)
     problems += check_endpoint_coverage(root)
     problems += check_source_references(root)
+    problems += check_metric_series(files, root)
     return problems
 
 

@@ -69,12 +69,13 @@ class Counter:
             ``_total`` suffix).
         help: One-line description for the ``# HELP`` comment.
         fn: Optional zero-argument callback; when given, reads report
-            the callback's value instead of the stored one, so an
-            existing counter (e.g. a service's stats field) exports
-            live without being counted twice.  ``inc`` is then invalid.
+            the callback's value instead of a stored one (``inc`` is
+            then invalid): how a stored counter exports under a second
+            name, or another object's count exports live, counted once.
     """
 
     __slots__ = ("name", "help", "_value", "_fn", "_lock")
+    kind = "counter"
 
     def __init__(
         self,
@@ -119,6 +120,7 @@ class Gauge:
     """
 
     __slots__ = ("name", "help", "_value", "_fn", "_lock")
+    kind = "gauge"
 
     def __init__(
         self,
@@ -161,6 +163,7 @@ class LatencyHistogram:
     """
 
     __slots__ = ("name", "help", "bounds", "_counts", "_sum", "_count", "_lock")
+    kind = "histogram"
 
     def __init__(
         self,
@@ -227,17 +230,13 @@ class LatencyHistogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            counts = list(self._counts)
-            total = self._count
-        if total == 0:
+        snap = self.snapshot()
+        if snap["count"] == 0:
             return 0.0
-        rank = math.ceil(q * total)
-        running = 0
-        for bound, count in zip(self.bounds, counts):
-            running += count
-            if running >= rank:
-                return bound
+        rank = math.ceil(q * snap["count"])
+        for bucket in snap["buckets"]:
+            if bucket["count"] >= rank:
+                return bucket["le"]
         return self.bounds[-1]
 
 
@@ -256,93 +255,126 @@ def _escape_label_value(value: str) -> str:
 
 
 def _render_labels(labels: dict[str, str], extra: str = "") -> str:
-    """Render ``{key="value",...}`` with values escaped; keys as given."""
+    """Render ``{key="value",...}`` (values escaped); nothing when empty."""
     parts = [
         f'{key}="{_escape_label_value(str(value))}"'
         for key, value in labels.items()
     ]
     if extra:
         parts.append(extra)
-    return "{" + ",".join(parts) + "}"
+    return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def merge_labeled_snapshots(
+def _group_by_name(
     labeled: Sequence[tuple[dict[str, str], dict]],
-) -> str:
-    """Merge per-source registry snapshots into one labeled exposition.
+) -> dict[str, list[tuple[dict[str, str], object]]]:
+    """``name -> [(labels, payload), ...]`` in first-seen name order.
 
-    The multi-process serving tier has one
-    :class:`MetricsRegistry` *per route per worker*; a scrape endpoint
-    must present them as one page.  Each input pairs a label set (e.g.
-    ``{"worker": "0", "route": "default"}``) with the JSON snapshot of
-    one registry (:meth:`MetricsRegistry.snapshot`), and the output is
-    Prometheus text exposition 0.0.4 with one ``# TYPE`` block per
-    metric name and one sample per label set — so ``sum by (route)
-    (serve_requests_total)`` works exactly as it would against any
-    multi-replica exporter.
-
-    Metric kinds are recovered from the snapshot shape: a dict payload
-    is a histogram (rendered with labeled ``_bucket``/``_sum``/
-    ``_count`` series, ``le`` last), a ``_total`` name is a counter,
-    anything else a gauge — the same conventions
-    :meth:`MetricsRegistry.render_text` emits.
-
-    An empty input renders an empty page (no trailing newline — there
-    are no samples to terminate).  Histogram samples sharing one metric
-    name must agree on bucket boundaries: merging snapshots whose
-    bounds differ would produce a series Prometheus silently
-    mis-aggregates, so that raises :class:`ValueError` instead.
+    Histogram samples sharing a name must share bucket bounds: mixed
+    bounds would render a series Prometheus silently mis-aggregates,
+    so that raises :class:`ValueError` instead.
     """
-    # name -> list of (labels, payload), first-seen name order.
     by_name: dict[str, list[tuple[dict[str, str], object]]] = {}
     for labels, snapshot in labeled:
         for name, payload in snapshot.items():
             by_name.setdefault(name, []).append((labels, payload))
+    for name, samples in by_name.items():
+        bounds = {
+            tuple(bucket["le"] for bucket in payload["buckets"])
+            for _, payload in samples
+            if isinstance(payload, dict)
+        }
+        if len(bounds) > 1:
+            raise ValueError(
+                f"histogram {name!r} has mismatched bucket "
+                f"boundaries across sources; refusing to merge"
+            )
+    return by_name
+
+
+def sum_snapshots(snapshots: Sequence[dict]) -> dict:
+    """Add registry snapshots series by series (the cross-worker fan-in).
+
+    Counters and gauges add; histograms add per bucket plus ``count``
+    and ``sum`` (``mean`` follows).  A series missing from a snapshot
+    counts as zero, and one snapshot sums to an equal copy of itself.
+    """
+    out: dict[str, object] = {}
+    grouped = _group_by_name([({}, snapshot) for snapshot in snapshots])
+    for name, samples in grouped.items():
+        payloads = [payload for _, payload in samples]
+        if not isinstance(payloads[0], dict):
+            out[name] = sum(payloads)
+            continue
+        count = sum(p["count"] for p in payloads)
+        total = sum(p["sum"] for p in payloads)
+        out[name] = {
+            "buckets": [
+                {"le": column[0]["le"], "count": sum(b["count"] for b in column)}
+                for column in zip(*(p["buckets"] for p in payloads))
+            ],
+            "count": count,
+            "sum": total,
+            "mean": total / count if count else 0.0,
+        }
+    return out
+
+
+def merge_labeled_snapshots(
+    labeled: Sequence[tuple[dict[str, str], dict]],
+    describe: dict[str, tuple[str, str]] | None = None,
+) -> str:
+    """Render per-source registry snapshots as one exposition page.
+
+    The multi-process serving tier has one
+    :class:`MetricsRegistry` *per route per worker*; a scrape endpoint
+    must present them as one page.  Each input pairs a label set (e.g.
+    ``{"worker": "0", "route": "default"}``, or ``{}`` for bare
+    samples) with the JSON snapshot of one registry
+    (:meth:`MetricsRegistry.snapshot`), and the output is
+    Prometheus text exposition 0.0.4 with one ``# TYPE`` block per
+    metric name and one sample per label set — so ``sum by (route)
+    (serve_requests_total)`` works exactly as it would against any
+    multi-replica exporter.  An empty input renders an empty page (no
+    trailing newline — there are no samples to terminate).
+
+    ``describe`` maps names to ``(kind, help)``.  A name it lacks gets
+    no ``# HELP`` line and its kind from the snapshot shape: a dict
+    payload is a histogram (``_bucket``/``_sum``/``_count`` series,
+    ``le`` last), a ``_total`` name a counter, anything else a gauge.
+    """
+    by_name = _group_by_name(labeled)
     if not by_name:
         return ""
     lines: list[str] = []
     for name, samples in by_name.items():
-        is_histogram = isinstance(samples[0][1], dict)
-        if is_histogram:
+        if isinstance(samples[0][1], dict):
             kind = "histogram"
-            bounds = [
-                tuple(bucket["le"] for bucket in payload["buckets"])
-                for _, payload in samples
-                if isinstance(payload, dict)
-            ]
-            if any(b != bounds[0] for b in bounds[1:]):
-                raise ValueError(
-                    f"histogram {name!r} has mismatched bucket "
-                    f"boundaries across sources; refusing to merge"
-                )
         elif name.endswith("_total"):
             kind = "counter"
         else:
             kind = "gauge"
+        kind, help = (describe or {}).get(name, (kind, ""))
+        if help:
+            lines.append(f"# HELP {name} {help}")
         lines.append(f"# TYPE {name} {kind}")
         for labels, payload in samples:
-            if isinstance(payload, dict):
-                for bucket in payload["buckets"]:
-                    le = 'le="' + _format_number(bucket["le"]) + '"'
-                    rendered = _render_labels(labels, le)
-                    lines.append(
-                        f"{name}_bucket{rendered} {bucket['count']}"
-                    )
-                rendered = _render_labels(labels, 'le="+Inf"')
-                lines.append(f"{name}_bucket{rendered} {payload['count']}")
+            plain = _render_labels(labels)
+            if not isinstance(payload, dict):
                 lines.append(
-                    f"{name}_sum{_render_labels(labels)} "
-                    f"{_format_number(payload['sum'])}"
-                )
-                lines.append(
-                    f"{name}_count{_render_labels(labels)} "
-                    f"{payload['count']}"
-                )
-            else:
-                lines.append(
-                    f"{name}{_render_labels(labels)} "
+                    f"{name}{plain} "
                     f"{_format_number(payload)}"  # type: ignore[arg-type]
                 )
+                continue
+            buckets = [
+                (_format_number(bucket["le"]), bucket["count"])
+                for bucket in payload["buckets"]
+            ]
+            for le, count in [*buckets, ("+Inf", payload["count"])]:
+                rendered = _render_labels(labels, f'le="{le}"')
+                lines.append(f"{name}_bucket{rendered} {count}")
+            lines.append(f"{name}_sum{plain} {_format_number(payload['sum'])}")
+            lines.append(f"{name}_count{plain} {payload['count']}")
     return "\n".join(lines) + "\n"
 
 
@@ -374,14 +406,6 @@ class MetricsRegistry:
                 "(each skips its series for that scrape)",
             )
         )
-
-    def _read_value(self, metric: Counter | Gauge):
-        """``metric.value`` or ``None`` if its callback raised."""
-        try:
-            return metric.value
-        except Exception:
-            self.callback_errors.inc()
-            return None
 
     def _register(self, metric):
         with self._lock:
@@ -446,10 +470,11 @@ class MetricsRegistry:
         for metric in metrics:
             if isinstance(metric, LatencyHistogram):
                 out[metric.name] = metric.snapshot()
-            else:
-                value = self._read_value(metric)
-                if value is not None:
-                    out[metric.name] = value
+                continue
+            try:
+                out[metric.name] = metric.value
+            except Exception:
+                self.callback_errors.inc()
         return out
 
     def render_text(self) -> str:
@@ -460,33 +485,8 @@ class MetricsRegistry:
         rest of the page renders normally.
         """
         with self._lock:
-            metrics = list(self._metrics.values())
-        lines: list[str] = []
-        for metric in metrics:
-            if isinstance(metric, (Counter, Gauge)):
-                value = self._read_value(metric)
-                if value is None:
-                    continue
-                kind = "counter" if isinstance(metric, Counter) else "gauge"
-                if metric.help:
-                    lines.append(f"# HELP {metric.name} {metric.help}")
-                lines.append(f"# TYPE {metric.name} {kind}")
-                lines.append(f"{metric.name} {_format_number(value)}")
-            else:
-                if metric.help:
-                    lines.append(f"# HELP {metric.name} {metric.help}")
-                snap = metric.snapshot()
-                lines.append(f"# TYPE {metric.name} histogram")
-                for bucket in snap["buckets"]:
-                    lines.append(
-                        f'{metric.name}_bucket{{le="'
-                        f'{_format_number(bucket["le"])}"}} {bucket["count"]}'
-                    )
-                lines.append(
-                    f'{metric.name}_bucket{{le="+Inf"}} {snap["count"]}'
-                )
-                lines.append(
-                    f"{metric.name}_sum {_format_number(snap['sum'])}"
-                )
-                lines.append(f"{metric.name}_count {snap['count']}")
-        return "\n".join(lines) + "\n"
+            describe = {
+                metric.name: (metric.kind, metric.help)
+                for metric in self._metrics.values()
+            }
+        return merge_labeled_snapshots([({}, self.snapshot())], describe)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.core.pipeline import DTTPipeline
 from repro.exceptions import JoinError, UnknownModelError
-from repro.obs.metrics import merge_labeled_snapshots
+from repro.obs.metrics import merge_labeled_snapshots, sum_snapshots
 from repro.obs.trace import current_context
 from repro.serve.cache import (
     JoinResultCache,
@@ -42,11 +42,16 @@ from repro.serve.cache import (
     examples_fingerprint,
     join_cache_key,
 )
-from repro.serve.service import TransformService
+from repro.serve.service import (
+    ServeStats,
+    TransformService,
+    kernel_pairs_total,
+)
 from repro.serve.workers import (
     PipelineFactory,
     ServeWorkerPool,
     build_service,
+    snapshot_services,
 )
 from repro.types import ExamplePair, Prediction
 
@@ -166,23 +171,18 @@ class ServiceRouter:
         # fingerprint source for routing, and under the fork start
         # method the worker pool inherits them copy-on-write.
         pipelines = {spec.name: spec.factory() for spec in routes}
+        self._routes = {
+            spec.name: _Route(
+                spec,
+                pipelines[spec.name].fingerprint(),
+                build_service(pipelines[spec.name], service_kwargs)
+                if n_workers == 0
+                else None,
+            )
+            for spec in routes
+        }
         self._pool: ServeWorkerPool | None = None
-        if n_workers == 0:
-            self._routes = {
-                spec.name: _Route(
-                    spec,
-                    pipelines[spec.name].fingerprint(),
-                    build_service(pipelines[spec.name], service_kwargs),
-                )
-                for spec in routes
-            }
-        else:
-            self._routes = {
-                spec.name: _Route(
-                    spec, pipelines[spec.name].fingerprint(), None
-                )
-                for spec in routes
-            }
+        if n_workers > 0:
             self._pool = ServeWorkerPool(
                 {spec.name: spec.factory for spec in routes},
                 n_workers,
@@ -273,6 +273,28 @@ class ServiceRouter:
 
     # -- execution ---------------------------------------------------------
 
+    def _via_pool(
+        self, route: _Route, kind: str, key, args: tuple, kwargs: dict
+    ) -> list:
+        """One request through the parent cache tier and a worker.
+
+        A hit in the route's ``<kind>_cache`` answers without crossing
+        a pipe; a miss runs ``submit_<kind>(*args, **kwargs)`` on the
+        least-loaded worker and memoizes the reply.  Reverse-join
+        groups are stored as immutable tuples and handed out as fresh
+        lists.
+        """
+        assert self._pool is not None
+        cache = route.join_cache if kind == "join" else route.transform_cache
+        reverse = kwargs.get("mode") == "reverse"
+        cached = cache.get(key)
+        if cached is not None:
+            return [list(g) for g in cached] if reverse else list(cached)
+        payload = (route.spec.name, kind, args, kwargs, current_context())
+        result = self._pool.submit("request", payload).result()
+        cache.put(key, (tuple(g) for g in result) if reverse else result)
+        return result
+
     def transform(
         self,
         sources: Sequence[str],
@@ -284,28 +306,14 @@ class ServiceRouter:
         route = self._routes[self.resolve(model)]
         if route.service is not None:
             return route.service.transform(sources, examples, timeout)
-        assert self._pool is not None
         key = (
             "transform",
             route.fingerprint,
             examples_fingerprint(examples),
             tuple(sources),
         )
-        cached = route.transform_cache.get(key)
-        if cached is not None:
-            return list(cached)
-        result = self._pool.submit(
-            "transform",
-            (
-                route.spec.name,
-                tuple(sources),
-                tuple(examples),
-                timeout,
-                current_context(),
-            ),
-        ).result()
-        route.transform_cache.put(key, result)
-        return result
+        args = (tuple(sources), tuple(examples), timeout)
+        return self._via_pool(route, "transform", key, args, {})
 
     def join(
         self,
@@ -325,17 +333,11 @@ class ServiceRouter:
         :meth:`TransformService.submit_join`.
         """
         route = self._routes[self.resolve(model)]
+        kwargs = {"mode": mode, "k": k, "margin": margin}
         if route.service is not None:
             return route.service.join(
-                sources,
-                targets,
-                examples,
-                timeout,
-                mode=mode,
-                k=k,
-                margin=margin,
+                sources, targets, examples, timeout, **kwargs
             )
-        assert self._pool is not None
         if not targets:
             # Validated before the pipe crossing so the error carries
             # no worker plumbing in its traceback.
@@ -349,30 +351,8 @@ class ServiceRouter:
             k,
             margin,
         )
-        cached = route.join_cache.get(key)
-        if cached is not None:
-            if mode == "reverse":
-                return [list(group) for group in cached]
-            return list(cached)
-        result = self._pool.submit(
-            "join",
-            (
-                route.spec.name,
-                tuple(sources),
-                tuple(targets),
-                tuple(examples),
-                timeout,
-                mode,
-                k,
-                margin,
-                current_context(),
-            ),
-        ).result()
-        if mode == "reverse":
-            route.join_cache.put(key, (tuple(group) for group in result))
-        else:
-            route.join_cache.put(key, result)
-        return result
+        args = (tuple(sources), tuple(targets), tuple(examples), timeout)
+        return self._via_pool(route, "join", key, args, kwargs)
 
     # -- observability -----------------------------------------------------
 
@@ -380,19 +360,34 @@ class ServiceRouter:
         """Parent-side cache counters per route (worker-pool mode)."""
         return {
             name: {
-                "transform": {
-                    "hits": route.transform_cache.hits,
-                    "misses": route.transform_cache.misses,
-                    "entries": len(route.transform_cache),
-                },
-                "join": {
-                    "hits": route.join_cache.hits,
-                    "misses": route.join_cache.misses,
-                    "entries": len(route.join_cache),
-                },
+                tier: {
+                    "hits": cache.hits,
+                    "misses": cache.misses,
+                    "entries": len(cache),
+                }
+                for tier, cache in (
+                    ("transform", route.transform_cache),
+                    ("join", route.join_cache),
+                )
             }
             for name, route in self._routes.items()
         }
+
+    def _snapshots(self) -> list[tuple[dict[str, str], dict]]:
+        """``(labels, snapshot_services(...))`` per answering backend.
+
+        The single fan-in behind :meth:`stats` and :meth:`metrics_text`:
+        one labeled entry per worker that replied, or — in-process —
+        one unlabeled entry for the local services.
+        """
+        if self._pool is None:
+            services = {n: r.service for n, r in self._routes.items()}
+            return [({}, snapshot_services(services))]
+        replies = self._pool.broadcast("snapshot")
+        return [
+            ({"worker": str(worker_id)}, reply)
+            for worker_id, reply in sorted(replies.items())
+        ]
 
     def stats(self) -> dict:
         """The ``GET /v1/stats`` body.
@@ -403,71 +398,49 @@ class ServiceRouter:
         ``"routes"`` block (per-route stats keyed by name, with
         fingerprints) and a ``"workers"`` block (worker count, live
         pids, respawn count; present in both modes, with
-        ``n_workers: 0`` in-process).  In worker-pool mode, per-route
-        counters are **sums across workers** and the top level adds
-        ``router_caches``, the parent-side memoization counters.
+        ``n_workers: 0`` in-process).  Every number is read from one
+        registry snapshot per route per worker, **summed across
+        workers** (:func:`~repro.obs.metrics.sum_snapshots`); the
+        worker-pool top level adds ``router_caches``, the parent-side
+        memoization counters.
         """
-        if self._pool is None:
-            routes_block = {
-                name: {
-                    "fingerprint": route.fingerprint,
-                    "stats": route.service.stats().as_dict(),
-                    "join": route.service.join_stats_snapshot(),
-                }
-                for name, route in self._routes.items()
-            }
-            default = routes_block[self.default_route]
-            return {
-                **default["stats"],
-                "join": default["join"],
-                "metrics": self._routes[
-                    self.default_route
-                ].service.metrics_snapshot(),
-                "routes": routes_block,
-                "workers": {"n_workers": 0, "restarts": 0, "pids": []},
-            }
-        replies = self._pool.broadcast("stats")
-        routes_block = {
-            name: {
+        per_worker = [snapshot for _, snapshot in self._snapshots()]
+        routes_block = {}
+        totals = {}
+        for name, route in self._routes.items():
+            parts = [snap[name] for snap in per_worker if name in snap]
+            totals[name] = sum_snapshots([p["metrics"] for p in parts])
+            last_joins = [
+                p["last_join"] for p in parts if p["last_join"] is not None
+            ]
+            routes_block[name] = {
                 "fingerprint": route.fingerprint,
-                "stats": {},
-                "join": {"last_join": None, "kernel_pairs_total": {}},
+                "stats": ServeStats.from_snapshot(totals[name]).as_dict(),
+                "join": {
+                    "last_join": last_joins[-1] if last_joins else None,
+                    "kernel_pairs_total": kernel_pairs_total(totals[name]),
+                },
             }
-            for name, route in self._routes.items()
-        }
-        for reply in replies.values():
-            for name, per_route in reply["routes"].items():
-                block = routes_block[name]
-                stats = block["stats"]
-                for field_name, value in per_route["stats"].items():
-                    stats[field_name] = stats.get(field_name, 0) + value
-                pairs = block["join"]["kernel_pairs_total"]
-                for backend, count in per_route["join"][
-                    "kernel_pairs_total"
-                ].items():
-                    pairs[backend] = pairs.get(backend, 0) + count
-                if per_route["join"]["last_join"] is not None:
-                    block["join"]["last_join"] = per_route["join"][
-                        "last_join"
-                    ]
-        workers = self._pool.workers
-        return {
+        body = {
             **routes_block[self.default_route]["stats"],
             "join": routes_block[self.default_route]["join"],
-            "metrics": {},
+            "metrics": totals[self.default_route],
             "routes": routes_block,
-            "router_caches": self._router_cache_stats(),
-            "workers": {
-                "n_workers": self._pool.n_workers,
+            "workers": {"n_workers": 0, "restarts": 0, "pids": []},
+        }
+        if self._pool is not None:
+            body["router_caches"] = self._router_cache_stats()
+            body["workers"] = {
+                "n_workers": self.n_workers,
                 "restarts": self._pool.restarts,
-                "responding": len(replies),
+                "responding": len(per_worker),
                 "pids": sorted(
                     handle.process.pid
-                    for handle in workers
+                    for handle in self._pool.workers
                     if handle.alive and handle.process.pid is not None
                 ),
-            },
-        }
+            }
+        return body
 
     def readiness(self) -> dict:
         """The ``GET /readyz`` body: can this router serve traffic now?
@@ -481,54 +454,40 @@ class ServiceRouter:
         routes_ok = all(
             self.resolve(name) == name for name in self._routes
         )
-        if self._pool is not None:
-            workers = self._pool.workers
-            alive = sum(1 for handle in workers if handle.alive)
-            workers_block = {
-                "n_workers": self._pool.n_workers,
-                "alive": alive,
-                "restarts": self._pool.restarts,
-            }
-            ready = (
-                not self.closed
-                and routes_ok
-                and alive == self._pool.n_workers
-            )
-        else:
-            workers_block = {"n_workers": 0, "alive": 0, "restarts": 0}
-            ready = not self.closed and routes_ok
+        pool = self._pool
+        workers = pool.workers if pool is not None else []
+        alive = sum(1 for handle in workers if handle.alive)
         return {
-            "ready": ready,
+            "ready": not self.closed
+            and routes_ok
+            and alive == self.n_workers,
             "routes": sorted(self._routes),
-            "workers": workers_block,
+            "workers": {
+                "n_workers": self.n_workers,
+                "alive": alive,
+                "restarts": pool.restarts if pool is not None else 0,
+            },
         }
 
     def metrics_text(self) -> str:
         """The ``/metrics`` exposition across every route and worker.
 
-        In-process single-route mode delegates to the service's own
-        registry (byte-compatible with the pre-router scrape).  Every
-        other topology renders **labeled** series — one ``# TYPE``
-        block per metric, one sample per ``{route=...}`` (plus
-        ``{worker=...}`` in pool mode) — via
+        In-process single-route mode is the service's own page
+        (unlabeled, with ``# HELP`` lines — byte-compatible with the
+        pre-router scrape).  Every other topology renders **labeled**
+        series — one ``# TYPE`` block per metric, one sample per
+        ``{route=...}`` (after ``{worker=...}`` in pool mode) — via
         :func:`~repro.obs.metrics.merge_labeled_snapshots`.
         """
-        if self._pool is None:
-            if len(self._routes) == 1:
-                only = next(iter(self._routes.values()))
-                return only.service.metrics_text()
-            labeled = [
-                ({"route": name}, route.service.metrics_snapshot())
-                for name, route in self._routes.items()
+        if self._pool is None and len(self._routes) == 1:
+            return self._routes[self.default_route].service.metrics_text()
+        return merge_labeled_snapshots(
+            [
+                ({**labels, "route": name}, part["metrics"])
+                for labels, snapshot in self._snapshots()
+                for name, part in snapshot.items()
             ]
-            return merge_labeled_snapshots(labeled)
-        replies = self._pool.broadcast("metrics")
-        labeled = [
-            ({"worker": str(worker_id), "route": route_name}, snapshot)
-            for worker_id, per_route in sorted(replies.items())
-            for route_name, snapshot in sorted(per_route.items())
-        ]
-        return merge_labeled_snapshots(labeled)
+        )
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -52,9 +52,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from concurrent.futures import Future
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Literal
 
 from repro.core.interface import IncrementalSequenceModel
@@ -71,6 +71,7 @@ from repro.exceptions import (
 from repro.infer.engine import EngineStats, GenerationEngine
 from repro.obs.metrics import (
     DEFAULT_OCCUPANCY_BUCKETS,
+    Counter,
     MetricsRegistry,
 )
 from repro.obs.trace import (
@@ -88,13 +89,28 @@ from repro.serve.cache import (
 )
 from repro.types import ExamplePair, Prediction
 
+_KERNEL_NAMES = tuple(name for name in KERNEL_BACKENDS if name != "auto")
+#: ``EngineStats`` / ``JoinStats`` fields accumulated into the registry.
+_ENGINE_FIELDS = ("prompts", "decoded_rows", "chunks", "steps", "row_steps")
+_JOIN_FIELDS = (
+    "probes",
+    "unique_probes",
+    "exact_matches",
+    "empty_probes",
+    "pending",
+)
+
 
 @dataclass(frozen=True)
 class ServeStats:
-    """A snapshot of the service's counters (see :meth:`TransformService.stats`).
+    """A read-only view of the service's registry series.
+
+    Built by :meth:`from_snapshot`; the registry
+    (:attr:`TransformService.metrics`) is the only place counts live.
 
     Attributes:
-        requests: Requests accepted (rejected submits excluded).
+        requests: Requests accepted (rejected submits and requests
+            with no ``sources``, answered without queueing, excluded).
         transform_requests: Accepted ``transform`` requests.
         join_requests: Accepted ``join`` requests.
         rows: Source rows across accepted requests.
@@ -157,27 +173,31 @@ class ServeStats:
         """JSON-friendly dict form."""
         return asdict(self)
 
+    @classmethod
+    def from_snapshot(cls, snapshot: Mapping) -> ServeStats:
+        """Read the fields out of a serving-registry snapshot.
 
-@dataclass
-class _Counters:
-    """The mutable counters behind :class:`ServeStats`."""
+        Field ``f`` is the series ``serve_<f>_total`` (``serve_<f>`` for
+        the three point-in-time fields).  The snapshot may be one
+        service's or a :func:`~repro.obs.metrics.sum_snapshots` total
+        across workers; a series it lacks reads 0.
+        """
+        gauges = ("cache_entries", "cache_bytes", "join_cache_entries")
+        values = {}
+        for field in fields(cls):
+            suffix = "" if field.name in gauges else "_total"
+            series = f"serve_{field.name}{suffix}"
+            values[field.name] = int(snapshot.get(series, 0))
+        return cls(**values)
 
-    requests: int = 0
-    transform_requests: int = 0
-    join_requests: int = 0
-    rows: int = 0
-    joined_rows: int = 0
-    batches: int = 0
-    batched_requests: int = 0
-    rejected: int = 0
-    cancelled: int = 0
-    deadline_expired: int = 0
-    failed: int = 0
-    engine_prompts: int = 0
-    engine_decoded_rows: int = 0
-    engine_chunks: int = 0
-    engine_steps: int = 0
-    engine_row_steps: int = 0
+
+def kernel_pairs_total(snapshot: Mapping) -> dict[str, int]:
+    """Pairs scored per kernel backend, for the backends that scored any."""
+    counts = {
+        backend: snapshot.get(f"join_kernel_pairs_{backend}_total", 0)
+        for backend in _KERNEL_NAMES
+    }
+    return {backend: count for backend, count in counts.items() if count}
 
 
 class _Request:
@@ -332,20 +352,6 @@ class TransformService:
         )
         self.last_engine_stats = EngineStats()
         self.last_join_stats = None
-        #: Cumulative candidate pairs scored per kernel backend across
-        #: every join this service has executed (scheduler thread only).
-        self._join_kernel_pairs: dict[str, int] = {}
-        #: Cumulative JoinStats counters across every executed join —
-        #: the source behind the unprefixed ``join_*`` metric series.
-        self._join_totals: dict[str, int] = {
-            "calls": 0,
-            "probes": 0,
-            "unique_probes": 0,
-            "exact_matches": 0,
-            "empty_probes": 0,
-            "pending": 0,
-        }
-        self._counters = _Counters()
         self._queue: deque[_Request] = deque()
         self.metrics = self._build_metrics()
         self._cond = threading.Condition()
@@ -356,12 +362,15 @@ class TransformService:
         self._thread.start()
 
     def _build_metrics(self) -> MetricsRegistry:
-        """The service's export registry (see :mod:`repro.obs.metrics`).
+        """The service's registry — the only store of its event counts.
 
-        Histograms are observed on the scheduler thread; gauges and
-        counters read live state through callbacks, so exporting never
-        duplicates the bookkeeping behind :meth:`stats` and costs
-        nothing until something scrapes.
+        Event sites ``inc()`` the stored counters in ``self._count``
+        (keyed by series name); :meth:`stats` and
+        :meth:`join_stats_snapshot` are views of its ``snapshot()``.
+        Gauges and the counts the caches own read live through
+        callbacks, and a count exported under two names is one stored
+        counter plus a read-through alias: an event is counted once.
+        Histograms are observed on the scheduler thread.
         """
         registry = MetricsRegistry(prefix="serve_")
         self._queue_wait = registry.histogram(
@@ -422,6 +431,17 @@ class TransformService:
             "join-result-cache entries currently held",
             fn=lambda: len(self.join_cache),
         )
+        self._count: dict[str, Counter] = {}
+
+        def stored(name: str, help: str) -> None:
+            self._count[name] = registry.counter(name, help, prefix="")
+
+        def alias(name: str, help: str) -> None:
+            """Export the stored bare ``name`` as ``serve_<name>`` too."""
+            registry.counter(
+                name, help, fn=lambda: self._count[name].value
+            )
+
         for field in (
             "requests",
             "transform_requests",
@@ -434,67 +454,34 @@ class TransformService:
             "cancelled",
             "deadline_expired",
             "failed",
-            "engine_prompts",
-            "engine_decoded_rows",
-            "engine_chunks",
-            "engine_steps",
-            "engine_row_steps",
         ):
-            registry.counter(
-                f"{field}_total",
-                f"see ServeStats.{field}",
-                fn=lambda f=field: getattr(self._counters, f),
+            stored(f"serve_{field}_total", f"see ServeStats.{field}")
+        for field in _ENGINE_FIELDS:
+            alias(
+                f"engine_{field}_total", f"see ServeStats.engine_{field}"
             )
-        for backend in KERNEL_BACKENDS:
-            if backend == "auto":
-                continue
-            registry.counter(
-                f"join_kernel_pairs_{backend}_total",
-                f"candidate pairs scored by the {backend} "
-                "edit-distance kernel across all joins",
-                fn=lambda b=backend: self._join_kernel_pairs.get(b, 0),
-            )
-        # Unprefixed engine_* / join_* series (ROADMAP item 5): the
-        # EngineStats and JoinStats counters under their own metric
+        pairs_series = "join_kernel_pairs_{}_total"
+        pairs_help = (
+            "candidate pairs scored by the {} "
+            "edit-distance kernel across all joins"
+        )
+        for backend in _KERNEL_NAMES:
+            alias(pairs_series.format(backend), pairs_help.format(backend))
+        # The EngineStats and JoinStats counters under their own metric
         # namespaces, merged with the same per-worker/per-route labels
         # as the serve_* series by the router's scrape endpoint.
-        for field in (
-            "prompts",
-            "decoded_rows",
-            "chunks",
-            "steps",
-            "row_steps",
-        ):
-            registry.counter(
+        for field in _ENGINE_FIELDS:
+            stored(
                 f"engine_{field}_total",
                 f"see EngineStats.{field} (cumulative across batches)",
-                fn=lambda f=f"engine_{field}": getattr(self._counters, f),
-                prefix="",
             )
-        for field in (
-            "calls",
-            "probes",
-            "unique_probes",
-            "exact_matches",
-            "empty_probes",
-            "pending",
-        ):
-            registry.counter(
+        for field in ("calls", *_JOIN_FIELDS):
+            stored(
                 f"join_{field}_total",
                 f"see JoinStats.{field} (cumulative across joins)",
-                fn=lambda f=field: self._join_totals[f],
-                prefix="",
             )
-        for backend in KERNEL_BACKENDS:
-            if backend == "auto":
-                continue
-            registry.counter(
-                f"join_kernel_pairs_{backend}_total",
-                f"candidate pairs scored by the {backend} "
-                "edit-distance kernel across all joins",
-                fn=lambda b=backend: self._join_kernel_pairs.get(b, 0),
-                prefix="",
-            )
+        for backend in _KERNEL_NAMES:
+            stored(pairs_series.format(backend), pairs_help.format(backend))
         return registry
 
     @staticmethod
@@ -620,27 +607,22 @@ class TransformService:
             if self._closing:
                 raise ServiceClosedError("service is shut down")
             if not request.sources:
-                # The pipeline's empty-input fast path, without a batch.
-                self._count(kind, request)
+                # The pipeline's empty-input fast path, answered at the
+                # door: no queue slot, no batch, and — like a rejected
+                # submit — not an accepted request in any counter.
                 request.future.set_result([])
                 return request.future
             if len(self._queue) >= self.max_queue:
-                self._counters.rejected += 1
+                self._count["serve_rejected_total"].inc()
                 raise ServiceOverloadedError(
                     f"request queue is full ({self.max_queue} pending)"
                 )
-            self._count(kind, request)
+            self._count["serve_requests_total"].inc()
+            self._count[f"serve_{kind}_requests_total"].inc()
+            self._count["serve_rows_total"].inc(len(request.sources))
             self._queue.append(request)
             self._cond.notify_all()
         return request.future
-
-    def _count(self, kind: str, request: _Request) -> None:
-        self._counters.requests += 1
-        self._counters.rows += len(request.sources)
-        if kind == "join":
-            self._counters.join_requests += 1
-        else:
-            self._counters.transform_requests += 1
 
     # -- the scheduler loop ------------------------------------------------
 
@@ -680,7 +662,7 @@ class TransformService:
         now = self._clock()
         for request in batch:
             if not request.future.set_running_or_notify_cancel():
-                self._counters.cancelled += 1
+                self._count["serve_cancelled_total"].inc()
                 continue
             if request.deadline is not None and now > request.deadline:
                 tracer.record_span(
@@ -691,18 +673,18 @@ class TransformService:
                     attributes={"deadline_expired": True},
                     status="error",
                 )
+                self._count["serve_deadline_expired_total"].inc()
                 request.future.set_exception(
                     DeadlineExceededError(
                         "deadline expired before the batch started"
                     )
                 )
-                self._counters.deadline_expired += 1
                 continue
             ready.append(request)
         if not ready:
             return
-        self._counters.batches += 1
-        self._counters.batched_requests += len(ready)
+        self._count["serve_batches_total"].inc()
+        self._count["serve_batched_requests_total"].inc(len(ready))
         for request in ready:
             self._queue_wait.observe(now - request.submitted_at)
             tracer.record_span(
@@ -721,7 +703,7 @@ class TransformService:
         except Exception as error:  # the futures carry it to callers
             for request in ready:
                 if not request.future.done():
-                    self._counters.failed += 1
+                    self._count["serve_failed_total"].inc()
                     self._finish_request_span(request, "error", repr(error))
                     request.future.set_exception(error)
         finally:
@@ -767,7 +749,7 @@ class TransformService:
                     continue
                 self._resolve_cache_and_prompts(plan)
             except Exception as error:  # per-request isolation
-                self._counters.failed += 1
+                self._count["serve_failed_total"].inc()
                 self._finish_request_span(request, "error", repr(error))
                 request.future.set_exception(error)
                 continue
@@ -898,11 +880,8 @@ class TransformService:
         outputs, stats = self.pipeline.engine.run_with_stats(jobs)
         merged = EngineStats.merged(stats)
         self.last_engine_stats = merged
-        self._counters.engine_prompts += merged.prompts
-        self._counters.engine_decoded_rows += merged.decoded_rows
-        self._counters.engine_chunks += merged.chunks
-        self._counters.engine_steps += merged.steps
-        self._counters.engine_row_steps += merged.row_steps
+        for field in _ENGINE_FIELDS:
+            self._count[f"engine_{field}_total"].inc(getattr(merged, field))
         for i, plan in enumerate(active):
             # Rebuild per-prompt candidate lists in model order, the
             # exact shape MultiModelAggregator.generate_candidates
@@ -970,23 +949,16 @@ class TransformService:
                 results = joiner.join_many([p.value for p in flat], targets)
             else:
                 results = joiner.join(flat, targets)
-            self._counters.joined_rows += len(flat)
-            self.last_join_stats = getattr(joiner, "last_join_stats", None)
-            if self.last_join_stats is not None:
-                for name, count in self.last_join_stats.kernel_pairs:
-                    self._join_kernel_pairs[name] = (
-                        self._join_kernel_pairs.get(name, 0) + count
-                    )
-                self._join_totals["calls"] += 1
-                for field in (
-                    "probes",
-                    "unique_probes",
-                    "exact_matches",
-                    "empty_probes",
-                    "pending",
-                ):
-                    self._join_totals[field] += getattr(
-                        self.last_join_stats, field
+            self._count["serve_joined_rows_total"].inc(len(flat))
+            stats = getattr(joiner, "last_join_stats", None)
+            self.last_join_stats = stats
+            if stats is not None:
+                for name, count in stats.kernel_pairs:
+                    self._count[f"join_kernel_pairs_{name}_total"].inc(count)
+                self._count["join_calls_total"].inc()
+                for field in _JOIN_FIELDS:
+                    self._count[f"join_{field}_total"].inc(
+                        getattr(stats, field)
                     )
             offset = 0
             for plan in group:
@@ -1011,22 +983,8 @@ class TransformService:
     # -- observability and lifecycle ---------------------------------------
 
     def stats(self) -> ServeStats:
-        """A consistent snapshot of the service counters."""
-        cache = self.result_cache
-        # _Counters shares field names with ServeStats by construction,
-        # so a new counter only has to be declared in those two places.
-        return ServeStats(
-            **asdict(self._counters),
-            cache_hits=cache.hits,
-            cache_misses=cache.misses,
-            cache_evictions=cache.evictions,
-            cache_expirations=cache.expirations,
-            cache_entries=len(cache),
-            cache_bytes=cache.total_bytes,
-            join_cache_hits=self.join_cache.hits,
-            join_cache_misses=self.join_cache.misses,
-            join_cache_entries=len(self.join_cache),
-        )
+        """The service counters, read out of one registry snapshot."""
+        return ServeStats.from_snapshot(self.metrics.snapshot())
 
     def join_stats_snapshot(self) -> dict:
         """JSON-friendly view of the join layer's kernel activity.
@@ -1039,7 +997,7 @@ class TransformService:
         last = self.last_join_stats
         return {
             "last_join": last.as_dict() if last is not None else None,
-            "kernel_pairs_total": dict(self._join_kernel_pairs),
+            "kernel_pairs_total": kernel_pairs_total(self.metrics.snapshot()),
         }
 
     def metrics_snapshot(self) -> dict:

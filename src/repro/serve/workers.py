@@ -39,9 +39,11 @@ in-flight batch, never the service.
 
 Wire protocol (parent -> worker): ``(request_id, op, payload)`` tuples
 over a duplex pipe; replies are ``(request_id, ok, result_or_error,
-spans)``.  Ops: ``"transform"`` / ``"join"`` execute on a route's
-service; ``"stats"`` / ``"metrics"`` snapshot every route; ``"ping"``
-checks liveness; ``"shutdown"`` drains and exits.
+spans)``.  Ops: ``"request"`` submits ``(route, kind, args, kwargs,
+trace_ctx)`` to the route's ``submit_<kind>`` (``transform`` / ``join``);
+``"snapshot"`` reads every route's registry (:func:`snapshot_services`,
+the one source behind ``/v1/stats`` and ``/metrics``); ``"shutdown"``
+drains and exits.
 
 **Cross-process tracing.**  Request payloads carry the parent's sampled
 :class:`~repro.obs.trace.SpanContext` (or ``None``) as their last
@@ -104,6 +106,24 @@ def build_service(
     return TransformService(pipeline, **kwargs)
 
 
+def snapshot_services(services: Mapping[str, TransformService]) -> dict:
+    """``route -> {"metrics", "last_join"}``: one read of serve-side state.
+
+    ``metrics`` is the route's registry snapshot — every count
+    ``/v1/stats`` and ``/metrics`` report derives from it — and
+    ``last_join`` the most recent ``JoinStats`` as a dict (or ``None``),
+    the one per-call value the registry does not hold.
+    """
+    out = {}
+    for name, service in services.items():
+        last = service.last_join_stats
+        out[name] = {
+            "metrics": service.metrics_snapshot(),
+            "last_join": last.as_dict() if last is not None else None,
+        }
+    return out
+
+
 def _worker_main(
     conn,
     pipelines: dict[str, DTTPipeline] | None,
@@ -114,8 +134,8 @@ def _worker_main(
 
     ``pipelines`` is non-``None`` only under the ``fork`` start method,
     where the parent's built pipelines ride in copy-on-write; fresh
-    interpreters build from ``factories`` instead.  Request ops submit
-    to the route's service and reply from the future's done callback
+    interpreters build from ``factories`` instead.  The request op submits
+    to the route's service and replies from the future's done callback
     (on the service's scheduler thread), so one worker pipelines many
     concurrent requests through its own micro-batching — the parent
     never waits for one reply before sending the next request.
@@ -126,6 +146,12 @@ def _worker_main(
     get_tracer().reseed()
     if pipelines is None:
         pipelines = {name: factory() for name, factory in factories.items()}
+    for pipeline in pipelines.values():
+        # Nesting policy: the serve worker is the unit of parallelism,
+        # so a joiner it hosts resolves in-process.  N serve workers x
+        # M join workers on N cores is nobody's intent, and a daemonic
+        # process may not have children at all.
+        pipeline.joiner.n_workers = 1
     services = {
         name: build_service(pipeline, service_kwargs)
         for name, pipeline in pipelines.items()
@@ -144,11 +170,13 @@ def _worker_main(
                 conn.send((request_id, ok, payload, spans))
         except (BrokenPipeError, OSError):
             pass  # the parent is gone; nothing left to tell
+        except Exception:
+            # Unpicklable payload (a model bug carrying live state):
+            # degrade to a picklable description, never a silent drop.
+            reply(request_id, False, RuntimeError(repr(payload)))
 
-    def reply_future(
-        request_id: int, future: Future, span: object = None
-    ) -> None:
-        """Relay a completed future — result or (picklable) error.
+    def reply_future(request_id: int, future: Future, span: object) -> None:
+        """Relay a completed future — result or error.
 
         ``span`` is the request's ``worker.execute`` span: it finishes
         here (the service closed its own spans before resolving the
@@ -164,13 +192,8 @@ def _worker_main(
             spans = get_tracer().drain(span.trace_id)
         if error is None:
             reply(request_id, True, future.result(), spans)
-            return
-        try:
+        else:
             reply(request_id, False, error, spans)
-        except Exception:
-            # Unpicklable exception (a model bug carrying live state):
-            # degrade to a picklable description, never a silent drop.
-            reply(request_id, False, RuntimeError(repr(error)), spans)
 
     try:
         while True:
@@ -183,101 +206,32 @@ def _worker_main(
                 reply(request_id, True, "bye")
                 break
             try:
-                if op == "transform":
-                    route, sources, examples, timeout, trace_ctx = payload
+                if op == "request":
+                    route, kind, args, kwargs, trace_ctx = payload
                     tracer = get_tracer()
                     span = tracer.start_span(
                         "worker.execute",
                         parent=trace_ctx,
                         attributes={
                             "route": route,
-                            "op": op,
+                            "op": kind,
                             "pid": os.getpid(),
                         },
                     )
+                    submit = getattr(services[route], f"submit_{kind}")
                     with tracer.activate(span):
-                        future = services[route].submit_transform(
-                            sources, examples, timeout
-                        )
+                        future = submit(*args, **kwargs)
                     future.add_done_callback(
                         lambda f, rid=request_id, s=span: reply_future(
                             rid, f, s
                         )
                     )
-                elif op == "join":
-                    (
-                        route,
-                        sources,
-                        targets,
-                        examples,
-                        timeout,
-                        mode,
-                        k,
-                        margin,
-                        trace_ctx,
-                    ) = payload
-                    tracer = get_tracer()
-                    span = tracer.start_span(
-                        "worker.execute",
-                        parent=trace_ctx,
-                        attributes={
-                            "route": route,
-                            "op": op,
-                            "pid": os.getpid(),
-                        },
-                    )
-                    with tracer.activate(span):
-                        future = services[route].submit_join(
-                            sources,
-                            targets,
-                            examples,
-                            timeout,
-                            mode=mode,
-                            k=k,
-                            margin=margin,
-                        )
-                    future.add_done_callback(
-                        lambda f, rid=request_id, s=span: reply_future(
-                            rid, f, s
-                        )
-                    )
-                elif op == "stats":
-                    reply(
-                        request_id,
-                        True,
-                        {
-                            "pid": os.getpid(),
-                            "routes": {
-                                name: {
-                                    "stats": service.stats().as_dict(),
-                                    "join": service.join_stats_snapshot(),
-                                }
-                                for name, service in services.items()
-                            },
-                        },
-                    )
-                elif op == "metrics":
-                    reply(
-                        request_id,
-                        True,
-                        {
-                            name: service.metrics_snapshot()
-                            for name, service in services.items()
-                        },
-                    )
-                elif op == "ping":
-                    reply(request_id, True, os.getpid())
+                elif op == "snapshot":
+                    reply(request_id, True, snapshot_services(services))
                 else:
-                    reply(
-                        request_id,
-                        False,
-                        ValueError(f"unknown worker op {op!r}"),
-                    )
+                    raise ValueError(f"unknown worker op {op!r}")
             except Exception as error:  # submit-time failures
-                try:
-                    reply(request_id, False, error)
-                except Exception:
-                    reply(request_id, False, RuntimeError(repr(error)))
+                reply(request_id, False, error)
     finally:
         for service in services.values():
             try:

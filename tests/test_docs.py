@@ -132,6 +132,35 @@ class TestBrokenDocsAreCaught:
             "src/pkg/module.py: cites LOST.md, which does not exist",
         ]
 
+    def test_stale_and_unlisted_metric_series_fail(self, fake_repo):
+        (fake_repo / "docs" / "operations.md").write_text(
+            "# Ops\nwatch `serve_requests_total`, not `serve_renamed_total`\n"
+        )
+        (fake_repo / "docs" / "observability.md").write_text(
+            "# Obs\n| series | kind |\n|---|---|\n"
+            "| `serve_queue_depth` | gauge |\n"
+            "| `join_kernel_pairs_<backend>_total` | counter |\n"
+            "| `serve_gone_depth` | gauge |\n"
+        )
+        problems = check_docs.check_metric_series(
+            check_docs.collect_doc_files(fake_repo), fake_repo
+        )
+        stale = [p for p in problems if "does not emit" in p]
+        assert stale == [
+            "docs/observability.md: names metric series serve_gone_depth, "
+            "which the serving registry does not emit",
+            "docs/operations.md: names metric series serve_renamed_total, "
+            "which the serving registry does not emit",
+        ]
+        # Two table rows are real (one gauge, one <backend> row covering
+        # three counters); every other emitted series is reported.
+        unlisted = [p for p in problems if "missing from the series" in p]
+        assert len(unlisted) == len(check_docs.emitted_series()) - 4
+        assert not any("serve_queue_depth" in p for p in unlisted)
+        assert not any(
+            "series join_kernel_pairs_banded_total" in p for p in unlisted
+        )
+
     def test_undocumented_endpoint_fails(self, fake_repo):
         # The fixture's http_api.md mentions no endpoint at all, so
         # every real PUBLIC_ENDPOINTS entry must be reported.

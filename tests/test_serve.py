@@ -34,6 +34,8 @@ from repro.model import ByteSeq2SeqModel
 from repro.model.config import TINY_CONFIG
 from repro.serve import (
     ResultCache,
+    RouteSpec,
+    ServiceRouter,
     TransformService,
     examples_fingerprint,
     start_http_server,
@@ -531,16 +533,25 @@ class TestMainEntryPoint:
 
 class TestHttpFrontEnd:
     @pytest.fixture()
-    def server(self):
-        service = TransformService(_surrogate_pipeline(), max_wait_ms=1.0)
-        server = start_http_server(service)
+    def server(self, request):
+        """A bare service by default; ``param`` = a router's worker count."""
+        n_workers = getattr(request, "param", None)
+        if n_workers is None:
+            backend = TransformService(_surrogate_pipeline(), max_wait_ms=1.0)
+        else:
+            backend = ServiceRouter(
+                [RouteSpec("default", _surrogate_pipeline)],
+                n_workers=n_workers,
+                service_kwargs={"max_wait_ms": 1.0},
+            )
+        server = start_http_server(backend)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}"
         server.shutdown()
         server.server_close()
-        service.close()
+        backend.close()
 
     @staticmethod
     def _post(base: str, path: str, payload: dict) -> dict:
@@ -630,7 +641,9 @@ class TestHttpFrontEnd:
         assert "serve_cache_hits_total 1" in body
         assert "serve_requests_total 2" in body
 
+    @pytest.mark.parametrize("server", [0, 2], indirect=True)
     def test_stats_nests_the_metrics_snapshot(self, server):
+        """Behind workers the block is the per-worker snapshots, summed."""
         examples = [pair.as_tuple() for pair in _EXAMPLES]
         self._post(
             server,

@@ -12,19 +12,31 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import re
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from repro.exceptions import UnknownModelError, WorkerCrashedError
+from repro.core.join_config import JoinConfig
+from repro.core.pipeline import DTTPipeline
+from repro.exceptions import (
+    DeadlineExceededError,
+    ServiceOverloadedError,
+    UnknownModelError,
+    WorkerCrashedError,
+)
 from repro.obs.metrics import merge_labeled_snapshots
 from repro.serve.cache import JoinResultCache
 from repro.serve.http import start_http_server
 from repro.serve.router import RouteSpec, ServiceRouter, build_pipeline
 from repro.serve.service import TransformService
+from repro.surrogate import PretrainedDTT
 from repro.types import ExamplePair
 
 _EXAMPLES = (
@@ -60,6 +72,52 @@ def _concurrent_transforms(
         for future in [pool.submit(one, i) for i in range(len(sources))]:
             future.result()
     return results
+
+
+class FileGatedModel:
+    """A model the test holds and releases across process boundaries.
+
+    A prompt mentioning ``hold`` drops an ``entered-<pid>-<n>`` marker
+    in ``gate_dir`` and blocks until a ``release`` file appears there;
+    one mentioning ``boom`` raises.  Plain files work under fork and
+    spawn alike, and the instance pickles.
+    """
+
+    name = "file-gated"
+
+    def __init__(self, gate_dir: str) -> None:
+        self.gate_dir = Path(gate_dir)
+        self.calls = 0
+
+    def generate(self, prompts: list[str]) -> list[str]:
+        self.calls += 1
+        if any("boom" in prompt for prompt in prompts):
+            raise RuntimeError("model exploded")
+        if any("hold" in prompt for prompt in prompts):
+            marker = f"entered-{os.getpid()}-{self.calls}"
+            (self.gate_dir / marker).touch()
+            _wait_until(lambda: (self.gate_dir / "release").exists())
+        return [f"out-{i}" for i in range(len(prompts))]
+
+
+def _gated_pipeline(gate_dir: str) -> DTTPipeline:
+    return DTTPipeline(FileGatedModel(gate_dir), n_trials=1, seed=0)
+
+
+def _nested_pool_pipeline() -> DTTPipeline:
+    """A blocked joiner configured to shard every join over 2 processes."""
+    return DTTPipeline(
+        PretrainedDTT(seed=0),
+        joiner="indexed",
+        join_config=JoinConfig(n_workers=2),
+    )
+
+
+def _wait_until(condition, timeout_s: float = 20.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.005)
 
 
 class FakeClock:
@@ -142,16 +200,26 @@ class TestWorkerPoolEquivalence:
 
 
 class TestWorkerCrash:
-    def test_inflight_requests_fail_with_worker_crashed(self):
+    def test_inflight_requests_fail_with_worker_crashed(self, tmp_path):
         router = ServiceRouter(
-            [_route()], n_workers=1, service_kwargs=_FAST
+            [
+                RouteSpec(
+                    "gated",
+                    functools.partial(_gated_pipeline, str(tmp_path)),
+                )
+            ],
+            n_workers=1,
+            service_kwargs=_FAST,
         )
         try:
             pool = router._pool
+            # A well-formed request, held inside the worker's model so
+            # the kill below cannot lose a race with the reply.
+            args = (("hold me",), _EXAMPLES, None)
             future = pool.submit(
-                "transform",
-                ("pretrained", tuple(_sources("crash", 8)), _EXAMPLES, None),
+                "request", ("gated", "transform", args, {}, None)
             )
+            _wait_until(lambda: any(tmp_path.glob("entered-*")))
             pool.workers[0].process.kill()
             with pytest.raises(WorkerCrashedError):
                 future.result(30)
@@ -180,6 +248,125 @@ class TestWorkerCrash:
             assert router.stats()["workers"]["restarts"] == 1
         finally:
             router.close()
+
+
+class TestNestedPools:
+    def test_worker_hosted_joiner_resolves_in_process(self):
+        """A serve worker never starts a join pool of its own.
+
+        The factory asks for a 2-process join pool; daemonic serve
+        workers may not have children, so before the nesting policy
+        this crashed the first blocked join.
+        """
+        spec = RouteSpec("a", _nested_pool_pipeline)
+        targets = [f"target-{i:04d}" for i in range(40)] + list(_TARGETS)
+        sources = _sources("nest", 6)
+        in_process = ServiceRouter([spec], service_kwargs=_FAST)
+        try:
+            expected = in_process.join(sources, targets, _EXAMPLES)
+            last = in_process.stats()["join"]["last_join"]
+            assert last["shards"] >= 1  # in-process, the join pool engages
+        finally:
+            in_process.close()
+        router = ServiceRouter([spec], n_workers=1, service_kwargs=_FAST)
+        try:
+            assert router.join(sources, targets, _EXAMPLES) == expected
+            last = router.stats()["join"]["last_join"]
+            assert (last["n_workers"], last["shards"]) == (1, 0)
+        finally:
+            router.close()
+
+
+class TestCounterConservation:
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    def test_every_accepted_request_reaches_one_terminal_counter(
+        self, n_workers, tmp_path
+    ):
+        """requests == batched + cancelled + expired; batched == ok + failed.
+
+        Holds per route, summed across workers, over every way a
+        request can end.  A cancelled future only exists in-process:
+        behind workers the service-side future never leaves the worker.
+        """
+        kwargs = {"max_wait_ms": 0.0, "max_queue": 1}
+        if n_workers == 0:
+            service = TransformService(
+                _gated_pipeline(str(tmp_path)), **kwargs
+            )
+            router = ServiceRouter.from_service(service, "gated")
+        else:
+            factory = functools.partial(_gated_pipeline, str(tmp_path))
+            router = ServiceRouter(
+                [RouteSpec("gated", factory)], n_workers, kwargs
+            )
+        width = max(1, n_workers)
+        ok = 0
+        try:
+            with ThreadPoolExecutor(max_workers=2 * width) as clients:
+                router.transform(["plain"], _EXAMPLES)
+                for mode in ("argmin", "topk", "reverse"):
+                    router.join(["plain"], _TARGETS, _EXAMPLES, mode=mode)
+                ok += 4
+                with pytest.raises(RuntimeError, match="exploded"):
+                    router.transform(["boom"], _EXAMPLES)
+                with pytest.raises(DeadlineExceededError):
+                    router.transform(["late"], _EXAMPLES, timeout=-1.0)
+                assert router.transform([], _EXAMPLES) == []
+                # Block every scheduler inside the model, then fill
+                # every queue (max_queue=1), then overflow one.
+                held = []
+                for i in range(width):
+                    held.append(
+                        clients.submit(
+                            router.transform, [f"hold-{i}"], _EXAMPLES
+                        )
+                    )
+                    _wait_until(
+                        lambda: len(list(tmp_path.glob("entered-*"))) > i
+                    )
+                if n_workers == 0:
+                    doomed = service.submit_transform(["doomed"], _EXAMPLES)
+                    assert doomed.cancel()
+                    queued = []
+                else:
+                    queued = [
+                        clients.submit(
+                            router.transform, [f"queued-{i}"], _EXAMPLES
+                        )
+                        for i in range(width)
+                    ]
+                _wait_until(
+                    lambda: router.stats()["metrics"]["serve_queue_depth"]
+                    == width
+                )
+                with pytest.raises(ServiceOverloadedError):
+                    router.transform(["overflow"], _EXAMPLES)
+                (tmp_path / "release").touch()
+                for future in held + queued:
+                    assert len(future.result(30)) == 1
+                ok += len(held) + len(queued)
+            if n_workers == 0:
+                # Drain: the cancelled request is only counted when the
+                # scheduler pops it, after the held batch finishes.
+                router.close()
+            stats = router.stats()
+        finally:
+            (tmp_path / "release").touch()
+            router.close()
+        route = stats["routes"]["gated"]["stats"]
+        assert {k: stats[k] for k in route} == route  # one route: top = sum
+        assert route["failed"] == 1
+        assert route["deadline_expired"] == 1
+        assert route["rejected"] == 1
+        assert route["cancelled"] == (1 if n_workers == 0 else 0)
+        assert route["requests"] == (
+            route["batched_requests"]
+            + route["cancelled"]
+            + route["deadline_expired"]
+        )
+        assert route["batched_requests"] == ok + route["failed"]
+        # The view and the registry series it is read from agree.
+        assert stats["metrics"]["serve_requests_total"] == route["requests"]
 
 
 class TestRouting:
@@ -488,3 +675,69 @@ class TestLabeledSnapshots:
             [({"route": 'we"ird\\name'}, {"x_total": 1})]
         )
         assert 'route="we\\"ird\\\\name"' in text
+
+
+_GOLDEN_PAGE = Path(__file__).parent / "golden" / "metrics_inprocess.txt"
+#: Sample values the golden cannot pin: wall-clock histograms, the
+#: cache's ``sys.getsizeof``-based byte estimate, and the per-backend
+#: kernel pair counts (they move with ``REPRO_KERNEL_BACKEND``).
+_MASKED_SAMPLE = re.compile(
+    r"^(\w*(?:_seconds|_bytes|kernel_pairs)\w*(?:\{[^}]*\})?) \S+$", re.M
+)
+
+
+def _golden_request_sequence(router) -> None:
+    """The fixed sequence behind ``golden/metrics_inprocess.txt``.
+
+    Targets outnumber the ``AutoJoiner`` threshold so the joins run the
+    blocked engine and the ``join_*`` counters move.
+    """
+    targets = [f"target-{i:04d}" for i in range(300)] + list(_TARGETS)
+    sources = _sources("golden", 2)
+    router.transform(["Kim Campbell"], _EXAMPLES)
+    router.transform(["Kim Campbell"], _EXAMPLES)  # result-cache hit
+    router.join(sources, targets, _EXAMPLES)
+    router.join(sources, targets, _EXAMPLES, mode="topk", k=3)
+    router.join(sources, targets, _EXAMPLES, mode="reverse")
+    router.join(sources, targets, _EXAMPLES)  # join-cache hit
+
+
+def _exposition_after_golden_sequence(n_workers: int) -> str:
+    router = ServiceRouter(
+        [_route()], n_workers=n_workers, service_kwargs=_FAST
+    )
+    try:
+        _golden_request_sequence(router)
+        return router.metrics_text()
+    finally:
+        router.close()
+
+
+class TestMetricsExpositionGolden:
+    """``/metrics`` is a wire format: names, HELP, TYPE and order are pinned.
+
+    The fixture was recorded at commit ``365c01c`` (before the counters
+    moved into the registry), so passing means the move changed nothing
+    a scraper can see.
+    """
+
+    def test_inprocess_page_matches_the_recorded_page(self):
+        page = _exposition_after_golden_sequence(0)
+        assert _MASKED_SAMPLE.sub(r"\1 <masked>", page) == (
+            _GOLDEN_PAGE.read_text(encoding="utf-8")
+        )
+
+    def test_two_workers_emit_the_same_series_with_labels(self):
+        type_line = re.compile(r"^# TYPE (\w+) (\w+)$", re.M)
+        page = _exposition_after_golden_sequence(2)
+        assert set(type_line.findall(page)) == set(
+            type_line.findall(_GOLDEN_PAGE.read_text(encoding="utf-8"))
+        )
+        samples = [
+            line for line in page.splitlines() if not line.startswith("#")
+        ]
+        assert samples
+        for line in samples:
+            assert re.match(
+                r'\w+\{worker="[01]",route="pretrained"[,}]', line
+            ), line
