@@ -862,7 +862,7 @@ class IndexedJoiner(EditDistanceJoiner):
             hi = max(lo + 1, min(hi, n))
             cand_codes, cand_lengths = index.batch_codes(vids[lo:hi])
             out[lo:hi] = self.kernel.edit_distance_pairs(
-                probe_codes[probe_rep[lo:hi]], cand_codes, cand_lengths, cap
+                probe_codes, probe_rep[lo:hi], cand_codes, cand_lengths, cap
             )
             lo = hi
         return out

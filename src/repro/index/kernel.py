@@ -147,24 +147,32 @@ def edit_distance_codes(
 
 
 def edit_distance_pairs(
-    query_codes: np.ndarray,
+    query_rows: np.ndarray,
+    query_ids: np.ndarray,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
     cap: int,
 ) -> np.ndarray:
     """Capped distances for ``n`` independent (query, candidate) pairs.
 
-    The multi-probe generalization of :func:`edit_distance_codes`: row
-    ``i`` scores ``query_i`` against ``candidate_i``, and the DP is
-    vectorized across *all pairs of all probes at once* — one numpy
-    sweep per query character instead of one kernel launch per probe.
-    Every query must have the same true length (the batch engine buckets
-    probes by length for exactly this reason), so the sweep advances all
-    pairs in lockstep.
+    The multi-probe generalization of :func:`edit_distance_codes`: pair
+    ``i`` scores query ``query_ids[i]`` against ``candidate_i``, and the
+    DP is vectorized across *all pairs of all probes at once* — one
+    numpy sweep per query character instead of one kernel launch per
+    probe.  Every query must have the same true length (the batch
+    engine buckets probes by length for exactly this reason), so the
+    sweep advances all pairs in lockstep.  Which probe a pair belongs
+    to is an argument because the caller already knows it: a backend
+    handed one repeated query row per pair has to sort the rows to get
+    it back.
 
     Args:
-        query_codes: ``(n, query_len)`` code matrix; each row is a full
-            (unpadded) query of exactly ``query_len`` characters.
+        query_rows: ``(p, query_len)`` code matrix, one row per distinct
+            query; each row is a full (unpadded) query of exactly
+            ``query_len`` characters.
+        query_ids: ``(n,)`` row of ``query_rows`` each pair scores
+            against (any order, repeats allowed, need not cover every
+            row).
         cand_codes: ``(n, max_cand_len)`` padded candidate code matrix
             (rows may be a fancy-indexed subset of an index matrix).
         cand_lengths: True length of each candidate row.
@@ -172,8 +180,8 @@ def edit_distance_pairs(
 
     Returns:
         ``int64`` array of shape ``(n,)``; entry ``i`` is
-        ``edit_distance(query_i, candidate_i)`` when that is ``<= cap``
-        and ``cap + 1`` otherwise.
+        ``edit_distance(query_rows[query_ids[i]], candidate_i)`` when
+        that is ``<= cap`` and ``cap + 1`` otherwise.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -181,7 +189,7 @@ def edit_distance_pairs(
     if n == 0:
         return np.empty(0, dtype=np.int64)
     big = cap + 1
-    query_len = query_codes.shape[1]
+    query_len = query_rows.shape[1]
     if query_len == 0:
         return np.minimum(cand_lengths, big)
     longest = int(cand_lengths.max())
@@ -213,8 +221,8 @@ def edit_distance_pairs(
         current[0, :] = i
         # Each pair substitutes against its own query character:
         # E-substitution = E_prev[j-1] + (mismatch) - 1.
-        query_row = query_codes[:, i - 1]
-        np.not_equal(cand_codes, query_row, out=unequal, casting="unsafe")
+        query_chars = query_rows[:, i - 1][query_ids]
+        np.not_equal(cand_codes, query_chars, out=unequal, casting="unsafe")
         np.add(previous[:-1, :], unequal, out=unequal)
         unequal -= 1
         # E-deletion = E_prev[j] + 1.
@@ -242,7 +250,7 @@ def edit_distance_pairs(
             active = active[keep]
             previous = previous[:, keep]
             cand_codes = cand_codes[:, keep]
-            query_codes = query_codes[keep]
+            query_ids = query_ids[keep]
             cand_lengths = cand_lengths[keep]
             # Surviving candidates may all be shorter than the batch
             # pad width; shrink the sweep to match (row-prefix slices

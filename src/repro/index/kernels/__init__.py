@@ -2,7 +2,8 @@
 
 Every join in the Eq. 5 resolution path bottoms out in three kernel
 entry points — ``edit_distance_codes`` (one query vs. a candidate
-matrix), ``edit_distance_pairs`` (lockstep per-pair scoring) and
+matrix), ``edit_distance_pairs`` (lockstep per-pair scoring: a table
+of distinct queries plus, per pair, the row it scores against) and
 ``edit_distance_many`` (encode + codes) — historically served only by
 the pure-numpy DP in :mod:`repro.index.kernel`.  This package turns
 that call surface into a registry of interchangeable backends:
@@ -101,7 +102,8 @@ class KernelBackend:
 
     def edit_distance_pairs(
         self,
-        query_codes: np.ndarray,
+        query_rows: np.ndarray,
+        query_ids: np.ndarray,
         cand_codes: np.ndarray,
         cand_lengths: np.ndarray,
         cap: int,
@@ -131,14 +133,15 @@ class _DelegatingBackend(KernelBackend):
 
     def edit_distance_pairs(
         self,
-        query_codes: np.ndarray,
+        query_rows: np.ndarray,
+        query_ids: np.ndarray,
         cand_codes: np.ndarray,
         cand_lengths: np.ndarray,
         cap: int,
     ) -> np.ndarray:
         _count_pairs(self.name, cand_codes.shape[0])
         return self._module.edit_distance_pairs(
-            query_codes, cand_codes, cand_lengths, cap
+            query_rows, query_ids, cand_codes, cand_lengths, cap
         )
 
     def edit_distance_many(
@@ -202,13 +205,14 @@ class AutoBackend(KernelBackend):
 
     def edit_distance_pairs(
         self,
-        query_codes: np.ndarray,
+        query_rows: np.ndarray,
+        query_ids: np.ndarray,
         cand_codes: np.ndarray,
         cand_lengths: np.ndarray,
         cap: int,
     ) -> np.ndarray:
-        return self._pick(query_codes.shape[1], cap).edit_distance_pairs(
-            query_codes, cand_codes, cand_lengths, cap
+        return self._pick(query_rows.shape[1], cap).edit_distance_pairs(
+            query_rows, query_ids, cand_codes, cand_lengths, cap
         )
 
     def edit_distance_many(

@@ -43,7 +43,7 @@ _COMPACT_MIN = 256
 
 def _band_sweep(
     query_rows: np.ndarray,
-    shared_query: bool,
+    query_ids: np.ndarray | None,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
     cap: int,
@@ -52,8 +52,8 @@ def _band_sweep(
 ) -> np.ndarray:
     """Run the banded sweep over the active candidates.
 
-    ``query_rows`` is ``(1, m)`` when ``shared_query`` (every candidate
-    scores against the same query) or ``(n_active, m)`` otherwise.
+    ``query_ids`` selects each active candidate's row of the ``(p, m)``
+    ``query_rows`` (``None`` means every candidate shares row 0).
     ``out`` is pre-filled with ``big``; the final band cell of each
     surviving candidate overwrites it.
     """
@@ -81,8 +81,8 @@ def _band_sweep(
     for i in range(1, m + 1):
         qc = (
             query_rows[0, i - 1]
-            if shared_query
-            else query_rows[:, i - 1][:, None]
+            if query_ids is None
+            else query_rows[:, i - 1][query_ids][:, None]
         )
         window = frame[:, i - 1 : i - 1 + band]
         np.add(previous, window != qc, out=current)
@@ -113,8 +113,8 @@ def _band_sweep(
             lengths = lengths[keep]
             previous = previous[keep]
             frame = frame[keep]
-            if not shared_query:
-                query_rows = query_rows[keep]
+            if query_ids is not None:
+                query_ids = query_ids[keep]
             current = np.empty_like(previous)
     final = previous[np.arange(active.size), lengths - m + cap]
     out[active] = np.minimum(final, big)
@@ -123,7 +123,7 @@ def _band_sweep(
 
 def _run(
     query_rows: np.ndarray,
-    shared_query: bool,
+    query_ids: np.ndarray | None,
     codes: np.ndarray,
     lengths: np.ndarray,
     cap: int,
@@ -147,11 +147,11 @@ def _run(
         alens = alens[~empty]
     if not active.size:
         return out
-    if shared_query:
-        rows = query_rows
-    else:
-        rows = query_rows[active]
-    return _band_sweep(rows, shared_query, codes[active], alens, cap, out, active)
+    if query_ids is not None:
+        query_ids = query_ids[active]
+    return _band_sweep(
+        query_rows, query_ids, codes[active], alens, cap, out, active
+    )
 
 
 def edit_distance_codes(
@@ -169,11 +169,12 @@ def edit_distance_codes(
     if 2 * cap + 1 >= longest + 1:
         # Vacuous band: the reference full-width sweep is cheaper.
         return _reference.edit_distance_codes(query, codes, lengths, cap)
-    return _run(codepoints(query).reshape(1, -1), True, codes, lengths, cap)
+    return _run(codepoints(query).reshape(1, -1), None, codes, lengths, cap)
 
 
 def edit_distance_pairs(
-    query_codes: np.ndarray,
+    query_rows: np.ndarray,
+    query_ids: np.ndarray,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
     cap: int,
@@ -184,14 +185,14 @@ def edit_distance_pairs(
     n = cand_codes.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if query_codes.shape[1] == 0:
+    if query_rows.shape[1] == 0:
         return np.minimum(cand_lengths, cap + 1)
     longest = int(cand_lengths.max())
     if 2 * cap + 1 >= longest + 1:
         return _reference.edit_distance_pairs(
-            query_codes, cand_codes, cand_lengths, cap
+            query_rows, query_ids, cand_codes, cand_lengths, cap
         )
-    return _run(query_codes, False, cand_codes, cand_lengths, cap)
+    return _run(query_rows, query_ids, cand_codes, cand_lengths, cap)
 
 
 def edit_distance_many(

@@ -24,15 +24,14 @@ the lower bound ``D[m][len] >= score_j - (len - j)``: the slack
 candidate's bound exceeds the cap it is settled for good and the batch
 compacts it away under the same policy as the reference pair sweep.
 
-Per-query ``Peq`` tables (which pattern rows match each alphabet
-symbol) are the only preprocessing; for the single-query entry points
-they are memoized in a small LRU keyed on the query string, so repeated
-probes against rotating candidate sets pay table construction once.
+Preprocessing is per call and memoizes nothing: the ``Peq`` tables
+(which pattern rows match each alphabet symbol) are ``m`` small
+scatter-ors over the caller's table of distinct queries, and the
+candidate chunk is mapped onto their columns once, before the sweep.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,10 +43,6 @@ _WORD = 64
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
 _TOP = np.uint64(63)
-
-#: Query string -> (ucodes, peq) memo for the single-query entry points.
-_PEQ_CACHE: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_PEQ_CACHE_CAP = 512
 
 # Columns between settled-candidate scans; compaction thresholds match
 # the reference pair sweep.
@@ -81,29 +76,19 @@ def _build_peq(query_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ucodes, peq
 
 
-def _peq_for_query(query: str) -> tuple[np.ndarray, np.ndarray]:
-    """Memoized ``(ucodes, peq)`` for one query string."""
-    hit = _PEQ_CACHE.get(query)
-    if hit is not None:
-        _PEQ_CACHE.move_to_end(query)
-        return hit
-    tables = _build_peq(codepoints(query).reshape(1, -1))
-    _PEQ_CACHE[query] = tables
-    while len(_PEQ_CACHE) > _PEQ_CACHE_CAP:
-        _PEQ_CACHE.popitem(last=False)
-    return tables
-
-
 def _symbol_ids(ucodes: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    """Map one column of candidate characters into ``peq`` columns.
+    """Map candidate characters (any shape) into ``peq`` columns.
 
     Characters outside the query alphabet (pad included) land on the
-    sentinel all-zero column ``len(ucodes)``.
+    sentinel all-zero column ``len(ucodes)``.  A lookup table over
+    ``[0, largest query character + 1]`` makes that one gather per cell
+    where ``searchsorted`` pays a binary search per cell; every larger
+    character clips onto the table's last, sentinel entry.
     """
-    pos = np.searchsorted(ucodes, chars)
-    pos[pos == ucodes.size] = 0
-    # ``pos`` now indexes a real symbol; keep it only where it matches.
-    return np.where(ucodes[pos] == chars, pos, ucodes.size)
+    top = int(ucodes[-1])
+    table = np.full(top + 2, ucodes.size, dtype=np.intp)
+    table[ucodes] = np.arange(ucodes.size)
+    return table[np.minimum(chars, top + 1)]
 
 
 def _sweep(
@@ -126,23 +111,25 @@ def _sweep(
     big = cap + 1
     n_blocks = peq.shape[0]
     score_bit = np.uint64((m - 1) % _WORD)
-    # Transposed codes: column j of the DP is one contiguous gather.
-    codes_t = np.ascontiguousarray(cand_codes.T)
-    n_cols = codes_t.shape[0]
+    # The whole chunk maps to flat ``peq`` offsets once — symbol column
+    # plus the candidate's query row — transposed so column j of the DP
+    # is one contiguous 1-D gather per block.
+    flat_t = _symbol_ids(ucodes, np.ascontiguousarray(cand_codes.T))
+    if query_ids is not None:
+        flat_t += query_ids * peq.shape[2]
+    peq = peq.reshape(n_blocks, -1)
+    n_cols = flat_t.shape[0]
     vp = np.full((n_blocks, active.size), _ONES, dtype=np.uint64)
     vn = np.zeros((n_blocks, active.size), dtype=np.uint64)
     score = np.full(active.size, m, dtype=np.int64)
     lengths = cand_lengths
     since_check = 0
     for j in range(n_cols):
-        ids = _symbol_ids(ucodes, codes_t[j])
-        hin_p = np.full(ids.shape, _ONE, dtype=np.uint64)
-        hin_n = np.zeros(ids.shape, dtype=np.uint64)
+        flat = flat_t[j]
+        hin_p = np.full(flat.shape, _ONE, dtype=np.uint64)
+        hin_n = np.zeros(flat.shape, dtype=np.uint64)
         for b in range(n_blocks):
-            if query_ids is None:
-                eq = peq[b][0, ids]
-            else:
-                eq = peq[b][query_ids, ids]
+            eq = peq[b].take(flat)
             pv = vp[b]
             mv = vn[b]
             xv = eq | mv
@@ -184,11 +171,9 @@ def _sweep(
             active = active[keep]
             lengths = lengths[keep]
             score = score[keep]
-            if query_ids is not None:
-                query_ids = query_ids[keep]
             vp = np.ascontiguousarray(vp[:, keep])
             vn = np.ascontiguousarray(vn[:, keep])
-            codes_t = codes_t[:, keep]
+            flat_t = flat_t[:, keep]
     return out
 
 
@@ -204,7 +189,8 @@ def edit_distance_codes(
     big = cap + 1
     if not query:
         return np.minimum(lengths, big)
-    m = len(codepoints(query))
+    query_rows = codepoints(query).reshape(1, -1)
+    m = query_rows.shape[1]
     out = np.full(n, big, dtype=np.int64)
     # |len - m| is a lower bound on the distance: candidates outside
     # the window are settled before the sweep starts.
@@ -222,21 +208,22 @@ def edit_distance_codes(
         return out
     longest = int(alens.max())
     acodes = codes[active][:, :longest]
-    ucodes, peq = _peq_for_query(query)
+    ucodes, peq = _build_peq(query_rows)
     return _sweep(peq, None, ucodes, m, acodes, alens, cap, out, active)
 
 
 def edit_distance_pairs(
-    query_codes: np.ndarray,
+    query_rows: np.ndarray,
+    query_ids: np.ndarray,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
     cap: int,
 ) -> np.ndarray:
     """Bit-parallel analogue of :func:`repro.index.kernel.edit_distance_pairs`.
 
-    Queries arrive as a lockstep ``(n, m)`` code matrix (every row the
-    same true length).  Distinct query rows are deduplicated so the
-    ``Peq`` tables are built once per distinct probe, not per pair.
+    ``Peq`` tables are built straight from the ``(p, m)`` query table —
+    once per distinct probe, never per pair — and each pair indexes
+    them through ``query_ids``.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -244,7 +231,7 @@ def edit_distance_pairs(
     if n == 0:
         return np.empty(0, dtype=np.int64)
     big = cap + 1
-    m = query_codes.shape[1]
+    m = query_rows.shape[1]
     if m == 0:
         return np.minimum(cand_lengths, big)
     out = np.full(n, big, dtype=np.int64)
@@ -260,15 +247,14 @@ def edit_distance_pairs(
         alens = alens[~empty]
     if not active.size:
         return out
-    unique_rows, inverse = np.unique(
-        query_codes[active], axis=0, return_inverse=True
-    )
-    ucodes, peq = _build_peq(unique_rows)
+    # Only the span of rows the active pairs name gets tables: a chunk
+    # of a large bucket touches a few adjacent probes, not all ``p``.
+    ids = query_ids[active]
+    first = int(ids.min())
+    ucodes, peq = _build_peq(query_rows[first : int(ids.max()) + 1])
     longest = int(alens.max())
     acodes = cand_codes[active][:, :longest]
-    return _sweep(
-        peq, inverse.reshape(-1), ucodes, m, acodes, alens, cap, out, active
-    )
+    return _sweep(peq, ids - first, ucodes, m, acodes, alens, cap, out, active)
 
 
 def edit_distance_many(

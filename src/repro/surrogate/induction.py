@@ -18,7 +18,8 @@ to general:
 
 Per-position segment candidates and per-pair explanations are memoized:
 in a benchmark table the same example pair appears in many sampled
-contexts.
+contexts.  Each engine also memoizes whole contexts: a column's prompts
+sample their few examples from one small pool, so most contexts repeat.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ from repro.types import ExamplePair
 _CASES = ("none", "lower", "upper", "title")
 _DELIMITERS = " -_./,:;@"
 _ALL_FAMILIES = frozenset({"case", "replace", "substring", "reverse", "general"})
+# Contexts memoized per engine (a pool of 8 examples has 56 ordered
+# 2-example contexts).
+_CONTEXT_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,22 @@ class InductionEngine:
         self.families = (
             _ALL_FAMILIES if enabled_families is None else frozenset(enabled_families)
         )
+        # Induction is a pure function of the settings above and the
+        # context pairs, and results are frozen.  Wrapped per instance
+        # so the memo dies with the engine.
+        self._induce_pairs = lru_cache(maxsize=_CONTEXT_MEMO_SIZE)(
+            self._induce_pairs
+        )
 
     def induce(self, context: Sequence[ExamplePair]) -> InductionResult:
         """Induce the best program explaining the context pairs."""
-        pairs = [(p.source, p.target) for p in context if p.source or p.target]
+        pairs = tuple((p.source, p.target) for p in context if p.source or p.target)
         if not pairs:
             return InductionResult(program=None, support=0, exact=False)
+        return self._induce_pairs(pairs)
 
+    def _induce_pairs(self, context: tuple[tuple[str, str], ...]) -> InductionResult:
+        pairs = list(context)
         program = self._induce_exact(pairs)
         if program is not None:
             return InductionResult(

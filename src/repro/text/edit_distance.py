@@ -46,22 +46,20 @@ def edit_distance(a: str, b: str) -> int:
     if len(b) > len(a):
         a, b = b, a
     b_codes = codepoints(b)
-    previous = np.arange(len(b) + 1, dtype=np.int64)
+    # Reduced space ``E[i][j] = D[i][j] - j`` (the form the batched
+    # kernel in :mod:`repro.index.kernel` sweeps): row 0 is all zeros
+    # and the row-serial insertion recurrence ``D[i][j] = min(D'[i][j],
+    # D[i][j-1] + 1)`` collapses to a plain prefix-min.
+    previous = np.zeros(len(b) + 1, dtype=np.int64)
     current = np.empty_like(previous)
     for i, ch in enumerate(a, start=1):
         current[0] = i
-        code = ord(ch)
-        substitution = previous[:-1] + (b_codes != code)
+        substitution = previous[:-1] + (b_codes != ord(ch)) - 1
         deletion = previous[1:] + 1
         np.minimum(substitution, deletion, out=current[1:])
-        # Insertions have a row-serial dependency; resolve with a scan.
-        running = current[0]
-        values = current[1:]
-        for j in range(values.shape[0]):
-            running = min(values[j], running + 1)
-            values[j] = running
+        np.minimum.accumulate(current, out=current)
         previous, current = current, previous
-    return int(previous[-1])
+    return int(previous[-1]) + len(b)
 
 
 def edit_distance_capped(a: str, b: str, cap: int) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,27 @@ class TestEditDistance:
     def test_single_append_changes_by_at_most_one(self, a, b, ch):
         base = edit_distance(a, b)
         assert abs(edit_distance(a + ch, b) - base) <= 1
+
+    def test_seeded_fuzz_matches_banded_scalar_dp(self):
+        # The pure-Python banded DP with a vacuous cap is an independent
+        # implementation of the same recurrence.
+        rng = random.Random(4242)
+        alphabet = "abcAB .-é漢\U0001F600\U00010348\ud800\udfff"
+        for _ in range(400):
+            a = "".join(
+                rng.choice(alphabet) for _ in range(rng.choice((0, 1, 3, 9, 40)))
+            )
+            b = list(a)
+            for _ in range(rng.randint(0, 6)):
+                pos = rng.randint(0, len(b))
+                if b and rng.random() < 0.5:
+                    b.pop(min(pos, len(b) - 1))
+                else:
+                    b.insert(pos, rng.choice(alphabet))
+            b = "".join(b) if rng.random() < 0.9 else ""
+            want = edit_distance_capped(a, b, cap=len(a) + len(b))
+            assert edit_distance(a, b) == want, (a, b)
+            assert edit_distance(b, a) == want, (b, a)
 
 
 class TestEditDistanceCapped:

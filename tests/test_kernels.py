@@ -15,6 +15,8 @@ the serving layer.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -161,7 +163,11 @@ class TestScalarOracleFuzz:
             cand_codes, cand_lengths = encode_strings(candidates)
             for cap in (0, 2, 5):
                 got = kernel.edit_distance_pairs(
-                    query_codes, cand_codes, cand_lengths, cap
+                    query_codes,
+                    np.arange(len(queries)),
+                    cand_codes,
+                    cand_lengths,
+                    cap,
                 )
                 want = [
                     min(edit_distance(q, c), cap + 1)
@@ -183,6 +189,94 @@ class TestScalarOracleFuzz:
         for cap in (1, 3):
             got = kernel.edit_distance_many(query, candidates, cap)
             assert got.tolist() == _oracle(query, candidates, cap), cap
+
+
+# Astral-plane characters next to lone surrogates, which cannot be
+# utf-32 encoded and push ``encode_strings`` onto its per-string path.
+_HOSTILE_ALPHABET = "ab\U0001F600\U0001F680\U00010348\ud800\udbff\udc00\udfff"
+
+
+def _same_length_queries(rng, p, m, alphabet=FUZZ_ALPHABET):
+    return ["".join(rng.choice(alphabet) for _ in range(m)) for _ in range(p)]
+
+
+def _assert_pairs_match_oracle(kernel, queries, ids, candidates, cap):
+    """``edit_distance_pairs`` on (table, ids) vs the scalar DP per pair."""
+    query_rows, _ = encode_strings(queries)
+    cand_codes, cand_lengths = encode_strings(candidates)
+    got = kernel.edit_distance_pairs(
+        query_rows, np.asarray(ids, dtype=np.int64), cand_codes, cand_lengths, cap
+    )
+    want = [
+        min(edit_distance(queries[i], c), cap + 1)
+        for i, c in zip(ids, candidates, strict=True)
+    ]
+    assert got.dtype == np.int64
+    assert got.tolist() == want, (kernel.name, len(queries[0]), cap)
+
+
+@pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
+class TestPairIdentityContract:
+    """Probe identity is an argument: a ``(p, m)`` table plus one id per pair."""
+
+    @pytest.mark.parametrize("m", (1, 63, 64, 65, 128, 129))
+    def test_ids_in_any_order_over_a_subset_of_rows(self, backend, m):
+        rng = random.Random(_SEED + 10 + m)
+        kernel = get_backend(backend)
+        queries = _same_length_queries(rng, 7, m)
+        queries[4] = queries[1]  # one probe twice, under two ids
+        # Unsorted, ids repeated non-adjacently, rows 0 and 2 never named.
+        ids = [5, 6, 3, 6, 5, 1, 4, 6, 3, 1, 4, 5, 6]
+        candidates = [random_edits(rng, queries[i], rng.randint(0, 4)) for i in ids]
+        candidates[2] = ""  # zero-length candidate
+        candidates[6] = queries[4][: m // 3]  # far below the length window
+        candidates[9] = queries[1] + "x" * 12  # far above it
+        # The last cap is wide enough to make the band vacuous.
+        for cap in (0, 2, 5, m + 12):
+            _assert_pairs_match_oracle(kernel, queries, ids, candidates, cap)
+
+    def test_single_row_table(self, backend):
+        rng = random.Random(_SEED + 11)
+        kernel = get_backend(backend)
+        queries = _same_length_queries(rng, 1, 20)
+        candidates = [random_edits(rng, queries[0], n) for n in (0, 1, 3, 6, 2)]
+        candidates.append("")
+        for cap in (0, 3, 40):
+            _assert_pairs_match_oracle(
+                kernel, queries, [0] * len(candidates), candidates, cap
+            )
+
+    def test_compaction_keeps_ids_aligned(self, backend):
+        # Mostly doomed pairs, interleaved across four probes: the sweep
+        # compacts mid-way and the survivors must keep their own query.
+        rng = random.Random(_SEED + 12)
+        kernel = get_backend(backend)
+        queries = _same_length_queries(rng, 5, 30)
+        ids, candidates = [], []
+        for n in range(1800):
+            row = rng.choice((0, 1, 3, 4))
+            ids.append(row)
+            if n % 6 == 0:
+                candidates.append(random_edits(rng, queries[row], rng.randint(0, 2)))
+            else:
+                candidates.append(
+                    random_unicode_string(rng, max_length=34, min_length=26)
+                )
+        for cap in (1, 3):
+            _assert_pairs_match_oracle(kernel, queries, ids, candidates, cap)
+
+    @pytest.mark.parametrize("m", (5, 70))
+    def test_astral_and_lone_surrogate_alphabet(self, backend, m):
+        rng = random.Random(_SEED + 13 + m)
+        kernel = get_backend(backend)
+        queries = _same_length_queries(rng, 4, m, _HOSTILE_ALPHABET)
+        ids = [3, 1, 0, 3, 2, 1, 0, 2]
+        candidates = [
+            random_edits(rng, queries[i], rng.randint(0, 3), _HOSTILE_ALPHABET)
+            for i in ids
+        ]
+        for cap in (0, 2, 6):
+            _assert_pairs_match_oracle(kernel, queries, ids, candidates, cap)
 
 
 class TestJoinerEquivalence:
@@ -276,6 +370,86 @@ class TestPairsAccounting:
         scored = dict(stats.kernel_pairs)
         assert scored.get("bitparallel", 0) > 0
         assert stats.as_dict()["kernel_pairs"] == scored
+
+    @pytest.mark.parametrize(
+        ("method", "args", "kernel_calls", "pairs"),
+        (("join_many", (), 55, 2235), ("topk_many", (3,), 85, 12991)),
+    )
+    def test_pairs_and_sweeps_match_the_recorded_ladder(
+        self, monkeypatch, method, args, kernel_calls, pairs
+    ):
+        # Counts recorded at 89dff38, before probe identity became an
+        # argument: the ladder must score exactly the same pairs in
+        # exactly as many kernel calls — only the cost of a call moved.
+        rng = random.Random(20160)
+        targets = [
+            random_unicode_string(rng, max_length=24, min_length=6) + f"#{i}"
+            for i in range(400)
+        ]
+        probes = [random_edits(rng, t, rng.randint(1, 4)) for t in targets[:30]]
+        probes += [
+            random_unicode_string(rng, max_length=20, min_length=8)
+            for _ in range(6)
+        ]
+        joiner = IndexedJoiner(
+            JoinConfig(kernel_backend="bitparallel"), cache=IndexCache()
+        )
+        inner = joiner.kernel.edit_distance_pairs
+        calls = []
+
+        def counting(*call_args):
+            calls.append(call_args)
+            return inner(*call_args)
+
+        monkeypatch.setattr(joiner.kernel, "edit_distance_pairs", counting)
+        before = pairs_scored_snapshot()
+        getattr(joiner, method)(probes, targets, *args)
+        after = pairs_scored_snapshot()
+        assert len(calls) == kernel_calls
+        assert dict(joiner.last_join_stats.kernel_pairs) == {"bitparallel": pairs}
+        assert {name: after[name] - before[name] for name in after} == {
+            "reference": 0,
+            "bitparallel": pairs,
+            "banded": 0,
+        }
+
+    def test_concurrent_callers_conserve_the_tally(self):
+        # Kernel entry points are reachable from several serving threads
+        # at once; they share no state but the tally, and a lost update
+        # there would break the sum.
+        kernel = get_backend("bitparallel")
+        candidates = ["abcd", "abce", "xbcd", ""]
+        codes, lengths = encode_strings(candidates)
+        n_threads, n_calls = 6, 400
+        failures = []
+
+        def worker(thread):
+            try:
+                for i in range(n_calls):
+                    query = f"q{thread}-{i}abc"
+                    got = kernel.edit_distance_codes(query, codes, lengths, 99)
+                    if got.tolist() != _oracle(query, candidates, 99):
+                        failures.append((query, got.tolist()))
+            except Exception as error:  # surfaced by the assert below
+                failures.append(repr(error))
+
+        before = pairs_scored_snapshot()["bitparallel"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        scored = pairs_scored_snapshot()["bitparallel"] - before
+        assert scored == n_threads * n_calls * len(candidates)
 
     def test_snapshot_is_cumulative_and_resettable(self):
         before = pairs_scored_snapshot()

@@ -2,11 +2,12 @@
 
 Deliberately generous budgets — wall-clock for the join (the indexed
 join on 5k targets typically finishes in well under a second), traced
-bytes for the encoder — so genuine regressions — e.g. the index silently
-degenerating to a full scan per query, the batched kernel falling back
-to scalar work, or inference holding activations for a backward pass
-that never comes — surface in tier-1 runs without flakiness on slow
-machines.  Deselect with ``-m 'not slow'``.
+bytes for the encoder and the pair sweep — so genuine regressions — e.g.
+the index silently degenerating to a full scan per query, the batched
+kernel falling back to scalar work, a copy of the probe riding along
+with every candidate pair, or inference holding activations for a
+backward pass that never comes — surface in tier-1 runs without
+flakiness on slow machines.  Deselect with ``-m 'not slow'``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 import pytest
 from repro.utils.fuzz import random_edits, random_unicode_string
 
-from repro.index import IndexedJoiner
+from repro.core.join_config import JoinConfig
+from repro.index import IndexedJoiner, QGramIndex
+from repro.index.kernel import encode_strings
 from repro.model import ByteSeq2SeqModel
 
 _TARGET_ROWS = 5000
@@ -70,3 +73,62 @@ def test_inference_encode_peak_memory_and_nothing_retained():
         tracemalloc.stop()
     assert peak < 200 * mib, f"inference encode peaked at {peak / mib:.0f} MiB"
     assert held < mib, f"{held / mib:.1f} MiB still allocated after encode"
+
+
+def _pair_sweep_peak(index: QGramIndex, query_length: int) -> int:
+    """Traced peak bytes of one 2-probe ``_pair_distances`` call over the column."""
+    rng = random.Random(query_length)
+    probes = [
+        "".join(rng.choice("abcdefghij ") for _ in range(query_length))
+        for _ in range(2)
+    ]
+    probe_codes, _ = encode_strings(probes)
+    n_values = len(index.values)
+    vids = np.tile(np.arange(n_values), 2)
+    probe_rep = np.repeat(np.arange(2), n_values)
+    joiner = IndexedJoiner(JoinConfig(kernel_backend="bitparallel"))
+    # A vacuous cap keeps every pair in the length window: all of them
+    # are swept, none settles early.
+    cap = 2 * query_length
+    tracemalloc.start()
+    try:
+        distances = joiner._pair_distances(probe_codes, probe_rep, vids, index, cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert distances.size == vids.size
+    assert int(distances.min()) > 0
+    return peak
+
+
+@pytest.mark.slow
+def test_pair_sweep_memory_does_not_carry_a_query_copy_per_pair():
+    # 2 probes x 20 000 values = 40 000 pairs.  The kernel takes the
+    # probe table and one id per pair; when it took one *copy of the
+    # probe's code row* per pair (and sorted that matrix to find the
+    # distinct probes again) the peak of this call grew by 537 KiB from
+    # m = 40 to m = 64 — 4 * m bytes per pair per chunk, twice over.
+    rng = random.Random(7)
+    index = QGramIndex(
+        [
+            "".join(rng.choice("abcdefghij ") for _ in range(40)) + f"{i:05d}"
+            for i in range(20_000)
+        ],
+        q=2,
+    )
+    n_pairs = 2 * len(index.values)
+    peak_40 = _pair_sweep_peak(index, 40)
+    peak_64 = _pair_sweep_peak(index, 64)
+    kib = 1024
+    assert abs(peak_64 - peak_40) < 16 * kib, (peak_40, peak_64)
+    # What the call may hold: four n-sized int64 vectors (distances,
+    # cumulative cells and the length gathers behind them), and per
+    # chunk of _PAIR_CELL_BUDGET cells three uint32 copies of the
+    # candidate block (gathered, windowed, transposed), one uint32
+    # temporary and the intp id matrix, plus the sweep's bit-vectors.
+    budget = (
+        4 * 8 * n_pairs
+        + (3 * 4 + 4 + 8) * IndexedJoiner._PAIR_CELL_BUDGET
+        + 64 * kib
+    )
+    assert peak_40 < budget, f"pair sweep peaked at {peak_40 / kib:.0f} KiB"

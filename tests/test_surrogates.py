@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.serializer import PromptSerializer
+from repro.core.serializer import Decomposer, PromptSerializer
 from repro.surrogate import GPT3Surrogate, PretrainedDTT, TrainingProfile
 from repro.surrogate.errors import corrupt, mapping_difficulty, scrambled_copy
 from repro.surrogate.profiles import DEFAULT_PROFILE, LONG_PROFILE
@@ -205,6 +205,52 @@ class TestGPT3Surrogate:
 
     def test_name_property(self):
         assert GPT3Surrogate().name == "GPT3"
+
+
+class TestContextMemo:
+    def test_induces_once_per_distinct_context(self, monkeypatch):
+        names = [
+            ("Justin Trudeau", "jtrudeau"),
+            ("Stephen Harper", "sharper"),
+            ("Paul Martin", "pmartin"),
+            ("Jean Chretien", "jchretien"),
+            ("Kim Campbell", "kcampbell"),
+            ("Brian Mulroney", "bmulroney"),
+            ("John Turner", "jturner"),
+            ("Joe Clark", "clarkj"),  # noisy: its contexts take the fallback
+        ]
+        pool = [ExamplePair(s, t) for s, t in names]
+        sources = [f"Person{i} Family{i * 7}" for i in range(40)]
+        subtasks = Decomposer(context_size=2, n_trials=5, seed=1).decompose(
+            sources, pool
+        )
+        prompts = [_SER.serialize(task.context, task.query) for task in subtasks]
+        assert len(prompts) == 200
+
+        model = PretrainedDTT(seed=0)
+        engine = model._engine
+        exact_calls = []
+        induce_exact = engine._induce_exact
+
+        def counting(pairs):
+            exact_calls.append(pairs)
+            return induce_exact(pairs)
+
+        monkeypatch.setattr(engine, "_induce_exact", counting)
+        outputs = model.generate(prompts)
+        # 8 * 7 ordered 2-example contexts, however many prompts ask.
+        assert 0 < len(exact_calls) <= 56
+
+        cold = PretrainedDTT(seed=0)
+        cold_engine = cold._engine
+        induce = cold_engine.induce
+
+        def forgetful(context):
+            cold_engine._induce_pairs.cache_clear()
+            return induce(context)
+
+        monkeypatch.setattr(cold_engine, "induce", forgetful)
+        assert cold.generate(prompts) == outputs
 
 
 class TestNaturalness:
