@@ -22,11 +22,14 @@ JOIN_MODES = ("argmin", "topk", "reverse")
 #: validation never imports the kernel implementations — the index
 #: package imports this module, and the reverse would cycle.
 #:
+#: Each names one implementation of the same function,
+#: ``edit_distance_pairs`` — the whole kernel contract.
+#:
 #: * ``"auto"`` — pick per call: bit-parallel for queries that fit one
-#:   64-bit word, banded when the diagonal band is narrower than the
-#:   candidates are long, bit-parallel multi-block otherwise.
-#: * ``"reference"`` — the pure-numpy DP sweeps in
-#:   :mod:`repro.index.kernel`, always available, defines the contract.
+#:   64-bit word, banded for longer queries while the diagonal band is
+#:   narrower than a word, bit-parallel multi-block otherwise.
+#: * ``"reference"`` — the plain numpy DP in :mod:`repro.index.kernel`:
+#:   always available, no early exit; it defines the contract.
 #: * ``"bitparallel"`` — Myers' bit-parallel DP in uint64 bit-vectors.
 #: * ``"banded"`` — Ukkonen's banded DP over the ``2*cap + 1`` diagonal.
 KERNEL_BACKENDS = ("auto", "reference", "bitparallel", "banded")

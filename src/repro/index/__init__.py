@@ -8,12 +8,12 @@ column:
 * :mod:`repro.index.qgram` — an inverted q-gram index whose length and
   count filters (Gravano-style bounds) yield a **provably complete**
   candidate set for any distance cap.
-* :mod:`repro.index.kernel` — :func:`edit_distance_many`, a batched
-  capped edit-distance DP over a padded candidate matrix, vectorized
-  across candidates.
-* :mod:`repro.index.kernels` — pluggable kernel backends behind that
-  contract (Myers bit-parallel, Ukkonen banded, per-call auto
-  dispatch), selected via ``JoinConfig.kernel_backend`` or the
+* :mod:`repro.index.kernel` — :func:`edit_distance_pairs`, the whole
+  kernel contract: a capped DP over (query, candidate) pairs, kept plain
+  because it is the oracle (:func:`edit_distance_many` adapts one query).
+* :mod:`repro.index.kernels` — pluggable backends for that one function
+  (Myers bit-parallel, Ukkonen banded, per-call auto dispatch),
+  selected via ``JoinConfig.kernel_backend`` or the
   ``REPRO_KERNEL_BACKEND`` environment variable; every backend is
   byte-identical to the reference DP.
 * :mod:`repro.index.joiner` — :class:`IndexedJoiner` (drop-in,
@@ -29,8 +29,8 @@ Batch execution rides on top of the same guarantee:
   rebuild), plus adaptive gram-size selection.
 * :meth:`IndexedJoiner.join_many` — the many-probe batch API: dedupe,
   exact-match short-circuit, length-bucketed candidate generation, and
-  a pair DP kernel (:func:`~repro.index.kernel.edit_distance_pairs`)
-  that scores all (probe, candidate) pairs of a bucket in one sweep.
+  the pair kernel scoring all (probe, candidate) pairs of a bucket in
+  one sweep.
 
 The guarantee throughout is *exact equivalence* with the brute scan —
 enforced by the equivalence test harness in ``tests/`` — so blocking and

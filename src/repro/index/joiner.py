@@ -1,7 +1,7 @@
 """Blocked join strategies, drop-in compatible with the brute joiner.
 
 :class:`IndexedJoiner` resolves Eq. 5 through a
-:class:`~repro.index.qgram.QGramIndex` plus the batched DP kernel, with
+:class:`~repro.index.qgram.QGramIndex` plus the pair DP kernel, with
 **exact equivalence** to :class:`~repro.core.joiner.EditDistanceJoiner`:
 identical matches, distances, earliest-row tie-breaking, and
 ``max_distance`` / ``normalized_threshold`` semantics.
@@ -44,8 +44,10 @@ serial engine in every configuration.  Long-lived owners should
 ``close()`` the joiner (or use it as a context manager) to tear the
 pool down deterministically.
 
-Composite (multi-column) joins resolve in-process through their own
-blocked scan, :meth:`IndexedJoiner._composite_argmin`.
+Composite (multi-column) joins resolve in-process and take their bound
+the same way (:meth:`IndexedJoiner._composite_argmin`): one exactly
+scored row bounds the summed distance, and one *anchor* column's index
+then names every row that can beat it.
 
 Below ``IndexedJoiner.threshold`` target rows (where index construction
 dominates) every query falls through to the inherited brute scan;
@@ -431,113 +433,97 @@ class IndexedJoiner(EditDistanceJoiner):
     ) -> list[tuple[int | None, int]]:
         """Blocked composite join, byte-identical to the brute reference.
 
-        Each target column gets its own cached q-gram index; a probe
-        resolves by intersecting per-column candidate **row** sets at a
-        summed-distance cap (complete, because a row with summed
-        distance ``<= K`` is within ``K`` in every column), scoring the
-        surviving rows exactly, and deepening the cap until the best
-        scored sum is proven global.  Thresholds apply through the
-        shared :meth:`EditDistanceJoiner._apply_composite_thresholds`.
+        Each distinct probe resolves through :meth:`_composite_argmin`,
+        which needs the q-gram index of one column only — the probe's
+        *anchor* — fetched once per anchor column per call.  Thresholds
+        apply through :meth:`EditDistanceJoiner._apply_composite_thresholds`.
         Always resolves in-process, whatever ``n_workers`` says.
         """
         columns = self._validate_composite(probes, target_columns)
         if len(columns[0]) < self.threshold:
             return super().join_composite(probes, target_columns)
-        # Dedupe: every occurrence of a probe tuple gets the one result.
+        # Dedupe: every occurrence of a probe tuple gets the one result;
+        # an all-empty probe keeps the (None, 0) abstention.
         resolved: dict[tuple[str, ...], tuple[int | None, int]] = {
             tuple(probe): (None, 0) for probe in probes
         }
-        pending = [
-            probe for probe in resolved if not all(part == "" for part in probe)
-        ]
-        if pending:
-            indexes = [self.cache.get(column, q=self.q) for column in columns]
-            row_vids = [self._row_value_ids(index) for index in indexes]
-            for probe in pending:
+        indexes: dict[int, QGramIndex] = {}
+        for probe in resolved:
+            if any(part != "" for part in probe):
                 resolved[probe] = self._apply_composite_thresholds(
-                    *self._composite_argmin(indexes, row_vids, probe)
+                    *self._composite_argmin(columns, indexes, probe)
                 )
         return [resolved[tuple(probe)] for probe in probes]
 
-    @staticmethod
-    def _row_value_ids(index: QGramIndex) -> np.ndarray:
-        """Map each target row to its value id, derived from the index."""
-        n_values = len(index.values)
-        n_rows = sum(len(index.rows_for(vid)) for vid in range(n_values))
-        out = np.empty(n_rows, dtype=np.int64)
-        for vid in range(n_values):
-            out[np.asarray(index.rows_for(vid), dtype=np.int64)] = vid
-        return out
-
     def _composite_argmin(
         self,
-        indexes: list[QGramIndex],
-        row_vids: list[np.ndarray],
+        columns: list[tuple[str, ...]],
+        indexes: dict[int, QGramIndex],
         probe: tuple[str, ...],
     ) -> tuple[int, int, int]:
         """Earliest-row argmin of the summed per-column distance.
 
         Returns ``(best_row, best_sum, matched_length)`` where
         ``matched_length`` is the total tuple length of the winning row
-        (the normalized-threshold denominator).  Cap deepening: if any
-        intersected candidate row scores within the cap its sum is the
-        proven global minimum (every row within the cap survives the
-        per-column filters); otherwise the best scored sum is a proven
-        upper bound, so the next round at that cap must resolve.
+        (the normalized-threshold denominator).  The bound is taken the
+        way :meth:`_upper_bounds` takes it: any row scored exactly is
+        an upper bound ``U`` on the minimum sum, and a row's sum is at
+        least its distance in any one column — so every row that can
+        beat or tie ``U`` holds, in the *anchor* column (the probe's
+        longest component, the most selective filter), a value within
+        ``U`` of that component.  That column's index alone is
+        complete for the join; no other column needs one.
         """
-        vacuous_cols = [
-            max(len(part), index.max_length)
-            for part, index in zip(probe, indexes, strict=True)
-        ]
-        total_vacuous = sum(vacuous_cols)
-        cap = 1
-        while True:
-            cap = min(cap, total_vacuous)
-            row_set: set[int] | None = None
-            for part, index, vacuous in zip(
-                probe, indexes, vacuous_cols, strict=True
-            ):
-                vids = index.candidates(part, min(cap, vacuous))
-                rows: set[int] = set()
-                for vid in vids:
-                    rows.update(int(r) for r in index.rows_for(int(vid)))
-                row_set = rows if row_set is None else row_set & rows
-                if not row_set:
-                    break
-            if row_set:
-                rows_arr = np.fromiter(
-                    sorted(row_set), dtype=np.int64, count=len(row_set)
-                )
-                totals = np.zeros(rows_arr.size, dtype=np.int64)
-                for part, index, vacuous, vids in zip(
-                    probe, indexes, vacuous_cols, row_vids, strict=True
-                ):
-                    unique_vids, inverse = np.unique(
-                        vids[rows_arr], return_inverse=True
-                    )
-                    codes, lengths = index.batch_codes(unique_vids)
-                    distances = self.kernel.edit_distance_codes(
-                        part, codes, lengths, vacuous
-                    )
-                    totals += distances[inverse]
-                # rows_arr ascends, so argmin lands on the earliest row.
-                best_pos = int(np.argmin(totals))
-                best_sum = int(totals[best_pos])
-                if best_sum <= cap:
-                    best_row = int(rows_arr[best_pos])
-                    matched_length = sum(
-                        len(index.values[int(vids[best_row])])
-                        for index, vids in zip(indexes, row_vids, strict=True)
-                    )
-                    return best_row, best_sum, matched_length
-                cap = best_sum
-            else:
-                if cap >= total_vacuous:
-                    raise RuntimeError(
-                        "composite candidate intersection empty at the "
-                        "vacuous cap; the completeness invariant is broken"
-                    )
-                cap *= 2
+        anchor = max(range(len(probe)), key=lambda col: len(probe[col]))
+        if anchor not in indexes:
+            indexes[anchor] = self.cache.get(columns[anchor], q=self.q)
+        index = indexes[anchor]
+        part = probe[anchor]
+        # Rows to take the bound from: the anchor's cap-2 candidates (where
+        # the ladder's cheap rounds stop — for a near probe they already
+        # are the whole answer), else its max-gram-overlap neighbours.
+        seeds = index.candidates(part, 2)
+        if not seeds.size:
+            seeds = index.overlap_best([part], len(part), k=self._BOUND_NEIGHBOURS)[0]
+        seed_rows, seed_sums = self._scored_rows(columns, probe, index, seeds, None)
+        bound = int(seed_sums.min())
+        # Every other anchor value within the bound, and only their rows.
+        vids = index.candidates(part, bound)
+        vids = vids[~np.isin(vids, seeds)]
+        codes, lengths = index.batch_codes(vids)
+        distances = self.kernel.edit_distance_codes(part, codes, lengths, bound)
+        # A sum clamped past the bound can never win or tie: the row
+        # that gave the bound is among the exact ones.
+        rows, sums = self._scored_rows(
+            columns, probe, index, vids[distances <= bound], bound
+        )
+        rows = np.concatenate((seed_rows, rows))
+        sums = np.concatenate((seed_sums, sums))
+        best_sum = int(sums.min())
+        best_row = int(rows[sums == best_sum].min())
+        matched_length = sum(len(column[best_row]) for column in columns)
+        return best_row, best_sum, matched_length
+
+    def _scored_rows(
+        self,
+        columns: list[tuple[str, ...]],
+        probe: tuple[str, ...],
+        index: QGramIndex,
+        vids: np.ndarray,
+        cap: int | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows holding the anchor values ``vids``, and ``probe``'s sum to each.
+
+        Column terms clamp at ``cap + 1``; ``None`` scores exactly (no
+        distance exceeds the longer string of its pair).
+        """
+        rows = [row for vid in vids for row in index.rows_for(int(vid))]
+        sums = np.zeros(len(rows), dtype=np.int64)
+        for component, column in zip(probe, columns, strict=True):
+            codes, lengths = encode_strings([column[row] for row in rows])
+            limit = max(len(component), int(lengths.max())) if cap is None else cap
+            sums += self.kernel.edit_distance_codes(component, codes, lengths, limit)
+        return np.asarray(rows, dtype=np.int64), sums
 
     def _resolve_bucket(
         self, index: QGramIndex, length: int, probes: list[str], k: int

@@ -1,20 +1,22 @@
-"""Batched capped edit distance: one query against many candidates.
+"""The reference kernel: capped edit distance for a batch of pairs.
 
-The blocked joiner scores a whole candidate set at once instead of
-calling the scalar DP per target.  Candidates are encoded into a padded
-``(n, max_len)`` code-point matrix and a single numpy DP sweeps the
-query characters, keeping one ``(n, max_len + 1)`` distance row per
-step.  The row-serial insertion recurrence is resolved with the classic
-prefix-min trick::
+The blocked joiner scores whole candidate sets at once instead of
+calling the scalar DP per target.  The kernel contract is **one
+function**, :func:`edit_distance_pairs`: a ``(p, m)`` table of distinct
+same-length queries, one table row id per pair, and a padded candidate
+code matrix (:func:`encode_strings`).  The single-query forms
+(:func:`edit_distance_codes`, :func:`edit_distance_many`) are its
+``p = 1`` case — a one-row table plus all-zero ids — not kernels of
+their own.
 
-    D[i][j] = min_{t <= j} (C[i][t] + (j - t))
-            = j + min_{t <= j} (C[i][t] - t)
+This is the oracle every backend in :mod:`repro.index.kernels` must
+match byte-for-byte, so it is the plainest code that states the answer:
+one exact DP row per query character, vectorized over all pairs, with
+no early exit, length window or compaction.  It is nobody's fast path —
+the other backends own their speed — and nothing here should be tuned.
 
-which turns the scan into ``np.minimum.accumulate`` along the candidate
-axis — every operation is vectorized over all candidates.
-
-Distances are capped: any value that provably exceeds ``cap`` is
-reported as ``cap + 1``, matching the contract of
+Distances are capped on output: any value above ``cap`` is reported as
+``cap + 1``, matching the contract of
 :func:`repro.text.edit_distance.edit_distance_capped`.
 """
 
@@ -65,87 +67,6 @@ def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return codes, lengths
 
 
-def edit_distance_codes(
-    query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
-) -> np.ndarray:
-    """Capped distances from ``query`` to every pre-encoded candidate.
-
-    Args:
-        query: The probe string.
-        codes: Padded code matrix from :func:`encode_strings` (rows may
-            be a fancy-indexed subset of a larger matrix).
-        lengths: True length of each row of ``codes``.
-        cap: Distances above this are clamped to ``cap + 1``.
-
-    Returns:
-        ``int64`` array of shape ``(len(codes),)`` where entry ``i`` is
-        ``edit_distance(query, candidate_i)`` when that is ``<= cap``
-        and ``cap + 1`` otherwise.
-    """
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
-    n = codes.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    big = cap + 1
-    if not query:
-        return np.minimum(lengths, big)
-    # The rows are often a fancy-indexed subset of a wider index matrix;
-    # trim the pad columns past the longest *present* candidate so one
-    # long outlier value in the column doesn't tax every query.
-    longest = int(lengths.max())
-    if codes.shape[1] > longest:
-        codes = codes[:, :longest]
-    out = np.full(n, big, dtype=np.int64)
-    # Maps compacted row positions back to caller candidate indices.
-    active = np.arange(n)
-    width = codes.shape[1] + 1
-    col = np.arange(width, dtype=np.int64)
-    previous = np.minimum(np.tile(col, (n, 1)), big)
-    current = np.empty_like(previous)
-    query_codes = codepoints(query)
-    query_len = len(query_codes)
-    for i in range(1, query_len + 1):
-        current[:, 0] = i
-        substitution = previous[:, :-1] + (codes != query_codes[i - 1])
-        deletion = previous[:, 1:] + 1
-        np.minimum(substitution, deletion, out=current[:, 1:])
-        # Insertion closure via prefix-min of (value - column index).
-        current -= col
-        np.minimum.accumulate(current, axis=1, out=current)
-        current += col
-        np.minimum(current, big, out=current)
-        previous, current = current, previous
-        if i & 1 and i != query_len:
-            continue
-        # A candidate whose row minimum exceeds the cap is settled —
-        # row minima never decrease as the DP advances — so its
-        # distance is reported as ``big`` and the row drops out of the
-        # sweep.  Same settled-count/compaction policy as
-        # :func:`edit_distance_pairs`: checking every other row halves
-        # the full-matrix min scans, and compaction keeps a batch that
-        # mixes doomed and promising candidates from paying full width
-        # for the doomed majority.
-        row_min = previous.min(axis=1)
-        settled = int(np.count_nonzero(row_min > cap))
-        if settled == active.size:
-            return out
-        if settled >= 256 and settled * 4 >= active.size:
-            keep = row_min <= cap
-            active = active[keep]
-            previous = previous[keep]
-            codes = codes[keep]
-            lengths = lengths[keep]
-            longest = int(lengths.max())
-            if codes.shape[1] > longest:
-                codes = codes[:, :longest]
-                previous = previous[:, : longest + 1]
-                col = col[: longest + 1]
-            current = np.empty_like(previous)
-    out[active] = previous[np.arange(active.size), lengths]
-    return out
-
-
 def edit_distance_pairs(
     query_rows: np.ndarray,
     query_ids: np.ndarray,
@@ -155,11 +76,10 @@ def edit_distance_pairs(
 ) -> np.ndarray:
     """Capped distances for ``n`` independent (query, candidate) pairs.
 
-    The multi-probe generalization of :func:`edit_distance_codes`: pair
-    ``i`` scores query ``query_ids[i]`` against ``candidate_i``, and the
-    DP is vectorized across *all pairs of all probes at once* — one
-    numpy sweep per query character instead of one kernel launch per
-    probe.  Every query must have the same true length (the batch
+    Pair ``i`` scores query ``query_ids[i]`` against ``candidate_i``,
+    and the DP is vectorized across *all pairs of all probes at once* —
+    one numpy sweep per query character instead of one kernel launch
+    per probe.  Every query must have the same true length (the batch
     engine buckets probes by length for exactly this reason), so the
     sweep advances all pairs in lockstep.  Which probe a pair belongs
     to is an argument because the caller already knows it: a backend
@@ -192,28 +112,22 @@ def edit_distance_pairs(
     query_len = query_rows.shape[1]
     if query_len == 0:
         return np.minimum(cand_lengths, big)
+    # The rows are often a fancy-indexed subset of a wider index matrix;
+    # trim the pad columns past the longest *present* candidate.
     longest = int(cand_lengths.max())
-    if cand_codes.shape[1] > longest:
-        cand_codes = cand_codes[:, :longest]
-    out = np.full(n, big, dtype=np.int64)
-    # Maps compacted column positions back to caller pair indices.
-    active = np.arange(n)
+    cand_codes = cand_codes[:, :longest]
     # The sweep runs the *exact* (unclamped) DP in int32 — distances
-    # are bounded by the longest string, so the narrow dtype halves
-    # memory traffic — in **reduced space** ``E[i][j] = D[i][j] - j``,
-    # where the row-serial insertion recurrence collapses to a plain
-    # prefix-min (``D[i][j] = min(D'[i][j], D[i][j-1] + 1)`` becomes
-    # ``E[i][j] = min(E'[i][j], E[i][j-1])``) and the initial row is
-    # all zeros.  State is stored **transposed** — ``(width, n)`` with
-    # pairs along the contiguous axis — so the prefix-min accumulate
-    # runs its data-dependent loop across rows while its inner loop
-    # stays a fully vectorized sweep over all pairs (the row-serial
-    # layout made ``np.minimum.accumulate`` dominate kernel profiles).
+    # are bounded by the longest string — in **reduced space**
+    # ``E[i][j] = D[i][j] - j``, where the row-serial insertion
+    # recurrence collapses to a plain prefix-min (``D[i][j] =
+    # min(D'[i][j], D[i][j-1] + 1)`` becomes ``E[i][j] = min(E'[i][j],
+    # E[i][j-1])``) and the initial row is all zeros.  State is stored
+    # **transposed** — ``(width, n)`` with pairs along the contiguous
+    # axis — so the prefix-min's data-dependent loop runs across rows
+    # while its inner loop stays a vectorized sweep over all pairs.
     # Distances clamp to ``big`` only on output.
     cand_codes = np.ascontiguousarray(cand_codes.T)
-    width = cand_codes.shape[0] + 1
-    col = np.arange(width, dtype=np.int32)[:, None]
-    previous = np.zeros((width, n), dtype=np.int32)
+    previous = np.zeros((longest + 1, n), dtype=np.int32)
     current = np.empty_like(previous)
     unequal = np.empty(cand_codes.shape, dtype=np.int32)
     scratch = np.empty(cand_codes.shape, dtype=np.int32)
@@ -231,41 +145,29 @@ def edit_distance_pairs(
         # Insertion closure: prefix-min along the (row) width axis.
         np.minimum.accumulate(current, axis=0, out=current)
         previous, current = current, previous
-        if i & 1 and i != query_len:
-            continue
-        # A pair whose row minimum (in D space: E + j) exceeds the cap
-        # is settled — row minima never decrease as the DP advances —
-        # so its distance is reported as ``big`` and the pair drops out
-        # of the sweep.  This is the per-pair analogue of the scalar
-        # kernel's global early exit, and it is what makes mixing
-        # doomed and promising pairs in one batch affordable: a pair
-        # many edits beyond the cap stops paying after about ``cap``
-        # steps instead of the full query length.
-        row_min = np.add(previous, col, out=current).min(axis=0)
-        settled = int(np.count_nonzero(row_min > cap))
-        if settled == active.size:
-            return out
-        if settled >= 256 and settled * 4 >= active.size:
-            keep = row_min <= cap
-            active = active[keep]
-            previous = previous[:, keep]
-            cand_codes = cand_codes[:, keep]
-            query_ids = query_ids[keep]
-            cand_lengths = cand_lengths[keep]
-            # Surviving candidates may all be shorter than the batch
-            # pad width; shrink the sweep to match (row-prefix slices
-            # of the transposed state stay contiguous).
-            longest = int(cand_lengths.max()) if cand_lengths.size else 0
-            if cand_codes.shape[0] > longest:
-                cand_codes = cand_codes[:longest, :]
-                previous = previous[: longest + 1, :]
-                col = col[: longest + 1]
-            current = np.empty_like(previous)
-            unequal = np.empty(cand_codes.shape, dtype=np.int32)
-            scratch = np.empty(cand_codes.shape, dtype=np.int32)
-    final = previous[cand_lengths, np.arange(active.size)] + cand_lengths
-    out[active] = np.minimum(final, big)
-    return out
+    final = previous[cand_lengths, np.arange(n)] + cand_lengths
+    return np.minimum(final, big)
+
+
+def one_query(query: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(query_rows, query_ids)`` scoring one query against ``n`` candidates.
+
+    The ``p = 1`` case of the pair contract: a one-row query table and
+    an all-zero id per candidate.
+    """
+    return codepoints(query).reshape(1, -1), np.zeros(n, dtype=np.int64)
+
+
+def edit_distance_codes(
+    query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
+) -> np.ndarray:
+    """Capped distances from one ``query`` to every pre-encoded candidate.
+
+    :func:`edit_distance_pairs` at ``p = 1`` (``codes`` / ``lengths`` as
+    from :func:`encode_strings`).
+    """
+    rows, ids = one_query(query, codes.shape[0])
+    return edit_distance_pairs(rows, ids, codes, lengths, cap)
 
 
 def edit_distance_many(
@@ -274,8 +176,8 @@ def edit_distance_many(
     """Capped edit distance from ``query`` to each of ``candidates``.
 
     Equivalent to ``[edit_distance_capped(query, c, cap) for c in
-    candidates]`` (with the over-cap sentinel fixed at ``cap + 1``) but
-    computed as one vectorized DP over a padded candidate matrix.
+    candidates]`` (with the over-cap sentinel fixed at ``cap + 1``):
+    :func:`encode_strings` plus :func:`edit_distance_codes`.
     """
     codes, lengths = encode_strings(candidates)
     return edit_distance_codes(query, codes, lengths, cap)

@@ -1,23 +1,24 @@
 """Pluggable edit-distance kernel backends behind one equivalence contract.
 
-Every join in the Eq. 5 resolution path bottoms out in three kernel
-entry points — ``edit_distance_codes`` (one query vs. a candidate
-matrix), ``edit_distance_pairs`` (lockstep per-pair scoring: a table
-of distinct queries plus, per pair, the row it scores against) and
-``edit_distance_many`` (encode + codes) — historically served only by
-the pure-numpy DP in :mod:`repro.index.kernel`.  This package turns
-that call surface into a registry of interchangeable backends:
+Every join in the Eq. 5 resolution path bottoms out in **one** kernel
+function, ``edit_distance_pairs(query_rows, query_ids, cand_codes,
+cand_lengths, cap)`` — lockstep per-pair scoring: a table of distinct
+same-length queries plus, per pair, the row it scores against.  That
+is the whole contract a backend implements; the single-query forms
+(``edit_distance_codes``, ``edit_distance_many``) are its ``p = 1``
+case, written once as adapters on :class:`KernelBackend`.  The registry:
 
-* ``"reference"`` — the numpy DP sweeps, unchanged, always available;
-  they define the capped contract every other backend must match
-  byte-for-byte (values ``<= cap`` exact, everything else ``cap + 1``).
+* ``"reference"`` — the plain numpy DP in :mod:`repro.index.kernel`,
+  always available; it defines the capped contract every other backend
+  must match byte-for-byte (values ``<= cap`` exact, everything else
+  ``cap + 1``), has no early exit and is nobody's fast path.
 * ``"bitparallel"`` — Myers' bit-parallel DP over uint64 bit-vectors
   (:mod:`repro.index.kernels.bitparallel`); the fast path for the
   short-string regime (queries up to 64 characters in one word,
   multi-block chaining beyond).
 * ``"banded"`` — Ukkonen's diagonal-band DP
   (:mod:`repro.index.kernels.banded`); wins when strings are long but
-  the cap keeps the band narrow.
+  the cap keeps the band narrow, and stays exact (on its own) when not.
 * ``"auto"`` — per-call dispatch between the above.
 
 Selection: an explicit ``JoinConfig(kernel_backend=...)`` wins; a
@@ -27,24 +28,25 @@ backends without touching call sites); otherwise the auto heuristic
 picks per call.  Backend names are validated against
 :data:`repro.core.join_config.KERNEL_BACKENDS`.
 
-Every concrete backend counts the candidate pairs it scores into a
-process-wide tally (:func:`pairs_scored_snapshot`), which
-``IndexedJoiner.join_many`` turns into per-call ``JoinStats`` deltas —
-parallel workers report their own deltas per shard — and the serving
-layer exports through ``/v1/stats`` and ``/metrics``.
+Every concrete backend counts the candidate pairs it scores — once, at
+the pair door — into a process-wide tally
+(:func:`pairs_scored_snapshot`), which ``IndexedJoiner.join_many``
+turns into per-call ``JoinStats`` deltas — parallel workers report
+their own deltas per shard — and the serving layer exports through
+``/v1/stats`` and ``/metrics``.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.core.join_config import KERNEL_BACKENDS
 from repro.index import kernel as _reference
-from repro.index.kernel import encode_strings
+from repro.index.kernel import encode_strings, one_query
 from repro.index.kernels import banded as _banded
 from repro.index.kernels import bitparallel as _bitparallel
 
@@ -59,13 +61,6 @@ _PAIRS_SCORED: dict[str, int] = {
 }
 
 
-def _count_pairs(backend: str, n: int) -> None:
-    """Credit ``n`` scored candidate pairs to a concrete backend."""
-    if n:
-        with _COUNTS_LOCK:
-            _PAIRS_SCORED[backend] += n
-
-
 def pairs_scored_snapshot() -> dict[str, int]:
     """Cumulative pairs scored per concrete backend, process-wide.
 
@@ -77,28 +72,21 @@ def pairs_scored_snapshot() -> dict[str, int]:
         return dict(_PAIRS_SCORED)
 
 
-def reset_pairs_scored() -> None:
-    """Zero the tally (test isolation hook)."""
-    with _COUNTS_LOCK:
-        for name in _PAIRS_SCORED:
-            _PAIRS_SCORED[name] = 0
-
-
 class KernelBackend:
-    """One edit-distance kernel implementation behind the shared contract.
+    """One edit-distance kernel: a registry name and its pair function.
 
-    Subclasses implement the three entry points with semantics
-    byte-identical to :mod:`repro.index.kernel` (the enforcement lives
-    in ``tests/test_kernels.py``) and credit the pairs they score to
-    the process-wide tally under their ``name``.
+    ``pair_fn`` has the signature and byte-identical results of
+    :func:`repro.index.kernel.edit_distance_pairs` (enforced by
+    ``tests/test_kernels.py``).  :meth:`edit_distance_pairs` is the one
+    door every scoring call goes through, and the only place pairs are
+    credited to the process-wide tally, under ``name``.
     """
 
-    name: str = "abstract"
-
-    def edit_distance_codes(
-        self, query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
-    ) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(
+        self, name: str, pair_fn: Callable[..., np.ndarray] | None
+    ) -> None:
+        self.name = name
+        self._pair_fn = pair_fn
 
     def edit_distance_pairs(
         self,
@@ -108,68 +96,27 @@ class KernelBackend:
         cand_lengths: np.ndarray,
         cap: int,
     ) -> np.ndarray:
-        raise NotImplementedError
+        if cand_codes.shape[0]:
+            with _COUNTS_LOCK:
+                _PAIRS_SCORED[self.name] += cand_codes.shape[0]
+        return self._pair_fn(query_rows, query_ids, cand_codes, cand_lengths, cap)
+
+    def edit_distance_codes(
+        self, query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
+    ) -> np.ndarray:
+        """One query against a candidate matrix: the ``p = 1`` pair call."""
+        rows, ids = one_query(query, codes.shape[0])
+        return self.edit_distance_pairs(rows, ids, codes, lengths, cap)
 
     def edit_distance_many(
         self, query: str, candidates: Sequence[str], cap: int
     ) -> np.ndarray:
+        """:func:`encode_strings` plus :meth:`edit_distance_codes`."""
         codes, lengths = encode_strings(candidates)
         return self.edit_distance_codes(query, codes, lengths, cap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class _DelegatingBackend(KernelBackend):
-    """Counts pairs at entry, then delegates to a kernel module."""
-
-    _module = _reference
-
-    def edit_distance_codes(
-        self, query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
-    ) -> np.ndarray:
-        _count_pairs(self.name, codes.shape[0])
-        return self._module.edit_distance_codes(query, codes, lengths, cap)
-
-    def edit_distance_pairs(
-        self,
-        query_rows: np.ndarray,
-        query_ids: np.ndarray,
-        cand_codes: np.ndarray,
-        cand_lengths: np.ndarray,
-        cap: int,
-    ) -> np.ndarray:
-        _count_pairs(self.name, cand_codes.shape[0])
-        return self._module.edit_distance_pairs(
-            query_rows, query_ids, cand_codes, cand_lengths, cap
-        )
-
-    def edit_distance_many(
-        self, query: str, candidates: Sequence[str], cap: int
-    ) -> np.ndarray:
-        _count_pairs(self.name, len(candidates))
-        return self._module.edit_distance_many(query, candidates, cap)
-
-
-class ReferenceBackend(_DelegatingBackend):
-    """The pure-numpy DP sweeps — always available, defines the contract."""
-
-    name = "reference"
-    _module = _reference
-
-
-class BitParallelBackend(_DelegatingBackend):
-    """Myers' bit-parallel DP in uint64 bit-vectors."""
-
-    name = "bitparallel"
-    _module = _bitparallel
-
-
-class BandedBackend(_DelegatingBackend):
-    """Ukkonen's banded DP over the ``2*cap + 1`` diagonal."""
-
-    name = "banded"
-    _module = _banded
 
 
 class AutoBackend(KernelBackend):
@@ -181,10 +128,9 @@ class AutoBackend(KernelBackend):
     work per DP row).  Queries that fit one word always take the
     bit-parallel kernel; longer queries take the banded kernel while
     the band is narrower than a word, else multi-block bit-parallel.
-    Pairs scored are credited to whichever concrete backend ran.
+    It has no pair function of its own: pairs scored are credited to
+    whichever concrete backend ran, never to ``"auto"``.
     """
-
-    name = "auto"
 
     @staticmethod
     def _pick(m: int, cap: int) -> KernelBackend:
@@ -195,13 +141,6 @@ class AutoBackend(KernelBackend):
         if 2 * cap + 1 <= _BLOCK:
             return _BACKENDS["banded"]
         return _BACKENDS["bitparallel"]
-
-    def edit_distance_codes(
-        self, query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
-    ) -> np.ndarray:
-        return self._pick(len(query), cap).edit_distance_codes(
-            query, codes, lengths, cap
-        )
 
     def edit_distance_pairs(
         self,
@@ -215,19 +154,12 @@ class AutoBackend(KernelBackend):
             query_rows, query_ids, cand_codes, cand_lengths, cap
         )
 
-    def edit_distance_many(
-        self, query: str, candidates: Sequence[str], cap: int
-    ) -> np.ndarray:
-        return self._pick(len(query), cap).edit_distance_many(
-            query, candidates, cap
-        )
-
 
 _BACKENDS: dict[str, KernelBackend] = {
-    "reference": ReferenceBackend(),
-    "bitparallel": BitParallelBackend(),
-    "banded": BandedBackend(),
-    "auto": AutoBackend(),
+    "reference": KernelBackend("reference", _reference.edit_distance_pairs),
+    "bitparallel": KernelBackend("bitparallel", _bitparallel.edit_distance_pairs),
+    "banded": KernelBackend("banded", _banded.edit_distance_pairs),
+    "auto": AutoBackend("auto", None),
 }
 assert set(_BACKENDS) == set(KERNEL_BACKENDS)
 
@@ -259,12 +191,8 @@ def resolve_backend(name: str | None = None) -> KernelBackend:
 
 __all__ = [
     "AutoBackend",
-    "BandedBackend",
-    "BitParallelBackend",
     "KernelBackend",
-    "ReferenceBackend",
     "get_backend",
     "pairs_scored_snapshot",
-    "reset_pairs_scored",
     "resolve_backend",
 ]

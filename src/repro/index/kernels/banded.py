@@ -21,29 +21,25 @@ any in-band distance can reach; they decay by at most one per step and
 start ``> cap + longest`` above the band, so they can never leak into a
 valid final read.
 
-When the band is at least as wide as the candidates are long the
-banding is vacuous — the reference sweep touches fewer cells — so the
-call delegates to :mod:`repro.index.kernel` (the result is identical
-either way; this is purely the cheaper schedule).
+The sweep is exact at any cap, including one that makes the band wider
+than the strings (it then touches more cells than a full-matrix DP
+would, never wrong ones), so the one function this module exports,
+:func:`edit_distance_pairs`, never falls back on the reference kernel.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.index import kernel as _reference
-from repro.index.kernel import _PAD, encode_strings
-from repro.text.edit_distance import codepoints
+from repro.index.kernel import _PAD
 
-# Compaction thresholds, same policy as the reference pair sweep.
+# Fewest settled candidates worth compacting the batch for.
 _COMPACT_MIN = 256
 
 
 def _band_sweep(
     query_rows: np.ndarray,
-    query_ids: np.ndarray | None,
+    query_ids: np.ndarray,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
     cap: int,
@@ -53,9 +49,8 @@ def _band_sweep(
     """Run the banded sweep over the active candidates.
 
     ``query_ids`` selects each active candidate's row of the ``(p, m)``
-    ``query_rows`` (``None`` means every candidate shares row 0).
-    ``out`` is pre-filled with ``big``; the final band cell of each
-    surviving candidate overwrites it.
+    ``query_rows``.  ``out`` is pre-filled with ``big``; the final band
+    cell of each surviving candidate overwrites it.
     """
     big = cap + 1
     m = query_rows.shape[1]
@@ -79,11 +74,7 @@ def _band_sweep(
     previous = np.repeat(previous[None, :], active.size, axis=0)
     current = np.empty_like(previous)
     for i in range(1, m + 1):
-        qc = (
-            query_rows[0, i - 1]
-            if query_ids is None
-            else query_rows[:, i - 1][query_ids][:, None]
-        )
+        qc = query_rows[:, i - 1][query_ids][:, None]
         window = frame[:, i - 1 : i - 1 + band]
         np.add(previous, window != qc, out=current)
         deletion = previous[:, 1:] + 1
@@ -113,63 +104,11 @@ def _band_sweep(
             lengths = lengths[keep]
             previous = previous[keep]
             frame = frame[keep]
-            if query_ids is not None:
-                query_ids = query_ids[keep]
+            query_ids = query_ids[keep]
             current = np.empty_like(previous)
     final = previous[np.arange(active.size), lengths - m + cap]
     out[active] = np.minimum(final, big)
     return out
-
-
-def _run(
-    query_rows: np.ndarray,
-    query_ids: np.ndarray | None,
-    codes: np.ndarray,
-    lengths: np.ndarray,
-    cap: int,
-) -> np.ndarray:
-    """Shared entry: length-window filter, trivial cases, band sweep."""
-    n = codes.shape[0]
-    big = cap + 1
-    m = query_rows.shape[1]
-    out = np.full(n, big, dtype=np.int64)
-    # |len - m| > cap settles a candidate before the sweep; it also
-    # guarantees the final band read ``lengths - m + cap`` is in range.
-    window = np.abs(lengths - m) <= cap
-    active = np.nonzero(window)[0]
-    if not active.size:
-        return out
-    alens = lengths[active]
-    empty = alens == 0
-    if empty.any():
-        out[active[empty]] = min(m, big)
-        active = active[~empty]
-        alens = alens[~empty]
-    if not active.size:
-        return out
-    if query_ids is not None:
-        query_ids = query_ids[active]
-    return _band_sweep(
-        query_rows, query_ids, codes[active], alens, cap, out, active
-    )
-
-
-def edit_distance_codes(
-    query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
-) -> np.ndarray:
-    """Banded analogue of :func:`repro.index.kernel.edit_distance_codes`."""
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
-    n = codes.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if not query:
-        return np.minimum(lengths, cap + 1)
-    longest = int(lengths.max()) if n else 0
-    if 2 * cap + 1 >= longest + 1:
-        # Vacuous band: the reference full-width sweep is cheaper.
-        return _reference.edit_distance_codes(query, codes, lengths, cap)
-    return _run(codepoints(query).reshape(1, -1), None, codes, lengths, cap)
 
 
 def edit_distance_pairs(
@@ -179,32 +118,37 @@ def edit_distance_pairs(
     cand_lengths: np.ndarray,
     cap: int,
 ) -> np.ndarray:
-    """Banded analogue of :func:`repro.index.kernel.edit_distance_pairs`."""
+    """Banded analogue of :func:`repro.index.kernel.edit_distance_pairs`.
+
+    Length-window filter and trivial cases, then the band sweep.
+    """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     n = cand_codes.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if query_rows.shape[1] == 0:
-        return np.minimum(cand_lengths, cap + 1)
-    longest = int(cand_lengths.max())
-    if 2 * cap + 1 >= longest + 1:
-        return _reference.edit_distance_pairs(
-            query_rows, query_ids, cand_codes, cand_lengths, cap
-        )
-    return _run(query_rows, query_ids, cand_codes, cand_lengths, cap)
+    big = cap + 1
+    m = query_rows.shape[1]
+    if m == 0:
+        return np.minimum(cand_lengths, big)
+    out = np.full(n, big, dtype=np.int64)
+    # |len - m| > cap settles a candidate before the sweep; it also
+    # guarantees the final band read ``lengths - m + cap`` is in range.
+    window = np.abs(cand_lengths - m) <= cap
+    active = np.nonzero(window)[0]
+    if not active.size:
+        return out
+    alens = cand_lengths[active]
+    empty = alens == 0
+    if empty.any():
+        out[active[empty]] = min(m, big)
+        active = active[~empty]
+        alens = alens[~empty]
+    if not active.size:
+        return out
+    return _band_sweep(
+        query_rows, query_ids[active], cand_codes[active], alens, cap, out, active
+    )
 
 
-def edit_distance_many(
-    query: str, candidates: Sequence[str], cap: int
-) -> np.ndarray:
-    """Banded analogue of :func:`repro.index.kernel.edit_distance_many`."""
-    codes, lengths = encode_strings(candidates)
-    return edit_distance_codes(query, codes, lengths, cap)
-
-
-__all__ = [
-    "edit_distance_codes",
-    "edit_distance_many",
-    "edit_distance_pairs",
-]
+__all__ = ["edit_distance_pairs"]

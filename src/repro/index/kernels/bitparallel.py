@@ -17,12 +17,12 @@ last block — bits above it hold garbage, which is safe because
 information only flows *upward* within a column (shifts and adder
 carries), never down.
 
-The capped contract matches :mod:`repro.index.kernel`: values ``<=
-cap`` are exact, everything else reports ``cap + 1``.  Early exit uses
-the lower bound ``D[m][len] >= score_j - (len - j)``: the slack
-``score_j - (len - j)`` changes by 0 or +2 per column, so once a
-candidate's bound exceeds the cap it is settled for good and the batch
-compacts it away under the same policy as the reference pair sweep.
+The capped contract is that of the one function this module exports,
+:func:`repro.index.kernel.edit_distance_pairs`: values ``<= cap`` are
+exact, everything else reports ``cap + 1``.  Early exit uses the lower
+bound ``D[m][len] >= score_j - (len - j)``: the slack ``score_j - (len
+- j)`` changes by 0 or +2 per column, so once a candidate's bound
+exceeds the cap it is settled for good and the batch compacts it away.
 
 Preprocessing is per call and memoizes nothing: the ``Peq`` tables
 (which pattern rows match each alphabet symbol) are ``m`` small
@@ -32,20 +32,15 @@ candidate chunk is mapped onto their columns once, before the sweep.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
-
-from repro.index.kernel import encode_strings
-from repro.text.edit_distance import codepoints
 
 _WORD = 64
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
 _TOP = np.uint64(63)
 
-# Columns between settled-candidate scans; compaction thresholds match
-# the reference pair sweep.
+# Columns between settled-candidate scans, and the fewest settled
+# candidates worth a compaction.
 _CHECK_EVERY = 16
 _COMPACT_MIN = 256
 
@@ -93,7 +88,7 @@ def _symbol_ids(ucodes: np.ndarray, chars: np.ndarray) -> np.ndarray:
 
 def _sweep(
     peq: np.ndarray,
-    query_ids: np.ndarray | None,
+    query_ids: np.ndarray,
     ucodes: np.ndarray,
     m: int,
     cand_codes: np.ndarray,
@@ -104,9 +99,8 @@ def _sweep(
 ) -> np.ndarray:
     """Run the bit-parallel column sweep over the active candidates.
 
-    ``query_ids`` selects each active candidate's query row of ``peq``
-    (``None`` means every candidate shares query row 0).  ``out`` is
-    pre-filled with ``big``; settled candidates simply keep it.
+    ``query_ids`` selects each active candidate's query row of ``peq``;
+    ``out`` is pre-filled with ``big`` and settled candidates keep it.
     """
     big = cap + 1
     n_blocks = peq.shape[0]
@@ -115,8 +109,7 @@ def _sweep(
     # plus the candidate's query row — transposed so column j of the DP
     # is one contiguous 1-D gather per block.
     flat_t = _symbol_ids(ucodes, np.ascontiguousarray(cand_codes.T))
-    if query_ids is not None:
-        flat_t += query_ids * peq.shape[2]
+    flat_t += query_ids * peq.shape[2]
     peq = peq.reshape(n_blocks, -1)
     n_cols = flat_t.shape[0]
     vp = np.full((n_blocks, active.size), _ONES, dtype=np.uint64)
@@ -177,41 +170,6 @@ def _sweep(
     return out
 
 
-def edit_distance_codes(
-    query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
-) -> np.ndarray:
-    """Bit-parallel analogue of :func:`repro.index.kernel.edit_distance_codes`."""
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
-    n = codes.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    big = cap + 1
-    if not query:
-        return np.minimum(lengths, big)
-    query_rows = codepoints(query).reshape(1, -1)
-    m = query_rows.shape[1]
-    out = np.full(n, big, dtype=np.int64)
-    # |len - m| is a lower bound on the distance: candidates outside
-    # the window are settled before the sweep starts.
-    window = np.abs(lengths - m) <= cap
-    active = np.nonzero(window)[0]
-    if not active.size:
-        return out
-    alens = lengths[active]
-    empty = alens == 0
-    if empty.any():
-        out[active[empty]] = min(m, big)
-        active = active[~empty]
-        alens = alens[~empty]
-    if not active.size:
-        return out
-    longest = int(alens.max())
-    acodes = codes[active][:, :longest]
-    ucodes, peq = _build_peq(query_rows)
-    return _sweep(peq, None, ucodes, m, acodes, alens, cap, out, active)
-
-
 def edit_distance_pairs(
     query_rows: np.ndarray,
     query_ids: np.ndarray,
@@ -235,6 +193,8 @@ def edit_distance_pairs(
     if m == 0:
         return np.minimum(cand_lengths, big)
     out = np.full(n, big, dtype=np.int64)
+    # |len - m| is a lower bound on the distance: candidates outside
+    # the window are settled before the sweep starts.
     window = np.abs(cand_lengths - m) <= cap
     active = np.nonzero(window)[0]
     if not active.size:
@@ -257,16 +217,4 @@ def edit_distance_pairs(
     return _sweep(peq, ids - first, ucodes, m, acodes, alens, cap, out, active)
 
 
-def edit_distance_many(
-    query: str, candidates: Sequence[str], cap: int
-) -> np.ndarray:
-    """Bit-parallel analogue of :func:`repro.index.kernel.edit_distance_many`."""
-    codes, lengths = encode_strings(candidates)
-    return edit_distance_codes(query, codes, lengths, cap)
-
-
-__all__ = [
-    "edit_distance_codes",
-    "edit_distance_many",
-    "edit_distance_pairs",
-]
+__all__ = ["edit_distance_pairs"]

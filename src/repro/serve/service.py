@@ -350,7 +350,6 @@ class TransformService:
             isinstance(model, IncrementalSequenceModel)
             for model in pipeline.models
         )
-        self.last_engine_stats = EngineStats()
         self.last_join_stats = None
         self._queue: deque[_Request] = deque()
         self.metrics = self._build_metrics()
@@ -879,7 +878,6 @@ class TransformService:
             return
         outputs, stats = self.pipeline.engine.run_with_stats(jobs)
         merged = EngineStats.merged(stats)
-        self.last_engine_stats = merged
         for field in _ENGINE_FIELDS:
             self._count[f"engine_{field}_total"].inc(getattr(merged, field))
         for i, plan in enumerate(active):

@@ -14,9 +14,11 @@ the serving layer.
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.index import IndexCache, IndexedJoiner
 from repro.index.kernel import encode_strings
 from repro.index.kernels import (
+    KernelBackend,
+    banded,
+    bitparallel,
     get_backend,
     pairs_scored_snapshot,
     resolve_backend,
@@ -279,6 +284,92 @@ class TestPairIdentityContract:
             _assert_pairs_match_oracle(kernel, queries, ids, candidates, cap)
 
 
+# The same journals under ADS and ISI abbreviation rules (*Astronomers
+# and the Science Citation Index*, PAPERS.md): truncations of one title
+# that share few grams with each other.
+_ADS_ISI = (
+    ("ApJ", "ASTROPHYS J"),
+    ("ApJS", "ASTROPHYS J SUPPL S"),
+    ("AJ", "ASTRON J"),
+    ("A&A", "ASTRON ASTROPHYS"),
+    ("MNRAS", "MON NOT R ASTRON SOC"),
+    ("PASP", "PUBL ASTRON SOC PAC"),
+)
+# Lone surrogates and astral characters plus combining marks.
+_DIFF_ALPHABET = _HOSTILE_ALPHABET + "e\u0301o\u0308 J"
+
+
+@functools.cache
+def _hostile_column():
+    """``(targets, probes, brute answers)`` for the single-column differential.
+
+    The brute side is a pure-Python scan, so it is computed once for
+    all backends and the long values stay few.
+    """
+    rng = random.Random(_SEED + 20)
+    values = ["", *(name for pair in _ADS_ISI for name in pair)]
+    values += [
+        "".join(rng.choice(_DIFF_ALPHABET) for _ in range(length))
+        for length in (1, 63, 64, 65, 127, 128, 129)
+    ]
+    probes = [random_edits(rng, v, rng.randint(0, 3), _DIFF_ALPHABET) for v in values]
+    for _ in range(3):
+        # Two values exactly tied for one probe: the earlier row wins.
+        base = "".join(rng.choice(_DIFF_ALPHABET) for _ in range(12))
+        values += [base[:5] + "X" + base[6:], base[:5] + "Y" + base[6:]]
+        probes.append(base[:5] + "Z" + base[6:])
+    probes += ["", "Astrophys. J.", "zq" * 20]
+    targets = values * 2  # every value at two rows
+    rng.shuffle(targets)
+    brute = EditDistanceJoiner(JoinConfig())
+    want = {
+        "join_many": brute.join_many(probes, targets),
+        "topk_many": brute.topk_many(probes, targets, k=3),
+        "reverse_many": brute.reverse_many(probes, targets),
+        "match_many": [brute.match_many(p, targets, 0, 2) for p in probes],
+    }
+    return targets, probes, want
+
+
+_COMPOSITE_CONFIGS = {
+    "plain": JoinConfig(),
+    "max_distance": JoinConfig(max_distance=1),
+    "normalized": JoinConfig(normalized_threshold=0.2),
+}
+
+
+@functools.cache
+def _hostile_composite(arity, config_name):
+    """``(columns, probes, brute answer)`` for the composite differential."""
+    rng = random.Random(_SEED + 30 + arity)
+    alphabet = "ab\ud800\U0001F600\u0301"  # small: ties and repeats abound
+
+    def value(max_length=9):
+        return random_unicode_string(rng, max_length=max_length, alphabet=alphabet)
+
+    rows = [tuple(value() for _ in range(arity)) for _ in range(20)]
+    rows += [(value(),) + ("",) * (arity - 1) for _ in range(3)]
+    rows.append(("",) * arity)
+    # Sums tied across two rows (one edit each, in different columns
+    # when there are two): the earlier row must win.
+    tie = ("abab\ud800b",) + tuple(value() for _ in range(arity - 1))
+    rows += [("abXb\ud800b",) + tie[1:], (tie[0] + "Y",) + tie[1:]]
+    rows += rows[:8]  # duplicate rows
+    rng.shuffle(rows)
+    probes = [tie, ("",) * arity, ("zq" * 9,) * arity]
+    for row in rows[::3]:
+        probes.append(
+            tuple(random_edits(rng, part, rng.randint(0, 2), alphabet) for part in row)
+        )
+        # Every component but one empty, and components too short to
+        # hold a single gram.
+        probes.append((row[0],) + ("",) * (arity - 1))
+        probes.append(tuple(part[:1] for part in row))
+    columns = [list(column) for column in zip(*rows, strict=True)]
+    brute = EditDistanceJoiner(_COMPOSITE_CONFIGS[config_name])
+    return columns, probes, brute.join_composite(probes, columns)
+
+
 class TestJoinerEquivalence:
     """Forcing each backend must leave every join surface byte-identical."""
 
@@ -353,6 +444,38 @@ class TestJoinerEquivalence:
             brute.join_composite(probes, [left, right])
         )
 
+    @pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
+    def test_hostile_single_column_matches_brute(self, backend):
+        targets, probes, want = _hostile_column()
+        joiner = IndexedJoiner(
+            JoinConfig(kernel_backend=backend), cache=IndexCache()
+        )
+        got = {
+            "join_many": joiner.join_many(probes, targets),
+            "topk_many": joiner.topk_many(probes, targets, k=3),
+            "reverse_many": joiner.reverse_many(probes, targets),
+            "match_many": [joiner.match_many(p, targets, 0, 2) for p in probes],
+        }
+        for query in want:
+            assert got[query] == want[query], (backend, query)
+
+    @pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
+    @pytest.mark.parametrize(
+        ("arity", "config_name"),
+        (
+            (1, "plain"),
+            (2, "plain"),
+            (3, "plain"),
+            (2, "max_distance"),
+            (2, "normalized"),
+        ),
+    )
+    def test_hostile_composite_matches_brute(self, backend, arity, config_name):
+        columns, probes, want = _hostile_composite(arity, config_name)
+        config = replace(_COMPOSITE_CONFIGS[config_name], kernel_backend=backend)
+        joiner = IndexedJoiner(config, cache=IndexCache())
+        assert joiner.join_composite(probes, columns) == want, (backend, arity)
+
 
 class TestPairsAccounting:
     def test_join_stats_record_pairs_scored(self):
@@ -412,6 +535,51 @@ class TestPairsAccounting:
             "bitparallel": pairs,
             "banded": 0,
         }
+
+    @pytest.mark.parametrize("backend", _CONCRETE)
+    def test_single_query_adapters_credit_once_at_the_door(self, backend):
+        # The adapters are the p = 1 pair call: each credits its n
+        # candidates once, to its own backend and to nothing else.
+        kernel = get_backend(backend)
+        candidates = ["abcd", "abce", "xbcd", "", "abcdefgh"]
+        codes, lengths = encode_strings(candidates)
+        for call in (
+            lambda: kernel.edit_distance_codes("abcf", codes, lengths, 2),
+            lambda: kernel.edit_distance_many("abcf", candidates, 2),
+        ):
+            before = pairs_scored_snapshot()
+            assert call().tolist() == _oracle("abcf", candidates, 2)
+            after = pairs_scored_snapshot()
+            moved = {name: after[name] - before[name] for name in after}
+            assert moved == {
+                name: len(candidates) * (name == backend) for name in _CONCRETE
+            }
+
+    @pytest.mark.parametrize(
+        ("query", "cap", "credited"),
+        (("a" * 10, 2, "bitparallel"), ("a" * 80, 2, "banded"), ("", 2, "reference")),
+    )
+    def test_auto_credits_the_backend_it_picked(self, query, cap, credited):
+        candidates = [query + "b", query, "b" + query[1:]]
+        before = pairs_scored_snapshot()
+        got = get_backend("auto").edit_distance_many(query, candidates, cap)
+        after = pairs_scored_snapshot()
+        assert got.tolist() == _oracle(query, candidates, cap)
+        assert "auto" not in after
+        assert {name: after[name] - before[name] for name in after} == {
+            name: len(candidates) * (name == credited) for name in _CONCRETE
+        }
+
+    def test_the_pair_function_is_the_only_door(self):
+        # A second scoring entry point cannot grow back unnoticed: the
+        # backend modules export the pair function alone, and the
+        # single-query forms exist once, on the base class.
+        assert bitparallel.__all__ == banded.__all__ == ["edit_distance_pairs"]
+        for cls in KernelBackend.__subclasses__():
+            assert "edit_distance_codes" not in vars(cls), cls
+            assert "edit_distance_many" not in vars(cls), cls
+        for name in KERNEL_BACKENDS:
+            assert isinstance(get_backend(name), KernelBackend)
 
     def test_concurrent_callers_conserve_the_tally(self):
         # Kernel entry points are reachable from several serving threads

@@ -397,14 +397,14 @@ class TestBenchFloors:
 
 class TestCheckFloors:
     def test_all_floors_held(self):
-        result = check_floors("kernels", {"headline": 4.2}, cores=8)
+        result = check_floors("kernels", {"mpairs_per_s": 1.1}, cores=8)
         assert result["passed"] is True
         assert result["checked"] and not result["skipped"]
 
     def test_below_floor_fails_with_detail(self):
-        result = check_floors("kernels", {"headline": 1.0})
+        result = check_floors("kernels", {"mpairs_per_s": 0.1})
         assert result["passed"] is False
-        assert "1.00 < floor 3.0" in result["detail"]
+        assert "0.10 < floor 0.36" in result["detail"]
 
     def test_min_cores_unmet_skips_instead_of_failing(self):
         # A starved host recording speedup 0.5 must not fail the gated
