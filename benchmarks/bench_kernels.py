@@ -17,43 +17,33 @@ two regimes and two chunk sizes the JAB workload produces:
   — a bound or wave round, where the sweep is;
 * caps 2 and 4.
 
-Each row is the median of repeated timings (the spread is recorded
-beside it) after asserting the backend's output is byte-identical to
-the reference's.  The gated number is an **absolute throughput**,
-``mpairs_per_s`` of the bit-parallel backend on the short / cap 2 /
-2 000-pair row — the shape and backend the workloads execute — against
-``BENCH_FLOORS["kernels"]``.  The ``speedup`` ratios against the
-reference DP are information only: the reference is the oracle, kept
-plain on purpose, and a ratio over it moves whenever the *oracle*
-changes.  A separate row records the ``encode_strings`` vectorized
-codepoint path against the retired per-string loop.
+Each row is timed under the emitters' shared protocol
+(``bench_utils.measure``: the median of repeated timings, the spread
+recorded beside it) after asserting the backend's output is
+byte-identical to the reference's.  The gated number is an **absolute
+throughput**, ``mpairs_per_s`` of the bit-parallel backend on the short
+/ cap 2 / 2 000-pair row — the shape and backend the workloads execute —
+against ``BENCH_FLOORS["kernels"]``.  No row is a ratio over the
+reference DP: the reference is the oracle, kept plain on purpose, and a
+ratio over it moves whenever the *oracle* changes.
 
 Results go to ``BENCH_kernels.json`` at the repository root.  Run
 directly for the full sweep, or with ``--smoke`` for the CI-gated
-seconds-scale run (same shapes, fewer repeats).
+seconds-scale run (same shapes, fewer and shorter repeats).
 """
 
 from __future__ import annotations
 
-import json
-import statistics
-import time
+import sys
+from functools import partial
 
 import numpy as np
 
-from bench_utils import (
-    artifact_path,
-    emit_report,
-    parse_bench_args,
-    stamp_provenance,
-)
-from conftest import persist
+from bench_utils import bench_main, measure
 
 from repro.datagen.benchmarks.journals import JOURNAL_TITLES
 from repro.index.kernel import encode_strings
 from repro.index.kernels import get_backend
-from repro.obs.manifest import BENCH_FLOORS
-from repro.text.edit_distance import codepoints
 
 _SEED = 31
 _CAPS = (2, 4)
@@ -63,16 +53,9 @@ _REGIMES = {"short": (1, 27), "long": (4, 100)}
 # (pairs, pairs per probe): a small ladder round and a bound/wave round.
 _CHUNKS = ((30, 15), (2000, 100))
 _COLUMN_ROWS = 4000
-# Timed repeats per row and the least wall time one repeat covers.
-_REPEATS, _MIN_SECONDS = 9, 0.05
-_SMOKE_REPEATS, _SMOKE_MIN_SECONDS = 5, 0.02
-_JSON_PATH = artifact_path("kernels")
-
-# The one gated row (see the module docstring) and its floor, from the
-# shared BENCH_FLOORS schema: an absolute Mpairs/s, one third of the
-# median recorded on the host named beside the schema entry.
+# The one gated row (see the module docstring); its floor is in the
+# shared BENCH_FLOORS schema.
 _GATED_ROW = "short/cap2/n2000/bitparallel"
-_FLOOR = BENCH_FLOORS["kernels"][0]["min"]
 
 #: Vocabulary harvested from the canonical titles, for scaling the
 #: column past the real pool without leaving the domain.
@@ -80,7 +63,7 @@ _VOCABULARY = sorted({word for title in JOURNAL_TITLES for word in title.split()
 
 
 def _titles(rng: np.random.Generator, n_rows: int) -> list[str]:
-    """The JAB-style scaled title column (same recipe as bench_join_topk)."""
+    """The canonical titles, scaled past the real pool from their own words."""
     targets = list(JOURNAL_TITLES)
     seen = set(targets)
     while len(targets) < n_rows:
@@ -127,42 +110,11 @@ def _chunk(
     return query_rows, query_ids, cand_codes, cand_lengths
 
 
-def _time_call(backend, chunk, cap, repeats, min_seconds) -> list[float]:
-    """Seconds per ``edit_distance_pairs`` call, one entry per repeat."""
-    samples = []
-    for _ in range(repeats):
-        calls = 0
-        started = time.perf_counter()
-        while True:
-            backend.edit_distance_pairs(*chunk, cap)
-            calls += 1
-            elapsed = time.perf_counter() - started
-            if elapsed >= min_seconds:
-                break
-        samples.append(elapsed / calls)
-    return samples
-
-
-def _encode_loop(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The retired per-string ``encode_strings`` loop, kept as baseline."""
-    lengths = np.fromiter(
-        (len(s) for s in strings), count=len(strings), dtype=np.int64
-    )
-    max_len = int(lengths.max()) if lengths.size else 0
-    codes = np.full((len(strings), max_len), 0xFFFFFFFF, dtype=np.uint32)
-    for i, value in enumerate(strings):
-        if value:
-            codes[i, : lengths[i]] = codepoints(value)
-    return codes, lengths
-
-
-def run_kernels(seed: int = _SEED, smoke: bool = False) -> dict:
+def run_kernels(smoke: bool) -> dict:
     """Run the sweep and return the JSON-serializable report."""
-    repeats = _SMOKE_REPEATS if smoke else _REPEATS
-    min_seconds = _SMOKE_MIN_SECONDS if smoke else _MIN_SECONDS
     rows = []
     for regime, (n_titles, m) in _REGIMES.items():
-        rng = np.random.default_rng(seed + n_titles)
+        rng = np.random.default_rng(_SEED + n_titles)
         titles = _titles(rng, _COLUMN_ROWS * n_titles)
         values = [
             " ".join(titles[i : i + n_titles])
@@ -173,7 +125,6 @@ def run_kernels(seed: int = _SEED, smoke: bool = False) -> dict:
                 chunk = _chunk(rng, values, m, n_pairs, per_probe, cap)
                 # Equivalence before any clock is trusted.
                 want = get_backend("reference").edit_distance_pairs(*chunk, cap)
-                medians = {}
                 for name in _BACKENDS:
                     backend = get_backend(name)
                     got = backend.edit_distance_pairs(*chunk, cap)
@@ -181,8 +132,9 @@ def run_kernels(seed: int = _SEED, smoke: bool = False) -> dict:
                         f"{name} != reference: regime={regime} cap={cap} "
                         f"pairs={n_pairs}"
                     )
-                    samples = _time_call(backend, chunk, cap, repeats, min_seconds)
-                    medians[name] = statistics.median(samples)
+                    timing = measure(
+                        partial(backend.edit_distance_pairs, *chunk, cap), smoke
+                    )
                     rows.append(
                         {
                             "config": f"{regime}/cap{cap}/n{n_pairs}/{name}",
@@ -191,39 +143,18 @@ def run_kernels(seed: int = _SEED, smoke: bool = False) -> dict:
                             "cap": cap,
                             "pairs": n_pairs,
                             "backend": name,
-                            "repeats": repeats,
-                            "seconds": round(medians[name], 7),
-                            "seconds_min": round(min(samples), 7),
-                            "seconds_max": round(max(samples), 7),
+                            **timing,
                             "mpairs_per_s": round(
-                                n_pairs / medians[name] / 1e6, 4
+                                n_pairs / timing["seconds"] / 1e6, 4
                             ),
                         }
                     )
-                for row in rows[-len(_BACKENDS) :]:
-                    row["speedup"] = round(
-                        medians["reference"] / medians[row["backend"]], 2
-                    )
-    # encode_strings micro-bench: vectorized frombuffer path vs the
-    # retired per-string loop, on a short-regime column.
-    column = _titles(np.random.default_rng(seed), _COLUMN_ROWS)
-    started = time.perf_counter()
-    loop_codes, loop_lengths = _encode_loop(column)
-    loop_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    fast_codes, fast_lengths = encode_strings(column)
-    fast_seconds = time.perf_counter() - started
-    assert np.array_equal(loop_codes, fast_codes)
-    assert np.array_equal(loop_lengths, fast_lengths)
-    encode = {
-        "rows": len(column),
-        "loop_seconds": round(loop_seconds, 5),
-        "vectorized_seconds": round(fast_seconds, 5),
-        "speedup": round(loop_seconds / fast_seconds, 2),
+    key_metrics = {
+        f"mpairs_per_s[{row['config']}]": row["mpairs_per_s"] for row in rows
     }
-    return stamp_provenance({
-        "bench": "kernels",
-        "seed": seed,
+    key_metrics["mpairs_per_s"] = key_metrics[f"mpairs_per_s[{_GATED_ROW}]"]
+    return {
+        "seed": _SEED,
         "caps": list(_CAPS),
         "workload": "edit_distance_pairs chunks shaped like ladder rounds "
         "of one length bucket: noised same-length probes over a "
@@ -231,54 +162,11 @@ def run_kernels(seed: int = _SEED, smoke: bool = False) -> dict:
         "titles concatenated), candidates inside the cap's length "
         "window, 15 or 100 per probe",
         "gated_row": _GATED_ROW,
+        "needs_cores": 1,
         "rows": rows,
-        "encode": encode,
-    })
-
-
-def _gated_row(report: dict) -> dict:
-    (row,) = (
-        row for row in report["rows"] if row["config"] == report["gated_row"]
-    )
-    return row
-
-
-def _assert_floor(report: dict) -> None:
-    row = _gated_row(report)
-    assert row["mpairs_per_s"] >= _FLOOR, (
-        f"bit-parallel pair sweep under {_FLOOR} Mpairs/s: {row}"
-    )
-
-
-def test_kernels(results_dir):
-    report = run_kernels()
-    _JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    lines = ["Kernel backend sweep at the pair door (median seconds per call)"]
-    lines.append(
-        "config".ljust(34)
-        + "seconds".rjust(12)
-        + "Mpairs/s".rjust(10)
-        + "vs ref".rjust(8)
-    )
-    for row in report["rows"]:
-        lines.append(
-            f"{row['config']:<34s}{row['seconds']:>12.6f}"
-            f"{row['mpairs_per_s']:>10.3f}{row['speedup']:>7.2f}x"
-        )
-    encode = report["encode"]
-    lines.append(
-        f"\nencode_strings: {encode['loop_seconds']:.4f}s loop vs "
-        f"{encode['vectorized_seconds']:.4f}s vectorized "
-        f"({encode['speedup']:.1f}x) over {encode['rows']} rows"
-    )
-    lines.append(f"\n[json written to {_JSON_PATH}]")
-    persist(results_dir, "kernels", "\n".join(lines))
-    _assert_floor(report)
+        "key_metrics": key_metrics,
+    }
 
 
 if __name__ == "__main__":
-    args = parse_bench_args(__doc__)
-    report = run_kernels(smoke=args.smoke)
-    emit_report(report, _JSON_PATH, args)
-    _assert_floor(report)
+    sys.exit(bench_main("kernels", run_kernels, __doc__))

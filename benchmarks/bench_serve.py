@@ -1,89 +1,56 @@
-"""Serving-layer throughput/latency: micro-batching vs one-at-a-time.
+"""Serve worker pool scaling: one route in-process vs 1 / 2 / 4 workers.
 
-Drives one ``TransformService`` (wrapping the tiny incremental
-transformer, whose decode micro-batches vectorize across requests) with
-1 / 4 / 16 concurrent clients issuing single-row transform requests,
-against a **serial** baseline that executes the same requests through
-direct one-at-a-time ``DTTPipeline`` calls.  Outputs are cross-checked
-against the direct calls before any clock is trusted — the service's
-contract is byte-equivalence, so the speedup columns measure pure
-scheduling.
+No workload of the repo benchmark varies the serve worker count
+(``serve_transform_workers`` fixes it at 2), so this emitter is where the
+process tier is held against the in-process service.  It drives the same
+route — the tiny incremental transformer, whose decode micro-batches
+vectorize across requests — with 16 concurrent clients issuing
+single-row transform requests, first against a
+:class:`~repro.serve.router.ServiceRouter` serving in-process
+(``serve_workers`` 0) and then fronting 1 / 2 / 4 pre-fork worker
+processes.  ``speedup_vs_inprocess`` is live code against live code in
+one run: what the process tier adds over micro-batching alone.
 
-A second section isolates the memoized result cache: the same request
-set replayed against a warm service, where every row is served from the
-content-fingerprinted cache without touching the engine.
+A timed call is one *wave* of distinct requests no earlier wave of that
+configuration sent, so no cache tier ever answers one; every reply of
+every wave is checked against a direct one-at-a-time ``DTTPipeline``
+call before any number is reported — the tier's contract is
+byte-equivalence, so the rows measure pure scheduling.  Rows are timed
+under the emitters' shared protocol (``bench_utils.measure``).
 
-A third section scales **out of the GIL**: the same 16-client request
-set against a :class:`~repro.serve.router.ServiceRouter` fronting
-1 / 2 / 4 pre-fork worker processes, byte-checked against the direct
-pipeline like every other row.  ``speedup_vs_inprocess`` compares each
-worker count to the in-process service at the same concurrency, so it
-isolates what the process tier adds over micro-batching alone.
-
-Results go to ``BENCH_serve.json`` at the repository root.  Run
-directly for the full sweep, or with ``--smoke`` for a seconds-scale
-sanity run that enforces the CI floors (values imported from the
-shared ``repro.obs.manifest.BENCH_FLOORS`` schema): coalesced
-throughput vs the serial baseline at 16 clients, warm-cache replay vs
-the cold run, and the 4-worker process tier vs in-process — the last
-only on hosts actually granting >= 4 cores (starved runners record the
-rows and flag them via the manifest's ``artifact_flags`` instead of
-failing).
-
-``--trace-dump PATH`` records every request through the structured
-tracing layer (``repro.obs.trace``) and writes the collected snapshot
-— the same payload ``GET /debug/traces`` serves — after the sweep, so
-a slow-lane CI failure leaves span-level evidence (queue wait, batch
-execute, engine decode, worker hops) next to the numbers.  Sampling
-defaults to off; committed artifacts are always recorded untraced.
+Results go to ``BENCH_serve.json`` at the repository root.  Run directly
+for the full sweep, or with ``--smoke`` for the CI-gated run; the floor
+(``BENCH_FLOORS["serve"]``) on the 4-worker speedup applies only on
+hosts that grant 4 cores.  What the removed sections of this bench
+measured — coalescing, cache-hit cost, span evidence — are rows of the
+repo benchmark's ``serve_join`` ledger.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
+import itertools
 import random
-import statistics
-import time
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
-from bench_utils import (
-    artifact_path,
-    emit_report,
-    parse_bench_args,
-    stamp_provenance,
-)
-from conftest import persist
+from bench_utils import bench_main, measure
 
 from repro.core.pipeline import DTTPipeline
 from repro.model import ByteSeq2SeqModel
 from repro.model.config import DTTModelConfig
-from repro.obs.manifest import BENCH_FLOORS
-from repro.obs.trace import configure_tracing, get_tracer
-from repro.serve import RouteSpec, ServiceRouter, TransformService
+from repro.serve import RouteSpec, ServiceRouter
 from repro.types import ExamplePair
 from repro.utils.fuzz import random_unicode_string
 
 _SEED = 59
-_N_REQUESTS = 64
-_SMOKE_N_REQUESTS = 32
-_CLIENT_COUNTS = (1, 4, 16)
-_N_TRIALS = 1
+_CLIENTS = 16
+_WAVE_REQUESTS = 64
+_WORKER_COUNTS = (0, 1, 2, 4)
 # Short window: coalescing under load is execution-time-driven (requests
 # queue while the previous batch decodes), so the window only pads the
-# idle tail of a batch — and it is the floor of a warm-cache hit.
+# idle tail of a batch.
 _MAX_WAIT_MS = 2.0
-# Acceptance bars come from the shared schema in repro.obs.manifest so
-# this emitter, reproduce_all.py, and CI can never disagree on them.
-_FLOORS = {spec["metric"]: spec["min"] for spec in BENCH_FLOORS["serve"]}
-_THROUGHPUT_FLOOR_AT_16 = _FLOORS["speedup[clients=16]"]
-_WARM_CACHE_FLOOR = _FLOORS["warm_cache_speedup"]
-_WORKER_COUNTS = (1, 2, 4)
-_MULTIPROCESS_FLOOR_AT_4 = _FLOORS["speedup[serve_workers=4]"]
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 .-_/"
-_JSON_PATH = artifact_path("serve")
 
 _EXAMPLES = [
     ExamplePair("Justin Trudeau", "jtrudeau"),
@@ -91,10 +58,9 @@ _EXAMPLES = [
     ExamplePair("Paul Martin", "pmartin"),
 ]
 
-
 # Tiny width (per-step overhead dominates, which is what cross-request
-# batching amortizes) but a full-length decode budget, so each cold
-# request does realistic work.
+# batching amortizes) but a full-length decode budget, so each request
+# does realistic work.
 _MODEL_CONFIG = DTTModelConfig(
     dim=32,
     n_heads=2,
@@ -107,300 +73,96 @@ _MODEL_CONFIG = DTTModelConfig(
 
 
 def _pipeline() -> DTTPipeline:
-    return DTTPipeline(
-        ByteSeq2SeqModel(_MODEL_CONFIG), n_trials=_N_TRIALS, seed=_SEED
-    )
+    return DTTPipeline(ByteSeq2SeqModel(_MODEL_CONFIG), n_trials=1, seed=_SEED)
 
 
-def _sources(rng: random.Random, count: int) -> list[str]:
-    """Distinct single-row requests (distinct = no cache effects)."""
+def _wave(index: int) -> list[str]:
+    """The ``index``-th wave: requests no other wave contains."""
+    rng = random.Random(_SEED * 100003 + index)
     return [
         random_unicode_string(
             rng, max_length=14, min_length=6, alphabet=_ALPHABET
         )
-        + f"-{i}"
-        for i in range(count)
+        + f"-{index}-{i}"
+        for i in range(_WAVE_REQUESTS)
     ]
 
 
-def _run_clients(
-    service: TransformService, sources: list[str], clients: int
-) -> tuple[list, float, float]:
-    """Submit one request per source from ``clients`` threads.
+def _timed_waves(workers: int, smoke: bool) -> tuple[dict, dict[str, list]]:
+    """Time waves against one configuration; returns (timing, replies)."""
+    replies: dict[str, list] = {}
+    wave_ids = itertools.count()
+    router = ServiceRouter(
+        [RouteSpec("bench", _pipeline)],
+        n_workers=workers,
+        service_kwargs={
+            "max_wait_ms": _MAX_WAIT_MS,
+            "max_queue": 4 * _WAVE_REQUESTS,
+        },
+    )
+    try:
+        with ThreadPoolExecutor(max_workers=_CLIENTS) as clients:
 
-    Returns (per-request results, wall seconds, p50 latency seconds).
-    """
-    latencies: list[float] = [0.0] * len(sources)
-    results: list = [None] * len(sources)
-    tracer = get_tracer()
+            def send_wave() -> None:
+                sources = _wave(next(wave_ids))
+                futures = [
+                    clients.submit(router.transform, [source], _EXAMPLES)
+                    for source in sources
+                ]
+                for source, future in zip(sources, futures):
+                    replies[source] = future.result()
 
-    def one(i: int) -> None:
-        # Root span per request, mirroring what the HTTP tier does.
-        # With sampling off (the default, and the only mode committed
-        # artifacts are recorded in) this is a single unsampled-span
-        # allocation per request — nothing downstream records.
-        span = tracer.start_trace(
-            "bench.request", attributes={"clients": clients, "index": i}
-        )
-        started = time.perf_counter()
-        with tracer.activate(span):
-            results[i] = service.transform([sources[i]], _EXAMPLES)
-        latencies[i] = time.perf_counter() - started
-        span.finish()
-
-    started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=clients) as pool:
-        for future in [pool.submit(one, i) for i in range(len(sources))]:
-            future.result()
-    wall = time.perf_counter() - started
-    return results, wall, statistics.median(latencies)
+            send_wave()  # untimed: workers imported, BLAS warm, threads up
+            timing = measure(send_wave, smoke)
+    finally:
+        router.close()
+    return timing, replies
 
 
-def run_serve_bench(seed: int = _SEED, n_requests: int = _N_REQUESTS) -> dict:
+def run_serve_bench(smoke: bool) -> dict:
     """Run the sweep and return the JSON-serializable report."""
-    rng = random.Random(seed)
-    sources = _sources(rng, n_requests)
-
-    # Serial baseline: the same single-row requests, one direct
-    # pipeline call at a time — the pre-serving execution model.
     direct = _pipeline()
-    started = time.perf_counter()
-    expected = [direct.transform_column([value], _EXAMPLES) for value in sources]
-    serial_seconds = time.perf_counter() - started
-    serial_rps = n_requests / serial_seconds
-
+    expected: dict[str, list] = {}
     rows = []
-    warm_service: TransformService | None = None
-    cold_wall_at_16 = None
-    for clients in _CLIENT_COUNTS:
-        service = TransformService(
-            _pipeline(), max_wait_ms=_MAX_WAIT_MS, max_queue=4 * n_requests
-        )
-        results, wall, p50 = _run_clients(service, sources, clients)
-        assert results == expected, (
-            f"service output diverged from direct pipeline at {clients} clients"
-        )
-        stats = service.stats()
+    for workers in _WORKER_COUNTS:
+        timing, replies = _timed_waves(workers, smoke)
+        for source, reply in replies.items():
+            if source not in expected:
+                expected[source] = direct.transform_column([source], _EXAMPLES)
+            assert reply == expected[source], (
+                f"reply diverged from the direct pipeline at {workers} "
+                f"serve workers: {source!r}"
+            )
+        inprocess = rows[0] if rows else timing
         rows.append(
             {
-                "clients": clients,
-                "requests": n_requests,
-                "seconds": round(wall, 4),
-                "throughput_rps": round(n_requests / wall, 1),
-                "p50_latency_ms": round(p50 * 1000, 2),
-                "batches": stats.batches,
-                "requests_per_batch": round(
-                    stats.batched_requests / max(stats.batches, 1), 2
-                ),
-                "speedup_vs_serial": round(serial_seconds / wall, 2),
-            }
-        )
-        if clients == _CLIENT_COUNTS[-1]:
-            warm_service = service
-            cold_wall_at_16 = wall
-        else:
-            service.close()
-
-    # Warm replay: the same requests against the surviving service —
-    # every row is now a content-fingerprinted cache hit.
-    assert warm_service is not None and cold_wall_at_16 is not None
-    results, warm_wall, warm_p50 = _run_clients(
-        warm_service, sources, _CLIENT_COUNTS[-1]
-    )
-    assert results == expected, "warm-cache replay diverged from direct pipeline"
-    warm_stats = warm_service.stats()
-    warm_service.close()
-    cache = {
-        "requests": n_requests,
-        "cold_seconds": round(cold_wall_at_16, 4),
-        "warm_seconds": round(warm_wall, 4),
-        "warm_p50_latency_ms": round(warm_p50 * 1000, 2),
-        "speedup": round(cold_wall_at_16 / warm_wall, 2),
-        "cache_hits": warm_stats.cache_hits,
-        "cache_misses": warm_stats.cache_misses,
-    }
-
-    # Multi-process axis: the same 16-client workload against a router
-    # fronting N worker processes, compared to the in-process service
-    # at the same concurrency (cold_wall_at_16).
-    multiprocess = []
-    for workers in _WORKER_COUNTS:
-        router = ServiceRouter(
-            [RouteSpec("bench", _pipeline)],
-            n_workers=workers,
-            service_kwargs={
-                "max_wait_ms": _MAX_WAIT_MS,
-                "max_queue": 4 * n_requests,
-            },
-        )
-        try:
-            results, wall, p50 = _run_clients(
-                router, sources, _CLIENT_COUNTS[-1]
-            )
-            assert results == expected, (
-                f"router output diverged from direct pipeline at "
-                f"{workers} workers"
-            )
-        finally:
-            router.close()
-        multiprocess.append(
-            {
                 "serve_workers": workers,
-                "clients": _CLIENT_COUNTS[-1],
-                "requests": n_requests,
-                "seconds": round(wall, 4),
-                "throughput_rps": round(n_requests / wall, 1),
-                "p50_latency_ms": round(p50 * 1000, 2),
-                "speedup_vs_inprocess": round(cold_wall_at_16 / wall, 2),
+                "clients": _CLIENTS,
+                "requests_per_wave": _WAVE_REQUESTS,
+                "waves_checked": len(replies) // _WAVE_REQUESTS,
+                **timing,
+                "throughput_rps": round(_WAVE_REQUESTS / timing["seconds"], 1),
+                "speedup_vs_inprocess": round(
+                    inprocess["seconds"] / timing["seconds"], 2
+                ),
             }
         )
-    return stamp_provenance({
-        "bench": "serve",
-        "seed": seed,
-        "model": "ByteSeq2Seq(dim=32, 2+1 layers, 48-token decode), untrained",
-        "n_trials": _N_TRIALS,
-        "max_wait_ms": _MAX_WAIT_MS,
-        "serial_baseline": {
-            "seconds": round(serial_seconds, 4),
-            "throughput_rps": round(serial_rps, 1),
-        },
-        "rows": rows,
-        "warm_cache": cache,
-        "multiprocess": multiprocess,
-    })
-
-
-def _render(report: dict) -> str:
-    lines = ["Serving layer: coalesced service vs serial pipeline calls"]
-    lines.append(
-        "clients".ljust(9)
-        + "seconds".rjust(9)
-        + "rps".rjust(8)
-        + "p50 ms".rjust(9)
-        + "req/batch".rjust(11)
-        + "speedup".rjust(9)
-    )
-    for row in report["rows"]:
-        lines.append(
-            f"{row['clients']:<9d}{row['seconds']:>9.3f}"
-            f"{row['throughput_rps']:>8.1f}{row['p50_latency_ms']:>9.2f}"
-            f"{row['requests_per_batch']:>11.2f}"
-            f"{row['speedup_vs_serial']:>8.2f}x"
-        )
-    cache = report["warm_cache"]
-    lines.append(
-        f"\nWarm cache: cold {cache['cold_seconds']:.3f}s vs warm "
-        f"{cache['warm_seconds']:.3f}s ({cache['speedup']:.1f}x, "
-        f"p50 {cache['warm_p50_latency_ms']:.2f} ms)"
-    )
-    lines.append("\nMulti-process router at 16 clients vs in-process service")
-    lines.append(
-        "workers".ljust(9)
-        + "seconds".rjust(9)
-        + "rps".rjust(8)
-        + "p50 ms".rjust(9)
-        + "speedup".rjust(9)
-    )
-    for row in report["multiprocess"]:
-        lines.append(
-            f"{row['serve_workers']:<9d}{row['seconds']:>9.3f}"
-            f"{row['throughput_rps']:>8.1f}{row['p50_latency_ms']:>9.2f}"
-            f"{row['speedup_vs_inprocess']:>8.2f}x"
-        )
-    return "\n".join(lines)
-
-
-def _granted_cores() -> int:
-    """Cores the scheduler actually grants (affinity beats cpu_count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # non-Linux
-        return os.cpu_count() or 1
-
-
-def _assert_floors(report: dict) -> None:
-    """The CI acceptance bars shared by the pytest and smoke paths."""
-    by_clients = {row["clients"]: row for row in report["rows"]}
-    # Coalescing must beat serial 2x at 16 clients.
-    assert (
-        by_clients[16]["speedup_vs_serial"] >= _THROUGHPUT_FLOOR_AT_16
-    ), f"serving coalescing regressed below 2x: {by_clients[16]}"
-    # Warm-cache hits must be an order of magnitude cheaper.
-    assert report["warm_cache"]["speedup"] >= _WARM_CACHE_FLOOR, (
-        f"warm-cache replay regressed below 10x: {report['warm_cache']}"
-    )
-    # The process tier must scale on hosts that can actually scale it;
-    # starved runners record the rows and the manifest's artifact_flags
-    # carry the caveat instead of a spurious failure.
-    by_workers = {
-        row["serve_workers"]: row for row in report["multiprocess"]
+    key_metrics = {
+        f"speedup[serve_workers={row['serve_workers']}]": row[
+            "speedup_vs_inprocess"
+        ]
+        for row in rows[1:]
     }
-    if _granted_cores() >= max(_WORKER_COUNTS):
-        assert (
-            by_workers[4]["speedup_vs_inprocess"]
-            >= _MULTIPROCESS_FLOOR_AT_4
-        ), f"multi-process tier regressed below 2x: {by_workers[4]}"
-
-
-def test_bench_serve(results_dir):
-    report = run_serve_bench()
-    _JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    persist(
-        results_dir,
-        "serve",
-        _render(report) + f"\n\n[json written to {_JSON_PATH}]",
-    )
-    _assert_floors(report)
-
-
-def _configure_cli(parser: argparse.ArgumentParser) -> None:
-    """Bench-specific flags on top of the shared ``--smoke``/``--json-out``."""
-    parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=None,
-        help="head-based trace sampling in [0, 1]; defaults to 1.0 "
-        "when --trace-dump is given, else 0.0 (tracing off)",
-    )
-    parser.add_argument(
-        "--trace-dump",
-        type=Path,
-        default=None,
-        help="write the collected trace snapshot (the GET /debug/traces "
-        "payload) to this JSON path after the sweep",
-    )
-
-
-def _dump_traces(path: Path) -> None:
-    """Write the collector snapshot (the /debug/traces payload) to disk."""
-    snapshot = get_tracer().collector.snapshot()
-    path.write_text(json.dumps(snapshot, indent=2) + "\n")
-    print(f"[bench_serve] {snapshot['collected']} traces -> {path}")
+    key_metrics["inprocess_rps"] = rows[0]["throughput_rps"]
+    return {
+        "seed": _SEED,
+        "model": "ByteSeq2Seq(dim=32, 2+1 layers, 48-token decode), untrained",
+        "max_wait_ms": _MAX_WAIT_MS,
+        "needs_cores": max(_WORKER_COUNTS),
+        "rows": rows,
+        "key_metrics": key_metrics,
+    }
 
 
 if __name__ == "__main__":
-    args = parse_bench_args(__doc__, configure=_configure_cli)
-    rate = args.trace_sample_rate
-    if rate is None:
-        rate = 1.0 if args.trace_dump is not None else 0.0
-    if not 0.0 <= rate <= 1.0:
-        raise SystemExit("--trace-sample-rate must be in [0, 1]")
-    if rate > 0.0:
-        # Room for every request in the sweep, not just the default 256.
-        configure_tracing(sample_rate=rate, capacity=4096, slowest=64)
-    if args.smoke:
-        report = run_serve_bench(n_requests=_SMOKE_N_REQUESTS)
-        emit_report(report, _JSON_PATH, args)
-        # Dump before the floor assertions so a failing run still
-        # leaves span-level evidence for CI to archive.
-        if args.trace_dump is not None:
-            _dump_traces(args.trace_dump)
-        # CI-enforced floors (the full bars are asserted by
-        # ``pytest benchmarks/bench_serve.py``, which refreshes the
-        # committed artifact).
-        _assert_floors(report)
-    else:
-        report = run_serve_bench()
-        emit_report(report, _JSON_PATH, args)
-        if args.trace_dump is not None:
-            _dump_traces(args.trace_dump)
+    sys.exit(bench_main("serve", run_serve_bench, __doc__))

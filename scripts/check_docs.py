@@ -9,9 +9,11 @@ Five classes of rot this catches, each a CI failure:
   file's heading anchors (GitHub slug rules).  Links that leave the
   repository (``https://``, the CI badge's ``../../actions/...``) are
   out of scope — we cannot validate the outside world from a checkout.
-* **Undocumented benchmarks** — every committed ``BENCH_*.json``
-  artifact at the repository root must be mentioned by name somewhere
-  in the docs, so a new gated artifact cannot land invisibly.
+* **Undocumented and vanished benchmarks** — every committed
+  ``BENCH_*.json`` artifact at the repository root must be mentioned by
+  name somewhere in the docs, so a new gated artifact cannot land
+  invisibly; and every ``BENCH_<name>.json`` the docs name must exist
+  there, so deleting an artifact cannot leave its docs row behind.
 * **Undocumented endpoints** — every path in
   ``repro.serve.http.PUBLIC_ENDPOINTS`` must appear in
   ``docs/http_api.md``, so the API reference cannot silently lag the
@@ -63,6 +65,7 @@ SOURCE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*\S)\s*$")
 _MD_REF_RE = re.compile(r"[\w./-]*\w\.md\b")
+_BENCH_REF_RE = re.compile(r"\bBENCH_\w+\.json\b")
 #: A metric series named in prose: a serving-registry namespace prefix
 #: and a Prometheus-typed suffix (gauges, which carry no suffix, are
 #: only recognisable in the series table).  ``<backend>`` is the docs'
@@ -138,16 +141,19 @@ def check_links(files: list[Path], root: Path = REPO_ROOT) -> list[str]:
 def check_bench_coverage(
     files: list[Path], root: Path = REPO_ROOT
 ) -> list[str]:
-    """Every committed ``BENCH_*.json`` must be named in the docs."""
+    """Committed ``BENCH_*.json`` artifacts and the docs name each other."""
     corpus = "\n".join(f.read_text() for f in files)
-    problems = []
-    for artifact in sorted(root.glob("BENCH_*.json")):
-        if artifact.name not in corpus:
-            problems.append(
-                f"{artifact.name}: committed benchmark artifact is never "
-                "mentioned in README.md or docs/"
-            )
-    return problems
+    committed = {artifact.name for artifact in root.glob("BENCH_*.json")}
+    named = set(_BENCH_REF_RE.findall(corpus))
+    return [
+        f"{name}: committed benchmark artifact is never mentioned in "
+        "README.md or docs/"
+        for name in sorted(committed - named)
+    ] + [
+        f"{name}: named in README.md or docs/, but no such artifact is "
+        "committed at the repository root"
+        for name in sorted(named - committed)
+    ]
 
 
 def check_endpoint_coverage(root: Path = REPO_ROOT) -> list[str]:

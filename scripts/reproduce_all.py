@@ -1,15 +1,18 @@
 #!/usr/bin/env python
-"""One-command reproduction: every gated bench + the eval tables -> one manifest.
+"""One-command reproduction: benchmark + gated benches + eval -> one manifest.
 
-Re-runs the seven ``BENCH_*.json`` emitters (via their shared
-``--smoke`` / ``--json-out`` CLI) and a scaled-down slice of the eval
-tables, then folds everything into a single machine-readable **run
-manifest** (schema in :mod:`repro.obs.manifest`): environment and host
-provenance, per-bench seeds and key metrics, deltas against the
-committed artifacts at the repository root, per-bench floor verdicts,
-and self-describing flags for committed artifacts whose recorded host
-invalidates a class of claims (e.g. parallel speedups recorded on a
-single-core runner).
+Stage one runs the repo benchmark (``benchmarks/e2e/run.py``, unmodified)
+and reads its ``out/results.json`` back: every workload's ``correct`` /
+``attempted`` / ``failed`` and four end-to-end metrics.  Then the three
+``BENCH_*.json`` emitters that measure what no workload reaches (via
+their shared ``--smoke`` / ``--json-out`` CLI) and a scaled-down slice
+of the eval tables.  Everything is folded into a single machine-readable
+**run manifest** (schema in :mod:`repro.obs.manifest`): environment and
+host provenance, the benchmark block, per-bench seeds and key metrics,
+deltas against the committed artifacts at the repository root, per-bench
+floor verdicts, and self-describing flags for committed artifacts whose
+recorded host invalidates a class of claims (e.g. parallel speedups
+recorded on a single-core runner).
 
 Floor verdicts come from two independent gates: the emitter's own exit
 status and the shared :data:`repro.obs.manifest.BENCH_FLOORS` schema
@@ -25,12 +28,14 @@ Usage::
     python scripts/reproduce_all.py --smoke --out m.json --skip-eval
     python scripts/reproduce_all.py --smoke --against run_manifest.json
 
-Exit status is the manifest verdict: 0 when every bench ran, every
-committed artifact was found, and every floor held; 1 otherwise.  The
-fresh reports are written next to the manifest (``<out>.reports/``) so
-a failing run leaves its evidence behind.  Committed ``BENCH_*.json``
-artifacts are **never** overwritten by this script — refreshing the
-trajectory stays an explicit per-bench act.
+Exit status is the manifest verdict: 0 when the benchmark exited clean
+with every output check passing, every bench ran, every committed
+artifact was found and readable, and every floor held; 1 otherwise.  The
+fresh reports are written next to the manifest (``<out>.reports/``) and
+the benchmark's own output stays in ``benchmarks/e2e/out/``, so a failing
+run leaves its evidence behind.  Committed ``BENCH_*.json`` artifacts
+are **never** overwritten by this script — refreshing the trajectory
+stays an explicit per-bench act.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.obs.manifest import (  # noqa: E402 - path bootstrap above
+    BENCH_FLOORS,
     GATED_BENCHES,
     artifact_flags,
     bench_deltas,
@@ -73,6 +79,48 @@ def _bench_env() -> dict[str, str]:
     return env
 
 
+def _read_json(path: Path) -> dict | None:
+    """The JSON object at ``path``, or ``None`` when it is not one."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+def run_benchmark(smoke: bool) -> dict:
+    """Run the repo benchmark as a subprocess; returns its manifest block.
+
+    ``run.py`` checks its own outputs (brute joiner sample, full-prefix
+    decode, direct pipeline calls and, at full scale, golden digests)
+    and says so per workload in ``out/results.json``; this only reads
+    that back.  A result file left by an earlier run is removed first,
+    so a run that dies before writing one cannot pass on stale numbers.
+    """
+    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    results_path = REPO_ROOT / contract["paths"][0] / "out" / "results.json"
+    results_path.unlink(missing_ok=True)
+    cmd = list(contract["command"]) + (["--smoke"] if smoke else [])
+    print(f"[reproduce] benchmark: {' '.join(cmd)}", flush=True)
+    proc = subprocess.run(cmd, cwd=REPO_ROOT)
+    results = _read_json(results_path) or {}
+    workloads = {}
+    for name, outcome in (results.get("workloads") or {}).items():
+        run = outcome["end_to_end"]
+        workloads[name] = {
+            "correct": run["correct"],
+            "attempted": run["attempted"],
+            "failed": run["failed"],
+            "metrics": {m: v["value"] for m, v in run["metrics"].items()},
+        }
+    return {
+        "exit_code": proc.returncode,
+        "git_commit": results.get("git_commit"),
+        "seed": results.get("seed"),
+        "workloads": workloads,
+    }
+
+
 def run_bench(
     name: str, smoke: bool, report_dir: Path, cores: int | None = None
 ) -> dict:
@@ -80,25 +128,19 @@ def run_bench(
 
     The emitter writes its fresh report to ``report_dir`` via
     ``--json-out`` (which never touches the committed artifact) and
-    enforces its own smoke floors by exit status — the report is
-    emitted *before* the floor assertions, so a floor regression still
-    leaves the numbers behind for the delta section.  On top of the
-    emitter's exit status, the :data:`~repro.obs.manifest.BENCH_FLOORS`
-    schema is re-applied here to the fresh key metrics, so the manifest
-    records *which* bar failed (or was skipped on a starved host), not
-    just that the subprocess exited non-zero.
-
-    The serve bench additionally records a full trace dump
-    (``serve_traces.json`` next to the fresh reports) so a slow-lane
-    failure leaves span-level evidence behind for CI to archive.
+    enforces its own floors by exit status — the report is emitted
+    *before* the floors are judged, so a floor regression still leaves
+    the numbers behind for the delta section.  On top of the emitter's
+    exit status, the :data:`~repro.obs.manifest.BENCH_FLOORS` schema is
+    re-applied here to the fresh key metrics, so the manifest records
+    *which* bar failed (or was skipped on a starved host), not just that
+    the subprocess exited non-zero.
     """
     script = REPO_ROOT / "benchmarks" / f"bench_{name}.py"
     report_path = report_dir / f"BENCH_{name}.json"
     cmd = [sys.executable, str(script), "--json-out", str(report_path)]
     if smoke:
         cmd.append("--smoke")
-    if name == "serve":
-        cmd += ["--trace-dump", str(report_dir / "serve_traces.json")]
     print(f"[reproduce] {name}: {' '.join(cmd[1:])}", flush=True)
     proc = subprocess.run(
         cmd,
@@ -107,18 +149,13 @@ def run_bench(
         capture_output=True,
         text=True,
     )
-    block: dict = {"ran": False, "committed_found": False}
-    report: dict | None = None
-    if report_path.exists():
-        try:
-            report = json.loads(report_path.read_text())
-        except json.JSONDecodeError:
-            report = None
+    block: dict = {"ran": False, "committed_artifact": "missing"}
+    report = _read_json(report_path)
     if report is not None:
         block["ran"] = True
         block["seed"] = report.get("seed")
-        block["metrics"] = key_metrics(name, report)
-        block["flags"] = artifact_flags(name, report)
+        block["metrics"] = key_metrics(report)
+        block["flags"] = artifact_flags(report)
         block["provenance"] = report.get("provenance")
     schema = check_floors(name, block.get("metrics") or {}, cores=cores)
     emitter_ok = proc.returncode == 0 and report is not None
@@ -136,21 +173,24 @@ def run_bench(
     }
 
     committed_path = REPO_ROOT / f"BENCH_{name}.json"
-    if committed_path.exists():
-        committed = json.loads(committed_path.read_text())
-        committed_metrics = key_metrics(name, committed)
-        block["committed_found"] = True
-        block["committed"] = {
-            "metrics": committed_metrics,
-            "provenance": committed.get("provenance"),
-            "flags": artifact_flags(name, committed),
-        }
-        if report is not None:
-            deltas = bench_deltas(block["metrics"], committed_metrics)
-            deltas["scale_matches_committed"] = not (
-                deltas["only_current"] or deltas["only_committed"]
-            )
-            block["deltas"] = deltas
+    committed = _read_json(committed_path)
+    if committed is None:
+        if committed_path.exists():
+            block["committed_artifact"] = "unreadable"
+        return block
+    committed_metrics = key_metrics(committed)
+    block["committed_artifact"] = "found"
+    block["committed"] = {
+        "metrics": committed_metrics,
+        "provenance": committed.get("provenance"),
+        "flags": artifact_flags(committed),
+    }
+    if report is not None:
+        deltas = bench_deltas(block["metrics"], committed_metrics)
+        deltas["scale_matches_committed"] = not (
+            deltas["only_current"] or deltas["only_committed"]
+        )
+        block["deltas"] = deltas
     return block
 
 
@@ -181,24 +221,29 @@ def _render_summary(manifest: dict) -> str:
         f"{manifest['environment']['platform']} "
         f"[{manifest['environment']['cpu_affinity']} cores granted]"
     ]
+    for name, outcome in manifest["benchmark"]["workloads"].items():
+        checks = (
+            f"{outcome['attempted']} checks ok"
+            if outcome["correct"]
+            else f"{outcome['failed']} of {outcome['attempted']} CHECKS FAILED"
+        )
+        metrics = "  ".join(
+            f"{metric} {value:.4g}"
+            for metric, value in outcome["metrics"].items()
+        )
+        lines.append(f"  {name:<24s} {checks}  {metrics}")
     for name, block in manifest["benches"].items():
         if not block.get("ran"):
             lines.append(f"  {name:<14s} DID NOT RUN")
             continue
         floors = "ok" if block["floors"]["passed"] else "FLOOR FAILED"
-        deltas = block.get("deltas", {}).get("metrics", {})
-        headline = deltas.get("headline")
-        delta_note = (
-            f" headline {headline['current']:.2f}x vs committed "
-            f"{headline['committed']:.2f}x"
-            if headline
-            else ""
-        )
         flag_note = ""
         flags = (block.get("committed") or {}).get("flags") or []
         if flags:
             flag_note = f"  [committed artifact flags: {'; '.join(flags)}]"
-        lines.append(f"  {name:<14s} {floors}{delta_note}{flag_note}")
+        lines.append(
+            f"  {name:<14s} {floors}  {block['floors']['detail']}{flag_note}"
+        )
     for row in manifest["eval"]:
         lines.append(
             f"  eval {row['dataset']:<9s} {row['method']}: "
@@ -212,14 +257,14 @@ def _render_summary(manifest: dict) -> str:
             f"({trends['against_mode']}){note}"
         )
         for name, block in trends["benches"].items():
-            headline = block["metrics"].get("headline")
-            if headline is None:
-                continue
-            lines.append(
-                f"  {name:<14s} headline {headline['current']:.2f}x "
-                f"was {headline['previous']:.2f}x "
-                f"(delta {headline['delta']:+.2f})"
-            )
+            for spec in BENCH_FLOORS[name]:
+                row = block["metrics"].get(spec["metric"])
+                if row is None:
+                    continue
+                lines.append(
+                    f"  {name:<14s} {spec['metric']} {row['current']:.2f} "
+                    f"was {row['previous']:.2f} (delta {row['delta']:+.2f})"
+                )
     verdict = manifest["verdict"]
     lines.append(
         "VERDICT: PASS"
@@ -277,6 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     selected = args.bench or list(GATED_BENCHES)
     environment = provenance()
 
+    benchmark = run_benchmark(args.smoke)
     benches = {
         name: run_bench(
             name,
@@ -296,6 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = build_manifest(
         run_id=new_run_id(),
         environment=environment,
+        benchmark=benchmark,
         benches=benches,
         eval_rows=eval_rows,
         mode="smoke" if args.smoke else "full",

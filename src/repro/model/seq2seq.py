@@ -182,8 +182,8 @@ class ByteSeq2SeqModel:
         """Greedy decoding that re-decodes the full prefix every step.
 
         The pre-engine O(T²) reference path: kept for the equivalence
-        suite (``tests/test_generation.py``) and as the baseline of
-        ``benchmarks/bench_generate.py``.
+        suite (``tests/test_generation.py``) and as the reference the
+        repo benchmark's ``offline_transform`` workload checks against.
         """
         if not prompts:
             return []

@@ -19,7 +19,8 @@ Three design constraints shape everything here:
   root, so ``X-Repro-Trace-Id`` and log correlation still work) and
   every child-span call short-circuits to the shared :data:`NULL_SPAN`
   — no allocation, no clock reads, no lock traffic on the request
-  path.  ``BENCH_serve.json`` holds the serving tier to this.
+  path.  The repo benchmark's ``obs.tracing_overhead_share`` row
+  (``serve_join``) measures what sampling costs when it is on.
 * **Errors always surface.**  Whatever the sample rate, a trace whose
   root finishes with ``status="error"`` (5xx responses, deadline
   breaches, worker crashes) is committed to the collector — root-only

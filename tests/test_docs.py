@@ -112,6 +112,16 @@ class TestBrokenDocsAreCaught:
         )
         assert len(problems) == 1
         assert "BENCH_orphan.json" in problems[0]
+        # ... and the other way round: a docs row whose artifact is gone.
+        (fake_repo / "docs" / "operations.md").write_text(
+            "# Ops\n| `BENCH_orphan.json` | kept |\n| `BENCH_gone.json` | x |\n"
+        )
+        assert check_docs.check_bench_coverage(
+            check_docs.collect_doc_files(fake_repo), fake_repo
+        ) == [
+            "BENCH_gone.json: named in README.md or docs/, but no such "
+            "artifact is committed at the repository root"
+        ]
 
     def test_missing_required_page_fails(self, fake_repo):
         (fake_repo / "docs" / "operations.md").unlink()

@@ -4,12 +4,16 @@ The metrics side enforces the scrape contract: fixed log-spaced
 buckets, cumulative ``le`` semantics, callback-backed counters that
 never double-count, and a Prometheus text rendering a real scraper can
 parse.  The manifest side enforces the reproduction contract: key
-metrics extracted under stable labels, deltas that never silently
+metrics read from the report's own block, deltas that never silently
 shrink, self-describing artifact flags, and a verdict that fails on
 every regression class ``reproduce_all.py`` exists to catch.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -191,34 +195,19 @@ class TestProvenance:
 
 
 class TestKeyMetrics:
-    def test_per_bench_extraction(self):
-        generate = {"rows": [{"mode": "batched", "speedup": 3.5}]}
-        assert key_metrics("generate", generate) == {
-            "speedup[mode=batched]": 3.5,
-            "headline": 3.5,
+    def test_returns_the_reports_own_block(self):
+        report = {
+            "rows": [{"workers": 4, "speedup_vs_serial": 9.9}],
+            "key_metrics": {"speedup[workers=4]": 1.4, "pairs": 3},
         }
-        join_parallel = {
-            "rows": [
-                {"workers": 2, "speedup_vs_serial": 1.1},
-                {"workers": 4, "speedup_vs_serial": 1.4},
-            ],
-            "disk_cache": [{"speedup": 9.0}],
-        }
-        metrics = key_metrics("join_parallel", join_parallel)
-        assert metrics["speedup[workers=4]"] == 1.4
-        assert metrics["headline"] == 1.4
-        assert metrics["disk_warm_speedup"] == 9.0
-        serve = {
-            "rows": [{"clients": 16, "speedup_vs_serial": 2.5}],
-            "warm_cache": {"speedup": 40.0},
-        }
-        metrics = key_metrics("serve", serve)
-        assert metrics["headline"] == 2.5
-        assert metrics["warm_cache_speedup"] == 40.0
+        assert key_metrics(report) == {"speedup[workers=4]": 1.4, "pairs": 3.0}
 
     def test_unknown_bench_or_empty_report_is_a_hole_not_a_crash(self):
-        assert key_metrics("nope", {"rows": [{"speedup": 2.0}]}) == {}
-        assert key_metrics("generate", {}) == {}
+        # Nothing is derived from a report's rows: without a block of
+        # its own a report contributes no metrics, whatever it is.
+        assert key_metrics({"bench": "nope", "rows": [{"speedup": 2.0}]}) == {}
+        assert key_metrics({}) == {}
+        assert key_metrics({"key_metrics": ["not", "a", "mapping"]}) == {}
 
 
 class TestBenchDeltas:
@@ -239,70 +228,115 @@ class TestBenchDeltas:
 
 class TestArtifactFlags:
     def test_starved_parallel_artifact_is_flagged(self):
+        # The shape the 1-core recordings had: rows up to 4 workers.
         report = {
             "provenance": {"cpu_count": 1, "cpu_affinity": 1},
-            "rows": [{"workers": 2}, {"workers": 4}],
+            "needs_cores": 4,
         }
-        flags = artifact_flags("join_parallel", report)
-        assert flags == [
-            "recorded_with_1_cores_for_4_workers:"
-            "_parallel_speedups_measure_shard_locality_only"
+        assert artifact_flags(report) == [
+            "recorded_with_1_cores_for_rows_needing_4:"
+            "_parallel_speedups_do_not_measure_parallelism"
         ]
 
     def test_well_provisioned_artifact_is_clean(self):
         report = {
             "provenance": {"cpu_count": 8, "cpu_affinity": 8},
-            "rows": [{"workers": 4}],
+            "needs_cores": 4,
         }
-        assert artifact_flags("join_parallel", report) == []
-
-    def test_legacy_top_level_cpu_count_is_honoured(self):
-        report = {"cpu_count": 1, "rows": [{"workers": 4}]}
-        assert artifact_flags("join_parallel", report)
+        assert artifact_flags(report) == []
 
     def test_missing_provenance_is_itself_a_flag(self):
-        assert artifact_flags("generate", {}) == ["no_host_provenance"]
+        assert artifact_flags({}) == ["no_host_provenance"]
 
     def test_single_core_serve_artifact_is_flagged(self):
-        report = {"provenance": {"cpu_affinity": 1}}
-        assert artifact_flags("serve", report) == [
-            "recorded_on_single_core_host:_client_threads_share_one_core"
+        # Affinity, not the raw count, is what the scheduler grants.
+        report = {
+            "provenance": {"cpu_count": 8, "cpu_affinity": 1},
+            "needs_cores": 2,
+        }
+        assert artifact_flags(report) == [
+            "recorded_with_1_cores_for_rows_needing_2:"
+            "_parallel_speedups_do_not_measure_parallelism"
         ]
+        # A report that needs one core is clean on any host.
+        assert artifact_flags({"provenance": {"cpu_affinity": 1}}) == []
 
 
 def _passing_block() -> dict:
     return {
         "ran": True,
-        "committed_found": True,
+        "committed_artifact": "found",
         "floors": {"passed": True, "detail": ""},
+    }
+
+
+def _passing_benchmark() -> dict:
+    def workload(attempted: int) -> dict:
+        return {
+            "correct": True,
+            "attempted": attempted,
+            "failed": 0,
+            "metrics": {"rows_per_s": 90.0, "p50_ms": 15.0},
+        }
+
+    return {
+        "exit_code": 0,
+        "workloads": {"offline_join": workload(25), "serve_join": workload(74)},
     }
 
 
 class TestBuildManifest:
     def test_all_green_verdict_passes(self):
         benches = {name: _passing_block() for name in GATED_BENCHES}
-        manifest = build_manifest("run-1", provenance(), benches, mode="smoke")
+        manifest = build_manifest(
+            "run-1", provenance(), _passing_benchmark(), benches, mode="smoke"
+        )
         assert manifest["verdict"] == {"passed": True, "failures": []}
         assert manifest["manifest_version"] == MANIFEST_VERSION
+        assert manifest["benchmark"] == _passing_benchmark()
 
     def test_every_regression_class_fails_the_verdict(self):
         benches = {name: _passing_block() for name in GATED_BENCHES}
-        benches["generate"]["ran"] = False
-        benches["join_batch"]["committed_found"] = False
+        benches["kernels"]["ran"] = False
+        benches["join_parallel"]["committed_artifact"] = "unreadable"
         benches["serve"]["floors"] = {"passed": False, "detail": "2x floor"}
-        del benches["join_scaling"]  # absent entirely
-        manifest = build_manifest("run-2", {}, benches)
+        manifest = build_manifest("run-2", {}, _passing_benchmark(), benches)
         failures = manifest["verdict"]["failures"]
         assert manifest["verdict"]["passed"] is False
-        assert "bench generate: did not run" in failures
-        assert "bench join_scaling: did not run" in failures
-        assert "bench join_batch: committed artifact missing" in failures
+        assert "bench kernels: did not run" in failures
+        assert "bench join_parallel: committed artifact unreadable" in failures
         assert "bench serve: floor check failed (2x floor)" in failures
+        del benches["serve"]  # absent entirely
+        del benches["join_parallel"]["committed_artifact"]
+        failures = build_manifest("run-2", {}, _passing_benchmark(), benches)[
+            "verdict"
+        ]["failures"]
+        assert "bench serve: did not run" in failures
+        assert "bench join_parallel: committed artifact missing" in failures
+
+    @pytest.mark.parametrize(
+        ("damage", "failure"),
+        [
+            (
+                {"workloads": {"serve_join": {
+                    "correct": False, "attempted": 74, "failed": 2}}},
+                "repo benchmark serve_join: 2 of 74 output checks failed",
+            ),
+            ({"workloads": {}}, "repo benchmark: no results.json"),
+            ({"exit_code": 1}, "repo benchmark: exited with 1"),
+        ],
+    )
+    def test_benchmark_block_fails_the_verdict(self, damage, failure):
+        benches = {name: _passing_block() for name in GATED_BENCHES}
+        benchmark = {**_passing_benchmark(), **damage}
+        verdict = build_manifest("run-4", {}, benchmark, benches)["verdict"]
+        assert verdict == {"passed": False, "failures": [failure]}
 
     def test_save_load_round_trip(self, tmp_path):
         manifest = build_manifest(
             "run-3",
             provenance(),
+            _passing_benchmark(),
             {name: _passing_block() for name in GATED_BENCHES},
             eval_rows=[{"dataset": "WT", "f1": 0.9}],
         )
@@ -311,8 +345,10 @@ class TestBuildManifest:
         assert load_manifest(path) == manifest
 
     def test_version_mismatch_refuses_to_load(self, tmp_path):
+        # Version 1 had no benchmark block; trending against one would
+        # compare a run that was checked with one that was not.
         path = tmp_path / "old.json"
-        save_manifest({"manifest_version": 0}, path)
+        save_manifest({"manifest_version": 1}, path)
         with pytest.raises(ValueError, match="version"):
             load_manifest(path)
 
@@ -404,22 +440,23 @@ class TestCheckFloors:
     def test_below_floor_fails_with_detail(self):
         result = check_floors("kernels", {"mpairs_per_s": 0.1})
         assert result["passed"] is False
-        assert "0.10 < floor 0.36" in result["detail"]
+        assert "0.10 < floor 0.32" in result["detail"]
 
     def test_min_cores_unmet_skips_instead_of_failing(self):
         # A starved host recording speedup 0.5 must not fail the gated
         # bar it could never meet — the floor is skipped with a reason.
         result = check_floors(
             "join_parallel",
-            {"speedup[workers=4]": 0.5, "disk_warm_speedup": 1.2},
+            {"speedup[workers=4]": 0.5, "speedup[workers=2]": 0.5},
             cores=1,
         )
         assert result["passed"] is True
         assert any("needs >= 4 cores" in s for s in result["skipped"])
+        assert any("needs >= 2 cores" in s for s in result["skipped"])
 
     def test_absent_metric_is_a_skip_not_a_regression(self):
         result = check_floors(
-            "serve", {"speedup[clients=16]": 3.0}, cores=16
+            "join_parallel", {"speedup[workers=4]": 3.0}, cores=16
         )
         assert result["passed"] is True
         assert len(result["checked"]) == 1
@@ -471,18 +508,65 @@ class TestManifestTrends:
             "run_id": "b",
             "mode": "smoke",
             "benches": {
-                "serve": {"metrics": {"warm_cache_speedup": 30.0}}
+                "serve": {"metrics": {"inprocess_rps": 300.0}}
             },
         }
         prev = {
             "run_id": "a",
             "mode": "smoke",
             "benches": {
-                "serve": {"metrics": {"speedup[clients=16]": 3.0}}
+                "serve": {"metrics": {"speedup[serve_workers=4]": 3.0}}
             },
         }
         trends = manifest_trends(cur, prev)
         block = trends["benches"]["serve"]
         assert block["metrics"] == {}
-        assert block["only_current"] == ["warm_cache_speedup"]
-        assert block["only_previous"] == ["speedup[clients=16]"]
+        assert block["only_current"] == ["inprocess_rps"]
+        assert block["only_previous"] == ["speedup[serve_workers=4]"]
+
+
+_FAKE_EMITTER = """\
+import json, sys
+path = sys.argv[sys.argv.index("--json-out") + 1]
+report = {"seed": 1, "key_metrics": {}, "provenance": {"cpu_affinity": 1}}
+open(path, "w").write(json.dumps(report))
+"""
+
+
+class TestReproduceAll:
+    """``scripts/reproduce_all.py`` over a fake repo of trivial emitters."""
+
+    @pytest.fixture()
+    def reproduce_all(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "reproduce_all",
+            Path(__file__).resolve().parent.parent
+            / "scripts"
+            / "reproduce_all.py",
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        (tmp_path / "benchmarks").mkdir()
+        for name in GATED_BENCHES:
+            script = tmp_path / "benchmarks" / f"bench_{name}.py"
+            script.write_text(_FAKE_EMITTER)
+            (tmp_path / f"BENCH_{name}.json").write_text('{"key_metrics": {}}')
+        monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(
+            module, "run_benchmark", lambda smoke: _passing_benchmark()
+        )
+        return module
+
+    def test_truncated_committed_artifact_is_a_verdict_line(
+        self, reproduce_all, tmp_path, capsys
+    ):
+        out = tmp_path / "manifest.json"
+        argv = ["--smoke", "--skip-eval", "--out", str(out)]
+        assert reproduce_all.main(argv) == 0
+        (tmp_path / "BENCH_serve.json").write_text('{"key_metrics": {"spe')
+        assert reproduce_all.main(argv) == 1
+        verdict = json.loads(out.read_text())["verdict"]
+        assert verdict["failures"] == [
+            "bench serve: committed artifact unreadable"
+        ]
+        assert "VERDICT: FAIL" in capsys.readouterr().out
