@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs link-and-freshness check: the ``docs/`` site must stay true.
 
-Five classes of rot this catches, each a CI failure:
+Six classes of rot this catches, each a CI failure:
 
 * **Dead links** — every relative markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to a file inside the repository, and a
@@ -28,6 +28,11 @@ Five classes of rot this catches, each a CI failure:
   registry emits must have a row in the series table of
   ``docs/observability.md``, so a renamed or dropped counter fails
   here instead of rotting in the prose.
+* **Vanished methods** — every ``EditDistanceJoiner.<name>``,
+  ``IndexedJoiner.<name>``, ``QGramIndex.<name>`` and
+  ``KernelBackend.<name>`` that the docs (and the verify skill page
+  under ``.claude/skills/``) write in backticks must resolve with
+  ``getattr`` on the class, so a deleted method cannot stay documented.
 
 Usage::
 
@@ -75,6 +80,8 @@ _SERIES_RE = re.compile(
 )
 #: The first cell of a series-table row: ``| `name` | ...``.
 _SERIES_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_<>]+)`\s*\|", re.M)
+#: Read beside the docs site by the member check only.
+VERIFY_SKILL = Path(".claude") / "skills" / "verify" / "SKILL.md"
 
 
 def collect_doc_files(root: Path = REPO_ROOT) -> list[Path]:
@@ -244,6 +251,32 @@ def check_metric_series(
     return problems
 
 
+def check_documented_members(
+    files: list[Path], root: Path = REPO_ROOT
+) -> list[str]:
+    """Every backticked ``<JoinClass>.<name>`` must exist on the class."""
+    from repro.core.joiner import EditDistanceJoiner
+    from repro.index import IndexedJoiner, KernelBackend, QGramIndex
+
+    owners = {
+        cls.__name__: cls
+        for cls in (EditDistanceJoiner, IndexedJoiner, QGramIndex, KernelBackend)
+    }
+    member = re.compile(rf"\b({'|'.join(owners)})\.(\w+)")
+    problems = []
+    for doc in files:
+        # Odd segments of a split on backticks are the code spans
+        # (wrapped spans and fenced blocks included).
+        spans = "\n".join(doc.read_text().split("`")[1::2])
+        problems += [
+            f"{doc.relative_to(root)}: names {owner}.{name}, which does "
+            "not exist"
+            for owner, name in sorted(set(member.findall(spans)))
+            if not hasattr(owners[owner], name)
+        ]
+    return problems
+
+
 def check_required_pages(root: Path = REPO_ROOT) -> list[str]:
     """The pages the README promises must exist."""
     return [
@@ -262,6 +295,10 @@ def run_all(root: Path = REPO_ROOT) -> list[str]:
     problems += check_endpoint_coverage(root)
     problems += check_source_references(root)
     problems += check_metric_series(files, root)
+    skill = root / VERIFY_SKILL
+    problems += check_documented_members(
+        files + [skill] if skill.is_file() else files, root
+    )
     return problems
 
 

@@ -19,12 +19,12 @@ query surface (configured through :class:`~repro.core.JoinConfig`):
   :meth:`~EditDistanceJoiner.topk_join_many` — ranked candidate sets
   over *distinct* target values with calibrated margin abstention;
 * :meth:`~EditDistanceJoiner.reverse_many` — which probes resolve to
-  each target row (shared inversion of the forward join);
-* :meth:`~EditDistanceJoiner.join_composite` — multi-column composite
-  keys matched by per-column distance aggregation.
+  each target row (shared inversion of the forward join).
 
 The brute implementations here define the contract; the blocked and
-parallel engines must stay byte-identical.
+parallel engines must stay byte-identical.  The bounded many-to-many
+form, :meth:`~EditDistanceJoiner.match_many`, exists only here: every
+joiner answers it by this reference scan.
 """
 
 from __future__ import annotations
@@ -341,112 +341,20 @@ class EditDistanceJoiner:
         """
         return invert_matches(self.join_many(probes, targets), targets)
 
-    # ------------------------------------------------------------------
-    # Composite (multi-column) keys
-    # ------------------------------------------------------------------
-
-    def join_composite(
-        self,
-        probes: Sequence[Sequence[str]],
-        target_columns: Sequence[Sequence[str]],
-    ) -> list[tuple[int | None, int]]:
-        """Join composite probes against aligned target columns.
-
-        Each probe is a tuple with one component per target column
-        (``(title, issn)``-style).  A row's distance is the **sum** of
-        per-column edit distances; the earliest row with the minimum
-        sum wins.  Thresholds generalize naturally: ``max_distance``
-        caps the summed distance and ``normalized_threshold`` divides
-        it by the matched row's total tuple length (see
-        :meth:`_apply_composite_thresholds`).  A probe whose components
-        are all empty abstains with ``(None, 0)``.
-
-        Returns ``(matched_row_index | None, summed_distance)`` per
-        probe.  This literal reference scan defines the contract for
-        the blocked/parallel overrides.
-        """
-        columns = self._validate_composite(probes, target_columns)
-        n_rows = len(columns[0])
-        sentinel = 1 + sum(
-            max((len(value) for value in column), default=0) for column in columns
-        )
-        results: list[tuple[int | None, int]] = []
-        for probe in probes:
-            parts = tuple(probe)
-            if all(part == "" for part in parts):
-                results.append((None, 0))
-                continue
-            best_row = 0
-            best_sum = sentinel + sum(len(part) for part in parts)
-            for row in range(n_rows):
-                total = 0
-                for part, column in zip(parts, columns, strict=True):
-                    value = column[row]
-                    total += edit_distance_capped(
-                        part, value, max(len(part), len(value))
-                    )
-                    if total >= best_sum:
-                        break
-                if total < best_sum:
-                    best_sum, best_row = total, row
-                    if best_sum == 0:
-                        break
-            matched_length = sum(len(column[best_row]) for column in columns)
-            results.append(
-                self._apply_composite_thresholds(best_row, best_sum, matched_length)
-            )
-        return results
-
-    def _apply_composite_thresholds(
-        self, best_row: int, best_sum: int, matched_length: int
-    ) -> tuple[int | None, int]:
-        """Composite analogue of :meth:`_apply_thresholds`.
-
-        ``max_distance`` rejects on the summed distance;
-        ``normalized_threshold`` divides the sum by the matched row's
-        total tuple length.  Shared by every strategy so composite
-        rejection semantics live in exactly one place.
-        """
-        if self.max_distance is not None and best_sum > self.max_distance:
-            return None, best_sum
-        if self.normalized_threshold is not None:
-            denominator = max(matched_length, 1)
-            if best_sum / denominator > self.normalized_threshold:
-                return None, best_sum
-        return best_row, best_sum
-
-    @staticmethod
-    def _validate_composite(
-        probes: Sequence[Sequence[str]],
-        target_columns: Sequence[Sequence[str]],
-    ) -> list[tuple[str, ...]]:
-        """Shared argument checks for :meth:`join_composite`."""
-        if not target_columns:
-            raise JoinError("composite join needs at least one target column")
-        columns = [tuple(column) for column in target_columns]
-        n_rows = len(columns[0])
-        if n_rows == 0:
-            raise JoinError("cannot join into an empty target column")
-        if any(len(column) != n_rows for column in columns):
-            raise JoinError("composite target columns must be aligned")
-        arity = len(columns)
-        for probe in probes:
-            if len(probe) != arity:
-                raise JoinError(
-                    f"composite probe arity {len(probe)} does not match "
-                    f"{arity} target column(s)"
-                )
-        return columns
-
     def match_many(
         self, predicted: str, targets: Sequence[str], lower: int = 0, upper: int = 0
     ) -> list[tuple[str, int]]:
         """Return every target within ``[lower, upper]`` edit distance.
 
         Supports the paper's many-to-many generalization of Eq. 5 where a
-        source row may match zero or several target rows.
+        source row may match zero or several target rows: one entry per
+        matching *row* (duplicate values repeat), ordered by distance,
+        then row.  The blocked joiners inherit this scan unchanged.
         """
-        self._validate_many(targets, lower, upper)
+        if not targets:
+            raise JoinError("cannot join into an empty target column")
+        if lower > upper:
+            raise ValueError(f"lower ({lower}) must be <= upper ({upper})")
         matches: list[tuple[str, int]] = []
         if predicted == "":
             return matches
@@ -456,14 +364,6 @@ class EditDistanceJoiner:
                 matches.append((candidate, distance))
         matches.sort(key=lambda item: item[1])
         return matches
-
-    @staticmethod
-    def _validate_many(targets: Sequence[str], lower: int, upper: int) -> None:
-        """Shared argument checks for :meth:`match_many` and overrides."""
-        if not targets:
-            raise JoinError("cannot join into an empty target column")
-        if lower > upper:
-            raise ValueError(f"lower ({lower}) must be <= upper ({upper})")
 
     def close(self) -> None:
         """Release execution resources; a no-op for the scalar scan.

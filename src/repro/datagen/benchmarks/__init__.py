@@ -13,7 +13,7 @@ Eight datasets, via :func:`repro.datagen.benchmarks.registry.get_dataset`:
 * ``Syn-RV`` — full reversal (hard; unseen unit).
 * ``JAB`` — journal-abbreviation joins with ADS-style noise (dotted
   truncations, initialisms, dropped stopwords, ligature/case variants)
-  and aligned ISSN metadata columns for composite-key queries.
+  and aligned ISSN metadata columns.
 """
 
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset

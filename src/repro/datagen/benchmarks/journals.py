@@ -17,10 +17,12 @@ noise profiles those corpora actually exhibit:
   ligature substitutions (``fi`` → ``ﬁ``), the OCR-flavoured residue.
 
 Every table also carries aligned ISSN columns in ``metadata``
-(``source_issns`` / ``target_issns``) so the composite-key join — the
-``(title, issn)`` two-column query — can be exercised on a dataset
-where the second column genuinely disambiguates: source ISSNs carry
-occasional digit typos, canonical ISSNs are clean.
+(``source_issns`` / ``target_issns``): source ISSNs carry occasional
+digit typos, canonical ISSNs are clean.  No join reads them — Eq. 5 is
+one column against one column — but their draws are part of the seeded
+stream every JAB table comes from, and so of the benchmark's golden
+output digests: removing them would shift every later draw in the
+table.
 """
 
 from __future__ import annotations
@@ -196,8 +198,7 @@ def build_journals(
         seed: Base seed.
         n_tables: Number of table pairs (profiles cycle round-robin).
         rows: Rows per table, capped by the title pool size.
-        issn_typo_rate: Fraction of source ISSNs carrying a digit typo
-            (the composite-key noise channel).
+        issn_typo_rate: Fraction of source ISSNs carrying a digit typo.
     """
     profile_names = list(PROFILES)
     tables: list[TablePair] = []

@@ -10,7 +10,7 @@ column:
   candidate set for any distance cap.
 * :mod:`repro.index.kernel` — :func:`edit_distance_pairs`, the whole
   kernel contract: a capped DP over (query, candidate) pairs, kept plain
-  because it is the oracle (:func:`edit_distance_many` adapts one query).
+  because it is the oracle.
 * :mod:`repro.index.kernels` — pluggable backends for that one function
   (Myers bit-parallel, Ukkonen banded, per-call auto dispatch),
   selected via ``JoinConfig.kernel_backend`` or the
@@ -44,11 +44,7 @@ from repro.index.cache import (
     default_index_cache,
 )
 from repro.index.joiner import AutoJoiner, IndexedJoiner, make_joiner
-from repro.index.kernel import (
-    edit_distance_many,
-    edit_distance_pairs,
-    encode_strings,
-)
+from repro.index.kernel import edit_distance_pairs, encode_strings
 from repro.index.kernels import (
     KernelBackend,
     get_backend,
@@ -69,7 +65,6 @@ __all__ = [
     "adaptive_q",
     "column_fingerprint",
     "default_index_cache",
-    "edit_distance_many",
     "edit_distance_pairs",
     "encode_strings",
     "get_backend",

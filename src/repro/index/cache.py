@@ -81,7 +81,9 @@ CACHE_MAX_BYTES_ENV = "REPRO_INDEX_CACHE_MAX_BYTES"
 
 #: Bump when the :meth:`QGramIndex.to_state` layout changes; files
 #: stamped with any other version are ignored and rebuilt in place.
-DISK_FORMAT_VERSION = 1
+#: Version 2 carries ``first_rows`` where version 1 carried every row
+#: of every value (``rows_flat`` / ``rows_offsets``).
+DISK_FORMAT_VERSION = 2
 
 
 def column_fingerprint(targets: Sequence[str], q: int) -> str:

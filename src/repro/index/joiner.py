@@ -26,9 +26,7 @@ Two layers amortize that work across a whole source column:
   one dictionary lookup each (argmin only), buckets the remaining
   probes by length, and runs candidate generation and the pair DP
   kernel per bucket — one kernel sweep per (bucket, cap) round instead
-  of one per probe.  Cap deepening **reuses scores**: the cap-1 round
-  scores its candidates with a cap-2 kernel, so the cap-2 round scores
-  only the candidates the wider filters newly admit.
+  of one per probe.
 * A process-level :class:`~repro.index.cache.IndexCache` shares one
   index per target-column *content* (entries are keyed on the column
   values themselves, so stale or aliased indexes are impossible)
@@ -44,15 +42,12 @@ serial engine in every configuration.  Long-lived owners should
 ``close()`` the joiner (or use it as a context manager) to tear the
 pool down deterministically.
 
-Composite (multi-column) joins resolve in-process and take their bound
-the same way (:meth:`IndexedJoiner._composite_argmin`): one exactly
-scored row bounds the summed distance, and one *anchor* column's index
-then names every row that can beat it.
-
 Below ``IndexedJoiner.threshold`` target rows (where index construction
 dominates) every query falls through to the inherited brute scan;
 :class:`AutoJoiner` is the joiner with that threshold taken from
-``JoinConfig.auto_threshold``.
+``JoinConfig.auto_threshold``.  The bounded many-to-many query
+(``match_many``) is not blocked at all: it is the inherited reference
+scan at every column size.
 """
 
 from __future__ import annotations
@@ -208,8 +203,7 @@ class IndexedJoiner(EditDistanceJoiner):
         :meth:`EditDistanceJoiner.match` / ``_apply_thresholds``; only
         the argmin strategy differs.  A scalar match is simply a
         single-probe bucket at ``k = 1``, so it shares the batch
-        engine's whole ladder — including score reuse and the
-        upper-bound waves.
+        engine's whole ladder, upper-bound waves included.
         """
         if len(targets) < self.threshold:
             return super()._argmin(predicted, targets)
@@ -426,105 +420,6 @@ class IndexedJoiner(EditDistanceJoiner):
         join_span.finish()
         return index, ranked
 
-    def join_composite(
-        self,
-        probes: Sequence[Sequence[str]],
-        target_columns: Sequence[Sequence[str]],
-    ) -> list[tuple[int | None, int]]:
-        """Blocked composite join, byte-identical to the brute reference.
-
-        Each distinct probe resolves through :meth:`_composite_argmin`,
-        which needs the q-gram index of one column only — the probe's
-        *anchor* — fetched once per anchor column per call.  Thresholds
-        apply through :meth:`EditDistanceJoiner._apply_composite_thresholds`.
-        Always resolves in-process, whatever ``n_workers`` says.
-        """
-        columns = self._validate_composite(probes, target_columns)
-        if len(columns[0]) < self.threshold:
-            return super().join_composite(probes, target_columns)
-        # Dedupe: every occurrence of a probe tuple gets the one result;
-        # an all-empty probe keeps the (None, 0) abstention.
-        resolved: dict[tuple[str, ...], tuple[int | None, int]] = {
-            tuple(probe): (None, 0) for probe in probes
-        }
-        indexes: dict[int, QGramIndex] = {}
-        for probe in resolved:
-            if any(part != "" for part in probe):
-                resolved[probe] = self._apply_composite_thresholds(
-                    *self._composite_argmin(columns, indexes, probe)
-                )
-        return [resolved[tuple(probe)] for probe in probes]
-
-    def _composite_argmin(
-        self,
-        columns: list[tuple[str, ...]],
-        indexes: dict[int, QGramIndex],
-        probe: tuple[str, ...],
-    ) -> tuple[int, int, int]:
-        """Earliest-row argmin of the summed per-column distance.
-
-        Returns ``(best_row, best_sum, matched_length)`` where
-        ``matched_length`` is the total tuple length of the winning row
-        (the normalized-threshold denominator).  The bound is taken the
-        way :meth:`_upper_bounds` takes it: any row scored exactly is
-        an upper bound ``U`` on the minimum sum, and a row's sum is at
-        least its distance in any one column — so every row that can
-        beat or tie ``U`` holds, in the *anchor* column (the probe's
-        longest component, the most selective filter), a value within
-        ``U`` of that component.  That column's index alone is
-        complete for the join; no other column needs one.
-        """
-        anchor = max(range(len(probe)), key=lambda col: len(probe[col]))
-        if anchor not in indexes:
-            indexes[anchor] = self.cache.get(columns[anchor], q=self.q)
-        index = indexes[anchor]
-        part = probe[anchor]
-        # Rows to take the bound from: the anchor's cap-2 candidates (where
-        # the ladder's cheap rounds stop — for a near probe they already
-        # are the whole answer), else its max-gram-overlap neighbours.
-        seeds = index.candidates(part, 2)
-        if not seeds.size:
-            seeds = index.overlap_best([part], len(part), k=self._BOUND_NEIGHBOURS)[0]
-        seed_rows, seed_sums = self._scored_rows(columns, probe, index, seeds, None)
-        bound = int(seed_sums.min())
-        # Every other anchor value within the bound, and only their rows.
-        vids = index.candidates(part, bound)
-        vids = vids[~np.isin(vids, seeds)]
-        codes, lengths = index.batch_codes(vids)
-        distances = self.kernel.edit_distance_codes(part, codes, lengths, bound)
-        # A sum clamped past the bound can never win or tie: the row
-        # that gave the bound is among the exact ones.
-        rows, sums = self._scored_rows(
-            columns, probe, index, vids[distances <= bound], bound
-        )
-        rows = np.concatenate((seed_rows, rows))
-        sums = np.concatenate((seed_sums, sums))
-        best_sum = int(sums.min())
-        best_row = int(rows[sums == best_sum].min())
-        matched_length = sum(len(column[best_row]) for column in columns)
-        return best_row, best_sum, matched_length
-
-    def _scored_rows(
-        self,
-        columns: list[tuple[str, ...]],
-        probe: tuple[str, ...],
-        index: QGramIndex,
-        vids: np.ndarray,
-        cap: int | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows holding the anchor values ``vids``, and ``probe``'s sum to each.
-
-        Column terms clamp at ``cap + 1``; ``None`` scores exactly (no
-        distance exceeds the longer string of its pair).
-        """
-        rows = [row for vid in vids for row in index.rows_for(int(vid))]
-        sums = np.zeros(len(rows), dtype=np.int64)
-        for component, column in zip(probe, columns, strict=True):
-            codes, lengths = encode_strings([column[row] for row in rows])
-            limit = max(len(component), int(lengths.max())) if cap is None else cap
-            sums += self.kernel.edit_distance_codes(component, codes, lengths, limit)
-        return np.asarray(rows, dtype=np.int64), sums
-
     def _resolve_bucket(
         self, index: QGramIndex, length: int, probes: list[str], k: int
     ) -> dict[str, Ranked]:
@@ -545,11 +440,9 @@ class IndexedJoiner(EditDistanceJoiner):
         (:meth:`_rank_topk`).  At ``k = 1`` that is the classic argmin
         — minimum distance, earliest row among the ties.
 
-        Two cheap rounds at caps 1 and 2 resolve the near probes — the
-        common case for model predictions — on small count-filtered
-        candidate blocks, scoring each candidate **once** across the
-        ladder (the cap-1 round already scores with the cap-2 kernel,
-        so the cap-2 round only scores newly admitted candidates).
+        One cheap round at cap 2 (:meth:`_ladder_rounds`) resolves the
+        near probes — the common case for model predictions — on small
+        count-filtered candidate blocks.
         Every probe still unresolved then gets an **upper bound** on
         its ``k``-th best distance (the ``k``-th smallest exact
         distance to its max-gram-overlap targets) and finishes in two
@@ -662,67 +555,24 @@ class IndexedJoiner(EditDistanceJoiner):
         kk: int,
         resolved: dict[str, Ranked],
     ) -> list[str]:
-        """Caps-1-and-2 rounds with score reuse across the deepening.
+        """The one cheap round, at cap 2 (less where nothing is that long).
 
-        The cap-1 candidates are scored once with a **cap-2 kernel**
-        (the lookahead costs a little settlement slack but yields exact
-        distances up to 2), so when a probe survives to the cap-2
-        round, only the candidates the wider filters *newly* admit are
-        scored — the previous round's candidates are never re-scored.
-        Resolution stays byte-identical to independent rounds: a
-        distance within cap 1 is the same number under either kernel
-        cap, candidate sets are monotone in the cap, and reused scores
-        clamped at 3 (beyond the lookahead) can never count towards a
-        cap-2 round.  Resolves a probe into ``resolved`` as soon as
-        ``kk`` candidates score within the round's cap and returns the
-        survivors.
+        Candidates within the cap are generated completely and scored
+        at the cap; a probe resolves into ``resolved`` when ``kk`` of
+        them score within it.  Returns the survivors.
         """
-        max_cap = max(length, index.max_length)
-        lookahead = min(2, max_cap)
+        cap = min(2, max(length, index.max_length))
         probe_codes, _ = encode_strings(probes)
-        cand_lists = index.candidates_bucket(probes, length, min(1, max_cap))
-        dist_lists = self._scored_lists(index, probe_codes, cand_lists, lookahead)
-        survivors: list[int] = []
-        for j, probe in enumerate(probes):
-            ranked = self._rank_topk(index, cand_lists[j], dist_lists[j], 1, kk)
+        cand_lists = index.candidates_bucket(probes, length, cap)
+        dist_lists = self._scored_lists(index, probe_codes, cand_lists, cap)
+        survivors: list[str] = []
+        for probe, cands, dists in zip(probes, cand_lists, dist_lists, strict=True):
+            ranked = self._rank_topk(index, cands, dists, cap, kk)
             if ranked is None:
-                survivors.append(j)
+                survivors.append(probe)
             else:
                 resolved[probe] = ranked
-        if not survivors or max_cap < 2:
-            return [probes[j] for j in survivors]
-        rem = [probes[j] for j in survivors]
-        wide_lists = index.candidates_bucket(rem, length, 2)
-        # Newly admitted candidates only: both arrays are ascending, so
-        # a searchsorted membership test keeps the set difference O(n).
-        fresh_lists: list[np.ndarray] = []
-        for j, wide in zip(survivors, wide_lists, strict=True):
-            narrow = cand_lists[j]
-            if not narrow.size:
-                fresh_lists.append(wide)
-                continue
-            slot = np.searchsorted(narrow, wide)
-            slot[slot == narrow.size] = narrow.size - 1
-            fresh_lists.append(wide[narrow[slot] != wide])
-        fresh_dists = self._scored_lists(
-            index, probe_codes[survivors], fresh_lists, lookahead
-        )
-        still: list[str] = []
-        for j, probe, fresh, fresh_d in zip(
-            survivors, rem, fresh_lists, fresh_dists, strict=True
-        ):
-            ranked = self._rank_topk(
-                index,
-                np.concatenate((cand_lists[j], fresh)),
-                np.concatenate((dist_lists[j], fresh_d)),
-                2,
-                kk,
-            )
-            if ranked is None:
-                still.append(probe)
-            else:
-                resolved[probe] = ranked
-        return still
+        return survivors
 
     def _scored_lists(
         self,
@@ -852,35 +702,6 @@ class IndexedJoiner(EditDistanceJoiner):
             )
             lo = hi
         return out
-
-    def match_many(
-        self, predicted: str, targets: Sequence[str], lower: int = 0, upper: int = 0
-    ) -> list[tuple[str, int]]:
-        """Identical contract to :meth:`EditDistanceJoiner.match_many`."""
-        if len(targets) < self.threshold:
-            return super().match_many(predicted, targets, lower, upper)
-        self._validate_many(targets, lower, upper)
-        if predicted == "":
-            return []
-        index = self._index_for(targets)
-        vids = index.candidates(predicted, upper)
-        if not vids.size:
-            return []
-        batch_codes, batch_lengths = index.batch_codes(vids)
-        distances = self.kernel.edit_distance_codes(
-            predicted, batch_codes, batch_lengths, upper
-        )
-        keep = (distances >= lower) & (distances <= upper)
-        # The brute scan appends in row order and sorts stably by
-        # distance, i.e. orders by (distance, row); duplicate values
-        # contribute one entry per row.
-        entries = [
-            (int(distance), row, int(vid))
-            for vid, distance in zip(vids[keep], distances[keep], strict=True)
-            for row in index.rows_for(int(vid))
-        ]
-        entries.sort(key=lambda item: (item[0], item[1]))
-        return [(index.values[vid], distance) for distance, _, vid in entries]
 
 
 class AutoJoiner(IndexedJoiner):

@@ -4,10 +4,9 @@ The blocked joiner scores whole candidate sets at once instead of
 calling the scalar DP per target.  The kernel contract is **one
 function**, :func:`edit_distance_pairs`: a ``(p, m)`` table of distinct
 same-length queries, one table row id per pair, and a padded candidate
-code matrix (:func:`encode_strings`).  The single-query forms
-(:func:`edit_distance_codes`, :func:`edit_distance_many`) are its
-``p = 1`` case — a one-row table plus all-zero ids — not kernels of
-their own.
+code matrix (:func:`encode_strings`).  One query against many
+candidates is its ``p = 1`` case — a one-row table plus all-zero ids —
+and has no entry point of its own.
 
 This is the oracle every backend in :mod:`repro.index.kernels` must
 match byte-for-byte, so it is the plainest code that states the answer:
@@ -147,37 +146,3 @@ def edit_distance_pairs(
         previous, current = current, previous
     final = previous[cand_lengths, np.arange(n)] + cand_lengths
     return np.minimum(final, big)
-
-
-def one_query(query: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(query_rows, query_ids)`` scoring one query against ``n`` candidates.
-
-    The ``p = 1`` case of the pair contract: a one-row query table and
-    an all-zero id per candidate.
-    """
-    return codepoints(query).reshape(1, -1), np.zeros(n, dtype=np.int64)
-
-
-def edit_distance_codes(
-    query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
-) -> np.ndarray:
-    """Capped distances from one ``query`` to every pre-encoded candidate.
-
-    :func:`edit_distance_pairs` at ``p = 1`` (``codes`` / ``lengths`` as
-    from :func:`encode_strings`).
-    """
-    rows, ids = one_query(query, codes.shape[0])
-    return edit_distance_pairs(rows, ids, codes, lengths, cap)
-
-
-def edit_distance_many(
-    query: str, candidates: Sequence[str], cap: int
-) -> np.ndarray:
-    """Capped edit distance from ``query`` to each of ``candidates``.
-
-    Equivalent to ``[edit_distance_capped(query, c, cap) for c in
-    candidates]`` (with the over-cap sentinel fixed at ``cap + 1``):
-    :func:`encode_strings` plus :func:`edit_distance_codes`.
-    """
-    codes, lengths = encode_strings(candidates)
-    return edit_distance_codes(query, codes, lengths, cap)

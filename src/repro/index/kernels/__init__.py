@@ -4,9 +4,8 @@ Every join in the Eq. 5 resolution path bottoms out in **one** kernel
 function, ``edit_distance_pairs(query_rows, query_ids, cand_codes,
 cand_lengths, cap)`` — lockstep per-pair scoring: a table of distinct
 same-length queries plus, per pair, the row it scores against.  That
-is the whole contract a backend implements; the single-query forms
-(``edit_distance_codes``, ``edit_distance_many``) are its ``p = 1``
-case, written once as adapters on :class:`KernelBackend`.  The registry:
+is the whole contract a backend implements, and the blocked joiner's
+``_pair_distances`` is its one caller.  The registry:
 
 * ``"reference"`` — the plain numpy DP in :mod:`repro.index.kernel`,
   always available; it defines the capped contract every other backend
@@ -40,13 +39,12 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.core.join_config import KERNEL_BACKENDS
 from repro.index import kernel as _reference
-from repro.index.kernel import encode_strings, one_query
 from repro.index.kernels import banded as _banded
 from repro.index.kernels import bitparallel as _bitparallel
 
@@ -100,20 +98,6 @@ class KernelBackend:
             with _COUNTS_LOCK:
                 _PAIRS_SCORED[self.name] += cand_codes.shape[0]
         return self._pair_fn(query_rows, query_ids, cand_codes, cand_lengths, cap)
-
-    def edit_distance_codes(
-        self, query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
-    ) -> np.ndarray:
-        """One query against a candidate matrix: the ``p = 1`` pair call."""
-        rows, ids = one_query(query, codes.shape[0])
-        return self.edit_distance_pairs(rows, ids, codes, lengths, cap)
-
-    def edit_distance_many(
-        self, query: str, candidates: Sequence[str], cap: int
-    ) -> np.ndarray:
-        """:func:`encode_strings` plus :meth:`edit_distance_codes`."""
-        codes, lengths = encode_strings(candidates)
-        return self.edit_distance_codes(query, codes, lengths, cap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -11,8 +11,7 @@ every shard runs :func:`_score_shard` — the serial
 :meth:`~repro.index.joiner.IndexedJoiner._resolve_bucket` at the call's
 ``k`` — and every payload has the same shape (per-probe rank counts
 plus flat value-id / distance arrays), merged deterministically.  The
-argmin is simply ``k = 1``.  Composite joins never come here; they
-resolve in-process.  The contract is the engine-wide one:
+argmin is simply ``k = 1``.  The contract is the engine-wide one:
 **byte-identical results to the serial scan**, which the sharding
 preserves by construction —
 

@@ -20,8 +20,8 @@ multiset intersection — the filter only ever admits extra candidates,
 never drops a true match.
 
 Duplicated column values are indexed once: candidates are unique-value
-ids, and :meth:`QGramIndex.rows_for` expands a value back to its
-(ascending) row numbers for row-level semantics such as tie-breaking.
+ids, and ``QGramIndex.first_rows`` holds each value's earliest row for
+row-level semantics such as tie-breaking.
 """
 
 from __future__ import annotations
@@ -71,18 +71,13 @@ class QGramIndex:
         if q <= 0:
             raise ValueError(f"q must be positive, got {q}")
         self.q = q
-        value_ids: dict[str, int] = {}
-        rows: list[list[int]] = []
+        first_row: dict[str, int] = {}
         for row, value in enumerate(targets):
-            vid = value_ids.setdefault(value, len(rows))
-            if vid == len(rows):
-                rows.append([])
-            rows[vid].append(row)
-        self.values: list[str] = list(value_ids)
-        self._value_ids = value_ids
-        self._rows = rows
+            first_row.setdefault(value, row)
+        self.values: list[str] = list(first_row)
+        self._value_ids = {value: vid for vid, value in enumerate(self.values)}
         self.first_rows = np.fromiter(
-            (r[0] for r in rows), dtype=np.int64, count=len(rows)
+            first_row.values(), dtype=np.int64, count=len(first_row)
         )
         self.lengths = np.fromiter(
             (len(v) for v in self.values), dtype=np.int64, count=len(self.values)
@@ -126,8 +121,6 @@ class QGramIndex:
         execute code.  :meth:`from_state` inverts this exactly.
         """
         value_blobs = [v.encode("utf-8", "surrogatepass") for v in self.values]
-        rows_offsets = np.zeros(len(self._rows) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in self._rows], out=rows_offsets[1:])
         gram_blobs = [g.encode("utf-8", "surrogatepass") for g in self._postings]
         posting_offsets = np.zeros(len(self._postings) + 1, dtype=np.int64)
         if self._postings:
@@ -139,12 +132,7 @@ class QGramIndex:
             "q": np.int64(self.q),
             "values_blob": np.frombuffer(b"".join(value_blobs), dtype=np.uint8),
             "values_offsets": np.cumsum([0] + [len(b) for b in value_blobs]),
-            "rows_flat": np.fromiter(
-                (row for rows in self._rows for row in rows),
-                dtype=np.int64,
-                count=int(rows_offsets[-1]),
-            ),
-            "rows_offsets": rows_offsets,
+            "first_rows": self.first_rows,
             "grams_blob": np.frombuffer(b"".join(gram_blobs), dtype=np.uint8),
             "grams_offsets": np.cumsum([0] + [len(b) for b in gram_blobs]),
             "postings_flat": (
@@ -184,19 +172,12 @@ class QGramIndex:
         self._value_ids = {value: vid for vid, value in enumerate(self.values)}
         if len(self._value_ids) != len(self.values):
             raise ValueError("corrupt index state: duplicate values")
-        rows_flat = np.asarray(state["rows_flat"], dtype=np.int64)
-        rows_offsets = np.asarray(state["rows_offsets"], dtype=np.int64)
-        if len(rows_offsets) != len(self.values) + 1:
+        self.first_rows = np.asarray(state["first_rows"], dtype=np.int64)
+        if self.first_rows.shape != (len(self.values),):
             raise ValueError("corrupt index state: rows/values misaligned")
-        self._rows = [
-            rows_flat[rows_offsets[i] : rows_offsets[i + 1]].tolist()
-            for i in range(len(self.values))
-        ]
-        if any(not rows for rows in self._rows):
-            raise ValueError("corrupt index state: value with no rows")
-        self.first_rows = np.fromiter(
-            (r[0] for r in self._rows), dtype=np.int64, count=len(self._rows)
-        )
+        # Value ids are handed out in order of first appearance, from row 0.
+        if np.any(np.diff(self.first_rows, prepend=-1) <= 0):
+            raise ValueError("corrupt index state: first rows not increasing")
         self.lengths = np.fromiter(
             (len(v) for v in self.values), dtype=np.int64, count=len(self.values)
         )
@@ -249,21 +230,6 @@ class QGramIndex:
         """Exact-match lookup: the value id, or ``None`` if absent."""
         return self._value_ids.get(value)
 
-    def rows_for(self, value_id: int) -> list[int]:
-        """Ascending row numbers holding the given value."""
-        return self._rows[value_id]
-
-    def candidates(self, query: str, cap: int) -> np.ndarray:
-        """Value ids of every target possibly within ``cap`` of ``query``.
-
-        Completeness guarantee: any indexed value ``t`` with
-        ``edit_distance(query, t) <= cap`` is in the returned array.
-        The array is ascending (so candidate order is deterministic).
-        Single-query form of :meth:`candidates_bucket`, which holds the
-        one copy of the filter logic.
-        """
-        return self.candidates_bucket([query], len(query), cap)[0]
-
     def _gram_postings(self, query: str) -> list[np.ndarray]:
         """Posting arrays for the distinct q-grams of ``query``."""
         grams = {
@@ -314,16 +280,18 @@ class QGramIndex:
     ) -> list[np.ndarray]:
         """Per-query candidate ids for a bucket of same-length queries.
 
-        Identical sets to calling :meth:`candidates` per query, but the
+        Completeness guarantee: any indexed value ``t`` with
+        ``edit_distance(query, t) <= cap`` is in that query's array,
+        which is ascending (so candidate order is deterministic).  The
         length filter — which depends only on ``length`` and ``cap`` —
         is evaluated once for the whole bucket, and when the count bound
         is vacuous the single shared length-compatible array serves
-        every query.  This is the batch engine's candidate generator.
+        every query.  This is the engine's one candidate generator.
 
         Args:
             queries: Probe strings, each of exactly ``length`` characters.
             length: The shared probe length.
-            cap: Distance cap, as in :meth:`candidates`.
+            cap: Distances above this need not be admitted.
         """
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")

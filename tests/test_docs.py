@@ -171,6 +171,27 @@ class TestBrokenDocsAreCaught:
             "series join_kernel_pairs_banded_total" in p for p in unlisted
         )
 
+    def test_vanished_method_fails(self, fake_repo):
+        (fake_repo / "docs" / "operations.md").write_text(
+            "# Ops\n`IndexedJoiner.join_many` stays, `QGramIndex.rows_for(vid)`\n"
+            "and `IndexedJoiner._composite_argmin(columns,\nindexes, probe)` went;"
+            " prose naming KernelBackend.gone is not a code span.\n"
+            "```python\nKernelBackend.edit_distance_codes(q, codes, lengths, 2)\n```\n"
+        )
+        skill = fake_repo / check_docs.VERIFY_SKILL
+        skill.parent.mkdir(parents=True)
+        skill.write_text("compare with `EditDistanceJoiner.join_composite`\n")
+        files = check_docs.collect_doc_files(fake_repo) + [skill]
+        assert check_docs.check_documented_members(files, fake_repo) == [
+            "docs/operations.md: names IndexedJoiner._composite_argmin, which "
+            "does not exist",
+            "docs/operations.md: names KernelBackend.edit_distance_codes, which "
+            "does not exist",
+            "docs/operations.md: names QGramIndex.rows_for, which does not exist",
+            ".claude/skills/verify/SKILL.md: names "
+            "EditDistanceJoiner.join_composite, which does not exist",
+        ]
+
     def test_undocumented_endpoint_fails(self, fake_repo):
         # The fixture's http_api.md mentions no endpoint at all, so
         # every real PUBLIC_ENDPOINTS entry must be reported.

@@ -6,11 +6,11 @@ represented) and checks:
 
 * ``edit_distance_capped`` agrees with ``edit_distance`` whenever the
   true distance is within the cap, and exceeds the cap otherwise;
-* the batched numpy kernel ``edit_distance_many`` agrees with the
+* the batched numpy kernel ``edit_distance_pairs`` agrees with the
   scalar capped DP on every pair;
-* ``QGramIndex.candidates`` is complete — every value within the cap is
-  in the candidate set — for arbitrary columns with duplicates and
-  empty strings.
+* ``QGramIndex.candidates_bucket`` is complete — every value within the
+  cap is in the candidate set — for arbitrary columns with duplicates
+  and empty strings.
 """
 
 from __future__ import annotations
@@ -21,11 +21,23 @@ import numpy as np
 import pytest
 from repro.utils.fuzz import FUZZ_ALPHABET, random_edits, random_unicode_string
 
-from repro.index import QGramIndex, edit_distance_many, encode_strings
-from repro.index.kernel import edit_distance_codes
+from repro.index import QGramIndex, edit_distance_pairs, encode_strings
 from repro.text.edit_distance import edit_distance, edit_distance_capped
 
 _SEED = 20260728
+
+
+def _score_one(query: str, candidates: list[str], cap: int) -> np.ndarray:
+    """One query against ``candidates`` through the pair door: ``p = 1``."""
+    query_rows, _ = encode_strings([query])
+    cand_codes, cand_lengths = encode_strings(candidates)
+    ids = np.zeros(len(candidates), dtype=np.int64)
+    return edit_distance_pairs(query_rows, ids, cand_codes, cand_lengths, cap)
+
+
+def _candidates(index: QGramIndex, query: str, cap: int) -> np.ndarray:
+    """One query's candidate ids: a one-probe bucket."""
+    return index.candidates_bucket([query], len(query), cap)[0]
 
 
 def _pair_stream(rng: random.Random, count: int):
@@ -63,35 +75,35 @@ class TestBatchedKernel:
                 for _ in range(rng.randint(1, 24))
             ]
             cap = rng.randint(0, 7)
-            batched = edit_distance_many(query, candidates, cap)
+            batched = _score_one(query, candidates, cap)
             for got, candidate in zip(batched, candidates):
                 scalar = edit_distance_capped(query, candidate, cap)
                 expected = scalar if scalar <= cap else cap + 1
                 assert got == expected, (query, candidate, cap)
 
     def test_empty_candidate_list(self):
-        result = edit_distance_many("abc", [], 3)
+        result = _score_one("abc", [], 3)
         assert result.shape == (0,)
         assert result.dtype == np.int64
 
     def test_empty_query_and_empty_candidates(self):
-        assert list(edit_distance_many("", ["", "ab", "abcd"], 3)) == [0, 2, 4]
-        assert list(edit_distance_many("xy", ["", "xy"], 5)) == [2, 0]
+        assert list(_score_one("", ["", "ab", "abcd"], 3)) == [0, 2, 4]
+        assert list(_score_one("xy", ["", "xy"], 5)) == [2, 0]
 
     def test_over_cap_clamps_to_cap_plus_one(self):
-        assert list(edit_distance_many("aaaa", ["zzzz", "aaab"], 2)) == [3, 1]
+        assert list(_score_one("aaaa", ["zzzz", "aaab"], 2)) == [3, 1]
 
     def test_cap_zero(self):
-        assert list(edit_distance_many("ab", ["ab", "ac"], 0)) == [0, 1]
+        assert list(_score_one("ab", ["ab", "ac"], 0)) == [0, 1]
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
-            edit_distance_many("a", ["b"], -1)
+            _score_one("a", ["b"], -1)
 
     def test_astral_plane_characters(self):
         # Each emoji is one code point; the kernel must not split
         # surrogates or let the pad value collide with real characters.
-        assert list(edit_distance_many("\U0001F600x", ["\U0001F600x", "x"], 3)) == [0, 1]
+        assert list(_score_one("\U0001F600x", ["\U0001F600x", "x"], 3)) == [0, 1]
 
     def test_lone_surrogates_match_scalar_path(self):
         # Lone surrogates (surrogateescape artifacts) cannot be UTF-32
@@ -99,7 +111,7 @@ class TestBatchedKernel:
         # agree with the scalar DP which compares characters directly.
         probe = "alph\ud800a"
         candidates = ["alpha", "alph\ud800a", "\udc80\udc80", ""]
-        got = edit_distance_many(probe, candidates, 6)
+        got = _score_one(probe, candidates, 6)
         expected = [
             min(edit_distance_capped(probe, c, 6), 7) for c in candidates
         ]
@@ -119,7 +131,7 @@ class TestEncodeStrings:
         codes, lengths = encode_strings(["", ""])
         assert codes.shape == (2, 0)
         assert list(lengths) == [0, 0]
-        assert list(edit_distance_codes("ab", codes, lengths, 5)) == [2, 2]
+        assert list(_score_one("ab", ["", ""], 5)) == [2, 2]
 
 
 class TestQGramIndex:
@@ -141,7 +153,7 @@ class TestQGramIndex:
                 else random_unicode_string(rng)
             )
             cap = rng.randint(0, 6)
-            candidate_ids = set(index.candidates(query, cap).tolist())
+            candidate_ids = set(_candidates(index, query, cap).tolist())
             for vid, value in enumerate(index.values):
                 if edit_distance(query, value) <= cap:
                     assert vid in candidate_ids, (query, value, cap, targets)
@@ -150,14 +162,13 @@ class TestQGramIndex:
         index = QGramIndex(["ab", "abcdefgh", "x"], q=2)
         # len(query)=1 < q: the count filter is vacuous; only the
         # length filter applies.
-        ids = index.candidates("z", 1)
+        ids = _candidates(index, "z", 1)
         assert [index.values[i] for i in ids] == ["ab", "x"]
 
     def test_duplicates_collapse_to_one_value(self):
         index = QGramIndex(["dup", "other", "dup", "dup"], q=2)
         assert len(index) == 2
         vid = index.value_id("dup")
-        assert index.rows_for(vid) == [0, 2, 3]
         assert index.first_rows[vid] == 0
 
     def test_value_id_exact_lookup(self):
@@ -168,19 +179,19 @@ class TestQGramIndex:
     def test_candidates_ascending_and_deterministic(self):
         targets = [f"row{i:03d}" for i in range(50)]
         index = QGramIndex(targets, q=2)
-        ids = index.candidates("row01", 2)
+        ids = _candidates(index, "row01", 2)
         assert list(ids) == sorted(ids.tolist())
-        assert list(ids) == list(index.candidates("row01", 2))
+        assert list(ids) == list(_candidates(index, "row01", 2))
 
     def test_no_shared_grams_means_no_candidates(self):
         index = QGramIndex(["aaaa", "bbbb"], q=2)
-        assert index.candidates("zzzz", 1).size == 0
+        assert _candidates(index, "zzzz", 1).size == 0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             QGramIndex(["a"], q=0)
         with pytest.raises(ValueError):
-            QGramIndex(["a"], q=2).candidates("a", -1)
+            _candidates(QGramIndex(["a"], q=2), "a", -1)
 
     def test_alphabet_exercises_multiple_planes(self):
         # Guard: the fuzz alphabet really covers BMP and astral planes.

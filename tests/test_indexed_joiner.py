@@ -199,32 +199,6 @@ class TestRandomizedEquivalence:
                     predicted, targets
                 ), (predicted, targets, config)
 
-    def test_match_many_equivalence_fuzz(self):
-        rng = random.Random(_SEED + 2)
-        for _ in range(100):
-            targets = [
-                random_unicode_string(rng, max_length=10)
-                for _ in range(rng.randint(1, 25))
-            ]
-            targets += [rng.choice(targets) for _ in range(rng.randint(0, 6))]
-            rng.shuffle(targets)
-            brute = EditDistanceJoiner()
-            indexed = IndexedJoiner()
-            for _ in range(3):
-                predicted = rng.choice(
-                    (random_edits(rng, rng.choice(targets), rng.randint(0, 2)), "")
-                )
-                lower = rng.randint(0, 2)
-                upper = lower + rng.randint(0, 4)
-                assert indexed.match_many(
-                    predicted, targets, lower, upper
-                ) == brute.match_many(predicted, targets, lower, upper), (
-                    predicted,
-                    targets,
-                    lower,
-                    upper,
-                )
-
 
 class TestIndexedJoinerContract:
     def test_empty_target_column_rejected(self):
@@ -240,6 +214,13 @@ class TestIndexedJoinerContract:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             IndexedJoiner().match_many("a", ["b"], lower=2, upper=1)
+        # The bounded many-to-many query is not blocked: every joiner
+        # answers it, at any column size, by the brute scan itself.
+        assert (
+            IndexedJoiner.match_many
+            is AutoJoiner.match_many
+            is EditDistanceJoiner.match_many
+        )
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):
@@ -290,9 +271,6 @@ class TestIndexedJoinerContract:
         indexed = IndexedJoiner()
         for probe in ("alph\ud800a", "alpha", "\udc80"):
             assert indexed.match(probe, targets) == brute.match(probe, targets)
-            assert indexed.match_many(probe, targets, 0, 4) == brute.match_many(
-                probe, targets, 0, 4
-            )
 
     def test_in_place_append_invalidates_cache(self):
         joiner = IndexedJoiner()
@@ -315,9 +293,6 @@ class TestAutoJoiner:
                 predicted = random_edits(rng, rng.choice(targets), rng.randint(0, 2))
                 assert auto.match(predicted, targets) == brute.match(
                     predicted, targets
-                )
-                assert auto.match_many(predicted, targets, 0, 3) == brute.match_many(
-                    predicted, targets, 0, 3
                 )
 
     def test_picks_indexed_at_threshold(self):
@@ -347,8 +322,8 @@ class TestAutoJoiner:
         assert cache.misses == 0 and auto.last_join_stats is None
         auto.join_many(["v001"], exactly)
         assert cache.misses == 1 and auto.last_join_stats is not None
-        # Crossing the boundary never changes results: match, batch,
-        # and range queries agree with brute on both sides.
+        # Crossing the boundary never changes results: match and batch
+        # queries agree with brute on both sides.
         brute = EditDistanceJoiner()
         for targets in (below, exactly):
             probes = [
@@ -360,9 +335,6 @@ class TestAutoJoiner:
             )
             for probe in probes:
                 assert auto.match(probe, targets) == brute.match(probe, targets)
-                assert auto.match_many(probe, targets, 0, 2) == brute.match_many(
-                    probe, targets, 0, 2
-                )
 
     def test_join_inherited_path(self):
         auto = AutoJoiner(JoinConfig(auto_threshold=2))
@@ -425,6 +397,3 @@ class TestOutlierColumns:
         brute = EditDistanceJoiner()
         for probe in ("val7", "q" * 499, "valxx", ""):
             assert indexed.match(probe, targets) == brute.match(probe, targets)
-            assert indexed.match_many(probe, targets, 0, 3) == brute.match_many(
-                probe, targets, 0, 3
-            )

@@ -14,18 +14,23 @@ the serving layer.
 
 from __future__ import annotations
 
+import ast
 import functools
+import importlib
+import pkgutil
 import random
 import sys
 import threading
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from repro.utils.fuzz import FUZZ_ALPHABET, random_edits, random_unicode_string
 
+import repro.index
 from repro.core.join_config import KERNEL_BACKENDS, JoinConfig
 from repro.core.joiner import EditDistanceJoiner
+from repro.datagen.benchmarks.journals import JOURNAL_TITLES
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.index import IndexCache, IndexedJoiner
 from repro.index.kernel import encode_strings
@@ -46,6 +51,14 @@ _CONCRETE = ("reference", "bitparallel", "banded")
 def _oracle(query: str, candidates: list[str], cap: int) -> list[int]:
     """The scalar uncapped DP, clamped to the capped contract."""
     return [min(edit_distance(query, c), cap + 1) for c in candidates]
+
+
+def _score_one(kernel, query: str, candidates: list[str], cap: int) -> np.ndarray:
+    """One query against ``candidates`` through the pair door: ``p = 1``."""
+    query_rows, _ = encode_strings([query])
+    cand_codes, cand_lengths = encode_strings(candidates)
+    ids = np.zeros(len(candidates), dtype=np.int64)
+    return kernel.edit_distance_pairs(query_rows, ids, cand_codes, cand_lengths, cap)
 
 
 class TestRegistry:
@@ -86,7 +99,7 @@ class TestRegistry:
         candidates = ["abd", "", "x" * 69 + "z", "y" * 63]
         for cap in (0, 2, 40):
             for query in queries:
-                got = auto.edit_distance_many(query, candidates, cap)
+                got = _score_one(auto, query, candidates, cap)
                 want = _oracle(query, candidates, cap)
                 assert got.tolist() == want, (query, cap)
 
@@ -106,7 +119,7 @@ class TestScalarOracleFuzz:
             base = rng.choice(candidates)
             query = random_edits(rng, base, rng.randint(0, 3))
             cap = rng.randint(0, 8)
-            got = kernel.edit_distance_many(query, candidates, cap)
+            got = _score_one(kernel, query, candidates, cap)
             assert got.dtype == np.int64
             assert got.tolist() == _oracle(query, candidates, cap), (
                 backend,
@@ -135,7 +148,7 @@ class TestScalarOracleFuzz:
                 "",
             ]
             for cap in (0, 1, 4, 8):
-                got = kernel.edit_distance_many(query, candidates, cap)
+                got = _score_one(kernel, query, candidates, cap)
                 assert got.tolist() == _oracle(query, candidates, cap), (
                     backend,
                     m,
@@ -145,12 +158,8 @@ class TestScalarOracleFuzz:
     @pytest.mark.parametrize("backend", _CONCRETE)
     def test_empty_query_and_empty_batch(self, backend):
         kernel = get_backend(backend)
-        assert kernel.edit_distance_many("", ["", "ab", "abcd"], 2).tolist() == [
-            0,
-            2,
-            3,
-        ]
-        assert kernel.edit_distance_many("abc", [], 2).size == 0
+        assert _score_one(kernel, "", ["", "ab", "abcd"], 2).tolist() == [0, 2, 3]
+        assert _score_one(kernel, "abc", [], 2).size == 0
 
     @pytest.mark.parametrize("backend", _CONCRETE)
     def test_pairs_lockstep_matches_oracle(self, backend):
@@ -192,7 +201,7 @@ class TestScalarOracleFuzz:
             for _ in range(1500)
         ]
         for cap in (1, 3):
-            got = kernel.edit_distance_many(query, candidates, cap)
+            got = _score_one(kernel, query, candidates, cap)
             assert got.tolist() == _oracle(query, candidates, cap), cap
 
 
@@ -326,48 +335,8 @@ def _hostile_column():
         "join_many": brute.join_many(probes, targets),
         "topk_many": brute.topk_many(probes, targets, k=3),
         "reverse_many": brute.reverse_many(probes, targets),
-        "match_many": [brute.match_many(p, targets, 0, 2) for p in probes],
     }
     return targets, probes, want
-
-
-_COMPOSITE_CONFIGS = {
-    "plain": JoinConfig(),
-    "max_distance": JoinConfig(max_distance=1),
-    "normalized": JoinConfig(normalized_threshold=0.2),
-}
-
-
-@functools.cache
-def _hostile_composite(arity, config_name):
-    """``(columns, probes, brute answer)`` for the composite differential."""
-    rng = random.Random(_SEED + 30 + arity)
-    alphabet = "ab\ud800\U0001F600\u0301"  # small: ties and repeats abound
-
-    def value(max_length=9):
-        return random_unicode_string(rng, max_length=max_length, alphabet=alphabet)
-
-    rows = [tuple(value() for _ in range(arity)) for _ in range(20)]
-    rows += [(value(),) + ("",) * (arity - 1) for _ in range(3)]
-    rows.append(("",) * arity)
-    # Sums tied across two rows (one edit each, in different columns
-    # when there are two): the earlier row must win.
-    tie = ("abab\ud800b",) + tuple(value() for _ in range(arity - 1))
-    rows += [("abXb\ud800b",) + tie[1:], (tie[0] + "Y",) + tie[1:]]
-    rows += rows[:8]  # duplicate rows
-    rng.shuffle(rows)
-    probes = [tie, ("",) * arity, ("zq" * 9,) * arity]
-    for row in rows[::3]:
-        probes.append(
-            tuple(random_edits(rng, part, rng.randint(0, 2), alphabet) for part in row)
-        )
-        # Every component but one empty, and components too short to
-        # hold a single gram.
-        probes.append((row[0],) + ("",) * (arity - 1))
-        probes.append(tuple(part[:1] for part in row))
-    columns = [list(column) for column in zip(*rows, strict=True)]
-    brute = EditDistanceJoiner(_COMPOSITE_CONFIGS[config_name])
-    return columns, probes, brute.join_composite(probes, columns)
 
 
 class TestJoinerEquivalence:
@@ -421,29 +390,6 @@ class TestJoinerEquivalence:
         finally:
             joiner.close()
 
-    @pytest.mark.parametrize("backend", ("bitparallel", "banded"))
-    def test_composite_keys_match_brute(self, backend):
-        rng = random.Random(_SEED + 6)
-        left = [
-            random_unicode_string(rng, max_length=16, min_length=3)
-            for _ in range(120)
-        ]
-        right = [
-            random_unicode_string(rng, max_length=10, min_length=1)
-            for _ in range(120)
-        ]
-        probes = [
-            (random_edits(rng, left[i], 1), random_edits(rng, right[i], 1))
-            for i in range(0, 120, 4)
-        ]
-        brute = EditDistanceJoiner(JoinConfig())
-        joiner = IndexedJoiner(
-            JoinConfig(kernel_backend=backend), cache=IndexCache()
-        )
-        assert joiner.join_composite(probes, [left, right]) == (
-            brute.join_composite(probes, [left, right])
-        )
-
     @pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
     def test_hostile_single_column_matches_brute(self, backend):
         targets, probes, want = _hostile_column()
@@ -454,27 +400,67 @@ class TestJoinerEquivalence:
             "join_many": joiner.join_many(probes, targets),
             "topk_many": joiner.topk_many(probes, targets, k=3),
             "reverse_many": joiner.reverse_many(probes, targets),
-            "match_many": [joiner.match_many(p, targets, 0, 2) for p in probes],
         }
         for query in want:
             assert got[query] == want[query], (backend, query)
 
-    @pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
-    @pytest.mark.parametrize(
-        ("arity", "config_name"),
-        (
-            (1, "plain"),
-            (2, "plain"),
-            (3, "plain"),
-            (2, "max_distance"),
-            (2, "normalized"),
-        ),
-    )
-    def test_hostile_composite_matches_brute(self, backend, arity, config_name):
-        columns, probes, want = _hostile_composite(arity, config_name)
-        config = replace(_COMPOSITE_CONFIGS[config_name], kernel_backend=backend)
-        joiner = IndexedJoiner(config, cache=IndexCache())
-        assert joiner.join_composite(probes, columns) == want, (backend, arity)
+
+def _recorded_column():
+    """The column and probes the ladder's counts were first recorded on."""
+    rng = random.Random(20160)
+    targets = [
+        random_unicode_string(rng, max_length=24, min_length=6) + f"#{i}"
+        for i in range(400)
+    ]
+    probes = [random_edits(rng, t, rng.randint(1, 4)) for t in targets[:30]]
+    probes += [
+        random_unicode_string(rng, max_length=20, min_length=8) for _ in range(6)
+    ]
+    return targets, probes
+
+
+def _serve_join_request():
+    """The ``serve_join`` shape: two abbreviations into a 500-row title column.
+
+    The column is built the way the benchmark builds its own — the
+    canonical titles, scaled past them by recombining their words — and
+    the probes are ApJ under the dotted profile and MNRAS under the
+    initials one.
+    """
+    rng = random.Random(500)
+    words = sorted({word for title in JOURNAL_TITLES for word in title.split()})
+    targets = list(JOURNAL_TITLES)
+    seen = set(targets)
+    while len(targets) < 500:
+        title = " ".join(rng.choice(words) for _ in range(rng.randint(2, 5)))
+        if title not in seen:
+            seen.add(title)
+            targets.append(title)
+    return targets, ["Astrop. Journ.", "MNRAS"]
+
+
+_ACCOUNTING_INPUTS = {"ladder": _recorded_column, "serve_join": _serve_join_request}
+
+
+class _DoorCalls(ast.NodeVisitor):
+    """Names of the functions that call ``<something>.edit_distance_pairs(...)``."""
+
+    def __init__(self):
+        self.stack = ["<module>"]
+        self.callers = []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_Call(self, node):
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "edit_distance_pairs"
+        ):
+            self.callers.append(self.stack[-1])
+        self.generic_visit(node)
 
 
 class TestPairsAccounting:
@@ -495,25 +481,24 @@ class TestPairsAccounting:
         assert stats.as_dict()["kernel_pairs"] == scored
 
     @pytest.mark.parametrize(
-        ("method", "args", "kernel_calls", "pairs"),
-        (("join_many", (), 55, 2235), ("topk_many", (3,), 85, 12991)),
+        ("method", "args", "shape", "kernel_calls", "pairs"),
+        (
+            ("join_many", (), "ladder", 51, 2235),
+            ("topk_many", (3,), "ladder", 81, 12991),
+            ("join_many", (), "serve_join", 7, 181),
+        ),
     )
     def test_pairs_and_sweeps_match_the_recorded_ladder(
-        self, monkeypatch, method, args, kernel_calls, pairs
+        self, monkeypatch, method, args, shape, kernel_calls, pairs
     ):
-        # Counts recorded at 89dff38, before probe identity became an
-        # argument: the ladder must score exactly the same pairs in
-        # exactly as many kernel calls — only the cost of a call moved.
-        rng = random.Random(20160)
-        targets = [
-            random_unicode_string(rng, max_length=24, min_length=6) + f"#{i}"
-            for i in range(400)
-        ]
-        probes = [random_edits(rng, t, rng.randint(1, 4)) for t in targets[:30]]
-        probes += [
-            random_unicode_string(rng, max_length=20, min_length=8)
-            for _ in range(6)
-        ]
+        # Re-recorded in the commit that made the ladder's cap-1 and
+        # cap-2 rounds one cap-2 round: a probe that used to take two
+        # small calls (its cap-1 candidates, then the ones cap 2 newly
+        # admits) now takes one over the same pairs, so the pair counts
+        # stand and the calls drop — 55 -> 51 and 85 -> 81 on the
+        # recorded column, 8 -> 7 on the serve_join shape.  A change
+        # that moves these numbers re-records them on purpose or is wrong.
+        targets, probes = _ACCOUNTING_INPUTS[shape]()
         joiner = IndexedJoiner(
             JoinConfig(kernel_backend="bitparallel"), cache=IndexCache()
         )
@@ -538,22 +523,18 @@ class TestPairsAccounting:
 
     @pytest.mark.parametrize("backend", _CONCRETE)
     def test_single_query_adapters_credit_once_at_the_door(self, backend):
-        # The adapters are the p = 1 pair call: each credits its n
-        # candidates once, to its own backend and to nothing else.
+        # One query against n candidates is the p = 1 pair call: it
+        # credits its n candidates once, to its own backend and to
+        # nothing else.
         kernel = get_backend(backend)
         candidates = ["abcd", "abce", "xbcd", "", "abcdefgh"]
-        codes, lengths = encode_strings(candidates)
-        for call in (
-            lambda: kernel.edit_distance_codes("abcf", codes, lengths, 2),
-            lambda: kernel.edit_distance_many("abcf", candidates, 2),
-        ):
-            before = pairs_scored_snapshot()
-            assert call().tolist() == _oracle("abcf", candidates, 2)
-            after = pairs_scored_snapshot()
-            moved = {name: after[name] - before[name] for name in after}
-            assert moved == {
-                name: len(candidates) * (name == backend) for name in _CONCRETE
-            }
+        before = pairs_scored_snapshot()
+        got = _score_one(kernel, "abcf", candidates, 2)
+        after = pairs_scored_snapshot()
+        assert got.tolist() == _oracle("abcf", candidates, 2)
+        assert {name: after[name] - before[name] for name in after} == {
+            name: len(candidates) * (name == backend) for name in _CONCRETE
+        }
 
     @pytest.mark.parametrize(
         ("query", "cap", "credited"),
@@ -562,7 +543,7 @@ class TestPairsAccounting:
     def test_auto_credits_the_backend_it_picked(self, query, cap, credited):
         candidates = [query + "b", query, "b" + query[1:]]
         before = pairs_scored_snapshot()
-        got = get_backend("auto").edit_distance_many(query, candidates, cap)
+        got = _score_one(get_backend("auto"), query, candidates, cap)
         after = pairs_scored_snapshot()
         assert got.tolist() == _oracle(query, candidates, cap)
         assert "auto" not in after
@@ -572,14 +553,29 @@ class TestPairsAccounting:
 
     def test_the_pair_function_is_the_only_door(self):
         # A second scoring entry point cannot grow back unnoticed: the
-        # backend modules export the pair function alone, and the
-        # single-query forms exist once, on the base class.
+        # backend modules export the pair function alone, nothing under
+        # repro.index carries a single-query form, and outside the
+        # kernels package (whose auto dispatch is part of the door) the
+        # door has one caller.
         assert bitparallel.__all__ == banded.__all__ == ["edit_distance_pairs"]
-        for cls in KernelBackend.__subclasses__():
-            assert "edit_distance_codes" not in vars(cls), cls
-            assert "edit_distance_many" not in vars(cls), cls
         for name in KERNEL_BACKENDS:
             assert isinstance(get_backend(name), KernelBackend)
+        gone = ("edit_distance_codes", "edit_distance_many", "one_query")
+        for info in pkgutil.walk_packages(repro.index.__path__, "repro.index."):
+            module = importlib.import_module(info.name)
+            classes = [v for v in vars(module).values() if isinstance(v, type)]
+            for owner in (module, *classes):
+                for attribute in gone:
+                    assert not hasattr(owner, attribute), (owner, attribute)
+        src = Path(repro.__file__).parent
+        callers = []
+        for path in sorted(src.rglob("*.py")):
+            if (src / "index" / "kernels") in path.parents:
+                continue
+            finder = _DoorCalls()
+            finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+            callers += [(path.relative_to(src).as_posix(), fn) for fn in finder.callers]
+        assert callers == [("index/joiner.py", "_pair_distances")]
 
     def test_concurrent_callers_conserve_the_tally(self):
         # Kernel entry points are reachable from several serving threads
@@ -587,7 +583,6 @@ class TestPairsAccounting:
         # there would break the sum.
         kernel = get_backend("bitparallel")
         candidates = ["abcd", "abce", "xbcd", ""]
-        codes, lengths = encode_strings(candidates)
         n_threads, n_calls = 6, 400
         failures = []
 
@@ -595,7 +590,7 @@ class TestPairsAccounting:
             try:
                 for i in range(n_calls):
                     query = f"q{thread}-{i}abc"
-                    got = kernel.edit_distance_codes(query, codes, lengths, 99)
+                    got = _score_one(kernel, query, candidates, 99)
                     if got.tolist() != _oracle(query, candidates, 99):
                         failures.append((query, got.tolist()))
             except Exception as error:  # surfaced by the assert below
@@ -621,7 +616,7 @@ class TestPairsAccounting:
 
     def test_snapshot_is_cumulative_and_resettable(self):
         before = pairs_scored_snapshot()
-        get_backend("banded").edit_distance_many("abcdef", ["abcdxf"] * 7, 2)
+        _score_one(get_backend("banded"), "abcdef", ["abcdxf"] * 7, 2)
         after = pairs_scored_snapshot()
         assert after["banded"] - before.get("banded", 0) == 7
 

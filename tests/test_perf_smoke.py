@@ -21,9 +21,8 @@ import pytest
 from repro.utils.fuzz import random_edits, random_unicode_string
 
 from repro.core.join_config import JoinConfig
-from repro.index import IndexCache, IndexedJoiner, QGramIndex
+from repro.index import IndexedJoiner, QGramIndex
 from repro.index.kernel import encode_strings
-from repro.index.kernels import pairs_scored_snapshot
 from repro.model import ByteSeq2SeqModel
 
 _TARGET_ROWS = 5000
@@ -133,32 +132,3 @@ def test_pair_sweep_memory_does_not_carry_a_query_copy_per_pair():
         + 64 * kib
     )
     assert peak_40 < budget, f"pair sweep peaked at {peak_40 / kib:.0f} KiB"
-
-
-@pytest.mark.slow
-def test_composite_join_scores_a_fraction_of_the_table():
-    # 20 near probes into 3 000 rows x 2 columns.  A full scan scores
-    # rows x columns pairs per probe; the blocked composite scores the
-    # rows its anchor column's index admits — a few per probe.  Counted
-    # at the kernel door, so no clock is involved.
-    rng = random.Random(4321)
-    n_rows, n_probes = 3000, 20
-    columns = [
-        [
-            random_unicode_string(rng, max_length=max_length, min_length=6)
-            for _ in range(n_rows)
-        ]
-        for max_length in (24, 10)
-    ]
-    rows = rng.sample(range(n_rows), n_probes)
-    probes = [
-        tuple(random_edits(rng, column[row], 1) for column in columns)
-        for row in rows
-    ]
-    joiner = IndexedJoiner(cache=IndexCache())
-    before = pairs_scored_snapshot()
-    matches = joiner.join_composite(probes, columns)
-    after = pairs_scored_snapshot()
-    assert [row for row, _ in matches] == rows
-    scored = sum(after.values()) - sum(before.values())
-    assert 0 < scored < n_rows * len(columns) * n_probes // 10, scored

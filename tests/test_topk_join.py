@@ -1,4 +1,4 @@
-"""Contract tests for the redesigned join API (top-k / composite / reverse).
+"""Contract tests for the redesigned join API (top-k / reverse).
 
 The brute reference (``EditDistanceJoiner``) defines every contract;
 the blocked (``IndexedJoiner``) and parallel (``n_workers > 1``) paths
@@ -46,7 +46,7 @@ def _near_duplicate_titles():
     """Clusters of single-character typos: >= 7 values within distance 2.
 
     Every value has its whole cluster within two edits, so the ladder's
-    cap-1 / cap-2 rounds resolve a top-k outright instead of falling
+    cheap cap-2 round resolves a top-k outright instead of falling
     through to the upper-bound waves.
     """
     rng = random.Random(_SEED + 7)
@@ -295,82 +295,6 @@ class TestReverseJoin:
         targets = ["x", "y", "x"]
         matches = [("x", 0), (None, 3), ("y", 1)]
         assert invert_matches(matches, targets) == [[0], [2], []]
-
-
-class TestCompositeKeys:
-    @pytest.mark.parametrize("name", dataset_names())
-    def test_composite_identical_on_dataset(self, name):
-        rng = random.Random(_SEED + 300)
-        tables = get_dataset(name, seed=0, scale=0.05)
-        brute = EditDistanceJoiner()
-        blocked = IndexedJoiner(cache=IndexCache())
-        for table in tables[:4]:
-            targets = list(table.targets)
-            aux = [f"{len(t):03d}" for t in targets]
-            probes = [
-                (probe, random_edits(rng, key, rng.randint(0, 1)))
-                for probe, key in zip(_probes_for(targets, rng), aux)
-            ]
-            assert blocked.join_composite(probes, [targets, aux]) == (
-                brute.join_composite(probes, [targets, aux])
-            ), (name, table.name)
-
-    def test_jab_issn_column_disambiguates(self):
-        """The JAB metadata ISSNs resolve title-only ties."""
-        tables = get_dataset("JAB", seed=0, scale=0.15)
-        brute = EditDistanceJoiner()
-        blocked = IndexedJoiner(cache=IndexCache())
-        for table in tables:
-            titles = list(table.targets)
-            issns = list(table.metadata["target_issns"])
-            probes = list(
-                zip(table.sources, table.metadata["source_issns"])
-            )
-            composite = blocked.join_composite(probes, [titles, issns])
-            assert composite == brute.join_composite(probes, [titles, issns])
-            # Alignment is the ground truth: the summed key must
-            # recover at least as many correct rows as the title alone.
-            title_only = blocked.join_many(table.sources, titles)
-            earliest = {}
-            for row, title in enumerate(titles):
-                earliest.setdefault(title, row)
-            title_hits = sum(
-                1
-                for i, (matched, _) in enumerate(title_only)
-                if matched is not None and earliest[matched] == i
-            )
-            composite_hits = sum(
-                1 for i, (row, _) in enumerate(composite) if row == i
-            )
-            assert composite_hits >= title_hits, table.name
-
-    def test_validation(self):
-        joiner = EditDistanceJoiner()
-        with pytest.raises(JoinError):
-            joiner.join_composite([("a",)], [])
-        with pytest.raises(JoinError):
-            joiner.join_composite([("a",)], [[], []])
-        with pytest.raises(JoinError):
-            joiner.join_composite([("a", "b")], [["x"]])
-        with pytest.raises(JoinError):
-            joiner.join_composite([("a",)], [["x"], ["y", "z"]])
-
-    def test_all_empty_probe_abstains(self):
-        assert EditDistanceJoiner().join_composite(
-            [("", "")], [["a"], ["b"]]
-        ) == [(None, 0)]
-
-    def test_composite_thresholds_sum_semantics(self):
-        columns = [["abcd"], ["wxyz"]]
-        # Summed distance 2 (one edit per column) over tuple length 8.
-        capped = EditDistanceJoiner(JoinConfig(max_distance=1))
-        assert capped.join_composite([("abcx", "wxyj")], columns) == [(None, 2)]
-        normalized = EditDistanceJoiner(JoinConfig(normalized_threshold=0.25))
-        assert normalized.join_composite([("abcx", "wxyj")], columns) == [
-            (0, 2)
-        ]
-        tight = EditDistanceJoiner(JoinConfig(normalized_threshold=0.1))
-        assert tight.join_composite([("abcx", "wxyj")], columns) == [(None, 2)]
 
 
 class TestJoinConfig:
