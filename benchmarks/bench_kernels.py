@@ -2,19 +2,21 @@
 
 Every join the repo benchmark's workloads run bottoms out in one kernel
 call, ``edit_distance_pairs`` (``repro.index.kernels``): a table of
-same-length probes, one table row per pair, and a chunk of candidates
-the length and count filters admitted — so the candidates sit *inside*
-the cap's length window and the chunk is as big as the ladder stage
-made it.  This bench times exactly that call, for every backend, on the
-two regimes and two chunk sizes the JAB workload produces:
+probes of any mix of lengths, one table row per pair, and a chunk of
+candidates the length and count filters admitted — so the candidates
+sit *inside* the cap's length window of their own probe and the chunk
+is as big as the ladder rung made it.  This bench times exactly that
+call, for every backend, on the shapes the JAB workload produces:
 
-* **short** — journal titles (the ``m = 27`` bucket, one 64-bit word)
-  and **long** — four titles concatenated (the ``m = 100`` bucket:
-  multi-block bit-parallel, the regime ``auto`` hands to the banded
-  kernel);
-* **30 pairs** — a cap-1/cap-2 ladder round of a small bucket, where
-  per-call set-up and numpy dispatch are the cost — and **2 000 pairs**
-  — a bound or wave round, where the sweep is;
+* **rung** — one mixed-length ladder rung: 40 probes with the length
+  spread of an ``offline_join`` call (5 to 101 characters, three of
+  them past one 64-bit word), 25 candidates each, 1 000 pairs.  This is
+  what the engine's cheap and bound rungs hand the kernel, and where
+  per-call set-up and the word-count grouping show;
+* **short** — 2 000 pairs against journal titles at ``m = 27`` (one
+  word) and **long** — against four titles concatenated at ``m = 100``
+  (multi-block bit-parallel, the regime ``auto`` hands to the banded
+  kernel): a wave's chunk, where the sweep itself is the cost;
 * caps 2 and 4.
 
 Each row is timed under the emitters' shared protocol
@@ -48,10 +50,15 @@ from repro.index.kernels import get_backend
 _SEED = 31
 _CAPS = (2, 4)
 _BACKENDS = ("reference", "bitparallel", "banded")
-# (titles concatenated per candidate value, probe length m of the bucket).
+# (titles concatenated per candidate value, probe length m): a wave's
+# 2 000-pair chunk, 100 candidates per probe.
 _REGIMES = {"short": (1, 27), "long": (4, 100)}
-# (pairs, pairs per probe): a small ladder round and a bound/wave round.
-_CHUNKS = ((30, 15), (2000, 100))
+# Probe lengths of one ``offline_join`` call (seed 11): the mixed rung,
+# scored over both regimes' values at 25 candidates per probe.
+_RUNG_LENGTHS = (
+    5, 11, 12, 12, 13, 14, 14, 14, 14, 15, 17, 19, 19, 19, 20, 20, 21, 21, 23, 24,
+    25, 25, 26, 26, 26, 28, 28, 31, 34, 36, 38, 40, 40, 42, 43, 51, 60, 91, 97, 101,
+)  # fmt: skip
 _COLUMN_ROWS = 4000
 # The one gated row (see the module docstring); its floor is in the
 # shared BENCH_FLOORS schema.
@@ -82,21 +89,20 @@ def _titles(rng: np.random.Generator, n_rows: int) -> list[str]:
 def _chunk(
     rng: np.random.Generator,
     values: list[str],
-    m: int,
-    n_pairs: int,
+    lengths: tuple[int, ...],
     per_probe: int,
     cap: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One pair-door call shaped like a ladder round of one length bucket.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One pair-door call shaped like a ladder rung.
 
-    Probes all have length ``m``; each scores its own (noised) base
-    value plus other values drawn from the cap's length window, and the
-    ids come in ascending runs — what ``IndexedJoiner._scored_lists``
-    hands the kernel.
+    One probe per entry of ``lengths``; each scores its own (noised)
+    base value plus other values drawn from the cap's length window
+    around its own length, and the ids come in ascending runs — what
+    ``IndexedJoiner._scored_lists`` hands the kernel.
     """
-    window = [value for value in values if abs(len(value) - m) <= cap]
     probes, candidates = [], []
-    for _ in range(n_pairs // per_probe):
+    for m in lengths:
+        window = [value for value in values if abs(len(value) - m) <= cap]
         base = window[int(rng.integers(0, len(window)))]
         chars = list(base[:m].ljust(m, "x"))
         for _ in range(int(rng.integers(0, cap + 1))):
@@ -104,51 +110,60 @@ def _chunk(
         probes.append("".join(chars))
         others = rng.integers(0, len(window), size=per_probe - 1)
         candidates += [base, *(window[int(i)] for i in others)]
-    query_rows, _ = encode_strings(probes)
+    query_rows, query_lengths = encode_strings(probes)
     query_ids = np.repeat(np.arange(len(probes)), per_probe)
     cand_codes, cand_lengths = encode_strings(candidates)
-    return query_rows, query_ids, cand_codes, cand_lengths
+    return query_rows, query_lengths, query_ids, cand_codes, cand_lengths
 
 
 def run_kernels(smoke: bool) -> dict:
     """Run the sweep and return the JSON-serializable report."""
-    rows = []
-    for regime, (n_titles, m) in _REGIMES.items():
-        rng = np.random.default_rng(_SEED + n_titles)
-        titles = _titles(rng, _COLUMN_ROWS * n_titles)
-        values = [
+    columns = {}
+    for regime, (n_titles, _) in _REGIMES.items():
+        titles = _titles(
+            np.random.default_rng(_SEED + n_titles), _COLUMN_ROWS * n_titles
+        )
+        columns[regime] = [
             " ".join(titles[i : i + n_titles])
             for i in range(0, len(titles), n_titles)
         ]
-        for n_pairs, per_probe in _CHUNKS:
-            for cap in _CAPS:
-                chunk = _chunk(rng, values, m, n_pairs, per_probe, cap)
-                # Equivalence before any clock is trusted.
-                want = get_backend("reference").edit_distance_pairs(*chunk, cap)
-                for name in _BACKENDS:
-                    backend = get_backend(name)
-                    got = backend.edit_distance_pairs(*chunk, cap)
-                    assert np.array_equal(got, want), (
-                        f"{name} != reference: regime={regime} cap={cap} "
-                        f"pairs={n_pairs}"
-                    )
-                    timing = measure(
-                        partial(backend.edit_distance_pairs, *chunk, cap), smoke
-                    )
-                    rows.append(
-                        {
-                            "config": f"{regime}/cap{cap}/n{n_pairs}/{name}",
-                            "regime": regime,
-                            "m": m,
-                            "cap": cap,
-                            "pairs": n_pairs,
-                            "backend": name,
-                            **timing,
-                            "mpairs_per_s": round(
-                                n_pairs / timing["seconds"] / 1e6, 4
-                            ),
-                        }
-                    )
+    shapes = [("rung", columns["short"] + columns["long"], _RUNG_LENGTHS, 25)]
+    shapes += [
+        (regime, columns[regime], (m,) * 20, 100)
+        for regime, (_, m) in _REGIMES.items()
+    ]
+    rows = []
+    for regime, values, lengths, per_probe in shapes:
+        rng = np.random.default_rng(_SEED + len(lengths))
+        n_pairs = len(lengths) * per_probe
+        for cap in _CAPS:
+            chunk = _chunk(rng, values, lengths, per_probe, cap)
+            # Equivalence before any clock is trusted.
+            want = get_backend("reference").edit_distance_pairs(*chunk, cap)
+            for name in _BACKENDS:
+                backend = get_backend(name)
+                got = backend.edit_distance_pairs(*chunk, cap)
+                assert np.array_equal(got, want), (
+                    f"{name} != reference: regime={regime} cap={cap} "
+                    f"pairs={n_pairs}"
+                )
+                timing = measure(
+                    partial(backend.edit_distance_pairs, *chunk, cap), smoke
+                )
+                rows.append(
+                    {
+                        "config": f"{regime}/cap{cap}/n{n_pairs}/{name}",
+                        "regime": regime,
+                        "m": max(lengths),
+                        "cap": cap,
+                        "pairs": n_pairs,
+                        "backend": name,
+                        **timing,
+                        "mpairs_per_s": round(
+                            n_pairs / timing["seconds"] / 1e6, 4
+                        ),
+                    }
+                )
     key_metrics = {
         f"mpairs_per_s[{row['config']}]": row["mpairs_per_s"] for row in rows
     }
@@ -156,11 +171,12 @@ def run_kernels(smoke: bool) -> dict:
     return {
         "seed": _SEED,
         "caps": list(_CAPS),
-        "workload": "edit_distance_pairs chunks shaped like ladder rounds "
-        "of one length bucket: noised same-length probes over a "
-        "vocabulary-scaled canonical title column (long regime: four "
-        "titles concatenated), candidates inside the cap's length "
-        "window, 15 or 100 per probe",
+        "workload": "edit_distance_pairs chunks shaped like ladder rungs: "
+        "noised probes over a vocabulary-scaled canonical title column "
+        "(long regime: four titles concatenated), candidates inside the "
+        "cap's length window of their own probe; rung = 40 probes with "
+        "the offline_join length spread x 25, short / long = 20 "
+        "same-length probes x 100",
         "gated_row": _GATED_ROW,
         "needs_cores": 1,
         "rows": rows,

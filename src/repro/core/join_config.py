@@ -23,11 +23,13 @@ JOIN_MODES = ("argmin", "topk", "reverse")
 #: package imports this module, and the reverse would cycle.
 #:
 #: Each names one implementation of the same function,
-#: ``edit_distance_pairs`` — the whole kernel contract.
+#: ``edit_distance_pairs`` — the whole kernel contract: one call scores
+#: pairs whose queries have any mix of lengths.
 #:
-#: * ``"auto"`` — pick per call: bit-parallel for queries that fit one
-#:   64-bit word, banded for longer queries while the diagonal band is
-#:   narrower than a word, bit-parallel multi-block otherwise.
+#: * ``"auto"`` — pick per pair, by its own query's length:
+#:   bit-parallel for queries that fit one 64-bit word, banded for
+#:   longer queries while the diagonal band is narrower than a word,
+#:   bit-parallel multi-block otherwise.
 #: * ``"reference"`` — the plain numpy DP in :mod:`repro.index.kernel`:
 #:   always available, no early exit; it defines the contract.
 #: * ``"bitparallel"`` — Myers' bit-parallel DP in uint64 bit-vectors.

@@ -9,10 +9,10 @@ column:
   count filters (Gravano-style bounds) yield a **provably complete**
   candidate set for any distance cap.
 * :mod:`repro.index.kernel` — :func:`edit_distance_pairs`, the whole
-  kernel contract: a capped DP over (query, candidate) pairs, kept plain
-  because it is the oracle.
+  kernel contract: a capped DP over (query, candidate) pairs, each
+  scored at its own query's length, kept plain because it is the oracle.
 * :mod:`repro.index.kernels` — pluggable backends for that one function
-  (Myers bit-parallel, Ukkonen banded, per-call auto dispatch),
+  (Myers bit-parallel, Ukkonen banded, per-pair auto dispatch),
   selected via ``JoinConfig.kernel_backend`` or the
   ``REPRO_KERNEL_BACKEND`` environment variable; every backend is
   byte-identical to the reference DP.
@@ -28,9 +28,9 @@ Batch execution rides on top of the same guarantee:
   and any mutation — even a same-length in-place edit — forces a
   rebuild), plus adaptive gram-size selection.
 * :meth:`IndexedJoiner.join_many` — the many-probe batch API: dedupe,
-  exact-match short-circuit, length-bucketed candidate generation, and
-  the pair kernel scoring all (probe, candidate) pairs of a bucket in
-  one sweep.
+  exact-match short-circuit, candidate generation at each probe's own
+  length, and the pair kernel scoring all (probe, candidate) pairs of
+  a ladder rung — probes of every length — in one sweep.
 
 The guarantee throughout is *exact equivalence* with the brute scan —
 enforced by the equivalence test harness in ``tests/`` — so blocking and

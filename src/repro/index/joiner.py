@@ -7,26 +7,26 @@ identical matches, distances, earliest-row tie-breaking, and
 ``max_distance`` / ``normalized_threshold`` semantics.
 
 There is **one engine** for every single-column query.  ``join_many``
-(argmin) and ``topk_many`` are the same call frame — dedupe, length
-bucketing, worker dispatch, :class:`~repro.index.parallel.JoinStats`
-and ``join.*`` spans — and differ only in ``k`` and in whether an exact
-match short-circuits (a top-k query needs the runners-up regardless).
-Every bucket resolves through one ranked ladder,
-:meth:`IndexedJoiner._resolve_bucket`: candidates within a cap are
-generated (provably completely) and scored, and a probe is resolved the
-moment at least ``k`` of them score within that cap — the candidate set
-at cap ``c`` contains *every* target within ``c``, so those ``k`` are
-the global top-k with all their ties.  The argmin is the ladder at
-``k = 1``; reverse joins invert the argmin; a scalar ``match`` is a
-one-probe bucket.
+(argmin) and ``topk_many`` are the same call frame — dedupe, worker
+dispatch, :class:`~repro.index.parallel.JoinStats` and ``join.*`` spans
+— and differ only in ``k`` and in whether an exact match short-circuits
+(a top-k query needs the runners-up regardless).  Every probe resolves
+through one ranked ladder, :meth:`IndexedJoiner._resolve_probes`:
+candidates within a cap are generated (provably completely) and scored,
+and a probe is resolved the moment at least ``k`` of them score within
+that cap — the candidate set at cap ``c`` contains *every* target
+within ``c``, so those ``k`` are the global top-k with all their ties.
+The argmin is the ladder at ``k = 1``; reverse joins invert the argmin;
+a scalar ``match`` is a one-probe call.
 
 Two layers amortize that work across a whole source column:
 
 * The frame deduplicates identical probes, resolves exact matches with
-  one dictionary lookup each (argmin only), buckets the remaining
-  probes by length, and runs candidate generation and the pair DP
-  kernel per bucket — one kernel sweep per (bucket, cap) round instead
-  of one per probe.
+  one dictionary lookup each (argmin only), and walks the ladder with
+  every remaining probe at once.  There are no length buckets: the
+  kernel scores each pair at its own probe's length, so a ladder
+  **rung** — one step taken by every probe still pending — is one
+  kernel sweep, not one per probe and not one per probe length.
 * A process-level :class:`~repro.index.cache.IndexCache` shares one
   index per target-column *content* (entries are keyed on the column
   values themselves, so stale or aliased indexes are impossible)
@@ -34,7 +34,7 @@ Two layers amortize that work across a whole source column:
   on-disk tier shared across processes.
 
 Above a workload threshold (or at an explicit ``n_workers``), the frame
-shards its buckets across a **persistent** process pool
+shards its pending probes across a **persistent** process pool
 (:mod:`repro.index.parallel`) with a deterministic merge; the pool —
 and each worker's resolved indexes — survive across calls, so repeated
 joins pay worker startup once.  Results are byte-identical to the
@@ -118,13 +118,15 @@ class IndexedJoiner(EditDistanceJoiner):
     # extra parallelism for column-scale batches.
     _MAX_AUTO_WORKERS = 8
 
-    # Cells (distance-row entries) per pair-DP chunk: sized so the
-    # sweep's working set stays cache-resident (int32 rows, a few
-    # buffers) — measurably faster than streaming one huge block.
-    _PAIR_CELL_BUDGET = 1 << 16
+    # Cells (candidate characters) per kernel call: bounds a merged
+    # rung's working set at ~16 bytes a cell (the gather here, the
+    # sweep's transpose and int32 symbol ids).  Half of it re-fragments
+    # a rung into ~1 000-pair calls, twice costs 2 MiB of peak RSS for
+    # 4 % (docs/architecture.md has the readings).
+    _PAIR_CELL_BUDGET = 1 << 17
     # Pairs per assembly group: bounds the concatenated vids/distances
-    # arrays of a (bucket, cap) round regardless of how many candidate
-    # pairs the filters admit.
+    # arrays of a rung regardless of how many candidate pairs the
+    # filters admit.
     _PAIR_GROUP_BUDGET = 1 << 22
     # Length-difference radius of the final stage's first wave: the
     # near-length slice of the column that almost always contains the
@@ -202,7 +204,7 @@ class IndexedJoiner(EditDistanceJoiner):
         Guards and threshold rejection stay in the shared
         :meth:`EditDistanceJoiner.match` / ``_apply_thresholds``; only
         the argmin strategy differs.  A scalar match is simply a
-        single-probe bucket at ``k = 1``, so it shares the batch
+        single-probe call at ``k = 1``, so it shares the batch
         engine's whole ladder, upper-bound waves included.
         """
         if len(targets) < self.threshold:
@@ -210,9 +212,7 @@ class IndexedJoiner(EditDistanceJoiner):
         index = self._index_for(targets)
         if index.value_id(predicted) is not None:
             return predicted, 0
-        vids, distances = self._resolve_bucket(
-            index, len(predicted), [predicted], 1
-        )[predicted]
+        vids, distances = self._resolve_probes(index, [predicted], 1)[predicted]
         return index.values[vids[0]], int(distances[0])
 
     def join_many(
@@ -227,7 +227,7 @@ class IndexedJoiner(EditDistanceJoiner):
         shortcut on): the column hash and index lookup happen once,
         identical probes are resolved once, exact matches cost one
         dictionary lookup, and the remaining probes run through
-        bucketed candidate generation plus the pair DP kernel.
+        candidate generation plus the pair DP kernel, rung by rung.
         Counters for the call land in :attr:`last_join_stats`.
         """
         if len(targets) < self.threshold:
@@ -294,9 +294,9 @@ class IndexedJoiner(EditDistanceJoiner):
         ``(distance, earliest row)`` rank order — empty for the
         abstaining ``""`` probe.  With ``exact_shortcut`` a probe equal
         to a target value resolves to that value alone by dictionary
-        lookup (only sound at ``k = 1``).  Everything else is bucketed
-        by length and resolved by :meth:`_resolve_bucket` — serially,
-        or above the parallel threshold (or at an explicit
+        lookup (only sound at ``k = 1``).  Everything else is resolved
+        together by :meth:`_resolve_probes` — serially, or above the
+        parallel threshold (or at an explicit
         ``n_workers``) sharded across the persistent process pool with
         a deterministic merge; per-probe results do not depend on which
         other probes share a shard, so the sharded output is
@@ -327,7 +327,7 @@ class IndexedJoiner(EditDistanceJoiner):
                 attributes={"targets": len(targets)},
             )
             ranked: dict[str, Ranked] = {}
-            buckets: dict[int, list[str]] = {}
+            pending: list[str] = []
             exact_matches = 0
             empty_probes = 0
             phase_start = time.monotonic()
@@ -344,8 +344,7 @@ class IndexedJoiner(EditDistanceJoiner):
                     )
                     exact_matches += 1
                 else:
-                    buckets.setdefault(len(probe), []).append(probe)
-            pending = sum(len(bucket) for bucket in buckets.values())
+                    pending.append(probe)
             tracer.record_span(
                 "join.candidate_filter",
                 join_span,
@@ -355,27 +354,25 @@ class IndexedJoiner(EditDistanceJoiner):
                     "unique_probes": len(unique),
                     "exact_matches": exact_matches,
                     "empty_probes": empty_probes,
-                    "pending": pending,
+                    "pending": len(pending),
                 },
             )
-            n_workers = self._resolve_workers(pending)
+            n_workers = self._resolve_workers(len(pending))
             phase_start = time.monotonic()
+            pool_stats = PoolStats()
             if n_workers > 1 and pending:
-                pooled, pool_stats = self._ensure_pool(n_workers).run_buckets(
-                    index, buckets, targets, k
+                pooled, pool_stats = self._ensure_pool(n_workers).run_probes(
+                    index, pending, targets, k
                 )
                 ranked.update(pooled)
-            else:
-                pool_stats = PoolStats()
-                for length, bucket in buckets.items():
-                    ranked.update(self._resolve_bucket(index, length, bucket, k))
+            elif pending:
+                ranked.update(self._resolve_probes(index, pending, k))
             tracer.record_span(
                 "join.kernel_sweep",
                 join_span,
                 phase_start,
                 time.monotonic(),
                 attributes={
-                    "buckets": len(buckets),
                     "n_workers": pool_stats.workers,
                     "shards": pool_stats.shards,
                     "kernel_backend": self.kernel.name,
@@ -396,8 +393,7 @@ class IndexedJoiner(EditDistanceJoiner):
             unique_probes=len(unique),
             exact_matches=exact_matches,
             empty_probes=empty_probes,
-            pending=pending,
-            buckets=len(buckets),
+            pending=len(pending),
             n_workers=pool_stats.workers,
             shards=pool_stats.shards,
             shard_sizes=pool_stats.shard_sizes,
@@ -420,19 +416,19 @@ class IndexedJoiner(EditDistanceJoiner):
         join_span.finish()
         return index, ranked
 
-    def _resolve_bucket(
-        self, index: QGramIndex, length: int, probes: list[str], k: int
+    def _resolve_probes(
+        self, index: QGramIndex, probes: list[str], k: int
     ) -> dict[str, Ranked]:
-        """The ``k`` nearest distinct values for a bucket of same-length probes.
+        """The ``k`` nearest distinct values for probes of any mix of lengths.
 
         Returns ``probe -> (value_ids, distances)`` in ``(distance,
         earliest row)`` rank order, ``min(k, distinct values)`` entries
         each; value ids keep the hot path (and the parallel workers'
         result payloads) in integer space — callers map ids back to
         strings through the index.  Each probe's result depends only on
-        ``(index, length, probe, k)``, never on which other probes
-        share the bucket, which is what makes both probe deduplication
-        and parallel sharding byte-identical to the serial scan.
+        ``(index, probe, k)``, never on which other probes share the
+        call, which is what makes both probe deduplication and parallel
+        sharding byte-identical to the serial scan.
 
         One rule resolves a probe at every step: the candidate set at a
         cap is complete, so once at least ``k`` candidates score within
@@ -440,18 +436,19 @@ class IndexedJoiner(EditDistanceJoiner):
         (:meth:`_rank_topk`).  At ``k = 1`` that is the classic argmin
         — minimum distance, earliest row among the ties.
 
-        One cheap round at cap 2 (:meth:`_ladder_rounds`) resolves the
-        near probes — the common case for model predictions — on small
-        count-filtered candidate blocks.
-        Every probe still unresolved then gets an **upper bound** on
-        its ``k``-th best distance (the ``k``-th smallest exact
-        distance to its max-gram-overlap targets) and finishes in two
-        waves, no cap ladder needed:
+        Each rung below is one kernel sweep over every probe still
+        pending, whatever their lengths.  One cheap round at cap 2
+        (:meth:`_ladder_rounds`) resolves the near probes — the common
+        case for model predictions — on small count-filtered candidate
+        blocks.  Every probe still unresolved then gets an **upper
+        bound** on its ``k``-th best distance (the ``k``-th smallest
+        exact distance to its max-gram-overlap targets) and finishes in
+        two waves, no cap ladder needed:
 
         * **Wave 1** scores only the near-length candidates
-          (``|len - length| <= 2``) at the bound.  The top-k almost
-          always lives there, so the ``k``-th smallest wave-1 score
-          ``b1`` is a much tighter upper bound (``b1 <= bound``
+          (``|len - probe length| <= 2``) at the bound.  The top-k
+          almost always lives there, so the ``k``-th smallest wave-1
+          score ``b1`` is a much tighter upper bound (``b1 <= bound``
           whenever ``k`` near candidates score within the bound;
           otherwise the bound stands).
         * **Wave 2** scores the remaining candidates at cap ``b1`` —
@@ -460,49 +457,55 @@ class IndexedJoiner(EditDistanceJoiner):
           filter — with the kernel's per-pair settlement trimming
           doomed pairs after about ``b1`` DP steps.
 
-        This is the batched analogue of the brute scan's k-th-best
-        pruning: far/garbage probes scan the wide part of the column
-        exactly once, against the tightest bound known.
+        A kernel call takes one scalar cap, so a wave is one sweep per
+        distinct bound among its probes.  This is the batched analogue
+        of the brute scan's k-th-best pruning: far/garbage probes scan
+        the wide part of the column exactly once, against the tightest
+        bound known.
         """
         # Only distinct values rank, so a short column caps the answer.
         kk = min(k, len(index.values))
         resolved: dict[str, Ranked] = {}
-        pending = self._ladder_rounds(index, length, probes, kk, resolved)
+        pending = self._ladder_rounds(index, probes, kk, resolved)
         if not pending:
             return resolved
-        probe_codes, _ = encode_strings(pending)
-        bounds = self._upper_bounds(index, length, pending, probe_codes, kk)
+        probe_codes, lengths = encode_strings(pending)
+        bounds = self._upper_bounds(index, pending, probe_codes, lengths, kk)
         by_bound: dict[int, list[int]] = {}
         for j, bound in enumerate(bounds):
             by_bound.setdefault(bound, []).append(j)
         near_scores: dict[int, Ranked] = {}
         by_refined: dict[int, list[int]] = {}
         for bound, rows in sorted(by_bound.items()):
-            group = [pending[j] for j in rows]
-            cand_lists = index.candidates_bucket(group, length, bound)
+            cand_lists = index.candidates_many([pending[j] for j in rows], bound)
             near_lists = [
-                cands[np.abs(index.lengths[cands] - length) <= self._NEAR_LENGTHS]
-                for cands in cand_lists
+                cands[
+                    np.abs(index.lengths[cands] - lengths[j]) <= self._NEAR_LENGTHS
+                ]
+                for j, cands in zip(rows, cand_lists, strict=True)
             ]
-            wave1 = self._scored_lists(index, probe_codes[rows], near_lists, bound)
+            wave1 = self._scored_lists(
+                index, probe_codes[rows], lengths[rows], near_lists, bound
+            )
             for j, near, near_dists in zip(rows, near_lists, wave1, strict=True):
                 # Only scores within the bound can rank; keeping just
-                # those also bounds what the bucket holds until wave 2.
+                # those also bounds what the call holds until wave 2.
                 keep = near_dists <= bound
                 near_scores[j] = (near[keep], near_dists[keep])
                 refined = self._kth_smallest(near_dists[keep], kk, bound)
                 by_refined.setdefault(refined, []).append(j)
         for refined, rows in sorted(by_refined.items()):
-            group = [pending[j] for j in rows]
-            cand_lists = index.candidates_bucket(group, length, refined)
+            cand_lists = index.candidates_many([pending[j] for j in rows], refined)
             far_lists = [
-                cands[np.abs(index.lengths[cands] - length) > self._NEAR_LENGTHS]
-                for cands in cand_lists
+                cands[
+                    np.abs(index.lengths[cands] - lengths[j]) > self._NEAR_LENGTHS
+                ]
+                for j, cands in zip(rows, cand_lists, strict=True)
             ]
-            wave2 = self._scored_lists(index, probe_codes[rows], far_lists, refined)
-            for j, probe, far, far_dists in zip(
-                rows, group, far_lists, wave2, strict=True
-            ):
+            wave2 = self._scored_lists(
+                index, probe_codes[rows], lengths[rows], far_lists, refined
+            )
+            for j, far, far_dists in zip(rows, far_lists, wave2, strict=True):
                 near, near_dists = near_scores[j]
                 ranked = self._rank_topk(
                     index,
@@ -516,7 +519,7 @@ class IndexedJoiner(EditDistanceJoiner):
                         "q-gram blocking missed a match within a proven "
                         "upper bound; the completeness invariant is broken"
                     )
-                resolved[probe] = ranked
+                resolved[pending[j]] = ranked
         return resolved
 
     @staticmethod
@@ -550,21 +553,20 @@ class IndexedJoiner(EditDistanceJoiner):
     def _ladder_rounds(
         self,
         index: QGramIndex,
-        length: int,
         probes: list[str],
         kk: int,
         resolved: dict[str, Ranked],
     ) -> list[str]:
-        """The one cheap round, at cap 2 (less where nothing is that long).
+        """The one cheap round, at cap 2.
 
         Candidates within the cap are generated completely and scored
         at the cap; a probe resolves into ``resolved`` when ``kk`` of
         them score within it.  Returns the survivors.
         """
-        cap = min(2, max(length, index.max_length))
-        probe_codes, _ = encode_strings(probes)
-        cand_lists = index.candidates_bucket(probes, length, cap)
-        dist_lists = self._scored_lists(index, probe_codes, cand_lists, cap)
+        cap = 2
+        probe_codes, lengths = encode_strings(probes)
+        cand_lists = index.candidates_many(probes, cap)
+        dist_lists = self._scored_lists(index, probe_codes, lengths, cand_lists, cap)
         survivors: list[str] = []
         for probe, cands, dists in zip(probes, cand_lists, dist_lists, strict=True):
             ranked = self._rank_topk(index, cands, dists, cap, kk)
@@ -578,79 +580,71 @@ class IndexedJoiner(EditDistanceJoiner):
         self,
         index: QGramIndex,
         probe_codes: np.ndarray,
+        probe_lengths: np.ndarray,
         cand_lists: list[np.ndarray],
         cap: int,
     ) -> list[np.ndarray]:
         """Capped distances per probe over its candidate list.
 
-        Scores all (probe, candidate) pairs with the lockstep pair DP
-        in bounded groups; entry ``i`` aligns with ``cand_lists[i]``
-        (distances above ``cap`` clamp to ``cap + 1``).
+        Scores all (probe, candidate) pairs of the rung with the
+        lockstep pair DP in bounded groups; entry ``i`` aligns with
+        ``cand_lists[i]`` (distances above ``cap`` clamp to ``cap + 1``).
         """
-        out: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(cand_lists)
+        out: list[np.ndarray] = []
         for start, stop in self._probe_groups(cand_lists):
             group_lists = cand_lists[start:stop]
             sizes = np.fromiter(
                 (c.size for c in group_lists), dtype=np.int64, count=stop - start
             )
-            vids = (
-                np.concatenate(group_lists)
-                if sizes.any()
-                else np.empty(0, dtype=np.int64)
-            )
+            vids = np.concatenate(group_lists)
             probe_rep = np.repeat(np.arange(start, stop), sizes)
             distances = self._pair_distances(
-                probe_codes, probe_rep, vids, index, cap
+                probe_codes, probe_lengths, probe_rep, vids, index, cap
             )
-            offsets = np.concatenate(([0], np.cumsum(sizes)))
-            for j in range(start, stop):
-                lo, hi = int(offsets[j - start]), int(offsets[j - start + 1])
-                if lo != hi:
-                    out[j] = distances[lo:hi]
+            out += np.split(distances, np.cumsum(sizes)[:-1])
         return out
 
     def _upper_bounds(
         self,
         index: QGramIndex,
-        length: int,
         pending: list[str],
         probe_codes: np.ndarray,
+        probe_lengths: np.ndarray,
         kk: int,
     ) -> list[int]:
         """A proven upper bound on each pending probe's ``kk``-th best distance.
 
         One small pair-DP batch (a few candidates per probe) against the
         max-gram-overlap targets from :meth:`QGramIndex.overlap_best`,
-        topped up with the nearest-by-length values wherever fewer than
-        ``kk`` targets share a gram: exact distances to ``kk`` distinct
-        values make the ``kk``-th smallest of them an upper bound on
-        the ``kk``-th best distance overall.
+        topped up with the values nearest the probe's length wherever
+        fewer than ``kk`` targets share a gram: exact distances to
+        ``kk`` distinct values make the ``kk``-th smallest of them an
+        upper bound on the ``kk``-th best distance overall.
         """
-        neighbour_lists = index.overlap_best(
-            pending, length, k=max(kk, self._BOUND_NEIGHBOURS)
-        )
-        if any(neighbours.size < kk for neighbours in neighbour_lists):
-            nearest = np.argsort(np.abs(index.lengths - length), kind="stable")[:kk]
-            neighbour_lists = [
-                neighbours
-                if neighbours.size >= kk
-                else np.union1d(neighbours, nearest)
-                for neighbours in neighbour_lists
-            ]
-        # Any target is within max(length, longest target), so the
-        # distances come back exact.
-        vacuous = max(length, index.max_length)
+        neighbour_lists = index.overlap_best(pending, k=max(kk, self._BOUND_NEIGHBOURS))
+        for j, neighbours in enumerate(neighbour_lists):
+            if neighbours.size < kk:
+                nearest = np.argsort(
+                    np.abs(index.lengths - probe_lengths[j]), kind="stable"
+                )[:kk]
+                neighbour_lists[j] = np.union1d(neighbours, nearest)
+        # Any target is within max(probe length, longest target) of its
+        # probe: at the largest such cap every distance comes back exact.
+        vacuous = np.maximum(probe_lengths, index.max_length).tolist()
         dist_lists = self._scored_lists(
-            index, probe_codes, neighbour_lists, vacuous
+            index, probe_codes, probe_lengths, neighbour_lists, max(vacuous)
         )
-        return [self._kth_smallest(dists, kk, vacuous) for dists in dist_lists]
+        return [
+            self._kth_smallest(dists, kk, cap)
+            for dists, cap in zip(dist_lists, vacuous, strict=True)
+        ]
 
     def _probe_groups(
         self, cand_lists: list[np.ndarray]
     ) -> list[tuple[int, int]]:
-        """Split a bucket round into probe slices of bounded pair count.
+        """Split a rung into probe slices of bounded pair count.
 
-        Keeps one round's concatenated pair block within the cell
+        Keeps one rung's concatenated pair block within the group
         budget even when a late (near-vacuous) cap admits most of the
         column for every probe.
         """
@@ -669,6 +663,7 @@ class IndexedJoiner(EditDistanceJoiner):
     def _pair_distances(
         self,
         probe_codes: np.ndarray,
+        probe_lengths: np.ndarray,
         probe_rep: np.ndarray,
         vids: np.ndarray,
         index: QGramIndex,
@@ -696,9 +691,12 @@ class IndexedJoiner(EditDistanceJoiner):
                 )
             )
             hi = max(lo + 1, min(hi, n))
-            cand_codes, cand_lengths = index.batch_codes(vids[lo:hi])
             out[lo:hi] = self.kernel.edit_distance_pairs(
-                probe_codes, probe_rep[lo:hi], cand_codes, cand_lengths, cap
+                probe_codes,
+                probe_lengths,
+                probe_rep[lo:hi],
+                *index.batch_codes(vids[lo:hi]),
+                cap,
             )
             lo = hi
         return out

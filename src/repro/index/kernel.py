@@ -2,17 +2,19 @@
 
 The blocked joiner scores whole candidate sets at once instead of
 calling the scalar DP per target.  The kernel contract is **one
-function**, :func:`edit_distance_pairs`: a ``(p, m)`` table of distinct
-same-length queries, one table row id per pair, and a padded candidate
-code matrix (:func:`encode_strings`).  One query against many
-candidates is its ``p = 1`` case — a one-row table plus all-zero ids —
-and has no entry point of its own.
+function**, :func:`edit_distance_pairs`: a ``(p, m_max)`` table of
+distinct queries padded to the longest (:func:`encode_strings`), each
+row's true length, one table row id per pair, and a padded candidate
+code matrix.  Queries of every length ride one call, each pair scored
+at its own ``m_i``; one query against many candidates is its ``p = 1``
+case.  Neither has an entry point of its own.
 
 This is the oracle every backend in :mod:`repro.index.kernels` must
 match byte-for-byte, so it is the plainest code that states the answer:
-one exact DP row per query character, vectorized over all pairs, with
-no early exit, length window or compaction.  It is nobody's fast path —
-the other backends own their speed — and nothing here should be tuned.
+one exact DP row per column of the query table, vectorized over all
+pairs, each pair's answer read at the row its query ends on, with no
+early exit, length window, grouping or compaction.  It is nobody's fast
+path — the other backends own their speed — so nothing here is tuned.
 
 Distances are capped on output: any value above ``cap`` is reported as
 ``cap + 1``, matching the contract of
@@ -68,6 +70,7 @@ def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def edit_distance_pairs(
     query_rows: np.ndarray,
+    query_lengths: np.ndarray,
     query_ids: np.ndarray,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
@@ -78,17 +81,18 @@ def edit_distance_pairs(
     Pair ``i`` scores query ``query_ids[i]`` against ``candidate_i``,
     and the DP is vectorized across *all pairs of all probes at once* —
     one numpy sweep per query character instead of one kernel launch
-    per probe.  Every query must have the same true length (the batch
-    engine buckets probes by length for exactly this reason), so the
-    sweep advances all pairs in lockstep.  Which probe a pair belongs
+    per probe.  The queries may have any mix of lengths: the sweep runs
+    one row per column of the table and each pair's answer is read off
+    the row its own query ends on, so one call scores a whole ladder
+    rung however its probes' lengths spread.  Which probe a pair belongs
     to is an argument because the caller already knows it: a backend
     handed one repeated query row per pair has to sort the rows to get
     it back.
 
     Args:
-        query_rows: ``(p, query_len)`` code matrix, one row per distinct
-            query; each row is a full (unpadded) query of exactly
-            ``query_len`` characters.
+        query_rows: ``(p, m_max)`` code matrix, one row per distinct
+            query, padded past each query's end (:func:`encode_strings`).
+        query_lengths: ``(p,)`` true length ``m_i`` of each query row.
         query_ids: ``(n,)`` row of ``query_rows`` each pair scores
             against (any order, repeats allowed, need not cover every
             row).
@@ -107,10 +111,6 @@ def edit_distance_pairs(
     n = cand_codes.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    big = cap + 1
-    query_len = query_rows.shape[1]
-    if query_len == 0:
-        return np.minimum(cand_lengths, big)
     # The rows are often a fancy-indexed subset of a wider index matrix;
     # trim the pad columns past the longest *present* candidate.
     longest = int(cand_lengths.max())
@@ -124,13 +124,17 @@ def edit_distance_pairs(
     # **transposed** — ``(width, n)`` with pairs along the contiguous
     # axis — so the prefix-min's data-dependent loop runs across rows
     # while its inner loop stays a vectorized sweep over all pairs.
-    # Distances clamp to ``big`` only on output.
+    # Distances clamp to ``cap + 1`` only on output.
     cand_codes = np.ascontiguousarray(cand_codes.T)
     previous = np.zeros((longest + 1, n), dtype=np.int32)
     current = np.empty_like(previous)
     unequal = np.empty(cand_codes.shape, dtype=np.int32)
     scratch = np.empty(cand_codes.shape, dtype=np.int32)
-    for i in range(1, query_len + 1):
+    pair_lengths = query_lengths[query_ids]
+    pairs = np.arange(n)
+    # Row 0 answers the empty queries: D[0][len] = len.
+    final = cand_lengths.astype(np.int64)
+    for i in range(1, query_rows.shape[1] + 1):
         current[0, :] = i
         # Each pair substitutes against its own query character:
         # E-substitution = E_prev[j-1] + (mismatch) - 1.
@@ -144,5 +148,8 @@ def edit_distance_pairs(
         # Insertion closure: prefix-min along the (row) width axis.
         np.minimum.accumulate(current, axis=0, out=current)
         previous, current = current, previous
-    final = previous[cand_lengths, np.arange(n)] + cand_lengths
-    return np.minimum(final, big)
+        # A pair's answer is the cell at the end of its own query; the
+        # rows past it compare pad against candidate and are never read.
+        row_answer = previous[cand_lengths, pairs] + cand_lengths
+        final = np.where(pair_lengths == i, row_answer, final)
+    return np.minimum(final, cap + 1)

@@ -1,10 +1,12 @@
 """Pluggable edit-distance kernel backends behind one equivalence contract.
 
 Every join in the Eq. 5 resolution path bottoms out in **one** kernel
-function, ``edit_distance_pairs(query_rows, query_ids, cand_codes,
-cand_lengths, cap)`` — lockstep per-pair scoring: a table of distinct
-same-length queries plus, per pair, the row it scores against.  That
-is the whole contract a backend implements, and the blocked joiner's
+function, ``edit_distance_pairs(query_rows, query_lengths, query_ids,
+cand_codes, cand_lengths, cap)`` — lockstep per-pair scoring: a padded
+table of distinct queries of any mix of lengths, each row's true
+length, and per pair the row it scores against, at that row's own
+length.  That is the whole contract a backend implements — one call
+carries a whole ladder rung — and the blocked joiner's
 ``_pair_distances`` is its one caller.  The registry:
 
 * ``"reference"`` — the plain numpy DP in :mod:`repro.index.kernel`,
@@ -18,13 +20,14 @@ is the whole contract a backend implements, and the blocked joiner's
 * ``"banded"`` — Ukkonen's diagonal-band DP
   (:mod:`repro.index.kernels.banded`); wins when strings are long but
   the cap keeps the band narrow, and stays exact (on its own) when not.
-* ``"auto"`` — per-call dispatch between the above.
+* ``"auto"`` — per-pair dispatch between the above, by each pair's own
+  query length.
 
 Selection: an explicit ``JoinConfig(kernel_backend=...)`` wins; a
 config left at ``"auto"`` defers to the ``REPRO_KERNEL_BACKEND``
 environment variable (so CI can sweep the whole test suite across
 backends without touching call sites); otherwise the auto heuristic
-picks per call.  Backend names are validated against
+picks per pair.  Backend names are validated against
 :data:`repro.core.join_config.KERNEL_BACKENDS`.
 
 Every concrete backend counts the candidate pairs it scores — once, at
@@ -89,6 +92,7 @@ class KernelBackend:
     def edit_distance_pairs(
         self,
         query_rows: np.ndarray,
+        query_lengths: np.ndarray,
         query_ids: np.ndarray,
         cand_codes: np.ndarray,
         cand_lengths: np.ndarray,
@@ -97,14 +101,16 @@ class KernelBackend:
         if cand_codes.shape[0]:
             with _COUNTS_LOCK:
                 _PAIRS_SCORED[self.name] += cand_codes.shape[0]
-        return self._pair_fn(query_rows, query_ids, cand_codes, cand_lengths, cap)
+        return self._pair_fn(
+            query_rows, query_lengths, query_ids, cand_codes, cand_lengths, cap
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 
 
 class AutoBackend(KernelBackend):
-    """Per-call dispatch between the concrete backends.
+    """Per-pair dispatch between the concrete backends.
 
     The heuristic keys on the two quantities that decide each backend's
     cost: the query length ``m`` (bit-parallel does one word of work
@@ -112,31 +118,43 @@ class AutoBackend(KernelBackend):
     work per DP row).  Queries that fit one word always take the
     bit-parallel kernel; longer queries take the banded kernel while
     the band is narrower than a word, else multi-block bit-parallel.
-    It has no pair function of its own: pairs scored are credited to
-    whichever concrete backend ran, never to ``"auto"``.
+    The rule reads each pair's own ``m``, so a few long probes do not
+    move the short ones sharing their rung onto another kernel.  It has
+    no pair function of its own: pairs scored are credited to whichever
+    concrete backend ran, never to ``"auto"``.
     """
-
-    @staticmethod
-    def _pick(m: int, cap: int) -> KernelBackend:
-        if m == 0:
-            return _BACKENDS["reference"]
-        if m <= _BLOCK:
-            return _BACKENDS["bitparallel"]
-        if 2 * cap + 1 <= _BLOCK:
-            return _BACKENDS["banded"]
-        return _BACKENDS["bitparallel"]
 
     def edit_distance_pairs(
         self,
         query_rows: np.ndarray,
+        query_lengths: np.ndarray,
         query_ids: np.ndarray,
         cand_codes: np.ndarray,
         cand_lengths: np.ndarray,
         cap: int,
     ) -> np.ndarray:
-        return self._pick(query_rows.shape[1], cap).edit_distance_pairs(
-            query_rows, query_ids, cand_codes, cand_lengths, cap
-        )
+        m = query_lengths[query_ids]
+        picked = {"reference": m == 0, "bitparallel": (m > 0) & (m <= _BLOCK)}
+        long_kernel = "banded" if 2 * cap + 1 <= _BLOCK else "bitparallel"
+        picked[long_kernel] = picked.get(long_kernel, False) | (m > _BLOCK)
+        out = np.empty(m.size, dtype=np.int64)
+        for name, pairs in picked.items():
+            count = int(np.count_nonzero(pairs))
+            if count == m.size:
+                # The usual case: one kernel takes the whole call as is.
+                return _BACKENDS[name].edit_distance_pairs(
+                    query_rows, query_lengths, query_ids, cand_codes, cand_lengths, cap
+                )
+            if count:
+                out[pairs] = _BACKENDS[name].edit_distance_pairs(
+                    query_rows,
+                    query_lengths,
+                    query_ids[pairs],
+                    cand_codes[pairs],
+                    cand_lengths[pairs],
+                    cap,
+                )
+        return out
 
 
 _BACKENDS: dict[str, KernelBackend] = {

@@ -21,6 +21,11 @@ any in-band distance can reach; they decay by at most one per step and
 start ``> cap + longest`` above the band, so they can never leak into a
 valid final read.
 
+One call scores pairs whose queries have any mix of lengths: the sweep
+runs to the longest query an active pair names, and each pair's window
+and final cell use its own ``m_i`` — ``D[m_i][len]`` sits at band index
+``len - m_i + cap`` of row ``m_i`` and is read the moment that row is done.
+
 The sweep is exact at any cap, including one that makes the band wider
 than the strings (it then touches more cells than a full-matrix DP
 would, never wrong ones), so the one function this module exports,
@@ -39,6 +44,7 @@ _COMPACT_MIN = 256
 
 def _band_sweep(
     query_rows: np.ndarray,
+    pair_lengths: np.ndarray,
     query_ids: np.ndarray,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
@@ -48,12 +54,14 @@ def _band_sweep(
 ) -> np.ndarray:
     """Run the banded sweep over the active candidates.
 
-    ``query_ids`` selects each active candidate's row of the ``(p, m)``
-    ``query_rows``.  ``out`` is pre-filled with ``big``; the final band
-    cell of each surviving candidate overwrites it.
+    ``query_ids`` selects each active candidate's row of ``query_rows``
+    and ``pair_lengths`` is that row's true length.  ``out`` is
+    pre-filled with ``big``; each surviving candidate's band cell on the
+    row its own query ends on overwrites it.
     """
     big = cap + 1
-    m = query_rows.shape[1]
+    # Rows to sweep: the longest query an active pair names.
+    m = int(pair_lengths.max())
     band = 2 * cap + 1
     lengths = cand_lengths
     longest = int(lengths.max())
@@ -90,29 +98,34 @@ def _band_sweep(
         if low > 0:
             current[:, :low] = poison
         previous, current = current, previous
+        # A pair's answer is the cell D[m_i][len] on the row its own
+        # query ends on; later rows (pad against pad) are never read.
+        ended = np.nonzero(pair_lengths == i)[0]
+        if ended.size:
+            final = previous[ended, lengths[ended] - i + cap]
+            out[active[ended]] = np.minimum(final, big)
         if i == m:
             break
         if i & 1:
             continue
-        row_min = previous.min(axis=1)
-        settled = int(np.count_nonzero(row_min > cap))
-        if settled == active.size:
-            return out
-        if settled >= _COMPACT_MIN and settled * 4 >= active.size:
-            keep = row_min <= cap
+        keep = (previous.min(axis=1) <= cap) & (pair_lengths > i)
+        dropped = active.size - int(np.count_nonzero(keep))
+        if dropped == active.size:
+            break
+        if dropped >= _COMPACT_MIN and dropped * 4 >= active.size:
             active = active[keep]
             lengths = lengths[keep]
+            pair_lengths = pair_lengths[keep]
             previous = previous[keep]
             frame = frame[keep]
             query_ids = query_ids[keep]
             current = np.empty_like(previous)
-    final = previous[np.arange(active.size), lengths - m + cap]
-    out[active] = np.minimum(final, big)
     return out
 
 
 def edit_distance_pairs(
     query_rows: np.ndarray,
+    query_lengths: np.ndarray,
     query_ids: np.ndarray,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
@@ -120,7 +133,7 @@ def edit_distance_pairs(
 ) -> np.ndarray:
     """Banded analogue of :func:`repro.index.kernel.edit_distance_pairs`.
 
-    Length-window filter and trivial cases, then the band sweep.
+    Per-pair length-window filter and trivial cases, then the band sweep.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -128,26 +141,26 @@ def edit_distance_pairs(
     if n == 0:
         return np.empty(0, dtype=np.int64)
     big = cap + 1
-    m = query_rows.shape[1]
-    if m == 0:
-        return np.minimum(cand_lengths, big)
+    pair_lengths = query_lengths[query_ids]
     out = np.full(n, big, dtype=np.int64)
-    # |len - m| > cap settles a candidate before the sweep; it also
-    # guarantees the final band read ``lengths - m + cap`` is in range.
-    window = np.abs(cand_lengths - m) <= cap
-    active = np.nonzero(window)[0]
-    if not active.size:
-        return out
-    alens = cand_lengths[active]
-    empty = alens == 0
-    if empty.any():
-        out[active[empty]] = min(m, big)
-        active = active[~empty]
-        alens = alens[~empty]
+    # Against an empty string the distance is the other side's length.
+    trivial = (pair_lengths == 0) | (cand_lengths == 0)
+    out[trivial] = np.minimum(np.maximum(pair_lengths, cand_lengths), big)[trivial]
+    # |len - m_i| > cap settles a candidate before the sweep; it also
+    # guarantees the final band read ``len - m_i + cap`` is in range.
+    window = np.abs(cand_lengths - pair_lengths) <= cap
+    active = np.nonzero(window & ~trivial)[0]
     if not active.size:
         return out
     return _band_sweep(
-        query_rows, query_ids[active], cand_codes[active], alens, cap, out, active
+        query_rows,
+        pair_lengths[active],
+        query_ids[active],
+        cand_codes[active],
+        cand_lengths[active],
+        cap,
+        out,
+        active,
     )
 
 

@@ -11,23 +11,34 @@ costs scalar word ops.
 
 Queries longer than 64 characters chain blocks edlib-style: each block
 consumes the horizontal delta (``hin`` in {-1, 0, +1}) the block below
-produced this column and emits its own from bit 63.  The running
-distance ``score = D[m][j]`` is tracked at bit ``(m - 1) % 64`` of the
-last block — bits above it hold garbage, which is safe because
-information only flows *upward* within a column (shifts and adder
-carries), never down.
+produced this column and emits its own from bit 63.  Bits above a
+query's last row hold garbage, which is safe because information only
+flows *upward* within a column (shifts and adder carries), never down.
+
+One call scores pairs whose queries have **any mix of lengths**.  No
+running score is kept: ``D[0][j] = j`` and the bit-vectors *are* the
+vertical deltas of column ``j``, so a pair's distance is read off its
+last column as ``len + popcount(VP & rows) - popcount(VN & rows)`` under
+a mask of its own ``m_i`` rows.  Pairs sweep together when their
+queries span the same number of words (a rung's few long probes do not
+drag every short pair onto a multi-block sweep), ordered longest
+candidate first: the pairs still inside their candidate at column ``j``
+are then a prefix, the column's word operations write preallocated
+buffers through views of it, and a finished pair falls off the end with
+its final column left in place.
 
 The capped contract is that of the one function this module exports,
 :func:`repro.index.kernel.edit_distance_pairs`: values ``<= cap`` are
 exact, everything else reports ``cap + 1``.  Early exit uses the lower
-bound ``D[m][len] >= score_j - (len - j)``: the slack ``score_j - (len
-- j)`` changes by 0 or +2 per column, so once a candidate's bound
-exceeds the cap it is settled for good and the batch compacts it away.
+bound ``D[m][len] >= D[m][j] - (len - j)``: the slack changes by 0 or
++2 per column, so once a candidate's bound exceeds the cap it is
+settled for good and the batch compacts it away.
 
 Preprocessing is per call and memoizes nothing: the ``Peq`` tables
-(which pattern rows match each alphabet symbol) are ``m`` small
-scatter-ors over the caller's table of distinct queries, and the
-candidate chunk is mapped onto their columns once, before the sweep.
+(which pattern rows match each alphabet symbol) are one scatter-or over
+the real (unpadded) cells of the query rows the call names — pad never
+enters the alphabet — and the candidate chunk is mapped onto their
+columns once, before the sweep.
 """
 
 from __future__ import annotations
@@ -45,133 +56,153 @@ _CHECK_EVERY = 16
 _COMPACT_MIN = 256
 
 
-def _build_peq(query_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol match masks for a batch of equal-length queries.
+def _build_peq(
+    query_rows: np.ndarray, query_lengths: np.ndarray, n_blocks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol match masks for ``p`` padded queries of ``n_blocks`` words.
 
-    Args:
-        query_rows: ``(p, m)`` uint32 code matrix, one row per distinct
-            query.
-
-    Returns:
-        ``(ucodes, peq)`` where ``ucodes`` is the sorted alphabet of
-        the queries and ``peq`` has shape ``(n_blocks, p, len(ucodes)
-        + 1)`` — ``peq[b, r, s]`` marks which rows of block ``b`` of
-        query ``r`` match symbol ``ucodes[s]``; the last column is the
-        all-zero mask for characters outside the alphabet.
+    Returns ``(ucodes, peq)``: the sorted alphabet of the queries'
+    *real* characters — pad cells must stay out of it, the symbol table
+    is sized by its largest member — and ``peq`` of shape ``(n_blocks,
+    p, len(ucodes) + 1)``, where ``peq[b, r, s]`` marks the rows of
+    block ``b`` of query ``r`` that match ``ucodes[s]``; the last column
+    is the all-zero mask for characters outside the alphabet.
     """
-    p, m = query_rows.shape
-    n_blocks = (m + _WORD - 1) // _WORD
-    ucodes = np.unique(query_rows)
-    peq = np.zeros((n_blocks, p, ucodes.size + 1), dtype=np.uint64)
-    rows = np.arange(p)
-    symbol = np.searchsorted(ucodes, query_rows)
-    for k in range(m):
-        bit = np.uint64(1 << (k % _WORD))
-        peq[k // _WORD][rows, symbol[:, k]] |= bit
+    width = min(query_rows.shape[1], n_blocks * _WORD)
+    rows, cols = np.nonzero(np.arange(width) < query_lengths[:, None])
+    ucodes, symbol = np.unique(query_rows[rows, cols], return_inverse=True)
+    peq = np.zeros((n_blocks, query_rows.shape[0], ucodes.size + 1), dtype=np.uint64)
+    bits = _ONE << (cols % _WORD).astype(np.uint64)
+    np.bitwise_or.at(peq, (cols // _WORD, rows, symbol), bits)
     return ucodes, peq
 
 
-def _symbol_ids(ucodes: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    """Map candidate characters (any shape) into ``peq`` columns.
+def _distances(
+    vp: np.ndarray, vn: np.ndarray, row_masks: np.ndarray, columns: np.ndarray
+) -> np.ndarray:
+    """``D[m_i][columns]`` from the vertical deltas of that DP column.
 
-    Characters outside the query alphabet (pad included) land on the
-    sentinel all-zero column ``len(ucodes)``.  A lookup table over
-    ``[0, largest query character + 1]`` makes that one gather per cell
-    where ``searchsorted`` pays a binary search per cell; every larger
-    character clips onto the table's last, sentinel entry.
+    ``D[0][j] = j``, so the bottom cell is ``j`` plus the up-steps minus
+    the down-steps over each pair's own ``m_i`` rows (``row_masks``;
+    the bits above them hold garbage).
     """
-    top = int(ucodes[-1])
-    table = np.full(top + 2, ucodes.size, dtype=np.intp)
-    table[ucodes] = np.arange(ucodes.size)
-    return table[np.minimum(chars, top + 1)]
+    ups = np.bitwise_count(vp & row_masks).sum(axis=0, dtype=np.int64)
+    downs = np.bitwise_count(vn & row_masks).sum(axis=0, dtype=np.int64)
+    return columns + ups - downs
 
 
 def _sweep(
-    peq: np.ndarray,
+    query_rows: np.ndarray,
+    query_lengths: np.ndarray,
     query_ids: np.ndarray,
-    ucodes: np.ndarray,
-    m: int,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
     cap: int,
     out: np.ndarray,
     active: np.ndarray,
-) -> np.ndarray:
-    """Run the bit-parallel column sweep over the active candidates.
+    n_blocks: int,
+) -> None:
+    """Score the ``active`` pairs, all ``n_blocks`` words deep, into ``out``.
 
-    ``query_ids`` selects each active candidate's query row of ``peq``;
-    ``out`` is pre-filled with ``big`` and settled candidates keep it.
+    ``active`` indexes the call's pairs longest candidate first: the
+    pairs still inside their candidate at DP column ``j`` are a prefix,
+    and a finished pair falls off it with its final column left in
+    ``vp``/``vn``.  ``out`` is pre-filled with ``cap + 1``; settled
+    pairs keep it.
     """
-    big = cap + 1
-    n_blocks = peq.shape[0]
-    score_bit = np.uint64((m - 1) % _WORD)
+    # Only the rows the active pairs name get tables.
+    rows, ids = np.unique(query_ids[active], return_inverse=True)
+    ucodes, peq = _build_peq(query_rows[rows], query_lengths[rows], n_blocks)
+    lengths = cand_lengths[active]
+    longest = int(lengths[0])
     # The whole chunk maps to flat ``peq`` offsets once — symbol column
     # plus the candidate's query row — transposed so column j of the DP
-    # is one contiguous 1-D gather per block.
-    flat_t = _symbol_ids(ucodes, np.ascontiguousarray(cand_codes.T))
-    flat_t += query_ids * peq.shape[2]
+    # is one contiguous 1-D gather per block.  Symbols come from a
+    # lookup table over [0, largest query character + 1]; anything
+    # larger (pad included) clips onto its last entry, the all-zero
+    # column.
+    top = int(ucodes[-1])
+    table = np.full(top + 2, ucodes.size, dtype=np.int32)
+    table[ucodes] = np.arange(ucodes.size, dtype=np.int32)
+    chars = np.ascontiguousarray(cand_codes[active, :longest].T)
+    flat_t = table[np.minimum(chars, top + 1, out=chars)]
+    flat_t += (ids * peq.shape[2]).astype(np.int32)
     peq = peq.reshape(n_blocks, -1)
-    n_cols = flat_t.shape[0]
+    # Bit i of block b is pattern row 64 b + i: all ones below the last
+    # block, the low ``m_i - 64 (n_blocks - 1)`` bits within it.
+    row_masks = np.full((n_blocks, active.size), _ONES, dtype=np.uint64)
+    spare = (n_blocks * _WORD - query_lengths[rows][ids]).astype(np.uint64)
+    row_masks[-1] >>= spare
     vp = np.full((n_blocks, active.size), _ONES, dtype=np.uint64)
     vn = np.zeros((n_blocks, active.size), dtype=np.uint64)
-    score = np.full(active.size, m, dtype=np.int64)
-    lengths = cand_lengths
-    since_check = 0
-    for j in range(n_cols):
-        flat = flat_t[j]
-        hin_p = np.full(flat.shape, _ONE, dtype=np.uint64)
-        hin_n = np.zeros(flat.shape, dtype=np.uint64)
+    eq, xv, xh, ph, mh, hin_p, hin_n = np.empty((7, active.size), dtype=np.uint64)
+    # live[j]: pairs whose candidate reaches past column j — a prefix.
+    columns = -np.arange(1, longest + 1)
+    live = np.searchsorted(-lengths, columns, side="right")
+    base = 0  # the DP column row 0 of ``flat_t`` holds
+    for j in range(longest):
+        c = int(live[j])
+        if not c:
+            break
+        flat = flat_t[j - base, :c]
         for b in range(n_blocks):
-            eq = peq[b].take(flat)
-            pv = vp[b]
-            mv = vn[b]
-            xv = eq | mv
-            eq = eq | hin_n
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv)
-            mh = pv & xh
-            if b == n_blocks - 1:
-                score += ((ph >> score_bit) & _ONE).astype(np.int64)
-                score -= ((mh >> score_bit) & _ONE).astype(np.int64)
+            pv, mv = vp[b, :c], vn[b, :c]
+            e, v, h, p, m = eq[:c], xv[:c], xh[:c], ph[:c], mh[:c]
+            peq[b].take(flat, out=e, mode="clip")
+            np.bitwise_or(e, mv, out=v)
+            if b:
+                np.bitwise_or(e, hin_n[:c], out=e)
+            np.bitwise_and(e, pv, out=h)
+            np.add(h, pv, out=h)
+            np.bitwise_xor(h, pv, out=h)
+            np.bitwise_or(h, e, out=h)
+            np.bitwise_or(h, pv, out=p)
+            np.invert(p, out=p)
+            np.bitwise_or(p, mv, out=p)
+            np.bitwise_and(pv, h, out=m)
+            if b + 1 < n_blocks:
+                # This block's bottom horizontal delta feeds the next
+                # (``e`` and ``h`` are free again to carry ours in).
+                np.right_shift(p, _TOP, out=e)
+                np.right_shift(m, _TOP, out=h)
+            np.left_shift(p, _ONE, out=p)
+            np.left_shift(m, _ONE, out=m)
+            if b:
+                np.bitwise_or(p, hin_p[:c], out=p)
+                np.bitwise_or(m, hin_n[:c], out=m)
             else:
-                hout_p = (ph >> _TOP) & _ONE
-                hout_n = (mh >> _TOP) & _ONE
-            ph = (ph << _ONE) | hin_p
-            mh = (mh << _ONE) | hin_n
-            vp[b] = mh | ~(xv | ph)
-            vn[b] = ph & xv
-            if b != n_blocks - 1:
-                hin_p = hout_p
-                hin_n = hout_n
-        finished = lengths == j + 1
-        if finished.any():
-            out[active[finished]] = np.minimum(score[finished], big)
-        since_check += 1
-        if since_check < _CHECK_EVERY or j + 1 == n_cols:
+                np.bitwise_or(p, _ONE, out=p)
+            if b + 1 < n_blocks:
+                hin_p[:c] = e
+                hin_n[:c] = h
+            np.bitwise_or(v, p, out=pv)
+            np.invert(pv, out=pv)
+            np.bitwise_or(pv, m, out=pv)
+            np.bitwise_and(p, v, out=mv)
+        done = j + 1
+        if done % _CHECK_EVERY or done == longest:
             continue
-        since_check = 0
-        # D[m][len] >= score - (len - (j + 1)): every remaining column
-        # can lower the score by at most 1.  The slack is monotone, so
-        # a settled candidate stays settled.
-        alive = lengths > j + 1
-        settled = score - (lengths - (j + 1)) > cap
-        pending = int(np.count_nonzero(alive & ~settled))
-        done = active.size - pending
-        if pending == 0:
-            return out
-        if done >= _COMPACT_MIN and done * 4 >= active.size:
-            keep = alive & ~settled
-            active = active[keep]
-            lengths = lengths[keep]
-            score = score[keep]
-            vp = np.ascontiguousarray(vp[:, keep])
-            vn = np.ascontiguousarray(vn[:, keep])
-            flat_t = flat_t[:, keep]
-    return out
+        # D[m][len] >= D[m][done] - (len - done): every remaining column
+        # can lower the bottom cell by at most 1.  The slack is
+        # monotone, so a settled candidate stays settled: it leaves the
+        # batch and keeps the ``big`` that ``out`` was filled with.
+        floor = _distances(vp[:, :c], vn[:, :c], row_masks[:, :c], done)
+        floor -= lengths[:c] - done
+        keep = np.ones(active.size, dtype=bool)
+        keep[:c] = floor <= cap
+        settled = active.size - int(np.count_nonzero(keep))
+        if settled >= _COMPACT_MIN and settled * 4 >= c:
+            flat_t = flat_t[done - base :, :c][:, keep[:c]]
+            base = done
+            active, lengths = active[keep], lengths[keep]
+            vp, vn, row_masks = vp[:, keep], vn[:, keep], row_masks[:, keep]
+            live = np.searchsorted(-lengths, columns, side="right")
+    out[active] = np.minimum(_distances(vp, vn, row_masks, lengths), cap + 1)
 
 
 def edit_distance_pairs(
     query_rows: np.ndarray,
+    query_lengths: np.ndarray,
     query_ids: np.ndarray,
     cand_codes: np.ndarray,
     cand_lengths: np.ndarray,
@@ -179,9 +210,9 @@ def edit_distance_pairs(
 ) -> np.ndarray:
     """Bit-parallel analogue of :func:`repro.index.kernel.edit_distance_pairs`.
 
-    ``Peq`` tables are built straight from the ``(p, m)`` query table —
-    once per distinct probe, never per pair — and each pair indexes
-    them through ``query_ids``.
+    ``Peq`` tables are built straight from the query table — once per
+    distinct probe, never per pair — and each pair indexes them through
+    ``query_ids``; one sweep per word count among the queries.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -189,32 +220,31 @@ def edit_distance_pairs(
     if n == 0:
         return np.empty(0, dtype=np.int64)
     big = cap + 1
-    m = query_rows.shape[1]
-    if m == 0:
-        return np.minimum(cand_lengths, big)
+    pair_lengths = query_lengths[query_ids]
     out = np.full(n, big, dtype=np.int64)
-    # |len - m| is a lower bound on the distance: candidates outside
+    # Against an empty string the distance is the other side's length.
+    trivial = (pair_lengths == 0) | (cand_lengths == 0)
+    out[trivial] = np.minimum(np.maximum(pair_lengths, cand_lengths), big)[trivial]
+    # |len - m_i| is a lower bound on the distance: candidates outside
     # the window are settled before the sweep starts.
-    window = np.abs(cand_lengths - m) <= cap
-    active = np.nonzero(window)[0]
-    if not active.size:
-        return out
-    alens = cand_lengths[active]
-    empty = alens == 0
-    if empty.any():
-        out[active[empty]] = min(m, big)
-        active = active[~empty]
-        alens = alens[~empty]
-    if not active.size:
-        return out
-    # Only the span of rows the active pairs name gets tables: a chunk
-    # of a large bucket touches a few adjacent probes, not all ``p``.
-    ids = query_ids[active]
-    first = int(ids.min())
-    ucodes, peq = _build_peq(query_rows[first : int(ids.max()) + 1])
-    longest = int(alens.max())
-    acodes = cand_codes[active][:, :longest]
-    return _sweep(peq, ids - first, ucodes, m, acodes, alens, cap, out, active)
+    window = np.abs(cand_lengths - pair_lengths) <= cap
+    active = np.nonzero(window & ~trivial)[0]
+    # Longest candidate first (see :func:`_sweep`).
+    active = active[np.argsort(-cand_lengths[active], kind="stable")]
+    words = (pair_lengths[active] + _WORD - 1) // _WORD
+    for n_blocks in np.unique(words).tolist():
+        _sweep(
+            query_rows,
+            query_lengths,
+            query_ids,
+            cand_codes,
+            cand_lengths,
+            cap,
+            out,
+            active[words == n_blocks],
+            n_blocks,
+        )
+    return out
 
 
 __all__ = ["edit_distance_pairs"]

@@ -6,18 +6,17 @@ that **persists across** the joiner's batch calls (``join_many`` and
 and reused until :meth:`JoinWorkerPool.close` (the serving layer closes
 it on shutdown; a garbage-collected joiner releases it through the
 executor's own finalization).  There is **one shard protocol**: every
-call fans its length buckets out through :meth:`JoinWorkerPool.run_buckets`,
-every shard runs :func:`_score_shard` — the serial
-:meth:`~repro.index.joiner.IndexedJoiner._resolve_bucket` at the call's
-``k`` — and every payload has the same shape (per-probe rank counts
-plus flat value-id / distance arrays), merged deterministically.  The
-argmin is simply ``k = 1``.  The contract is the engine-wide one:
+call fans its pending probes out through :meth:`JoinWorkerPool.run_probes`,
+a shard is a list of probes, every shard runs :func:`_score_shard` —
+the serial :meth:`~repro.index.joiner.IndexedJoiner._resolve_probes` at
+the call's ``k`` — and every payload has the same shape (per-probe rank
+counts plus flat value-id / distance arrays), merged deterministically.
+The argmin is simply ``k = 1``.  The contract is the engine-wide one:
 **byte-identical results to the serial scan**, which the sharding
 preserves by construction —
 
-* a bucket probe's ranking depends only on ``(index, length, probe,
-  k)``, never on which other probes share the bucket, so buckets can
-  split anywhere;
+* a probe's ranking depends only on ``(index, probe, k)``, never on
+  which other probes share its call, so the probes can split anywhere;
 * every worker scores against an equal-content index — resolved from
   its own content-keyed cache (seeded with the parent's cache under the
   ``fork`` start method, loaded from the shared on-disk tier, or
@@ -36,13 +35,14 @@ reuse pay in a serving deployment: repeated joins against the same hot
 target columns stop paying worker startup, index resolution, *and*
 column serialization.
 
-Shards are planned by **candidate mass**, not probe count: a bucket's
-per-probe cost scales with how many targets sit within the near-length
-window, so a skewed workload (thousands of probes at the column's modal
+Shards are planned by **candidate mass**, not probe count: a probe's
+cost scales with how many targets sit within its near-length window,
+so a skewed workload (thousands of probes at the column's modal
 length) is split into more pieces than its probe share alone would
-suggest.  Workers return value ids and distances as reduced ``int32``
-arrays — the parent maps ids back to strings through its own index —
-so result pickling stays cheap even for very wide batches.
+suggest, cut in length order so a shard's rungs pad little.  Workers
+return value ids and distances as reduced ``int32`` arrays — the
+parent maps ids back to strings through its own index — so result
+pickling stays cheap even for very wide batches.
 
 Worker startup prefers the ``fork`` start method where the platform
 offers it and no other threads are alive (forking a multi-threaded
@@ -82,11 +82,10 @@ class JoinStats:
         exact_matches: Unique probes resolved by exact-match lookup
             (always 0 for top-k, which takes no shortcut).
         empty_probes: Unique probes that were abstentions (``""``).
-        pending: Unique probes that went through bucketed scoring.
-        buckets: Length buckets those probes formed.
+        pending: Unique probes that went through the scoring ladder.
         n_workers: Worker processes the pool could run for this call
             (capped by the shard count; 1 = serial execution).
-        shards: Bucket shards dispatched to the pool (0 when serial).
+        shards: Probe shards dispatched to the pool (0 when serial).
         shard_sizes: Probe count of each shard, in dispatch order.
         cache_hits: In-memory index-cache hits during the call.
         cache_misses: In-memory index-cache misses during the call.
@@ -115,7 +114,6 @@ class JoinStats:
     exact_matches: int = 0
     empty_probes: int = 0
     pending: int = 0
-    buckets: int = 0
     n_workers: int = 1
     shards: int = 0
     shard_sizes: tuple[int, ...] = ()
@@ -180,40 +178,39 @@ class _ColumnNeeded(Exception):
 
 
 def plan_shards(
-    index: QGramIndex, buckets: dict[int, list[str]], n_workers: int
-) -> list[tuple[int, list[str]]]:
-    """Split length buckets into pool shards balanced by candidate mass.
+    index: QGramIndex, probes: Sequence[str], n_workers: int
+) -> list[list[str]]:
+    """Split pending probes into pool shards balanced by candidate mass.
 
     A probe's scoring cost is dominated by how many targets sit near its
-    length, so each bucket's mass is ``probes x near-window targets``.
-    Buckets whose mass exceeds the per-shard target (total mass spread
-    over ``n_workers x oversplit`` shards) are split into probe chunks;
-    small buckets ship whole.  The plan is a pure function of the
-    inputs, so parent and test harnesses can reproduce it exactly.
+    length, so its mass is the size of its near-length window.  Probes
+    are ordered by length (stably: a shard holds neighbouring lengths,
+    so its rungs pad little) and cut into runs of the per-shard target,
+    total mass over ``n_workers x oversplit`` shards.  The plan is a
+    pure function of the inputs, so tests can reproduce it exactly.
     """
     # Imported lazily: joiner imports this module for the pool, so a
     # module-level import here would cycle.
     from repro.index.joiner import IndexedJoiner
 
+    if not probes:
+        return []
+    ordered = sorted(probes, key=len)
+    lengths = np.fromiter(map(len, ordered), dtype=np.int64, count=len(ordered))
     sorted_lengths = np.sort(index.lengths)
     window = IndexedJoiner._NEAR_LENGTHS
-    entries: list[tuple[int, list[str], int]] = []
-    total_mass = 0
-    for length, bucket in buckets.items():
-        lo = np.searchsorted(sorted_lengths, length - window, side="left")
-        hi = np.searchsorted(sorted_lengths, length + window, side="right")
-        mass = max(int(hi - lo), 1)
-        entries.append((length, bucket, mass))
-        total_mass += mass * len(bucket)
-    if not entries:
-        return []
-    shard_target = max(1, -(-total_mass // (n_workers * _OVERSPLIT)))
-    shards: list[tuple[int, list[str]]] = []
-    for length, bucket, mass in entries:
-        chunk = max(1, shard_target // mass)
-        for start in range(0, len(bucket), chunk):
-            shards.append((length, bucket[start : start + chunk]))
-    return shards
+    lo = np.searchsorted(sorted_lengths, lengths - window, side="left")
+    hi = np.searchsorted(sorted_lengths, lengths + window, side="right")
+    mass = np.maximum(hi - lo, 1)
+    shard_target = max(1, -(-int(mass.sum()) // (n_workers * _OVERSPLIT)))
+    # A probe joins the shard the mass ahead of it falls in, so a shard
+    # closes with the probe that carries it past the target.
+    shard_of = (np.cumsum(mass) - mass) // shard_target
+    cuts = (np.flatnonzero(np.diff(shard_of)) + 1).tolist()
+    return [
+        ordered[start:stop]
+        for start, stop in zip([0, *cuts], [*cuts, len(ordered)], strict=True)
+    ]
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
@@ -268,7 +265,6 @@ def _init_worker(
 
 def _score_shard(
     shard_id: int,
-    length: int,
     probes: list[str],
     fingerprint: str,
     column: tuple[str, ...] | None,
@@ -324,7 +320,7 @@ def _score_shard(
         cache=cache,
     )
     pairs_before = pairs_scored_snapshot()
-    ranked = scorer._resolve_bucket(index, length, probes, k)
+    ranked = scorer._resolve_probes(index, probes, k)
     counts = np.fromiter(
         (ranked[probe][0].size for probe in probes),
         dtype=np.int32,
@@ -444,32 +440,30 @@ class JoinWorkerPool:
             )
         return self._executor
 
-    def run_buckets(
+    def run_probes(
         self,
         index: QGramIndex,
-        buckets: dict[int, list[str]],
+        probes: Sequence[str],
         targets: Sequence[str],
         k: int,
     ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], PoolStats]:
-        """Rank every bucket's probes through the pool.
+        """Rank the pending probes through the pool.
 
         Returns the merged ``probe -> (value_ids, distances)`` mapping
-        in rank order — byte-identical to running
-        :meth:`IndexedJoiner._resolve_bucket` serially per bucket at
-        the same ``k`` — plus the pool counters for :class:`JoinStats`.
+        in rank order — byte-identical to one serial
+        :meth:`IndexedJoiner._resolve_probes` over all of them at the
+        same ``k`` — plus the pool counters for :class:`JoinStats`.
         """
-        shards = plan_shards(index, buckets, self.n_workers)
+        shards = plan_shards(index, probes, self.n_workers)
         executor = self._ensure_executor()
         column = tuple(targets)
         fingerprint = column_fingerprint(column, index.q)
 
         def submit(shard_id: int, shipped: tuple[str, ...] | None):
-            length, probes = shards[shard_id]
             return executor.submit(
                 _score_shard,
                 shard_id,
-                length,
-                probes,
+                shards[shard_id],
                 fingerprint,
                 shipped,
                 self.q,
@@ -502,10 +496,9 @@ class JoinWorkerPool:
                     vids,
                     distances,
                 ) = result
-                _, probes = shards[shard_id]
                 stops = np.cumsum(counts).tolist()
                 for probe, count, stop in zip(
-                    probes, counts.tolist(), stops, strict=True
+                    shards[shard_id], counts.tolist(), stops, strict=True
                 ):
                     ranked[probe] = (
                         vids[stop - count : stop],
@@ -534,7 +527,7 @@ class JoinWorkerPool:
         return ranked, PoolStats(
             workers=min(self.n_workers, len(shards)),
             shards=len(shards),
-            shard_sizes=tuple(len(probes) for _, probes in shards),
+            shard_sizes=tuple(len(shard) for shard in shards),
             disk_hits=call_hits,
             disk_misses=call_misses,
             kernel_pairs=tuple(sorted(call_pairs.items())),

@@ -219,11 +219,14 @@ class QGramIndex:
     def batch_codes(self, value_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(codes, lengths)`` for a candidate batch, kernel-ready.
 
-        Slices the precomputed matrix when it exists, otherwise encodes
-        just the batch (padded to the batch maximum).
+        One gather out of the precomputed matrix when it exists — only
+        the columns the batch's longest value reaches, never the
+        column-wide pad — otherwise the batch is encoded on demand.
         """
         if self._codes is not None:
-            return self._codes[value_ids], self.lengths[value_ids]
+            lengths = self.lengths[value_ids]
+            longest = int(lengths.max()) if lengths.size else 0
+            return self._codes[value_ids, :longest], lengths
         return encode_strings([self.values[int(v)] for v in value_ids])
 
     def value_id(self, value: str) -> int | None:
@@ -239,33 +242,28 @@ class QGramIndex:
             self._postings[gram] for gram in grams if gram in self._postings
         ]
 
-    def overlap_best(
-        self, queries: Sequence[str], length: int, k: int = 8
-    ) -> list[np.ndarray]:
+    def overlap_best(self, queries: Sequence[str], k: int = 8) -> list[np.ndarray]:
         """Plausible near-neighbour value ids for each query.
 
         Returns, per query, up to ``k`` ids of the indexed values
         sharing the most q-grams with it (target-side multiplicities
-        included), falling back to the value of closest length when no
-        gram is shared.  The returned targets are *not* guaranteed to
-        contain the argmin — the minimum of their exact distances is an
-        **upper bound** on the query's best distance, which the batch
-        engine uses to jump cap deepening straight to a provably
-        sufficient candidate set.
+        included), falling back to the value closest to the query's own
+        length when no gram is shared.  The returned targets are *not*
+        guaranteed to contain the argmin — the minimum of their exact
+        distances is an **upper bound** on the query's best distance,
+        which the batch engine uses to jump cap deepening straight to a
+        provably sufficient candidate set.
 
         Args:
-            queries: Probe strings, each of exactly ``length`` characters.
-            length: The shared probe length.
+            queries: Probe strings, of any mix of lengths.
             k: Neighbour candidates per query.
         """
-        fallback = np.asarray(
-            [int(np.argmin(np.abs(self.lengths - length)))], dtype=np.int64
-        )
         out: list[np.ndarray] = []
         for query in queries:
             arrays = self._gram_postings(query)
             if not arrays:
-                out.append(fallback)
+                nearest = int(np.argmin(np.abs(self.lengths - len(query))))
+                out.append(np.asarray([nearest], dtype=np.int64))
                 continue
             counts = np.bincount(np.concatenate(arrays))
             if counts.size > k:
@@ -275,40 +273,34 @@ class QGramIndex:
                 out.append(np.nonzero(counts)[0])
         return out
 
-    def candidates_bucket(
-        self, queries: Sequence[str], length: int, cap: int
-    ) -> list[np.ndarray]:
-        """Per-query candidate ids for a bucket of same-length queries.
+    def candidates_many(self, queries: Sequence[str], cap: int) -> list[np.ndarray]:
+        """Per-query candidate ids for queries of any mix of lengths.
 
         Completeness guarantee: any indexed value ``t`` with
         ``edit_distance(query, t) <= cap`` is in that query's array,
-        which is ascending (so candidate order is deterministic).  The
-        length filter — which depends only on ``length`` and ``cap`` —
-        is evaluated once for the whole bucket, and when the count bound
-        is vacuous the single shared length-compatible array serves
-        every query.  This is the engine's one candidate generator.
+        which is ascending (so candidate order is deterministic).  Both
+        filters are evaluated at each query's own length; when its
+        count bound is vacuous every length-compatible value is
+        admitted.  This is the engine's one candidate generator.
 
         Args:
-            queries: Probe strings, each of exactly ``length`` characters.
-            length: The shared probe length.
+            queries: Probe strings.
             cap: Distances above this need not be admitted.
         """
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
-        length_ok = np.abs(self.lengths - length) <= cap
-        bound = (length - self.q + 1) - cap * self.q
-        if bound <= 0:
-            base = np.nonzero(length_ok)[0]
-            return [base] * len(queries)
-        empty = np.empty(0, dtype=np.int64)
         out: list[np.ndarray] = []
         for query in queries:
-            arrays = self._gram_postings(query)
-            if not arrays:
-                out.append(empty)
-                continue
-            counts = np.bincount(
-                np.concatenate(arrays), minlength=len(self.values)
-            )
-            out.append(np.nonzero(length_ok & (counts >= bound))[0])
+            admitted = np.abs(self.lengths - len(query)) <= cap
+            bound = (len(query) - self.q + 1) - cap * self.q
+            if bound > 0:
+                arrays = self._gram_postings(query)
+                if not arrays:
+                    out.append(np.empty(0, dtype=np.int64))
+                    continue
+                counts = np.bincount(
+                    np.concatenate(arrays), minlength=len(self.values)
+                )
+                admitted &= counts >= bound
+            out.append(np.nonzero(admitted)[0])
         return out

@@ -8,7 +8,7 @@ represented) and checks:
   true distance is within the cap, and exceeds the cap otherwise;
 * the batched numpy kernel ``edit_distance_pairs`` agrees with the
   scalar capped DP on every pair;
-* ``QGramIndex.candidates_bucket`` is complete — every value within the
+* ``QGramIndex.candidates_many`` is complete — every value within the
   cap is in the candidate set — for arbitrary columns with duplicates
   and empty strings.
 """
@@ -29,15 +29,17 @@ _SEED = 20260728
 
 def _score_one(query: str, candidates: list[str], cap: int) -> np.ndarray:
     """One query against ``candidates`` through the pair door: ``p = 1``."""
-    query_rows, _ = encode_strings([query])
+    query_rows, query_lengths = encode_strings([query])
     cand_codes, cand_lengths = encode_strings(candidates)
     ids = np.zeros(len(candidates), dtype=np.int64)
-    return edit_distance_pairs(query_rows, ids, cand_codes, cand_lengths, cap)
+    return edit_distance_pairs(
+        query_rows, query_lengths, ids, cand_codes, cand_lengths, cap
+    )
 
 
 def _candidates(index: QGramIndex, query: str, cap: int) -> np.ndarray:
-    """One query's candidate ids: a one-probe bucket."""
-    return index.candidates_bucket([query], len(query), cap)[0]
+    """One query's candidate ids: a one-probe call."""
+    return index.candidates_many([query], cap)[0]
 
 
 def _pair_stream(rng: random.Random, count: int):

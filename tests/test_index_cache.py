@@ -304,8 +304,8 @@ class TestDiskTier:
         for cap in (1, 3):
             for probe in ("alph", "betaa", "zzz"):
                 assert (
-                    clone.candidates_bucket([probe], len(probe), cap)[0]
-                    == index.candidates_bucket([probe], len(probe), cap)[0]
+                    clone.candidates_many([probe], cap)[0]
+                    == index.candidates_many([probe], cap)[0]
                 ).all()
 
     def test_default_cache_reads_env_var(self, tmp_path, monkeypatch):

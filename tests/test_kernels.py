@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from repro.utils.fuzz import FUZZ_ALPHABET, random_edits, random_unicode_string
 
 import repro.index
@@ -55,10 +57,12 @@ def _oracle(query: str, candidates: list[str], cap: int) -> list[int]:
 
 def _score_one(kernel, query: str, candidates: list[str], cap: int) -> np.ndarray:
     """One query against ``candidates`` through the pair door: ``p = 1``."""
-    query_rows, _ = encode_strings([query])
+    query_rows, query_lengths = encode_strings([query])
     cand_codes, cand_lengths = encode_strings(candidates)
     ids = np.zeros(len(candidates), dtype=np.int64)
-    return kernel.edit_distance_pairs(query_rows, ids, cand_codes, cand_lengths, cap)
+    return kernel.edit_distance_pairs(
+        query_rows, query_lengths, ids, cand_codes, cand_lengths, cap
+    )
 
 
 class TestRegistry:
@@ -173,11 +177,12 @@ class TestScalarOracleFuzz:
             candidates = [
                 random_edits(rng, q, rng.randint(0, 4)) for q in queries
             ]
-            query_codes, _ = encode_strings(queries)
+            query_codes, query_lengths = encode_strings(queries)
             cand_codes, cand_lengths = encode_strings(candidates)
             for cap in (0, 2, 5):
                 got = kernel.edit_distance_pairs(
                     query_codes,
+                    query_lengths,
                     np.arange(len(queries)),
                     cand_codes,
                     cand_lengths,
@@ -205,6 +210,42 @@ class TestScalarOracleFuzz:
             assert got.tolist() == _oracle(query, candidates, cap), cap
 
 
+def _edited(text: str, edits: list[tuple[int, int, str]]) -> str:
+    """``text`` after ``(op, position, char)`` edits: 0 sub, 1 insert, 2 delete."""
+    chars = list(text)
+    for op, position, char in edits:
+        at = position % (len(chars) + 1)
+        if op == 1 or not chars:
+            chars.insert(at, char)
+        elif op == 0:
+            chars[at % len(chars)] = char
+        else:
+            del chars[at % len(chars)]
+    return "".join(chars)
+
+
+@st.composite
+def _mixed_length_calls(draw):
+    """``(queries, ids, candidates, cap)``: one pair-door call, any lengths mixed."""
+    # Astral, combining and lone-surrogate characters beside ASCII; few
+    # symbols, so random strings still share characters.
+    char = st.sampled_from("ab\U0001F600\ud800e\u0301")
+    length = st.sampled_from((0, 1, 2, 5, 20, 63, 64, 65, 100, 128, 129))
+    queries = [
+        "".join(draw(st.lists(char, min_size=m, max_size=m)))
+        for m in draw(st.lists(length, min_size=1, max_size=4))
+    ]
+    ids = draw(st.lists(st.integers(0, len(queries) - 1), min_size=1, max_size=8))
+    edit = st.tuples(st.integers(0, 2), st.integers(0, 200), char)
+    candidates = [
+        _edited(queries[i], draw(st.lists(edit, max_size=6)))
+        if draw(st.booleans())
+        else "".join(draw(st.lists(char, max_size=len(queries[i]) + 3)))
+        for i in ids
+    ]
+    return queries, ids, candidates, draw(st.sampled_from((0, 1, 2, 5, 300)))
+
+
 # Astral-plane characters next to lone surrogates, which cannot be
 # utf-32 encoded and push ``encode_strings`` onto its per-string path.
 _HOSTILE_ALPHABET = "ab\U0001F600\U0001F680\U00010348\ud800\udbff\udc00\udfff"
@@ -216,22 +257,81 @@ def _same_length_queries(rng, p, m, alphabet=FUZZ_ALPHABET):
 
 def _assert_pairs_match_oracle(kernel, queries, ids, candidates, cap):
     """``edit_distance_pairs`` on (table, ids) vs the scalar DP per pair."""
-    query_rows, _ = encode_strings(queries)
+    query_rows, query_lengths = encode_strings(queries)
     cand_codes, cand_lengths = encode_strings(candidates)
     got = kernel.edit_distance_pairs(
-        query_rows, np.asarray(ids, dtype=np.int64), cand_codes, cand_lengths, cap
+        query_rows,
+        query_lengths,
+        np.asarray(ids, dtype=np.int64),
+        cand_codes,
+        cand_lengths,
+        cap,
     )
     want = [
         min(edit_distance(queries[i], c), cap + 1)
         for i, c in zip(ids, candidates, strict=True)
     ]
     assert got.dtype == np.int64
-    assert got.tolist() == want, (kernel.name, len(queries[0]), cap)
+    assert got.tolist() == want, (kernel.name, [len(q) for q in queries], cap)
+
+
+# Lengths either side of the one- and two-word boundaries, in one table.
+_MIXED_LENGTHS = (1, 63, 64, 65, 128, 129)
+# Lone surrogates and astral characters plus combining marks.
+_DIFF_ALPHABET = _HOSTILE_ALPHABET + "e\u0301o\u0308 J"
 
 
 @pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
 class TestPairIdentityContract:
-    """Probe identity is an argument: a ``(p, m)`` table plus one id per pair."""
+    """Probe identity is an argument: a padded table, its lengths, one id per pair."""
+
+    @pytest.mark.parametrize(
+        "alphabet", (FUZZ_ALPHABET, _DIFF_ALPHABET), ids=("plain", "hostile")
+    )
+    def test_mixed_lengths_in_one_call(self, backend, alphabet):
+        # One table holding every boundary length at once: each pair is
+        # scored at its own row's length.  For bit-parallel this is also
+        # the regression test for pad reaching the alphabet — a row past
+        # 64 characters beside short rows pads the short ones, and a
+        # symbol table sized by the pad value is a 32 GiB allocation.
+        rng = random.Random(_SEED + 14 + len(alphabet))
+        kernel = get_backend(backend)
+        queries = [
+            "".join(rng.choice(alphabet) for _ in range(m))
+            for m in (*_MIXED_LENGTHS, 7, 40)
+        ]
+        # Out of order, repeated non-adjacently; rows 6 and 7 never named.
+        ids = [5, 0, 3, 1, 4, 2, 0, 5, 2, 1, 3, 4, 4, 1, 0, 3, 5, 2]
+        candidates = [
+            random_edits(rng, queries[i], rng.randint(0, 4), alphabet) for i in ids
+        ]
+        candidates[1] = ""  # empty candidate against the 1-character row
+        candidates[4] = ""  # ... and against a two-word row
+        candidates[8] = queries[2][:20]  # far below its row's length window
+        candidates[11] = queries[4]  # an exact match at m = 128
+        candidates[13] = queries[1] + "x" * 3  # just past the one-word edge
+        for cap in (0, 2, 129 + 12):
+            _assert_pairs_match_oracle(kernel, queries, ids, candidates, cap)
+
+    def test_mixed_lengths_with_an_empty_row_and_compaction(self, backend):
+        # Enough doomed pairs to compact mid-sweep while rows of three
+        # word counts (and an empty query) share the call.
+        rng = random.Random(_SEED + 15)
+        kernel = get_backend(backend)
+        queries = ["", *_same_length_queries(rng, 2, 30), "y" * 70, "z" * 130]
+        queries[2] = queries[2][:24]
+        ids, candidates = [], []
+        for n in range(1600):
+            row = rng.randrange(len(queries))
+            ids.append(row)
+            if n % 5 == 0:
+                candidates.append(random_edits(rng, queries[row], rng.randint(0, 2)))
+            else:
+                candidates.append(
+                    random_unicode_string(rng, max_length=34, min_length=22)
+                )
+        for cap in (1, 3):
+            _assert_pairs_match_oracle(kernel, queries, ids, candidates, cap)
 
     @pytest.mark.parametrize("m", (1, 63, 64, 65, 128, 129))
     def test_ids_in_any_order_over_a_subset_of_rows(self, backend, m):
@@ -293,6 +393,19 @@ class TestPairIdentityContract:
             _assert_pairs_match_oracle(kernel, queries, ids, candidates, cap)
 
 
+class TestScalarOracleProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_length_calls())
+    def test_every_backend_equals_the_scalar_dp(self, call):
+        # The scalar DP in repro.text shares no code with index/, so it
+        # is the one oracle the kernels cannot drift along with.
+        queries, ids, candidates, cap = call
+        for backend in (*_CONCRETE, "auto"):
+            _assert_pairs_match_oracle(
+                get_backend(backend), queries, ids, candidates, cap
+            )
+
+
 # The same journals under ADS and ISI abbreviation rules (*Astronomers
 # and the Science Citation Index*, PAPERS.md): truncations of one title
 # that share few grams with each other.
@@ -304,10 +417,6 @@ _ADS_ISI = (
     ("MNRAS", "MON NOT R ASTRON SOC"),
     ("PASP", "PUBL ASTRON SOC PAC"),
 )
-# Lone surrogates and astral characters plus combining marks.
-_DIFF_ALPHABET = _HOSTILE_ALPHABET + "e\u0301o\u0308 J"
-
-
 @functools.cache
 def _hostile_column():
     """``(targets, probes, brute answers)`` for the single-column differential.
@@ -404,6 +513,24 @@ class TestJoinerEquivalence:
         for query in want:
             assert got[query] == want[query], (backend, query)
 
+    @pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
+    def test_hostile_single_column_matches_brute_at_two_workers(self, backend):
+        # The same column sharded: its probes span well over ten lengths,
+        # several past one word, so every shard's rungs mix lengths.
+        targets, probes, want = _hostile_column()
+        lengths = {len(probe) for probe in probes}
+        assert len(lengths) >= 10 and sum(m > 64 for m in lengths) >= 2
+        config = JoinConfig(kernel_backend=backend, n_workers=2)
+        with IndexedJoiner(config, cache=IndexCache()) as joiner:
+            got = {
+                "join_many": joiner.join_many(probes, targets),
+                "topk_many": joiner.topk_many(probes, targets, k=3),
+                "reverse_many": joiner.reverse_many(probes, targets),
+            }
+            assert joiner.last_join_stats.shards > 1
+        for query in want:
+            assert got[query] == want[query], (backend, query)
+
 
 def _recorded_column():
     """The column and probes the ladder's counts were first recorded on."""
@@ -483,21 +610,22 @@ class TestPairsAccounting:
     @pytest.mark.parametrize(
         ("method", "args", "shape", "kernel_calls", "pairs"),
         (
-            ("join_many", (), "ladder", 51, 2235),
-            ("topk_many", (3,), "ladder", 81, 12991),
-            ("join_many", (), "serve_join", 7, 181),
+            ("join_many", (), "ladder", 16, 2235),
+            ("topk_many", (3,), "ladder", 29, 12991),
+            ("join_many", (), "serve_join", 6, 181),
         ),
     )
     def test_pairs_and_sweeps_match_the_recorded_ladder(
         self, monkeypatch, method, args, shape, kernel_calls, pairs
     ):
-        # Re-recorded in the commit that made the ladder's cap-1 and
-        # cap-2 rounds one cap-2 round: a probe that used to take two
-        # small calls (its cap-1 candidates, then the ones cap 2 newly
-        # admits) now takes one over the same pairs, so the pair counts
-        # stand and the calls drop — 55 -> 51 and 85 -> 81 on the
-        # recorded column, 8 -> 7 on the serve_join shape.  A change
-        # that moves these numbers re-records them on purpose or is wrong.
+        # Re-recorded in the commit (PR 22) that put probe lengths on
+        # the kernel door: a rung used to be one call per probe-length
+        # bucket and is now one call for every pending probe (one per
+        # distinct bound in the two waves, where the cap is per call),
+        # over exactly the same pairs — so the pair counts stand and
+        # the calls drop, 51 -> 16 and 81 -> 29 on the recorded column,
+        # 7 -> 6 on the serve_join shape.  A change that moves these
+        # numbers re-records them on purpose or is wrong.
         targets, probes = _ACCOUNTING_INPUTS[shape]()
         joiner = IndexedJoiner(
             JoinConfig(kernel_backend="bitparallel"), cache=IndexCache()

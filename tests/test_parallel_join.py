@@ -4,7 +4,7 @@ The worker pool is a pure execution choice — for any worker count the
 merged output of ``join_many`` must be **byte-identical** to the serial
 engine (matches, distances, earliest-row tie-breaks, threshold
 abstentions).  These tests enforce that on every registry dataset and on
-adversarial shapes (skewed buckets, tiny forced-parallel batches), and
+adversarial shapes (skewed lengths, tiny forced-parallel batches), and
 cover the shard planner, the auto-worker policy, and the ``JoinStats``
 counters threaded into eval reports.
 """
@@ -89,8 +89,8 @@ class TestParallelEquivalence:
             ), config
 
     def test_skewed_single_bucket_is_split_and_identical(self):
-        # Every probe shares one length: the planner must split the one
-        # bucket by candidate mass instead of shipping it whole.
+        # Every probe shares one length: the planner must split them
+        # by candidate mass instead of shipping one shard.
         rng = random.Random(_SEED + 2)
         targets = [
             random_unicode_string(
@@ -107,7 +107,6 @@ class TestParallelEquivalence:
             probes, targets
         )
         stats = parallel.last_join_stats
-        assert stats.buckets == 1
         assert stats.shards > 1
         assert sum(stats.shard_sizes) == stats.pending
 
@@ -250,13 +249,13 @@ class TestPersistentPool:
         monkeypatch.setattr(parallel_module, "_WORKER_CACHE", IndexCache())
         monkeypatch.setattr(parallel_module, "_WORKER_INDEXES", OrderedDict())
         with pytest.raises(parallel_module._ColumnNeeded) as excinfo:
-            parallel_module._score_shard(7, 5, ["probe"], "fp?", None, None)
+            parallel_module._score_shard(7, ["probe"], "fp?", None, None)
         assert excinfo.value.shard_id == 7
         column = tuple(f"value-{i:03d}" for i in range(60))
         fingerprint = column_fingerprint(column, adaptive_q(column))
         shard_id, _, _, _, kernel_pairs, counts, vids, distances = (
             parallel_module._score_shard(
-                1, 9, ["value-0070"], fingerprint, column, None
+                1, ["value-0070"], fingerprint, column, None
             )
         )
         assert shard_id == 1 and distances.tolist() == [1]
@@ -264,13 +263,13 @@ class TestPersistentPool:
         assert sum(dict(kernel_pairs).values()) >= 1
         # One payload shape at any k: counts slice the flat rank arrays.
         _, _, _, _, _, counts, vids, distances = parallel_module._score_shard(
-            3, 9, ["value-0070", "value-0081"], fingerprint, None, None, k=3
+            3, ["value-0070", "value-0081"], fingerprint, None, None, k=3
         )
         assert counts.tolist() == [3, 3] and vids.size == distances.size == 6
         assert distances.tolist()[:3] == sorted(distances.tolist()[:3])
         # Fingerprint-only now resolves through the memo, no column.
         shard_id, *_ = parallel_module._score_shard(
-            2, 9, ["value-0080"], fingerprint, None, None
+            2, ["value-0080"], fingerprint, None, None
         )
         assert shard_id == 2
 
@@ -323,38 +322,34 @@ class TestShardPlanner:
             for _ in range(400)
         ]
         index = QGramIndex(targets, q=2)
-        buckets = {
-            6: [f"probe{i}"[:6] + str(i) for i in range(80)],
-            9: ["x" * 9 for _ in range(3)],
-        }
-        first = plan_shards(index, buckets, n_workers=4)
-        second = plan_shards(index, buckets, n_workers=4)
+        probes = ["x" * 9 for _ in range(3)]
+        probes += [f"probe{i}"[:6] + str(i) for i in range(80)]
+        first = plan_shards(index, probes, n_workers=4)
+        second = plan_shards(index, probes, n_workers=4)
         assert first == second
-        flattened = {
-            length: [p for sl, ps in first if sl == length for p in ps]
-            for length in buckets
-        }
-        assert flattened == buckets  # order-preserving partition
+        assert len(first) > 1 and all(first)
+        # A partition of the probes in length order, call order within
+        # a length: shards hold neighbouring lengths.
+        flattened = [probe for shard in first for probe in shard]
+        assert flattened == sorted(probes, key=len)
 
     def test_mass_splits_dense_lengths_harder(self):
-        # 300 targets at length 8, 10 at length 20: the length-8 bucket
-        # carries ~30x the per-probe mass and must split into more
-        # shards than the sparse one despite equal probe counts.
+        # 300 targets at length 8, 10 at length 20: the length-8 probes
+        # carry ~30x the per-probe mass and must split into more
+        # shards than the sparse ones despite equal probe counts.
         targets = ["a" * 4 + str(i).zfill(4) for i in range(300)]
         targets += ["b" * 16 + str(i).zfill(4) for i in range(10)]
         index = QGramIndex(targets, q=2)
         probes_dense = [f"c{i:07d}" for i in range(40)]
         probes_sparse = [f"d{i:019d}" for i in range(40)]
-        shards = plan_shards(
-            index, {8: probes_dense, 20: probes_sparse}, n_workers=2
-        )
-        dense = [ps for length, ps in shards if length == 8]
-        sparse = [ps for length, ps in shards if length == 20]
+        shards = plan_shards(index, probes_sparse + probes_dense, n_workers=2)
+        dense = [ps for ps in shards if any(p in probes_dense for p in ps)]
+        sparse = [ps for ps in shards if any(p in probes_sparse for p in ps)]
         assert len(dense) > len(sparse)
 
     def test_empty_buckets_make_no_shards(self):
         index = QGramIndex(["abc"], q=2)
-        assert plan_shards(index, {}, n_workers=4) == []
+        assert plan_shards(index, [], n_workers=4) == []
 
 
 class TestJoinStatsThreading:

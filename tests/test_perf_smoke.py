@@ -82,7 +82,7 @@ def _pair_sweep_peak(index: QGramIndex, query_length: int) -> int:
         "".join(rng.choice("abcdefghij ") for _ in range(query_length))
         for _ in range(2)
     ]
-    probe_codes, _ = encode_strings(probes)
+    probe_codes, probe_lengths = encode_strings(probes)
     n_values = len(index.values)
     vids = np.tile(np.arange(n_values), 2)
     probe_rep = np.repeat(np.arange(2), n_values)
@@ -90,9 +90,16 @@ def _pair_sweep_peak(index: QGramIndex, query_length: int) -> int:
     # A vacuous cap keeps every pair in the length window: all of them
     # are swept, none settles early.
     cap = 2 * query_length
+    # numpy imports a few helpers lazily on the first call that needs
+    # them (~1 MiB, once per process): not the sweep's memory.
+    joiner._pair_distances(
+        probe_codes, probe_lengths, probe_rep[:1], vids[:1], index, cap
+    )
     tracemalloc.start()
     try:
-        distances = joiner._pair_distances(probe_codes, probe_rep, vids, index, cap)
+        distances = joiner._pair_distances(
+            probe_codes, probe_lengths, probe_rep, vids, index, cap
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -124,11 +131,10 @@ def test_pair_sweep_memory_does_not_carry_a_query_copy_per_pair():
     # What the call may hold: four n-sized int64 vectors (distances,
     # cumulative cells and the length gathers behind them), and per
     # chunk of _PAIR_CELL_BUDGET cells three uint32 copies of the
-    # candidate block (gathered, windowed, transposed), one uint32
-    # temporary and the intp id matrix, plus the sweep's bit-vectors.
-    budget = (
-        4 * 8 * n_pairs
-        + (3 * 4 + 4 + 8) * IndexedJoiner._PAIR_CELL_BUDGET
-        + 64 * kib
-    )
+    # candidate block (gathered by the joiner, re-gathered longest
+    # first, transposed) and the int32 symbol-id matrix — 16 bytes a
+    # cell where the same-length sweep held 24 — plus the sweep's ten
+    # uint64 words a pair (a chunk is ~46-cell pairs here).
+    cells = IndexedJoiner._PAIR_CELL_BUDGET
+    budget = 4 * 8 * n_pairs + (3 * 4 + 4) * cells + 10 * 8 * (cells // 46) + 64 * kib
     assert peak_40 < budget, f"pair sweep peaked at {peak_40 / kib:.0f} KiB"
