@@ -29,10 +29,14 @@ Six classes of rot this catches, each a CI failure:
   ``docs/observability.md``, so a renamed or dropped counter fails
   here instead of rotting in the prose.
 * **Vanished methods** — every ``EditDistanceJoiner.<name>``,
-  ``IndexedJoiner.<name>``, ``QGramIndex.<name>`` and
-  ``KernelBackend.<name>`` that the docs (and the verify skill page
-  under ``.claude/skills/``) write in backticks must resolve with
-  ``getattr`` on the class, so a deleted method cannot stay documented.
+  ``IndexedJoiner.<name>``, ``QGramIndex.<name>``,
+  ``KernelBackend.<name>``, ``GenerationEngine.<name>``,
+  ``DecodeSession.<name>``, ``Seq2SeqTransformer.<name>``,
+  ``DecoderBlock.<name>``, ``MultiHeadAttention.<name>`` and
+  ``KVCache.<name>`` that the docs (and the verify skill page under
+  ``.claude/skills/``) write in backticks must resolve with ``getattr``
+  on the class or be an attribute its methods set on ``self``, so a
+  deleted or renamed member cannot stay documented.
 
 Usage::
 
@@ -45,6 +49,7 @@ the check gates merges even before the dedicated CI step runs.
 from __future__ import annotations
 
 import ast
+import inspect
 import io
 import re
 import sys
@@ -251,16 +256,45 @@ def check_metric_series(
     return problems
 
 
+def _has_member(cls: type, name: str) -> bool:
+    """A class attribute, or an attribute a method of the class sets on self."""
+    if hasattr(cls, name):
+        return True
+    assigned = re.compile(rf"\bself\.{name}\b\s*[:=](?!=)")
+    return any(
+        assigned.search(inspect.getsource(base)) for base in cls.__mro__[:-1]
+    )
+
+
 def check_documented_members(
     files: list[Path], root: Path = REPO_ROOT
 ) -> list[str]:
-    """Every backticked ``<JoinClass>.<name>`` must exist on the class."""
+    """Every backticked ``<Class>.<name>`` of the join and decode engines
+    must exist on the class."""
     from repro.core.joiner import EditDistanceJoiner
     from repro.index import IndexedJoiner, KernelBackend, QGramIndex
+    from repro.infer import DecodeSession, GenerationEngine
+    from repro.nn import (
+        DecoderBlock,
+        KVCache,
+        MultiHeadAttention,
+        Seq2SeqTransformer,
+    )
 
     owners = {
         cls.__name__: cls
-        for cls in (EditDistanceJoiner, IndexedJoiner, QGramIndex, KernelBackend)
+        for cls in (
+            EditDistanceJoiner,
+            IndexedJoiner,
+            QGramIndex,
+            KernelBackend,
+            GenerationEngine,
+            DecodeSession,
+            Seq2SeqTransformer,
+            DecoderBlock,
+            MultiHeadAttention,
+            KVCache,
+        )
     }
     member = re.compile(rf"\b({'|'.join(owners)})\.(\w+)")
     problems = []
@@ -272,7 +306,7 @@ def check_documented_members(
             f"{doc.relative_to(root)}: names {owner}.{name}, which does "
             "not exist"
             for owner, name in sorted(set(member.findall(spans)))
-            if not hasattr(owners[owner], name)
+            if not _has_member(owners[owner], name)
         ]
     return problems
 

@@ -48,8 +48,8 @@ class IncrementalSequenceModel(SequenceModel, Protocol):
     """A sequence model whose decode loop the engine can own.
 
     The two methods split ``generate`` at the point the scheduler needs:
-    tokenization happens up front (the engine buckets and dedupes on
-    token sequences), then each scheduled micro-batch is opened as a
+    tokenization happens up front (the engine dedupes and sorts on
+    token sequences), then each scheduled micro-batch is opened as one
     decode session.
     """
 
@@ -59,6 +59,12 @@ class IncrementalSequenceModel(SequenceModel, Protocol):
 
     def start_decode(self, prompt_ids: Sequence[Sequence[int]]) -> Any:
         """Encode a tokenized micro-batch and open a decode session.
+
+        Called once per micro-batch, with up to ``max_batch_size``
+        prompts of **any mix of lengths** (sorted by length, but not
+        grouped by it): the engine runs one step loop over whatever
+        comes back, so keeping short prompts from paying the longest
+        one's padding — where that costs — is the session's business.
 
         Returns:
             A session exposing ``sos_id``, ``eos_id``, ``max_steps``,

@@ -5,7 +5,8 @@ O(T²) per row in output length.  This package routes it through the
 transformer's incremental path instead: per-block self-attention KV
 caches, one-time cross-attention projections of the encoder memory, and
 a :class:`GenerationEngine` that schedules prompts across micro-batches
-(greedy dedupe, length bucketing, live compaction of finished rows).
+(greedy dedupe, one step loop per micro-batch over length-slabbed
+encodes, live compaction of finished rows).
 Greedy engine output is byte-identical to the full-prefix reference
 decode (``ByteSeq2SeqModel.generate_full_prefix``), enforced by
 ``tests/test_generation.py`` — except zero-token prompts (impossible

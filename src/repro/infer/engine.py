@@ -8,10 +8,11 @@ jobs it schedules the actual decoding work:
   trials of a scheduled call) decode once and fan back out to every
   occurrence.  Sampling mode never dedupes: repeated prompts draw
   independent samples, matching the surrogates' occurrence semantics.
-* **Length-bucketed micro-batching** — prompts are sorted by token
-  length and grouped into buckets of similar length (``bucket_width``),
-  then chunked at ``max_batch_size``, so short prompts don't pay the
-  padded cost of the longest prompt in the call.
+* **Micro-batching** — prompts are sorted by token length and cut at
+  ``max_batch_size`` only.  A micro-batch is one decode session and one
+  step loop whatever its mix of prompt lengths; keeping short prompts
+  from paying the longest prompt's padding is the session's business,
+  where it costs — in the encoder (:mod:`repro.infer.session`).
 * **Live compaction** — rows that emit ``<eos>`` are sliced out of the
   micro-batch (KV caches included) mid-decode, so a few long outputs
   don't drag finished rows through the remaining steps.
@@ -46,7 +47,8 @@ class EngineStats:
         decoded_rows: Rows actually decoded (post-dedupe).  Zero when
             the call fell back to a non-incremental model's own
             ``generate`` — the engine decoded nothing itself.
-        chunks: Micro-batches scheduled.
+        chunks: Micro-batches scheduled — decode sessions opened, step
+            loops run.
         steps: Total ``decode_step`` calls across all chunks.
         row_steps: Sum of live batch sizes over those steps — the number
             of per-row decode operations actually paid.  With compaction
@@ -90,10 +92,8 @@ class GenerationEngine:
         temperature: Softmax temperature for sampling mode (> 0).
         seed: Sampling seed; the engine is deterministic given the seed,
             the model, and the prompt list.
-        max_batch_size: Largest decode micro-batch.
-        bucket_width: Prompt-length bucket granularity in tokens; 1
-            buckets only exactly-equal lengths, larger values trade a
-            little padding for bigger micro-batches.
+        max_batch_size: Largest decode micro-batch (one session, one
+            step loop).
         dedupe: Collapse identical prompts before decoding (greedy mode
             only; sampling always decodes every occurrence).
         stop_on_eos: Stop a row at its first ``<eos>``.  Disabled only
@@ -106,7 +106,6 @@ class GenerationEngine:
         temperature: float = 1.0,
         seed: int = 0,
         max_batch_size: int = 64,
-        bucket_width: int = 16,
         dedupe: bool = True,
         stop_on_eos: bool = True,
     ) -> None:
@@ -116,13 +115,10 @@ class GenerationEngine:
             raise ValueError(f"temperature must be > 0, got {temperature}")
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if bucket_width < 1:
-            raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
         self.mode = mode
         self.temperature = temperature
         self.seed = seed
         self.max_batch_size = max_batch_size
-        self.bucket_width = bucket_width
         self.dedupe = dedupe
         self.stop_on_eos = stop_on_eos
         self.last_stats = EngineStats()
@@ -137,7 +133,7 @@ class GenerationEngine:
         The per-model workloads are planned independently (different
         models share no weights, so their decodes cannot be merged), but
         each incremental model's full prompt set — all trials at once —
-        goes through dedupe, bucketing, and compaction as one batch.
+        goes through dedupe, micro-batching, and compaction as one batch.
 
         Returns:
             One output list per job, aligned with the job's prompts.
@@ -265,23 +261,10 @@ class GenerationEngine:
         return list(groups.values())
 
     def _plan(self, workloads: list[_Workload]) -> list[list[_Workload]]:
-        """Sort by prompt length, bucket, and chunk to the batch cap."""
+        """Sort by prompt length and cut at the batch cap."""
         ordered = sorted(workloads, key=lambda w: len(w.token_ids))
-        chunks: list[list[_Workload]] = []
-        current: list[_Workload] = []
-        current_bucket: int | None = None
-        for workload in ordered:
-            bucket = len(workload.token_ids) // self.bucket_width
-            if current and (
-                bucket != current_bucket or len(current) >= self.max_batch_size
-            ):
-                chunks.append(current)
-                current = []
-            current_bucket = bucket
-            current.append(workload)
-        if current:
-            chunks.append(current)
-        return chunks
+        size = self.max_batch_size
+        return [ordered[i : i + size] for i in range(0, len(ordered), size)]
 
     # -- the decode loop ---------------------------------------------------
 

@@ -7,6 +7,14 @@ one-time cross-attention projections of the encoder memory), and steps
 the decoder one token per call.  Finished rows are compacted out of the
 batch via :meth:`compact` so the remaining rows decode in a smaller
 batch.
+
+Padding is decided where it costs.  The encoder is quadratic in the
+padded width, so a session encodes its rows in ``SLAB_WIDTH``-token
+length slabs, each padded only to its own longest prompt; a decode step
+is dominated by per-call dispatch, not by the memory's width, so the
+slab memories are zero-padded to the longest and every row — whatever
+its prompt length — rides **one** decoder state and one step loop.  A
+padded memory column is masked to exactly zero attention weight.
 """
 
 from __future__ import annotations
@@ -17,6 +25,9 @@ import numpy as np
 
 from repro.nn.transformer import Seq2SeqTransformer
 from repro.tokenizer import ByteTokenizer
+
+#: Prompt-length granularity of the encode, in tokens.
+SLAB_WIDTH = 16
 
 
 class DecodeSession:
@@ -36,26 +47,35 @@ class DecodeSession:
         prompt_ids: Sequence[Sequence[int]],
         max_steps: int,
     ) -> None:
-        input_ids, input_mask = tokenizer.pad_batch(
-            [list(ids) for ids in prompt_ids]
-        )
-        if input_ids.shape[1] == 0:
-            # A micro-batch of zero-token prompts (impossible via the
-            # §4.1 markup, reachable through the raw generate API):
-            # give the encoder one padding column so shapes stay valid.
-            # The all-zero mask routes cross-attention through the
-            # degeneracy guard (zero context) instead of the batch
-            # path's uniform-over-padding fallback, so such rows are
-            # excluded from the byte-identical equivalence claim.
-            input_ids = np.full(
-                (len(prompt_ids), 1), tokenizer.vocab.pad_id, dtype=np.int64
+        slabs: dict[int, list[int]] = {}
+        for row, ids in enumerate(prompt_ids):
+            slabs.setdefault(len(ids) // SLAB_WIDTH, []).append(row)
+        width = max(1, max(len(ids) for ids in prompt_ids))
+        memory = np.zeros((len(prompt_ids), width, network.dim))
+        memory_mask = np.zeros((len(prompt_ids), width))
+        for rows in slabs.values():
+            input_ids, input_mask = tokenizer.pad_batch(
+                [list(prompt_ids[row]) for row in rows]
             )
-            input_mask = np.zeros((len(prompt_ids), 1))
-        memory = network.infer_encode(input_ids, input_mask)
+            if input_ids.shape[1] == 0:
+                # A slab of zero-token prompts (impossible via the §4.1
+                # markup, reachable through the raw generate API): give
+                # the encoder one padding column so shapes stay valid.
+                # The all-zero mask routes cross-attention through the
+                # degeneracy guard (zero context) instead of the batch
+                # path's uniform-over-padding fallback, so such rows are
+                # excluded from the byte-identical equivalence claim.
+                input_ids = np.full(
+                    (len(rows), 1), tokenizer.vocab.pad_id, dtype=np.int64
+                )
+                input_mask = np.zeros((len(rows), 1))
+            slab_width = input_ids.shape[1]
+            memory[rows, :slab_width] = network.infer_encode(input_ids, input_mask)
+            memory_mask[rows, :slab_width] = input_mask
         self._network = network
         self._tokenizer = tokenizer
         self.state = network.start_decoder_state(
-            memory, input_mask, capacity=max_steps
+            memory, memory_mask, capacity=max_steps
         )
         self.max_steps = max_steps
         self.batch_size = len(prompt_ids)

@@ -6,8 +6,8 @@ strings, so a trained instance plugs into
 :class:`~repro.core.pipeline.DTTPipeline` exactly like the pretrained
 stand-in or the GPT-3 surrogate — and because the model exposes
 ``tokenize_prompts`` / ``start_decode``, the generation engine owns its
-decode loop (KV-cached incremental steps, prompt dedupe, length-bucketed
-micro-batching, live compaction).  ``generate_full_prefix`` keeps the
+decode loop (KV-cached incremental steps, prompt dedupe, one step loop
+per micro-batch, live compaction).  ``generate_full_prefix`` keeps the
 original O(T²) re-decode loop as the equivalence reference and benchmark
 baseline.  Both run the network's no-grad ``infer`` side; only
 ``loss_and_backward`` calls the caching training ``forward``.

@@ -4,18 +4,21 @@ Supports self-attention (queries, keys, values from one sequence),
 cross-attention (keys/values from encoder memory), causal masking for
 the auto-regressive decoder, and key padding masks.
 
-Three execution styles share the projection weights and one score
-kernel (:meth:`MultiHeadAttention._weights`):
+Three execution styles share the projection weights; the two batch
+styles also share one score kernel (:meth:`MultiHeadAttention._weights`):
 
 * the **training** path (:meth:`MultiHeadAttention.forward`) attends a
   full query sequence and caches activations for :meth:`backward` — it
   is the only path that writes a cache;
 * the **no-grad batch** path (:meth:`MultiHeadAttention.infer`) is the
   same arithmetic, bit for bit, and keeps nothing; and
-* the **incremental** path (:meth:`MultiHeadAttention.step` /
-  :meth:`attend_cached`) attends a length-1 query against a
-  :class:`KVCache` of previously projected keys/values, which is what
-  makes auto-regressive decoding O(T) per step instead of O(T²).
+* the **incremental** path (:meth:`MultiHeadAttention.attend_step`)
+  attends one already-projected query per row, ``(batch, dim)``, against
+  split-head keys/values — a :class:`KVCache` of the decoded prefix or
+  the one-time projection of the encoder memory — which is what makes
+  auto-regressive decoding O(T) per step instead of O(T²).  Step
+  activations are 2-D, so every projection around it is one GEMM; the
+  masks arrive as an additive bias the decode state computed once.
 """
 
 from __future__ import annotations
@@ -52,6 +55,15 @@ def causal_bias(q_len: int, kv_len: int) -> np.ndarray:
         bias.setflags(write=False)
         _CAUSAL_BIAS = bias
     return _CAUSAL_BIAS[:q_len, :kv_len]
+
+
+def key_mask_bias(key_mask: np.ndarray) -> np.ndarray:
+    """Additive ``(batch, 1, 1, kv_len)`` form of a 1.0-is-real key mask.
+
+    The term :meth:`MultiHeadAttention._weights` adds per call; a decode
+    session computes it once (:class:`~repro.nn.transformer.DecoderState`).
+    """
+    return (1.0 - key_mask[:, None, None, :]) * _NEG_INF
 
 
 class KVCache:
@@ -151,7 +163,7 @@ class MultiHeadAttention(Module):
                 ``-1e9`` and the softmax falls back to a uniform average
                 over padding positions.  Callers must not feed fully
                 padded rows through this batch path (the incremental
-                :meth:`attend_cached` defines the result as a zero
+                :meth:`attend_step` defines the result as a zero
                 context instead).
         """
         source = queries if keys_values is None else keys_values
@@ -209,54 +221,46 @@ class MultiHeadAttention(Module):
 
         Used for cross-attention: the encoder memory is fixed for the
         whole decode, so its K/V projections are computed one time and
-        reused by every :meth:`attend_cached` step.
+        reused by every :meth:`attend_step` call.
         """
         keys = self._split_heads(self.key_proj.infer(source))
         values = self._split_heads(self.value_proj.infer(source))
         return keys, values
 
-    def attend_cached(
+    def attend_step(
         self,
-        queries: np.ndarray,
+        q: np.ndarray,
         keys: np.ndarray,
         values: np.ndarray,
-        key_mask: np.ndarray | None = None,
+        key_bias: np.ndarray | None = None,
+        empty: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Attend ``queries`` over pre-projected split-head keys/values.
+        """Attend one decode position per row; returns ``(batch, dim)``.
+
+        No causal mask: every cached position precedes the query.
 
         Args:
-            queries: ``(batch, q_len, dim)`` (length-1 during decoding).
+            q: ``(batch, dim)`` queries, already projected.
             keys: ``(batch, heads, kv_len, head_dim)``.
             values: ``(batch, heads, kv_len, head_dim)``.
-            key_mask: ``(batch, kv_len)`` with 1.0 for real tokens.  A
-                row with zero real keys yields a *zero* context vector
-                (only the output projection's bias survives) instead of
-                the batch path's degenerate uniform-over-padding mix.
+            key_bias: ``(batch, 1, 1, kv_len)`` additive key mask,
+                ``(1 - mask) * -1e9``; a masked column carries exactly
+                zero weight (its ``exp`` underflows to 0.0).
+            empty: ``(batch,)`` flags of rows with zero real keys.  Such
+                a row yields a *zero* context vector (only the output
+                projection's bias survives) instead of the batch path's
+                degenerate uniform-over-padding mix.
         """
-        q = self._split_heads(self.query_proj.infer(queries))
-        context = self._weights(q, keys, key_mask, causal=False) @ values
-        if key_mask is not None:
-            empty = ~key_mask.any(axis=-1)
-            if empty.any():
-                context[empty] = 0.0
-        return self.output_proj.infer(self._merge_heads(context))
-
-    def step(self, queries: np.ndarray, cache: KVCache) -> np.ndarray:
-        """Causal self-attention for one decode step.
-
-        Projects the new position's K/V, appends them to ``cache``, and
-        attends the length-1 query against the filled prefix.  No causal
-        mask is needed: every cached position precedes the query.
-
-        Args:
-            queries: ``(batch, 1, dim)`` — the current position only.
-            cache: This layer's :class:`KVCache`.
-        """
-        keys_new = self._split_heads(self.key_proj.infer(queries))
-        values_new = self._split_heads(self.value_proj.infer(queries))
-        cache.append(keys_new, values_new)
-        keys, values = cache.view()
-        return self.attend_cached(queries, keys, values)
+        batch = q.shape[0]
+        q = q.reshape(batch, self.n_heads, 1, self.head_dim)
+        scores = q @ keys.transpose(0, 1, 3, 2)
+        scores *= self._scale
+        if key_bias is not None:
+            scores += key_bias
+        context = (softmax(scores, out=scores) @ values).reshape(batch, self.dim)
+        if empty is not None:
+            context[empty] = 0.0
+        return self.output_proj.infer(context)
 
     def backward(self, grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Backprop; returns ``(d_queries, d_keys_values)``.

@@ -18,7 +18,12 @@ Generation decodes incrementally on top of ``infer_encode``:
 :class:`DecoderState` — per-block self-attention KV caches, one-time
 cross-attention K/V projections of the encoder memory, and a position
 offset — so each generated token costs O(T) instead of re-decoding the
-O(T²) growing prefix.
+O(T²) growing prefix.  The step carries ``(batch, dim)`` activations,
+so every projection is one GEMM, and everything a step would recompute
+is a per-session constant: each block's fused q/k/v weight on its
+:class:`DecoderBlockState`, the memory's additive key-mask bias and its
+zero-real-keys flags on the :class:`DecoderState`.  ``decode_step`` is
+within 1e-12 of ``infer_decode``'s last position, with equal argmax.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.nn.attention import KVCache, MultiHeadAttention
+from repro.nn.attention import KVCache, MultiHeadAttention, key_mask_bias
 from repro.nn.functional import gelu, gelu_backward
 from repro.nn.layers import Dense, Embedding, LayerNorm
 from repro.nn.parameter import Module
@@ -98,11 +103,19 @@ class DecoderBlockState:
         cross_keys: Pre-projected encoder-memory keys
             ``(batch, heads, mem_len, head_dim)``.
         cross_values: Pre-projected encoder-memory values.
+        qkv_weight: The self-attention's query / key / value weights
+            side by side, ``(dim, 3 * dim)`` — a copy made when the
+            session opens, never a view of the parameters (training
+            mutates those in place; a session never outlives an
+            optimizer step).
+        qkv_bias: The matching ``(3 * dim,)`` bias.
     """
 
     self_kv: KVCache
     cross_keys: np.ndarray
     cross_values: np.ndarray
+    qkv_weight: np.ndarray
+    qkv_bias: np.ndarray
 
     def select(self, keep: np.ndarray) -> None:
         """Keep only the batch rows flagged in boolean ``keep``."""
@@ -117,12 +130,17 @@ class DecoderState:
 
     Attributes:
         blocks: Per-block KV caches and cross projections.
-        memory_mask: ``(batch, mem_len)`` encoder padding mask.
+        memory_bias: ``(batch, 1, 1, mem_len)`` additive form of the
+            encoder padding mask, ``(1 - mask) * -1e9`` (None without a
+            mask): a padded memory column carries exactly zero weight.
+        memory_empty: ``(batch,)`` flags of the rows whose memory has no
+            real key (None without a mask).
         position: Index of the *next* position to decode (0 = ``<sos>``).
     """
 
     blocks: list[DecoderBlockState]
-    memory_mask: np.ndarray | None
+    memory_bias: np.ndarray | None
+    memory_empty: np.ndarray | None
     position: int = 0
 
     @property
@@ -137,8 +155,9 @@ class DecoderState:
         """
         for block in self.blocks:
             block.select(keep)
-        if self.memory_mask is not None:
-            self.memory_mask = self.memory_mask[keep]
+        if self.memory_bias is not None:
+            self.memory_bias = self.memory_bias[keep]
+            self.memory_empty = self.memory_empty[keep]
 
 
 class DecoderBlock(Module):
@@ -186,25 +205,36 @@ class DecoderBlock(Module):
         cross_keys, cross_values = self.cross_attention.project_kv(memory)
         batch = memory.shape[0]
         attn = self.self_attention
+        projections = (attn.query_proj, attn.key_proj, attn.value_proj)
         return DecoderBlockState(
             self_kv=KVCache(batch, attn.n_heads, capacity, attn.head_dim),
             cross_keys=cross_keys,
             cross_values=cross_values,
+            qkv_weight=np.concatenate([p.weight.value for p in projections], axis=1),
+            qkv_bias=np.concatenate([p.bias.value for p in projections]),
         )
 
     def step(
         self,
         x: np.ndarray,
         state: DecoderBlockState,
-        memory_mask: np.ndarray | None,
+        memory_bias: np.ndarray | None,
+        memory_empty: np.ndarray | None,
     ) -> np.ndarray:
-        """Incremental forward for one position ``(batch, 1, dim)``."""
-        x = x + self.self_attention.step(self.self_norm.infer(x), state.self_kv)
-        x += self.cross_attention.attend_cached(
-            self.cross_norm.infer(x),
+        """Incremental forward for one position ``(batch, dim)``."""
+        attn = self.self_attention
+        qkv = self.self_norm.infer(x) @ state.qkv_weight
+        qkv += state.qkv_bias
+        # (batch, 3, heads, 1, head_dim): q, k, v of the new position.
+        qkv = qkv.reshape(x.shape[0], 3, attn.n_heads, 1, attn.head_dim)
+        state.self_kv.append(qkv[:, 1], qkv[:, 2])
+        x = x + attn.attend_step(qkv[:, 0], *state.self_kv.view())
+        x += self.cross_attention.attend_step(
+            self.cross_attention.query_proj.infer(self.cross_norm.infer(x)),
             state.cross_keys,
             state.cross_values,
-            key_mask=memory_mask,
+            memory_bias,
+            memory_empty,
         )
         x += self.ffn.infer(self.ffn_norm.infer(x))
         return x
@@ -356,12 +386,17 @@ class Seq2SeqTransformer(Module):
         if capacity is None:
             capacity = self.max_length
         self._check_length(capacity)
+        bias = empty = None
+        if memory_mask is not None:
+            bias = key_mask_bias(memory_mask)
+            empty = ~memory_mask.any(axis=-1)
         return DecoderState(
             blocks=[
                 block.start_state(memory, capacity)
                 for block in self.decoder_blocks
             ],
-            memory_mask=memory_mask,
+            memory_bias=bias,
+            memory_empty=empty,
         )
 
     def decode_step(
@@ -382,13 +417,12 @@ class Seq2SeqTransformer(Module):
             ``(batch, vocab_size)`` logits for the next token.
         """
         self._check_length(state.position + 1)
-        y = self.decoder_token_embedding.infer(token_ids[:, None])
-        y += self.decoder_position_embedding.infer(np.array([state.position]))
+        y = self.decoder_token_embedding.infer(token_ids)
+        y += self.decoder_position_embedding.infer(state.position)
         for block, block_state in zip(self.decoder_blocks, state.blocks, strict=True):
-            y = block.step(y, block_state, state.memory_mask)
+            y = block.step(y, block_state, state.memory_bias, state.memory_empty)
         state.position += 1
-        logits = self.output_proj.infer(self.decoder_norm.infer(y))
-        return logits[:, 0, :]
+        return self.output_proj.infer(self.decoder_norm.infer(y))
 
     def forward(
         self,

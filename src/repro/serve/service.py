@@ -351,6 +351,9 @@ class TransformService:
             for model in pipeline.models
         )
         self.last_join_stats = None
+        #: Start time and unsettled requests of the batch in execution
+        #: (scheduler thread only).
+        self._open_batch = (0.0, 0)
         self._queue: deque[_Request] = deque()
         self.metrics = self._build_metrics()
         self._cond = threading.Condition()
@@ -697,29 +700,34 @@ class TransformService:
         self._batch_rows.observe(
             sum(len(request.sources) for request in ready)
         )
+        self._open_batch = (now, len(ready))
         try:
             self._execute_ready(ready)
         except Exception as error:  # the futures carry it to callers
             for request in ready:
                 if not request.future.done():
                     self._count["serve_failed_total"].inc()
-                    self._finish_request_span(request, "error", repr(error))
+                    self._settle(request, "error", repr(error))
                     request.future.set_exception(error)
-        finally:
-            done = self._clock()
-            self._batch_execute.observe(done - now)
-            for request in ready:
-                self._request_latency.observe(done - request.submitted_at)
 
-    def _finish_request_span(
+    def _settle(
         self, request: _Request, status: str = "ok", detail: str = ""
     ) -> None:
-        """Close a request's execution span before its future resolves.
+        """Close a request's books; call right before resolving its future.
 
-        Resolving the future can synchronously trigger the worker-side
-        reply path (which drains finished spans into the reply), so the
-        span must already be finished here — never after ``set_result``.
+        Resolving the future releases the caller, who may read
+        ``/v1/stats`` at once, and can synchronously trigger the
+        worker-side reply path (which drains finished spans into the
+        reply) — so the request's latency, the batch's wall time once
+        its last request settles, and the execution span are all
+        recorded here, never after ``set_result`` / ``set_exception``.
         """
+        done = self._clock()
+        self._request_latency.observe(done - request.submitted_at)
+        started, unsettled = self._open_batch
+        self._open_batch = (started, unsettled - 1)
+        if unsettled == 1:
+            self._batch_execute.observe(done - started)
         span = request.span
         if span is None:
             return
@@ -749,7 +757,7 @@ class TransformService:
                 self._resolve_cache_and_prompts(plan)
             except Exception as error:  # per-request isolation
                 self._count["serve_failed_total"].inc()
-                self._finish_request_span(request, "error", repr(error))
+                self._settle(request, "error", repr(error))
                 request.future.set_exception(error)
                 continue
             plans.append(plan)
@@ -800,7 +808,7 @@ class TransformService:
             return False
         if request.span is not None:
             request.span.set_attribute("join_cache_hit", True)
-        self._finish_request_span(request)
+        self._settle(request)
         if request.mode == "reverse":
             # Stored as immutable row tuples; callers get fresh lists.
             request.future.set_result([list(group) for group in cached])
@@ -920,7 +928,7 @@ class TransformService:
                 assert plan.cache_keys is not None
                 self.result_cache.put(plan.cache_keys[0], predictions)
             if request.kind == "transform":
-                self._finish_request_span(request)
+                self._settle(request)
                 request.future.set_result(list(predictions))
             else:
                 assert request.targets is not None
@@ -970,12 +978,12 @@ class TransformService:
                             plan.join_key,
                             (tuple(g) for g in groups),
                         )
-                    self._finish_request_span(request)
+                    self._settle(request)
                     request.future.set_result(groups)
                 else:
                     if plan.join_key is not None:
                         self.join_cache.put(plan.join_key, span)
-                    self._finish_request_span(request)
+                    self._settle(request)
                     request.future.set_result(list(span))
 
     # -- observability and lifecycle ---------------------------------------

@@ -192,6 +192,28 @@ class TestBrokenDocsAreCaught:
             "EditDistanceJoiner.join_composite, which does not exist",
         ]
 
+    def test_vanished_decode_member_fails(self, fake_repo):
+        # The decode engine's classes are owners too; a member may be a
+        # method, a class attribute or something __init__ sets on self.
+        (fake_repo / "docs" / "architecture.md").write_text(
+            "# Arch\n`GenerationEngine.max_batch_size` and `KVCache.append` and\n"
+            "`MultiHeadAttention._cache` stay; `GenerationEngine.bucket_width`,\n"
+            "`MultiHeadAttention.attend_cached`, `DecoderBlock.step_3d`,\n"
+            "`DecodeSession.memory_mask` and `Seq2SeqTransformer.step` went;\n"
+            "`DecoderBlockState.self_kv` is nobody's business here.\n"
+        )
+        files = check_docs.collect_doc_files(fake_repo)
+        assert check_docs.check_documented_members(files, fake_repo) == [
+            f"docs/architecture.md: names {member}, which does not exist"
+            for member in (
+                "DecodeSession.memory_mask",
+                "DecoderBlock.step_3d",
+                "GenerationEngine.bucket_width",
+                "MultiHeadAttention.attend_cached",
+                "Seq2SeqTransformer.step",
+            )
+        ]
+
     def test_undocumented_endpoint_fails(self, fake_repo):
         # The fixture's http_api.md mentions no endpoint at all, so
         # every real PUBLIC_ENDPOINTS entry must be reported.

@@ -4,8 +4,10 @@ The contract mirrors the join engine's: the incremental greedy decode
 must be byte-identical to the pre-refactor full-prefix greedy decode
 (``ByteSeq2SeqModel.generate_full_prefix``) on every prompt, across
 random prompts, early-EOS batches, max-length truncation, and single-row
-batches.  Scheduling behaviour (dedupe, bucketing, compaction, the
-non-incremental fallback) is unit-tested against a scripted fake model.
+batches.  Scheduling behaviour (dedupe, micro-batching, compaction, the
+non-incremental fallback) is unit-tested against a scripted fake model;
+the step path's own contract (one session per micro-batch over length
+slabs, per-session constants, exact step counts) against the real one.
 """
 
 from __future__ import annotations
@@ -17,10 +19,18 @@ import pytest
 
 from repro.core import DTTPipeline, IncrementalSequenceModel, MultiModelAggregator
 from repro.exceptions import ModelError
-from repro.infer import GenerationEngine
+from repro.datagen.benchmarks.synthetic import build_syn
+from repro.infer import EngineStats, GenerationEngine
+from repro.infer.session import SLAB_WIDTH
 from repro.model import ByteSeq2SeqModel, DTTModelConfig, Trainer
 from repro.model.config import TINY_CONFIG
-from repro.nn.attention import KVCache, MultiHeadAttention, causal_bias
+from repro.nn.attention import (
+    KVCache,
+    MultiHeadAttention,
+    causal_bias,
+    key_mask_bias,
+)
+from repro.nn.loss import masked_cross_entropy
 from repro.types import ExamplePair
 
 _ALPHABET = "abcdefgh 0123456789-_./"
@@ -71,10 +81,15 @@ class TestIncrementalEquivalence:
         model = ByteSeq2SeqModel(TINY_CONFIG)
         prompts = _random_prompts(11, 30)
         prompts += prompts[:8]  # exact duplicates across "trials"
-        engine = GenerationEngine(max_batch_size=8, bucket_width=4)
+        engine = GenerationEngine(max_batch_size=16)
         assert engine.generate(model, prompts) == model.generate_full_prefix(
             prompts
         )
+        # The claim covers padded micro-batches: the 30 unique prompts
+        # are two step loops, and their lengths span several slabs.
+        slabs = {len(ids) // SLAB_WIDTH for ids in model.tokenize_prompts(prompts)}
+        assert len(slabs) >= 3
+        assert engine.last_stats.chunks == 2
 
     def test_model_generate_routes_through_engine(self):
         model = ByteSeq2SeqModel(TINY_CONFIG)
@@ -287,27 +302,54 @@ class TestEngineScheduling:
         model = _FakeIncrementalModel(
             {"a": "", "b": "x", "c": "xy", "d": "xyzzy"}
         )
-        engine = GenerationEngine(bucket_width=64)
+        engine = GenerationEngine()
         outputs = engine.generate(model, ["a", "b", "c", "d"])
         assert outputs == ["", "x", "xy", "xyzzy"]
         (session,) = model.sessions
         assert session.batch_sizes == [4, 3, 2, 1, 1, 1]
 
-    def test_length_bucketing_chunks_by_prompt_length(self):
-        outputs = {"a": "1", "bb": "2", "cc": "3", "ddddddddd": "4"}
-        model = _FakeIncrementalModel(outputs)
-        engine = GenerationEngine(bucket_width=2)
-        got = engine.generate(model, list(outputs))
-        assert got == ["1", "2", "3", "4"]
-        # Buckets: len 1 | len 2, 2 | len 9 -> three sessions.
-        assert [len(s.scripts) for s in model.sessions] == [1, 2, 1]
+    def test_length_bucketing_chunks_by_prompt_length(self, monkeypatch):
+        # Length slabs belong to the encode, not to the schedule: prompts
+        # spanning three slabs open ONE session, whose encoder pass runs
+        # once per slab at that slab's own padded width.
+        model = ByteSeq2SeqModel(TINY_CONFIG)
+        prompts = [
+            f"<sos>{'x' * n}<tr><eos>" for n in (40, 2, 20, 37, 5, 17)
+        ]
+        lengths = [len(ids) for ids in model.tokenize_prompts(prompts)]
+        assert lengths == [43, 5, 23, 40, 8, 20]
+        encoded: list[tuple[int, int]] = []
+        sessions: list[int] = []
+        infer_encode, start_decode = model.network.infer_encode, model.start_decode
+
+        def counting_encode(input_ids, input_mask):
+            encoded.append(input_ids.shape)
+            return infer_encode(input_ids, input_mask)
+
+        def counting_start(prompt_ids):
+            sessions.append(len(prompt_ids))
+            return start_decode(prompt_ids)
+
+        monkeypatch.setattr(model.network, "infer_encode", counting_encode)
+        monkeypatch.setattr(model, "start_decode", counting_start)
+        engine = GenerationEngine()
+        got = engine.generate(model, prompts)
+        assert sessions == [6]
+        assert sorted(encoded) == [(2, 8), (2, 23), (2, 43)]
+        assert engine.last_stats.chunks == 1
+        # Outputs come back in caller order.
+        assert got == model.generate_full_prefix(prompts)
+        assert got == [model.generate_full_prefix([p])[0] for p in prompts]
 
     def test_max_batch_size_splits_buckets(self):
-        outputs = {f"p{i}": str(i) for i in range(5)}
+        # The batch cap is the only cut: prompt lengths 1..5 x 20 tokens
+        # would have been five buckets, and are ceil(5 / 2) step loops.
+        outputs = {"p" * (20 * i + 1): str(i) for i in range(5)}
         model = _FakeIncrementalModel(outputs)
-        engine = GenerationEngine(max_batch_size=2, bucket_width=64)
+        engine = GenerationEngine(max_batch_size=2)
         assert engine.generate(model, list(outputs)) == list(outputs.values())
         assert engine.last_stats.chunks == 3
+        assert [len(s.scripts) for s in model.sessions] == [2, 2, 1]
 
     def test_fallback_for_non_incremental_models(self):
         model = _StaticModel("out")
@@ -351,8 +393,8 @@ class TestEngineScheduling:
             GenerationEngine(mode="sample", temperature=0.0)
         with pytest.raises(ValueError):
             GenerationEngine(max_batch_size=0)
-        with pytest.raises(ValueError):
-            GenerationEngine(bucket_width=0)
+        with pytest.raises(TypeError):  # not a knob: slabs are the session's
+            GenerationEngine(bucket_width=16)
 
 
 class TestSampledMode:
@@ -441,12 +483,198 @@ class TestAttentionIncrementals:
         rng = np.random.default_rng(0)
         attention = MultiHeadAttention(dim=8, n_heads=2, rng=rng)
         memory = rng.normal(size=(2, 5, 8))
-        queries = rng.normal(size=(2, 1, 8))
+        queries = rng.normal(size=(2, 8))
         keys, values = attention.project_kv(memory)
         key_mask = np.ones((2, 5))
         key_mask[1, :] = 0.0  # row 1 has no real keys
-        out = attention.attend_cached(queries, keys, values, key_mask)
-        np.testing.assert_array_equal(
-            out[1, 0], attention.output_proj.bias.value
+        key_mask[0, 3:] = 0.0
+        out = attention.attend_step(
+            attention.query_proj.infer(queries),
+            keys,
+            values,
+            key_mask_bias(key_mask),
+            ~key_mask.any(axis=-1),
         )
+        np.testing.assert_array_equal(out[1], attention.output_proj.bias.value)
         assert np.isfinite(out).all()
+        # A padded column carries exactly zero weight: row 0 over its
+        # three real keys alone is the same context.
+        alone = attention.attend_step(
+            attention.query_proj.infer(queries[:1]), keys[:1, :, :3], values[:1, :, :3]
+        )
+        np.testing.assert_allclose(out[:1], alone, rtol=0, atol=1e-12)
+
+
+def _token_prompts(lengths: list[int], seed: int = 0) -> list[list[int]]:
+    """Byte-token prompts of the given lengths (ids clear of the specials)."""
+    rng = np.random.default_rng(seed)
+    return [[int(t) for t in rng.integers(10, 250, size=n)] for n in lengths]
+
+
+def _greedy_logits(session, steps: int) -> np.ndarray:
+    """Step ``session`` greedily; returns ``(steps, batch, vocab)`` logits."""
+    current = np.full(session.batch_size, session.sos_id, dtype=np.int64)
+    logits = []
+    for _ in range(steps):
+        logits.append(session.step(current))
+        current = logits[-1].argmax(axis=-1)
+    return np.stack(logits)
+
+
+class TestStepPathContract:
+    """One session per micro-batch: slabs, per-session constants, counts."""
+
+    def test_mixed_length_session_equals_one_session_per_slab(self):
+        model = ByteSeq2SeqModel(TINY_CONFIG)
+        lengths = [40, 3, 18, 33, 12, 30, 47, 16]  # three slabs, unsorted
+        prompts = _token_prompts(lengths)
+        mixed = _greedy_logits(model.start_decode(prompts), 10)
+        for slab in {n // SLAB_WIDTH for n in lengths}:
+            rows = [i for i, n in enumerate(lengths) if n // SLAB_WIDTH == slab]
+            alone = _greedy_logits(
+                model.start_decode([prompts[i] for i in rows]), 10
+            )
+            np.testing.assert_allclose(mixed[:, rows], alone, rtol=0, atol=1e-12)
+            assert np.array_equal(
+                mixed[:, rows].argmax(axis=-1), alone.argmax(axis=-1)
+            )
+
+    def test_empty_rows_keep_zero_context_through_compaction(self):
+        model = ByteSeq2SeqModel(TINY_CONFIG)
+        prompts = _token_prompts([35, 0, 20, 0, 6])
+        session = model.start_decode(prompts)
+        state = session.state
+        block = state.blocks[0]
+        fused = block.qkv_weight.copy()
+        assert state.memory_bias.shape == (5, 1, 1, 35)
+        assert state.memory_empty.tolist() == [False, True, False, True, False]
+        # The zero-token row decodes as it would alone (zero context),
+        # whatever the memory its slab-mates left beside it.
+        lonely = _greedy_logits(model.start_decode([[]]), 2)
+        first = session.step(np.full(5, session.sos_id, dtype=np.int64))
+        np.testing.assert_allclose(first[[1, 3]], lonely[[0, 0], 0], rtol=0, atol=1e-12)
+
+        bias, keys = state.memory_bias, block.self_kv.view()[0]
+        keep = np.array([False, True, True, False, True])
+        session.compact(keep)
+        assert session.batch_size == state.batch_size == 3
+        assert state.memory_empty.tolist() == [True, False, False]
+        np.testing.assert_array_equal(state.memory_bias, bias[keep])
+        np.testing.assert_array_equal(block.self_kv.view()[0], keys[keep])
+        assert block.cross_keys.shape[0] == 3
+        np.testing.assert_array_equal(block.qkv_weight, fused)
+        second = session.step(first[keep].argmax(axis=-1))
+        np.testing.assert_allclose(second[0], lonely[1, 0], rtol=0, atol=1e-12)
+        session.compact(np.array([False, True, True]))
+        assert state.memory_empty.tolist() == [False, False]
+        assert np.isfinite(session.step(second[1:].argmax(axis=-1))).all()
+
+    def test_rows_retire_at_different_steps_from_a_padded_batch(
+        self, trained_model
+    ):
+        prompts = [
+            f"<sos>{a}<tr>{a}<eoe>{b}<tr>{b}<eoe>{q}<tr><eos>"
+            for a, b, q in [
+                ("g", "h", "ab"),
+                ("abcdefgh", "hgfedcba", "cab"),
+                ("g" * 20, "h" * 20, "a"),
+                ("b", "c", "dd"),
+                ("abcdefgh" * 3, "h", "b"),
+            ]
+        ]
+        lengths = [len(ids) for ids in trained_model.tokenize_prompts(prompts)]
+        assert len({n // SLAB_WIDTH for n in lengths}) >= 3
+        engine = GenerationEngine()
+        got = engine.generate(trained_model, prompts)
+        assert got == trained_model.generate_full_prefix(prompts)
+        stats = engine.last_stats
+        assert stats.chunks == 1
+        # Some row left the padded batch before the last one did.
+        assert len(set(map(len, got))) > 1
+        assert stats.row_steps < stats.steps * stats.decoded_rows
+
+    def test_session_between_forward_and_backward_keeps_gradients(self):
+        # The fused q/k/v weight is a copy on the session's state, not a
+        # view of the parameters the optimizer updates in place.
+        prompts = ["<sos>ab<tr>AB<eoe>cd<tr><eos>", "<sos>efg<tr>EFG<eoe>h<tr><eos>"]
+        labels = ["CD", "H"]
+
+        def gradients(interleave: bool) -> list[np.ndarray]:
+            model = ByteSeq2SeqModel(TINY_CONFIG)
+            input_ids, input_mask, decoder_in, targets, target_mask = (
+                model.prepare_batch(prompts, labels)
+            )
+            logits = model.network.forward(input_ids, decoder_in, input_mask)
+            if interleave:
+                session = model.start_decode(_token_prompts([30, 4, 19]))
+                _greedy_logits(session, 3)
+                attn = model.network.decoder_blocks[0].self_attention
+                fused = session.state.blocks[0].qkv_weight
+                for proj in (attn.query_proj, attn.key_proj, attn.value_proj):
+                    assert not np.shares_memory(fused, proj.weight.value)
+                fused[:] = 0.0
+            _, grad_logits = masked_cross_entropy(logits, targets, target_mask)
+            model.network.backward(grad_logits)
+            return [p.grad.copy() for p in model.network.parameters()]
+
+        for plain, interleaved in zip(
+            gradients(False), gradients(True), strict=True
+        ):
+            assert np.array_equal(plain, interleaved)
+
+    @pytest.mark.parametrize(
+        ("n_rows", "decoded_rows", "encodes"), ((1, 5, 3), (20, 99, 5))
+    )
+    def test_step_loops_match_the_recorded_counts(
+        self, monkeypatch, n_rows, decoded_rows, encodes
+    ):
+        # The repo benchmark's transform shape, rebuilt here (dim 64,
+        # 3+1 layers, 48-token budget, 5 trials, 8 Syn examples; the
+        # untrained model never emits <eos>).  Recorded in the commit
+        # (PR 23) that made a micro-batch one session: a one-row request
+        # used to be 2-3 length-bucketed chunks of 47 steps each and is
+        # one; 20 rows were 4 chunks / 188 steps and are 2 / 94, over
+        # the same 47 steps per decoded row.  Counts, not timings: a
+        # change that moves them re-records them on purpose or is wrong.
+        model = ByteSeq2SeqModel(
+            DTTModelConfig(
+                dim=64,
+                n_heads=4,
+                encoder_layers=3,
+                decoder_layers=1,
+                ffn_hidden=128,
+                max_input_length=192,
+                max_output_length=48,
+                seed=0,
+            )
+        )
+        table = build_syn(seed=20240, n_tables=1, rows=28)[0]
+        examples = [
+            ExamplePair(source, target)
+            for source, target in zip(table.sources[:8], table.targets[:8])
+        ]
+        calls = {"start_decode": 0, "infer_encode": 0}
+
+        def counting(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(model, "start_decode")
+        counting(model.network, "infer_encode")
+        pipeline = DTTPipeline(model, n_trials=5)
+        pipeline.transform_column(table.sources[8 : 8 + n_rows], examples)
+        stats = pipeline.engine.last_stats
+        chunks = -(-decoded_rows // pipeline.engine.max_batch_size)
+        assert stats == EngineStats(
+            prompts=5 * n_rows,
+            decoded_rows=decoded_rows,
+            chunks=chunks,
+            steps=47 * chunks,
+            row_steps=47 * decoded_rows,
+        )
+        assert calls == {"start_decode": chunks, "infer_encode": encodes}
