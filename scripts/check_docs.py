@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs link-and-freshness check: the ``docs/`` site must stay true.
 
-Six classes of rot this catches, each a CI failure:
+Seven classes of rot this catches, each a CI failure:
 
 * **Dead links** — every relative markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to a file inside the repository, and a
@@ -37,6 +37,10 @@ Six classes of rot this catches, each a CI failure:
   ``.claude/skills/``) write in backticks must resolve with ``getattr``
   on the class or be an attribute its methods set on ``self``, so a
   deleted or renamed member cannot stay documented.
+* **Stale environment variables** — every ``REPRO_*`` variable the docs
+  name must occur in ``src/``, and every one ``src/`` names must be
+  documented in ``docs/operations.md``, so a removed knob cannot linger
+  in the docs and a new one cannot land undocumented.
 
 Usage::
 
@@ -83,6 +87,7 @@ _BENCH_REF_RE = re.compile(r"\bBENCH_\w+\.json\b")
 _SERIES_RE = re.compile(
     r"\b(?:serve|engine|join|obs)_[a-z0-9_<>]*_(?:total|seconds)\b"
 )
+_ENV_RE = re.compile(r"\bREPRO_[A-Z_]+")
 #: The first cell of a series-table row: ``| `name` | ...``.
 _SERIES_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_<>]+)`\s*\|", re.M)
 #: Read beside the docs site by the member check only.
@@ -311,6 +316,29 @@ def check_documented_members(
     return problems
 
 
+def check_environment_variables(
+    files: list[Path], root: Path = REPO_ROOT
+) -> list[str]:
+    """Docs name only ``REPRO_*`` variables ``src/`` knows, and
+    ``docs/operations.md`` documents every one of those."""
+    in_source: set[str] = set()
+    for source in (root / "src").rglob("*.py"):
+        in_source.update(_ENV_RE.findall(source.read_text()))
+    problems = [
+        f"{doc.relative_to(root)}: names environment variable {name}, "
+        "which nothing in src/ reads"
+        for doc in files
+        for name in sorted(set(_ENV_RE.findall(doc.read_text())) - in_source)
+    ]
+    operations = (root / "docs" / "operations.md").read_text()
+    problems += [
+        f"docs/operations.md: environment variable {name} is read in "
+        "src/ but not documented"
+        for name in sorted(in_source - set(_ENV_RE.findall(operations)))
+    ]
+    return problems
+
+
 def check_required_pages(root: Path = REPO_ROOT) -> list[str]:
     """The pages the README promises must exist."""
     return [
@@ -329,6 +357,7 @@ def run_all(root: Path = REPO_ROOT) -> list[str]:
     problems += check_endpoint_coverage(root)
     problems += check_source_references(root)
     problems += check_metric_series(files, root)
+    problems += check_environment_variables(files, root)
     skill = root / VERIFY_SKILL
     problems += check_documented_members(
         files + [skill] if skill.is_file() else files, root

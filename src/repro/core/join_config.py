@@ -3,11 +3,12 @@
 Every joiner tunable — thresholds (``max_distance`` /
 ``normalized_threshold``), blocking (``q`` / ``auto_threshold``), the
 worker pool (``n_workers`` / ``parallel_threshold``), the kernel
-backend, and the query-surface knobs ``mode`` / ``k`` / ``margin`` —
-lives in one validated, frozen dataclass.  ``EditDistanceJoiner``,
-``IndexedJoiner``, ``AutoJoiner`` and ``make_joiner`` take it as their
-first argument and ``DTTPipeline`` as ``join_config``; it is the only
-way to configure a joiner.
+backend, and the top-k query defaults ``k`` / ``margin`` — lives in one
+validated, frozen dataclass.  ``EditDistanceJoiner``, ``IndexedJoiner``,
+``AutoJoiner`` and ``make_joiner`` take it as their first argument and
+``DTTPipeline`` as ``join_config``; it is the only way to configure a
+joiner.  The query mode is not configuration: each mode is its own
+method (:data:`JOIN_MODES` names them for the serve schema).
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class JoinConfig:
     """All tunables of the Eq. 5 join engines in one frozen object.
 
     Attributes:
-        mode: Default query mode — ``"argmin"`` (classic Eq. 5),
-            ``"topk"`` (ranked candidate sets with margin abstention) or
-            ``"reverse"`` (target row -> source rows).  Per-call
-            arguments override it.
         k: Default candidate-set size for top-k queries (``>= 1``).
         margin: Calibrated abstention for top-k: when set and positive,
             abstain unless the normalized distance gap between the
@@ -70,7 +67,6 @@ class JoinConfig:
             performance knob.
     """
 
-    mode: str = "argmin"
     k: int = 1
     margin: float | None = None
     max_distance: int | None = None
@@ -82,10 +78,6 @@ class JoinConfig:
     kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.mode not in JOIN_MODES:
-            raise ValueError(
-                f"mode must be one of {JOIN_MODES}, got {self.mode!r}"
-            )
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError(f"k must be an int >= 1, got {self.k!r}")
         if self.margin is not None and self.margin < 0:

@@ -70,11 +70,11 @@ class EditDistanceJoiner:
             than this are rejected — the row stays unmatched, reducing
             recall but protecting precision) / ``normalized_threshold``
             (reject matches whose distance divided by the matched
-            value's length exceeds this) / ``mode`` / ``k`` /
-            ``margin`` apply to the brute scan.
+            value's length exceeds this) / ``k`` / ``margin`` apply
+            to the brute scan.
 
     The config is a constructor-time carrier: thresholds and the
-    ``mode``/``k``/``margin`` defaults land on plain mutable attributes
+    ``k``/``margin`` defaults land on plain mutable attributes
     that every query reads at call time.
 
     ``config.kernel_backend`` resolves here, once, into the
@@ -101,7 +101,6 @@ class EditDistanceJoiner:
         self.kernel = resolve_backend(config.kernel_backend)
         self.max_distance = config.max_distance
         self.normalized_threshold = config.normalized_threshold
-        self.mode = config.mode
         self.k = config.k
         self.margin = config.margin
 

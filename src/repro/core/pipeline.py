@@ -128,12 +128,12 @@ class DTTPipeline:
         Covers the ensemble's model fingerprints, the decomposition
         configuration (context size, trial count, sampling seed), and
         the generation engine's output-relevant settings (mode,
-        temperature, sampling seed, stop behaviour).  Scheduling knobs
-        that provably do not change greedy outputs (batch size, bucket
-        width) are excluded so a retuned scheduler keeps its cache
-        warm.  Used by the serving layer to key its memoized transform
-        results; compute it *after* any training step — the trainable
-        model's fingerprint covers its weights.
+        temperature, sampling seed).  The scheduling knob that provably
+        does not change greedy outputs (batch size) is excluded so a
+        retuned scheduler keeps its cache warm.  Used by the serving
+        layer to key its memoized transform results; compute it *after*
+        any training step — the trainable model's fingerprint covers
+        its weights.
         """
         engine = self.engine
         digest = hashlib.sha256()
@@ -148,7 +148,6 @@ class DTTPipeline:
             engine.mode,
             engine.temperature,
             engine.seed,
-            engine.stop_on_eos,
         )
         digest.update(repr(parts).encode("utf-8"))
         return digest.hexdigest()

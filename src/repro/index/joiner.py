@@ -30,8 +30,7 @@ Two layers amortize that work across a whole source column:
 * A process-level :class:`~repro.index.cache.IndexCache` shares one
   index per target-column *content* (entries are keyed on the column
   values themselves, so stale or aliased indexes are impossible)
-  across joiners, pipelines, and eval runs — optionally backed by an
-  on-disk tier shared across processes.
+  across joiners, pipelines, and eval runs.
 
 Above a workload threshold (or at an explicit ``n_workers``), the frame
 shards its pending probes across a **persistent** process pool
@@ -94,7 +93,7 @@ class IndexedJoiner(EditDistanceJoiner):
             runs serially below; ``1`` forces serial; ``>= 2`` always
             shards — results are byte-identical in every
             configuration), ``parallel_threshold``, and the
-            ``mode``/``k``/``margin`` query defaults.
+            ``k``/``margin`` query defaults.
         cache: Index cache to use; ``None`` means the process-wide
             shared cache (:func:`~repro.index.cache.default_index_cache`).
             An object dependency, so it stays a direct argument rather
@@ -311,8 +310,6 @@ class IndexedJoiner(EditDistanceJoiner):
         join_span = tracer.start_span("join.join_many")
         cache_hits = self.cache.hits
         cache_misses = self.cache.misses
-        disk_hits = self.cache.disk_hits
-        disk_misses = self.cache.disk_misses
         pairs_before = pairs_scored_snapshot()
         # Dedupe: every occurrence of a probe value gets the one result.
         unique = dict.fromkeys(probes)
@@ -399,10 +396,6 @@ class IndexedJoiner(EditDistanceJoiner):
             shard_sizes=pool_stats.shard_sizes,
             cache_hits=self.cache.hits - cache_hits,
             cache_misses=self.cache.misses - cache_misses,
-            disk_hits=self.cache.disk_hits - disk_hits + pool_stats.disk_hits,
-            disk_misses=(
-                self.cache.disk_misses - disk_misses + pool_stats.disk_misses
-            ),
             kernel_backend=self.kernel.name,
             kernel_pairs=tuple(
                 sorted(
@@ -737,7 +730,7 @@ def make_joiner(
         config: All tunables in one frozen
             :class:`~repro.core.JoinConfig` (thresholds, ``q``,
             ``auto_threshold``, worker-pool settings, and the
-            ``mode``/``k``/``margin`` query defaults).
+            ``k``/``margin`` query defaults).
         cache: Index cache for the blocked strategies (``None`` = the
             process-wide shared cache).
     """

@@ -27,8 +27,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.text.edit_distance import codepoints
-
 # Pad value for the code matrix.  Unicode code points stop at 0x10FFFF,
 # so padding can never spuriously match a query character.
 _PAD = np.uint32(0xFFFFFFFF)
@@ -50,19 +48,13 @@ def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     if max_len == 0:
         return codes, lengths
     # One join + one frombuffer instead of a Python-level loop per
-    # string: utf-32-le yields exactly one uint32 per code point, and a
-    # ragged boolean mask scatters the flat buffer into the padded rows.
-    try:
-        flat = np.frombuffer(
-            "".join(strings).encode("utf-32-le"), dtype=np.uint32
-        )
-    except UnicodeEncodeError:
-        # Lone surrogates can't round-trip through utf-32; fall back to
-        # the per-string scalar path (codepoints() handles them).
-        for i, s in enumerate(strings):
-            if s:
-                codes[i, : len(s)] = codepoints(s)
-        return codes, lengths
+    # string: utf-32-le yields exactly one uint32 per code point
+    # (``surrogatepass`` keeps lone surrogates as their own code points,
+    # as the scalar DP compares them), and a ragged boolean mask
+    # scatters the flat buffer into the padded rows.
+    flat = np.frombuffer(
+        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+    )
     mask = np.arange(max_len) < lengths[:, None]
     codes[mask] = flat
     return codes, lengths

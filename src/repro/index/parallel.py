@@ -19,9 +19,8 @@ preserves by construction —
   which other probes share its call, so the probes can split anywhere;
 * every worker scores against an equal-content index — resolved from
   its own content-keyed cache (seeded with the parent's cache under the
-  ``fork`` start method, loaded from the shared on-disk tier, or
-  rebuilt from the column shipped with the shard; all three construct
-  the identical structure); and
+  ``fork`` start method, or rebuilt from the column shipped with the
+  shard; both construct the identical structure); and
 * the merge keys results by probe value, so completion order is
   irrelevant.
 
@@ -47,14 +46,13 @@ pickling stays cheap even for very wide batches.
 Worker startup prefers the ``fork`` start method where the platform
 offers it and no other threads are alive (forking a multi-threaded
 process is a deadlock hazard): the parent's index cache arrives by
-copy-on-write, so workers usually begin scoring without building or
-loading anything.
+copy-on-write, so workers usually begin scoring without building
+anything.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -64,11 +62,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.index.cache import (
-    IndexCache,
-    column_fingerprint,
-    default_index_cache,
-)
+from repro.index.cache import IndexCache, column_fingerprint
 from repro.index.qgram import QGramIndex
 
 
@@ -89,12 +83,6 @@ class JoinStats:
         shard_sizes: Probe count of each shard, in dispatch order.
         cache_hits: In-memory index-cache hits during the call.
         cache_misses: In-memory index-cache misses during the call.
-        disk_hits: On-disk index-cache hits — the parent's plus those
-            newly reported by shard-executing workers during this call
-            (fork-started workers inherit the parent's in-memory cache
-            and usually pay none).
-        disk_misses: On-disk index-cache misses, same accounting;
-            zero when no disk tier is configured.
         kernel_backend: Resolved kernel backend the joiner scored with
             (``"auto"`` means per-call dispatch; the per-backend pairs
             show what actually ran).
@@ -119,8 +107,6 @@ class JoinStats:
     shard_sizes: tuple[int, ...] = ()
     cache_hits: int = 0
     cache_misses: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
     kernel_backend: str = "auto"
     kernel_pairs: tuple[tuple[str, int], ...] = ()
 
@@ -142,8 +128,6 @@ class PoolStats:
     workers: int = 1
     shards: int = 0
     shard_sizes: tuple[int, ...] = ()
-    disk_hits: int = 0
-    disk_misses: int = 0
     #: Summed per-shard ``(backend, pairs)`` deltas from the workers.
     kernel_pairs: tuple[tuple[str, int], ...] = ()
 
@@ -155,7 +139,6 @@ _OVERSPLIT = 4
 
 # Worker-process state, set once per worker by :func:`_init_worker`.
 _WORKER_CACHE: IndexCache | None = None
-_WORKER_DISK_BASE: tuple[int, int] = (0, 0)
 # Fingerprint -> resolved index, so warm shards carry no column at all.
 _WORKER_INDEXES: OrderedDict[str, QGramIndex] = OrderedDict()
 _WORKER_INDEX_CAP = 8
@@ -239,28 +222,17 @@ def pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("spawn")
 
 
-def _init_worker(
-    inherited_cache: IndexCache | None,
-    cache_dir: str | None,
-    use_default_cache: bool,
-) -> None:
+def _init_worker(inherited_cache: IndexCache | None) -> None:
     """Set up this worker's index cache, once per worker process.
 
     Under the ``fork`` start method the parent's cache object rides in
     directly (initargs are inherited memory, never pickled), so the
     worker starts with every index the parent had already built.
-    Fresh-start workers build their own cache over the same on-disk
-    tier instead.  Either way the worker records its disk-counter
-    baseline so shards can report deltas attributable to pool work.
+    Fresh-start workers begin with an empty cache and build from the
+    column their first shard ships.
     """
-    global _WORKER_CACHE, _WORKER_DISK_BASE
-    if inherited_cache is not None:
-        _WORKER_CACHE = inherited_cache
-    elif use_default_cache:
-        _WORKER_CACHE = default_index_cache()
-    else:
-        _WORKER_CACHE = IndexCache(cache_dir=cache_dir)
-    _WORKER_DISK_BASE = (_WORKER_CACHE.disk_hits, _WORKER_CACHE.disk_misses)
+    global _WORKER_CACHE
+    _WORKER_CACHE = IndexCache() if inherited_cache is None else inherited_cache
 
 
 def _score_shard(
@@ -279,24 +251,21 @@ def _score_shard(
     resolve through this worker's fingerprint memo; a miss with no
     column attached raises :class:`_ColumnNeeded` so the parent can
     resubmit with the column, which the worker then resolves through
-    its content-keyed cache (memory, disk tier, or rebuild).
+    its content-keyed cache (a hit, or a build).
 
     ``kernel_backend`` is the parent joiner's *resolved* backend name,
     so workers score with the same kernel whatever their environment
     says (``"auto"`` stays per-call dispatch, which resolves the same
     way in every process).
 
-    The payload is ``(shard_id, pid, disk_hits, disk_misses,
-    kernel_pairs, counts, vids, distances)``: a ragged triple of
-    per-probe rank counts plus flat value ids and distances in rank
-    order (one entry per probe at ``k = 1``), which the parent slices
-    back per probe.  It carries value ids, not matched strings — the
-    parent owns an equal-content index and maps ids back — plus this
-    worker's pid and disk-tier counters (cumulative since worker start)
-    so the parent can aggregate per-process cache behaviour without
-    double-counting shards, and this shard's per-backend kernel-pairs
-    delta (snapshotted around the scoring, so persistent workers never
-    double-report across shards or calls).
+    The payload is ``(shard_id, kernel_pairs, counts, vids,
+    distances)``: a ragged triple of per-probe rank counts plus flat
+    value ids and distances in rank order (one entry per probe at
+    ``k = 1``), which the parent slices back per probe.  It carries
+    value ids, not matched strings — the parent owns an equal-content
+    index and maps ids back — plus this shard's per-backend
+    kernel-pairs delta (snapshotted around the scoring, so persistent
+    workers never double-report across shards or calls).
     """
     # Imported lazily: joiner imports this module for the pool.
     from repro.core.join_config import JoinConfig
@@ -335,9 +304,6 @@ def _score_shard(
     )
     return (
         shard_id,
-        os.getpid(),
-        cache.disk_hits - _WORKER_DISK_BASE[0],
-        cache.disk_misses - _WORKER_DISK_BASE[1],
         kernel_pairs,
         counts,
         vids.astype(np.int32),
@@ -353,9 +319,8 @@ class JoinWorkerPool:
             on demand, so a pool sized for peak load costs nothing
             while idle).
         cache: The owning joiner's index cache; under the ``fork``
-            start method it is inherited by workers copy-on-write, and
-            its ``cache_dir`` names the on-disk tier fresh-start
-            workers share.
+            start method it is inherited by workers copy-on-write
+            (fresh-start workers begin with an empty one).
         q: Gram size the owning joiner resolves indexes at (``None`` =
             adaptive), forwarded to workers with every shard.
         kernel_backend: The owning joiner's *resolved* kernel-backend
@@ -385,9 +350,6 @@ class JoinWorkerPool:
         self._executor: ProcessPoolExecutor | None = None
         self._fork_started = False
         self._closed = False
-        # Per-pid cumulative disk counters already credited to earlier
-        # calls, so each call reports only its own delta.
-        self._credited_disk: dict[int, tuple[int, int]] = {}
         # Column fingerprints whose columns have already been shipped to
         # this executor's workers (warm shards go fingerprint-only).
         self._shipped_fps: set[str] = set()
@@ -415,28 +377,14 @@ class JoinWorkerPool:
         if self._executor is None:
             context = pool_context()
             self._fork_started = context.get_start_method() == "fork"
-            self._credited_disk.clear()
             self._shipped_fps.clear()
-            if self._fork_started:
-                # Initargs are inherited through fork, not pickled, so
-                # the cache object (locks and all) rides in directly.
-                initargs = (self._cache, None, False)
-            else:
-                cache_dir = (
-                    str(self._cache.cache_dir)
-                    if self._cache.cache_dir is not None
-                    else None
-                )
-                initargs = (
-                    None,
-                    cache_dir,
-                    self._cache is default_index_cache(),
-                )
             self._executor = ProcessPoolExecutor(
                 max_workers=self.n_workers,
                 mp_context=context,
                 initializer=_init_worker,
-                initargs=initargs,
+                # Initargs are inherited through fork, not pickled, so
+                # the cache object (locks and all) rides in directly.
+                initargs=(self._cache if self._fork_started else None,),
             )
         return self._executor
 
@@ -477,7 +425,6 @@ class JoinWorkerPool:
         shipped = None if fingerprint in self._shipped_fps else column
         self._shipped_fps.add(fingerprint)
         ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        worker_disk: dict[int, tuple[int, int]] = {}
         call_pairs: dict[str, int] = {}
         try:
             futures = [submit(shard_id, shipped) for shard_id in range(len(shards))]
@@ -486,16 +433,7 @@ class JoinWorkerPool:
                     result = future.result()
                 except _ColumnNeeded as missing:
                     result = submit(missing.shard_id, column).result()
-                (
-                    shard_id,
-                    pid,
-                    disk_hits,
-                    disk_misses,
-                    shard_pairs,
-                    counts,
-                    vids,
-                    distances,
-                ) = result
+                shard_id, shard_pairs, counts, vids, distances = result
                 stops = np.cumsum(counts).tolist()
                 for probe, count, stop in zip(
                     shards[shard_id], counts.tolist(), stops, strict=True
@@ -504,7 +442,6 @@ class JoinWorkerPool:
                         vids[stop - count : stop],
                         distances[stop - count : stop],
                     )
-                worker_disk[pid] = (disk_hits, disk_misses)
                 for name, count in shard_pairs:
                     call_pairs[name] = call_pairs.get(name, 0) + count
         except BrokenProcessPool:
@@ -515,21 +452,10 @@ class JoinWorkerPool:
             self._executor.shutdown(wait=False)
             self._executor = None
             raise
-        # Workers report cumulative disk counters; credit this call
-        # with each worker's growth since the last call that saw it.
-        call_hits = 0
-        call_misses = 0
-        for pid, (disk_hits, disk_misses) in worker_disk.items():
-            seen_hits, seen_misses = self._credited_disk.get(pid, (0, 0))
-            call_hits += disk_hits - seen_hits
-            call_misses += disk_misses - seen_misses
-            self._credited_disk[pid] = (disk_hits, disk_misses)
         return ranked, PoolStats(
             workers=min(self.n_workers, len(shards)),
             shards=len(shards),
             shard_sizes=tuple(len(shard) for shard in shards),
-            disk_hits=call_hits,
-            disk_misses=call_misses,
             kernel_pairs=tuple(sorted(call_pairs.items())),
         )
 

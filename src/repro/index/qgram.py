@@ -110,95 +110,6 @@ class QGramIndex:
         """Number of distinct values in the index."""
         return len(self.values)
 
-    def to_state(self) -> dict[str, np.ndarray]:
-        """Flat numpy snapshot of the index, for the on-disk cache tier.
-
-        Every component is a plain array (ragged structures become
-        ``flat + offsets`` pairs; strings become UTF-8 blobs encoded
-        with ``surrogatepass`` so lone surrogates round-trip), which
-        keeps the format loadable with ``allow_pickle=False`` — a
-        corrupted or malicious cache file can fail to parse but cannot
-        execute code.  :meth:`from_state` inverts this exactly.
-        """
-        value_blobs = [v.encode("utf-8", "surrogatepass") for v in self.values]
-        gram_blobs = [g.encode("utf-8", "surrogatepass") for g in self._postings]
-        posting_offsets = np.zeros(len(self._postings) + 1, dtype=np.int64)
-        if self._postings:
-            np.cumsum(
-                [p.size for p in self._postings.values()],
-                out=posting_offsets[1:],
-            )
-        state = {
-            "q": np.int64(self.q),
-            "values_blob": np.frombuffer(b"".join(value_blobs), dtype=np.uint8),
-            "values_offsets": np.cumsum([0] + [len(b) for b in value_blobs]),
-            "first_rows": self.first_rows,
-            "grams_blob": np.frombuffer(b"".join(gram_blobs), dtype=np.uint8),
-            "grams_offsets": np.cumsum([0] + [len(b) for b in gram_blobs]),
-            "postings_flat": (
-                np.concatenate(list(self._postings.values()))
-                if self._postings
-                else np.empty(0, dtype=np.int64)
-            ),
-            "postings_offsets": posting_offsets,
-            "has_codes": np.int64(self._codes is not None),
-        }
-        if self._codes is not None:
-            state["codes"] = self._codes
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> QGramIndex:
-        """Rebuild an index from a :meth:`to_state` snapshot.
-
-        Skips gram extraction and code-matrix encoding — the expensive
-        parts of ``__init__`` — leaving only the value/posting dict
-        rebuilds, which is what makes a warm disk-cache load cheaper
-        than indexing the column from scratch.
-        """
-
-        def decode(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
-            raw = blob.tobytes()
-            return [
-                raw[offsets[i] : offsets[i + 1]].decode("utf-8", "surrogatepass")
-                for i in range(len(offsets) - 1)
-            ]
-
-        self = cls.__new__(cls)
-        self.q = int(state["q"])
-        if self.q <= 0:
-            raise ValueError(f"corrupt index state: q = {self.q}")
-        self.values = decode(state["values_blob"], state["values_offsets"])
-        self._value_ids = {value: vid for vid, value in enumerate(self.values)}
-        if len(self._value_ids) != len(self.values):
-            raise ValueError("corrupt index state: duplicate values")
-        self.first_rows = np.asarray(state["first_rows"], dtype=np.int64)
-        if self.first_rows.shape != (len(self.values),):
-            raise ValueError("corrupt index state: rows/values misaligned")
-        # Value ids are handed out in order of first appearance, from row 0.
-        if np.any(np.diff(self.first_rows, prepend=-1) <= 0):
-            raise ValueError("corrupt index state: first rows not increasing")
-        self.lengths = np.fromiter(
-            (len(v) for v in self.values), dtype=np.int64, count=len(self.values)
-        )
-        self.max_length = int(self.lengths.max()) if self.lengths.size else 0
-        grams = decode(state["grams_blob"], state["grams_offsets"])
-        postings_flat = np.asarray(state["postings_flat"], dtype=np.int64)
-        postings_offsets = np.asarray(state["postings_offsets"], dtype=np.int64)
-        if len(postings_offsets) != len(grams) + 1:
-            raise ValueError("corrupt index state: postings/grams misaligned")
-        self._postings = {
-            gram: postings_flat[postings_offsets[i] : postings_offsets[i + 1]]
-            for i, gram in enumerate(grams)
-        }
-        if int(state["has_codes"]):
-            self._codes = np.asarray(state["codes"], dtype=np.uint32)
-            if self._codes.shape[0] != len(self.values):
-                raise ValueError("corrupt index state: code matrix misaligned")
-        else:
-            self._codes = None
-        return self
-
     @property
     def nbytes(self) -> int:
         """Approximate bytes retained by the index's numpy state.

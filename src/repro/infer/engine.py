@@ -96,8 +96,6 @@ class GenerationEngine:
             step loop).
         dedupe: Collapse identical prompts before decoding (greedy mode
             only; sampling always decodes every occurrence).
-        stop_on_eos: Stop a row at its first ``<eos>``.  Disabled only
-            by benchmarks that need every row to run the full budget.
     """
 
     def __init__(
@@ -107,7 +105,6 @@ class GenerationEngine:
         seed: int = 0,
         max_batch_size: int = 64,
         dedupe: bool = True,
-        stop_on_eos: bool = True,
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -120,7 +117,6 @@ class GenerationEngine:
         self.seed = seed
         self.max_batch_size = max_batch_size
         self.dedupe = dedupe
-        self.stop_on_eos = stop_on_eos
         self.last_stats = EngineStats()
 
     # -- scheduling entry points ------------------------------------------
@@ -288,9 +284,6 @@ class GenerationEngine:
             next_ids = self._choose(logits, rng)
             for slot, row in enumerate(live):
                 tokens[row].append(int(next_ids[slot]))
-            if not self.stop_on_eos:
-                current = next_ids
-                continue
             finished = next_ids == session.eos_id
             if finished.any():
                 keep = ~finished

@@ -74,12 +74,6 @@ BENCH_FLOORS: dict[str, tuple[dict, ...]] = {
         # 0.8 x the lowest of twelve smoke readings on the 2-core
         # recording host (1.50 of 1.50-2.43), rounded down to a decimal.
         {"metric": "speedup[workers=2]", "min": 1.2, "min_cores": 2},
-        # An absolute rate, not cold build / warm load (a faster index
-        # build would lower that ratio): thousand rows per second of a
-        # warm 20 000-row snapshot load.  Recorded median 537.8 krows/s
-        # (BENCH_join_parallel.json; twelve smoke readings ranged
-        # 232-562); the floor is one third of it.
-        {"metric": "disk_warm_load_krows_per_s", "min": 179.0},
     ),
     # Serve worker pool vs in-process serving of the same route in the
     # same run.

@@ -214,6 +214,27 @@ class TestBrokenDocsAreCaught:
             )
         ]
 
+    def test_stale_and_undocumented_environment_variables_fail(self, fake_repo):
+        package = fake_repo / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "module.py").write_text(
+            'import os\nos.environ.get("REPRO_KEPT")\n'
+            'os.environ.get("REPRO_SECRET_KNOB")\n'
+        )
+        (fake_repo / "docs" / "operations.md").write_text(
+            "# Ops\n| `REPRO_KEPT` | stays |\n| `REPRO_GONE_DIR` | went |\n"
+        )
+        (fake_repo / "README.md").write_text(
+            "# fake\nthe `REPRO_*` variables; `REPRO_SECRET_KNOB` only here\n"
+        )
+        files = check_docs.collect_doc_files(fake_repo)
+        assert check_docs.check_environment_variables(files, fake_repo) == [
+            "docs/operations.md: names environment variable REPRO_GONE_DIR, "
+            "which nothing in src/ reads",
+            "docs/operations.md: environment variable REPRO_SECRET_KNOB is "
+            "read in src/ but not documented",
+        ]
+
     def test_undocumented_endpoint_fails(self, fake_repo):
         # The fixture's http_api.md mentions no endpoint at all, so
         # every real PUBLIC_ENDPOINTS entry must be reported.

@@ -108,9 +108,10 @@ class TestBatchedKernel:
         assert list(_score_one("\U0001F600x", ["\U0001F600x", "x"], 3)) == [0, 1]
 
     def test_lone_surrogates_match_scalar_path(self):
-        # Lone surrogates (surrogateescape artifacts) cannot be UTF-32
-        # encoded; the kernel must fall back instead of crashing, and
-        # agree with the scalar DP which compares characters directly.
+        # Lone surrogates (surrogateescape artifacts) are rejected by a
+        # strict UTF-32 encode; encode_strings passes them through as
+        # their own code points, so the kernel agrees with the scalar
+        # DP, which compares characters directly.
         probe = "alph\ud800a"
         candidates = ["alpha", "alph\ud800a", "\udc80\udc80", ""]
         got = _score_one(probe, candidates, 6)

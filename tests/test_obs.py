@@ -460,7 +460,9 @@ class TestCheckFloors:
         )
         assert result["passed"] is True
         assert len(result["checked"]) == 1
-        assert len(result["skipped"]) == 2
+        assert result["skipped"] == [
+            "speedup[workers=2] skipped: absent from report"
+        ]
 
     def test_unknown_bench_checks_nothing(self):
         result = check_floors("nope", {"headline": 0.0})

@@ -125,8 +125,11 @@ class TestParallelEquivalence:
     def test_non_fork_start_method_with_live_threads(self, monkeypatch):
         # Forking a multi-threaded process can deadlock workers on
         # inherited locks, so the pool must fall back to a fresh-start
-        # method — and stay byte-identical through it (workers rebuild
-        # the index from the pickled column instead of inheriting it).
+        # method — and stay byte-identical through it.  Fresh-start
+        # workers begin with an empty cache: they build the index from
+        # the column their first shard ships, and later calls on that
+        # column go fingerprint-only through each worker's memo.
+        from repro.index import adaptive_q, column_fingerprint
         from repro.index import parallel as parallel_module
 
         monkeypatch.setattr(
@@ -134,12 +137,30 @@ class TestParallelEquivalence:
         )
         assert parallel_module.pool_context().get_start_method() != "fork"
         targets = [f"value-{i:04d}" for i in range(300)]
-        probes = [f"valu-{i:04d}" for i in range(30)] + ["value-0007", ""]
+        others = [f"other/{i:05d}" for i in range(280)]
+        calls = [
+            (targets, [f"valu-{i:04d}" for i in range(30)] + ["value-0007", ""]),
+            (targets, [f"vlue-{i:04d}" for i in range(40, 75)]),
+            (others, [f"othr/{i:05d}" for i in range(30)]),
+        ]
         serial = IndexedJoiner(JoinConfig(n_workers=1), cache=IndexCache())
-        parallel = IndexedJoiner(JoinConfig(n_workers=2), cache=IndexCache())
-        assert parallel.join_many(probes, targets) == serial.join_many(
-            probes, targets
-        )
+        with IndexedJoiner(
+            JoinConfig(n_workers=2), cache=IndexCache()
+        ) as parallel:
+            for call, (column, probes) in enumerate(calls):
+                # Only the second call's column was seen before: its
+                # shards ship no column bytes.
+                fingerprint = column_fingerprint(column, adaptive_q(column))
+                if call:
+                    shipped = parallel._pool._shipped_fps
+                    assert (fingerprint in shipped) == (call == 1)
+                assert parallel.join_many(probes, column) == serial.join_many(
+                    probes, column
+                ), call
+                stats = parallel.last_join_stats
+                assert stats.shards >= 1
+                assert len(stats.shard_sizes) == stats.shards
+                assert not parallel._pool._fork_started
 
     def test_exact_only_batch_skips_the_pool(self):
         # Nothing pending: every probe resolves exactly or abstains, so
@@ -253,7 +274,7 @@ class TestPersistentPool:
         assert excinfo.value.shard_id == 7
         column = tuple(f"value-{i:03d}" for i in range(60))
         fingerprint = column_fingerprint(column, adaptive_q(column))
-        shard_id, _, _, _, kernel_pairs, counts, vids, distances = (
+        shard_id, kernel_pairs, counts, vids, distances = (
             parallel_module._score_shard(
                 1, ["value-0070"], fingerprint, column, None
             )
@@ -262,7 +283,7 @@ class TestPersistentPool:
         assert counts.tolist() == [1] and vids.size == 1
         assert sum(dict(kernel_pairs).values()) >= 1
         # One payload shape at any k: counts slice the flat rank arrays.
-        _, _, _, _, _, counts, vids, distances = parallel_module._score_shard(
+        _, _, counts, vids, distances = parallel_module._score_shard(
             3, ["value-0070", "value-0081"], fingerprint, None, None, k=3
         )
         assert counts.tolist() == [3, 3] and vids.size == distances.size == 6
@@ -370,38 +391,6 @@ class TestJoinStatsThreading:
         as_dict = stats.as_dict()
         assert as_dict["probes"] == 5
         assert isinstance(as_dict["shard_sizes"], list)
-
-    def test_parallel_stats_count_workers_and_disk(self, tmp_path, monkeypatch):
-        rng = random.Random(_SEED + 4)
-        targets = [
-            random_unicode_string(rng, max_length=12, min_length=4)
-            for _ in range(300)
-        ]
-        probes = _probe_mix(rng, targets, 150)
-        joiner = IndexedJoiner(
-            JoinConfig(n_workers=2), cache=IndexCache(cache_dir=tmp_path)
-        )
-        expected = joiner.join_many(probes, targets)
-        stats = joiner.last_join_stats
-        assert stats.n_workers == 2
-        assert stats.shards >= 1
-        assert len(stats.shard_sizes) == stats.shards
-        # The parent built and persisted the index; fork-started
-        # workers inherit it copy-on-write, paying no disk traffic.
-        assert stats.disk_misses >= 1
-        # Fresh-start pools resolve through the disk tier instead: the
-        # parent hits it on its memory miss, and every shard-executing
-        # worker reports its own load.
-        from repro.index import parallel as parallel_module
-
-        monkeypatch.setattr(
-            parallel_module.threading, "active_count", lambda: 2
-        )
-        fresh = IndexedJoiner(
-            JoinConfig(n_workers=2), cache=IndexCache(cache_dir=tmp_path)
-        )
-        assert fresh.join_many(probes, targets) == expected
-        assert fresh.last_join_stats.disk_hits >= 2
 
     def test_eval_report_carries_engine_and_join_stats(self):
         from repro.eval.runner import DTTJoinerAdapter, evaluate_on_table

@@ -11,6 +11,7 @@ old argmin surface is a special case of the new one, not a sibling.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -300,7 +301,7 @@ class TestReverseJoin:
 class TestJoinConfig:
     def test_defaults(self):
         config = JoinConfig()
-        assert config.mode == "argmin"
+        assert len(dataclasses.fields(config)) == 9
         assert config.k == 1
         assert config.margin is None
         assert config.auto_threshold == 256
@@ -310,8 +311,9 @@ class TestJoinConfig:
             JoinConfig().k = 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            JoinConfig(mode="nearest")
+        # The query mode is a method, not a config field.
+        with pytest.raises(TypeError):
+            JoinConfig(mode="topk")
         for bad_k in (0, -2, True, 1.5):
             with pytest.raises(ValueError):
                 JoinConfig(k=bad_k)
@@ -323,9 +325,9 @@ class TestJoinConfig:
             JoinConfig(parallel_threshold=-1)
 
     def test_config_flows_to_joiner_attributes(self):
-        config = JoinConfig(mode="topk", k=4, margin=0.2, max_distance=3)
+        config = JoinConfig(k=4, margin=0.2, max_distance=3)
         joiner = IndexedJoiner(config, cache=IndexCache())
-        assert joiner.mode == "topk"
+        assert not hasattr(joiner, "mode")
         assert joiner.k == 4
         assert joiner.margin == 0.2
         assert joiner.max_distance == 3
