@@ -12,7 +12,10 @@ slabs, per-session constants, exact step counts) against the real one.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.core import DTTPipeline, IncrementalSequenceModel, MultiModelAggregat
 from repro.exceptions import ModelError
 from repro.datagen.benchmarks.synthetic import build_syn
 from repro.infer import EngineStats, GenerationEngine
+from repro.infer import session as session_module
 from repro.infer.session import SLAB_WIDTH
 from repro.model import ByteSeq2SeqModel, DTTModelConfig, Trainer
 from repro.model.config import TINY_CONFIG
@@ -623,7 +627,7 @@ class TestStepPathContract:
             assert np.array_equal(plain, interleaved)
 
     @pytest.mark.parametrize(
-        ("n_rows", "decoded_rows", "encodes"), ((1, 5, 3), (20, 99, 5))
+        ("n_rows", "decoded_rows", "encodes"), ((1, 5, 3), (20, 99, 17))
     )
     def test_step_loops_match_the_recorded_counts(
         self, monkeypatch, n_rows, decoded_rows, encodes
@@ -631,10 +635,13 @@ class TestStepPathContract:
         # The repo benchmark's transform shape, rebuilt here (dim 64,
         # 3+1 layers, 48-token budget, 5 trials, 8 Syn examples; the
         # untrained model never emits <eos>).  Recorded in the commit
-        # (PR 23) that made a micro-batch one session: a one-row request
-        # used to be 2-3 length-bucketed chunks of 47 steps each and is
-        # one; 20 rows were 4 chunks / 188 steps and are 2 / 94, over
-        # the same 47 steps per decoded row.  Counts, not timings: a
+        # that made a micro-batch one session: a one-row request used to
+        # be 2-3 length-bucketed chunks of 47 steps each and is one; 20
+        # rows were 4 chunks / 188 steps and are 2 / 94, over the same
+        # 47 steps per decoded row.  ``encodes`` counts encoder tiles,
+        # re-recorded when slabs became tiles of at most TILE_CELLS
+        # cells: the one-row request's 3 slabs are 3 tiles, the 20-row
+        # call's 5 slab encodes are 17 tiles.  Counts, not timings: a
         # change that moves them re-records them on purpose or is wrong.
         model = ByteSeq2SeqModel(
             DTTModelConfig(
@@ -654,12 +661,14 @@ class TestStepPathContract:
             for source, target in zip(table.sources[:8], table.targets[:8])
         ]
         calls = {"start_decode": 0, "infer_encode": 0}
+        lock = threading.Lock()  # tiles encode on helper threads
 
         def counting(owner, name):
             inner = getattr(owner, name)
 
             def wrapper(*args):
-                calls[name] += 1
+                with lock:
+                    calls[name] += 1
                 return inner(*args)
 
             monkeypatch.setattr(owner, name, wrapper)
@@ -678,3 +687,117 @@ class TestStepPathContract:
             row_steps=47 * decoded_rows,
         )
         assert calls == {"start_decode": chunks, "infer_encode": encodes}
+
+
+def _session_memory(monkeypatch, model, prompt_ids):
+    """The ``(memory, memory_mask)`` a session hands the decoder."""
+    opened = []
+    start_decoder_state = model.network.start_decoder_state
+
+    def recording(memory, memory_mask, capacity=None):
+        opened.append((memory, memory_mask))
+        return start_decoder_state(memory, memory_mask, capacity=capacity)
+
+    monkeypatch.setattr(model.network, "start_decoder_state", recording)
+    model.start_decode(prompt_ids)
+    (memory_and_mask,) = opened
+    return memory_and_mask
+
+
+def _fork_child_logits(model, prompts, conn) -> None:
+    """Fork-started child: encode and step a multi-tile session, send logits."""
+    conn.send(_greedy_logits(model.start_decode(prompts), 3))
+    conn.close()
+
+
+class TestEncodeTiles:
+    """Each slab encodes as row tiles on the caller plus helper threads."""
+
+    # Lengths straddling slab edges (31 | 32, 47 | 48), two one-row
+    # slabs (48, 64), and zero-token prompts in a slab of their own.
+    LENGTHS = [16, 31, 0, 32, 17, 47, 0, 30, 16, 33, 31, 20, 48, 64]
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("tile_cells", [session_module.TILE_CELLS, 1 << 11, 1])
+    def test_tiled_memory_equals_one_encode_per_slab(
+        self, monkeypatch, cores, tile_cells
+    ):
+        # 1 core: the caller runs every tile, no helper is started.
+        # 3 cores: two helpers drain beside it.  At 1 << 11 cells the
+        # widths 31..64 split into tiles of two rows or one; at 1
+        # every row is its own tile.  The default puts each slab in one.
+        started = []
+
+        class SpyExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(session_module, "_CORES", cores)
+        monkeypatch.setattr(session_module, "TILE_CELLS", tile_cells)
+        monkeypatch.setattr(session_module, "ThreadPoolExecutor", SpyExecutor)
+        model = ByteSeq2SeqModel(TINY_CONFIG)
+        prompts = _token_prompts(self.LENGTHS)
+        memory, memory_mask = _session_memory(monkeypatch, model, prompts)
+        assert started == ([] if cores == 1 else [2])
+
+        assert memory.shape[:2] == memory_mask.shape == (len(prompts), 64)
+        for slab in {n // SLAB_WIDTH for n in self.LENGTHS}:
+            rows = [i for i, n in enumerate(self.LENGTHS) if n // SLAB_WIDTH == slab]
+            input_ids, input_mask = model.tokenizer.pad_batch(
+                [prompts[i] for i in rows]
+            )
+            if input_ids.shape[1] == 0:
+                input_ids = np.full((len(rows), 1), model.tokenizer.vocab.pad_id)
+                input_mask = np.zeros((len(rows), 1))
+            width = input_ids.shape[1]
+            whole = model.network.infer_encode(input_ids, input_mask)
+            assert np.array_equal(memory[rows, :width], whole)
+            assert np.array_equal(memory_mask[rows, :width], input_mask)
+            assert not memory[rows, width:].any()
+            assert not memory_mask[rows, width:].any()
+
+    def test_helpers_do_not_outlive_the_encode(self, monkeypatch):
+        # A helper left idle after the encode would make every later
+        # process pool in this process give up fork.
+        from repro.index.parallel import pool_context
+
+        monkeypatch.setattr(session_module, "_CORES", 2)
+        monkeypatch.setattr(session_module, "TILE_CELLS", 1)
+        before = threading.active_count()
+        model = ByteSeq2SeqModel(TINY_CONFIG)
+        model.start_decode(_token_prompts([20, 21, 22, 23]))
+        assert threading.active_count() == before
+        if before == 1 and "fork" in multiprocessing.get_all_start_methods():
+            assert pool_context().get_start_method() == "fork"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_child_encodes_multi_tile_sessions(self, monkeypatch):
+        # Encode with helpers in the parent, then fork: the child's
+        # multi-tile session must finish (no inherited executor whose
+        # threads are gone) and return the parent's bytes.
+        monkeypatch.setattr(session_module, "_CORES", 2)
+        monkeypatch.setattr(session_module, "TILE_CELLS", 1 << 11)
+        model = ByteSeq2SeqModel(TINY_CONFIG)
+        prompts = _token_prompts(self.LENGTHS)
+        expected = _greedy_logits(model.start_decode(prompts), 3)
+
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(
+            target=_fork_child_logits, args=(model, prompts, send), daemon=True
+        )
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(60), "forked child hung in its encode"
+            got = receive.recv()
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert np.array_equal(got, expected)
