@@ -28,9 +28,10 @@ Seven classes of rot this catches, each a CI failure:
   registry emits must have a row in the series table of
   ``docs/observability.md``, so a renamed or dropped counter fails
   here instead of rotting in the prose.
-* **Vanished methods** — every ``EditDistanceJoiner.<name>``,
-  ``IndexedJoiner.<name>``, ``QGramIndex.<name>``,
-  ``KernelBackend.<name>``, ``GenerationEngine.<name>``,
+* **Vanished methods** — every ``JoinConfig.<name>``,
+  ``EditDistanceJoiner.<name>``, ``IndexedJoiner.<name>``,
+  ``QGramIndex.<name>``, ``KernelBackend.<name>``,
+  ``GenerationEngine.<name>``,
   ``DecodeSession.<name>``, ``Seq2SeqTransformer.<name>``,
   ``DecoderBlock.<name>``, ``MultiHeadAttention.<name>`` and
   ``KVCache.<name>`` that the docs (and the verify skill page under
@@ -275,7 +276,8 @@ def check_documented_members(
     files: list[Path], root: Path = REPO_ROOT
 ) -> list[str]:
     """Every backticked ``<Class>.<name>`` of the join and decode engines
-    must exist on the class."""
+    (and of the join configuration) must exist on the class."""
+    from repro.core.join_config import JoinConfig
     from repro.core.joiner import EditDistanceJoiner
     from repro.index import IndexedJoiner, KernelBackend, QGramIndex
     from repro.infer import DecodeSession, GenerationEngine
@@ -289,6 +291,7 @@ def check_documented_members(
     owners = {
         cls.__name__: cls
         for cls in (
+            JoinConfig,
             EditDistanceJoiner,
             IndexedJoiner,
             QGramIndex,

@@ -17,14 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 from repro.core.interface import SequenceModel
 from repro.text.edit_distance import normalized_edit_distance
 from repro.types import Prediction
-
-if TYPE_CHECKING:
-    from repro.infer.engine import GenerationEngine
 
 
 class Aggregator:
@@ -110,29 +106,27 @@ class MultiModelAggregator:
     Args:
         models: The sequence models to ensemble.
         aggregator: Vote aggregator applied to the pooled candidates.
-        engine: Generation engine that schedules the decoding work; a
-            default greedy :class:`~repro.infer.GenerationEngine` is
-            created when omitted.
+
+    The decoding work is scheduled by the aggregator's own greedy
+    :class:`~repro.infer.GenerationEngine` (:attr:`engine`, whose
+    ``last_stats`` reports the most recent pass).
     """
 
     def __init__(
         self,
         models: Sequence[SequenceModel],
         aggregator: Aggregator | None = None,
-        engine: GenerationEngine | None = None,
     ) -> None:
         if not models:
             raise ValueError("MultiModelAggregator requires at least one model")
+        # Imported lazily: repro.infer's engine consumes the model
+        # protocols defined in this package, so a module-level import
+        # here would be circular.
+        from repro.infer.engine import GenerationEngine
+
         self.models = list(models)
         self.aggregator = aggregator or Aggregator()
-        if engine is None:
-            # Imported lazily: repro.infer's engine consumes the model
-            # protocols defined in this package, so a module-level
-            # import here would be circular.
-            from repro.infer.engine import GenerationEngine
-
-            engine = GenerationEngine()
-        self.engine = engine
+        self.engine = GenerationEngine()
         #: Per-model :class:`~repro.infer.engine.EngineStats` from the
         #: most recent :meth:`generate_candidates` call, aligned with
         #: :attr:`models` (empty before the first call).
@@ -147,7 +141,7 @@ class MultiModelAggregator:
 
         All prompts of all trials are handed to the generation engine in
         one scheduled call: each incremental model's whole workload goes
-        through prompt dedupe, length-bucketed micro-batching, and live
+        through prompt dedupe, length-sorted micro-batching, and live
         compaction; non-incremental models fall back to their own
         ``generate`` inside the same pass.
         """

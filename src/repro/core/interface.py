@@ -60,7 +60,7 @@ class IncrementalSequenceModel(SequenceModel, Protocol):
     def start_decode(self, prompt_ids: Sequence[Sequence[int]]) -> Any:
         """Encode a tokenized micro-batch and open a decode session.
 
-        Called once per micro-batch, with up to ``max_batch_size``
+        Called once per micro-batch, with up to ``MAX_BATCH_SIZE``
         prompts of **any mix of lengths** (sorted by length, but not
         grouped by it): the engine runs one step loop over whatever
         comes back, so keeping short prompts from paying the longest

@@ -1,14 +1,20 @@
 """One frozen configuration object for every join strategy.
 
-Every joiner tunable — thresholds (``max_distance`` /
-``normalized_threshold``), blocking (``q`` / ``auto_threshold``), the
-worker pool (``n_workers`` / ``parallel_threshold``), the kernel
-backend, and the top-k query defaults ``k`` / ``margin`` — lives in one
-validated, frozen dataclass.  ``EditDistanceJoiner``, ``IndexedJoiner``,
-``AutoJoiner`` and ``make_joiner`` take it as their first argument and
-``DTTPipeline`` as ``join_config``; it is the only way to configure a
-joiner.  The query mode is not configuration: each mode is its own
-method (:data:`JOIN_MODES` names them for the serve schema).
+A joiner has four tunables — the two rejection thresholds
+(``max_distance`` / ``normalized_threshold``), the worker count
+(``n_workers``) and the kernel backend — in one validated, frozen
+dataclass.  ``EditDistanceJoiner``, ``IndexedJoiner``, ``AutoJoiner``
+and ``make_joiner`` take it as their first argument and ``DTTPipeline``
+as ``join_config``; it is the only way to configure a joiner.
+
+Everything else is not configuration.  The query mode is a method
+(:data:`JOIN_MODES` names them for the serve schema), and ``k`` /
+``margin`` are arguments of each top-k call.  The gram size is
+:func:`~repro.index.qgram.adaptive_q` of the column, and the two
+switch-over points are constants of :mod:`repro.index.joiner`:
+``AUTO_THRESHOLD`` (target rows before ``AutoJoiner`` indexes) and
+``PARALLEL_THRESHOLD`` (pending probes before the auto worker count
+starts a pool).
 """
 
 from __future__ import annotations
@@ -43,22 +49,12 @@ class JoinConfig:
     """All tunables of the Eq. 5 join engines in one frozen object.
 
     Attributes:
-        k: Default candidate-set size for top-k queries (``>= 1``).
-        margin: Calibrated abstention for top-k: when set and positive,
-            abstain unless the normalized distance gap between the
-            rank-1 and rank-2 candidates is at least ``margin``.
-            ``None`` or ``0.0`` disables the rule.
         max_distance: Reject matches farther than this many edits.
         normalized_threshold: Reject matches whose distance divided by
             the matched value's length exceeds this.
-        q: Q-gram width for the blocked engine (``None`` = adaptive).
-        auto_threshold: Column size at which :class:`AutoJoiner`
-            switches from the brute scan to the blocked engine.
         n_workers: Worker processes for the parallel sharded join
-            (``None`` = auto from cpu count above the threshold, ``1``
-            forces serial, ``>= 2`` always shards).
-        parallel_threshold: Minimum number of pending probes before the
-            blocked engine's auto mode engages the worker pool.
+            (``None`` = auto from cpu count above the parallel
+            threshold, ``1`` forces serial, ``>= 2`` always shards).
         kernel_backend: Edit-distance kernel the blocked engines score
             with — one of :data:`KERNEL_BACKENDS`.  ``"auto"`` (the
             default) defers to the ``REPRO_KERNEL_BACKEND`` environment
@@ -67,21 +63,12 @@ class JoinConfig:
             performance knob.
     """
 
-    k: int = 1
-    margin: float | None = None
     max_distance: int | None = None
     normalized_threshold: float | None = None
-    q: int | None = None
-    auto_threshold: int = 256
     n_workers: int | None = None
-    parallel_threshold: int = 4096
     kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be an int >= 1, got {self.k!r}")
-        if self.margin is not None and self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
         if self.max_distance is not None and self.max_distance < 0:
             raise ValueError(
                 f"max_distance must be >= 0, got {self.max_distance}"
@@ -91,18 +78,8 @@ class JoinConfig:
                 "normalized_threshold must be >= 0, "
                 f"got {self.normalized_threshold}"
             )
-        if self.q is not None and self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.auto_threshold < 0:
-            raise ValueError(
-                f"auto_threshold must be >= 0, got {self.auto_threshold}"
-            )
         if self.n_workers is not None and self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.parallel_threshold < 0:
-            raise ValueError(
-                f"parallel_threshold must be >= 0, got {self.parallel_threshold}"
-            )
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(
                 f"kernel_backend must be one of {KERNEL_BACKENDS}, "

@@ -13,7 +13,7 @@ columns, :mod:`repro.index` provides a q-gram blocked engine
 ``DTTPipeline(joiner="auto")`` switches between the two on column size.
 
 Beyond the classic argmin query, every joiner exposes the redesigned
-query surface (configured through :class:`~repro.core.JoinConfig`):
+query surface (``k`` and ``margin`` are arguments of each call):
 
 * :meth:`~EditDistanceJoiner.topk_many` /
   :meth:`~EditDistanceJoiner.topk_join_many` — ranked candidate sets
@@ -68,14 +68,13 @@ class EditDistanceJoiner:
         config: All tunables in one frozen :class:`JoinConfig` (``None``
             = the defaults); only ``max_distance`` (matches farther
             than this are rejected — the row stays unmatched, reducing
-            recall but protecting precision) / ``normalized_threshold``
-            (reject matches whose distance divided by the matched
-            value's length exceeds this) / ``k`` / ``margin`` apply
+            recall but protecting precision) and
+            ``normalized_threshold`` (reject matches whose distance
+            divided by the matched value's length exceeds this) apply
             to the brute scan.
 
-    The config is a constructor-time carrier: thresholds and the
-    ``k``/``margin`` defaults land on plain mutable attributes
-    that every query reads at call time.
+    The config is a constructor-time carrier: the thresholds land on
+    plain mutable attributes that every query reads at call time.
 
     ``config.kernel_backend`` resolves here, once, into the
     :attr:`kernel` every engine scores through
@@ -101,8 +100,6 @@ class EditDistanceJoiner:
         self.kernel = resolve_backend(config.kernel_backend)
         self.max_distance = config.max_distance
         self.normalized_threshold = config.normalized_threshold
-        self.k = config.k
-        self.margin = config.margin
 
     def match(self, predicted: str, targets: Sequence[str]) -> tuple[str | None, int]:
         """Return ``(closest_target, distance)`` for one predicted value.
@@ -216,7 +213,7 @@ class EditDistanceJoiner:
         self,
         probes: Sequence[str],
         targets: Sequence[str],
-        k: int | None = None,
+        k: int = 1,
         margin: float | None = None,
     ) -> list[TopKJoinResult]:
         """Batched top-k join with thresholding and margin abstention.
@@ -232,15 +229,13 @@ class EditDistanceJoiner:
         Args:
             probes: Values to rank (typically predicted values).
             targets: The full target column.
-            k: Candidate-set size; ``None`` uses the config default.
-            margin: Abstention margin; ``None`` uses the config
-                default, ``0.0`` disables the rule.
+            k: Candidate-set size.
+            margin: Abstention margin; ``None`` or ``0.0`` disables the
+                rule.
 
         With ``k=1`` and the margin disabled, ``(matched, distance)``
         is byte-identical to :meth:`join_many`.
         """
-        k = self.k if k is None else k
-        margin = self.margin if margin is None else margin
         self._validate_topk(targets, k)
         if margin is not None and margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin}")
@@ -292,7 +287,7 @@ class EditDistanceJoiner:
         targets: Sequence[str],
         expected: Sequence[str] | None = None,
         *,
-        k: int | None = None,
+        k: int = 1,
         margin: float | None = None,
     ) -> list[TopKJoinResult]:
         """Top-k analogue of :meth:`join` over aggregated predictions."""

@@ -66,16 +66,16 @@ class DTTPipeline:
             pipelines over the same target column never rebuild.
         join_config: :class:`~repro.core.join_config.JoinConfig` carried
             into :func:`repro.index.make_joiner` when ``joiner`` is a
-            strategy name (a joiner instance carries its own settings).
-            Covers thresholds, q-gram width, worker count, and the
-            top-k / margin defaults in one frozen object.
-        engine: Generation engine scheduling the prediction stage; all
-            prompts of all trials are handed to it in one call, where
-            incremental models (the trained byte-level transformer) get
-            KV-cached decoding with prompt dedupe, length-bucketed
-            micro-batching, and live compaction of finished rows.
-            Defaults to a greedy engine, byte-identical to the
-            full-prefix decode it replaced.
+            strategy name (a joiner instance carries its own settings):
+            the two rejection thresholds, the worker count and the
+            kernel backend in one frozen object.
+
+    The prediction stage hands all prompts of all trials to the
+    ensemble's greedy :attr:`engine` in one call, where incremental
+    models (the trained byte-level transformer) get KV-cached decoding
+    with prompt dedupe, length-sorted micro-batching, and live
+    compaction of finished rows — byte-identical to the full-prefix
+    decode it replaced.
     """
 
     def __init__(
@@ -85,13 +85,12 @@ class DTTPipeline:
         n_trials: int = 5,
         seed: int = 0,
         joiner: EditDistanceJoiner | str | None = None,
-        engine: GenerationEngine | None = None,
         join_config: JoinConfig | None = None,
     ) -> None:
         models = [model] if isinstance(model, SequenceModel) else list(model)
         if not models:
             raise ValueError("DTTPipeline requires at least one model")
-        self._ensemble = MultiModelAggregator(models, engine=engine)
+        self._ensemble = MultiModelAggregator(models)
         self.decomposer = Decomposer(
             context_size=context_size, n_trials=n_trials, seed=seed
         )
@@ -125,17 +124,14 @@ class DTTPipeline:
     def fingerprint(self) -> str:
         """Content fingerprint of everything that determines the outputs.
 
-        Covers the ensemble's model fingerprints, the decomposition
-        configuration (context size, trial count, sampling seed), and
-        the generation engine's output-relevant settings (mode,
-        temperature, sampling seed).  The scheduling knob that provably
-        does not change greedy outputs (batch size) is excluded so a
-        retuned scheduler keeps its cache warm.  Used by the serving
-        layer to key its memoized transform results; compute it *after*
-        any training step — the trainable model's fingerprint covers
-        its weights.
+        Covers the ensemble's model fingerprints and the decomposition
+        configuration (context size, trial count, sampling seed).  The
+        generation engine adds nothing: it has no configuration, and
+        greedy decoding is a function of the model and the prompts.
+        Used by the serving layer to key its memoized transform results;
+        compute it *after* any training step — the trainable model's
+        fingerprint covers its weights.
         """
-        engine = self.engine
         digest = hashlib.sha256()
         digest.update(b"repro.pipeline.fingerprint")
         for model in self.models:
@@ -145,9 +141,6 @@ class DTTPipeline:
             self.decomposer.context_size,
             self.decomposer.n_trials,
             self.decomposer.seed,
-            engine.mode,
-            engine.temperature,
-            engine.seed,
         )
         digest.update(repr(parts).encode("utf-8"))
         return digest.hexdigest()

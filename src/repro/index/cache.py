@@ -36,11 +36,10 @@ from collections.abc import Sequence
 
 from repro.index.qgram import QGramIndex, adaptive_q
 
-#: Cache key: ``(gram_size, column_values)``; gram size 0 marks entries
-#: whose q was chosen adaptively (so hits skip re-deriving it).
-CacheKey = tuple[int, tuple[str, ...]]
-
-_ADAPTIVE = 0
+#: Cache key: the column values themselves.  The gram size is not part
+#: of it: every index is built at its column's :func:`adaptive_q`, a
+#: pure function of the content.
+CacheKey = tuple[str, ...]
 
 
 def column_fingerprint(targets: Sequence[str], q: int) -> str:
@@ -108,21 +107,17 @@ class IndexCache:
         """Approximate bytes retained by all cached indexes."""
         return self._bytes
 
-    def get(self, targets: Sequence[str], q: int | None = None) -> QGramIndex:
+    def get(self, targets: Sequence[str]) -> QGramIndex:
         """Return the index for ``targets``, building it on a miss.
+
+        A miss builds at the gram size
+        :func:`~repro.index.qgram.adaptive_q` picks from the column's
+        length statistics; a hit skips the derivation.
 
         Args:
             targets: The target column (non-empty).
-            q: Gram size; ``None`` picks it adaptively from the column's
-                length statistics (:func:`~repro.index.qgram.adaptive_q`),
-                resolved only on a miss — adaptive q is a pure function
-                of the column content, so adaptive entries cache under
-                their own key and hits skip the derivation.  Distinct
-                gram sizes for the same column cache separately (an
-                adaptive entry is distinct from an explicit one even
-                when both resolve to the same q).
         """
-        key = (_ADAPTIVE if q is None else q, tuple(targets))
+        key = tuple(targets)
         with self._lock:
             index = self._entries.get(key)
             if index is not None:
@@ -130,7 +125,7 @@ class IndexCache:
                 self._entries.move_to_end(key)
                 return index
             self.misses += 1
-        index = QGramIndex(key[1], q=adaptive_q(targets) if q is None else q)
+        index = QGramIndex(key, q=adaptive_q(key))
         with self._lock:
             if key not in self._entries:
                 self._entries[key] = index

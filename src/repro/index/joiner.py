@@ -32,9 +32,9 @@ Two layers amortize that work across a whole source column:
   values themselves, so stale or aliased indexes are impossible)
   across joiners, pipelines, and eval runs.
 
-Above a workload threshold (or at an explicit ``n_workers``), the frame
-shards its pending probes across a **persistent** process pool
-(:mod:`repro.index.parallel`) with a deterministic merge; the pool —
+Above :data:`PARALLEL_THRESHOLD` pending probes (or at an explicit
+``n_workers``), the frame shards them across a **persistent** process
+pool (:mod:`repro.index.parallel`) with a deterministic merge; the pool —
 and each worker's resolved indexes — survive across calls, so repeated
 joins pay worker startup once.  Results are byte-identical to the
 serial engine in every configuration.  Long-lived owners should
@@ -43,8 +43,9 @@ pool down deterministically.
 
 Below ``IndexedJoiner.threshold`` target rows (where index construction
 dominates) every query falls through to the inherited brute scan;
-:class:`AutoJoiner` is the joiner with that threshold taken from
-``JoinConfig.auto_threshold``.  The bounded many-to-many query
+:class:`AutoJoiner` is the joiner with that threshold at
+:data:`AUTO_THRESHOLD`.  Every index is built at its column's
+:func:`~repro.index.qgram.adaptive_q`.  The bounded many-to-many query
 (``match_many``) is not blocked at all: it is the inherited reference
 scan at every column size.
 """
@@ -74,6 +75,15 @@ if TYPE_CHECKING:
 Ranked = tuple[np.ndarray, np.ndarray]
 _NO_RANKS: Ranked = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
+#: Target rows at which :class:`AutoJoiner` stops scanning and indexes.
+#: Below it, index construction costs more than the brute scan it
+#: saves; either side returns the same bytes, so this is not a knob.
+AUTO_THRESHOLD = 256
+
+#: Pending (deduplicated, non-exact) probes at which an auto worker
+#: count (``JoinConfig.n_workers=None``) starts the process pool.
+PARALLEL_THRESHOLD = 4096
+
 
 class IndexedJoiner(EditDistanceJoiner):
     """Q-gram-blocked edit-distance joiner (exactly equivalent to brute).
@@ -85,15 +95,13 @@ class IndexedJoiner(EditDistanceJoiner):
 
     Args:
         config: All tunables in one frozen
-            :class:`~repro.core.JoinConfig` — thresholds, ``q``
-            (``None`` = adaptive per column via
-            :func:`~repro.index.qgram.adaptive_q`), ``n_workers``
-            (``None`` auto-picks ``os.cpu_count()`` capped when a batch
-            has at least ``parallel_threshold`` unresolved probes and
-            runs serially below; ``1`` forces serial; ``>= 2`` always
+            :class:`~repro.core.JoinConfig` — thresholds, the kernel
+            backend and ``n_workers`` (``None`` auto-picks
+            ``os.cpu_count()`` capped when a batch has at least
+            :data:`PARALLEL_THRESHOLD` unresolved probes and runs
+            serially below; ``1`` forces serial; ``>= 2`` always
             shards — results are byte-identical in every
-            configuration), ``parallel_threshold``, and the
-            ``k``/``margin`` query defaults.
+            configuration).
         cache: Index cache to use; ``None`` means the process-wide
             shared cache (:func:`~repro.index.cache.default_index_cache`).
             An object dependency, so it stays a direct argument rather
@@ -104,7 +112,7 @@ class IndexedJoiner(EditDistanceJoiner):
             q-gram engine takes over; smaller columns run the inherited
             brute scan (byte-identical, so the switch never changes
             results).  ``0`` here — always blocked; :class:`AutoJoiner`
-            sets it from ``config.auto_threshold``.
+            sets it to :data:`AUTO_THRESHOLD`.
         last_join_stats: :class:`~repro.index.parallel.JoinStats` for
             the most recent :meth:`join_many` / :meth:`topk_many` call
             — ``None`` before the first call and after a call that ran
@@ -142,22 +150,20 @@ class IndexedJoiner(EditDistanceJoiner):
         cache: IndexCache | None = None,
     ) -> None:
         super().__init__(config)
-        self.q = self.config.q
         self.cache = cache if cache is not None else default_index_cache()
         self.n_workers = self.config.n_workers
-        self.parallel_threshold = self.config.parallel_threshold
         self.threshold = 0
         self.last_join_stats: JoinStats | None = None
         self._pool: JoinWorkerPool | None = None
 
     def _index_for(self, targets: Sequence[str]) -> QGramIndex:
-        return self.cache.get(targets, q=self.q)
+        return self.cache.get(targets)
 
     def _resolve_workers(self, pending: int) -> int:
         """Worker count for a batch with ``pending`` unresolved probes."""
         if self.n_workers is not None:
             return self.n_workers if pending else 1
-        if pending >= self.parallel_threshold:
+        if pending >= PARALLEL_THRESHOLD:
             return max(1, min(os.cpu_count() or 1, self._MAX_AUTO_WORKERS))
         return 1
 
@@ -178,10 +184,7 @@ class IndexedJoiner(EditDistanceJoiner):
             pool = None
         if pool is None:
             pool = JoinWorkerPool(
-                n_workers,
-                self.cache,
-                q=self.q,
-                kernel_backend=self.kernel.name,
+                n_workers, self.cache, kernel_backend=self.kernel.name
             )
             self._pool = pool
         return pool
@@ -294,9 +297,9 @@ class IndexedJoiner(EditDistanceJoiner):
         abstaining ``""`` probe.  With ``exact_shortcut`` a probe equal
         to a target value resolves to that value alone by dictionary
         lookup (only sound at ``k = 1``).  Everything else is resolved
-        together by :meth:`_resolve_probes` — serially, or above the
-        parallel threshold (or at an explicit
-        ``n_workers``) sharded across the persistent process pool with
+        together by :meth:`_resolve_probes` — serially, or above
+        :data:`PARALLEL_THRESHOLD` (or at an explicit ``n_workers``)
+        sharded across the persistent process pool with
         a deterministic merge; per-probe results do not depend on which
         other probes share a shard, so the sharded output is
         byte-identical.  Publishes the call's :class:`JoinStats` and
@@ -703,7 +706,7 @@ class AutoJoiner(IndexedJoiner):
     on the scalar scan while large columns get sub-linear candidate
     generation.  Both sides are exactly equivalent, so the switch never
     changes results.  This is an :class:`IndexedJoiner` whose
-    ``threshold`` comes from ``config.auto_threshold`` — nothing else.
+    ``threshold`` is :data:`AUTO_THRESHOLD` — nothing else.
     """
 
     def __init__(
@@ -713,7 +716,7 @@ class AutoJoiner(IndexedJoiner):
         cache: IndexCache | None = None,
     ) -> None:
         super().__init__(config, cache=cache)
-        self.threshold = self.config.auto_threshold
+        self.threshold = AUTO_THRESHOLD
 
 
 def make_joiner(
@@ -728,9 +731,8 @@ def make_joiner(
         strategy: ``"brute"`` (scalar scan), ``"indexed"`` (q-gram
             blocked), or ``"auto"`` (switch on target-column size).
         config: All tunables in one frozen
-            :class:`~repro.core.JoinConfig` (thresholds, ``q``,
-            ``auto_threshold``, worker-pool settings, and the
-            ``k``/``margin`` query defaults).
+            :class:`~repro.core.JoinConfig` (thresholds, worker count,
+            kernel backend).
         cache: Index cache for the blocked strategies (``None`` = the
             process-wide shared cache).
     """

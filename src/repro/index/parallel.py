@@ -240,7 +240,6 @@ def _score_shard(
     probes: list[str],
     fingerprint: str,
     column: tuple[str, ...] | None,
-    q: int | None,
     kernel_backend: str = "auto",
     k: int = 1,
 ) -> tuple:
@@ -278,14 +277,14 @@ def _score_shard(
     if index is None:
         if column is None:
             raise _ColumnNeeded(shard_id)
-        index = cache.get(column, q=q)
+        index = cache.get(column)
         _WORKER_INDEXES[fingerprint] = index
         while len(_WORKER_INDEXES) > _WORKER_INDEX_CAP:
             _WORKER_INDEXES.popitem(last=False)
     else:
         _WORKER_INDEXES.move_to_end(fingerprint)
     scorer = IndexedJoiner(
-        JoinConfig(q=q, n_workers=1, kernel_backend=kernel_backend),
+        JoinConfig(n_workers=1, kernel_backend=kernel_backend),
         cache=cache,
     )
     pairs_before = pairs_scored_snapshot()
@@ -321,8 +320,6 @@ class JoinWorkerPool:
         cache: The owning joiner's index cache; under the ``fork``
             start method it is inherited by workers copy-on-write
             (fresh-start workers begin with an empty one).
-        q: Gram size the owning joiner resolves indexes at (``None`` =
-            adaptive), forwarded to workers with every shard.
         kernel_backend: The owning joiner's *resolved* kernel-backend
             name, forwarded to workers with every shard so sharded
             scoring runs the exact kernel the serial path would.
@@ -338,13 +335,11 @@ class JoinWorkerPool:
         self,
         n_workers: int,
         cache: IndexCache,
-        q: int | None = None,
         kernel_backend: str = "auto",
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self.q = q
         self.kernel_backend = kernel_backend
         self._cache = cache
         self._executor: ProcessPoolExecutor | None = None
@@ -414,7 +409,6 @@ class JoinWorkerPool:
                 shards[shard_id],
                 fingerprint,
                 shipped,
-                self.q,
                 self.kernel_backend,
                 k,
             )

@@ -4,15 +4,15 @@
 ``ByteSeq2SeqModel.generate``.  Given one or more ``(model, prompts)``
 jobs it schedules the actual decoding work:
 
-* **Dedupe** — in greedy mode, identical tokenized prompts (across the
-  trials of a scheduled call) decode once and fan back out to every
-  occurrence.  Sampling mode never dedupes: repeated prompts draw
-  independent samples, matching the surrogates' occurrence semantics.
+* **Dedupe** — identical tokenized prompts (across the trials of a
+  scheduled call) decode once and fan back out to every occurrence.
+  Decoding is greedy argmax, so a duplicate could only ever repeat
+  its twin's output.
 * **Micro-batching** — prompts are sorted by token length and cut at
-  ``max_batch_size`` only.  A micro-batch is one decode session and one
-  step loop whatever its mix of prompt lengths; keeping short prompts
-  from paying the longest prompt's padding is the session's business,
-  where it costs — in the encoder (:mod:`repro.infer.session`).
+  :data:`MAX_BATCH_SIZE` only.  A micro-batch is one decode session and
+  one step loop whatever its mix of prompt lengths; keeping short
+  prompts from paying the longest prompt's padding is the session's
+  business, where it costs — in the encoder (:mod:`repro.infer.session`).
 * **Live compaction** — rows that emit ``<eos>`` are sliced out of the
   micro-batch (KV caches included) mid-decode, so a few long outputs
   don't drag finished rows through the remaining steps.
@@ -31,11 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.interface import IncrementalSequenceModel, SequenceModel
-from repro.nn.functional import softmax
 from repro.obs.trace import get_tracer
-from repro.utils.rng import derive_rng
 
-_MODES = ("greedy", "sample")
+#: Largest decode micro-batch (one session, one step loop).  A module
+#: constant, not an argument: the cut never changes an output, only how
+#: many rows share a step loop.
+MAX_BATCH_SIZE = 64
 
 
 @dataclass
@@ -84,39 +85,17 @@ class _Workload:
 
 
 class GenerationEngine:
-    """Schedules auto-regressive decoding for one or more models.
+    """Schedules greedy auto-regressive decoding for one or more models.
 
-    Args:
-        mode: ``"greedy"`` (deterministic argmax) or ``"sample"``
-            (temperature sampling).
-        temperature: Softmax temperature for sampling mode (> 0).
-        seed: Sampling seed; the engine is deterministic given the seed,
-            the model, and the prompt list.
-        max_batch_size: Largest decode micro-batch (one session, one
-            step loop).
-        dedupe: Collapse identical prompts before decoding (greedy mode
-            only; sampling always decodes every occurrence).
+    The engine has no configuration: decoding is argmax, identical
+    prompts always decode once, and micro-batches are cut at
+    :data:`MAX_BATCH_SIZE`.  Its outputs are therefore a pure function
+    of ``(model, prompts)``, byte-identical to the model's full-prefix
+    greedy decode, and every engine instance is interchangeable — an
+    instance only carries its :attr:`last_stats` slot.
     """
 
-    def __init__(
-        self,
-        mode: str = "greedy",
-        temperature: float = 1.0,
-        seed: int = 0,
-        max_batch_size: int = 64,
-        dedupe: bool = True,
-    ) -> None:
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if mode == "sample" and temperature <= 0.0:
-            raise ValueError(f"temperature must be > 0, got {temperature}")
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        self.mode = mode
-        self.temperature = temperature
-        self.seed = seed
-        self.max_batch_size = max_batch_size
-        self.dedupe = dedupe
+    def __init__(self) -> None:
         self.last_stats = EngineStats()
 
     # -- scheduling entry points ------------------------------------------
@@ -189,9 +168,6 @@ class GenerationEngine:
 
         Incremental models decode through the engine's scheduled loop;
         any other ``SequenceModel`` falls back to its own ``generate``.
-        A model carrying its *own* configured engine (for example a
-        sampling engine on one ensemble member) is delegated to it —
-        the most specific engine wins.
         """
         outputs, stats = self.generate_with_stats(model, prompts)
         self.last_stats = stats
@@ -203,36 +179,21 @@ class GenerationEngine:
         """:meth:`generate` without publishing to :attr:`last_stats`.
 
         The re-entrant core of the engine: a pure function of
-        ``(engine config, model, prompts)`` with no shared mutable
-        state, so external schedulers can run it concurrently.
+        ``(model, prompts)`` with no shared mutable state, so external
+        schedulers can run it concurrently.
         """
         prompts = list(prompts)
         if not prompts:
             return [], EngineStats()
-        own_engine = getattr(model, "engine", None)
-        if isinstance(own_engine, GenerationEngine) and own_engine is not self:
-            outputs, stats = own_engine.generate_with_stats(model, prompts)
-            # The most specific engine wins, and it also publishes the
-            # counters — a model-owned engine is that model's private
-            # scheduler, never shared across threads.
-            own_engine.last_stats = stats
-            return outputs, stats
         if not isinstance(model, IncrementalSequenceModel):
             return model.generate(prompts), EngineStats(prompts=len(prompts))
 
         token_ids = model.tokenize_prompts(prompts)
         workloads = self._collect(token_ids)
         stats = EngineStats(prompts=len(prompts), decoded_rows=len(workloads))
-        rng = (
-            derive_rng(self.seed, "generate", getattr(model, "name", ""))
-            if self.mode == "sample"
-            else None
-        )
         results: list[str | None] = [None] * len(prompts)
         for chunk in self._plan(workloads):
-            outputs = self._decode_chunk(
-                model, [w.token_ids for w in chunk], rng, stats
-            )
+            outputs = self._decode_chunk(model, [w.token_ids for w in chunk], stats)
             stats.chunks += 1
             for workload, text in zip(chunk, outputs, strict=True):
                 for row in workload.rows:
@@ -243,9 +204,7 @@ class GenerationEngine:
     # -- planning ----------------------------------------------------------
 
     def _collect(self, token_ids: list[list[int]]) -> list[_Workload]:
-        """Build unique decode rows, collapsing duplicates in greedy mode."""
-        if not (self.dedupe and self.mode == "greedy"):
-            return [_Workload(ids, [row]) for row, ids in enumerate(token_ids)]
+        """Build unique decode rows, collapsing duplicate prompts."""
         groups: dict[tuple[int, ...], _Workload] = {}
         for row, ids in enumerate(token_ids):
             key = tuple(ids)
@@ -259,7 +218,7 @@ class GenerationEngine:
     def _plan(self, workloads: list[_Workload]) -> list[list[_Workload]]:
         """Sort by prompt length and cut at the batch cap."""
         ordered = sorted(workloads, key=lambda w: len(w.token_ids))
-        size = self.max_batch_size
+        size = MAX_BATCH_SIZE
         return [ordered[i : i + size] for i in range(0, len(ordered), size)]
 
     # -- the decode loop ---------------------------------------------------
@@ -268,7 +227,6 @@ class GenerationEngine:
         self,
         model: IncrementalSequenceModel,
         prompt_ids: list[list[int]],
-        rng: np.random.Generator | None,
         stats: EngineStats,
     ) -> list[str]:
         """Decode one micro-batch, compacting finished rows out live."""
@@ -281,7 +239,7 @@ class GenerationEngine:
             logits = session.step(current)
             stats.steps += 1
             stats.row_steps += live.size
-            next_ids = self._choose(logits, rng)
+            next_ids = logits.argmax(axis=-1)
             for slot, row in enumerate(live):
                 tokens[row].append(int(next_ids[slot]))
             finished = next_ids == session.eos_id
@@ -295,15 +253,3 @@ class GenerationEngine:
             else:
                 current = next_ids
         return [session.decode_tokens(row_tokens) for row_tokens in tokens]
-
-    def _choose(
-        self, logits: np.ndarray, rng: np.random.Generator | None
-    ) -> np.ndarray:
-        """Pick next tokens: argmax (greedy) or temperature sampling."""
-        if self.mode == "greedy":
-            return logits.argmax(axis=-1)
-        assert rng is not None
-        probs = softmax(logits / self.temperature, axis=-1)
-        draws = rng.random((probs.shape[0], 1))
-        next_ids = (probs.cumsum(axis=-1) < draws).sum(axis=-1)
-        return np.minimum(next_ids, probs.shape[-1] - 1)

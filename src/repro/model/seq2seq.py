@@ -29,15 +29,9 @@ from repro.nn.serialization import load_weights, save_weights
 from repro.nn.transformer import Seq2SeqTransformer
 from repro.tokenizer import ByteTokenizer
 
-_DEFAULT_ENGINE: GenerationEngine | None = None
-
-
-def _default_engine() -> GenerationEngine:
-    """The shared greedy engine behind engine-less ``generate`` calls."""
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = GenerationEngine()
-    return _DEFAULT_ENGINE
+#: The engine behind :meth:`ByteSeq2SeqModel.generate`; engines carry
+#: no configuration, so one instance serves every model.
+_ENGINE = GenerationEngine()
 
 
 class ByteSeq2SeqModel:
@@ -46,23 +40,15 @@ class ByteSeq2SeqModel:
     Args:
         config: Hyper-parameters; defaults to the laptop-scale config.
         tokenizer: Byte tokenizer; a default instance is created.
-        engine: Generation engine driving :meth:`generate`.  When set,
-            it also takes precedence over a pipeline-level scheduling
-            engine for this model's jobs (most specific wins); when
-            omitted, the model decodes greedily — byte-identical to the
-            full-prefix reference — and defers to whichever engine
-            schedules it.
     """
 
     def __init__(
         self,
         config: DTTModelConfig | None = None,
         tokenizer: ByteTokenizer | None = None,
-        engine: GenerationEngine | None = None,
     ) -> None:
         self.config = config or DTTModelConfig()
         self.tokenizer = tokenizer or ByteTokenizer()
-        self.engine = engine
         self.network = Seq2SeqTransformer(
             vocab_size=self.tokenizer.vocab_size,
             dim=self.config.dim,
@@ -155,12 +141,10 @@ class ByteSeq2SeqModel:
         """Auto-regressive decoding through the generation engine.
 
         The engine steps the decoder incrementally against per-layer KV
-        caches; in greedy mode the outputs are byte-identical to
-        :meth:`generate_full_prefix`.  Uses the model's own engine when
-        one was configured, else a shared default greedy engine.
+        caches; the greedy outputs are byte-identical to
+        :meth:`generate_full_prefix`.
         """
-        engine = self.engine or _default_engine()
-        return engine.generate(self, prompts)
+        return _ENGINE.generate(self, prompts)
 
     def tokenize_prompts(self, prompts: list[str]) -> list[list[int]]:
         """Tokenize prompts, truncated to ``max_input_length``."""

@@ -6,7 +6,7 @@ payloads):
 
 * :class:`ResultCache` — **transform** results.  Keys are built by the
   service from the **pipeline fingerprint** (models + weights +
-  decoding configuration), the **example-pool fingerprint**, and the
+  decomposition configuration), the **example-pool fingerprint**, and the
   value being transformed (plus its row position, whose context
   sampling it pins), so a hit is guaranteed to be byte-identical to
   recomputing — the cache can change latency, never answers.

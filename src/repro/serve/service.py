@@ -23,8 +23,8 @@ the pipeline directly, whatever the interleaving:
   sampling is keyed on the row position, never on what else shares the
   batch.
 * Incremental models (the KV-cached transformer) decode each unique
-  prompt as a pure function of the prompt in greedy mode, so their
-  prompts are pooled across requests into one engine job.
+  prompt greedily, as a pure function of the prompt, so their prompts
+  are pooled across requests into one engine job.
 * Occurrence-dependent models (the surrogates draw fresh corruption
   samples for repeated prompts *within one call*) get one engine job
   per request, preserving their per-call semantics exactly.
@@ -68,7 +68,7 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.infer.engine import EngineStats, GenerationEngine
+from repro.infer.engine import EngineStats
 from repro.obs.metrics import (
     DEFAULT_OCCUPANCY_BUCKETS,
     Counter,
@@ -282,9 +282,9 @@ class TransformService:
     Args:
         pipeline: The pipeline to serve.  The service owns it: nothing
             else may call it while the service is live (all execution
-            is serialized on the scheduler thread).  Its engine — and
-            any model-owned engine — must be greedy: coalescing and
-            memoization both rely on deterministic decoding.
+            is serialized on the scheduler thread).  Coalescing and
+            memoization both rely on its engine's greedy decoding,
+            which is the only kind there is.
         max_wait_ms: How long the scheduler holds the first request of
             a batch open for more arrivals.  ``0`` still coalesces
             whatever is already queued.
@@ -323,7 +323,6 @@ class TransformService:
             )
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        self._require_greedy(pipeline)
         self.pipeline = pipeline
         self.max_wait_ms = max_wait_ms
         self.max_batch_rows = max_batch_rows
@@ -485,23 +484,6 @@ class TransformService:
         for backend in _KERNEL_NAMES:
             stored(pairs_series.format(backend), pairs_help.format(backend))
         return registry
-
-    @staticmethod
-    def _require_greedy(pipeline: DTTPipeline) -> None:
-        engines = [pipeline.engine] + [
-            engine
-            for engine in (
-                getattr(model, "engine", None) for model in pipeline.models
-            )
-            if isinstance(engine, GenerationEngine)
-        ]
-        for engine in engines:
-            if engine.mode != "greedy":
-                raise ValueError(
-                    "TransformService requires greedy decoding: sampling "
-                    "outputs depend on batch composition, so coalescing "
-                    "and memoization would change results"
-                )
 
     # -- submission --------------------------------------------------------
 
@@ -859,7 +841,7 @@ class TransformService:
 
         Incremental models get a single coalesced job (greedy decoding
         is a pure per-prompt function, so pooling requests cannot
-        change outputs and lets dedupe/bucketing work across them);
+        change outputs and lets dedupe/micro-batching work across them);
         occurrence-dependent models get one job per request, exactly
         reproducing a direct ``transform_column`` call.
         """

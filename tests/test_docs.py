@@ -193,11 +193,14 @@ class TestBrokenDocsAreCaught:
         ]
 
     def test_vanished_decode_member_fails(self, fake_repo):
-        # The decode engine's classes are owners too; a member may be a
-        # method, a class attribute or something __init__ sets on self.
+        # The decode engine's classes and the join configuration are
+        # owners too; a member may be a method, a class attribute (a
+        # dataclass field) or something __init__ sets on self.
         (fake_repo / "docs" / "architecture.md").write_text(
-            "# Arch\n`GenerationEngine.max_batch_size` and `KVCache.append` and\n"
-            "`MultiHeadAttention._cache` stay; `GenerationEngine.bucket_width`,\n"
+            "# Arch\n`GenerationEngine.last_stats` and `KVCache.append` and\n"
+            "`MultiHeadAttention._cache` and `JoinConfig.n_workers` stay;\n"
+            "`GenerationEngine.bucket_width`, `GenerationEngine.mode`,\n"
+            "`JoinConfig.auto_threshold`,\n"
             "`MultiHeadAttention.attend_cached`, `DecoderBlock.step_3d`,\n"
             "`DecodeSession.memory_mask` and `Seq2SeqTransformer.step` went;\n"
             "`DecoderBlockState.self_kv` is nobody's business here.\n"
@@ -209,6 +212,8 @@ class TestBrokenDocsAreCaught:
                 "DecodeSession.memory_mask",
                 "DecoderBlock.step_3d",
                 "GenerationEngine.bucket_width",
+                "GenerationEngine.mode",
+                "JoinConfig.auto_threshold",
                 "MultiHeadAttention.attend_cached",
                 "Seq2SeqTransformer.step",
             )

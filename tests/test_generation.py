@@ -24,6 +24,7 @@ from repro.core import DTTPipeline, IncrementalSequenceModel, MultiModelAggregat
 from repro.exceptions import ModelError
 from repro.datagen.benchmarks.synthetic import build_syn
 from repro.infer import EngineStats, GenerationEngine
+from repro.infer import engine as engine_module
 from repro.infer import session as session_module
 from repro.infer.session import SLAB_WIDTH
 from repro.model import ByteSeq2SeqModel, DTTModelConfig, Trainer
@@ -81,11 +82,12 @@ def trained_model() -> ByteSeq2SeqModel:
 class TestIncrementalEquivalence:
     """Incremental greedy decode is byte-identical to full-prefix decode."""
 
-    def test_random_prompts_byte_identical(self):
+    def test_random_prompts_byte_identical(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_BATCH_SIZE", 16)
         model = ByteSeq2SeqModel(TINY_CONFIG)
         prompts = _random_prompts(11, 30)
         prompts += prompts[:8]  # exact duplicates across "trials"
-        engine = GenerationEngine(max_batch_size=16)
+        engine = GenerationEngine()
         assert engine.generate(model, prompts) == model.generate_full_prefix(
             prompts
         )
@@ -123,7 +125,8 @@ class TestIncrementalEquivalence:
         max_steps = trained_model.config.max_output_length - 1
         assert stats.steps < max_steps * stats.chunks
 
-    def test_max_length_truncation(self):
+    def test_max_length_truncation(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_BATCH_SIZE", 4)
         config = DTTModelConfig(
             dim=32,
             n_heads=2,
@@ -135,15 +138,16 @@ class TestIncrementalEquivalence:
         )
         model = ByteSeq2SeqModel(config)
         prompts = _random_prompts(13, 12)
-        engine = GenerationEngine(max_batch_size=4)
+        engine = GenerationEngine()
         assert engine.generate(model, prompts) == model.generate_full_prefix(
             prompts
         )
 
-    def test_single_row_batches(self):
+    def test_single_row_batches(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_BATCH_SIZE", 1)
         model = ByteSeq2SeqModel(TINY_CONFIG)
         prompts = _random_prompts(14, 6)
-        engine = GenerationEngine(max_batch_size=1)
+        engine = GenerationEngine()
         got = engine.generate(model, prompts)
         assert got == model.generate_full_prefix(prompts)
         assert engine.last_stats.chunks == len(set(prompts))
@@ -294,12 +298,6 @@ class TestEngineScheduling:
         assert engine.last_stats.prompts == 5
         assert engine.last_stats.decoded_rows == 2
 
-    def test_dedupe_disabled_decodes_every_row(self):
-        model = _FakeIncrementalModel({"aa": "xy"})
-        engine = GenerationEngine(dedupe=False)
-        engine.generate(model, ["aa", "aa", "aa"])
-        assert engine.last_stats.decoded_rows == 3
-
     def test_compaction_shrinks_live_batch(self):
         # Rows finish at steps 1, 2, 3, and 6: the live batch must
         # shrink as each row emits EOS instead of dragging along.
@@ -345,12 +343,13 @@ class TestEngineScheduling:
         assert got == model.generate_full_prefix(prompts)
         assert got == [model.generate_full_prefix([p])[0] for p in prompts]
 
-    def test_max_batch_size_splits_buckets(self):
+    def test_max_batch_size_splits_buckets(self, monkeypatch):
         # The batch cap is the only cut: prompt lengths 1..5 x 20 tokens
         # would have been five buckets, and are ceil(5 / 2) step loops.
+        monkeypatch.setattr(engine_module, "MAX_BATCH_SIZE", 2)
         outputs = {"p" * (20 * i + 1): str(i) for i in range(5)}
         model = _FakeIncrementalModel(outputs)
-        engine = GenerationEngine(max_batch_size=2)
+        engine = GenerationEngine()
         assert engine.generate(model, list(outputs)) == list(outputs.values())
         assert engine.last_stats.chunks == 3
         assert [len(s.scripts) for s in model.sessions] == [2, 2, 1]
@@ -368,21 +367,6 @@ class TestEngineScheduling:
         assert engine.last_stats.prompts == 3
         assert engine.last_stats.decoded_rows == 0
 
-    def test_model_level_engine_overrides_scheduler(self):
-        # A model configured with its own (sampling) engine keeps that
-        # behaviour even when a greedy scheduler drives the ensemble:
-        # the most specific engine wins.
-        model = ByteSeq2SeqModel(
-            TINY_CONFIG, engine=GenerationEngine(mode="sample", seed=4)
-        )
-        scheduler = GenerationEngine()
-        prompts = _random_prompts(19, 1) * 3
-        outputs = scheduler.generate(model, prompts)
-        assert outputs == model.engine.generate(model, prompts)
-        # Sampling never dedupes, so all three duplicates decoded.
-        assert model.engine.last_stats.decoded_rows == 3
-        assert scheduler.last_stats == model.engine.last_stats
-
     def test_run_schedules_mixed_ensembles(self):
         incremental = _FakeIncrementalModel({"p": "inc"})
         static = _StaticModel("sur")
@@ -391,46 +375,28 @@ class TestEngineScheduling:
         assert outputs == [["inc", "inc"], ["sur", "sur"]]
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            GenerationEngine(mode="beam")
-        with pytest.raises(ValueError):
-            GenerationEngine(mode="sample", temperature=0.0)
-        with pytest.raises(ValueError):
-            GenerationEngine(max_batch_size=0)
-        with pytest.raises(TypeError):  # not a knob: slabs are the session's
-            GenerationEngine(bucket_width=16)
-
-
-class TestSampledMode:
-    def test_sampling_is_deterministic_given_seed(self):
-        model = ByteSeq2SeqModel(TINY_CONFIG)
-        prompts = _random_prompts(16, 6)
-        engine = GenerationEngine(mode="sample", temperature=1.0, seed=5)
-        assert engine.generate(model, prompts) == engine.generate(
-            model, prompts
-        )
-
-    def test_different_seeds_differ(self):
-        model = ByteSeq2SeqModel(TINY_CONFIG)
-        prompts = _random_prompts(17, 6)
-        first = GenerationEngine(mode="sample", seed=1).generate(model, prompts)
-        second = GenerationEngine(mode="sample", seed=2).generate(model, prompts)
-        assert first != second
-
-    def test_sampling_never_dedupes(self):
-        model = ByteSeq2SeqModel(TINY_CONFIG)
-        engine = GenerationEngine(mode="sample", seed=3, dedupe=True)
-        prompts = _random_prompts(18, 1) * 4
-        engine.generate(model, prompts)
-        assert engine.last_stats.decoded_rows == 4
+        # The engine is greedy, always dedupes and cuts at a module
+        # constant: none of these is an argument.
+        for knob in (
+            {"mode": "sample"},
+            {"temperature": 1.0},
+            {"seed": 4},
+            {"dedupe": False},
+            {"max_batch_size": 16},
+            {"bucket_width": 16},
+        ):
+            with pytest.raises(TypeError):
+                GenerationEngine(**knob)
+        with pytest.raises(TypeError):
+            ByteSeq2SeqModel(TINY_CONFIG, engine=GenerationEngine())
+        with pytest.raises(TypeError):
+            DTTPipeline(ByteSeq2SeqModel(TINY_CONFIG), engine=GenerationEngine())
 
 
 class TestEngineInPipeline:
     def test_pipeline_with_neural_model(self):
         model = ByteSeq2SeqModel(TINY_CONFIG)
-        pipeline = DTTPipeline(
-            model, n_trials=2, engine=GenerationEngine(max_batch_size=16)
-        )
+        pipeline = DTTPipeline(model, n_trials=2)
         examples = [
             ExamplePair("aa", "AA"),
             ExamplePair("bb", "BB"),
@@ -678,7 +644,7 @@ class TestStepPathContract:
         pipeline = DTTPipeline(model, n_trials=5)
         pipeline.transform_column(table.sources[8 : 8 + n_rows], examples)
         stats = pipeline.engine.last_stats
-        chunks = -(-decoded_rows // pipeline.engine.max_batch_size)
+        chunks = -(-decoded_rows // engine_module.MAX_BATCH_SIZE)
         assert stats == EngineStats(
             prompts=5 * n_rows,
             decoded_rows=decoded_rows,

@@ -25,40 +25,41 @@ class TestIndexCache:
     def test_miss_builds_then_hits(self):
         cache = IndexCache()
         column = ("alpha", "beta", "gamma")
-        index = cache.get(column, q=2)
+        index = cache.get(column)
         assert isinstance(index, QGramIndex)
         assert (cache.hits, cache.misses) == (0, 1)
-        assert cache.get(column, q=2) is index
+        assert cache.get(column) is index
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
 
     def test_equal_columns_share_one_index(self):
         cache = IndexCache()
-        index = cache.get(["alpha", "beta"], q=2)
-        assert cache.get(("alpha", "beta"), q=2) is index
+        index = cache.get(["alpha", "beta"])
+        assert cache.get(("alpha", "beta")) is index
 
     def test_same_length_in_place_edit_misses(self):
         # The exact hole of the old identity+length guard: overwriting
         # a cell with a same-length value must change the key.
         cache = IndexCache()
         column = ["aaa", "bbb", "ccc"]
-        first = cache.get(column, q=2)
+        first = cache.get(column)
         column[1] = "zzz"
-        assert cache.get(column, q=2) is not first
+        assert cache.get(column) is not first
 
     def test_row_order_is_significant(self):
         # Earliest-row tie-breaking makes order part of the semantics.
         cache = IndexCache()
-        assert cache.get(("a", "b"), q=2) is not cache.get(("b", "a"), q=2)
+        assert cache.get(("a", "b")) is not cache.get(("b", "a"))
 
     def test_distinct_q_cached_separately(self):
+        # The gram size is not a lookup argument: one column, one entry,
+        # built at its adaptive q.
         cache = IndexCache()
         column = ("alpha", "beta")
-        two = cache.get(column, q=2)
-        three = cache.get(column, q=3)
-        assert two is not three
-        assert two.q == 2 and three.q == 3
-        assert len(cache) == 2
+        with pytest.raises(TypeError):
+            cache.get(column, q=3)
+        assert cache.get(column).q == adaptive_q(column) == 2
+        assert len(cache) == 1
 
     def test_adaptive_q_resolution(self):
         cache = IndexCache()
@@ -69,37 +70,37 @@ class TestIndexCache:
 
     def test_lru_eviction(self):
         cache = IndexCache(capacity=2)
-        first = cache.get(("a", "b"), q=2)
-        cache.get(("c", "d"), q=2)
+        first = cache.get(("a", "b"))
+        cache.get(("c", "d"))
         # Touch the first entry so the second becomes least recent.
-        assert cache.get(("a", "b"), q=2) is first
-        cache.get(("e", "f"), q=2)
+        assert cache.get(("a", "b")) is first
+        cache.get(("e", "f"))
         assert len(cache) == 2
         assert cache.evictions == 1
         # The survivor is still a hit; the evicted entry rebuilds.
-        assert cache.get(("a", "b"), q=2) is first
+        assert cache.get(("a", "b")) is first
         misses_before = cache.misses
-        cache.get(("c", "d"), q=2)
+        cache.get(("c", "d"))
         assert cache.misses == misses_before + 1
 
     def test_byte_budget_eviction(self):
         cache = IndexCache(capacity=100, max_bytes=1)
-        first = cache.get(("alpha", "beta"), q=2)
+        first = cache.get(("alpha", "beta"))
         assert len(cache) == 1  # the most recent entry is always kept
         assert cache.total_bytes == first.nbytes
-        cache.get(("gamma", "delta"), q=2)
+        cache.get(("gamma", "delta"))
         # Over budget: the older entry is evicted, the newest survives.
         assert len(cache) == 1
         assert cache.evictions == 1
-        assert cache.get(("alpha", "beta"), q=2) is not first
+        assert cache.get(("alpha", "beta")) is not first
 
     def test_clear_drops_entries(self):
         cache = IndexCache()
-        index = cache.get(("a", "b"), q=2)
+        index = cache.get(("a", "b"))
         cache.clear()
         assert len(cache) == 0
         assert cache.total_bytes == 0
-        assert cache.get(("a", "b"), q=2) is not index
+        assert cache.get(("a", "b")) is not index
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

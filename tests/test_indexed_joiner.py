@@ -12,7 +12,6 @@ a correctness bug.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from repro.utils.fuzz import random_edits, random_unicode_string
@@ -22,7 +21,9 @@ from repro.core.joiner import EditDistanceJoiner
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
 from repro.index import AutoJoiner, IndexCache, IndexedJoiner, make_joiner
-from repro.index.qgram import QGramIndex
+from repro.index import cache as cache_module
+from repro.index import joiner as joiner_module
+from repro.index.qgram import QGramIndex, adaptive_q
 from repro.types import Prediction
 
 _SEED = 987
@@ -32,6 +33,17 @@ _JOINER_VARIANTS = (
     JoinConfig(max_distance=2),
     JoinConfig(normalized_threshold=0.34),
 )
+
+
+def _force_gram_size(monkeypatch, q):
+    """Build every index at gram size ``q`` (``None`` = adaptive).
+
+    The gram size is not configuration: the cache derives it from the
+    column.  The fuzz suites still cover fixed sizes, since the filters
+    must stay complete at every ``q``.
+    """
+    pick = adaptive_q if q is None else (lambda _targets: q)
+    monkeypatch.setattr(cache_module, "adaptive_q", pick)
 
 
 def _predictions_for(targets, rng):
@@ -95,7 +107,7 @@ class TestJoinManyEquivalence:
                     config,
                 )
 
-    def test_batch_vs_scalar_fuzz(self):
+    def test_batch_vs_scalar_fuzz(self, monkeypatch):
         rng = random.Random(_SEED + 11)
         for _ in range(60):
             targets = [
@@ -106,7 +118,8 @@ class TestJoinManyEquivalence:
             targets += [""] * rng.randint(0, 2)
             rng.shuffle(targets)
             config = rng.choice(_JOINER_VARIANTS)
-            indexed = IndexedJoiner(replace(config, q=rng.choice((None, 2, 3))))
+            _force_gram_size(monkeypatch, rng.choice((None, 2, 3)))
+            indexed = IndexedJoiner(config, cache=IndexCache())
             probes = [
                 rng.choice(
                     (
@@ -173,7 +186,7 @@ class TestJoinManyEquivalence:
 
 
 class TestRandomizedEquivalence:
-    def test_match_equivalence_fuzz(self):
+    def test_match_equivalence_fuzz(self, monkeypatch):
         rng = random.Random(_SEED + 1)
         for _ in range(120):
             targets = [
@@ -185,7 +198,8 @@ class TestRandomizedEquivalence:
             rng.shuffle(targets)
             config = rng.choice(_JOINER_VARIANTS)
             brute = EditDistanceJoiner(config)
-            indexed = IndexedJoiner(replace(config, q=rng.choice((2, 3))))
+            _force_gram_size(monkeypatch, rng.choice((2, 3)))
+            indexed = IndexedJoiner(config, cache=IndexCache())
             for _ in range(4):
                 predicted = rng.choice(
                     (
@@ -223,8 +237,14 @@ class TestIndexedJoinerContract:
         )
 
     def test_invalid_q(self):
+        # The gram size is derived from the column, never configured.
+        with pytest.raises(TypeError):
+            JoinConfig(q=2)
         with pytest.raises(ValueError):
-            IndexedJoiner(JoinConfig(q=0))
+            QGramIndex(["a"], q=0)
+        targets = ["x" * 25, "y" * 30, "z" * 22]
+        index = IndexedJoiner(cache=IndexCache())._index_for(targets)
+        assert index.q == adaptive_q(targets) == 3
 
     def test_tie_prefers_earliest_target_row(self):
         # "bx" and "cx" are both distance 1 from "x"; row order decides.
@@ -282,11 +302,12 @@ class TestIndexedJoinerContract:
 
 
 class TestAutoJoiner:
-    def test_delegates_agree_on_both_sides_of_threshold(self):
+    def test_delegates_agree_on_both_sides_of_threshold(self, monkeypatch):
         rng = random.Random(_SEED + 3)
         small = [random_unicode_string(rng, max_length=8) for _ in range(10)]
         large = [random_unicode_string(rng, max_length=8) for _ in range(80)]
-        auto = AutoJoiner(JoinConfig(auto_threshold=50))
+        monkeypatch.setattr(joiner_module, "AUTO_THRESHOLD", 50)
+        auto = AutoJoiner()
         brute = EditDistanceJoiner()
         for targets in (small, large):
             for _ in range(10):
@@ -295,11 +316,12 @@ class TestAutoJoiner:
                     predicted, targets
                 )
 
-    def test_picks_indexed_at_threshold(self):
+    def test_picks_indexed_at_threshold(self, monkeypatch):
         # Below the threshold nothing is indexed and no stats exist; at
         # the threshold the blocked engine runs and publishes stats.
+        monkeypatch.setattr(joiner_module, "AUTO_THRESHOLD", 3)
         cache = IndexCache()
-        auto = AutoJoiner(JoinConfig(auto_threshold=3), cache=cache)
+        auto = AutoJoiner(cache=cache)
         assert auto.join_many(["a"], ["a", "b"]) == [("a", 0)]
         assert cache.misses == 0
         assert auto.last_join_stats is None
@@ -314,7 +336,7 @@ class TestAutoJoiner:
     def test_default_switchover_boundary_at_256(self):
         cache = IndexCache()
         auto = AutoJoiner(cache=cache)
-        assert auto.threshold == JoinConfig().auto_threshold == 256
+        assert auto.threshold == joiner_module.AUTO_THRESHOLD == 256
         rng = random.Random(_SEED + 20)
         below = [f"v{i:03d}" for i in range(255)]
         exactly = [f"v{i:03d}" for i in range(256)]
@@ -336,16 +358,19 @@ class TestAutoJoiner:
             for probe in probes:
                 assert auto.match(probe, targets) == brute.match(probe, targets)
 
-    def test_join_inherited_path(self):
-        auto = AutoJoiner(JoinConfig(auto_threshold=2))
+    def test_join_inherited_path(self, monkeypatch):
+        monkeypatch.setattr(joiner_module, "AUTO_THRESHOLD", 2)
+        auto = AutoJoiner()
         predictions = [Prediction(source="s", value="aaa")]
         results = auto.join(predictions, ["aaa", "bbb"], expected=["aaa"])
         assert results[0].matched == "aaa"
         assert results[0].correct
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            AutoJoiner(JoinConfig(auto_threshold=-1))
+        # The switch-over point is a constant, not a config field.
+        with pytest.raises(TypeError):
+            JoinConfig(auto_threshold=-1)
+        assert AutoJoiner(JoinConfig(max_distance=1)).threshold == 256
 
     def test_empty_targets_raise_via_delegate(self):
         with pytest.raises(JoinError):
@@ -359,15 +384,17 @@ class TestMakeJoiner:
         assert type(make_joiner("auto")) is AutoJoiner
 
     def test_parameters_forwarded(self):
-        joiner = make_joiner("indexed", JoinConfig(max_distance=3, q=3))
-        assert joiner.max_distance == 3
-        assert joiner.q == 3
-        auto = make_joiner(
-            "auto", JoinConfig(auto_threshold=7, normalized_threshold=0.5)
+        joiner = make_joiner(
+            "indexed", JoinConfig(max_distance=3, kernel_backend="banded")
         )
-        assert auto.threshold == 7
+        assert joiner.max_distance == 3
+        assert joiner.kernel.name == "banded"
+        auto = make_joiner("auto", JoinConfig(normalized_threshold=0.5, n_workers=1))
+        assert auto.threshold == 256
         assert auto.normalized_threshold == 0.5
-        assert make_joiner("indexed", JoinConfig(auto_threshold=7)).threshold == 0
+        assert auto.n_workers == 1
+        assert make_joiner("indexed").threshold == 0
+        assert make_joiner("brute", JoinConfig(max_distance=2)).max_distance == 2
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

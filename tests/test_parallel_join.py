@@ -270,13 +270,13 @@ class TestPersistentPool:
         monkeypatch.setattr(parallel_module, "_WORKER_CACHE", IndexCache())
         monkeypatch.setattr(parallel_module, "_WORKER_INDEXES", OrderedDict())
         with pytest.raises(parallel_module._ColumnNeeded) as excinfo:
-            parallel_module._score_shard(7, ["probe"], "fp?", None, None)
+            parallel_module._score_shard(7, ["probe"], "fp?", None)
         assert excinfo.value.shard_id == 7
         column = tuple(f"value-{i:03d}" for i in range(60))
         fingerprint = column_fingerprint(column, adaptive_q(column))
         shard_id, kernel_pairs, counts, vids, distances = (
             parallel_module._score_shard(
-                1, ["value-0070"], fingerprint, column, None
+                1, ["value-0070"], fingerprint, column
             )
         )
         assert shard_id == 1 and distances.tolist() == [1]
@@ -284,13 +284,13 @@ class TestPersistentPool:
         assert sum(dict(kernel_pairs).values()) >= 1
         # One payload shape at any k: counts slice the flat rank arrays.
         _, _, counts, vids, distances = parallel_module._score_shard(
-            3, ["value-0070", "value-0081"], fingerprint, None, None, k=3
+            3, ["value-0070", "value-0081"], fingerprint, None, k=3
         )
         assert counts.tolist() == [3, 3] and vids.size == distances.size == 6
         assert distances.tolist()[:3] == sorted(distances.tolist()[:3])
         # Fingerprint-only now resolves through the memo, no column.
         shard_id, *_ = parallel_module._score_shard(
-            2, ["value-0080"], fingerprint, None, None
+            2, ["value-0080"], fingerprint, None
         )
         assert shard_id == 2
 
@@ -311,26 +311,27 @@ class TestWorkerPolicy:
     def test_explicit_workers_validated(self):
         with pytest.raises(ValueError):
             IndexedJoiner(JoinConfig(n_workers=0))
-        with pytest.raises(ValueError):
+        # The auto-mode cutoff is a constant, not a config field.
+        with pytest.raises(TypeError):
             IndexedJoiner(JoinConfig(parallel_threshold=-1))
 
     def test_auto_mode_respects_threshold_and_cpu_count(self, monkeypatch):
-        joiner = IndexedJoiner(JoinConfig(parallel_threshold=100), cache=IndexCache())
+        from repro.index.joiner import PARALLEL_THRESHOLD
+
+        joiner = IndexedJoiner(cache=IndexCache())
         monkeypatch.setattr("os.cpu_count", lambda: 4)
-        assert joiner._resolve_workers(99) == 1
-        assert joiner._resolve_workers(100) == 4
+        assert joiner._resolve_workers(PARALLEL_THRESHOLD - 1) == 1
+        assert joiner._resolve_workers(PARALLEL_THRESHOLD) == 4
         monkeypatch.setattr("os.cpu_count", lambda: 64)
         assert (
-            joiner._resolve_workers(100) == IndexedJoiner._MAX_AUTO_WORKERS
+            joiner._resolve_workers(PARALLEL_THRESHOLD)
+            == IndexedJoiner._MAX_AUTO_WORKERS
         )
         monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert joiner._resolve_workers(100) == 1
+        assert joiner._resolve_workers(PARALLEL_THRESHOLD) == 1
 
     def test_explicit_workers_bypass_threshold(self):
-        joiner = IndexedJoiner(
-            JoinConfig(n_workers=3, parallel_threshold=10**9),
-            cache=IndexCache(),
-        )
+        joiner = IndexedJoiner(JoinConfig(n_workers=3), cache=IndexCache())
         assert joiner._resolve_workers(5) == 3
         assert joiner._resolve_workers(0) == 1
 

@@ -29,7 +29,6 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.infer import GenerationEngine
 from repro.model import ByteSeq2SeqModel
 from repro.model.config import TINY_CONFIG
 from repro.serve import (
@@ -312,13 +311,6 @@ class TestLifecycle:
         with TransformService(_surrogate_pipeline()) as service:
             with pytest.raises(JoinError):
                 service.submit_join(["a"], [], _EXAMPLES)
-
-    def test_sampling_engine_rejected(self):
-        pipeline = DTTPipeline(
-            PretrainedDTT(seed=0), engine=GenerationEngine(mode="sample")
-        )
-        with pytest.raises(ValueError):
-            TransformService(pipeline)
 
     def test_close_is_idempotent(self):
         service = TransformService(_surrogate_pipeline())

@@ -22,6 +22,7 @@ from repro.core.joiner import EditDistanceJoiner, invert_matches
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
 from repro.index import AutoJoiner, IndexCache, IndexedJoiner
+from repro.index import joiner as joiner_module
 from repro.types import Prediction
 
 _SEED = 4021
@@ -106,7 +107,7 @@ class TestTopKEquivalence:
     def test_parallel_topk_identical_on_dataset(self, name, n_workers):
         rng = random.Random(_SEED + n_workers)
         brute = EditDistanceJoiner()
-        config = JoinConfig(n_workers=n_workers, parallel_threshold=0)
+        config = JoinConfig(n_workers=n_workers)
         with IndexedJoiner(config, cache=IndexCache()) as sharded:
             for label, targets in _topk_columns(name):
                 probes = _probes_for(targets, rng)
@@ -117,22 +118,23 @@ class TestTopKEquivalence:
     def test_topk_join_many_identical_with_margin(self):
         rng = random.Random(_SEED + 50)
         tables = get_dataset("JAB", seed=0, scale=0.15)
-        config = JoinConfig(margin=0.08)
-        brute = EditDistanceJoiner(config)
-        blocked = IndexedJoiner(config, cache=IndexCache())
+        brute = EditDistanceJoiner()
+        blocked = IndexedJoiner(cache=IndexCache())
         for table in tables:
             targets = list(table.targets)
             probes = _probes_for(targets, rng)
-            assert blocked.topk_join_many(probes, targets, k=3) == (
-                brute.topk_join_many(probes, targets, k=3)
+            assert blocked.topk_join_many(probes, targets, k=3, margin=0.08) == (
+                brute.topk_join_many(probes, targets, k=3, margin=0.08)
             ), table.name
 
-    def test_auto_joiner_delegates_topk(self):
+    def test_auto_joiner_delegates_topk(self, monkeypatch):
         targets = [f"value-{i:04d}" for i in range(30)]
         probes = ["value-0007", "valeu-0012", ""]
         brute = EditDistanceJoiner()
         for auto_threshold in (1, 10_000):
-            auto = AutoJoiner(JoinConfig(auto_threshold=auto_threshold))
+            monkeypatch.setattr(joiner_module, "AUTO_THRESHOLD", auto_threshold)
+            auto = AutoJoiner()
+            assert auto.threshold == auto_threshold
             assert auto.topk_many(probes, targets, 3) == brute.topk_many(
                 probes, targets, 3
             ), auto_threshold
@@ -233,10 +235,12 @@ class TestMarginAbstention:
         assert result.matched == "aaaa"
 
     def test_config_defaults_apply(self):
-        joiner = EditDistanceJoiner(JoinConfig(k=2, margin=0.5))
+        # The call's defaults, not configuration: k=1, margin disabled.
+        joiner = EditDistanceJoiner()
         [result] = joiner.topk_join_many(["abcdefgh"], ["abcdefgh", "abcdefgx"])
-        assert result.matched is None
-        assert len(result.candidates) == 2
+        assert result.matched == "abcdefgh"
+        assert len(result.candidates) == 1
+        assert result.margin is None
 
 
 class TestJoinTopK:
@@ -301,36 +305,51 @@ class TestReverseJoin:
 class TestJoinConfig:
     def test_defaults(self):
         config = JoinConfig()
-        assert len(dataclasses.fields(config)) == 9
-        assert config.k == 1
-        assert config.margin is None
-        assert config.auto_threshold == 256
+        assert [field.name for field in dataclasses.fields(config)] == [
+            "max_distance",
+            "normalized_threshold",
+            "n_workers",
+            "kernel_backend",
+        ]
+        assert config == JoinConfig(None, None, None, "auto")
+        assert joiner_module.AUTO_THRESHOLD == 256
+        assert joiner_module.PARALLEL_THRESHOLD == 4096
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            JoinConfig().k = 2
+            JoinConfig().max_distance = 2
 
     def test_validation(self):
-        # The query mode is a method, not a config field.
-        with pytest.raises(TypeError):
-            JoinConfig(mode="topk")
-        for bad_k in (0, -2, True, 1.5):
-            with pytest.raises(ValueError):
-                JoinConfig(k=bad_k)
+        # The query mode is a method, k and margin are arguments of each
+        # call, the gram size is adaptive and the two switch-over points
+        # are constants: none of them is a config field.
+        for removed in (
+            "mode",
+            "k",
+            "margin",
+            "q",
+            "auto_threshold",
+            "parallel_threshold",
+        ):
+            with pytest.raises(TypeError):
+                JoinConfig(**{removed: 1})
         with pytest.raises(ValueError):
-            JoinConfig(margin=-0.5)
+            JoinConfig(max_distance=-1)
+        with pytest.raises(ValueError):
+            JoinConfig(normalized_threshold=-0.5)
         with pytest.raises(ValueError):
             JoinConfig(n_workers=0)
         with pytest.raises(ValueError):
-            JoinConfig(parallel_threshold=-1)
+            JoinConfig(kernel_backend="simd")
 
     def test_config_flows_to_joiner_attributes(self):
-        config = JoinConfig(k=4, margin=0.2, max_distance=3)
+        config = JoinConfig(max_distance=3, normalized_threshold=0.5, n_workers=2)
         joiner = IndexedJoiner(config, cache=IndexCache())
-        assert not hasattr(joiner, "mode")
-        assert joiner.k == 4
-        assert joiner.margin == 0.2
+        for gone in ("mode", "k", "margin", "q", "parallel_threshold"):
+            assert not hasattr(joiner, gone), gone
         assert joiner.max_distance == 3
+        assert joiner.normalized_threshold == 0.5
+        assert joiner.n_workers == 2
 
     def test_non_config_argument_is_rejected(self):
         for joiner_type in (EditDistanceJoiner, IndexedJoiner, AutoJoiner):
