@@ -28,16 +28,13 @@ Seven classes of rot this catches, each a CI failure:
   registry emits must have a row in the series table of
   ``docs/observability.md``, so a renamed or dropped counter fails
   here instead of rotting in the prose.
-* **Vanished methods** — every ``JoinConfig.<name>``,
-  ``EditDistanceJoiner.<name>``, ``IndexedJoiner.<name>``,
-  ``QGramIndex.<name>``, ``KernelBackend.<name>``,
-  ``GenerationEngine.<name>``,
-  ``DecodeSession.<name>``, ``Seq2SeqTransformer.<name>``,
-  ``DecoderBlock.<name>``, ``MultiHeadAttention.<name>`` and
-  ``KVCache.<name>`` that the docs (and the verify skill page under
-  ``.claude/skills/``) write in backticks must resolve with ``getattr``
-  on the class or be an attribute its methods set on ``self``, so a
-  deleted or renamed member cannot stay documented.
+* **Vanished methods** — every ``<Class>.<name>`` the docs (and the
+  verify skill page under ``.claude/skills/``) write in backticks, for
+  every class exported by ``repro.core``, ``repro.index``,
+  ``repro.infer`` or ``repro.nn``, must resolve with ``getattr`` on the
+  class or be an attribute its methods set on ``self``, so a deleted or
+  renamed member cannot stay documented (and a deleted class drops out
+  of the owner set with its export).
 * **Stale environment variables** — every ``REPRO_*`` variable the docs
   name must occur in ``src/``, and every one ``src/`` names must be
   documented in ``docs/operations.md``, so a removed knob cannot linger
@@ -54,6 +51,7 @@ the check gates merges even before the dedicated CI step runs.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import io
 import re
@@ -262,47 +260,33 @@ def check_metric_series(
     return problems
 
 
+#: The packages whose exported classes own documented members.
+MEMBER_PACKAGES = ("repro.core", "repro.index", "repro.infer", "repro.nn")
+
+
 def _has_member(cls: type, name: str) -> bool:
     """A class attribute, or an attribute a method of the class sets on self."""
     if hasattr(cls, name):
         return True
     assigned = re.compile(rf"\bself\.{name}\b\s*[:=](?!=)")
     return any(
-        assigned.search(inspect.getsource(base)) for base in cls.__mro__[:-1]
+        assigned.search(inspect.getsource(base))
+        for base in cls.__mro__[:-1]
+        if base.__module__.startswith("repro.")
     )
 
 
 def check_documented_members(
     files: list[Path], root: Path = REPO_ROOT
 ) -> list[str]:
-    """Every backticked ``<Class>.<name>`` of the join and decode engines
-    (and of the join configuration) must exist on the class."""
-    from repro.core.join_config import JoinConfig
-    from repro.core.joiner import EditDistanceJoiner
-    from repro.index import IndexedJoiner, KernelBackend, QGramIndex
-    from repro.infer import DecodeSession, GenerationEngine
-    from repro.nn import (
-        DecoderBlock,
-        KVCache,
-        MultiHeadAttention,
-        Seq2SeqTransformer,
-    )
-
+    """Every backticked ``<Class>.<name>`` of a class in the ``__all__``
+    of :data:`MEMBER_PACKAGES` must exist on the class."""
+    packages = map(importlib.import_module, MEMBER_PACKAGES)
     owners = {
-        cls.__name__: cls
-        for cls in (
-            JoinConfig,
-            EditDistanceJoiner,
-            IndexedJoiner,
-            QGramIndex,
-            KernelBackend,
-            GenerationEngine,
-            DecodeSession,
-            Seq2SeqTransformer,
-            DecoderBlock,
-            MultiHeadAttention,
-            KVCache,
-        )
+        name: getattr(package, name)
+        for package in packages
+        for name in package.__all__
+        if inspect.isclass(getattr(package, name))
     }
     member = re.compile(rf"\b({'|'.join(owners)})\.(\w+)")
     problems = []

@@ -26,12 +26,10 @@ from repro.core import (
     Decomposer,
     DTTPipeline,
     EditDistanceJoiner,
-    MultiModelAggregator,
     PromptSerializer,
     SequenceModel,
 )
 from repro.index import AutoJoiner, IndexedJoiner, make_joiner
-from repro.infer import GenerationEngine
 from repro.serve import ResultCache, TransformService
 from repro.surrogate import GPT3Surrogate, PretrainedDTT, TrainingProfile
 from repro.metrics import score_edits, score_join
@@ -49,12 +47,10 @@ __all__ = [
     "PromptSerializer",
     "Decomposer",
     "Aggregator",
-    "MultiModelAggregator",
     "EditDistanceJoiner",
     "IndexedJoiner",
     "AutoJoiner",
     "make_joiner",
-    "GenerationEngine",
     "TransformService",
     "ResultCache",
     "PretrainedDTT",

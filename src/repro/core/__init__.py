@@ -9,7 +9,7 @@ then matches predictions into the target column (Eq. 5).
 
 from repro.core.interface import IncrementalSequenceModel, SequenceModel
 from repro.core.serializer import Decomposer, PromptSerializer, SubTask
-from repro.core.aggregator import Aggregator, MultiModelAggregator
+from repro.core.aggregator import Aggregator
 from repro.core.join_config import JOIN_MODES, JoinConfig
 from repro.core.joiner import EditDistanceJoiner, invert_matches
 from repro.core.pipeline import DTTPipeline
@@ -21,7 +21,6 @@ __all__ = [
     "Decomposer",
     "SubTask",
     "Aggregator",
-    "MultiModelAggregator",
     "EditDistanceJoiner",
     "DTTPipeline",
     "JOIN_MODES",

@@ -7,10 +7,11 @@ candidates — the candidate closest to the consensus — and then by trial
 order for determinism.  Abstentions (empty outputs) never win over a
 non-empty candidate.
 
-:class:`MultiModelAggregator` implements the §5.7 ensemble: the trials of
-several models are pooled with equal weight, so the more *self-consistent*
-model dominates the vote, and agreement across models reinforces a
-candidate.
+The §5.7 ensemble needs nothing more: the trials of several models are
+pooled with equal weight before the vote
+(:meth:`~repro.core.pipeline.DTTPipeline.predict`), so the more
+*self-consistent* model dominates it, and agreement across models
+reinforces a candidate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 
-from repro.core.interface import SequenceModel
 from repro.text.edit_distance import normalized_edit_distance
 from repro.types import Prediction
 
@@ -98,59 +98,3 @@ class Aggregator:
         return max(
             tied, key=lambda v: (consensus_score(v), -first_occurrence[v])
         )
-
-
-class MultiModelAggregator:
-    """Pools equally weighted trials from several models (paper §5.7).
-
-    Args:
-        models: The sequence models to ensemble.
-        aggregator: Vote aggregator applied to the pooled candidates.
-
-    The decoding work is scheduled by the aggregator's own greedy
-    :class:`~repro.infer.GenerationEngine` (:attr:`engine`, whose
-    ``last_stats`` reports the most recent pass).
-    """
-
-    def __init__(
-        self,
-        models: Sequence[SequenceModel],
-        aggregator: Aggregator | None = None,
-    ) -> None:
-        if not models:
-            raise ValueError("MultiModelAggregator requires at least one model")
-        # Imported lazily: repro.infer's engine consumes the model
-        # protocols defined in this package, so a module-level import
-        # here would be circular.
-        from repro.infer.engine import GenerationEngine
-
-        self.models = list(models)
-        self.aggregator = aggregator or Aggregator()
-        self.engine = GenerationEngine()
-        #: Per-model :class:`~repro.infer.engine.EngineStats` from the
-        #: most recent :meth:`generate_candidates` call, aligned with
-        #: :attr:`models` (empty before the first call).
-        self.last_run_stats: list = []
-
-    @property
-    def name(self) -> str:
-        return "+".join(model.name for model in self.models)
-
-    def generate_candidates(self, prompts: list[str]) -> list[list[str]]:
-        """Return per-prompt candidate lists, one candidate per model.
-
-        All prompts of all trials are handed to the generation engine in
-        one scheduled call: each incremental model's whole workload goes
-        through prompt dedupe, length-sorted micro-batching, and live
-        compaction; non-incremental models fall back to their own
-        ``generate`` inside the same pass.
-        """
-        per_model, per_model_stats = self.engine.run_with_stats(
-            [(model, prompts) for model in self.models]
-        )
-        self.last_run_stats = per_model_stats
-        if per_model_stats:
-            # Preserve the single-engine contract: after a pass, the
-            # scheduling engine's ``last_stats`` reflects its last job.
-            self.engine.last_stats = per_model_stats[-1]
-        return [list(outputs) for outputs in zip(*per_model, strict=True)]

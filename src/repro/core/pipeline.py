@@ -7,24 +7,26 @@ cases:
 * :meth:`transform_column` — predict a target-formatted value for every
   source row (missing-value imputation / auto-fill).
 * :meth:`join` — transform and then match into a target column (Eq. 5).
+
+Between them sits :meth:`DTTPipeline.predict`, the one prediction stage
+that both ``transform_column`` and the serving layer's micro-batcher
+call.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from itertools import accumulate, pairwise
 
-from repro.core.aggregator import Aggregator, MultiModelAggregator
-from repro.core.interface import SequenceModel
+from repro.core.aggregator import Aggregator
+from repro.core.interface import IncrementalSequenceModel, SequenceModel
 from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.core.serializer import Decomposer, PromptSerializer, SubTask
+from repro.infer.engine import EngineStats, generate
 from repro.types import ExamplePair, JoinResult, Prediction
 from repro.utils.timing import Stopwatch
-
-if TYPE_CHECKING:
-    from repro.infer.engine import GenerationEngine
 
 
 def model_fingerprint(model: SequenceModel) -> str:
@@ -70,12 +72,15 @@ class DTTPipeline:
             the two rejection thresholds, the worker count and the
             kernel backend in one frozen object.
 
-    The prediction stage hands all prompts of all trials to the
-    ensemble's greedy :attr:`engine` in one call, where incremental
-    models (the trained byte-level transformer) get KV-cached decoding
-    with prompt dedupe, length-sorted micro-batching, and live
-    compaction of finished rows — byte-identical to the full-prefix
-    decode it replaced.
+    The prediction stage (:meth:`predict`) hands all prompts of all
+    trials to :func:`repro.infer.engine.generate` as one job per model,
+    where incremental models (the trained byte-level transformer) get
+    KV-cached decoding with prompt dedupe, length-sorted
+    micro-batching, and live compaction of finished rows —
+    byte-identical to the full-prefix decode it replaced.  The job
+    counters of the most recent :meth:`transform_column` call land in
+    :attr:`last_engine_stats`, one :class:`~repro.infer.engine.EngineStats`
+    per model in model order.
     """
 
     def __init__(
@@ -90,7 +95,7 @@ class DTTPipeline:
         models = [model] if isinstance(model, SequenceModel) else list(model)
         if not models:
             raise ValueError("DTTPipeline requires at least one model")
-        self._ensemble = MultiModelAggregator(models)
+        self.models: list[SequenceModel] = models
         self.decomposer = Decomposer(
             context_size=context_size, n_trials=n_trials, seed=seed
         )
@@ -107,19 +112,11 @@ class DTTPipeline:
         else:
             self.joiner = joiner
         self.stopwatch = Stopwatch()
+        self.last_engine_stats: list[EngineStats] = []
 
     @property
     def name(self) -> str:
-        return f"DTT[{self._ensemble.name}]"
-
-    @property
-    def models(self) -> list[SequenceModel]:
-        return self._ensemble.models
-
-    @property
-    def engine(self) -> GenerationEngine:
-        """The generation engine scheduling the prediction stage."""
-        return self._ensemble.engine
+        return f"DTT[{'+'.join(model.name for model in self.models)}]"
 
     def fingerprint(self) -> str:
         """Content fingerprint of everything that determines the outputs.
@@ -154,8 +151,8 @@ class DTTPipeline:
 
         Returns the sub-tasks and their serialized prompts, aligned.
         Exposed separately so external schedulers (the serving layer's
-        micro-batcher) can compose prompts from many requests into one
-        engine pass while keeping this stage byte-identical to
+        micro-batcher) can hand prompts from many requests to one
+        :meth:`predict` call while keeping this stage byte-identical to
         :meth:`transform_column`.
         """
         subtasks = self.decomposer.decompose(sources, examples)
@@ -164,6 +161,43 @@ class DTTPipeline:
             for task in subtasks
         ]
         return subtasks, prompts
+
+    def predict(
+        self, prompt_groups: Sequence[Sequence[str]]
+    ) -> tuple[list[list[list[str]]], list[EngineStats]]:
+        """Run every model over every group's prompts: the prediction stage.
+
+        Returns, per group and per prompt, the candidate outputs of
+        every model in model order — the equal-weight pool of paper
+        §5.7 — plus one :class:`~repro.infer.engine.EngineStats` per
+        model.  An incremental model decodes all groups' prompts as one
+        job: greedy decoding is a pure per-prompt function, so pooling
+        cannot change an output and lets dedupe and micro-batching work
+        across groups.  Any other model gets one job per group, since
+        the surrogates draw occurrence-indexed samples within a call;
+        each group is then decoded exactly as ``predict([group])``
+        would decode it.
+        """
+        groups = [list(group) for group in prompt_groups]
+        per_model: list[list[list[str]]] = []
+        stats: list[EngineStats] = []
+        for model in self.models:
+            if isinstance(model, IncrementalSequenceModel):
+                pooled, model_stats = generate(
+                    model, [prompt for group in groups for prompt in group]
+                )
+                cuts = pairwise(accumulate(map(len, groups), initial=0))
+                per_model.append([pooled[start:stop] for start, stop in cuts])
+            else:
+                jobs = [generate(model, group) for group in groups]
+                per_model.append([outputs for outputs, _ in jobs])
+                model_stats = EngineStats.merged([job for _, job in jobs])
+            stats.append(model_stats)
+        candidates = [
+            [list(row) for row in zip(*group_outputs, strict=True)]
+            for group_outputs in zip(*per_model, strict=True)
+        ]
+        return candidates, stats
 
     def aggregate_candidates(
         self,
@@ -201,11 +235,12 @@ class DTTPipeline:
         """
         sources = list(sources)
         if not sources:
+            self.last_engine_stats = [EngineStats() for _ in self.models]
             return []
         with self.stopwatch.lap("decompose"):
             subtasks, prompts = self.prepare_prompts(sources, examples)
         with self.stopwatch.lap("predict"):
-            candidate_lists = self._ensemble.generate_candidates(prompts)
+            (candidate_lists,), self.last_engine_stats = self.predict([prompts])
         with self.stopwatch.lap("aggregate"):
             predictions = self.aggregate_candidates(
                 sources, subtasks, candidate_lists

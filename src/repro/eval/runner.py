@@ -77,13 +77,8 @@ class DTTJoinerAdapter:
         # ensemble, plus the per-model breakdown) and the join engine's
         # batch / parallel-shard / cache stats, all from this table's
         # run.
-        per_model = self.pipeline._ensemble.last_run_stats
-        engine_stats = (
-            EngineStats.merged(per_model)
-            if per_model
-            else self.pipeline.engine.last_stats
-        )
-        stats: dict = {"engine": asdict(engine_stats)}
+        per_model = self.pipeline.last_engine_stats
+        stats: dict = {"engine": asdict(EngineStats.merged(per_model))}
         if len(per_model) > 1:
             # A list, not a name-keyed dict: ensembling two instances
             # of one model class (e.g. differently seeded DTTs) is

@@ -52,6 +52,7 @@ scan at every column size.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from collections.abc import Sequence
@@ -116,7 +117,7 @@ class IndexedJoiner(EditDistanceJoiner):
         last_join_stats: :class:`~repro.index.parallel.JoinStats` for
             the most recent :meth:`join_many` / :meth:`topk_many` call
             — ``None`` before the first call and after a call that ran
-            the brute scan, which keeps no counters.
+            the brute scan, which keeps no counters, or had no probes.
     """
 
     # Auto mode never spawns more workers than this, however many cores
@@ -236,6 +237,7 @@ class IndexedJoiner(EditDistanceJoiner):
             self.last_join_stats = None
             return super().join_many(probes, targets)
         if not probes:
+            self.last_join_stats = None
             return []
         if not targets:
             raise JoinError("cannot join into an empty target column")
@@ -269,6 +271,7 @@ class IndexedJoiner(EditDistanceJoiner):
             return super().topk_many(probes, targets, k)
         self._validate_topk(targets, k)
         if not probes:
+            self.last_join_stats = None
             return []
         index, ranked = self._ranked_many(probes, targets, k, exact_shortcut=False)
         triples = {
@@ -307,7 +310,7 @@ class IndexedJoiner(EditDistanceJoiner):
         """
         # Imported lazily: parallel imports this module for its
         # worker-side scoring, so a module-level import would cycle.
-        from repro.index.parallel import JoinStats, PoolStats
+        from repro.index.parallel import JoinStats
 
         tracer = get_tracer()
         join_span = tracer.start_span("join.join_many")
@@ -359,7 +362,7 @@ class IndexedJoiner(EditDistanceJoiner):
             )
             n_workers = self._resolve_workers(len(pending))
             phase_start = time.monotonic()
-            pool_stats = PoolStats()
+            pool_stats = JoinStats()
             if n_workers > 1 and pending:
                 pooled, pool_stats = self._ensure_pool(n_workers).run_probes(
                     index, pending, targets, k
@@ -373,7 +376,7 @@ class IndexedJoiner(EditDistanceJoiner):
                 phase_start,
                 time.monotonic(),
                 attributes={
-                    "n_workers": pool_stats.workers,
+                    "n_workers": pool_stats.n_workers,
                     "shards": pool_stats.shards,
                     "kernel_backend": self.kernel.name,
                 },
@@ -388,15 +391,13 @@ class IndexedJoiner(EditDistanceJoiner):
         }
         for name, count in pool_stats.kernel_pairs:
             kernel_pairs[name] = kernel_pairs.get(name, 0) + count
-        self.last_join_stats = JoinStats(
+        self.last_join_stats = dataclasses.replace(
+            pool_stats,
             probes=len(probes),
             unique_probes=len(unique),
             exact_matches=exact_matches,
             empty_probes=empty_probes,
             pending=len(pending),
-            n_workers=pool_stats.workers,
-            shards=pool_stats.shards,
-            shard_sizes=pool_stats.shard_sizes,
             cache_hits=self.cache.hits - cache_hits,
             cache_misses=self.cache.misses - cache_misses,
             kernel_backend=self.kernel.name,

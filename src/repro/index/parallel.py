@@ -118,20 +118,6 @@ class JoinStats:
         return out
 
 
-@dataclass(frozen=True)
-class PoolStats:
-    """What one pool run reports back to the joiner's call frame.
-
-    The defaults describe serial execution (no pool involved).
-    """
-
-    workers: int = 1
-    shards: int = 0
-    shard_sizes: tuple[int, ...] = ()
-    #: Summed per-shard ``(backend, pairs)`` deltas from the workers.
-    kernel_pairs: tuple[tuple[str, int], ...] = ()
-
-
 # Target shards per worker: a few pieces of slack per process so one
 # slow shard (a dense region of the column) doesn't leave the rest of
 # the pool idle at the tail of the batch.
@@ -389,13 +375,16 @@ class JoinWorkerPool:
         probes: Sequence[str],
         targets: Sequence[str],
         k: int,
-    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], PoolStats]:
+    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], JoinStats]:
         """Rank the pending probes through the pool.
 
         Returns the merged ``probe -> (value_ids, distances)`` mapping
         in rank order — byte-identical to one serial
         :meth:`IndexedJoiner._resolve_probes` over all of them at the
-        same ``k`` — plus the pool counters for :class:`JoinStats`.
+        same ``k`` — plus the pool's part of the call's
+        :class:`JoinStats`: ``n_workers``, ``shards``, ``shard_sizes``
+        and the workers' summed ``kernel_pairs`` (the joiner fills in
+        the rest).
         """
         shards = plan_shards(index, probes, self.n_workers)
         executor = self._ensure_executor()
@@ -446,8 +435,8 @@ class JoinWorkerPool:
             self._executor.shutdown(wait=False)
             self._executor = None
             raise
-        return ranked, PoolStats(
-            workers=min(self.n_workers, len(shards)),
+        return ranked, JoinStats(
+            n_workers=min(self.n_workers, len(shards)),
             shards=len(shards),
             shard_sizes=tuple(len(shard) for shard in shards),
             kernel_pairs=tuple(sorted(call_pairs.items())),

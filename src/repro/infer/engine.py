@@ -1,8 +1,8 @@
 """The generation engine: batched, scheduled auto-regressive decoding.
 
-:class:`GenerationEngine` owns the decode loop that used to live inside
-``ByteSeq2SeqModel.generate``.  Given one or more ``(model, prompts)``
-jobs it schedules the actual decoding work:
+:func:`generate` owns the decode loop that used to live inside
+``ByteSeq2SeqModel.generate``.  Given a model and its prompts it
+schedules the actual decoding work:
 
 * **Dedupe** — identical tokenized prompts (across the trials of a
   scheduled call) decode once and fan back out to every occurrence.
@@ -19,14 +19,14 @@ jobs it schedules the actual decoding work:
 
 Models that do not expose the incremental-decoding interface (the
 surrogates, or any external :class:`~repro.core.interface.SequenceModel`)
-fall back to their own ``generate``, keeping the engine a drop-in
-scheduler for heterogeneous ensembles.
+fall back to their own ``generate``, so one call serves every member of
+a heterogeneous ensemble (:meth:`~repro.core.pipeline.DTTPipeline.predict`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,7 @@ MAX_BATCH_SIZE = 64
 
 @dataclass
 class EngineStats:
-    """Counters from the most recent :meth:`GenerationEngine.generate`.
+    """Counters from one :func:`generate` call.
 
     Attributes:
         prompts: Prompts requested.
@@ -84,172 +84,103 @@ class _Workload:
     rows: list[int] = field(default_factory=list)
 
 
-class GenerationEngine:
-    """Schedules greedy auto-regressive decoding for one or more models.
+def generate(
+    model: SequenceModel, prompts: Sequence[str]
+) -> tuple[list[str], EngineStats]:
+    """Generate one output per prompt with ``model``; one decode job.
 
-    The engine has no configuration: decoding is argmax, identical
-    prompts always decode once, and micro-batches are cut at
-    :data:`MAX_BATCH_SIZE`.  Its outputs are therefore a pure function
+    Incremental models decode through the scheduled loop (dedupe,
+    length-sorted micro-batches, live compaction); any other
+    ``SequenceModel`` falls back to its own ``generate``.  Greedy
+    decoding has no configuration, so the outputs are a pure function
     of ``(model, prompts)``, byte-identical to the model's full-prefix
-    greedy decode, and every engine instance is interchangeable — an
-    instance only carries its :attr:`last_stats` slot.
+    decode.  The call shares no mutable state, and the network beneath
+    it is read-only during a decode (the no-grad ``infer`` forward
+    writes no activation cache), so concurrent callers may re-enter it,
+    also with one model.  The job is one ``engine.decode`` span carrying
+    the model name and the returned :class:`EngineStats`.
     """
+    with get_tracer().span("engine.decode") as span:
+        outputs, stats = _generate(model, list(prompts))
+        span.set_attributes(
+            {"model": getattr(model, "name", type(model).__name__), **asdict(stats)}
+        )
+    return outputs, stats
 
-    def __init__(self) -> None:
-        self.last_stats = EngineStats()
 
-    # -- scheduling entry points ------------------------------------------
+def _generate(
+    model: SequenceModel, prompts: list[str]
+) -> tuple[list[str], EngineStats]:
+    if not prompts:
+        return [], EngineStats()
+    if not isinstance(model, IncrementalSequenceModel):
+        return model.generate(prompts), EngineStats(prompts=len(prompts))
 
-    def run(
-        self, jobs: Sequence[tuple[SequenceModel, Sequence[str]]]
-    ) -> list[list[str]]:
-        """Run every ``(model, prompts)`` job through one scheduled pass.
+    workloads = _collect(model.tokenize_prompts(prompts))
+    stats = EngineStats(prompts=len(prompts), decoded_rows=len(workloads))
+    results: list[str | None] = [None] * len(prompts)
+    for chunk in _plan(workloads):
+        outputs = _decode_chunk(model, [w.token_ids for w in chunk], stats)
+        stats.chunks += 1
+        for workload, text in zip(chunk, outputs, strict=True):
+            for row in workload.rows:
+                results[row] = text
+    assert all(text is not None for text in results)
+    return results, stats  # type: ignore[return-value]
 
-        The per-model workloads are planned independently (different
-        models share no weights, so their decodes cannot be merged), but
-        each incremental model's full prompt set — all trials at once —
-        goes through dedupe, micro-batching, and compaction as one batch.
 
-        Returns:
-            One output list per job, aligned with the job's prompts.
-        """
-        return [self.generate(model, prompts) for model, prompts in jobs]
+# -- planning ----------------------------------------------------------------
 
-    def run_with_stats(
-        self, jobs: Sequence[tuple[SequenceModel, Sequence[str]]]
-    ) -> tuple[list[list[str]], list[EngineStats]]:
-        """Like :meth:`run`, returning per-job stats alongside the outputs.
 
-        Unlike :meth:`run`/:meth:`generate` — which publish counters
-        through the shared :attr:`last_stats` slot — this entry point
-        hands each job's :class:`EngineStats` straight back to the
-        caller, so concurrent schedulers (the serving layer's batch
-        executor, an eval run on another thread) never read each
-        other's counters.  The engine holds no per-call mutable state
-        beyond ``last_stats``, which this method does not touch, and the
-        network beneath it is read-only during a decode — the encoder
-        and the decode steps run the no-grad ``infer`` forward, which
-        writes no module activation cache — so it is safe to re-enter
-        from multiple threads with externally composed batches, also
-        for jobs that share one model.
-        """
-        tracer = get_tracer()
-        outputs: list[list[str]] = []
-        stats: list[EngineStats] = []
-        for model, prompts in jobs:
-            span = tracer.start_span("engine.decode")
-            try:
-                job_outputs, job_stats = self.generate_with_stats(
-                    model, prompts
-                )
-            except BaseException as error:
-                span.set_error(repr(error))
-                span.finish()
-                raise
-            span.set_attributes(
-                {
-                    "model": getattr(model, "name", type(model).__name__),
-                    "prompts": job_stats.prompts,
-                    "decoded_rows": job_stats.decoded_rows,
-                    "chunks": job_stats.chunks,
-                    "steps": job_stats.steps,
-                    "row_steps": job_stats.row_steps,
-                }
-            )
-            span.finish()
-            outputs.append(job_outputs)
-            stats.append(job_stats)
-        return outputs, stats
+def _collect(token_ids: list[list[int]]) -> list[_Workload]:
+    """Build unique decode rows, collapsing duplicate prompts."""
+    groups: dict[tuple[int, ...], _Workload] = {}
+    for row, ids in enumerate(token_ids):
+        key = tuple(ids)
+        workload = groups.get(key)
+        if workload is None:
+            workload = _Workload(ids)
+            groups[key] = workload
+        workload.rows.append(row)
+    return list(groups.values())
 
-    def generate(
-        self, model: SequenceModel, prompts: Sequence[str]
-    ) -> list[str]:
-        """Generate one output per prompt with ``model``.
 
-        Incremental models decode through the engine's scheduled loop;
-        any other ``SequenceModel`` falls back to its own ``generate``.
-        """
-        outputs, stats = self.generate_with_stats(model, prompts)
-        self.last_stats = stats
-        return outputs
+def _plan(workloads: list[_Workload]) -> list[list[_Workload]]:
+    """Sort by prompt length and cut at the batch cap."""
+    ordered = sorted(workloads, key=lambda w: len(w.token_ids))
+    size = MAX_BATCH_SIZE
+    return [ordered[i : i + size] for i in range(0, len(ordered), size)]
 
-    def generate_with_stats(
-        self, model: SequenceModel, prompts: Sequence[str]
-    ) -> tuple[list[str], EngineStats]:
-        """:meth:`generate` without publishing to :attr:`last_stats`.
 
-        The re-entrant core of the engine: a pure function of
-        ``(model, prompts)`` with no shared mutable state, so external
-        schedulers can run it concurrently.
-        """
-        prompts = list(prompts)
-        if not prompts:
-            return [], EngineStats()
-        if not isinstance(model, IncrementalSequenceModel):
-            return model.generate(prompts), EngineStats(prompts=len(prompts))
+# -- the decode loop ---------------------------------------------------------
 
-        token_ids = model.tokenize_prompts(prompts)
-        workloads = self._collect(token_ids)
-        stats = EngineStats(prompts=len(prompts), decoded_rows=len(workloads))
-        results: list[str | None] = [None] * len(prompts)
-        for chunk in self._plan(workloads):
-            outputs = self._decode_chunk(model, [w.token_ids for w in chunk], stats)
-            stats.chunks += 1
-            for workload, text in zip(chunk, outputs, strict=True):
-                for row in workload.rows:
-                    results[row] = text
-        assert all(text is not None for text in results)
-        return results, stats  # type: ignore[return-value]
 
-    # -- planning ----------------------------------------------------------
-
-    def _collect(self, token_ids: list[list[int]]) -> list[_Workload]:
-        """Build unique decode rows, collapsing duplicate prompts."""
-        groups: dict[tuple[int, ...], _Workload] = {}
-        for row, ids in enumerate(token_ids):
-            key = tuple(ids)
-            workload = groups.get(key)
-            if workload is None:
-                workload = _Workload(ids)
-                groups[key] = workload
-            workload.rows.append(row)
-        return list(groups.values())
-
-    def _plan(self, workloads: list[_Workload]) -> list[list[_Workload]]:
-        """Sort by prompt length and cut at the batch cap."""
-        ordered = sorted(workloads, key=lambda w: len(w.token_ids))
-        size = MAX_BATCH_SIZE
-        return [ordered[i : i + size] for i in range(0, len(ordered), size)]
-
-    # -- the decode loop ---------------------------------------------------
-
-    def _decode_chunk(
-        self,
-        model: IncrementalSequenceModel,
-        prompt_ids: list[list[int]],
-        stats: EngineStats,
-    ) -> list[str]:
-        """Decode one micro-batch, compacting finished rows out live."""
-        session = model.start_decode(prompt_ids)
-        n_rows = len(prompt_ids)
-        tokens: list[list[int]] = [[] for _ in range(n_rows)]
-        live = np.arange(n_rows)
-        current = np.full(n_rows, session.sos_id, dtype=np.int64)
-        for _ in range(session.max_steps):
-            logits = session.step(current)
-            stats.steps += 1
-            stats.row_steps += live.size
-            next_ids = logits.argmax(axis=-1)
-            for slot, row in enumerate(live):
-                tokens[row].append(int(next_ids[slot]))
-            finished = next_ids == session.eos_id
-            if finished.any():
-                keep = ~finished
-                live = live[keep]
-                if live.size == 0:
-                    break
-                session.compact(keep)
-                current = next_ids[keep]
-            else:
-                current = next_ids
-        return [session.decode_tokens(row_tokens) for row_tokens in tokens]
+def _decode_chunk(
+    model: IncrementalSequenceModel,
+    prompt_ids: list[list[int]],
+    stats: EngineStats,
+) -> list[str]:
+    """Decode one micro-batch, compacting finished rows out live."""
+    session = model.start_decode(prompt_ids)
+    n_rows = len(prompt_ids)
+    tokens: list[list[int]] = [[] for _ in range(n_rows)]
+    live = np.arange(n_rows)
+    current = np.full(n_rows, session.sos_id, dtype=np.int64)
+    for _ in range(session.max_steps):
+        logits = session.step(current)
+        stats.steps += 1
+        stats.row_steps += live.size
+        next_ids = logits.argmax(axis=-1)
+        for slot, row in enumerate(live):
+            tokens[row].append(int(next_ids[slot]))
+        finished = next_ids == session.eos_id
+        if finished.any():
+            keep = ~finished
+            live = live[keep]
+            if live.size == 0:
+                break
+            session.compact(keep)
+            current = next_ids[keep]
+        else:
+            current = next_ids
+    return [session.decode_tokens(row_tokens) for row_tokens in tokens]

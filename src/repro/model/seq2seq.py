@@ -5,11 +5,11 @@ protocol: ``generate`` consumes serialized DTT prompts and emits decoded
 strings, so a trained instance plugs into
 :class:`~repro.core.pipeline.DTTPipeline` exactly like the pretrained
 stand-in or the GPT-3 surrogate — and because the model exposes
-``tokenize_prompts`` / ``start_decode``, the generation engine owns its
-decode loop (KV-cached incremental steps, prompt dedupe, one step loop
-per micro-batch, live compaction).  ``generate_full_prefix`` keeps the
-original O(T²) re-decode loop as the equivalence reference and benchmark
-baseline.  Both run the network's no-grad ``infer`` side; only
+``tokenize_prompts`` / ``start_decode``, :func:`repro.infer.engine.generate`
+owns its decode loop (KV-cached incremental steps, prompt dedupe, one
+step loop per micro-batch, live compaction).  ``generate_full_prefix``
+keeps the original O(T²) re-decode loop as the equivalence reference
+and benchmark baseline.  Both run the network's no-grad ``infer`` side; only
 ``loss_and_backward`` calls the caching training ``forward``.
 """
 
@@ -21,17 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.infer.engine import GenerationEngine
+from repro.infer import engine
 from repro.infer.session import DecodeSession
 from repro.model.config import DTTModelConfig
 from repro.nn.loss import masked_cross_entropy
 from repro.nn.serialization import load_weights, save_weights
 from repro.nn.transformer import Seq2SeqTransformer
 from repro.tokenizer import ByteTokenizer
-
-#: The engine behind :meth:`ByteSeq2SeqModel.generate`; engines carry
-#: no configuration, so one instance serves every model.
-_ENGINE = GenerationEngine()
 
 
 class ByteSeq2SeqModel:
@@ -144,7 +140,7 @@ class ByteSeq2SeqModel:
         caches; the greedy outputs are byte-identical to
         :meth:`generate_full_prefix`.
         """
-        return _ENGINE.generate(self, prompts)
+        return engine.generate(self, prompts)[0]
 
     def tokenize_prompts(self, prompts: list[str]) -> list[list[int]]:
         """Tokenize prompts, truncated to ``max_input_length``."""

@@ -5,8 +5,8 @@ DTTPipeline` into a serving subsystem: concurrent callers submit
 ``transform`` / ``join`` requests, and a scheduler thread coalesces
 every request that arrives within a ``max_wait_ms`` window (or up to
 ``max_batch_rows`` source rows) into **one** execution — a single
-scheduled :meth:`~repro.infer.engine.GenerationEngine.run_with_stats`
-pass over all requests' prompts, and a single joiner call per distinct
+:meth:`~repro.core.pipeline.DTTPipeline.predict` call over all
+requests' prompts, and a single joiner call per distinct
 ``(target column, mode, k, margin)`` group — joins support the full
 redesigned query surface (``argmin`` / ``topk`` / ``reverse``, see
 :meth:`TransformService.submit_join`).  Under load, p50 latency stays
@@ -22,12 +22,13 @@ the pipeline directly, whatever the interleaving:
   aggregation) run exactly as ``transform_column`` runs them — context
   sampling is keyed on the row position, never on what else shares the
   batch.
-* Incremental models (the KV-cached transformer) decode each unique
-  prompt greedily, as a pure function of the prompt, so their prompts
-  are pooled across requests into one engine job.
-* Occurrence-dependent models (the surrogates draw fresh corruption
-  samples for repeated prompts *within one call*) get one engine job
-  per request, preserving their per-call semantics exactly.
+* The prediction stage is the pipeline's own ``predict``, handed one
+  prompt group per request: incremental models (the KV-cached
+  transformer) decode each unique prompt greedily, as a pure function
+  of the prompt, so their prompts are pooled across requests into one
+  engine job; occurrence-dependent models (the surrogates draw fresh
+  corruption samples for repeated prompts *within one call*) get one
+  engine job per request, preserving their per-call semantics exactly.
 
 The same determinism is what makes the **result cache** sound: when
 every model is incremental, results memoize per ``(pipeline
@@ -90,8 +91,8 @@ from repro.serve.cache import (
 from repro.types import ExamplePair, Prediction
 
 _KERNEL_NAMES = tuple(name for name in KERNEL_BACKENDS if name != "auto")
-#: ``EngineStats`` / ``JoinStats`` fields accumulated into the registry.
-_ENGINE_FIELDS = ("prompts", "decoded_rows", "chunks", "steps", "row_steps")
+#: ``JoinStats`` fields accumulated into the registry (for
+#: ``EngineStats`` it is every field).
 _JOIN_FIELDS = (
     "probes",
     "unique_probes",
@@ -457,7 +458,8 @@ class TransformService:
             "failed",
         ):
             stored(f"serve_{field}_total", f"see ServeStats.{field}")
-        for field in _ENGINE_FIELDS:
+        engine_fields = [field.name for field in fields(EngineStats)]
+        for field in engine_fields:
             alias(
                 f"engine_{field}_total", f"see ServeStats.engine_{field}"
             )
@@ -471,7 +473,7 @@ class TransformService:
         # The EngineStats and JoinStats counters under their own metric
         # namespaces, merged with the same per-worker/per-route labels
         # as the serve_* series by the router's scrape endpoint.
-        for field in _ENGINE_FIELDS:
+        for field in engine_fields:
             stored(
                 f"engine_{field}_total",
                 f"see EngineStats.{field} (cumulative across batches)",
@@ -837,61 +839,26 @@ class TransformService:
                 plan.prompts.append(prompt)
 
     def _generate(self, plans: list[_Plan]) -> None:
-        """One scheduled engine pass over every plan's prompts.
+        """One :meth:`DTTPipeline.predict` call over every plan's prompts.
 
-        Incremental models get a single coalesced job (greedy decoding
-        is a pure per-prompt function, so pooling requests cannot
-        change outputs and lets dedupe/micro-batching work across them);
-        occurrence-dependent models get one job per request, exactly
-        reproducing a direct ``transform_column`` call.
+        Each plan is one prompt group, so every request's candidates are
+        exactly those of a direct ``transform_column`` call.
         """
-        models = self.pipeline.models
         active = [plan for plan in plans if plan.prompts]
-        jobs: list[tuple[object, list[str]]] = []
-        # slices[m][i] -> index into ``jobs`` + offset for plan i.
-        job_of: list[list[tuple[int, int]]] = []
-        for model in models:
-            per_plan: list[tuple[int, int]] = []
-            if isinstance(model, IncrementalSequenceModel):
-                pooled: list[str] = []
-                job_index = len(jobs)
-                for plan in active:
-                    per_plan.append((job_index, len(pooled)))
-                    pooled.extend(plan.prompts)
-                jobs.append((model, pooled))
-            else:
-                for plan in active:
-                    per_plan.append((len(jobs), 0))
-                    jobs.append((model, plan.prompts))
-            job_of.append(per_plan)
-        if not jobs:
-            return
-        outputs, stats = self.pipeline.engine.run_with_stats(jobs)
-        merged = EngineStats.merged(stats)
-        for field in _ENGINE_FIELDS:
-            self._count[f"engine_{field}_total"].inc(getattr(merged, field))
-        for i, plan in enumerate(active):
-            # Rebuild per-prompt candidate lists in model order, the
-            # exact shape MultiModelAggregator.generate_candidates
-            # produces for a direct call.
-            candidate_lists = [
-                [
-                    outputs[job_of[m][i][0]][job_of[m][i][1] + position]
-                    for m in range(len(models))
-                ]
-                for position in range(len(plan.prompts))
-            ]
+        candidates, stats = self.pipeline.predict(
+            [plan.prompts for plan in active]
+        )
+        for field, count in asdict(EngineStats.merged(stats)).items():
+            self._count[f"engine_{field}_total"].inc(count)
+        for plan, candidate_lists in zip(active, candidates, strict=True):
             request = plan.request
-            pending_rows = sorted(
-                {task.row_index for task in plan.subtasks}
-            )
             fresh = self.pipeline.aggregate_candidates(
                 request.sources, plan.subtasks, candidate_lists
             )
             # aggregate_candidates votes every row; rows not pending
             # here were cache hits, whose stored predictions win.
-            for row in pending_rows:
-                plan.predictions[row] = fresh[row]
+            for task in plan.subtasks:
+                plan.predictions[task.row_index] = fresh[task.row_index]
 
     def _deliver(self, plans: list[_Plan]) -> None:
         """Store cache entries, resolve transforms, run coalesced joins."""

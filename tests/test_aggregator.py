@@ -1,13 +1,15 @@
-"""Tests for prediction aggregation (Eq. 3-4, §5.7)."""
+"""Tests for prediction aggregation (Eq. 3-4) and the §5.7 ensemble pool."""
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregator import Aggregator, MultiModelAggregator
+from repro.core.aggregator import Aggregator
+from repro.core.pipeline import DTTPipeline
 from repro.text.edit_distance import normalized_edit_distance
 
 
@@ -107,25 +109,21 @@ class TestAggregator:
             assert non_empty.count(prediction.value) == max_count
 
 
-class TestMultiModelAggregator:
+class TestPredict:
+    """``DTTPipeline.predict`` pools every model's trials per prompt."""
+
     def test_pools_model_outputs(self):
-        ensemble = MultiModelAggregator(
-            [_StaticModel("a", "m1"), _StaticModel("b", "m2")]
-        )
-        candidates = ensemble.generate_candidates(["p1", "p2"])
-        assert candidates == [["a", "b"], ["a", "b"]]
+        pipeline = DTTPipeline([_StaticModel("a", "m1"), _StaticModel("b", "m2")])
+        candidates, _ = pipeline.predict([["p1", "p2"]])
+        assert candidates == [[["a", "b"], ["a", "b"]]]
 
     def test_name_joins_models(self):
-        ensemble = MultiModelAggregator(
-            [_StaticModel("a", "m1"), _StaticModel("b", "m2")]
-        )
-        assert ensemble.name == "m1+m2"
+        pipeline = DTTPipeline([_StaticModel("a", "m1"), _StaticModel("b", "m2")])
+        assert pipeline.name == "DTT[m1+m2]"
 
     def test_requires_models(self):
-        import pytest
-
         with pytest.raises(ValueError):
-            MultiModelAggregator([])
+            DTTPipeline([])
 
     def test_consistent_model_dominates_vote(self):
         # Two trials per model via pooled candidates: the self-consistent

@@ -193,27 +193,30 @@ class TestBrokenDocsAreCaught:
         ]
 
     def test_vanished_decode_member_fails(self, fake_repo):
-        # The decode engine's classes and the join configuration are
-        # owners too; a member may be a method, a class attribute (a
-        # dataclass field) or something __init__ sets on self.
+        # Every class exported by repro.core / index / infer / nn owns
+        # its members; a member may be a method, a class attribute (a
+        # dataclass field) or something __init__ sets on self.  A class
+        # the packages stop exporting stops being an owner.
         (fake_repo / "docs" / "architecture.md").write_text(
-            "# Arch\n`GenerationEngine.last_stats` and `KVCache.append` and\n"
-            "`MultiHeadAttention._cache` and `JoinConfig.n_workers` stay;\n"
-            "`GenerationEngine.bucket_width`, `GenerationEngine.mode`,\n"
-            "`JoinConfig.auto_threshold`,\n"
+            "# Arch\n`EngineStats.row_steps` and `KVCache.append` and\n"
+            "`MultiHeadAttention._cache` and `JoinConfig.n_workers` and\n"
+            "`DTTPipeline.last_engine_stats` and `JoinStats.shard_sizes` stay;\n"
+            "`DTTPipeline.ensemble`, `EngineStats.bucket_width`,\n"
+            "`JoinStats.workers`, `JoinConfig.auto_threshold`,\n"
             "`MultiHeadAttention.attend_cached`, `DecoderBlock.step_3d`,\n"
             "`DecodeSession.memory_mask` and `Seq2SeqTransformer.step` went;\n"
-            "`DecoderBlockState.self_kv` is nobody's business here.\n"
+            "`Stopwatch.gone` and `_Workload.rows` are nobody's business here.\n"
         )
         files = check_docs.collect_doc_files(fake_repo)
         assert check_docs.check_documented_members(files, fake_repo) == [
             f"docs/architecture.md: names {member}, which does not exist"
             for member in (
+                "DTTPipeline.ensemble",
                 "DecodeSession.memory_mask",
                 "DecoderBlock.step_3d",
-                "GenerationEngine.bucket_width",
-                "GenerationEngine.mode",
+                "EngineStats.bucket_width",
                 "JoinConfig.auto_threshold",
+                "JoinStats.workers",
                 "MultiHeadAttention.attend_cached",
                 "Seq2SeqTransformer.step",
             )

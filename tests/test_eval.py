@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.baselines import CSTJoiner
 from repro.eval.runner import DTTJoinerAdapter, evaluate_on_dataset, evaluate_on_table
 from repro.eval.tables import render_dataset_table
+from repro.infer import EngineStats
 from repro.surrogate import PretrainedDTT
 from repro.types import TablePair
 
@@ -46,6 +49,25 @@ class TestEvaluateOnTable:
     def test_baseline_without_predictions_has_no_edits(self, small_table):
         report = evaluate_on_table(CSTJoiner(), small_table)
         assert report.edits is None
+
+    def test_empty_test_split_reports_its_own_counters(self, small_table):
+        # A 1-row table splits into one example and no test rows; its
+        # report must carry zeroed engine counters and no join stats,
+        # not the previous table's.
+        def head(rows: int) -> TablePair:
+            return TablePair(
+                name=f"pm{rows}",
+                sources=small_table.sources[:rows],
+                targets=small_table.targets[:rows],
+                dataset="PM",
+            )
+
+        adapter = DTTJoinerAdapter(PretrainedDTT(), seed=1, joiner="indexed")
+        full = evaluate_on_table(adapter, head(8))
+        assert full.stats["engine"]["prompts"] == 20
+        assert full.stats["join"]["probes"] == 4
+        empty = evaluate_on_table(adapter, head(1))
+        assert empty.stats == {"engine": asdict(EngineStats())}
 
     def test_method_name_recorded(self, small_table):
         report = evaluate_on_table(CSTJoiner(), small_table)

@@ -20,11 +20,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core import DTTPipeline, IncrementalSequenceModel, MultiModelAggregator
+from repro.core import DTTPipeline, IncrementalSequenceModel
 from repro.exceptions import ModelError
 from repro.datagen.benchmarks.synthetic import build_syn
-from repro.infer import EngineStats, GenerationEngine
+from repro.infer import EngineStats
 from repro.infer import engine as engine_module
+from repro.infer.engine import generate
 from repro.infer import session as session_module
 from repro.infer.session import SLAB_WIDTH
 from repro.model import ByteSeq2SeqModel, DTTModelConfig, Trainer
@@ -87,15 +88,13 @@ class TestIncrementalEquivalence:
         model = ByteSeq2SeqModel(TINY_CONFIG)
         prompts = _random_prompts(11, 30)
         prompts += prompts[:8]  # exact duplicates across "trials"
-        engine = GenerationEngine()
-        assert engine.generate(model, prompts) == model.generate_full_prefix(
-            prompts
-        )
+        outputs, stats = generate(model, prompts)
+        assert outputs == model.generate_full_prefix(prompts)
         # The claim covers padded micro-batches: the 30 unique prompts
         # are two step loops, and their lengths span several slabs.
         slabs = {len(ids) // SLAB_WIDTH for ids in model.tokenize_prompts(prompts)}
         assert len(slabs) >= 3
-        assert engine.last_stats.chunks == 2
+        assert stats.chunks == 2
 
     def test_model_generate_routes_through_engine(self):
         model = ByteSeq2SeqModel(TINY_CONFIG)
@@ -115,13 +114,11 @@ class TestIncrementalEquivalence:
                 ("e", "f", "a"),
             ]
         ]
-        engine = GenerationEngine()
-        got = engine.generate(trained_model, prompts)
+        got, stats = generate(trained_model, prompts)
         assert got == trained_model.generate_full_prefix(prompts)
         # Every row emitted <eos> well before the step budget, so the
         # decode terminated early (exact per-step compaction accounting
         # is covered by the scripted-fake test below).
-        stats = engine.last_stats
         max_steps = trained_model.config.max_output_length - 1
         assert stats.steps < max_steps * stats.chunks
 
@@ -138,19 +135,15 @@ class TestIncrementalEquivalence:
         )
         model = ByteSeq2SeqModel(config)
         prompts = _random_prompts(13, 12)
-        engine = GenerationEngine()
-        assert engine.generate(model, prompts) == model.generate_full_prefix(
-            prompts
-        )
+        assert generate(model, prompts)[0] == model.generate_full_prefix(prompts)
 
     def test_single_row_batches(self, monkeypatch):
         monkeypatch.setattr(engine_module, "MAX_BATCH_SIZE", 1)
         model = ByteSeq2SeqModel(TINY_CONFIG)
         prompts = _random_prompts(14, 6)
-        engine = GenerationEngine()
-        got = engine.generate(model, prompts)
+        got, stats = generate(model, prompts)
         assert got == model.generate_full_prefix(prompts)
-        assert engine.last_stats.chunks == len(set(prompts))
+        assert stats.chunks == len(set(prompts))
 
     def test_one_prompt(self):
         model = ByteSeq2SeqModel(TINY_CONFIG)
@@ -168,12 +161,11 @@ class TestIncrementalEquivalence:
         # batch path, which is why it is excluded from the
         # byte-identical claim).
         model = ByteSeq2SeqModel(TINY_CONFIG)
-        engine = GenerationEngine()
         prompts = ["", "<sos>ab<tr><eos>"]
-        outputs = engine.generate(model, prompts)
+        outputs, _ = generate(model, prompts)
         assert len(outputs) == 2
         assert all(isinstance(o, str) for o in outputs)
-        assert outputs == engine.generate(model, prompts)  # deterministic
+        assert outputs == generate(model, prompts)[0]  # deterministic
         # Non-empty prompts keep the byte-identical contract.
         assert outputs[1] == model.generate_full_prefix([prompts[1]])[0]
 
@@ -284,6 +276,21 @@ class _StaticModel:
         return [self.answer for _ in prompts]
 
 
+class _OccurrenceModel(_StaticModel):
+    """Numbers repeated prompts within one call, as the surrogates do."""
+
+    name = "occurrence"
+
+    def generate(self, prompts):
+        self.calls += 1
+        seen: dict[str, int] = {}
+        outputs = []
+        for prompt in prompts:
+            outputs.append(f"{prompt}#{seen.get(prompt, 0)}")
+            seen[prompt] = seen.get(prompt, 0) + 1
+        return outputs
+
+
 class TestEngineScheduling:
     def test_fake_model_satisfies_protocol(self):
         model = _FakeIncrementalModel({})
@@ -292,11 +299,10 @@ class TestEngineScheduling:
 
     def test_dedupe_decodes_each_unique_prompt_once(self):
         model = _FakeIncrementalModel({"aa": "xy", "bb": "z"})
-        engine = GenerationEngine()
-        outputs = engine.generate(model, ["aa", "bb", "aa", "aa", "bb"])
+        outputs, stats = generate(model, ["aa", "bb", "aa", "aa", "bb"])
         assert outputs == ["xy", "z", "xy", "xy", "z"]
-        assert engine.last_stats.prompts == 5
-        assert engine.last_stats.decoded_rows == 2
+        assert stats.prompts == 5
+        assert stats.decoded_rows == 2
 
     def test_compaction_shrinks_live_batch(self):
         # Rows finish at steps 1, 2, 3, and 6: the live batch must
@@ -304,8 +310,7 @@ class TestEngineScheduling:
         model = _FakeIncrementalModel(
             {"a": "", "b": "x", "c": "xy", "d": "xyzzy"}
         )
-        engine = GenerationEngine()
-        outputs = engine.generate(model, ["a", "b", "c", "d"])
+        outputs, _ = generate(model, ["a", "b", "c", "d"])
         assert outputs == ["", "x", "xy", "xyzzy"]
         (session,) = model.sessions
         assert session.batch_sizes == [4, 3, 2, 1, 1, 1]
@@ -334,11 +339,10 @@ class TestEngineScheduling:
 
         monkeypatch.setattr(model.network, "infer_encode", counting_encode)
         monkeypatch.setattr(model, "start_decode", counting_start)
-        engine = GenerationEngine()
-        got = engine.generate(model, prompts)
+        got, stats = generate(model, prompts)
         assert sessions == [6]
         assert sorted(encoded) == [(2, 8), (2, 23), (2, 43)]
-        assert engine.last_stats.chunks == 1
+        assert stats.chunks == 1
         # Outputs come back in caller order.
         assert got == model.generate_full_prefix(prompts)
         assert got == [model.generate_full_prefix([p])[0] for p in prompts]
@@ -349,34 +353,41 @@ class TestEngineScheduling:
         monkeypatch.setattr(engine_module, "MAX_BATCH_SIZE", 2)
         outputs = {"p" * (20 * i + 1): str(i) for i in range(5)}
         model = _FakeIncrementalModel(outputs)
-        engine = GenerationEngine()
-        assert engine.generate(model, list(outputs)) == list(outputs.values())
-        assert engine.last_stats.chunks == 3
+        got, stats = generate(model, list(outputs))
+        assert got == list(outputs.values())
+        assert stats.chunks == 3
         assert [len(s.scripts) for s in model.sessions] == [2, 2, 1]
 
     def test_fallback_for_non_incremental_models(self):
         model = _StaticModel("out")
-        engine = GenerationEngine()
-        assert engine.generate(model, ["p1", "p2"]) == ["out", "out"]
+        assert generate(model, ["p1", "p2"])[0] == ["out", "out"]
         assert model.calls == 1
 
     def test_fallback_refreshes_stats(self):
-        engine = GenerationEngine()
-        engine.generate(_FakeIncrementalModel({"aa": "x"}), ["aa", "aa"])
-        engine.generate(_StaticModel("s"), ["p1", "p2", "p3"])
-        assert engine.last_stats.prompts == 3
-        assert engine.last_stats.decoded_rows == 0
+        # Each call returns its own counters: a fallback job after an
+        # engine-decoded one reports its prompts and no decoded rows.
+        generate(_FakeIncrementalModel({"aa": "x"}), ["aa", "aa"])
+        _, stats = generate(_StaticModel("s"), ["p1", "p2", "p3"])
+        assert stats == EngineStats(prompts=3)
 
     def test_run_schedules_mixed_ensembles(self):
+        # One job per model, in model order, each with its own stats.
         incremental = _FakeIncrementalModel({"p": "inc"})
         static = _StaticModel("sur")
-        engine = GenerationEngine()
-        outputs = engine.run([(incremental, ["p", "p"]), (static, ["p", "p"])])
-        assert outputs == [["inc", "inc"], ["sur", "sur"]]
+        candidates, stats = DTTPipeline([incremental, static]).predict(
+            [["p", "p"]]
+        )
+        assert candidates == [[["inc", "sur"], ["inc", "sur"]]]
+        assert stats == [
+            EngineStats(prompts=2, decoded_rows=1, chunks=1, steps=4, row_steps=4),
+            EngineStats(prompts=2),
+        ]
+        assert len(incremental.sessions) == 1 and static.calls == 1
 
     def test_invalid_configuration_rejected(self):
-        # The engine is greedy, always dedupes and cuts at a module
-        # constant: none of these is an argument.
+        # Generation is greedy, always dedupes and cuts at a module
+        # constant: none of these is an argument, and neither the model
+        # nor the pipeline takes an engine.
         for knob in (
             {"mode": "sample"},
             {"temperature": 1.0},
@@ -386,11 +397,11 @@ class TestEngineScheduling:
             {"bucket_width": 16},
         ):
             with pytest.raises(TypeError):
-                GenerationEngine(**knob)
+                generate(_StaticModel(), ["p"], **knob)
         with pytest.raises(TypeError):
-            ByteSeq2SeqModel(TINY_CONFIG, engine=GenerationEngine())
+            ByteSeq2SeqModel(TINY_CONFIG, engine=engine_module)
         with pytest.raises(TypeError):
-            DTTPipeline(ByteSeq2SeqModel(TINY_CONFIG), engine=GenerationEngine())
+            DTTPipeline(ByteSeq2SeqModel(TINY_CONFIG), engine=engine_module)
 
 
 class TestEngineInPipeline:
@@ -404,15 +415,39 @@ class TestEngineInPipeline:
         ]
         predictions = pipeline.transform_column(["dd", "ee"], examples)
         assert len(predictions) == 2
-        assert pipeline.engine.last_stats.prompts > 0
+        (stats,) = pipeline.last_engine_stats
+        assert stats.prompts > 0
 
     def test_mixed_ensemble_pools_candidates(self):
-        ensemble = MultiModelAggregator(
+        pipeline = DTTPipeline(
             [_FakeIncrementalModel({"p": "inc"}), _StaticModel("sur")]
         )
-        assert ensemble.generate_candidates(["p", "p"]) == [
-            ["inc", "sur"],
-            ["inc", "sur"],
+        candidates, _ = pipeline.predict([["p", "p"]])
+        assert candidates == [[["inc", "sur"], ["inc", "sur"]]]
+
+    def test_groups_pool_incremental_jobs_and_split_the_rest(self):
+        # Two groups through a mixed ensemble: each group's candidates
+        # are what it gets alone, the incremental model decodes both in
+        # one job, and the occurrence-dependent one runs once per group.
+        groups = [["p", "q", "p"], ["p", "r"]]
+        outputs = {"p": "P", "q": "Q", "r": "R"}
+
+        def pipeline() -> DTTPipeline:
+            return DTTPipeline(
+                [_FakeIncrementalModel(outputs), _OccurrenceModel()]
+            )
+
+        alone = [pipeline().predict([group])[0][0] for group in groups]
+        together = pipeline()
+        candidates, stats = together.predict(groups)
+        assert candidates == alone
+        assert candidates[1] == [["P", "p#0"], ["R", "r#0"]]
+        incremental, occurrence = together.models
+        assert len(incremental.sessions) == 1
+        assert occurrence.calls == 2
+        assert stats == [
+            EngineStats(prompts=5, decoded_rows=3, chunks=1, steps=2, row_steps=6),
+            EngineStats(prompts=5),
         ]
 
 
@@ -554,10 +589,8 @@ class TestStepPathContract:
         ]
         lengths = [len(ids) for ids in trained_model.tokenize_prompts(prompts)]
         assert len({n // SLAB_WIDTH for n in lengths}) >= 3
-        engine = GenerationEngine()
-        got = engine.generate(trained_model, prompts)
+        got, stats = generate(trained_model, prompts)
         assert got == trained_model.generate_full_prefix(prompts)
-        stats = engine.last_stats
         assert stats.chunks == 1
         # Some row left the padded batch before the last one did.
         assert len(set(map(len, got))) > 1
@@ -643,7 +676,7 @@ class TestStepPathContract:
         counting(model.network, "infer_encode")
         pipeline = DTTPipeline(model, n_trials=5)
         pipeline.transform_column(table.sources[8 : 8 + n_rows], examples)
-        stats = pipeline.engine.last_stats
+        stats = pipeline.last_engine_stats[0]
         chunks = -(-decoded_rows // engine_module.MAX_BATCH_SIZE)
         assert stats == EngineStats(
             prompts=5 * n_rows,
