@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.text.edit_distance import edit_distance, normalized_edit_distance
+from repro.text.edit_distance import edit_distances, normalize_distance
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,10 @@ def score_edits(predictions: Sequence[str], targets: Sequence[str]) -> EditScore
     if not predictions:
         return EditScores(aed=0.0, aned=0.0, count=0)
     pairs = list(zip(predictions, targets, strict=True))
-    distances = [edit_distance(p, t) for p, t in pairs]
-    normalized = [normalized_edit_distance(p, t) for p, t in pairs]
+    distances = edit_distances(pairs)
+    normalized = [
+        normalize_distance(d, p, t) for d, (p, t) in zip(distances, pairs, strict=True)
+    ]
     return EditScores(
         aed=sum(distances) / len(distances),
         aned=sum(normalized) / len(normalized),

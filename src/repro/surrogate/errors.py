@@ -13,12 +13,20 @@ surrogates reproduce both effects here:
   auto-regressive decoder.
 
 All sampling is driven by a caller-provided RNG, so outputs are
-deterministic per (seed, prompt).
+deterministic per (seed, prompt).  :func:`generate_batch` is the
+surrogates' shared batch loop: it scores the difficulty of a whole
+``generate`` call at once, between the per-prompt induction and the
+per-prompt corruption.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+
 import numpy as np
+
+from repro.text.edit_distance import edit_distances
 
 _SUBSTITUTE_ALPHABET = (
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 .-_/"
@@ -27,19 +35,69 @@ _CASCADE_FACTOR = 2.5
 _MAX_CHAR_ERROR = 0.92
 
 
-def mapping_difficulty(source: str, output: str) -> float:
-    """How hard a mapping is for a character-level auto-regressive model.
+def mapping_difficulties(pairs: Sequence[tuple[str, str]]) -> list[float]:
+    """How hard each ``(source, output)`` mapping is for a character-level model.
 
     Defined as the edit distance between input and output normalized by
     the longer of the two — 0 when the output copies the input, 1 when
     every character must change (the paper's §5.2 difficulty heuristic).
+    Each distinct pair is scored once, all of them in one DP.
     """
-    from repro.text.edit_distance import edit_distance
+    distinct = list(dict.fromkeys(pairs))
+    distances = dict(zip(distinct, edit_distances(distinct), strict=True))
+    difficulties = []
+    for source, output in pairs:
+        longest = max(len(source), len(output))
+        difficulty = distances[source, output] / longest if longest else 0.0
+        difficulties.append(min(1.0, difficulty))
+    return difficulties
 
-    longest = max(len(source), len(output))
-    if longest == 0:
-        return 0.0
-    return min(1.0, edit_distance(source, output) / longest)
+
+@dataclass(frozen=True)
+class Pending:
+    """A clean output whose corruption waits for its mapping difficulty.
+
+    Attributes:
+        query: The prompt's query (the mapping's input).
+        raw: The clean output the induced program produced.
+        rng: The prompt's own random stream, not yet used for corruption.
+        char_error_rate: Maps the mapping difficulty to the base
+            per-character error rate passed to :func:`corrupt`.
+    """
+
+    query: str
+    raw: str
+    rng: np.random.Generator
+    char_error_rate: Callable[[float], float]
+
+
+def generate_batch(
+    prompts: Sequence[str], predict: Callable[[str, int], str | Pending]
+) -> list[str]:
+    """Run a surrogate's ``predict`` over a batch in two phases.
+
+    Phase one calls ``predict(prompt, occurrence)`` per prompt, where
+    ``occurrence`` counts earlier copies of the prompt in the batch; it
+    returns a finished output or a :class:`Pending` one.  One
+    :func:`mapping_difficulties` call then scores every pending output,
+    and phase two corrupts each with its own rng.  Scoring draws nothing
+    from any rng, so every prompt sees the same draws in the same order
+    as a prompt-at-a-time loop would give it.
+    """
+    occurrences: dict[str, int] = {}
+    staged: list[str | Pending] = []
+    for prompt in prompts:
+        occurrence = occurrences.get(prompt, 0)
+        occurrences[prompt] = occurrence + 1
+        staged.append(predict(prompt, occurrence))
+    pending = [item for item in staged if isinstance(item, Pending)]
+    difficulties = iter(mapping_difficulties([(p.query, p.raw) for p in pending]))
+    return [
+        item
+        if isinstance(item, str)
+        else corrupt(item.raw, item.char_error_rate(next(difficulties)), item.rng)
+        for item in staged
+    ]
 
 
 def corrupt(

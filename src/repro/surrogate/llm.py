@@ -30,7 +30,7 @@ from repro.core.serializer import PromptSerializer
 from repro.exceptions import SerializationError
 from repro.kb import KnowledgeBase, build_default_kb
 from repro.kb.store import Relation, knows_fact
-from repro.surrogate.errors import corrupt, mapping_difficulty
+from repro.surrogate.errors import Pending, corrupt, generate_batch
 from repro.surrogate.induction import InductionEngine, explain_pair
 from repro.surrogate.programs import ReverseProgram
 from repro.text.naturalness import naturalness
@@ -100,15 +100,9 @@ class GPT3Surrogate:
         Repeated prompts draw independent samples (temperature-style),
         mirroring API sampling; first occurrences are deterministic.
         """
-        occurrences: dict[str, int] = {}
-        outputs: list[str] = []
-        for prompt in prompts:
-            occurrence = occurrences.get(prompt, 0)
-            occurrences[prompt] = occurrence + 1
-            outputs.append(self._generate_one(prompt, occurrence))
-        return outputs
+        return generate_batch(prompts, self._predict)
 
-    def _generate_one(self, prompt: str, occurrence: int = 0) -> str:
+    def _predict(self, prompt: str, occurrence: int) -> str | Pending:
         try:
             context, query = self._serializer.parse(prompt)
         except SerializationError:
@@ -157,7 +151,7 @@ class GPT3Surrogate:
         context: list[ExamplePair],
         query: str,
         rng: np.random.Generator,
-    ) -> str:
+    ) -> str | Pending:
         # Reversal regime: subword LLMs cannot reliably reverse character
         # order, whether the mapping is recognized as ReverseProgram or
         # reconstructed piecewise by the synthesizer.
@@ -203,11 +197,13 @@ class GPT3Surrogate:
         if raw is None:
             return corrupt(query, 0.35, rng, truncate_rate=0.03)
 
-        difficulty = mapping_difficulty(query, raw)
-        rate = self._char_error_rate(context, query, raw, difficulty, len(context))
-        if not exact:
-            rate += 0.10
-        return corrupt(raw, rate, rng)
+        def char_error_rate(difficulty: float) -> float:
+            rate = self._char_error_rate(context, query, raw, difficulty, len(context))
+            if not exact:
+                rate += 0.10
+            return rate
+
+        return Pending(query, raw, rng, char_error_rate)
 
     def _char_error_rate(
         self,

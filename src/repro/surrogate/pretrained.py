@@ -9,7 +9,10 @@ prompt it:
 3. applies the program to the query,
 4. corrupts the output with the auto-regressive error model, whose rate
    depends on mapping difficulty, input length vs. the training range,
-   and the training profile's maturity (:mod:`.profiles`).
+   and the training profile's maturity (:mod:`.profiles`).  Difficulty
+   is scored for the whole batch at once, by one DP over the distinct
+   ``(query, output)`` pairs between steps 3 and 4
+   (:func:`~repro.surrogate.errors.generate_batch`).
 
 An induced *reversal* is only acted on with the profile's detection
 rate — reversal is absent from the training units, so the paper's model
@@ -28,7 +31,7 @@ from repro.core.serializer import PromptSerializer
 from repro.exceptions import SerializationError
 from repro.kb import KnowledgeBase, build_default_kb
 from repro.kb.store import knows_fact
-from repro.surrogate.errors import corrupt, mapping_difficulty, scrambled_copy
+from repro.surrogate.errors import Pending, corrupt, generate_batch, scrambled_copy
 from repro.surrogate.induction import InductionEngine, InductionResult
 from repro.surrogate.profiles import DEFAULT_PROFILE, TrainingProfile
 from repro.surrogate.programs import Program, ReverseProgram
@@ -114,15 +117,9 @@ class PretrainedDTT:
         example pool is too small for distinct contexts); a prompt's
         first occurrence is always deterministic.
         """
-        occurrences: dict[str, int] = {}
-        outputs: list[str] = []
-        for prompt in prompts:
-            occurrence = occurrences.get(prompt, 0)
-            occurrences[prompt] = occurrence + 1
-            outputs.append(self._generate_one(prompt, occurrence))
-        return outputs
+        return generate_batch(prompts, self._predict)
 
-    def _generate_one(self, prompt: str, occurrence: int = 0) -> str:
+    def _predict(self, prompt: str, occurrence: int) -> str | Pending:
         try:
             context, query = self._serializer.parse(prompt)
         except SerializationError:
@@ -152,9 +149,9 @@ class PretrainedDTT:
             # Confused-reversal path (gated off): scrambled copy.
             return raw
 
-        difficulty = mapping_difficulty(query, raw)
-        rate = self._char_error_rate(query, raw, difficulty, result)
-        return corrupt(raw, rate, rng)
+        return Pending(
+            query, raw, rng, lambda difficulty: self._char_error_rate(query, difficulty)
+        )
 
     def _gate_reversal(
         self, result: InductionResult, rng: np.random.Generator
@@ -168,13 +165,7 @@ class PretrainedDTT:
         # Not recognized this trial: behave like a confused decoder.
         return _ConfusedReversal(rng)
 
-    def _char_error_rate(
-        self,
-        query: str,
-        output: str,
-        difficulty: float,
-        result: InductionResult,
-    ) -> float:
+    def _char_error_rate(self, query: str, difficulty: float) -> float:
         profile = self.profile
         rate = profile.base_error * (0.25 + 1.75 * difficulty)
         rate += profile.length_penalty(len(query), difficulty)

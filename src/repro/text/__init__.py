@@ -8,6 +8,7 @@ AFJ/Ditto similarity features.
 from repro.text.edit_distance import (
     edit_distance,
     edit_distance_capped,
+    edit_distances,
     normalized_edit_distance,
 )
 from repro.text.alignment import (
@@ -26,6 +27,7 @@ from repro.text.similarity import (
 __all__ = [
     "edit_distance",
     "edit_distance_capped",
+    "edit_distances",
     "normalized_edit_distance",
     "common_substrings",
     "longest_common_subsequence",

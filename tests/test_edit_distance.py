@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.text.edit_distance import (
     edit_distance,
     edit_distance_capped,
+    edit_distances,
     normalized_edit_distance,
 )
 
@@ -87,6 +88,58 @@ class TestEditDistance:
             want = edit_distance_capped(a, b, cap=len(a) + len(b))
             assert edit_distance(a, b) == want, (a, b)
             assert edit_distance(b, a) == want, (b, a)
+
+
+# ASCII, a combining accent, CJK, astral characters and both lone
+# surrogates: every width the code matrix has to hold.
+_HOSTILE = "abAB .-\u0301漢\U0001F600\U00010348\ud800\udfff"
+_hostile_text = st.one_of(
+    st.text(alphabet=_HOSTILE, max_size=10),
+    # Lengths straddling 64 and 128.
+    st.tuples(
+        st.text(alphabet=_HOSTILE, min_size=1, max_size=5),
+        st.sampled_from((63, 64, 65, 127, 128, 129)),
+    ).map(lambda seed_len: (seed_len[0] * 129)[: seed_len[1]]),
+)
+
+
+def _near(text: str, edits: list[tuple[int, str]]) -> str:
+    chars = list(text)
+    for position, ch in edits:
+        chars.insert(position % (len(chars) + 1), ch)
+        if len(chars) > 2:
+            del chars[(position * 7) % len(chars)]
+    return "".join(chars)
+
+
+_hostile_pair = st.one_of(
+    st.tuples(_hostile_text, _hostile_text),
+    st.builds(
+        lambda a, edits: (a, _near(a, edits)),
+        _hostile_text,
+        st.lists(
+            st.tuples(st.integers(0, 200), st.sampled_from(_HOSTILE)), max_size=4
+        ),
+    ),
+)
+
+
+class TestEditDistances:
+    @given(
+        st.lists(_hostile_pair, max_size=6),
+        st.lists(st.integers(0, 5), max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_banded_dp_and_single_pairs(self, pairs, repeats):
+        batch = pairs + [pairs[i % len(pairs)] for i in repeats if pairs]
+        got = edit_distances(batch)
+        assert got == [
+            edit_distance_capped(a, b, len(a) + len(b)) for a, b in batch
+        ]
+        assert got == [edit_distances([pair])[0] for pair in batch]
+
+    def test_empty_batch(self):
+        assert edit_distances([]) == []
 
 
 class TestEditDistanceCapped:

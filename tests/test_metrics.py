@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datagen.benchmarks.registry import get_dataset
 from repro.metrics import (
     average_reports,
     score_edits,
     score_join,
 )
 from repro.metrics.report import TableReport
+from repro.text.edit_distance import edit_distance, normalized_edit_distance
 from repro.types import JoinResult
 
 
@@ -64,6 +66,18 @@ class TestScoreEdits:
     def test_empty_inputs(self):
         scores = score_edits([], [])
         assert scores.count == 0
+
+    @pytest.mark.parametrize("name", ["WT", "Syn-RV", "JAB"])
+    def test_one_dp_matches_the_two_list_computation(self, name):
+        table = get_dataset(name, seed=0, scale=0.05)[0]
+        predictions = list(table.sources) + ["", "x", table.targets[0]]
+        targets = list(table.targets) + ["", "", table.targets[0]]
+        pairs = list(zip(predictions, targets, strict=True))
+        distances = [edit_distance(p, t) for p, t in pairs]
+        normalized = [normalized_edit_distance(p, t) for p, t in pairs]
+        scores = score_edits(predictions, targets)
+        assert scores.aed == sum(distances) / len(distances)
+        assert scores.aned == sum(normalized) / len(normalized)
 
 
 class TestAverageReports:

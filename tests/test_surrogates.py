@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.serializer import Decomposer, PromptSerializer
-from repro.surrogate import GPT3Surrogate, PretrainedDTT, TrainingProfile
-from repro.surrogate.errors import corrupt, mapping_difficulty, scrambled_copy
+from repro.surrogate import GPT3Surrogate, PretrainedDTT, TrainingProfile, errors
+from repro.surrogate.errors import corrupt, mapping_difficulties, scrambled_copy
 from repro.surrogate.profiles import DEFAULT_PROFILE, LONG_PROFILE
 from repro.text.naturalness import naturalness
 from repro.types import ExamplePair
@@ -21,9 +24,15 @@ def _prompt(pairs: list[tuple[str, str]], query: str) -> str:
 
 class TestErrors:
     def test_mapping_difficulty_bounds(self):
-        assert mapping_difficulty("abc", "abc") == 0.0
-        assert mapping_difficulty("abc", "xyz") == 1.0
-        assert 0.0 < mapping_difficulty("abcdef", "abcxyz") < 1.0
+        same, changed, partial, empty, again = mapping_difficulties(
+            [("abc", "abc"), ("abc", "xyz"), ("abcdef", "abcxyz"), ("", ""),
+             ("abc", "xyz")]
+        )
+        assert same == 0.0
+        assert changed == again == 1.0
+        assert 0.0 < partial < 1.0
+        assert empty == 0.0
+        assert mapping_difficulties([]) == []
 
     def test_corrupt_zero_rate_is_identity(self):
         rng = np.random.default_rng(0)
@@ -251,6 +260,110 @@ class TestContextMemo:
 
         monkeypatch.setattr(cold_engine, "induce", forgetful)
         assert cold.generate(prompts) == outputs
+
+
+def _pinned_prompts() -> list[str]:
+    """Hand-built regime probes, registry slices, then repeats."""
+    from repro.datagen.benchmarks.registry import get_dataset
+    from repro.kb import build_default_kb
+
+    zips = build_default_kb().relation("city_to_zip").pairs
+    cities = sorted(zips)
+    hand = [
+        _prompt([(c, zips[c]) for c in cities[:2]], cities[2]),  # parametric
+        _prompt([("Justin Trudeau", "jtrudeau"), ("Paul Martin", "pmartin")],
+                "Jean Chretien"),
+        _prompt([("ab", "AB"), ("cd", "CD")], "hello world"),
+        _prompt([("abcdef", "fedcba"), ("123456", "654321")], "qwerty"),
+        _prompt([("abcdef", "fedcba")], "reversal-of-one"),
+        _prompt([("Paul", "zz9"), ("Anna", "q")], "Bob"),
+        _prompt([], "no examples to follow"),  # no program: the fallback
+        _prompt([("France", "Paris"), ("Japan", "Tokyo"), ("Italy", "Rome")],
+                "Germany"),
+        _prompt([("Texas", "TX"), ("Ohio", "OH")], "California"),
+        _prompt([("John Smith", "Smith, John"), ("Mary Jones", "Jones, Mary")],
+                "Alice Brown"),
+        _prompt([("John Smith", "Smith, John")], "Alice Brown"),
+        _prompt([("alpha beta", "ALPHA BETA"), ("gamma", "GAMMA")],
+                "a rather long query string that exceeds the trained length range"),
+        _prompt([("café au lait", "CAFÉ AU LAIT"), ("naïve", "NAÏVE")],
+                "été \U0001F600"),
+        _prompt([("x-1", "x_1"), ("y-2", "y_2")], "z-3-4-5"),
+        "not a prompt",
+        "",
+        _prompt([("ab", "AB"), ("cd", "CD")], "lone \ud800 surrogate"),
+    ]
+    sliced = []
+    for name in ("WT", "SS", "KBWT", "Syn", "Syn-RV", "JAB"):
+        table = get_dataset(name, seed=0, scale=0.05)[0]
+        pool = [
+            ExamplePair(s, t)
+            for s, t in zip(table.sources[:8], table.targets[:8], strict=True)
+        ]
+        tasks = Decomposer(context_size=2, n_trials=3, seed=1).decompose(
+            list(table.sources[8:14]), pool
+        )
+        sliced += [_SER.serialize(task.context, task.query) for task in tasks]
+    return hand + sliced + hand[:3] + hand[:1]
+
+
+_PINNED_MODELS = {
+    "dtt_default": lambda: PretrainedDTT(seed=0),
+    "dtt_untrained": lambda: PretrainedDTT(
+        profile=TrainingProfile(n_groupings=0), seed=1
+    ),
+    "dtt_mid": lambda: PretrainedDTT(
+        profile=TrainingProfile(n_groupings=500), seed=2
+    ),
+    "dtt_overfit": lambda: PretrainedDTT(
+        profile=TrainingProfile(n_groupings=10000), seed=4
+    ),
+    "dtt_long": lambda: PretrainedDTT(profile=LONG_PROFILE, seed=5),
+    "dtt_facts": lambda: PretrainedDTT(fact_coverage=1.0, seed=3),
+    "gpt3": lambda: GPT3Surrogate(seed=0),
+    "gpt3_facts": lambda: GPT3Surrogate(fact_coverage=1.0, seed=6),
+}
+# sha256 of ``json.dumps(model.generate(_pinned_prompts()))``, recorded
+# before the difficulty scoring was batched.  A moved digest means the
+# change altered what the surrogates emit: fix the change, not the digest.
+_DIGESTS = {
+    "dtt_default": "98372f4c7a4799c789d1890478b36d0b644f9deae5c6ccc3b9245ff06b507b39",
+    "dtt_facts": "d2e06ea2a9b7f7edbdff8e8016e5742f7aa01d91a946bcbe2eac425e0839a758",
+    "dtt_long": "97769249436df77c34c6a37f9c0c82dafa505cb568c0e0ec00fe67e4884e202d",
+    "dtt_mid": "b1bbdf628722d17c7309d846670c3fc9c89fb84f5c6682513a7d2ab743af9c37",
+    "dtt_overfit": "d59b329dc8c3eafda847558b9ad7efe2c8c36b7feaaf6128bac22f5fd8e3c495",
+    "dtt_untrained": "aabd00593196b3e0a9891616342ea90e5414c94b2cd5c0b3bf8839774cc8babd",
+    "gpt3": "ee309cc3426eef76d9f4339dac26f896a8f22634b17e48193b8322b2f44702a6",
+    "gpt3_facts": "c6a33356a850d213f5fe5bf9a2cd4f3f91d39623f9d992a0353f8540f2d8c74a",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("key", sorted(_PINNED_MODELS))
+    def test_generate_digest(self, key):
+        outputs = _PINNED_MODELS[key]().generate(_pinned_prompts())
+        digest = hashlib.sha256(json.dumps(outputs).encode("ascii")).hexdigest()
+        assert digest == _DIGESTS[key]
+
+
+class TestBatchedDifficulty:
+    @pytest.mark.parametrize("key", ["dtt_default", "dtt_mid", "gpt3"])
+    def test_one_scoring_call_on_distinct_pairs(self, monkeypatch, key):
+        calls = []
+        edit_distances = errors.edit_distances
+
+        def counting(pairs):
+            calls.append(list(pairs))
+            return edit_distances(pairs)
+
+        monkeypatch.setattr(errors, "edit_distances", counting)
+        prompts = _pinned_prompts()
+        _PINNED_MODELS[key]().generate(prompts)
+        assert len(calls) == 1
+        (scored,) = calls
+        assert scored and len(set(scored)) == len(scored)
+        # Repeated prompts share their clean output, hence their pair.
+        assert len(scored) < len(prompts)
 
 
 class TestNaturalness:
