@@ -68,9 +68,10 @@ class DeadlineExceededError(ServeError):
 
 
 class WorkerCrashedError(ServeError):
-    """Raised when a serving worker process dies with requests in flight.
+    """Raised when a pool worker process dies with requests in flight.
 
-    The requests it carried are lost (HTTP 503); the pool respawns the
+    The requests (or join shards) it carried are lost — HTTP 503 on the
+    serving tier; the pool (:class:`repro.procs.WorkerPool`) respawns the
     worker before dispatching new work, so the failure is bounded to
     the in-flight batch — exactly the blast radius of a crash in any
     shared-nothing replica tier.

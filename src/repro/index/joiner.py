@@ -152,7 +152,6 @@ class IndexedJoiner(EditDistanceJoiner):
     ) -> None:
         super().__init__(config)
         self.cache = cache if cache is not None else default_index_cache()
-        self.n_workers = self.config.n_workers
         self.threshold = 0
         self.last_join_stats: JoinStats | None = None
         self._pool: JoinWorkerPool | None = None
@@ -162,8 +161,9 @@ class IndexedJoiner(EditDistanceJoiner):
 
     def _resolve_workers(self, pending: int) -> int:
         """Worker count for a batch with ``pending`` unresolved probes."""
-        if self.n_workers is not None:
-            return self.n_workers if pending else 1
+        n_workers = self.config.n_workers
+        if n_workers is not None:
+            return n_workers if pending else 1
         if pending >= PARALLEL_THRESHOLD:
             return max(1, min(os.cpu_count() or 1, self._MAX_AUTO_WORKERS))
         return 1

@@ -1,38 +1,44 @@
 """Parallel sharded execution for the batched join.
 
-:class:`JoinWorkerPool` owns a :class:`~concurrent.futures.ProcessPoolExecutor`
-that **persists across** the joiner's batch calls (``join_many`` and
-``topk_many`` alike) — the pool is created on the first parallel batch
-and reused until :meth:`JoinWorkerPool.close` (the serving layer closes
-it on shutdown; a garbage-collected joiner releases it through the
-executor's own finalization).  There is **one shard protocol**: every
-call fans its pending probes out through :meth:`JoinWorkerPool.run_probes`,
-a shard is a list of probes, every shard runs :func:`_score_shard` —
-the serial :meth:`~repro.index.joiner.IndexedJoiner._resolve_probes` at
-the call's ``k`` — and every payload has the same shape (per-probe rank
-counts plus flat value-id / distance arrays), merged deterministically.
-The argmin is simply ``k = 1``.  The contract is the engine-wide one:
+:class:`JoinWorkerPool` is a :class:`~repro.procs.WorkerPool` — the one
+process pool, shared with the serving tier — whose workers run
+:func:`_join_handler`.  It **persists across** the joiner's batch calls
+(``join_many`` and ``topk_many`` alike) from the first parallel batch,
+which starts every worker, until ``close()`` or garbage collection.
+There is **one shard protocol**: every call fans its pending probes out
+through :meth:`JoinWorkerPool.run_probes`, a shard is a list of probes,
+every shard runs :func:`_score_shard` — the serial
+:meth:`~repro.index.joiner.IndexedJoiner._resolve_probes` at the call's
+``k`` — and every payload has the same shape (per-probe rank counts
+plus flat value-id / distance arrays), merged deterministically.  The
+argmin is simply ``k = 1``.  The contract is the engine-wide one:
 **byte-identical results to the serial scan**, which the sharding
 preserves by construction —
 
 * a probe's ranking depends only on ``(index, probe, k)``, never on
   which other probes share its call, so the probes can split anywhere;
 * every worker scores against an equal-content index — resolved from
-  its own content-keyed cache (seeded with the parent's cache under the
-  ``fork`` start method, or rebuilt from the column shipped with the
-  shard; both construct the identical structure); and
+  its own content-keyed cache (the parent's cache, inherited under the
+  ``fork`` start method, or an empty one rebuilt from the column
+  shipped with the shard; both construct the identical structure); and
 * the merge keys results by probe value, so completion order is
   irrelevant.
+
+The parent keeps **one shard in flight per worker** and sends the next
+shard to whichever worker just replied, which balances uneven shards
+and sends a column only to an idle worker (never into a full pipe).  A
+worker killed mid-call fails that call with
+:class:`~repro.exceptions.WorkerCrashedError`; the next call respawns it.
 
 Because the pool outlives any single call, shards are addressed by
 **column fingerprint**: a column's bytes ship with its shards only the
 first time the pool sees it, after which shards go fingerprint-only
 and resolve through each worker's fingerprint memo (a worker that
-still misses — freshly spawned, or its memo evicted the entry — raises
-for a one-shot resend with the column attached).  That is what makes
-reuse pay in a serving deployment: repeated joins against the same hot
-target columns stop paying worker startup, index resolution, *and*
-column serialization.
+still misses — freshly respawned, or its memo evicted the entry —
+raises for a one-shot resend with the column attached).  That is what
+makes reuse pay in a serving deployment: repeated joins against the
+same hot target columns stop paying worker startup, index resolution,
+*and* column serialization.
 
 Shards are planned by **candidate mass**, not probe count: a probe's
 cost scales with how many targets sit within its near-length window,
@@ -42,28 +48,21 @@ suggest, cut in length order so a shard's rungs pad little.  Workers
 return value ids and distances as reduced ``int32`` arrays — the
 parent maps ids back to strings through its own index — so result
 pickling stays cheap even for very wide batches.
-
-Worker startup prefers the ``fork`` start method where the platform
-offers it and no other threads are alive (forking a multi-threaded
-process is a deadlock hazard): the parent's index cache arrives by
-copy-on-write, so workers usually begin scoring without building
-anything.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
+import itertools
 from collections import OrderedDict
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.index.cache import IndexCache, column_fingerprint
 from repro.index.qgram import QGramIndex
+from repro.procs import Handler, WorkerPool
 
 
 @dataclass(frozen=True)
@@ -123,27 +122,18 @@ class JoinStats:
 # the pool idle at the tail of the batch.
 _OVERSPLIT = 4
 
-# Worker-process state, set once per worker by :func:`_init_worker`.
-_WORKER_CACHE: IndexCache | None = None
-# Fingerprint -> resolved index, so warm shards carry no column at all.
-_WORKER_INDEXES: OrderedDict[str, QGramIndex] = OrderedDict()
+# Fingerprint -> resolved index entries a worker memoizes, so warm
+# shards carry no column at all.
 _WORKER_INDEX_CAP = 8
 
 
 class _ColumnNeeded(Exception):
-    """A worker lacks the index behind a column fingerprint.
+    """A fingerprint-only shard reached a worker that lacks its index.
 
-    Raised by :func:`_score_shard` when a shard arrives fingerprint-only
-    (the warm path) but this worker has never resolved that column — a
-    freshly spawned worker, or one whose small fingerprint memo evicted
-    it.  The parent catches it and resubmits the shard with the column
-    attached, so the protocol is self-healing at the cost of one extra
-    round trip on the cold path.
+    A freshly respawned worker, or one whose small fingerprint memo
+    evicted the column, raises it; the parent resubmits the shard with
+    the column attached (one extra round trip on the cold path).
     """
-
-    @property
-    def shard_id(self) -> int:
-        return self.args[0]
 
 
 def plan_shards(
@@ -182,93 +172,55 @@ def plan_shards(
     ]
 
 
-def pool_context() -> multiprocessing.context.BaseContext:
-    """Pick a start method: ``fork`` when it is safe, else a fresh start.
-
-    ``fork`` is preferred — cheap startup, and the parent's built state
-    (index caches, model weights) arrives copy-on-write — but forking a
-    multi-threaded process is a deadlock hazard: any lock held by
-    another thread at fork time (the index cache's own lock included)
-    stays held forever in the child.  With other threads alive (the
-    serving layer's scheduler, a caller's thread pool), fall back to
-    ``forkserver``/``spawn``, which start workers from a clean
-    interpreter.
-
-    This policy is shared process-spawning machinery: the join engine's
-    :class:`JoinWorkerPool` and the serving tier's
-    :class:`~repro.serve.workers.ServeWorkerPool` both decide fork
-    safety through it, so "fork-first, but never fork a threaded
-    parent" holds everywhere worker processes are started.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods and threading.active_count() == 1:
-        return multiprocessing.get_context("fork")
-    if "forkserver" in methods:
-        return multiprocessing.get_context("forkserver")
-    return multiprocessing.get_context("spawn")
-
-
-def _init_worker(inherited_cache: IndexCache | None) -> None:
-    """Set up this worker's index cache, once per worker process.
-
-    Under the ``fork`` start method the parent's cache object rides in
-    directly (initargs are inherited memory, never pickled), so the
-    worker starts with every index the parent had already built.
-    Fresh-start workers begin with an empty cache and build from the
-    column their first shard ships.
-    """
-    global _WORKER_CACHE
-    _WORKER_CACHE = IndexCache() if inherited_cache is None else inherited_cache
 
 
 def _score_shard(
-    shard_id: int,
+    cache: IndexCache,
+    indexes: OrderedDict[str, QGramIndex],
     probes: list[str],
     fingerprint: str,
     column: tuple[str, ...] | None,
-    kernel_backend: str = "auto",
-    k: int = 1,
+    kernel_backend: str,
+    k: int,
 ) -> tuple:
     """Rank one shard's probes; ship the results as reduced int32 arrays.
 
     Shards are addressed by column *fingerprint*: warm shards (the
     persistent pool's steady state) carry no column bytes at all and
-    resolve through this worker's fingerprint memo; a miss with no
-    column attached raises :class:`_ColumnNeeded` so the parent can
-    resubmit with the column, which the worker then resolves through
-    its content-keyed cache (a hit, or a build).
+    resolve through this worker's fingerprint memo ``indexes``; a miss
+    with no column attached raises :class:`_ColumnNeeded` so the parent
+    can resubmit with the column, which the worker then resolves
+    through its content-keyed ``cache`` (a hit, or a build).
 
     ``kernel_backend`` is the parent joiner's *resolved* backend name,
     so workers score with the same kernel whatever their environment
     says (``"auto"`` stays per-call dispatch, which resolves the same
     way in every process).
 
-    The payload is ``(shard_id, kernel_pairs, counts, vids,
-    distances)``: a ragged triple of per-probe rank counts plus flat
-    value ids and distances in rank order (one entry per probe at
-    ``k = 1``), which the parent slices back per probe.  It carries
-    value ids, not matched strings — the parent owns an equal-content
-    index and maps ids back — plus this shard's per-backend
-    kernel-pairs delta (snapshotted around the scoring, so persistent
-    workers never double-report across shards or calls).
+    The payload is ``(kernel_pairs, counts, vids, distances)``: a ragged
+    triple of per-probe rank counts plus flat value ids and distances
+    in rank order (one entry per probe at ``k = 1``), which the parent
+    slices back per probe.  It carries value ids, not matched strings —
+    the parent owns an equal-content index and maps ids back — plus
+    this shard's per-backend kernel-pairs delta (snapshotted around the
+    scoring, so persistent workers never double-report across shards
+    or calls).
     """
     # Imported lazily: joiner imports this module for the pool.
     from repro.core.join_config import JoinConfig
     from repro.index.joiner import IndexedJoiner
     from repro.index.kernels import pairs_scored_snapshot
 
-    cache = _WORKER_CACHE
-    assert cache is not None, "worker initialized without a cache"
-    index = _WORKER_INDEXES.get(fingerprint)
+    index = indexes.get(fingerprint)
     if index is None:
         if column is None:
-            raise _ColumnNeeded(shard_id)
+            raise _ColumnNeeded(fingerprint)
         index = cache.get(column)
-        _WORKER_INDEXES[fingerprint] = index
-        while len(_WORKER_INDEXES) > _WORKER_INDEX_CAP:
-            _WORKER_INDEXES.popitem(last=False)
+        indexes[fingerprint] = index
+        while len(indexes) > _WORKER_INDEX_CAP:
+            indexes.popitem(last=False)
     else:
-        _WORKER_INDEXES.move_to_end(fingerprint)
+        indexes.move_to_end(fingerprint)
     scorer = IndexedJoiner(
         JoinConfig(n_workers=1, kernel_backend=kernel_backend),
         cache=cache,
@@ -288,7 +240,6 @@ def _score_shard(
         if count - pairs_before.get(name, 0)
     )
     return (
-        shard_id,
         kernel_pairs,
         counts,
         vids.astype(np.int32),
@@ -296,13 +247,31 @@ def _score_shard(
     )
 
 
-class JoinWorkerPool:
+def _join_handler(inherited: IndexCache | None) -> Handler:
+    """One join worker's handler: ``"shard"`` ops over its own cache.
+
+    Under the ``fork`` start method the parent's cache object is
+    ``inherited`` (copy-on-write, never pickled), so the worker starts
+    with every index the parent had already built; fresh-start and
+    respawned workers begin with an empty cache and build from the
+    column a shard ships.
+    """
+    cache = IndexCache() if inherited is None else inherited
+    indexes: OrderedDict[str, QGramIndex] = OrderedDict()
+
+    def handle(op: str, payload: tuple) -> object:
+        if op == "shard":
+            return _score_shard(cache, indexes, *payload)
+        return None  # "shutdown": nothing to release
+
+    return handle
+
+
+class JoinWorkerPool(WorkerPool):
     """A process pool reused across the joiner's batch calls.
 
     Args:
-        n_workers: Maximum worker processes (the executor spawns them
-            on demand, so a pool sized for peak load costs nothing
-            while idle).
+        n_workers: Worker processes, all started at construction.
         cache: The owning joiner's index cache; under the ``fork``
             start method it is inherited by workers copy-on-write
             (fresh-start workers begin with an empty one).
@@ -310,11 +279,10 @@ class JoinWorkerPool:
             name, forwarded to workers with every shard so sharded
             scoring runs the exact kernel the serial path would.
 
-    The pool is not itself thread-safe — it executes one batch call
-    at a time, which is how :class:`~repro.index.joiner.IndexedJoiner`
-    drives it (the serving layer serializes joins through its batch
-    executor).  ``close()`` is idempotent; a closed pool refuses new
-    work.
+    :meth:`run_probes` is not itself thread-safe — it executes one
+    batch call at a time, which is how
+    :class:`~repro.index.joiner.IndexedJoiner` drives it (the serving
+    layer serializes joins through its batch executor).
     """
 
     def __init__(
@@ -323,51 +291,13 @@ class JoinWorkerPool:
         cache: IndexCache,
         kernel_backend: str = "auto",
     ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers
+        super().__init__(
+            _join_handler, n_workers, inherited=cache, name="join-worker"
+        )
         self.kernel_backend = kernel_backend
-        self._cache = cache
-        self._executor: ProcessPoolExecutor | None = None
-        self._fork_started = False
-        self._closed = False
         # Column fingerprints whose columns have already been shipped to
-        # this executor's workers (warm shards go fingerprint-only).
+        # this pool's workers (warm shards go fingerprint-only).
         self._shipped_fps: set[str] = set()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        if (
-            self._executor is not None
-            and self._fork_started
-            and threading.active_count() > 1
-        ):
-            # The fork decision was made while single-threaded, but the
-            # executor forks workers lazily at submit time — doing that
-            # now, with other threads alive, risks inheriting a held
-            # lock forever.  Rebuild from a fresh-start context before
-            # accepting more work (the per-call re-check PR4's one-shot
-            # pools performed implicitly).
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._executor is None:
-            context = pool_context()
-            self._fork_started = context.get_start_method() == "fork"
-            self._shipped_fps.clear()
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=context,
-                initializer=_init_worker,
-                # Initargs are inherited through fork, not pickled, so
-                # the cache object (locks and all) rides in directly.
-                initargs=(self._cache if self._fork_started else None,),
-            )
-        return self._executor
 
     def run_probes(
         self,
@@ -387,36 +317,45 @@ class JoinWorkerPool:
         the rest).
         """
         shards = plan_shards(index, probes, self.n_workers)
-        executor = self._ensure_executor()
         column = tuple(targets)
         fingerprint = column_fingerprint(column, index.q)
+        # First sighting of a column ships its bytes with every shard;
+        # after that, shards go fingerprint-only and a worker that
+        # still misses (respawned process, evicted memo) asks for a
+        # resend.
+        shipped = None if fingerprint in self._shipped_fps else column
+        self._shipped_fps.add(fingerprint)
+        inflight: dict[Future, int] = {}
 
-        def submit(shard_id: int, shipped: tuple[str, ...] | None):
-            return executor.submit(
-                _score_shard,
-                shard_id,
+        def send(shard_id: int, attached: tuple[str, ...] | None) -> None:
+            payload = (
                 shards[shard_id],
                 fingerprint,
-                shipped,
+                attached,
                 self.kernel_backend,
                 k,
             )
+            inflight[self.submit("shard", payload)] = shard_id
 
-        # First sighting of a column ships its bytes with every shard;
-        # after that, shards go fingerprint-only and a worker that
-        # still misses (fresh process, evicted memo) asks for a resend.
-        shipped = None if fingerprint in self._shipped_fps else column
-        self._shipped_fps.add(fingerprint)
+        queued = iter(range(len(shards)))
+        for shard_id in itertools.islice(queued, self.n_workers):
+            send(shard_id, shipped)
         ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         call_pairs: dict[str, int] = {}
-        try:
-            futures = [submit(shard_id, shipped) for shard_id in range(len(shards))]
-            for future in futures:
+        while inflight:
+            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            for future in done:
+                shard_id = inflight.pop(future)
                 try:
-                    result = future.result()
-                except _ColumnNeeded as missing:
-                    result = submit(missing.shard_id, column).result()
-                shard_id, shard_pairs, counts, vids, distances = result
+                    shard_pairs, counts, vids, distances = future.result()
+                except _ColumnNeeded:
+                    send(shard_id, column)
+                    continue
+                # The worker that just replied is idle again: the
+                # least-inflight dispatch hands it the next shard.
+                next_id = next(queued, None)
+                if next_id is not None:
+                    send(next_id, shipped)
                 stops = np.cumsum(counts).tolist()
                 for probe, count, stop in zip(
                     shards[shard_id], counts.tolist(), stops, strict=True
@@ -427,30 +366,9 @@ class JoinWorkerPool:
                     )
                 for name, count in shard_pairs:
                     call_pairs[name] = call_pairs.get(name, 0) + count
-        except BrokenProcessPool:
-            # A killed worker (OOM, signal) breaks the executor for
-            # good.  Fail this call, but discard the executor so the
-            # next call starts a fresh one — a crash costs one batch,
-            # exactly as it did with per-call pools.
-            self._executor.shutdown(wait=False)
-            self._executor = None
-            raise
         return ranked, JoinStats(
             n_workers=min(self.n_workers, len(shards)),
             shards=len(shards),
             shard_sizes=tuple(len(shard) for shard in shards),
             kernel_pairs=tuple(sorted(call_pairs.items())),
         )
-
-    def close(self) -> None:
-        """Shut the executor down; idempotent."""
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> JoinWorkerPool:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -13,8 +13,9 @@ TTL + LRU + byte-bounded), and full request lifecycle machinery
 Above the single service sit two scaling tiers:
 
 * :class:`ServeWorkerPool` — N pre-fork worker **processes**, each
-  hosting the full service stack, with copy-on-write pipeline reuse,
-  crash containment, and automatic respawn;
+  hosting the full service stack, with copy-on-write pipeline reuse;
+  it runs on :class:`repro.procs.WorkerPool`, the process pool the
+  parallel join shares, which owns crash containment and respawn;
 * :class:`ServiceRouter` — multi-pipeline routing: one deployment
   fronting several model fingerprints (``model=<name | fingerprint>``
   selectors, a ``/v1/models`` listing) over in-process services or a

@@ -28,39 +28,17 @@ import argparse
 import functools
 
 from repro.obs.trace import configure_tracing
-from repro.serve.cache import JoinResultCache, ResultCache
 from repro.serve.http import serve_http
 from repro.serve.router import RouteSpec, ServiceRouter, build_pipeline
-from repro.serve.service import TransformService
-
-
-def build_service(args: argparse.Namespace) -> TransformService:
-    """Construct the single in-process service (the pre-router path).
-
-    Used when the CLI asks for neither ``--route`` nor
-    ``--serve-workers``: one pipeline, one
-    :class:`~repro.serve.service.TransformService`, no routing layer —
-    the HTTP server wraps it in a single-route router internally.
-    """
-    pipeline = build_pipeline(
-        model=args.model,
-        context_size=args.context_size,
-        n_trials=args.n_trials,
-        seed=args.seed,
-    )
-    return TransformService(
-        pipeline,
-        max_wait_ms=args.max_wait_ms,
-        max_batch_rows=args.max_batch_rows,
-        max_queue=args.max_queue,
-        default_timeout=args.default_timeout_s,
-        result_cache=ResultCache(**_cache_kwargs(args)),
-        join_cache=JoinResultCache(**_cache_kwargs(args)),
-    )
 
 
 def build_router(args: argparse.Namespace) -> ServiceRouter:
-    """Construct the route set and router from parsed CLI options."""
+    """Construct the route set and router from parsed CLI options.
+
+    Without ``--route`` the one route is ``--model``; with
+    ``--serve-workers 0`` every route runs as an in-process
+    :class:`~repro.serve.service.TransformService`.
+    """
     route_names = args.route or [args.model]
     routes = [
         RouteSpec(
@@ -195,12 +173,8 @@ def main(argv: list[str] | None = None) -> None:
     if not 0.0 <= args.trace_sample_rate <= 1.0:
         parser.error("--trace-sample-rate must be in [0, 1]")
     configure_tracing(sample_rate=args.trace_sample_rate)
-    if args.serve_workers == 0 and args.route is None:
-        backend: TransformService | ServiceRouter = build_service(args)
-    else:
-        backend = build_router(args)
     serve_http(
-        backend,
+        build_router(args),
         args.host,
         args.port,
         verbose=not args.quiet,

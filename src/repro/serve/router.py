@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.core.pipeline import DTTPipeline
 from repro.exceptions import JoinError, UnknownModelError
 from repro.obs.metrics import merge_labeled_snapshots, sum_snapshots
-from repro.obs.trace import current_context
+from repro.obs.trace import current_context, get_tracer
 from repro.serve.cache import (
     JoinResultCache,
     ResultCache,
@@ -291,7 +291,12 @@ class ServiceRouter:
         if cached is not None:
             return [list(g) for g in cached] if reverse else list(cached)
         payload = (route.spec.name, kind, args, kwargs, current_context())
-        result = self._pool.submit("request", payload).result()
+        ok, result, spans = self._pool.submit("request", payload).result()
+        # The worker's spans join the trace before the caller's root
+        # span (the HTTP handler's) can close.
+        get_tracer().ingest(spans)
+        if not ok:
+            raise result
         cache.put(key, (tuple(g) for g in result) if reverse else result)
         return result
 

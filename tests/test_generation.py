@@ -759,7 +759,7 @@ class TestEncodeTiles:
     def test_helpers_do_not_outlive_the_encode(self, monkeypatch):
         # A helper left idle after the encode would make every later
         # process pool in this process give up fork.
-        from repro.index.parallel import pool_context
+        from repro.procs import pool_context
 
         monkeypatch.setattr(session_module, "_CORES", 2)
         monkeypatch.setattr(session_module, "TILE_CELLS", 1)

@@ -392,7 +392,7 @@ class TestMakeJoiner:
         auto = make_joiner("auto", JoinConfig(normalized_threshold=0.5, n_workers=1))
         assert auto.threshold == 256
         assert auto.normalized_threshold == 0.5
-        assert auto.n_workers == 1
+        assert auto.config.n_workers == 1
         assert make_joiner("indexed").threshold == 0
         assert make_joiner("brute", JoinConfig(max_distance=2)).max_distance == 2
 

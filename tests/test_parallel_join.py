@@ -12,6 +12,8 @@ counters threaded into eval reports.
 from __future__ import annotations
 
 import random
+import signal
+import time
 from dataclasses import replace
 
 import pytest
@@ -44,6 +46,13 @@ def _probe_mix(rng, targets, count):
         else:
             probes.append("")
     return probes
+
+
+def _wait_until(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
 
 class TestParallelEquivalence:
@@ -129,13 +138,13 @@ class TestParallelEquivalence:
         # workers begin with an empty cache: they build the index from
         # the column their first shard ships, and later calls on that
         # column go fingerprint-only through each worker's memo.
-        from repro.index import adaptive_q, column_fingerprint
-        from repro.index import parallel as parallel_module
+        from multiprocessing.context import ForkProcess
 
-        monkeypatch.setattr(
-            parallel_module.threading, "active_count", lambda: 2
-        )
-        assert parallel_module.pool_context().get_start_method() != "fork"
+        from repro import procs
+        from repro.index import adaptive_q, column_fingerprint
+
+        monkeypatch.setattr(procs.threading, "active_count", lambda: 2)
+        assert procs.pool_context().get_start_method() != "fork"
         targets = [f"value-{i:04d}" for i in range(300)]
         others = [f"other/{i:05d}" for i in range(280)]
         calls = [
@@ -160,7 +169,10 @@ class TestParallelEquivalence:
                 stats = parallel.last_join_stats
                 assert stats.shards >= 1
                 assert len(stats.shard_sizes) == stats.shards
-                assert not parallel._pool._fork_started
+                assert not any(
+                    isinstance(worker.process, ForkProcess)
+                    for worker in parallel._pool.workers
+                )
 
     def test_exact_only_batch_skips_the_pool(self):
         # Nothing pending: every probe resolves exactly or abstains, so
@@ -230,69 +242,80 @@ class TestPersistentPool:
         joiner = IndexedJoiner(JoinConfig(n_workers=2), cache=IndexCache())
         expected = joiner.join_many(probes, targets)
         first_pool = joiner._pool
-        joiner.n_workers = 3
+        joiner.config = replace(joiner.config, n_workers=3)
         assert joiner.join_many(probes, targets) == expected
         assert joiner._pool is not first_pool
         assert first_pool.closed
         joiner.close()
 
-    def test_fork_pool_rebuilds_when_threads_appear(self, monkeypatch):
-        # A pool whose executor was fork-started while single-threaded
-        # must not fork more workers once other threads exist — the
-        # next call rebuilds from a fresh-start context instead.
-        from repro.index import parallel as parallel_module
-
-        targets = [f"value-{i:04d}" for i in range(220)]
-        probes = [f"valu-{i:04d}" for i in range(40)]
-        joiner = IndexedJoiner(JoinConfig(n_workers=2), cache=IndexCache())
-        expected = joiner.join_many(probes, targets)
-        pool = joiner._pool
-        was_fork = pool._fork_started
-        monkeypatch.setattr(
-            parallel_module.threading, "active_count", lambda: 2
-        )
-        assert joiner.join_many(probes, targets) == expected
-        if was_fork:
-            # Same pool object, new (fresh-start) executor inside it.
-            assert joiner._pool is pool
-            assert not pool._fork_started
-        joiner.close()
-
-    def test_score_shard_fingerprint_protocol(self, monkeypatch):
+    def test_score_shard_fingerprint_protocol(self):
         # Warm shards are fingerprint-only; an unknown fingerprint with
         # no column attached must ask for a resend, and a resolved one
-        # must serve later fingerprint-only shards from the memo.
-        from collections import OrderedDict
-
+        # must serve later fingerprint-only shards from the memo.  The
+        # handler is the one a fresh-start worker builds (empty cache).
         from repro.index import adaptive_q, column_fingerprint
-        from repro.index import parallel as parallel_module
+        from repro.index.parallel import _ColumnNeeded, _join_handler
 
-        monkeypatch.setattr(parallel_module, "_WORKER_CACHE", IndexCache())
-        monkeypatch.setattr(parallel_module, "_WORKER_INDEXES", OrderedDict())
-        with pytest.raises(parallel_module._ColumnNeeded) as excinfo:
-            parallel_module._score_shard(7, ["probe"], "fp?", None)
-        assert excinfo.value.shard_id == 7
+        handle = _join_handler(None)
+        with pytest.raises(_ColumnNeeded):
+            handle("shard", (["probe"], "fp?", None, "auto", 1))
         column = tuple(f"value-{i:03d}" for i in range(60))
         fingerprint = column_fingerprint(column, adaptive_q(column))
-        shard_id, kernel_pairs, counts, vids, distances = (
-            parallel_module._score_shard(
-                1, ["value-0070"], fingerprint, column
-            )
+        kernel_pairs, counts, vids, distances = handle(
+            "shard", (["value-0070"], fingerprint, column, "auto", 1)
         )
-        assert shard_id == 1 and distances.tolist() == [1]
+        assert distances.tolist() == [1]
         assert counts.tolist() == [1] and vids.size == 1
         assert sum(dict(kernel_pairs).values()) >= 1
         # One payload shape at any k: counts slice the flat rank arrays.
-        _, _, counts, vids, distances = parallel_module._score_shard(
-            3, ["value-0070", "value-0081"], fingerprint, None, k=3
+        _, counts, vids, distances = handle(
+            "shard", (["value-0070", "value-0081"], fingerprint, None, "auto", 3)
         )
         assert counts.tolist() == [3, 3] and vids.size == distances.size == 6
         assert distances.tolist()[:3] == sorted(distances.tolist()[:3])
         # Fingerprint-only now resolves through the memo, no column.
-        shard_id, *_ = parallel_module._score_shard(
-            2, ["value-0080"], fingerprint, None
+        _, counts, _, _ = handle(
+            "shard", (["value-0080"], fingerprint, None, "auto", 1)
         )
-        assert shard_id == 2
+        assert counts.tolist() == [1]
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGSTOP"), reason="needs POSIX job control"
+    )
+    def test_killed_worker_fails_its_call_and_is_respawned(self):
+        # A SIGKILLed join worker fails the call it was serving with
+        # WorkerCrashedError; the next call respawns it (no fork: the
+        # parent has reader threads) and still matches the serial scan.
+        import os
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.exceptions import WorkerCrashedError
+
+        targets = [f"value-{i:04d}" for i in range(400)]
+        probes = [f"valu-{i:04d}" for i in range(120)]
+        expected = IndexedJoiner(
+            JoinConfig(n_workers=1), cache=IndexCache()
+        ).join_many(probes, targets)
+        joiner = IndexedJoiner(JoinConfig(n_workers=2), cache=IndexCache())
+        try:
+            assert joiner.join_many(probes[:40], targets) == expected[:40]
+            pool = joiner._pool
+            victim = pool.workers[0]
+            # Stopped, the victim holds the next call's first shard
+            # without answering it; then it dies with the shard in
+            # flight.
+            os.kill(victim.process.pid, signal.SIGSTOP)
+            with ThreadPoolExecutor(1) as caller:
+                call = caller.submit(joiner.join_many, probes, targets)
+                _wait_until(lambda: victim.inflight > 0)
+                os.kill(victim.process.pid, signal.SIGKILL)
+                with pytest.raises(WorkerCrashedError):
+                    call.result(60)
+            assert joiner.join_many(probes, targets) == expected
+            assert joiner._pool is pool
+            assert pool.restarts == 1
+        finally:
+            joiner.close()
 
     def test_auto_joiner_close_reaches_delegate(self):
         from repro.index import AutoJoiner
@@ -415,4 +438,4 @@ class TestJoinStatsThreading:
         pipeline = DTTPipeline(
             PretrainedDTT(seed=0), join_config=JoinConfig(n_workers=2)
         )
-        assert pipeline.joiner.n_workers == 2
+        assert pipeline.joiner.config.n_workers == 2

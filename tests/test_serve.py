@@ -457,25 +457,27 @@ class TestFingerprints:
 
 class TestMainEntryPoint:
     def test_build_service_from_cli_options(self):
-        from repro.serve.__main__ import build_service, main
-
-        parser_namespace = None
-
-        def capture(service, host, port, verbose, **kwargs):
-            # Replaces serve_http; the HTTP front-end knobs ride in
-            # kwargs and must carry the CLI defaults.
-            nonlocal parser_namespace
-            parser_namespace = (service, host, port, verbose)
-            assert kwargs["max_request_bytes"] == 16 << 20
-            assert kwargs["request_timeout_s"] == 30.0
-            service.close()
+        # Every CLI start goes through build_router; --serve-workers 0
+        # (the default) means one in-process service per route.
+        import argparse
 
         import repro.serve.__main__ as entry
+
+        captured = None
+
+        def capture(router, host, port, verbose, **kwargs):
+            # Replaces serve_http; the HTTP front-end knobs ride in
+            # kwargs and must carry the CLI defaults.
+            nonlocal captured
+            captured = (router, host, port, verbose)
+            assert kwargs["max_request_bytes"] == 16 << 20
+            assert kwargs["request_timeout_s"] == 30.0
+            router.close()
 
         original = entry.serve_http
         entry.serve_http = capture
         try:
-            main(
+            entry.main(
                 [
                     "--port",
                     "0",
@@ -494,18 +496,22 @@ class TestMainEntryPoint:
             )
         finally:
             entry.serve_http = original
-        service, host, port, verbose = parser_namespace
-        assert service.closed
+        router, host, port, verbose = captured
+        assert router.closed
         assert port == 0 and verbose is False
+        assert router.n_workers == 0
+        assert router.default_route == "ensemble"
+        service = router._routes["ensemble"].service
+        assert service.closed
         assert service.max_queue == 7
         assert service.max_wait_ms == 1.5
         assert service.result_cache.ttl_seconds == 60
         assert len(service.pipeline.models) == 2
         # And the default single-model path constructs too.
-        import argparse
-
         args = argparse.Namespace(
             model="pretrained",
+            route=None,
+            serve_workers=0,
             seed=0,
             context_size=2,
             n_trials=1,
@@ -516,11 +522,12 @@ class TestMainEntryPoint:
             cache_max_entries=8,
             cache_ttl_s=None,
         )
-        service = build_service(args)
+        router = entry.build_router(args)
         try:
+            service = router._routes["pretrained"].service
             assert len(service.pipeline.models) == 1
         finally:
-            service.close()
+            router.close()
 
 
 class TestHttpFrontEnd:

@@ -349,7 +349,7 @@ class TestJoinConfig:
             assert not hasattr(joiner, gone), gone
         assert joiner.max_distance == 3
         assert joiner.normalized_threshold == 0.5
-        assert joiner.n_workers == 2
+        assert joiner.config.n_workers == 2
 
     def test_non_config_argument_is_rejected(self):
         for joiner_type in (EditDistanceJoiner, IndexedJoiner, AutoJoiner):
