@@ -666,8 +666,9 @@ class IndexedJoiner(EditDistanceJoiner):
         index: QGramIndex,
         cap: int,
     ) -> np.ndarray:
-        """Chunked pair-DP over ``(probe_rep[i], vids[i])`` pairs.
+        """Capped distances of ``(probe_rep[i], vids[i])`` pairs: bound, then DP.
 
+        The one place the bag-distance bound is applied, for every rung.
         Candidate codes are gathered per chunk so peak memory stays
         within the cell budget no matter how wide the index matrix is.
         Chunk boundaries come from the *actual* candidate lengths (the
@@ -676,8 +677,16 @@ class IndexedJoiner(EditDistanceJoiner):
         that contains it instead of collapsing every chunk to a handful
         of pairs.
         """
+        out = np.full(vids.size, cap + 1, dtype=np.int64)
+        swept = None
+        # Pairs the bag-distance bound puts above the cap keep cap + 1;
+        # no bound exceeds max(m, n), so a cap that high settles none.
+        if cap < max(index.max_length, int(probe_lengths.max(initial=0))):
+            swept = np.flatnonzero(
+                index.bag_bounds(probe_codes, probe_lengths, probe_rep, vids) <= cap
+            )
+            probe_rep, vids = probe_rep[swept], vids[swept]
         n = vids.size
-        out = np.empty(n, dtype=np.int64)
         cells = np.cumsum(index.lengths[vids] + 1)
         lo = 0
         while lo < n:
@@ -688,13 +697,14 @@ class IndexedJoiner(EditDistanceJoiner):
                 )
             )
             hi = max(lo + 1, min(hi, n))
-            out[lo:hi] = self.kernel.edit_distance_pairs(
+            scored = self.kernel.edit_distance_pairs(
                 probe_codes,
                 probe_lengths,
                 probe_rep[lo:hi],
                 *index.batch_codes(vids[lo:hi]),
                 cap,
             )
+            out[slice(lo, hi) if swept is None else swept[lo:hi]] = scored
             lo = hi
         return out
 

@@ -47,17 +47,16 @@ def encode_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     codes = np.full((len(strings), max_len), _PAD, dtype=np.uint32)
     if max_len == 0:
         return codes, lengths
-    # One join + one frombuffer instead of a Python-level loop per
-    # string: utf-32-le yields exactly one uint32 per code point
-    # (``surrogatepass`` keeps lone surrogates as their own code points,
-    # as the scalar DP compares them), and a ragged boolean mask
-    # scatters the flat buffer into the padded rows.
-    flat = np.frombuffer(
+    mask = np.arange(max_len) < lengths[:, None]
+    codes[mask] = code_points(strings)
+    return codes, lengths
+
+
+def code_points(strings: Sequence[str]) -> np.ndarray:
+    """``strings`` end to end, one uint32 per code point (lone surrogates too)."""
+    return np.frombuffer(
         "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
     )
-    mask = np.arange(max_len) < lengths[:, None]
-    codes[mask] = flat
-    return codes, lengths
 
 
 def edit_distance_pairs(

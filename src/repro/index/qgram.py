@@ -1,10 +1,11 @@
-"""Q-gram inverted index with length and count filtering.
+"""Q-gram inverted index with length, count and bag-distance filtering.
 
 Blocking for the edit-distance join (Eq. 5): given a probe string and a
 distance cap ``k``, return a **provably complete** candidate set — every
 target within edit distance ``k`` is in the set — without scanning the
-whole column.  Two classic filters (Gravano et al., *Approximate String
-Joins in a Database (Almost) for Free*, VLDB 2001) make the set small:
+whole column.  Three filters make the work small.  The first two
+(Gravano et al., *Approximate String Joins in a Database (Almost) for
+Free*, VLDB 2001) choose the candidates of a probe:
 
 * **Length filter** — an edit operation changes the length by at most 1,
   so ``|len(t) - len(p)| <= k`` for any match ``t``.
@@ -19,6 +20,22 @@ The shared-gram count used here sums target-side multiplicities over the
 multiset intersection — the filter only ever admits extra candidates,
 never drops a true match.
 
+The third, in front of the kernel, works per (probe, candidate) pair
+(:meth:`QGramIndex.bag_bounds`, applied only in the joiner's
+``_pair_distances``):
+
+* **Bag distance** (Bartolini et al., SPIRE 2002) — over character
+  histograms ``h``, ``max(m, n) - sum(min(h_p, h_t))``, which equals
+  ``(sum|h_p - h_t| + |m - n|) / 2``.  An alignment matches at most
+  ``sum(min)`` equal characters, so at least ``m - sum(min)`` of ``p``
+  are substituted or deleted and ``n - sum(min)`` of ``t`` substituted
+  or inserted; a substitution covers one of each, so the edit distance
+  is at least the larger.  A bin is an alphabet id modulo
+  :data:`HISTOGRAM_BINS` (plus a spare, empty in every value, for
+  probe characters the column lacks); merging bins turns
+  ``min(a, c) + min(b, d)`` into ``min(a + b, c + d)``, never smaller,
+  so folding only lowers the bound.
+
 Duplicated column values are indexed once: candidates are unique-value
 ids, and ``QGramIndex.first_rows`` holds each value's earliest row for
 row-level semantics such as tie-breaking.
@@ -30,7 +47,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.index.kernel import encode_strings
+from repro.index.kernel import _PAD, code_points, encode_strings
+
+#: Character-histogram bins of the bag-distance filter (ids fold modulo).
+HISTOGRAM_BINS = 64
 
 
 def adaptive_q(targets: Sequence[str]) -> int:
@@ -83,6 +103,15 @@ class QGramIndex:
             (len(v) for v in self.values), dtype=np.int64, count=len(self.values)
         )
         self.max_length = int(self.lengths.max()) if self.lengths.size else 0
+        # From the flat buffer, so no-matrix indexes have them too.  ``_bins``
+        # has a byte per code point to the top one (<= 1.1 MB), spare last.
+        flat = code_points(self.values)
+        used = np.zeros(int(flat.max(initial=0)) + 2, dtype=bool)
+        used[flat] = True
+        self._bins = np.full(used.size, HISTOGRAM_BINS, dtype=np.uint8)
+        self._bins[used] = np.arange(np.count_nonzero(used)) % HISTOGRAM_BINS
+        self.histograms = self._histograms(flat, self.lengths)
+        del flat
         # Pre-encode the whole column only while the dense matrix stays
         # modest: one pathologically long cell would otherwise inflate
         # every row to its width (n * max_len uint32 cells).  Past the
@@ -105,6 +134,28 @@ class QGramIndex:
     # cells = 256 MB.  Way above any benchmark column, low enough that a
     # single corrupt mega-cell cannot balloon index construction.
     _DENSE_BUDGET = 1 << 26
+    # Rows / pairs per histogram-build / bag-bound slice (~0.5 MiB each).
+    _HISTOGRAM_ROWS = 1 << 10
+    _BOUND_SLICE = 1 << 12
+
+    def _histograms(self, flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Histograms (spare bin last) of rows laid end to end in ``flat``.
+
+        Counts clip at the longest value: no ``min(probe, value)`` moves.
+        """
+        width = HISTOGRAM_BINS + 1
+        out = np.empty((lengths.size, width), np.min_scalar_type(self.max_length))
+        start = 0
+        for lo in range(0, lengths.size, self._HISTOGRAM_ROWS):
+            rows = lengths[lo : lo + self._HISTOGRAM_ROWS]
+            codes = flat[start : start + rows.sum()]
+            keys = np.repeat(np.arange(0, rows.size * width, width), rows)
+            keys += self._bins[np.minimum(codes, self._bins.size - 1)]
+            counts = np.bincount(keys, minlength=rows.size * width)
+            np.minimum(counts, self.max_length, out=counts)
+            out[lo : lo + rows.size] = counts.reshape(-1, width)
+            start += codes.size
+        return out
 
     def __len__(self) -> int:
         """Number of distinct values in the index."""
@@ -115,12 +166,14 @@ class QGramIndex:
         """Approximate bytes retained by the index's numpy state.
 
         Covers the dense code matrix (the dominant term when present),
-        the posting lists, and the per-value arrays; the value strings
+        the posting lists, the per-value arrays and character
+        histograms, and the code-point-to-bin table; the value strings
         themselves are shared with the caller's column and not counted.
         Used by :class:`~repro.index.cache.IndexCache` for its byte
         budget.
         """
         total = self.first_rows.nbytes + self.lengths.nbytes
+        total += self.histograms.nbytes + self._bins.nbytes
         if self._codes is not None:
             total += self._codes.nbytes
         for array in self._postings.values():
@@ -139,6 +192,24 @@ class QGramIndex:
             longest = int(lengths.max()) if lengths.size else 0
             return self._codes[value_ids, :longest], lengths
         return encode_strings([self.values[int(v)] for v in value_ids])
+
+    def bag_bounds(
+        self, codes: np.ndarray, lengths: np.ndarray, rep: np.ndarray, vids: np.ndarray
+    ) -> np.ndarray:
+        """Lower bounds on the edit distance of each ``(rep[i], vids[i])`` pair.
+
+        ``rep`` indexes the padded probe table ``codes`` / ``lengths``.
+        """
+        probe_hist = self._histograms(codes[codes != _PAD], lengths)
+        out = np.empty(vids.size, dtype=np.int64)
+        for lo in range(0, vids.size, self._BOUND_SLICE):
+            hi = lo + self._BOUND_SLICE
+            shared = self.histograms.take(vids[lo:hi], axis=0)
+            np.minimum(shared, probe_hist.take(rep[lo:hi], axis=0), out=shared)
+            # A sum of mins is at most the value's length: no overflow.
+            longer = np.maximum(lengths[rep[lo:hi]], self.lengths[vids[lo:hi]])
+            out[lo:hi] = longer - shared.sum(axis=1, dtype=shared.dtype)
+        return out
 
     def value_id(self, value: str) -> int | None:
         """Exact-match lookup: the value id, or ``None`` if absent."""

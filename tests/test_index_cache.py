@@ -94,6 +94,23 @@ class TestIndexCache:
         assert cache.evictions == 1
         assert cache.get(("alpha", "beta")) is not first
 
+    def test_total_bytes_counts_the_character_histograms(self):
+        # The bag-distance filter's per-value histograms and its
+        # code-point-to-bin table live as long as the index, so the
+        # byte budget must see them.
+        cache = IndexCache()
+        index = cache.get(tuple(f"value {i}" for i in range(40)))
+        assert index.histograms.shape[0] == len(index)
+        parts = (
+            index.first_rows,
+            index.lengths,
+            index.histograms,
+            index._bins,
+            index._codes,
+            *index._postings.values(),
+        )
+        assert cache.total_bytes == sum(part.nbytes for part in parts)
+
     def test_clear_drops_entries(self):
         cache = IndexCache()
         index = cache.get(("a", "b"))

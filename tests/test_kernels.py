@@ -610,9 +610,9 @@ class TestPairsAccounting:
     @pytest.mark.parametrize(
         ("method", "args", "shape", "kernel_calls", "pairs"),
         (
-            ("join_many", (), "ladder", 16, 2235),
-            ("topk_many", (3,), "ladder", 29, 12991),
-            ("join_many", (), "serve_join", 6, 181),
+            ("join_many", (), "ladder", 16, 1247),
+            ("topk_many", (3,), "ladder", 29, 9051),
+            ("join_many", (), "serve_join", 4, 37),
         ),
     )
     def test_pairs_and_sweeps_match_the_recorded_ladder(
@@ -624,8 +624,14 @@ class TestPairsAccounting:
         # distinct bound in the two waves, where the cap is per call),
         # over exactly the same pairs — so the pair counts stand and
         # the calls drop, 51 -> 16 and 81 -> 29 on the recorded column,
-        # 7 -> 6 on the serve_join shape.  A change that moves these
-        # numbers re-records them on purpose or is wrong.
+        # 7 -> 6 on the serve_join shape.  Re-recorded again in the
+        # commit that put the bag-distance bound in front of the kernel:
+        # a pair whose character-histogram bound exceeds the cap gets
+        # cap + 1 without a sweep, so pairs drop 2235 -> 1247,
+        # 12991 -> 9051 and 181 -> 37, and the serve_join shape loses
+        # the two calls whose every pair the bound settles (6 -> 4).  A
+        # change that moves these numbers re-records them on purpose or
+        # is wrong.
         targets, probes = _ACCOUNTING_INPUTS[shape]()
         joiner = IndexedJoiner(
             JoinConfig(kernel_backend="bitparallel"), cache=IndexCache()
