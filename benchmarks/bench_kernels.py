@@ -1,22 +1,22 @@
-"""Edit-distance kernel backends at the pair door, at the ladder's shapes.
+"""Edit-distance kernel backends at the pair door, at the joiner's shapes.
 
 Every join the repo benchmark's workloads run bottoms out in one kernel
 call, ``edit_distance_pairs`` (``repro.index.kernels``): a table of
 probes of any mix of lengths, one table row per pair, and a chunk of
 candidates the length and count filters admitted — so the candidates
 sit *inside* the cap's length window of their own probe and the chunk
-is as big as the ladder rung made it.  This bench times exactly that
+is as big as the joiner's stratum made it.  This bench times exactly that
 call, for every backend, on the shapes the JAB workload produces:
 
-* **rung** — one mixed-length ladder rung: 40 probes with the length
+* **rung** — one mixed-length call: 40 probes with the length
   spread of an ``offline_join`` call (5 to 101 characters, three of
   them past one 64-bit word), 25 candidates each, 1 000 pairs.  This is
-  what the engine's cheap and bound rungs hand the kernel, and where
+  what the engine's seed and stratum calls hand the kernel, and where
   per-call set-up and the word-count grouping show;
 * **short** — 2 000 pairs against journal titles at ``m = 27`` (one
   word) and **long** — against four titles concatenated at ``m = 100``
   (multi-block bit-parallel, the regime ``auto`` hands to the banded
-  kernel): a wave's chunk, where the sweep itself is the cost;
+  kernel): a wide stratum's chunk, where the sweep itself is the cost;
 * caps 2 and 4.
 
 Each row is timed under the emitters' shared protocol
@@ -93,12 +93,12 @@ def _chunk(
     per_probe: int,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One pair-door call shaped like a ladder rung.
+    """One pair-door call shaped like a mixed-length stratum.
 
     One probe per entry of ``lengths``; each scores its own (noised)
     base value plus other values drawn from the cap's length window
     around its own length, and the ids come in ascending runs — what
-    ``IndexedJoiner._scored_lists`` hands the kernel.
+    ``IndexedJoiner._pair_distances`` hands the kernel.
     """
     probes, candidates = [], []
     for m in lengths:

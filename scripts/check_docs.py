@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs link-and-freshness check: the ``docs/`` site must stay true.
 
-Seven classes of rot this catches, each a CI failure:
+Eight classes of rot this catches, each a CI failure:
 
 * **Dead links** — every relative markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to a file inside the repository, and a
@@ -39,6 +39,10 @@ Seven classes of rot this catches, each a CI failure:
   name must occur in ``src/``, and every one ``src/`` names must be
   documented in ``docs/operations.md``, so a removed knob cannot linger
   in the docs and a new one cannot land undocumented.
+* **Numbered ROADMAP citations** — ``README.md`` and ``docs/*.md`` may
+  not cite ``ROADMAP <n>`` or ``ROADMAP item <n>``: ``ROADMAP.md``
+  renumbers its items whenever it is re-anchored, so a citation names
+  the item by its subject instead.
 
 Usage::
 
@@ -87,6 +91,7 @@ _SERIES_RE = re.compile(
     r"\b(?:serve|engine|join|obs)_[a-z0-9_<>]*_(?:total|seconds)\b"
 )
 _ENV_RE = re.compile(r"\bREPRO_[A-Z_]+")
+_ROADMAP_RE = re.compile(r"\bROADMAP\s+(?:item\s+)?\d+[a-z]?\b")
 #: The first cell of a series-table row: ``| `name` | ...``.
 _SERIES_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_<>]+)`\s*\|", re.M)
 #: Read beside the docs site by the member check only.
@@ -326,6 +331,18 @@ def check_environment_variables(
     return problems
 
 
+def check_roadmap_citations(
+    files: list[Path], root: Path = REPO_ROOT
+) -> list[str]:
+    """No ``ROADMAP <n>`` / ``ROADMAP item <n>`` citation: items renumber."""
+    return [
+        f"{doc.relative_to(root)}: cites {' '.join(match.split())!r}; "
+        "ROADMAP items are renumbered, so name the item's subject"
+        for doc in files
+        for match in _ROADMAP_RE.findall(doc.read_text())
+    ]
+
+
 def check_required_pages(root: Path = REPO_ROOT) -> list[str]:
     """The pages the README promises must exist."""
     return [
@@ -345,6 +362,7 @@ def run_all(root: Path = REPO_ROOT) -> list[str]:
     problems += check_source_references(root)
     problems += check_metric_series(files, root)
     problems += check_environment_variables(files, root)
+    problems += check_roadmap_citations(files, root)
     skill = root / VERIFY_SKILL
     problems += check_documented_members(
         files + [skill] if skill.is_file() else files, root

@@ -30,7 +30,7 @@ Batch execution rides on top of the same guarantee:
 * :meth:`IndexedJoiner.join_many` — the many-probe batch API: dedupe,
   exact-match short-circuit, candidate generation at each probe's own
   length, and the pair kernel scoring all (probe, candidate) pairs of
-  a ladder rung — probes of every length — in one sweep.
+  a verification stratum — probes of every length — in one sweep.
 
 The guarantee throughout is *exact equivalence* with the brute scan —
 enforced by the equivalence test harness in ``tests/`` — so blocking and

@@ -10,44 +10,29 @@ There is **one engine** for every single-column query.  ``join_many``
 (argmin) and ``topk_many`` are the same call frame — dedupe, worker
 dispatch, :class:`~repro.index.parallel.JoinStats` and ``join.*`` spans
 — and differ only in ``k`` and in whether an exact match short-circuits
-(a top-k query needs the runners-up regardless).  Every probe resolves
-through one ranked ladder, :meth:`IndexedJoiner._resolve_probes`:
-candidates within a cap are generated (provably completely) and scored,
-and a probe is resolved the moment at least ``k`` of them score within
-that cap — the candidate set at cap ``c`` contains *every* target
-within ``c``, so those ``k`` are the global top-k with all their ties.
-The argmin is the ladder at ``k = 1``; reverse joins invert the argmin;
-a scalar ``match`` is a one-probe call.
-
-Two layers amortize that work across a whole source column:
-
-* The frame deduplicates identical probes, resolves exact matches with
-  one dictionary lookup each (argmin only), and walks the ladder with
-  every remaining probe at once.  There are no length buckets: the
-  kernel scores each pair at its own probe's length, so a ladder
-  **rung** — one step taken by every probe still pending — is one
-  kernel sweep, not one per probe and not one per probe length.
-* A process-level :class:`~repro.index.cache.IndexCache` shares one
-  index per target-column *content* (entries are keyed on the column
-  values themselves, so stale or aliased indexes are impossible)
-  across joiners, pipelines, and eval runs.
+(a top-k query needs the runners-up regardless).  The frame
+deduplicates identical probes, resolves exact matches with one
+dictionary lookup each (argmin only), and hands every remaining probe
+to one bound-ordered verification loop,
+:meth:`IndexedJoiner._resolve_probes`: a few exactly scored seeds give
+each probe a proven cap, and its candidates are then scored in order of
+their bag-distance lower bound until the next bound exceeds the
+tightened cap.  A kernel call scores the pairs of every pending probe
+at once, whatever their lengths.  The argmin is the loop at ``k = 1``;
+reverse joins invert the argmin; a scalar ``match`` is a one-probe
+call.  A process-level :class:`~repro.index.cache.IndexCache` shares
+one index per target-column *content* across joiners, pipelines, and
+eval runs.
 
 Above :data:`PARALLEL_THRESHOLD` pending probes (or at an explicit
 ``n_workers``), the frame shards them across a **persistent** process
-pool (:mod:`repro.index.parallel`) with a deterministic merge; the pool —
-and each worker's resolved indexes — survive across calls, so repeated
-joins pay worker startup once.  Results are byte-identical to the
-serial engine in every configuration.  Long-lived owners should
-``close()`` the joiner (or use it as a context manager) to tear the
-pool down deterministically.
-
-Below ``IndexedJoiner.threshold`` target rows (where index construction
-dominates) every query falls through to the inherited brute scan;
-:class:`AutoJoiner` is the joiner with that threshold at
-:data:`AUTO_THRESHOLD`.  Every index is built at its column's
-:func:`~repro.index.qgram.adaptive_q`.  The bounded many-to-many query
-(``match_many``) is not blocked at all: it is the inherited reference
-scan at every column size.
+pool (:mod:`repro.index.parallel`) with a deterministic merge,
+byte-identical to the serial engine; long-lived owners should
+``close()`` the joiner (or use it as a context manager).  Below
+``IndexedJoiner.threshold`` target rows every query falls through to
+the inherited brute scan (:class:`AutoJoiner` sets that threshold to
+:data:`AUTO_THRESHOLD`), as does the bounded many-to-many
+``match_many`` at every column size.
 """
 
 from __future__ import annotations
@@ -126,23 +111,22 @@ class IndexedJoiner(EditDistanceJoiner):
     # extra parallelism for column-scale batches.
     _MAX_AUTO_WORKERS = 8
 
-    # Cells (candidate characters) per kernel call: bounds a merged
-    # rung's working set at ~16 bytes a cell (the gather here, the
-    # sweep's transpose and int32 symbol ids).  Half of it re-fragments
-    # a rung into ~1 000-pair calls, twice costs 2 MiB of peak RSS for
+    # Cells (candidate characters) per kernel call: bounds a stratum's
+    # working set at ~16 bytes a cell (the gather here, the sweep's
+    # transpose and int32 symbol ids).  Half of it re-fragments a
+    # stratum into ~1 000-pair calls, twice costs 2 MiB of peak RSS for
     # 4 % (docs/architecture.md has the readings).
     _PAIR_CELL_BUDGET = 1 << 17
-    # Pairs per assembly group: bounds the concatenated vids/distances
-    # arrays of a rung regardless of how many candidate pairs the
-    # filters admit.
-    _PAIR_GROUP_BUDGET = 1 << 22
-    # Length-difference radius of the final stage's first wave: the
-    # near-length slice of the column that almost always contains the
-    # top-k, scored first to tighten the bound for the wide wave.
-    _NEAR_LENGTHS = 2
-    # Max-gram-overlap neighbours scored per probe for the upper bound
-    # (raised to ``k`` when a query ranks more than this).
-    _BOUND_NEIGHBOURS = 8
+    # Values per probe scored exactly to seed its cap (raised to ``k``);
+    # the count-filter cap of the pool they are drawn from; and how many
+    # values either side of the probe's length join a pool the filter
+    # leaves short.
+    _SEEDS = 8
+    _SEED_CAP = 2
+    _NEAREST = 64
+    # Candidates per probe in the first verification stratum; each
+    # later stratum doubles it.
+    _STRATUM = 128
 
     def __init__(
         self,
@@ -207,8 +191,7 @@ class IndexedJoiner(EditDistanceJoiner):
         Guards and threshold rejection stay in the shared
         :meth:`EditDistanceJoiner.match` / ``_apply_thresholds``; only
         the argmin strategy differs.  A scalar match is simply a
-        single-probe call at ``k = 1``, so it shares the batch
-        engine's whole ladder, upper-bound waves included.
+        single-probe call at ``k = 1`` of the batch engine's loop.
         """
         if len(targets) < self.threshold:
             return super()._argmin(predicted, targets)
@@ -230,7 +213,7 @@ class IndexedJoiner(EditDistanceJoiner):
         shortcut on): the column hash and index lookup happen once,
         identical probes are resolved once, exact matches cost one
         dictionary lookup, and the remaining probes run through
-        candidate generation plus the pair DP kernel, rung by rung.
+        :meth:`_resolve_probes` together.
         Counters for the call land in :attr:`last_join_stats`.
         """
         if len(targets) < self.threshold:
@@ -302,11 +285,8 @@ class IndexedJoiner(EditDistanceJoiner):
         lookup (only sound at ``k = 1``).  Everything else is resolved
         together by :meth:`_resolve_probes` — serially, or above
         :data:`PARALLEL_THRESHOLD` (or at an explicit ``n_workers``)
-        sharded across the persistent process pool with
-        a deterministic merge; per-probe results do not depend on which
-        other probes share a shard, so the sharded output is
-        byte-identical.  Publishes the call's :class:`JoinStats` and
-        ``join.*`` spans.
+        sharded across the persistent process pool.  Publishes the
+        call's :class:`JoinStats` and ``join.*`` spans.
         """
         # Imported lazily: parallel imports this module for its
         # worker-side scoring, so a module-level import would cycle.
@@ -420,242 +400,92 @@ class IndexedJoiner(EditDistanceJoiner):
 
         Returns ``probe -> (value_ids, distances)`` in ``(distance,
         earliest row)`` rank order, ``min(k, distinct values)`` entries
-        each; value ids keep the hot path (and the parallel workers'
-        result payloads) in integer space — callers map ids back to
-        strings through the index.  Each probe's result depends only on
-        ``(index, probe, k)``, never on which other probes share the
-        call, which is what makes both probe deduplication and parallel
-        sharding byte-identical to the serial scan.
+        each (callers map ids back to strings through the index).  Each
+        probe's result depends only on ``(index, probe, k)``, which makes
+        probe deduplication and parallel sharding byte-identical.
 
-        One rule resolves a probe at every step: the candidate set at a
-        cap is complete, so once at least ``k`` candidates score within
-        the cap they are the global top-k with all their ties
-        (:meth:`_rank_topk`).  At ``k = 1`` that is the classic argmin
-        — minimum distance, earliest row among the ties.
-
-        Each rung below is one kernel sweep over every probe still
-        pending, whatever their lengths.  One cheap round at cap 2
-        (:meth:`_ladder_rounds`) resolves the near probes — the common
-        case for model predictions — on small count-filtered candidate
-        blocks.  Every probe still unresolved then gets an **upper
-        bound** on its ``k``-th best distance (the ``k``-th smallest
-        exact distance to its max-gram-overlap targets) and finishes in
-        two waves, no cap ladder needed:
-
-        * **Wave 1** scores only the near-length candidates
-          (``|len - probe length| <= 2``) at the bound.  The top-k
-          almost always lives there, so the ``k``-th smallest wave-1
-          score ``b1`` is a much tighter upper bound (``b1 <= bound``
-          whenever ``k`` near candidates score within the bound;
-          otherwise the bound stands).
-        * **Wave 2** scores the remaining candidates at cap ``b1`` —
-          any target beating or tying ``b1`` is within edit distance
-          ``b1``, hence within the ``b1`` length window and count
-          filter — with the kernel's per-pair settlement trimming
-          doomed pairs after about ``b1`` DP steps.
-
-        A kernel call takes one scalar cap, so a wave is one sweep per
-        distinct bound among its probes.  This is the batched analogue
-        of the brute scan's k-th-best pruning: far/garbage probes scan
-        the wide part of the column exactly once, against the tightest
-        bound known.
+        One loop verifies candidates in order of their bag-distance
+        lower bound (:meth:`QGramIndex.bag_bounds`), every pending probe
+        at once.  **Seed:** a probe's pool is its count-filter candidates
+        at cap :attr:`_SEED_CAP` (plus the values nearest its length when
+        those are too few); its :attr:`_SEEDS` smallest-bound pool values
+        are scored exactly, and their ``kk``-th smallest distance is a
+        proven upper bound ``u`` on its ``kk``-th best.  **Generate:**
+        every value within ``u`` is in :meth:`QGramIndex.candidates_many`
+        at ``u`` (in the pool, when ``u`` is within the seed cap); those
+        whose bound is at most ``u`` queue in ``(bound, value id)`` order.
+        **Verify:** strata of the queue, each twice the last, are scored
+        at ``u`` — one kernel call per stratum, at its probes' largest
+        ``u`` — and after each, ``u`` tightens to the ``kk``-th best
+        distance so far.  A probe is done when its next bound exceeds
+        ``u``.  A value that beats or ties the final ``u`` has a bound of
+        at most ``u``, so it was scored, and the ``(distance, earliest
+        row)`` rank (:func:`_rank_topk`) sees every tie.
         """
         # Only distinct values rank, so a short column caps the answer.
         kk = min(k, len(index.values))
-        resolved: dict[str, Ranked] = {}
-        pending = self._ladder_rounds(index, probes, kk, resolved)
-        if not pending:
-            return resolved
-        probe_codes, lengths = encode_strings(pending)
-        bounds = self._upper_bounds(index, pending, probe_codes, lengths, kk)
-        by_bound: dict[int, list[int]] = {}
-        for j, bound in enumerate(bounds):
-            by_bound.setdefault(bound, []).append(j)
-        near_scores: dict[int, Ranked] = {}
-        by_refined: dict[int, list[int]] = {}
-        for bound, rows in sorted(by_bound.items()):
-            cand_lists = index.candidates_many([pending[j] for j in rows], bound)
-            near_lists = [
-                cands[
-                    np.abs(index.lengths[cands] - lengths[j]) <= self._NEAR_LENGTHS
-                ]
-                for j, cands in zip(rows, cand_lists, strict=True)
-            ]
-            wave1 = self._scored_lists(
-                index, probe_codes[rows], lengths[rows], near_lists, bound
+        n_seeds = max(kk, self._SEEDS)
+        n_values, rows = len(index.values), np.arange(len(probes))
+        codes, lengths = encode_strings(probes)
+        # No distance exceeds max(probe length, longest value), so a pair
+        # scored at that cap is exact.  A candidate is one int64 key,
+        # ``(probe, bound, value id)`` in mixed radix: sorted keys list
+        # each probe's candidates by bound.
+        vacuous = max(index.max_length, int(lengths.max(initial=0)))
+        radix = (vacuous + 1) * n_values
+
+        def keyed(rep: np.ndarray, vids: np.ndarray, cap: int) -> np.ndarray:
+            bounds = index.bag_bounds(codes, lengths, rep, vids)
+            keep = bounds <= cap
+            return rep[keep] * radix + bounds[keep] * n_values + vids[keep]
+
+        # Reaching n_seeds either side of its length, a pool holds >= kk.
+        reach = max(self._NEAREST, n_seeds)
+        pools = index.candidates_many(probes, self._SEED_CAP)
+        by_length = np.argsort(index.lengths, kind="stable")
+        near = np.searchsorted(index.lengths[by_length], lengths).tolist()
+        for j, pool in enumerate(pools):
+            if pool.size < n_seeds:
+                lo = max(0, near[j] - reach)
+                pools[j] = np.concatenate((pool, by_length[lo : near[j] + reach]))
+        pool = np.unique(keyed(*_flatten(pools), vacuous))
+        seeded = np.arange(pool.size) - np.searchsorted(pool, pool // radix * radix)
+        seeds, pool = pool[seeded < n_seeds], pool[seeded >= n_seeds]
+        rep, vids = seeds // radix, seeds % n_values
+        found = self._pair_distances(codes, lengths, rep, vids, index, vacuous)
+        u = _kth_per_probe(rep, found, len(probes), kk)
+        # The pool holds every value within the seed cap; past it, generate.
+        parts = [pool[u[pool // radix] <= self._SEED_CAP]]
+        wider = np.flatnonzero(u > self._SEED_CAP)
+        for cap in np.unique(u[wider]).tolist():
+            at = wider[u[wider] == cap]
+            more = _flatten(index.candidates_many([probes[j] for j in at], cap))
+            parts.append(keyed(at[more[0]], more[1], cap))
+        queue = np.sort(np.concatenate(parts))
+        if queue.size:
+            at = np.minimum(np.searchsorted(queue, seeds), queue.size - 1)
+            queue = np.delete(queue, at[queue[at] == seeds])
+        done, stratum = np.searchsorted(queue, rows * radix), self._STRATUM
+        while True:
+            # A stratum ends before the probe's first bound past its cap.
+            limit = np.searchsorted(queue, rows * radix + (u + 1) * n_values)
+            stop = np.minimum(done + stratum, limit)
+            sizes = np.maximum(stop - done, 0)
+            if not sizes.any():
+                return _rank_topk(index, probes, rep, vids, found, kk)
+            picked = np.repeat(done - np.cumsum(sizes) + sizes, sizes)
+            picked = queue[picked + np.arange(picked.size)]
+            more_rep, more_vids = picked // radix, picked % n_values
+            scores = self._pair_distances(
+                codes, lengths, more_rep, more_vids, index, int(u[more_rep].max())
             )
-            for j, near, near_dists in zip(rows, near_lists, wave1, strict=True):
-                # Only scores within the bound can rank; keeping just
-                # those also bounds what the call holds until wave 2.
-                keep = near_dists <= bound
-                near_scores[j] = (near[keep], near_dists[keep])
-                refined = self._kth_smallest(near_dists[keep], kk, bound)
-                by_refined.setdefault(refined, []).append(j)
-        for refined, rows in sorted(by_refined.items()):
-            cand_lists = index.candidates_many([pending[j] for j in rows], refined)
-            far_lists = [
-                cands[
-                    np.abs(index.lengths[cands] - lengths[j]) > self._NEAR_LENGTHS
-                ]
-                for j, cands in zip(rows, cand_lists, strict=True)
-            ]
-            wave2 = self._scored_lists(
-                index, probe_codes[rows], lengths[rows], far_lists, refined
-            )
-            for j, far, far_dists in zip(rows, far_lists, wave2, strict=True):
-                near, near_dists = near_scores[j]
-                ranked = self._rank_topk(
-                    index,
-                    np.concatenate((near, far)),
-                    np.concatenate((near_dists, far_dists)),
-                    refined,
-                    kk,
-                )
-                if ranked is None:
-                    raise RuntimeError(
-                        "q-gram blocking missed a match within a proven "
-                        "upper bound; the completeness invariant is broken"
-                    )
-                resolved[pending[j]] = ranked
-        return resolved
-
-    @staticmethod
-    def _rank_topk(
-        index: QGramIndex,
-        cands: np.ndarray,
-        dists: np.ndarray,
-        cap: int,
-        kk: int,
-    ) -> Ranked | None:
-        """Top ``kk`` of the candidates within ``cap``, or ``None``.
-
-        Ranks by ``(distance, earliest row)``.  ``None`` means fewer
-        than ``kk`` candidates score within the cap, i.e. a round at
-        this cap cannot resolve the probe.
-        """
-        keep = dists <= cap
-        if np.count_nonzero(keep) < kk:
-            return None
-        cands, dists = cands[keep], dists[keep]
-        order = np.lexsort((index.first_rows[cands], dists))[:kk]
-        return cands[order], dists[order]
-
-    @staticmethod
-    def _kth_smallest(dists: np.ndarray, kk: int, default: int) -> int:
-        """The ``kk``-th smallest score, ``default`` when there are fewer."""
-        if dists.size < kk:
-            return default
-        return int(np.partition(dists, kk - 1)[kk - 1])
-
-    def _ladder_rounds(
-        self,
-        index: QGramIndex,
-        probes: list[str],
-        kk: int,
-        resolved: dict[str, Ranked],
-    ) -> list[str]:
-        """The one cheap round, at cap 2.
-
-        Candidates within the cap are generated completely and scored
-        at the cap; a probe resolves into ``resolved`` when ``kk`` of
-        them score within it.  Returns the survivors.
-        """
-        cap = 2
-        probe_codes, lengths = encode_strings(probes)
-        cand_lists = index.candidates_many(probes, cap)
-        dist_lists = self._scored_lists(index, probe_codes, lengths, cand_lists, cap)
-        survivors: list[str] = []
-        for probe, cands, dists in zip(probes, cand_lists, dist_lists, strict=True):
-            ranked = self._rank_topk(index, cands, dists, cap, kk)
-            if ranked is None:
-                survivors.append(probe)
-            else:
-                resolved[probe] = ranked
-        return survivors
-
-    def _scored_lists(
-        self,
-        index: QGramIndex,
-        probe_codes: np.ndarray,
-        probe_lengths: np.ndarray,
-        cand_lists: list[np.ndarray],
-        cap: int,
-    ) -> list[np.ndarray]:
-        """Capped distances per probe over its candidate list.
-
-        Scores all (probe, candidate) pairs of the rung with the
-        lockstep pair DP in bounded groups; entry ``i`` aligns with
-        ``cand_lists[i]`` (distances above ``cap`` clamp to ``cap + 1``).
-        """
-        out: list[np.ndarray] = []
-        for start, stop in self._probe_groups(cand_lists):
-            group_lists = cand_lists[start:stop]
-            sizes = np.fromiter(
-                (c.size for c in group_lists), dtype=np.int64, count=stop - start
-            )
-            vids = np.concatenate(group_lists)
-            probe_rep = np.repeat(np.arange(start, stop), sizes)
-            distances = self._pair_distances(
-                probe_codes, probe_lengths, probe_rep, vids, index, cap
-            )
-            out += np.split(distances, np.cumsum(sizes)[:-1])
-        return out
-
-    def _upper_bounds(
-        self,
-        index: QGramIndex,
-        pending: list[str],
-        probe_codes: np.ndarray,
-        probe_lengths: np.ndarray,
-        kk: int,
-    ) -> list[int]:
-        """A proven upper bound on each pending probe's ``kk``-th best distance.
-
-        One small pair-DP batch (a few candidates per probe) against the
-        max-gram-overlap targets from :meth:`QGramIndex.overlap_best`,
-        topped up with the values nearest the probe's length wherever
-        fewer than ``kk`` targets share a gram: exact distances to
-        ``kk`` distinct values make the ``kk``-th smallest of them an
-        upper bound on the ``kk``-th best distance overall.
-        """
-        neighbour_lists = index.overlap_best(pending, k=max(kk, self._BOUND_NEIGHBOURS))
-        for j, neighbours in enumerate(neighbour_lists):
-            if neighbours.size < kk:
-                nearest = np.argsort(
-                    np.abs(index.lengths - probe_lengths[j]), kind="stable"
-                )[:kk]
-                neighbour_lists[j] = np.union1d(neighbours, nearest)
-        # Any target is within max(probe length, longest target) of its
-        # probe: at the largest such cap every distance comes back exact.
-        vacuous = np.maximum(probe_lengths, index.max_length).tolist()
-        dist_lists = self._scored_lists(
-            index, probe_codes, probe_lengths, neighbour_lists, max(vacuous)
-        )
-        return [
-            self._kth_smallest(dists, kk, cap)
-            for dists, cap in zip(dist_lists, vacuous, strict=True)
-        ]
-
-    def _probe_groups(
-        self, cand_lists: list[np.ndarray]
-    ) -> list[tuple[int, int]]:
-        """Split a rung into probe slices of bounded pair count.
-
-        Keeps one rung's concatenated pair block within the group
-        budget even when a late (near-vacuous) cap admits most of the
-        column for every probe.
-        """
-        groups: list[tuple[int, int]] = []
-        start = 0
-        accumulated = 0
-        for j, candidates in enumerate(cand_lists):
-            if accumulated and accumulated + candidates.size > self._PAIR_GROUP_BUDGET:
-                groups.append((start, j))
-                start = j
-                accumulated = 0
-            accumulated += candidates.size
-        groups.append((start, len(cand_lists)))
-        return groups
+            rep = np.concatenate((rep, more_rep))
+            vids = np.concatenate((vids, more_vids))
+            found = np.concatenate((found, scores))
+            u = _kth_per_probe(rep, found, len(probes), kk)
+            keep = found <= u[rep]
+            rep, vids, found = rep[keep], vids[keep], found[keep]
+            done, stratum = np.maximum(done, stop), 2 * stratum
 
     def _pair_distances(
         self,
@@ -666,27 +496,16 @@ class IndexedJoiner(EditDistanceJoiner):
         index: QGramIndex,
         cap: int,
     ) -> np.ndarray:
-        """Capped distances of ``(probe_rep[i], vids[i])`` pairs: bound, then DP.
+        """Capped distances of ``(probe_rep[i], vids[i])`` pairs.
 
-        The one place the bag-distance bound is applied, for every rung.
         Candidate codes are gathered per chunk so peak memory stays
         within the cell budget no matter how wide the index matrix is.
-        Chunk boundaries come from the *actual* candidate lengths (the
-        kernel pads each chunk only to its own longest candidate), so
+        Chunk boundaries come from the *actual* candidate lengths, so
         one pathological mega-cell in the column shrinks just the chunk
-        that contains it instead of collapsing every chunk to a handful
-        of pairs.
+        that contains it.
         """
-        out = np.full(vids.size, cap + 1, dtype=np.int64)
-        swept = None
-        # Pairs the bag-distance bound puts above the cap keep cap + 1;
-        # no bound exceeds max(m, n), so a cap that high settles none.
-        if cap < max(index.max_length, int(probe_lengths.max(initial=0))):
-            swept = np.flatnonzero(
-                index.bag_bounds(probe_codes, probe_lengths, probe_rep, vids) <= cap
-            )
-            probe_rep, vids = probe_rep[swept], vids[swept]
         n = vids.size
+        out = np.empty(n, dtype=np.int64)
         cells = np.cumsum(index.lengths[vids] + 1)
         lo = 0
         while lo < n:
@@ -697,16 +516,47 @@ class IndexedJoiner(EditDistanceJoiner):
                 )
             )
             hi = max(lo + 1, min(hi, n))
-            scored = self.kernel.edit_distance_pairs(
+            out[lo:hi] = self.kernel.edit_distance_pairs(
                 probe_codes,
                 probe_lengths,
                 probe_rep[lo:hi],
                 *index.batch_codes(vids[lo:hi]),
                 cap,
             )
-            out[slice(lo, hi) if swept is None else swept[lo:hi]] = scored
             lo = hi
         return out
+
+
+def _flatten(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(list position, element)`` pairs of ragged arrays, laid end to end."""
+    sizes = np.fromiter((a.size for a in lists), dtype=np.int64, count=len(lists))
+    flat = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
+    return np.repeat(np.arange(len(lists)), sizes), flat.astype(np.int64, copy=False)
+
+
+def _rank_topk(
+    index: QGramIndex,
+    probes: list[str],
+    rep: np.ndarray,
+    vids: np.ndarray,
+    dists: np.ndarray,
+    kk: int,
+) -> dict[str, Ranked]:
+    """Each probe's top ``kk`` scores by ``(distance, earliest row)``."""
+    order = np.lexsort((index.first_rows[vids], dists, rep))
+    starts = np.searchsorted(rep[order], np.arange(len(probes))).tolist()
+    return {
+        probe: (vids[order[lo : lo + kk]], dists[order[lo : lo + kk]])
+        for probe, lo in zip(probes, starts, strict=True)
+    }
+
+
+def _kth_per_probe(
+    rep: np.ndarray, dists: np.ndarray, n_probes: int, kk: int
+) -> np.ndarray:
+    """Each probe's ``kk``-th smallest distance (every probe has ``kk``)."""
+    order = np.lexsort((dists, rep))
+    return dists[order][np.searchsorted(rep[order], np.arange(n_probes)) + kk - 1]
 
 
 class AutoJoiner(IndexedJoiner):

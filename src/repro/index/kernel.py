@@ -74,8 +74,8 @@ def edit_distance_pairs(
     one numpy sweep per query character instead of one kernel launch
     per probe.  The queries may have any mix of lengths: the sweep runs
     one row per column of the table and each pair's answer is read off
-    the row its own query ends on, so one call scores a whole ladder
-    rung however its probes' lengths spread.  Which probe a pair belongs
+    the row its own query ends on, so one call scores a whole
+    verification stratum however its probes' lengths spread.  Which probe a pair belongs
     to is an argument because the caller already knows it: a backend
     handed one repeated query row per pair has to sort the rows to get
     it back.

@@ -6,7 +6,7 @@ cand_codes, cand_lengths, cap)`` — lockstep per-pair scoring: a padded
 table of distinct queries of any mix of lengths, each row's true
 length, and per pair the row it scores against, at that row's own
 length.  That is the whole contract a backend implements — one call
-carries a whole ladder rung — and the blocked joiner's
+carries a whole verification stratum — and the blocked joiner's
 ``_pair_distances`` is its one caller.  The registry:
 
 * ``"reference"`` — the plain numpy DP in :mod:`repro.index.kernel`,
@@ -119,7 +119,7 @@ class AutoBackend(KernelBackend):
     bit-parallel kernel; longer queries take the banded kernel while
     the band is narrower than a word, else multi-block bit-parallel.
     The rule reads each pair's own ``m``, so a few long probes do not
-    move the short ones sharing their rung onto another kernel.  It has
+    move the short ones sharing their call onto another kernel.  It has
     no pair function of its own: pairs scored are credited to whichever
     concrete backend ran, never to ``"auto"``.
     """

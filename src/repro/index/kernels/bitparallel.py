@@ -20,7 +20,7 @@ running score is kept: ``D[0][j] = j`` and the bit-vectors *are* the
 vertical deltas of column ``j``, so a pair's distance is read off its
 last column as ``len + popcount(VP & rows) - popcount(VN & rows)`` under
 a mask of its own ``m_i`` rows.  Pairs sweep together when their
-queries span the same number of words (a rung's few long probes do not
+queries span the same number of words (a call's few long probes do not
 drag every short pair onto a multi-block sweep), ordered longest
 candidate first: the pairs still inside their candidate at column ``j``
 are then a prefix, the column's word operations write preallocated

@@ -44,7 +44,7 @@ Shards are planned by **candidate mass**, not probe count: a probe's
 cost scales with how many targets sit within its near-length window,
 so a skewed workload (thousands of probes at the column's modal
 length) is split into more pieces than its probe share alone would
-suggest, cut in length order so a shard's rungs pad little.  Workers
+suggest, cut in length order so a shard's kernel calls pad little.  Workers
 return value ids and distances as reduced ``int32`` arrays — the
 parent maps ids back to strings through its own index — so result
 pickling stays cheap even for very wide batches.
@@ -56,7 +56,7 @@ import itertools
 from collections import OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class JoinStats:
         exact_matches: Unique probes resolved by exact-match lookup
             (always 0 for top-k, which takes no shortcut).
         empty_probes: Unique probes that were abstentions (``""``).
-        pending: Unique probes that went through the scoring ladder.
+        pending: Unique probes that went through the verification loop.
         n_workers: Worker processes the pool could run for this call
             (capped by the shard count; 1 = serial execution).
         shards: Probe shards dispatched to the pool (0 when serial).
@@ -110,10 +110,14 @@ class JoinStats:
     kernel_pairs: tuple[tuple[str, int], ...] = ()
 
     def as_dict(self) -> dict:
-        """JSON-friendly dict form (tuples become lists/mappings)."""
-        out = asdict(self)
-        out["shard_sizes"] = list(out["shard_sizes"])
-        out["kernel_pairs"] = dict(out["kernel_pairs"])
+        """JSON-friendly dict form (tuples become lists/mappings).
+
+        A flat field loop: every field is a scalar or a tuple of
+        scalars, so there is nothing for a deep copy to do.
+        """
+        out = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        out["shard_sizes"] = list(self.shard_sizes)
+        out["kernel_pairs"] = dict(self.kernel_pairs)
         return out
 
 
@@ -125,6 +129,10 @@ _OVERSPLIT = 4
 # Fingerprint -> resolved index entries a worker memoizes, so warm
 # shards carry no column at all.
 _WORKER_INDEX_CAP = 8
+
+# Length-difference radius of a probe's near-length window, the
+# candidate mass a shard plan balances.
+_MASS_WINDOW = 2
 
 
 class _ColumnNeeded(Exception):
@@ -144,22 +152,17 @@ def plan_shards(
     A probe's scoring cost is dominated by how many targets sit near its
     length, so its mass is the size of its near-length window.  Probes
     are ordered by length (stably: a shard holds neighbouring lengths,
-    so its rungs pad little) and cut into runs of the per-shard target,
+    so its kernel calls pad little) and cut into runs of the per-shard target,
     total mass over ``n_workers x oversplit`` shards.  The plan is a
     pure function of the inputs, so tests can reproduce it exactly.
     """
-    # Imported lazily: joiner imports this module for the pool, so a
-    # module-level import here would cycle.
-    from repro.index.joiner import IndexedJoiner
-
     if not probes:
         return []
     ordered = sorted(probes, key=len)
     lengths = np.fromiter(map(len, ordered), dtype=np.int64, count=len(ordered))
     sorted_lengths = np.sort(index.lengths)
-    window = IndexedJoiner._NEAR_LENGTHS
-    lo = np.searchsorted(sorted_lengths, lengths - window, side="left")
-    hi = np.searchsorted(sorted_lengths, lengths + window, side="right")
+    lo = np.searchsorted(sorted_lengths, lengths - _MASS_WINDOW, side="left")
+    hi = np.searchsorted(sorted_lengths, lengths + _MASS_WINDOW, side="right")
     mass = np.maximum(hi - lo, 1)
     shard_target = max(1, -(-int(mass.sum()) // (n_workers * _OVERSPLIT)))
     # A probe joins the shard the mass ahead of it falls in, so a shard

@@ -20,9 +20,9 @@ The shared-gram count used here sums target-side multiplicities over the
 multiset intersection — the filter only ever admits extra candidates,
 never drops a true match.
 
-The third, in front of the kernel, works per (probe, candidate) pair
-(:meth:`QGramIndex.bag_bounds`, applied only in the joiner's
-``_pair_distances``):
+The third works per (probe, candidate) pair
+(:meth:`QGramIndex.bag_bounds`); the joiner's ``_resolve_probes`` orders
+candidates by it and scores none whose bound exceeds the cap:
 
 * **Bag distance** (Bartolini et al., SPIRE 2002) — over character
   histograms ``h``, ``max(m, n) - sum(min(h_p, h_t))``, which equals
@@ -223,37 +223,6 @@ class QGramIndex:
         return [
             self._postings[gram] for gram in grams if gram in self._postings
         ]
-
-    def overlap_best(self, queries: Sequence[str], k: int = 8) -> list[np.ndarray]:
-        """Plausible near-neighbour value ids for each query.
-
-        Returns, per query, up to ``k`` ids of the indexed values
-        sharing the most q-grams with it (target-side multiplicities
-        included), falling back to the value closest to the query's own
-        length when no gram is shared.  The returned targets are *not*
-        guaranteed to contain the argmin — the minimum of their exact
-        distances is an **upper bound** on the query's best distance,
-        which the batch engine uses to jump cap deepening straight to a
-        provably sufficient candidate set.
-
-        Args:
-            queries: Probe strings, of any mix of lengths.
-            k: Neighbour candidates per query.
-        """
-        out: list[np.ndarray] = []
-        for query in queries:
-            arrays = self._gram_postings(query)
-            if not arrays:
-                nearest = int(np.argmin(np.abs(self.lengths - len(query))))
-                out.append(np.asarray([nearest], dtype=np.int64))
-                continue
-            counts = np.bincount(np.concatenate(arrays))
-            if counts.size > k:
-                top = np.argpartition(counts, -k)[-k:]
-                out.append(top[counts[top] > 0])
-            else:
-                out.append(np.nonzero(counts)[0])
-        return out
 
     def candidates_many(self, queries: Sequence[str], cap: int) -> list[np.ndarray]:
         """Per-query candidate ids for queries of any mix of lengths.

@@ -1,17 +1,18 @@
 """The bag-distance filter: a proven lower bound, and joins it leaves intact.
 
-``QGramIndex.bag_bounds`` settles a pair above the cap before the kernel
-sees it, so its one obligation is ``bound <= edit distance``.  The
-oracle here is the scalar :func:`repro.text.edit_distance.edit_distance`,
-which shares no code with ``index/``.  The generated columns carry what
+``QGramIndex.bag_bounds`` orders the joiner's candidates and keeps a pair
+above the cap from the kernel, so its one obligation is ``bound <= edit
+distance``.  The oracle here is the scalar
+:func:`repro.text.edit_distance.edit_distance`, which shares no code
+with ``index/``.  The generated columns carry what
 could break a histogram: astral characters, combining marks, lone
 surrogates, empty strings, lengths on both sides of one 64-bit word,
 probe characters the column never uses, and an alphabet wide enough
 that bins fold.  A second oracle, ``collections.Counter``, pins the
 bound to the exact bag distance whenever nothing folds.
 
-The joiner-level case is an abbreviation column where the bound settles
-most of the pairs the ladder offers, checked against the brute scan
+The joiner-level case is an abbreviation column where the kernel never
+sees most of the pairs the bound orders, checked against the brute scan
 serially and at two workers.
 """
 
@@ -33,25 +34,7 @@ from repro.index import IndexCache, IndexedJoiner, QGramIndex, encode_strings
 from repro.index.qgram import HISTOGRAM_BINS
 from repro.text.edit_distance import edit_distance
 
-# ASCII, a precomposed and two combining marks, two astral characters
-# and both halves of a surrogate pair, each alone.
-_CHARS = (
-    "a", "b", "c", " ", "\u00e9", "\u0301", "\u0308",
-    "\U0001f600", "\U00010348", "\ud800", "\udfff",
-)
-# Only probes draw these: characters the column never uses.
-_FOREIGN = ("z", "\u4e00", "\U0001f680")
-# More distinct characters than bins, so ids fold.
-_WIDE = "".join(chr(0x0400 + i) for i in range(HISTOGRAM_BINS + 20))
-
-
-def _strings(chars):
-    """Empty, short, or 60-70 characters (either side of one word)."""
-    letters = st.sampled_from(chars)
-    return st.one_of(
-        st.lists(letters, max_size=8), st.lists(letters, min_size=60, max_size=70)
-    ).map("".join)
-
+from join_strategies import CHARS, FOREIGN, WIDE, strings
 
 def _bounds(index: QGramIndex, probes: list[str]) -> np.ndarray:
     """``(len(probes), len(index))`` bounds: every probe against every value."""
@@ -75,13 +58,13 @@ class TestBoundProperty:
     @pytest.mark.parametrize("wide", (False, True), ids=("narrow", "folded"))
     @settings(max_examples=40, deadline=None)
     @given(
-        column=st.lists(_strings(_CHARS), min_size=1, max_size=6),
-        probes=st.lists(_strings(_CHARS + _FOREIGN), min_size=1, max_size=5),
+        column=st.lists(strings(CHARS), min_size=1, max_size=6),
+        probes=st.lists(strings(CHARS + FOREIGN), min_size=1, max_size=5),
     )
     def test_bound_never_exceeds_the_scalar_distance(self, dense, wide, column, probes):
         if wide:
-            column = [*column, _WIDE]
-            probes = [*probes, _WIDE[::-1], _WIDE[:40] + "z"]
+            column = [*column, WIDE]
+            probes = [*probes, WIDE[::-1], WIDE[:40] + "z"]
         # A negative budget takes the no-matrix path, where batches are
         # encoded on demand; the histograms must not depend on it.
         budget = QGramIndex._DENSE_BUDGET if dense else -1
@@ -158,16 +141,18 @@ class TestJoinerOnAbbreviations:
     def test_serial_matches_brute_and_the_bound_settles_most_pairs(
         self, column, monkeypatch
     ):
+        # Every candidate pair is bounded before any is swept; the
+        # bound orders them and keeps the kernel off most.
         targets, probes, want = column
         joiner = IndexedJoiner(JoinConfig(n_workers=1), cache=IndexCache())
         offered = []
-        inner = IndexedJoiner._pair_distances
+        inner = QGramIndex.bag_bounds
 
-        def counting(self, probe_codes, probe_lengths, probe_rep, vids, index, cap):
+        def counting(self, codes, lengths, rep, vids):
             offered.append(vids.size)
-            return inner(self, probe_codes, probe_lengths, probe_rep, vids, index, cap)
+            return inner(self, codes, lengths, rep, vids)
 
-        monkeypatch.setattr(IndexedJoiner, "_pair_distances", counting)
+        monkeypatch.setattr(QGramIndex, "bag_bounds", counting)
         assert joiner.join_many(probes, targets) == want["join_many"]
         swept = sum(dict(joiner.last_join_stats.kernel_pairs).values())
         assert 2 * swept < sum(offered), (swept, sum(offered))

@@ -243,6 +243,23 @@ class TestBrokenDocsAreCaught:
             "read in src/ but not documented",
         ]
 
+    def test_numbered_roadmap_citation_fails(self, fake_repo):
+        # A citation by number goes stale at the next renumbering; the
+        # file name and a citation by subject do not.
+        (fake_repo / "docs" / "operations.md").write_text(
+            "# Ops\nsee ROADMAP.md and the ROADMAP item on the q-gram index;\n"
+            "not (ROADMAP 3), ROADMAP\nitem 4 or ROADMAP 7a.\n"
+        )
+        (fake_repo / "README.md").write_text("# fake\nROADMAP item 12 next\n")
+        files = check_docs.collect_doc_files(fake_repo)
+        hint = "ROADMAP items are renumbered, so name the item's subject"
+        assert check_docs.check_roadmap_citations(files, fake_repo) == [
+            f"README.md: cites 'ROADMAP item 12'; {hint}",
+            f"docs/operations.md: cites 'ROADMAP 3'; {hint}",
+            f"docs/operations.md: cites 'ROADMAP item 4'; {hint}",
+            f"docs/operations.md: cites 'ROADMAP 7a'; {hint}",
+        ]
+
     def test_undocumented_endpoint_fails(self, fake_repo):
         # The fixture's http_api.md mentions no endpoint at all, so
         # every real PUBLIC_ENDPOINTS entry must be reported.

@@ -516,7 +516,7 @@ class TestJoinerEquivalence:
     @pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
     def test_hostile_single_column_matches_brute_at_two_workers(self, backend):
         # The same column sharded: its probes span well over ten lengths,
-        # several past one word, so every shard's rungs mix lengths.
+        # several past one word, so every shard's kernel calls mix lengths.
         targets, probes, want = _hostile_column()
         lengths = {len(probe) for probe in probes}
         assert len(lengths) >= 10 and sum(m > 64 for m in lengths) >= 2
@@ -533,7 +533,7 @@ class TestJoinerEquivalence:
 
 
 def _recorded_column():
-    """The column and probes the ladder's counts were first recorded on."""
+    """The column and probes the join's counts were first recorded on."""
     rng = random.Random(20160)
     targets = [
         random_unicode_string(rng, max_length=24, min_length=6) + f"#{i}"
@@ -610,9 +610,9 @@ class TestPairsAccounting:
     @pytest.mark.parametrize(
         ("method", "args", "shape", "kernel_calls", "pairs"),
         (
-            ("join_many", (), "ladder", 16, 1247),
-            ("topk_many", (3,), "ladder", 29, 9051),
-            ("join_many", (), "serve_join", 4, 37),
+            ("join_many", (), "ladder", 3, 1203),
+            ("topk_many", (3,), "ladder", 3, 7919),
+            ("join_many", (), "serve_join", 2, 79),
         ),
     )
     def test_pairs_and_sweeps_match_the_recorded_ladder(
@@ -629,9 +629,17 @@ class TestPairsAccounting:
         # a pair whose character-histogram bound exceeds the cap gets
         # cap + 1 without a sweep, so pairs drop 2235 -> 1247,
         # 12991 -> 9051 and 181 -> 37, and the serve_join shape loses
-        # the two calls whose every pair the bound settles (6 -> 4).  A
-        # change that moves these numbers re-records them on purpose or
-        # is wrong.
+        # the two calls whose every pair the bound settles (6 -> 4).
+        # Re-recorded again in the commit that replaced the ladder (a
+        # cap-2 round, an upper-bound batch and two waves, one call per
+        # distinct bound) with one bound-ordered verification loop: one
+        # call scores every probe's seeds, then one call per stratum at
+        # the largest cap among its probes, so calls drop 16 -> 3,
+        # 29 -> 3 and 4 -> 2.  Pairs follow the bound order instead of
+        # the waves: 1247 -> 1203 and 9051 -> 7919, while the serve_join
+        # shape's 16 seeds, scored exactly, lift it 37 -> 79.  A change
+        # that moves these numbers re-records them on purpose or is
+        # wrong.
         targets, probes = _ACCOUNTING_INPUTS[shape]()
         joiner = IndexedJoiner(
             JoinConfig(kernel_backend="bitparallel"), cache=IndexCache()

@@ -47,9 +47,8 @@ def _probes_for(targets, rng):
 def _near_duplicate_titles():
     """Clusters of single-character typos: >= 7 values within distance 2.
 
-    Every value has its whole cluster within two edits, so the ladder's
-    cheap cap-2 round resolves a top-k outright instead of falling
-    through to the upper-bound waves.
+    Every value has its whole cluster within two edits, so a top-k is
+    resolved from the cap-2 seed pool without generating past it.
     """
     rng = random.Random(_SEED + 7)
     titles = [
@@ -70,7 +69,7 @@ def _near_duplicate_titles():
     return column
 
 
-# Beyond the registry: inputs aimed at the ladder's resolution rule.
+# Beyond the registry: inputs aimed at the verification loop's stop rule.
 _EXTRA_COLUMNS = {
     "near-duplicate-titles": _near_duplicate_titles,
     # k >= the number of distinct values: the whole column ranks.
