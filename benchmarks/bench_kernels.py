@@ -15,8 +15,8 @@ call, for every backend, on the shapes the JAB workload produces:
   per-call set-up and the word-count grouping show;
 * **short** — 2 000 pairs against journal titles at ``m = 27`` (one
   word) and **long** — against four titles concatenated at ``m = 100``
-  (multi-block bit-parallel, the regime ``auto`` hands to the banded
-  kernel): a wide stratum's chunk, where the sweep itself is the cost;
+  (multi-block bit-parallel): a wide stratum's chunk, where the sweep
+  itself is the cost;
 * caps 2 and 4.
 
 Each row is timed under the emitters' shared protocol
@@ -49,7 +49,7 @@ from repro.index.kernels import get_backend
 
 _SEED = 31
 _CAPS = (2, 4)
-_BACKENDS = ("reference", "bitparallel", "banded")
+_BACKENDS = ("reference", "bitparallel")
 # (titles concatenated per candidate value, probe length m): a wave's
 # 2 000-pair chunk, 100 candidates per probe.
 _REGIMES = {"short": (1, 27), "long": (4, 100)}

@@ -75,13 +75,6 @@ class EditDistanceJoiner:
 
     The config is a constructor-time carrier: the thresholds land on
     plain mutable attributes that every query reads at call time.
-
-    ``config.kernel_backend`` resolves here, once, into the
-    :attr:`kernel` every engine scores through
-    (:mod:`repro.index.kernels`); the brute scan itself stays on the
-    scalar DP — it is the oracle the kernels are measured against —
-    but subclasses and workers inherit the resolved backend through
-    this single dispatch point.
     """
 
     def __init__(self, config: JoinConfig | None = None) -> None:
@@ -91,13 +84,7 @@ class EditDistanceJoiner:
             raise TypeError(
                 f"config must be a JoinConfig, got {type(config).__name__}"
             )
-        # Imported lazily: the kernels registry lives in the index
-        # package, which imports this module — a top-level import
-        # would cycle.
-        from repro.index.kernels import resolve_backend
-
         self.config = config
-        self.kernel = resolve_backend(config.kernel_backend)
         self.max_distance = config.max_distance
         self.normalized_threshold = config.normalized_threshold
 

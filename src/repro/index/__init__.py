@@ -11,11 +11,10 @@ column:
 * :mod:`repro.index.kernel` — :func:`edit_distance_pairs`, the whole
   kernel contract: a capped DP over (query, candidate) pairs, each
   scored at its own query's length, kept plain because it is the oracle.
-* :mod:`repro.index.kernels` — pluggable backends for that one function
-  (Myers bit-parallel, Ukkonen banded, per-pair auto dispatch),
-  selected via ``JoinConfig.kernel_backend`` or the
-  ``REPRO_KERNEL_BACKEND`` environment variable; every backend is
-  byte-identical to the reference DP.
+* :mod:`repro.index.kernels` — the two backends for that one function:
+  Myers bit-parallel (the fast path) and the reference DP as the
+  oracle, picked by the ``REPRO_KERNEL_BACKEND`` environment variable;
+  bit-parallel is byte-identical to the reference DP.
 * :mod:`repro.index.joiner` — :class:`IndexedJoiner` (drop-in,
   byte-identical results to :class:`~repro.core.joiner.EditDistanceJoiner`),
   :class:`AutoJoiner` (switches strategy on target-column size), and the

@@ -50,7 +50,7 @@ from repro.core.joiner import EditDistanceJoiner
 from repro.exceptions import JoinError
 from repro.index.cache import IndexCache, default_index_cache
 from repro.index.kernel import encode_strings
-from repro.index.kernels import pairs_scored_snapshot
+from repro.index.kernels import pairs_scored_snapshot, resolve_backend
 from repro.index.qgram import QGramIndex
 from repro.obs.trace import get_tracer
 
@@ -81,8 +81,8 @@ class IndexedJoiner(EditDistanceJoiner):
 
     Args:
         config: All tunables in one frozen
-            :class:`~repro.core.JoinConfig` — thresholds, the kernel
-            backend and ``n_workers`` (``None`` auto-picks
+            :class:`~repro.core.JoinConfig` — thresholds and
+            ``n_workers`` (``None`` auto-picks
             ``os.cpu_count()`` capped when a batch has at least
             :data:`PARALLEL_THRESHOLD` unresolved probes and runs
             serially below; ``1`` forces serial; ``>= 2`` always
@@ -94,6 +94,9 @@ class IndexedJoiner(EditDistanceJoiner):
             than a config field.
 
     Attributes:
+        kernel: The edit-distance backend every kernel call scores
+            through, resolved once from ``REPRO_KERNEL_BACKEND``
+            (:func:`~repro.index.kernels.resolve_backend`).
         threshold: Minimum target-column length (in rows) at which the
             q-gram engine takes over; smaller columns run the inherited
             brute scan (byte-identical, so the switch never changes
@@ -135,6 +138,7 @@ class IndexedJoiner(EditDistanceJoiner):
         cache: IndexCache | None = None,
     ) -> None:
         super().__init__(config)
+        self.kernel = resolve_backend()
         self.cache = cache if cache is not None else default_index_cache()
         self.threshold = 0
         self.last_join_stats: JoinStats | None = None
@@ -168,9 +172,7 @@ class IndexedJoiner(EditDistanceJoiner):
             pool.close()
             pool = None
         if pool is None:
-            pool = JoinWorkerPool(
-                n_workers, self.cache, kernel_backend=self.kernel.name
-            )
+            pool = JoinWorkerPool(n_workers, self.cache)
             self._pool = pool
         return pool
 
@@ -592,8 +594,7 @@ def make_joiner(
         strategy: ``"brute"`` (scalar scan), ``"indexed"`` (q-gram
             blocked), or ``"auto"`` (switch on target-column size).
         config: All tunables in one frozen
-            :class:`~repro.core.JoinConfig` (thresholds, worker count,
-            kernel backend).
+            :class:`~repro.core.JoinConfig` (thresholds, worker count).
         cache: Index cache for the blocked strategies (``None`` = the
             process-wide shared cache).
     """

@@ -9,12 +9,12 @@ code matrix.  Queries of every length ride one call, each pair scored
 at its own ``m_i``; one query against many candidates is its ``p = 1``
 case.  Neither has an entry point of its own.
 
-This is the oracle every backend in :mod:`repro.index.kernels` must
-match byte-for-byte, so it is the plainest code that states the answer:
+This is the oracle the bit-parallel backend in :mod:`repro.index.kernels`
+must match byte-for-byte, so it is the plainest code that states the answer:
 one exact DP row per column of the query table, vectorized over all
 pairs, each pair's answer read at the row its query ends on, with no
 early exit, length window, grouping or compaction.  It is nobody's fast
-path — the other backends own their speed — so nothing here is tuned.
+path — bit-parallel owns the speed — so nothing here is tuned.
 
 Distances are capped on output: any value above ``cap`` is reported as
 ``cap + 1``, matching the contract of

@@ -82,11 +82,10 @@ class JoinStats:
         shard_sizes: Probe count of each shard, in dispatch order.
         cache_hits: In-memory index-cache hits during the call.
         cache_misses: In-memory index-cache misses during the call.
-        kernel_backend: Resolved kernel backend the joiner scored with
-            (``"auto"`` means per-call dispatch; the per-backend pairs
-            show what actually ran).
+        kernel_backend: Kernel backend the joiner scored with (see
+            :mod:`repro.index.kernels`).
         kernel_pairs: ``(backend_name, pairs_scored)`` tuples — how
-            many (probe, candidate) pairs each concrete kernel backend
+            many (probe, candidate) pairs each kernel backend
             scored during this call, parent process plus per-shard
             worker deltas.  Zero-count backends are omitted.  Parent
             counts come from the process-wide tally, so concurrent
@@ -106,7 +105,7 @@ class JoinStats:
     shard_sizes: tuple[int, ...] = ()
     cache_hits: int = 0
     cache_misses: int = 0
-    kernel_backend: str = "auto"
+    kernel_backend: str = "bitparallel"
     kernel_pairs: tuple[tuple[str, int], ...] = ()
 
     def as_dict(self) -> dict:
@@ -183,7 +182,6 @@ def _score_shard(
     probes: list[str],
     fingerprint: str,
     column: tuple[str, ...] | None,
-    kernel_backend: str,
     k: int,
 ) -> tuple:
     """Rank one shard's probes; ship the results as reduced int32 arrays.
@@ -194,11 +192,6 @@ def _score_shard(
     with no column attached raises :class:`_ColumnNeeded` so the parent
     can resubmit with the column, which the worker then resolves
     through its content-keyed ``cache`` (a hit, or a build).
-
-    ``kernel_backend`` is the parent joiner's *resolved* backend name,
-    so workers score with the same kernel whatever their environment
-    says (``"auto"`` stays per-call dispatch, which resolves the same
-    way in every process).
 
     The payload is ``(kernel_pairs, counts, vids, distances)``: a ragged
     triple of per-probe rank counts plus flat value ids and distances
@@ -224,10 +217,7 @@ def _score_shard(
             indexes.popitem(last=False)
     else:
         indexes.move_to_end(fingerprint)
-    scorer = IndexedJoiner(
-        JoinConfig(n_workers=1, kernel_backend=kernel_backend),
-        cache=cache,
-    )
+    scorer = IndexedJoiner(JoinConfig(n_workers=1), cache=cache)
     pairs_before = pairs_scored_snapshot()
     ranked = scorer._resolve_probes(index, probes, k)
     counts = np.fromiter(
@@ -278,9 +268,11 @@ class JoinWorkerPool(WorkerPool):
         cache: The owning joiner's index cache; under the ``fork``
             start method it is inherited by workers copy-on-write
             (fresh-start workers begin with an empty one).
-        kernel_backend: The owning joiner's *resolved* kernel-backend
-            name, forwarded to workers with every shard so sharded
-            scoring runs the exact kernel the serial path would.
+
+    Shards carry no kernel name: a worker scores with the backend
+    ``REPRO_KERNEL_BACKEND`` names in the environment it started with,
+    the parent's under ``fork`` and ``spawn`` (a ``forkserver`` child
+    has the server's, which is the parent's as of the server's start).
 
     :meth:`run_probes` is not itself thread-safe — it executes one
     batch call at a time, which is how
@@ -288,16 +280,10 @@ class JoinWorkerPool(WorkerPool):
     layer serializes joins through its batch executor).
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        cache: IndexCache,
-        kernel_backend: str = "auto",
-    ) -> None:
+    def __init__(self, n_workers: int, cache: IndexCache) -> None:
         super().__init__(
             _join_handler, n_workers, inherited=cache, name="join-worker"
         )
-        self.kernel_backend = kernel_backend
         # Column fingerprints whose columns have already been shipped to
         # this pool's workers (warm shards go fingerprint-only).
         self._shipped_fps: set[str] = set()
@@ -331,13 +317,7 @@ class JoinWorkerPool(WorkerPool):
         inflight: dict[Future, int] = {}
 
         def send(shard_id: int, attached: tuple[str, ...] | None) -> None:
-            payload = (
-                shards[shard_id],
-                fingerprint,
-                attached,
-                self.kernel_backend,
-                k,
-            )
+            payload = (shards[shard_id], fingerprint, attached, k)
             inflight[self.submit("shard", payload)] = shard_id
 
         queued = iter(range(len(shards)))

@@ -59,7 +59,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Literal
 
 from repro.core.interface import IncrementalSequenceModel
-from repro.core.join_config import JOIN_MODES, KERNEL_BACKENDS
+from repro.core.join_config import JOIN_MODES
 from repro.core.joiner import invert_matches
 from repro.core.pipeline import DTTPipeline
 from repro.core.serializer import SubTask
@@ -69,6 +69,7 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
+from repro.index.kernels import KERNEL_BACKENDS
 from repro.infer.engine import EngineStats
 from repro.obs.metrics import (
     DEFAULT_OCCUPANCY_BUCKETS,
@@ -90,7 +91,6 @@ from repro.serve.cache import (
 )
 from repro.types import ExamplePair, Prediction
 
-_KERNEL_NAMES = tuple(name for name in KERNEL_BACKENDS if name != "auto")
 #: ``JoinStats`` fields accumulated into the registry (for
 #: ``EngineStats`` it is every field).
 _JOIN_FIELDS = (
@@ -196,7 +196,7 @@ def kernel_pairs_total(snapshot: Mapping) -> dict[str, int]:
     """Pairs scored per kernel backend, for the backends that scored any."""
     counts = {
         backend: snapshot.get(f"join_kernel_pairs_{backend}_total", 0)
-        for backend in _KERNEL_NAMES
+        for backend in KERNEL_BACKENDS
     }
     return {backend: count for backend, count in counts.items() if count}
 
@@ -468,7 +468,7 @@ class TransformService:
             "candidate pairs scored by the {} "
             "edit-distance kernel across all joins"
         )
-        for backend in _KERNEL_NAMES:
+        for backend in KERNEL_BACKENDS:
             alias(pairs_series.format(backend), pairs_help.format(backend))
         # The EngineStats and JoinStats counters under their own metric
         # namespaces, merged with the same per-worker/per-route labels
@@ -483,7 +483,7 @@ class TransformService:
                 f"join_{field}_total",
                 f"see JoinStats.{field} (cumulative across joins)",
             )
-        for backend in _KERNEL_NAMES:
+        for backend in KERNEL_BACKENDS:
             stored(pairs_series.format(backend), pairs_help.format(backend))
         return registry
 

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.index.kernels import KERNEL_BACKENDS
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
     "check_docs", REPO_ROOT / "scripts" / "check_docs.py"
@@ -163,12 +165,14 @@ class TestBrokenDocsAreCaught:
             "which the serving registry does not emit",
         ]
         # Two table rows are real (one gauge, one <backend> row covering
-        # three counters); every other emitted series is reported.
+        # a counter per backend); every other emitted series is reported.
         unlisted = [p for p in problems if "missing from the series" in p]
-        assert len(unlisted) == len(check_docs.emitted_series()) - 4
+        assert len(unlisted) == (
+            len(check_docs.emitted_series()) - 1 - len(KERNEL_BACKENDS)
+        )
         assert not any("serve_queue_depth" in p for p in unlisted)
         assert not any(
-            "series join_kernel_pairs_banded_total" in p for p in unlisted
+            "series join_kernel_pairs_reference_total" in p for p in unlisted
         )
 
     def test_vanished_method_fails(self, fake_repo):

@@ -384,11 +384,8 @@ class TestMakeJoiner:
         assert type(make_joiner("auto")) is AutoJoiner
 
     def test_parameters_forwarded(self):
-        joiner = make_joiner(
-            "indexed", JoinConfig(max_distance=3, kernel_backend="banded")
-        )
+        joiner = make_joiner("indexed", JoinConfig(max_distance=3))
         assert joiner.max_distance == 3
-        assert joiner.kernel.name == "banded"
         auto = make_joiner("auto", JoinConfig(normalized_threshold=0.5, n_workers=1))
         assert auto.threshold == 256
         assert auto.normalized_threshold == 0.5

@@ -1,8 +1,8 @@
 """Kernel backends: registry semantics and byte equivalence everywhere.
 
-The pluggable kernel layer (``repro.index.kernels``) claims the Myers
-bit-parallel and banded (Ukkonen) backends are *byte-identical* to the
-reference numpy DP — and, transitively, to the scalar
+The kernel layer (``repro.index.kernels``) claims the Myers
+bit-parallel backend is *byte-identical* to the reference numpy DP —
+and, transitively, to the scalar
 :func:`repro.text.edit_distance.edit_distance` oracle.  These tests
 enforce that claim with randomized cross-backend fuzz (caps 0-8, empty
 strings, multi-block queries past 64 characters, pad-boundary lengths
@@ -30,15 +30,15 @@ from hypothesis import strategies as st
 from repro.utils.fuzz import FUZZ_ALPHABET, random_edits, random_unicode_string
 
 import repro.index
-from repro.core.join_config import KERNEL_BACKENDS, JoinConfig
+from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.datagen.benchmarks.journals import JOURNAL_TITLES
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.index import IndexCache, IndexedJoiner
 from repro.index.kernel import encode_strings
 from repro.index.kernels import (
+    KERNEL_BACKENDS,
     KernelBackend,
-    banded,
     bitparallel,
     get_backend,
     pairs_scored_snapshot,
@@ -47,7 +47,6 @@ from repro.index.kernels import (
 from repro.text.edit_distance import edit_distance
 
 _SEED = 987
-_CONCRETE = ("reference", "bitparallel", "banded")
 
 
 def _oracle(query: str, candidates: list[str], cap: int) -> list[int]:
@@ -73,43 +72,31 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             get_backend("simd9000")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("simd9000")
 
-    def test_join_config_validates_backend(self):
-        with pytest.raises(ValueError, match="kernel_backend"):
-            JoinConfig(kernel_backend="simd9000")
-        assert JoinConfig(kernel_backend="banded").kernel_backend == "banded"
-
-    def test_env_var_steers_auto_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "banded")
-        assert resolve_backend(None).name == "banded"
-        assert resolve_backend("auto").name == "banded"
-        # An explicit choice always wins over the environment.
-        assert resolve_backend("bitparallel").name == "bitparallel"
+    def test_env_var_selects_the_backend(self, monkeypatch):
+        for name in KERNEL_BACKENDS:
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", name)
+            assert resolve_backend().name == name
+            assert IndexedJoiner(cache=IndexCache()).kernel.name == name
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
+        assert resolve_backend().name == "bitparallel"
 
     def test_empty_env_var_means_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "")
-        assert resolve_backend(None).name == "auto"
+        assert resolve_backend().name == "bitparallel"
 
     def test_env_var_typo_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bitparalel")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend(None)
-
-    def test_auto_dispatch_matches_reference(self):
-        auto = get_backend("auto")
-        queries = ["abc", "", "x" * 70, "y" * 64]
-        candidates = ["abd", "", "x" * 69 + "z", "y" * 63]
-        for cap in (0, 2, 40):
-            for query in queries:
-                got = _score_one(auto, query, candidates, cap)
-                want = _oracle(query, candidates, cap)
-                assert got.tolist() == want, (query, cap)
+        # A misspelling, and the two backends that were deleted.
+        for name in ("bitparalel", "banded", "auto"):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", name)
+            with pytest.raises(
+                ValueError, match=r"unknown kernel backend.*'reference', 'bitparallel'"
+            ):
+                resolve_backend()
 
 
 class TestScalarOracleFuzz:
-    @pytest.mark.parametrize("backend", _CONCRETE)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_randomized_columns(self, backend):
         rng = random.Random(_SEED)
         kernel = get_backend(backend)
@@ -132,10 +119,10 @@ class TestScalarOracleFuzz:
                 cap,
             )
 
-    @pytest.mark.parametrize("backend", _CONCRETE)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_pad_boundary_and_multiblock_queries(self, backend):
         # Queries straddling the 64-bit word boundary exercise the
-        # multi-block chaining (bitparallel) and wide rows (banded).
+        # multi-block chaining.
         rng = random.Random(_SEED + 1)
         kernel = get_backend(backend)
         for m in (63, 64, 65, 128, 130):
@@ -159,13 +146,13 @@ class TestScalarOracleFuzz:
                     cap,
                 )
 
-    @pytest.mark.parametrize("backend", _CONCRETE)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_empty_query_and_empty_batch(self, backend):
         kernel = get_backend(backend)
         assert _score_one(kernel, "", ["", "ab", "abcd"], 2).tolist() == [0, 2, 3]
         assert _score_one(kernel, "abc", [], 2).size == 0
 
-    @pytest.mark.parametrize("backend", _CONCRETE)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_pairs_lockstep_matches_oracle(self, backend):
         rng = random.Random(_SEED + 2)
         kernel = get_backend(backend)
@@ -194,7 +181,7 @@ class TestScalarOracleFuzz:
                 ]
                 assert got.tolist() == want, (backend, m, cap)
 
-    @pytest.mark.parametrize("backend", ("bitparallel", "banded"))
+    @pytest.mark.parametrize("backend", ("bitparallel",))
     def test_compaction_under_large_batches(self, backend):
         # Enough settled candidates to trip the batch-compaction path.
         rng = random.Random(_SEED + 3)
@@ -281,7 +268,7 @@ _MIXED_LENGTHS = (1, 63, 64, 65, 128, 129)
 _DIFF_ALPHABET = _HOSTILE_ALPHABET + "e\u0301o\u0308 J"
 
 
-@pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 class TestPairIdentityContract:
     """Probe identity is an argument: a padded table, its lengths, one id per pair."""
 
@@ -400,7 +387,7 @@ class TestScalarOracleProperty:
         # The scalar DP in repro.text shares no code with index/, so it
         # is the one oracle the kernels cannot drift along with.
         queries, ids, candidates, cap = call
-        for backend in (*_CONCRETE, "auto"):
+        for backend in KERNEL_BACKENDS:
             _assert_pairs_match_oracle(
                 get_backend(backend), queries, ids, candidates, cap
             )
@@ -451,20 +438,20 @@ def _hostile_column():
 class TestJoinerEquivalence:
     """Forcing each backend must leave every join surface byte-identical."""
 
-    @pytest.mark.parametrize("backend", ("bitparallel", "banded"))
+    @pytest.mark.parametrize("backend", ("bitparallel",))
     @pytest.mark.parametrize("name", dataset_names())
-    def test_backends_match_brute_on_dataset(self, backend, name):
+    def test_backends_match_brute_on_dataset(self, monkeypatch, backend, name):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
         rng = random.Random(_SEED + 4)
         tables = get_dataset(name, seed=0, scale=0.05)
         brute = EditDistanceJoiner(JoinConfig())
-        config = JoinConfig(kernel_backend=backend)
         for table in tables:
             targets = list(table.targets)
             probes = [
                 random_edits(rng, t, rng.randint(0, 2))
                 for t in targets[: max(4, len(targets) // 3)]
             ]
-            joiner = IndexedJoiner(config, cache=IndexCache())
+            joiner = IndexedJoiner(cache=IndexCache())
             assert joiner.join_many(probes, targets) == brute.join_many(
                 probes, targets
             ), (backend, name, table.name)
@@ -472,9 +459,12 @@ class TestJoinerEquivalence:
                 probes, targets, k=3
             ), (backend, name, table.name)
 
-    @pytest.mark.parametrize("backend", ("bitparallel", "banded"))
+    @pytest.mark.parametrize("backend", ("bitparallel",))
     @pytest.mark.parametrize("n_workers", (2, 4))
-    def test_workers_inherit_backend(self, backend, n_workers):
+    def test_workers_inherit_backend(self, monkeypatch, backend, n_workers):
+        # Workers get no backend name with their shards: they read the
+        # environment they inherited from the parent.
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
         rng = random.Random(_SEED + 5)
         targets = [
             random_unicode_string(rng, max_length=20, min_length=4) + f"#{i}"
@@ -482,29 +472,25 @@ class TestJoinerEquivalence:
         ]
         probes = [random_edits(rng, t, 1) for t in targets[:40]]
         brute = EditDistanceJoiner(JoinConfig())
-        joiner = IndexedJoiner(
-            JoinConfig(n_workers=n_workers, kernel_backend=backend),
-            cache=IndexCache(),
-        )
+        joiner = IndexedJoiner(JoinConfig(n_workers=n_workers), cache=IndexCache())
         try:
             assert joiner.join_many(probes, targets) == brute.join_many(
                 probes, targets
             )
             stats = joiner.last_join_stats
             assert stats.kernel_backend == backend
-            # Worker deltas fold into the same per-backend ledger, and a
-            # forced backend must be the only one that scored anything.
-            scored = dict(stats.kernel_pairs)
-            assert set(scored) <= {backend}
+            # Worker deltas fold into the same per-backend ledger, and
+            # the parent's backend must be the only one that scored.
+            assert stats.shards > 1
+            assert set(dict(stats.kernel_pairs)) == {backend}
         finally:
             joiner.close()
 
-    @pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
-    def test_hostile_single_column_matches_brute(self, backend):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_hostile_single_column_matches_brute(self, monkeypatch, backend):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
         targets, probes, want = _hostile_column()
-        joiner = IndexedJoiner(
-            JoinConfig(kernel_backend=backend), cache=IndexCache()
-        )
+        joiner = IndexedJoiner(cache=IndexCache())
         got = {
             "join_many": joiner.join_many(probes, targets),
             "topk_many": joiner.topk_many(probes, targets, k=3),
@@ -513,15 +499,17 @@ class TestJoinerEquivalence:
         for query in want:
             assert got[query] == want[query], (backend, query)
 
-    @pytest.mark.parametrize("backend", (*_CONCRETE, "auto"))
-    def test_hostile_single_column_matches_brute_at_two_workers(self, backend):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_hostile_single_column_matches_brute_at_two_workers(
+        self, monkeypatch, backend
+    ):
         # The same column sharded: its probes span well over ten lengths,
         # several past one word, so every shard's kernel calls mix lengths.
         targets, probes, want = _hostile_column()
         lengths = {len(probe) for probe in probes}
         assert len(lengths) >= 10 and sum(m > 64 for m in lengths) >= 2
-        config = JoinConfig(kernel_backend=backend, n_workers=2)
-        with IndexedJoiner(config, cache=IndexCache()) as joiner:
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        with IndexedJoiner(JoinConfig(n_workers=2), cache=IndexCache()) as joiner:
             got = {
                 "join_many": joiner.join_many(probes, targets),
                 "topk_many": joiner.topk_many(probes, targets, k=3),
@@ -591,16 +579,15 @@ class _DoorCalls(ast.NodeVisitor):
 
 
 class TestPairsAccounting:
-    def test_join_stats_record_pairs_scored(self):
+    def test_join_stats_record_pairs_scored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bitparallel")
         rng = random.Random(_SEED + 7)
         targets = [
             random_unicode_string(rng, max_length=18, min_length=6) + f"#{i}"
             for i in range(150)
         ]
         probes = [random_edits(rng, t, 1) for t in targets[:25]]
-        joiner = IndexedJoiner(
-            JoinConfig(kernel_backend="bitparallel"), cache=IndexCache()
-        )
+        joiner = IndexedJoiner(cache=IndexCache())
         joiner.join_many(probes, targets)
         stats = joiner.last_join_stats
         scored = dict(stats.kernel_pairs)
@@ -640,10 +627,9 @@ class TestPairsAccounting:
         # shape's 16 seeds, scored exactly, lift it 37 -> 79.  A change
         # that moves these numbers re-records them on purpose or is
         # wrong.
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bitparallel")
         targets, probes = _ACCOUNTING_INPUTS[shape]()
-        joiner = IndexedJoiner(
-            JoinConfig(kernel_backend="bitparallel"), cache=IndexCache()
-        )
+        joiner = IndexedJoiner(cache=IndexCache())
         inner = joiner.kernel.edit_distance_pairs
         calls = []
 
@@ -660,10 +646,9 @@ class TestPairsAccounting:
         assert {name: after[name] - before[name] for name in after} == {
             "reference": 0,
             "bitparallel": pairs,
-            "banded": 0,
         }
 
-    @pytest.mark.parametrize("backend", _CONCRETE)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_single_query_adapters_credit_once_at_the_door(self, backend):
         # One query against n candidates is the p = 1 pair call: it
         # credits its n candidates once, to its own backend and to
@@ -675,31 +660,15 @@ class TestPairsAccounting:
         after = pairs_scored_snapshot()
         assert got.tolist() == _oracle("abcf", candidates, 2)
         assert {name: after[name] - before[name] for name in after} == {
-            name: len(candidates) * (name == backend) for name in _CONCRETE
-        }
-
-    @pytest.mark.parametrize(
-        ("query", "cap", "credited"),
-        (("a" * 10, 2, "bitparallel"), ("a" * 80, 2, "banded"), ("", 2, "reference")),
-    )
-    def test_auto_credits_the_backend_it_picked(self, query, cap, credited):
-        candidates = [query + "b", query, "b" + query[1:]]
-        before = pairs_scored_snapshot()
-        got = _score_one(get_backend("auto"), query, candidates, cap)
-        after = pairs_scored_snapshot()
-        assert got.tolist() == _oracle(query, candidates, cap)
-        assert "auto" not in after
-        assert {name: after[name] - before[name] for name in after} == {
-            name: len(candidates) * (name == credited) for name in _CONCRETE
+            name: len(candidates) * (name == backend) for name in KERNEL_BACKENDS
         }
 
     def test_the_pair_function_is_the_only_door(self):
         # A second scoring entry point cannot grow back unnoticed: the
         # backend modules export the pair function alone, nothing under
         # repro.index carries a single-query form, and outside the
-        # kernels package (whose auto dispatch is part of the door) the
-        # door has one caller.
-        assert bitparallel.__all__ == banded.__all__ == ["edit_distance_pairs"]
+        # kernels package the door has one caller.
+        assert bitparallel.__all__ == ["edit_distance_pairs"]
         for name in KERNEL_BACKENDS:
             assert isinstance(get_backend(name), KernelBackend)
         gone = ("edit_distance_codes", "edit_distance_many", "one_query")
@@ -758,9 +727,9 @@ class TestPairsAccounting:
 
     def test_snapshot_is_cumulative_and_resettable(self):
         before = pairs_scored_snapshot()
-        _score_one(get_backend("banded"), "abcdef", ["abcdxf"] * 7, 2)
+        _score_one(get_backend("reference"), "abcdef", ["abcdxf"] * 7, 2)
         after = pairs_scored_snapshot()
-        assert after["banded"] - before.get("banded", 0) == 7
+        assert after["reference"] - before["reference"] == 7
 
 
 class TestServeExport:

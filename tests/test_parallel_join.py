@@ -258,24 +258,24 @@ class TestPersistentPool:
 
         handle = _join_handler(None)
         with pytest.raises(_ColumnNeeded):
-            handle("shard", (["probe"], "fp?", None, "auto", 1))
+            handle("shard", (["probe"], "fp?", None, 1))
         column = tuple(f"value-{i:03d}" for i in range(60))
         fingerprint = column_fingerprint(column, adaptive_q(column))
         kernel_pairs, counts, vids, distances = handle(
-            "shard", (["value-0070"], fingerprint, column, "auto", 1)
+            "shard", (["value-0070"], fingerprint, column, 1)
         )
         assert distances.tolist() == [1]
         assert counts.tolist() == [1] and vids.size == 1
         assert sum(dict(kernel_pairs).values()) >= 1
         # One payload shape at any k: counts slice the flat rank arrays.
         _, counts, vids, distances = handle(
-            "shard", (["value-0070", "value-0081"], fingerprint, None, "auto", 3)
+            "shard", (["value-0070", "value-0081"], fingerprint, None, 3)
         )
         assert counts.tolist() == [3, 3] and vids.size == distances.size == 6
         assert distances.tolist()[:3] == sorted(distances.tolist()[:3])
         # Fingerprint-only now resolves through the memo, no column.
         _, counts, _, _ = handle(
-            "shard", (["value-0080"], fingerprint, None, "auto", 1)
+            "shard", (["value-0080"], fingerprint, None, 1)
         )
         assert counts.tolist() == [1]
 

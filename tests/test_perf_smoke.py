@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 from repro.utils.fuzz import random_edits, random_unicode_string
 
-from repro.core.join_config import JoinConfig
 from repro.index import IndexedJoiner, QGramIndex
 from repro.index.kernel import encode_strings
 from repro.model import ByteSeq2SeqModel
@@ -86,7 +85,7 @@ def _pair_sweep_peak(index: QGramIndex, query_length: int) -> int:
     n_values = len(index.values)
     vids = np.tile(np.arange(n_values), 2)
     probe_rep = np.repeat(np.arange(2), n_values)
-    joiner = IndexedJoiner(JoinConfig(kernel_backend="bitparallel"))
+    joiner = IndexedJoiner()
     # A vacuous cap keeps every pair in the length window: all of them
     # are swept, none settles early.
     cap = 2 * query_length
@@ -109,12 +108,13 @@ def _pair_sweep_peak(index: QGramIndex, query_length: int) -> int:
 
 
 @pytest.mark.slow
-def test_pair_sweep_memory_does_not_carry_a_query_copy_per_pair():
+def test_pair_sweep_memory_does_not_carry_a_query_copy_per_pair(monkeypatch):
     # 2 probes x 20 000 values = 40 000 pairs.  The kernel takes the
     # probe table and one id per pair; when it took one *copy of the
     # probe's code row* per pair (and sorted that matrix to find the
     # distinct probes again) the peak of this call grew by 537 KiB from
     # m = 40 to m = 64 — 4 * m bytes per pair per chunk, twice over.
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bitparallel")
     rng = random.Random(7)
     index = QGramIndex(
         [

@@ -308,9 +308,8 @@ class TestJoinConfig:
             "max_distance",
             "normalized_threshold",
             "n_workers",
-            "kernel_backend",
         ]
-        assert config == JoinConfig(None, None, None, "auto")
+        assert config == JoinConfig(None, None, None)
         assert joiner_module.AUTO_THRESHOLD == 256
         assert joiner_module.PARALLEL_THRESHOLD == 4096
 
@@ -321,7 +320,8 @@ class TestJoinConfig:
     def test_validation(self):
         # The query mode is a method, k and margin are arguments of each
         # call, the gram size is adaptive and the two switch-over points
-        # are constants: none of them is a config field.
+        # are constants, and the kernel comes from the environment:
+        # none of them is a config field.
         for removed in (
             "mode",
             "k",
@@ -329,6 +329,7 @@ class TestJoinConfig:
             "q",
             "auto_threshold",
             "parallel_threshold",
+            "kernel_backend",
         ):
             with pytest.raises(TypeError):
                 JoinConfig(**{removed: 1})
@@ -338,8 +339,6 @@ class TestJoinConfig:
             JoinConfig(normalized_threshold=-0.5)
         with pytest.raises(ValueError):
             JoinConfig(n_workers=0)
-        with pytest.raises(ValueError):
-            JoinConfig(kernel_backend="simd")
 
     def test_config_flows_to_joiner_attributes(self):
         config = JoinConfig(max_distance=3, normalized_threshold=0.5, n_workers=2)
