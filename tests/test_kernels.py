@@ -73,6 +73,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             get_backend("simd9000")
 
+    def test_join_config_validates_backend(self, monkeypatch):
+        # The backend is not a config field any more: JoinConfig refuses
+        # it, and the name is validated where it is read, the environment.
+        with pytest.raises(TypeError):
+            JoinConfig(kernel_backend="bitparallel")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "simd9000")
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_backend()
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            IndexedJoiner(cache=IndexCache())
+
     def test_env_var_selects_the_backend(self, monkeypatch):
         for name in KERNEL_BACKENDS:
             monkeypatch.setenv("REPRO_KERNEL_BACKEND", name)
