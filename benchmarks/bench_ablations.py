@@ -13,9 +13,9 @@ from __future__ import annotations
 from conftest import persist
 
 from repro.baselines.base import JoinOutput
-from repro.datagen.benchmarks import get_dataset
+from repro.datagen.benchmarks.registry import get_dataset
 from repro.eval.runner import DTTJoinerAdapter, evaluate_on_dataset
-from repro.surrogate import PretrainedDTT
+from repro.surrogate.pretrained import PretrainedDTT
 
 _SCALE = 0.25
 _SEED = 7

@@ -27,7 +27,8 @@ import sys
 from bench_utils import bench_main, measure
 
 from repro.core.join_config import JoinConfig
-from repro.index import IndexCache, IndexedJoiner
+from repro.index.cache import IndexCache
+from repro.index.joiner import IndexedJoiner
 from repro.utils.fuzz import random_edits, random_unicode_string
 
 _SEED = 41

@@ -36,9 +36,9 @@ from concurrent.futures import ThreadPoolExecutor
 from bench_utils import bench_main, measure
 
 from repro.core.pipeline import DTTPipeline
-from repro.model import ByteSeq2SeqModel
 from repro.model.config import DTTModelConfig
-from repro.serve import RouteSpec, ServiceRouter
+from repro.model.seq2seq import ByteSeq2SeqModel
+from repro.serve.router import RouteSpec, ServiceRouter
 from repro.types import ExamplePair
 from repro.utils.fuzz import random_unicode_string
 

@@ -12,7 +12,7 @@ from repro.model.config import TINY_CONFIG
 from repro.model.seq2seq import ByteSeq2SeqModel
 from repro.surrogate.induction import InductionEngine
 from repro.text.edit_distance import edit_distance, edit_distance_capped
-from repro.tokenizer import ByteTokenizer
+from repro.tokenizer.byte_tokenizer import ByteTokenizer
 from repro.types import ExamplePair
 from repro.utils.rng import derive_rng
 

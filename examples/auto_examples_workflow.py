@@ -9,9 +9,11 @@ Run:  python examples/auto_examples_workflow.py
 
 from __future__ import annotations
 
-from repro import DTTPipeline, PretrainedDTT, get_dataset
+from repro.core.pipeline import DTTPipeline
 from repro.datagen.auto_examples import AutoExampleGenerator
-from repro.metrics import score_join
+from repro.datagen.benchmarks.registry import get_dataset
+from repro.metrics.join_metrics import score_join
+from repro.surrogate.pretrained import PretrainedDTT
 
 
 def main() -> None:

@@ -9,9 +9,12 @@ Run:  python examples/join_web_tables.py
 
 from __future__ import annotations
 
-from repro import PretrainedDTT, get_dataset
-from repro.baselines import AFJJoiner, CSTJoiner, DittoJoiner
+from repro.baselines.afj import AFJJoiner
+from repro.baselines.cst import CSTJoiner
+from repro.baselines.ditto import DittoJoiner
+from repro.datagen.benchmarks.registry import get_dataset
 from repro.eval.runner import DTTJoinerAdapter, evaluate_on_dataset
+from repro.surrogate.pretrained import PretrainedDTT
 
 SCALE = 0.3  # fraction of the full benchmark, for a quick demo
 SEED = 0

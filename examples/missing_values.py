@@ -12,7 +12,9 @@ Run:  python examples/missing_values.py
 
 from __future__ import annotations
 
-from repro import DTTPipeline, ExamplePair, PretrainedDTT
+from repro.core.pipeline import DTTPipeline
+from repro.surrogate.pretrained import PretrainedDTT
+from repro.types import ExamplePair
 
 # A spreadsheet with a partially filled 'EU format' column.
 ROWS: list[tuple[str, str | None]] = [

@@ -10,12 +10,10 @@ Run:  python examples/multi_model_ensemble.py
 
 from __future__ import annotations
 
-from repro import (
-    DTTPipeline,
-    ExamplePair,
-    GPT3Surrogate,
-    PretrainedDTT,
-)
+from repro.core.pipeline import DTTPipeline
+from repro.surrogate.llm import GPT3Surrogate
+from repro.surrogate.pretrained import PretrainedDTT
+from repro.types import ExamplePair
 
 TEXTUAL_EXAMPLES = [
     ExamplePair("Gerard Little", "g.little"),

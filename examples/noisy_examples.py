@@ -9,9 +9,10 @@ Run:  python examples/noisy_examples.py
 
 from __future__ import annotations
 
-from repro import PretrainedDTT, get_dataset
-from repro.baselines import CSTJoiner
+from repro.baselines.cst import CSTJoiner
+from repro.datagen.benchmarks.registry import get_dataset
 from repro.eval.runner import DTTJoinerAdapter, evaluate_on_dataset
+from repro.surrogate.pretrained import PretrainedDTT
 
 NOISE_RATIOS = (0.0, 0.2, 0.4, 0.6, 0.8)
 

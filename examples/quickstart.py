@@ -9,7 +9,9 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import DTTPipeline, ExamplePair, PretrainedDTT
+from repro.core.pipeline import DTTPipeline
+from repro.surrogate.pretrained import PretrainedDTT
+from repro.types import ExamplePair
 
 EXAMPLES = [
     ExamplePair("Justin Trudeau", "jtrudeau"),

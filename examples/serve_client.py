@@ -17,8 +17,10 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
-from repro import DTTPipeline, PretrainedDTT, TransformService
-from repro.serve import start_http_server
+from repro.core.pipeline import DTTPipeline
+from repro.serve.http import start_http_server
+from repro.serve.service import TransformService
+from repro.surrogate.pretrained import PretrainedDTT
 
 EXAMPLES = [
     ["Justin Trudeau", "jtrudeau"],

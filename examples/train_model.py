@@ -11,10 +11,12 @@ Run:  python examples/train_model.py          (~1-2 minutes on CPU)
 
 from __future__ import annotations
 
-from repro import DTTPipeline, ExamplePair
+from repro.core.pipeline import DTTPipeline
 from repro.datagen.training import TrainingDataGenerator
-from repro.model import ByteSeq2SeqModel, Trainer
 from repro.model.config import DTTModelConfig
+from repro.model.seq2seq import ByteSeq2SeqModel
+from repro.model.trainer import Trainer
+from repro.types import ExamplePair
 
 
 def main() -> None:

@@ -30,11 +30,12 @@ Eight classes of rot this catches, each a CI failure:
   here instead of rotting in the prose.
 * **Vanished methods** — every ``<Class>.<name>`` the docs (and the
   verify skill page under ``.claude/skills/``) write in backticks, for
-  every class exported by ``repro.core``, ``repro.index``,
-  ``repro.infer`` or ``repro.nn``, must resolve with ``getattr`` on the
-  class or be an attribute its methods set on ``self``, so a deleted or
-  renamed member cannot stay documented (and a deleted class drops out
-  of the owner set with its export).
+  every public class defined in a module of ``repro.core``,
+  ``repro.index``, ``repro.infer`` or ``repro.nn``, must resolve with
+  ``getattr`` on the class or be an attribute its methods set on
+  ``self``, so a deleted or renamed member cannot stay documented (and
+  a deleted class drops out of the owner set with its module's
+  definition).
 * **Stale environment variables** — every ``REPRO_*`` variable the docs
   name must occur in ``src/``, and every one ``src/`` names must be
   documented in ``docs/operations.md``, so a removed knob cannot linger
@@ -58,6 +59,7 @@ import ast
 import importlib
 import inspect
 import io
+import pkgutil
 import re
 import sys
 import tokenize
@@ -265,7 +267,7 @@ def check_metric_series(
     return problems
 
 
-#: The packages whose exported classes own documented members.
+#: The packages whose modules' public classes own documented members.
 MEMBER_PACKAGES = ("repro.core", "repro.index", "repro.infer", "repro.nn")
 
 
@@ -281,18 +283,33 @@ def _has_member(cls: type, name: str) -> bool:
     )
 
 
+def member_owners() -> dict[str, type]:
+    """Every public class defined in a module of :data:`MEMBER_PACKAGES`
+    (the packages themselves and their sub-packages included)."""
+    modules = []
+    for name in MEMBER_PACKAGES:
+        package = importlib.import_module(name)
+        modules.append(package)
+        modules += [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(package.__path__, f"{name}.")
+        ]
+    return {
+        name: value
+        for module in modules
+        for name, value in vars(module).items()
+        if inspect.isclass(value)
+        and value.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+
+
 def check_documented_members(
     files: list[Path], root: Path = REPO_ROOT
 ) -> list[str]:
-    """Every backticked ``<Class>.<name>`` of a class in the ``__all__``
-    of :data:`MEMBER_PACKAGES` must exist on the class."""
-    packages = map(importlib.import_module, MEMBER_PACKAGES)
-    owners = {
-        name: getattr(package, name)
-        for package in packages
-        for name in package.__all__
-        if inspect.isclass(getattr(package, name))
-    }
+    """Every backticked ``<Class>.<name>`` of a :func:`member_owners`
+    class must exist on the class."""
+    owners = member_owners()
     member = re.compile(rf"\b({'|'.join(owners)})\.(\w+)")
     problems = []
     for doc in files:

@@ -202,7 +202,7 @@ def run_eval(datasets: dict[str, float], seed: int = 0) -> list[dict]:
         evaluate_on_dataset,
         manifest_rows,
     )
-    from repro.surrogate import PretrainedDTT
+    from repro.surrogate.pretrained import PretrainedDTT
 
     reports = []
     for name, scale in datasets.items():

@@ -16,20 +16,3 @@
 * :class:`DataXFormerJoiner` — DataXFormer (Abedjan et al.): KB-backed
   transformation discovery, used as the extra KBWT baseline.
 """
-
-from repro.baselines.base import JoinOutput, TableJoiner
-from repro.baselines.cst import CSTJoiner
-from repro.baselines.autojoin import AutoJoinJoiner
-from repro.baselines.afj import AFJJoiner
-from repro.baselines.ditto import DittoJoiner
-from repro.baselines.dataxformer import DataXFormerJoiner
-
-__all__ = [
-    "TableJoiner",
-    "JoinOutput",
-    "CSTJoiner",
-    "AutoJoinJoiner",
-    "AFJJoiner",
-    "DittoJoiner",
-    "DataXFormerJoiner",
-]

@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.baselines.base import JoinOutput
-from repro.kb import KnowledgeBase, build_default_kb
-from repro.kb.store import knows_fact
+from repro.kb.builtin import build_default_kb
+from repro.kb.store import KnowledgeBase, knows_fact
 from repro.types import ExamplePair
 
 

@@ -6,24 +6,3 @@ sub-task into a prompt, run a sequence model over the prompts, and
 aggregate the per-trial predictions into one output per row.  A joiner
 then matches predictions into the target column (Eq. 5).
 """
-
-from repro.core.interface import IncrementalSequenceModel, SequenceModel
-from repro.core.serializer import Decomposer, PromptSerializer, SubTask
-from repro.core.aggregator import Aggregator
-from repro.core.join_config import JOIN_MODES, JoinConfig
-from repro.core.joiner import EditDistanceJoiner, invert_matches
-from repro.core.pipeline import DTTPipeline
-
-__all__ = [
-    "SequenceModel",
-    "IncrementalSequenceModel",
-    "PromptSerializer",
-    "Decomposer",
-    "SubTask",
-    "Aggregator",
-    "EditDistanceJoiner",
-    "DTTPipeline",
-    "JOIN_MODES",
-    "JoinConfig",
-    "invert_matches",
-]

@@ -9,7 +9,7 @@ joins, and abstained predictions produce no match (footnote 2).
 This module is the brute-force reference implementation: a scalar scan
 over the whole column with best-so-far cap pruning.  For large target
 columns, :mod:`repro.index` provides a q-gram blocked engine
-(:class:`~repro.index.IndexedJoiner`) with byte-identical results, and
+(:class:`~repro.index.joiner.IndexedJoiner`) with byte-identical results, and
 ``DTTPipeline(joiner="auto")`` switches between the two on column size.
 
 Beyond the classic argmin query, every joiner exposes the redesigned

@@ -24,6 +24,7 @@ from repro.core.interface import IncrementalSequenceModel, SequenceModel
 from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.core.serializer import Decomposer, PromptSerializer, SubTask
+from repro.index.joiner import make_joiner
 from repro.infer.engine import EngineStats, generate
 from repro.types import ExamplePair, JoinResult, Prediction
 from repro.utils.timing import Stopwatch
@@ -57,7 +58,7 @@ class DTTPipeline:
         seed: Seed for context sampling.
         joiner: Join strategy; a joiner instance, or one of the strategy
             names ``"brute"`` / ``"indexed"`` / ``"auto"`` resolved via
-            :func:`repro.index.make_joiner`.  Defaults to ``"auto"``,
+            :func:`repro.index.joiner.make_joiner`.  Defaults to ``"auto"``,
             which is the plain Eq. 5 argmin executed by scalar scan on
             small target columns and by the q-gram blocked engine on
             large ones — results are identical either way.  :meth:`join`
@@ -67,7 +68,7 @@ class DTTPipeline:
             :class:`~repro.index.cache.IndexCache`, so repeated
             pipelines over the same target column never rebuild.
         join_config: :class:`~repro.core.join_config.JoinConfig` carried
-            into :func:`repro.index.make_joiner` when ``joiner`` is a
+            into :func:`repro.index.joiner.make_joiner` when ``joiner`` is a
             strategy name (a joiner instance carries its own settings):
             the two rejection thresholds, the worker count and the
             kernel backend in one frozen object.
@@ -102,10 +103,6 @@ class DTTPipeline:
         self.serializer = PromptSerializer()
         self.aggregator = Aggregator()
         if joiner is None or isinstance(joiner, str):
-            # Imported lazily: repro.index subclasses the core joiner,
-            # so a module-level import here would be circular.
-            from repro.index import make_joiner
-
             self.joiner = make_joiner(
                 "auto" if joiner is None else joiner, config=join_config
             )

@@ -6,14 +6,3 @@
 * :mod:`repro.datagen.benchmarks` — the seven evaluation datasets
   (WT, SS, KBWT, Syn, Syn-RP, Syn-ST, Syn-RV) and noise injection.
 """
-
-from repro.datagen.auto_examples import AutoExampleGenerator
-from repro.datagen.random_text import RandomTextSampler
-from repro.datagen.training import TrainingDataGenerator, TransformationGrouping
-
-__all__ = [
-    "AutoExampleGenerator",
-    "RandomTextSampler",
-    "TrainingDataGenerator",
-    "TransformationGrouping",
-]

@@ -15,8 +15,3 @@ Eight datasets, via :func:`repro.datagen.benchmarks.registry.get_dataset`:
   truncations, initialisms, dropped stopwords, ligature/case variants)
   and aligned ISSN metadata columns.
 """
-
-from repro.datagen.benchmarks.registry import dataset_names, get_dataset
-from repro.datagen.benchmarks.noise import inject_example_noise
-
-__all__ = ["get_dataset", "dataset_names", "inject_example_noise"]

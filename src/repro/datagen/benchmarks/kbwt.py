@@ -10,7 +10,8 @@ KB-lookup systems succeed on the *parametric* ones.
 
 from __future__ import annotations
 
-from repro.kb import KnowledgeBase, build_default_kb
+from repro.kb.builtin import build_default_kb
+from repro.kb.store import KnowledgeBase
 from repro.types import TablePair
 from repro.utils.rng import derive_rng
 

@@ -1,15 +1,1 @@
 """Experiment harness: runs methods over benchmarks and renders tables."""
-
-from repro.eval.runner import (
-    DTTJoinerAdapter,
-    evaluate_on_dataset,
-    evaluate_on_table,
-)
-from repro.eval.tables import render_dataset_table
-
-__all__ = [
-    "DTTJoinerAdapter",
-    "evaluate_on_table",
-    "evaluate_on_dataset",
-    "render_dataset_table",
-]

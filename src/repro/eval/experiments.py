@@ -22,17 +22,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.baselines import (
-    AFJJoiner,
-    CSTJoiner,
-    DataXFormerJoiner,
-    DittoJoiner,
-)
-from repro.datagen.benchmarks import get_dataset
+from repro.baselines.afj import AFJJoiner
+from repro.baselines.cst import CSTJoiner
+from repro.baselines.dataxformer import DataXFormerJoiner
+from repro.baselines.ditto import DittoJoiner
+from repro.datagen.benchmarks.registry import get_dataset
 from repro.datagen.benchmarks.synthetic import build_syn_rp, build_syn_st
 from repro.eval.runner import DTTJoinerAdapter, evaluate_on_dataset
 from repro.metrics.report import DatasetReport
-from repro.surrogate import GPT3Surrogate, PretrainedDTT, TrainingProfile
+from repro.surrogate.llm import GPT3Surrogate
+from repro.surrogate.pretrained import PretrainedDTT
+from repro.surrogate.profiles import TrainingProfile
 
 TABLE1_DATASETS = ("WT", "SS", "KBWT", "Syn", "Syn-RP", "Syn-ST", "Syn-RV")
 

@@ -36,38 +36,9 @@ enforced by the equivalence test harness in ``tests/`` — so blocking and
 batching are purely performance choices.
 """
 
-from repro.core.join_config import JoinConfig
-from repro.index.cache import (
-    IndexCache,
-    column_fingerprint,
-    default_index_cache,
-)
-from repro.index.joiner import AutoJoiner, IndexedJoiner, make_joiner
-from repro.index.kernel import edit_distance_pairs, encode_strings
-from repro.index.kernels import (
-    KernelBackend,
-    get_backend,
-    pairs_scored_snapshot,
-    resolve_backend,
-)
-from repro.index.parallel import JoinStats
-from repro.index.qgram import QGramIndex, adaptive_q
+# Kept only because benchmarks/e2e imports these names from the package.
+from repro.index.cache import IndexCache
+from repro.index.joiner import IndexedJoiner
+from repro.index.kernels import pairs_scored_snapshot
 
-__all__ = [
-    "AutoJoiner",
-    "IndexCache",
-    "IndexedJoiner",
-    "JoinConfig",
-    "JoinStats",
-    "KernelBackend",
-    "QGramIndex",
-    "adaptive_q",
-    "column_fingerprint",
-    "default_index_cache",
-    "edit_distance_pairs",
-    "encode_strings",
-    "get_backend",
-    "make_joiner",
-    "pairs_scored_snapshot",
-    "resolve_backend",
-]
+__all__ = ["IndexCache", "IndexedJoiner", "pairs_scored_snapshot"]

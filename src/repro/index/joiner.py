@@ -41,7 +41,6 @@ import dataclasses
 import os
 import time
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,11 +50,9 @@ from repro.exceptions import JoinError
 from repro.index.cache import IndexCache, default_index_cache
 from repro.index.kernel import encode_strings
 from repro.index.kernels import pairs_scored_snapshot, resolve_backend
+from repro.index.parallel import JoinStats, JoinWorkerPool
 from repro.index.qgram import QGramIndex
 from repro.obs.trace import get_tracer
-
-if TYPE_CHECKING:
-    from repro.index.parallel import JoinStats, JoinWorkerPool
 
 # A probe's ranked answer: ``(value_ids, distances)`` in rank order.
 Ranked = tuple[np.ndarray, np.ndarray]
@@ -81,7 +78,7 @@ class IndexedJoiner(EditDistanceJoiner):
 
     Args:
         config: All tunables in one frozen
-            :class:`~repro.core.JoinConfig` — thresholds and
+            :class:`~repro.core.join_config.JoinConfig` — thresholds and
             ``n_workers`` (``None`` auto-picks
             ``os.cpu_count()`` capped when a batch has at least
             :data:`PARALLEL_THRESHOLD` unresolved probes and runs
@@ -165,8 +162,6 @@ class IndexedJoiner(EditDistanceJoiner):
         worker count changes (auto mode crossing a threshold) or after
         an explicit :meth:`close`.
         """
-        from repro.index.parallel import JoinWorkerPool
-
         pool = self._pool
         if pool is not None and (pool.closed or pool.n_workers != n_workers):
             pool.close()
@@ -290,10 +285,6 @@ class IndexedJoiner(EditDistanceJoiner):
         sharded across the persistent process pool.  Publishes the
         call's :class:`JoinStats` and ``join.*`` spans.
         """
-        # Imported lazily: parallel imports this module for its
-        # worker-side scoring, so a module-level import would cycle.
-        from repro.index.parallel import JoinStats
-
         tracer = get_tracer()
         join_span = tracer.start_span("join.join_many")
         cache_hits = self.cache.hits
@@ -594,7 +585,8 @@ def make_joiner(
         strategy: ``"brute"`` (scalar scan), ``"indexed"`` (q-gram
             blocked), or ``"auto"`` (switch on target-column size).
         config: All tunables in one frozen
-            :class:`~repro.core.JoinConfig` (thresholds, worker count).
+            :class:`~repro.core.join_config.JoinConfig` (thresholds,
+            worker count).
         cache: Index cache for the blocked strategies (``None`` = the
             process-wide shared cache).
     """

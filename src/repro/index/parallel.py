@@ -60,7 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.join_config import JoinConfig
 from repro.index.cache import IndexCache, column_fingerprint
+from repro.index.kernels import pairs_scored_snapshot
 from repro.index.qgram import QGramIndex
 from repro.procs import Handler, WorkerPool
 
@@ -202,10 +204,9 @@ def _score_shard(
     scoring, so persistent workers never double-report across shards
     or calls).
     """
-    # Imported lazily: joiner imports this module for the pool.
-    from repro.core.join_config import JoinConfig
+    # Imported here: repro.index.joiner imports this module at load
+    # time for JoinStats and JoinWorkerPool.
     from repro.index.joiner import IndexedJoiner
-    from repro.index.kernels import pairs_scored_snapshot
 
     index = indexes.get(fingerprint)
     if index is None:

@@ -15,8 +15,3 @@ via the §4.1 markup), which decode through the masked-softmax
 degeneracy guard instead of the batch path's uniform-over-padding
 fallback.
 """
-
-from repro.infer.engine import EngineStats
-from repro.infer.session import DecodeSession
-
-__all__ = ["EngineStats", "DecodeSession"]

@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.nn.transformer import Seq2SeqTransformer
-from repro.tokenizer import ByteTokenizer
+from repro.tokenizer.byte_tokenizer import ByteTokenizer
 
 #: Prompt-length granularity of the encode, in tokens.
 SLAB_WIDTH = 16

@@ -9,8 +9,3 @@ Two consumers:
   systems the paper credits with KB/world knowledge, which we ground in
   this store.
 """
-
-from repro.kb.store import KnowledgeBase, Relation
-from repro.kb.builtin import build_default_kb
-
-__all__ = ["KnowledgeBase", "Relation", "build_default_kb"]

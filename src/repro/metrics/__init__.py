@@ -1,15 +1,1 @@
 """Evaluation metrics (paper §5.4): join P/R/F1 and AED/ANED."""
-
-from repro.metrics.join_metrics import JoinScores, score_join
-from repro.metrics.edit_metrics import EditScores, score_edits
-from repro.metrics.report import DatasetReport, TableReport, average_reports
-
-__all__ = [
-    "JoinScores",
-    "score_join",
-    "EditScores",
-    "score_edits",
-    "TableReport",
-    "DatasetReport",
-    "average_reports",
-]

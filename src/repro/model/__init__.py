@@ -7,8 +7,7 @@ unchanged.  :class:`Trainer` runs the §5.1 training recipe over
 synthetic transformation groupings.
 """
 
-from repro.model.config import DTTModelConfig
+# Kept only because benchmarks/e2e imports these names from the package.
 from repro.model.seq2seq import ByteSeq2SeqModel
-from repro.model.trainer import Trainer, TrainingReport
 
-__all__ = ["DTTModelConfig", "ByteSeq2SeqModel", "Trainer", "TrainingReport"]
+__all__ = ["ByteSeq2SeqModel"]

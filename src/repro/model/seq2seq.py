@@ -27,7 +27,7 @@ from repro.model.config import DTTModelConfig
 from repro.nn.loss import masked_cross_entropy
 from repro.nn.serialization import load_weights, save_weights
 from repro.nn.transformer import Seq2SeqTransformer
-from repro.tokenizer import ByteTokenizer
+from repro.tokenizer.byte_tokenizer import ByteTokenizer
 
 
 class ByteSeq2SeqModel:

@@ -26,65 +26,3 @@ the serving tier exports its latency/occupancy/cache counters live, and
 one command (``python scripts/reproduce_all.py``) folds all of it into a
 single machine-readable ledger.
 """
-
-from repro.obs.manifest import (
-    BENCH_FLOORS,
-    GATED_BENCHES,
-    MANIFEST_VERSION,
-    artifact_flags,
-    bench_deltas,
-    build_manifest,
-    check_floors,
-    key_metrics,
-    load_manifest,
-    manifest_trends,
-    new_run_id,
-    provenance,
-    save_manifest,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-)
-from repro.obs.trace import (
-    Span,
-    SpanContext,
-    TraceCollector,
-    Tracer,
-    configure_tracing,
-    current_context,
-    current_span,
-    get_tracer,
-    span_tree,
-)
-
-__all__ = [
-    "BENCH_FLOORS",
-    "GATED_BENCHES",
-    "MANIFEST_VERSION",
-    "Counter",
-    "Gauge",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "Span",
-    "SpanContext",
-    "TraceCollector",
-    "Tracer",
-    "artifact_flags",
-    "bench_deltas",
-    "build_manifest",
-    "check_floors",
-    "configure_tracing",
-    "current_context",
-    "current_span",
-    "get_tracer",
-    "key_metrics",
-    "load_manifest",
-    "manifest_trends",
-    "new_run_id",
-    "provenance",
-    "save_manifest",
-    "span_tree",
-]

@@ -28,28 +28,8 @@ the request lifecycle end to end; ``docs/http_api.md`` specifies the
 wire format; ``docs/operations.md`` covers deployment and tuning.
 """
 
-from repro.serve.cache import (
-    JoinResultCache,
-    ResultCache,
-    examples_fingerprint,
-    join_cache_key,
-)
-from repro.serve.http import serve_http, start_http_server
-from repro.serve.router import RouteSpec, ServiceRouter, build_pipeline
-from repro.serve.service import ServeStats, TransformService
-from repro.serve.workers import ServeWorkerPool
+# Kept only because benchmarks/e2e imports these names from the package.
+from repro.serve.http import serve_http
+from repro.serve.router import RouteSpec, ServiceRouter
 
-__all__ = [
-    "JoinResultCache",
-    "ResultCache",
-    "RouteSpec",
-    "ServeStats",
-    "ServeWorkerPool",
-    "ServiceRouter",
-    "TransformService",
-    "build_pipeline",
-    "examples_fingerprint",
-    "join_cache_key",
-    "serve_http",
-    "start_http_server",
-]
+__all__ = ["RouteSpec", "ServiceRouter", "serve_http"]

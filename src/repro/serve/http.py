@@ -68,6 +68,7 @@ balloon memory nor pin a handler thread forever.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -189,10 +190,11 @@ def _timeout(payload: dict) -> float | None:
     if (
         not isinstance(timeout, (int, float))
         or isinstance(timeout, bool)
+        or not math.isfinite(timeout)
         or timeout <= 0
     ):
         raise _BadRequest(
-            "'timeout_s' must be a positive number",
+            "'timeout_s' must be a positive finite number",
             code="invalid_value",
             field="timeout_s",
         )
@@ -257,10 +259,11 @@ def _join_margin(payload: dict) -> float | None:
     if (
         not isinstance(margin, (int, float))
         or isinstance(margin, bool)
+        or not math.isfinite(margin)
         or margin < 0
     ):
         raise _BadRequest(
-            f"'margin' must be a number >= 0, got {margin!r}",
+            f"'margin' must be a finite number >= 0, got {margin!r}",
             code="invalid_value",
             field="margin",
         )

@@ -75,7 +75,8 @@ def build_pipeline(
     (adds the GPT-3 surrogate).  Every call with equal arguments builds
     a pipeline with the same fingerprint, in any process.
     """
-    from repro.surrogate import GPT3Surrogate, PretrainedDTT
+    from repro.surrogate.llm import GPT3Surrogate
+    from repro.surrogate.pretrained import PretrainedDTT
 
     if model == "ensemble":
         models: object = [PretrainedDTT(seed=seed), GPT3Surrogate(seed=seed)]

@@ -41,14 +41,12 @@ import functools
 import os
 from collections.abc import Callable, Mapping
 from concurrent.futures import Future
-from typing import TYPE_CHECKING
 
 from repro.core.pipeline import DTTPipeline
 from repro.obs.trace import Span, get_tracer
 from repro.procs import Handler, WorkerPool
-
-if TYPE_CHECKING:
-    from repro.serve.service import TransformService
+from repro.serve.cache import JoinResultCache, ResultCache
+from repro.serve.service import TransformService
 
 #: Zero-argument, picklable constructor of one route's pipeline.  Must
 #: be deterministic: every call (in any process) builds a pipeline with
@@ -70,9 +68,6 @@ def build_service(
     The router's in-process mode builds through the same function, so
     both deployment shapes accept the same configuration.
     """
-    from repro.serve.cache import JoinResultCache, ResultCache
-    from repro.serve.service import TransformService
-
     kwargs = dict(service_kwargs)
     result_cache_kwargs = kwargs.pop("result_cache_kwargs", None)
     join_cache_kwargs = kwargs.pop("join_cache_kwargs", None)

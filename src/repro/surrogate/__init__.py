@@ -15,9 +15,3 @@ numpy transformer in :mod:`repro.model`:
   knowledge (backed by :mod:`repro.kb`), few-shot scaling with the
   number of examples, weak on non-natural character strings (§5.6).
 """
-
-from repro.surrogate.profiles import TrainingProfile
-from repro.surrogate.pretrained import PretrainedDTT
-from repro.surrogate.llm import GPT3Surrogate
-
-__all__ = ["PretrainedDTT", "GPT3Surrogate", "TrainingProfile"]

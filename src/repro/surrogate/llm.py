@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.core.serializer import PromptSerializer
 from repro.exceptions import SerializationError
-from repro.kb import KnowledgeBase, build_default_kb
-from repro.kb.store import Relation, knows_fact
+from repro.kb.builtin import build_default_kb
+from repro.kb.store import KnowledgeBase, Relation, knows_fact
 from repro.surrogate.errors import Pending, corrupt, generate_batch
 from repro.surrogate.induction import InductionEngine, explain_pair
 from repro.surrogate.programs import ReverseProgram

@@ -29,8 +29,8 @@ import numpy as np
 
 from repro.core.serializer import PromptSerializer
 from repro.exceptions import SerializationError
-from repro.kb import KnowledgeBase, build_default_kb
-from repro.kb.store import knows_fact
+from repro.kb.builtin import build_default_kb
+from repro.kb.store import KnowledgeBase, knows_fact
 from repro.surrogate.errors import Pending, corrupt, generate_batch, scrambled_copy
 from repro.surrogate.induction import InductionEngine, InductionResult
 from repro.surrogate.profiles import DEFAULT_PROFILE, TrainingProfile

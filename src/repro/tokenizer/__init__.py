@@ -6,8 +6,3 @@ to the output.  The paper adopts ByT5's byte-level scheme: each UTF-8
 byte is one token, plus a handful of special tokens for the tabular
 serialization (``<sos>``, ``<tr>``, ``<eoe>``, ``<eos>``, ``<pad>``).
 """
-
-from repro.tokenizer.vocab import SpecialTokens, Vocabulary
-from repro.tokenizer.byte_tokenizer import ByteTokenizer
-
-__all__ = ["ByteTokenizer", "SpecialTokens", "Vocabulary"]

@@ -9,32 +9,3 @@ depth 3.  ``replace`` and ``reverse`` exist only for building the
 Syn-RP / Syn-RV evaluation datasets and never appear in training data,
 mirroring the paper's unseen-transformation setup.
 """
-
-from repro.transforms.units import (
-    Literal,
-    Lowercase,
-    Replace,
-    Reverse,
-    Split,
-    Stacked,
-    Substring,
-    TitleCase,
-    TransformationUnit,
-    Uppercase,
-)
-from repro.transforms.composer import Transformation, TransformationComposer
-
-__all__ = [
-    "TransformationUnit",
-    "Substring",
-    "Split",
-    "Lowercase",
-    "Uppercase",
-    "TitleCase",
-    "Literal",
-    "Replace",
-    "Reverse",
-    "Stacked",
-    "Transformation",
-    "TransformationComposer",
-]

@@ -1,6 +1,1 @@
 """Shared utilities: seeded randomness, timing, and simple logging."""
-
-from repro.utils.rng import derive_rng, derive_seed, stable_hash
-from repro.utils.timing import Stopwatch
-
-__all__ = ["derive_rng", "derive_seed", "stable_hash", "Stopwatch"]

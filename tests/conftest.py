@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.surrogate import PretrainedDTT
-from repro.tokenizer import ByteTokenizer
+from repro.surrogate.pretrained import PretrainedDTT
+from repro.tokenizer.byte_tokenizer import ByteTokenizer
 from repro.types import ExamplePair
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datagen.auto_examples import AutoExampleGenerator
-from repro.datagen.benchmarks import get_dataset
+from repro.datagen.benchmarks.registry import get_dataset
 
 
 class TestAutoExampleGenerator:
@@ -51,8 +51,9 @@ class TestAutoExampleGenerator:
     def test_generated_examples_can_drive_the_pipeline(self):
         # End-to-end: auto-generate (noisy) examples on a benchmark
         # table, run DTT with them — the §2 "no user examples" workflow.
-        from repro import DTTPipeline, PretrainedDTT
-        from repro.metrics import score_join
+        from repro.core.pipeline import DTTPipeline
+        from repro.metrics.join_metrics import score_join
+        from repro.surrogate.pretrained import PretrainedDTT
 
         table = get_dataset("WT", seed=4, scale=0.2)[1]  # last-first topic
         pool_rows, test_rows = table.split()

@@ -30,8 +30,10 @@ from hypothesis import strategies as st
 from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.datagen.benchmarks.journals import JOURNAL_TITLES, PROFILES
-from repro.index import IndexCache, IndexedJoiner, QGramIndex, encode_strings
-from repro.index.qgram import HISTOGRAM_BINS
+from repro.index.cache import IndexCache
+from repro.index.joiner import IndexedJoiner
+from repro.index.kernel import encode_strings
+from repro.index.qgram import HISTOGRAM_BINS, QGramIndex
 from repro.text.edit_distance import edit_distance
 
 from join_strategies import CHARS, FOREIGN, WIDE, strings

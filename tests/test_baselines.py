@@ -4,13 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import (
-    AFJJoiner,
-    AutoJoinJoiner,
-    CSTJoiner,
-    DataXFormerJoiner,
-    DittoJoiner,
-)
 from repro.baselines._units import (
     ULiteral,
     ULower,
@@ -20,7 +13,12 @@ from repro.baselines._units import (
     coverage,
     synthesize_transformations,
 )
-from repro.kb import build_default_kb
+from repro.baselines.afj import AFJJoiner
+from repro.baselines.autojoin import AutoJoinJoiner
+from repro.baselines.cst import CSTJoiner
+from repro.baselines.dataxformer import DataXFormerJoiner
+from repro.baselines.ditto import DittoJoiner
+from repro.kb.builtin import build_default_kb
 from repro.types import ExamplePair
 
 

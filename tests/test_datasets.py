@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datagen.benchmarks import dataset_names, get_dataset, inject_example_noise
 from repro.datagen.benchmarks.kbwt import build_kbwt
+from repro.datagen.benchmarks.noise import inject_example_noise
+from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.datagen.benchmarks.spreadsheet import TASKS, build_spreadsheet
 from repro.datagen.benchmarks.synthetic import (
     build_syn,

@@ -6,11 +6,11 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.baselines import CSTJoiner
+from repro.baselines.cst import CSTJoiner
 from repro.eval.runner import DTTJoinerAdapter, evaluate_on_dataset, evaluate_on_table
 from repro.eval.tables import render_dataset_table
-from repro.infer import EngineStats
-from repro.surrogate import PretrainedDTT
+from repro.infer.engine import EngineStats
+from repro.surrogate.pretrained import PretrainedDTT
 from repro.types import TablePair
 
 

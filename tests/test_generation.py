@@ -20,16 +20,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core import DTTPipeline, IncrementalSequenceModel
-from repro.exceptions import ModelError
+from repro.core.interface import IncrementalSequenceModel
+from repro.core.pipeline import DTTPipeline
 from repro.datagen.benchmarks.synthetic import build_syn
-from repro.infer import EngineStats
+from repro.exceptions import ModelError
 from repro.infer import engine as engine_module
-from repro.infer.engine import generate
 from repro.infer import session as session_module
+from repro.infer.engine import EngineStats, generate
 from repro.infer.session import SLAB_WIDTH
-from repro.model import ByteSeq2SeqModel, DTTModelConfig, Trainer
-from repro.model.config import TINY_CONFIG
+from repro.model.config import TINY_CONFIG, DTTModelConfig
+from repro.model.seq2seq import ByteSeq2SeqModel
+from repro.model.trainer import Trainer
 from repro.nn.attention import (
     KVCache,
     MultiHeadAttention,

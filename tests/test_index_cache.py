@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.index import (
+from repro.index.cache import (
     IndexCache,
-    QGramIndex,
-    adaptive_q,
     column_fingerprint,
     default_index_cache,
 )
+from repro.index.qgram import QGramIndex, adaptive_q
 
 
 class TestIndexCache:

@@ -20,9 +20,10 @@ from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
-from repro.index import AutoJoiner, IndexCache, IndexedJoiner, make_joiner
 from repro.index import cache as cache_module
 from repro.index import joiner as joiner_module
+from repro.index.cache import IndexCache
+from repro.index.joiner import AutoJoiner, IndexedJoiner, make_joiner
 from repro.index.qgram import QGramIndex, adaptive_q
 from repro.types import Prediction
 
@@ -401,7 +402,7 @@ class TestMakeJoiner:
 
     def test_pipeline_rejects_empty_strategy_string(self):
         from repro.core.pipeline import DTTPipeline
-        from repro.surrogate import PretrainedDTT
+        from repro.surrogate.pretrained import PretrainedDTT
 
         with pytest.raises(ValueError):
             DTTPipeline(PretrainedDTT(seed=0), joiner="")

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    DTTPipeline,
-    ExamplePair,
-    PretrainedDTT,
-    get_dataset,
-    score_join,
-)
-from repro.baselines import AFJJoiner, CSTJoiner
+from repro.baselines.afj import AFJJoiner
+from repro.baselines.cst import CSTJoiner
+from repro.core.pipeline import DTTPipeline
+from repro.datagen.benchmarks.registry import get_dataset
 from repro.eval.runner import DTTJoinerAdapter, evaluate_on_dataset
+from repro.metrics.join_metrics import score_join
+from repro.surrogate.pretrained import PretrainedDTT
+from repro.types import ExamplePair
 
 
 @pytest.fixture(scope="module")

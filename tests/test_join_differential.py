@@ -1,7 +1,7 @@
 """The blocked joiner against the brute reference, on generated columns.
 
 :class:`~repro.core.joiner.EditDistanceJoiner` defines Eq. 5; the
-blocked :class:`~repro.index.IndexedJoiner` must return the same bytes
+blocked :class:`~repro.index.joiner.IndexedJoiner` must return the same bytes
 for every query mode, serially and sharded over two workers.  Columns
 and probes come from ``join_strategies``: astral, combining and
 lone-surrogate characters, empty values and empty probes, duplicates,
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
-from repro.index import IndexCache, IndexedJoiner
+from repro.index.cache import IndexCache
+from repro.index.joiner import IndexedJoiner
 
 from join_strategies import CHARS, FOREIGN, strings
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import KnowledgeBaseError
-from repro.kb import KnowledgeBase, Relation, build_default_kb
-from repro.kb.store import knows_fact
+from repro.kb.builtin import build_default_kb
+from repro.kb.store import KnowledgeBase, Relation, knows_fact
 
 
 class TestRelation:

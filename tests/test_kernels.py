@@ -34,7 +34,8 @@ from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.datagen.benchmarks.journals import JOURNAL_TITLES
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
-from repro.index import IndexCache, IndexedJoiner
+from repro.index.cache import IndexCache
+from repro.index.joiner import IndexedJoiner
 from repro.index.kernel import encode_strings
 from repro.index.kernels import (
     KERNEL_BACKENDS,
@@ -746,8 +747,8 @@ class TestPairsAccounting:
 class TestServeExport:
     def test_join_stats_snapshot_surfaces_kernel_pairs(self):
         from repro.core.pipeline import DTTPipeline
-        from repro.serve import TransformService
-        from repro.surrogate import PretrainedDTT
+        from repro.serve.service import TransformService
+        from repro.surrogate.pretrained import PretrainedDTT
         from repro.types import ExamplePair
 
         examples = [

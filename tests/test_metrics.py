@@ -5,12 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.datagen.benchmarks.registry import get_dataset
-from repro.metrics import (
-    average_reports,
-    score_edits,
-    score_join,
-)
-from repro.metrics.report import TableReport
+from repro.metrics.edit_metrics import score_edits
+from repro.metrics.join_metrics import score_join
+from repro.metrics.report import TableReport, average_reports
 from repro.text.edit_distance import edit_distance, normalized_edit_distance
 from repro.types import JoinResult
 

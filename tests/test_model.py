@@ -7,9 +7,9 @@ import pytest
 
 from repro.datagen.training import TrainingInstance
 from repro.exceptions import ModelError
-from repro.model import ByteSeq2SeqModel, DTTModelConfig, Trainer
-from repro.model.config import TINY_CONFIG
-from repro.model.trainer import build_training_set
+from repro.model.config import TINY_CONFIG, DTTModelConfig
+from repro.model.seq2seq import ByteSeq2SeqModel
+from repro.model.trainer import Trainer, build_training_set
 
 
 class TestConfig:

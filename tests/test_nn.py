@@ -11,22 +11,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError, ShapeError
-from repro.model import ByteSeq2SeqModel
 from repro.model.config import TINY_CONFIG
-from repro.nn import (
-    Adam,
-    Dense,
-    Embedding,
-    LayerNorm,
-    MultiHeadAttention,
-    Parameter,
-    SGD,
-    clip_gradients,
-    load_weights,
-    masked_cross_entropy,
-    save_weights,
-)
+from repro.model.seq2seq import ByteSeq2SeqModel
 from repro.nn import functional
+from repro.nn.attention import MultiHeadAttention
 from repro.nn.functional import (
     gelu,
     gelu_backward,
@@ -34,7 +22,11 @@ from repro.nn.functional import (
     softmax_backward,
     standardize,
 )
-from repro.nn.parameter import Module
+from repro.nn.layers import Dense, Embedding, LayerNorm
+from repro.nn.loss import masked_cross_entropy
+from repro.nn.optim import SGD, Adam, clip_gradients
+from repro.nn.parameter import Module, Parameter
+from repro.nn.serialization import load_weights, save_weights
 from repro.nn.transformer import FeedForward, Seq2SeqTransformer
 
 

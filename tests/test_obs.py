@@ -17,14 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import (
+from repro.obs.manifest import (
     BENCH_FLOORS,
     GATED_BENCHES,
     MANIFEST_VERSION,
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
     artifact_flags,
     bench_deltas,
     build_manifest,
@@ -39,6 +35,10 @@ from repro.obs import (
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_OCCUPANCY_BUCKETS,
+    Counter,
+    Gauge,
+    LatencyHistogram,
+    MetricsRegistry,
     log_spaced_buckets,
     merge_labeled_snapshots,
 )

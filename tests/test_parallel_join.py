@@ -21,8 +21,9 @@ from repro.utils.fuzz import random_edits, random_unicode_string
 
 from repro.core.join_config import JoinConfig
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
-from repro.index import IndexCache, IndexedJoiner, JoinStats
-from repro.index.parallel import plan_shards
+from repro.index.cache import IndexCache
+from repro.index.joiner import IndexedJoiner
+from repro.index.parallel import JoinStats, plan_shards
 from repro.index.qgram import QGramIndex
 
 _SEED = 5150
@@ -141,7 +142,8 @@ class TestParallelEquivalence:
         from multiprocessing.context import ForkProcess
 
         from repro import procs
-        from repro.index import adaptive_q, column_fingerprint
+        from repro.index.cache import column_fingerprint
+        from repro.index.qgram import adaptive_q
 
         monkeypatch.setattr(procs.threading, "active_count", lambda: 2)
         assert procs.pool_context().get_start_method() != "fork"
@@ -253,8 +255,9 @@ class TestPersistentPool:
         # no column attached must ask for a resend, and a resolved one
         # must serve later fingerprint-only shards from the memo.  The
         # handler is the one a fresh-start worker builds (empty cache).
-        from repro.index import adaptive_q, column_fingerprint
+        from repro.index.cache import column_fingerprint
         from repro.index.parallel import _ColumnNeeded, _join_handler
+        from repro.index.qgram import adaptive_q
 
         handle = _join_handler(None)
         with pytest.raises(_ColumnNeeded):
@@ -318,7 +321,7 @@ class TestPersistentPool:
             joiner.close()
 
     def test_auto_joiner_close_reaches_delegate(self):
-        from repro.index import AutoJoiner
+        from repro.index.joiner import AutoJoiner
 
         targets = [f"value-{i:04d}" for i in range(300)]
         probes = [f"valu-{i:04d}" for i in range(40)]
@@ -418,7 +421,7 @@ class TestJoinStatsThreading:
 
     def test_eval_report_carries_engine_and_join_stats(self):
         from repro.eval.runner import DTTJoinerAdapter, evaluate_on_table
-        from repro.surrogate import PretrainedDTT
+        from repro.surrogate.pretrained import PretrainedDTT
 
         table = get_dataset("WT", seed=0, scale=0.05)[0]
         adapter = DTTJoinerAdapter(
@@ -433,7 +436,7 @@ class TestJoinStatsThreading:
 
     def test_pipeline_forwards_join_config(self):
         from repro.core.pipeline import DTTPipeline
-        from repro.surrogate import PretrainedDTT
+        from repro.surrogate.pretrained import PretrainedDTT
 
         pipeline = DTTPipeline(
             PretrainedDTT(seed=0), join_config=JoinConfig(n_workers=2)

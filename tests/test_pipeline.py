@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pipeline import DTTPipeline
-from repro.surrogate import GPT3Surrogate, PretrainedDTT
+from repro.surrogate.llm import GPT3Surrogate
+from repro.surrogate.pretrained import PretrainedDTT
 from repro.types import ExamplePair
 
 

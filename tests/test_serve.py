@@ -29,17 +29,14 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.model import ByteSeq2SeqModel
 from repro.model.config import TINY_CONFIG
-from repro.serve import (
-    ResultCache,
-    RouteSpec,
-    ServiceRouter,
-    TransformService,
-    examples_fingerprint,
-    start_http_server,
-)
-from repro.surrogate import GPT3Surrogate, PretrainedDTT
+from repro.model.seq2seq import ByteSeq2SeqModel
+from repro.serve.cache import ResultCache, examples_fingerprint
+from repro.serve.http import start_http_server
+from repro.serve.router import RouteSpec, ServiceRouter
+from repro.serve.service import TransformService
+from repro.surrogate.llm import GPT3Surrogate
+from repro.surrogate.pretrained import PretrainedDTT
 from repro.types import ExamplePair
 
 _EXAMPLES = [
@@ -846,7 +843,7 @@ class TestTopKServing:
         # JoinStats, so the service's per-backend totals grow by exactly
         # what the kernels scored (a top-k call used to re-credit the
         # previous argmin call's stale stats).
-        from repro.index import pairs_scored_snapshot
+        from repro.index.kernels import pairs_scored_snapshot
 
         targets = [f"target-{i:04d}" for i in range(300)] + list(_TARGETS)
 
@@ -996,6 +993,10 @@ class TestHttpJoinSchema:
             ({"sources": "nope"}, "sources"),
             ({"targets": [1, 2]}, "targets"),
             ({"timeout_s": True}, "timeout_s"),
+            ({"timeout_s": float("nan")}, "timeout_s"),
+            ({"timeout_s": float("inf")}, "timeout_s"),
+            ({"margin": float("nan")}, "margin"),
+            ({"margin": float("inf")}, "margin"),
         ],
     )
     def test_invalid_values_are_structured_400(self, server, overrides, field):

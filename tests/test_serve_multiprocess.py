@@ -36,7 +36,7 @@ from repro.serve.cache import JoinResultCache
 from repro.serve.http import start_http_server
 from repro.serve.router import RouteSpec, ServiceRouter, build_pipeline
 from repro.serve.service import TransformService
-from repro.surrogate import PretrainedDTT
+from repro.surrogate.pretrained import PretrainedDTT
 from repro.types import ExamplePair
 
 _EXAMPLES = (

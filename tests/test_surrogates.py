@@ -9,9 +9,15 @@ import numpy as np
 import pytest
 
 from repro.core.serializer import Decomposer, PromptSerializer
-from repro.surrogate import GPT3Surrogate, PretrainedDTT, TrainingProfile, errors
+from repro.surrogate import errors
 from repro.surrogate.errors import corrupt, mapping_difficulties, scrambled_copy
-from repro.surrogate.profiles import DEFAULT_PROFILE, LONG_PROFILE
+from repro.surrogate.llm import GPT3Surrogate
+from repro.surrogate.pretrained import PretrainedDTT
+from repro.surrogate.profiles import (
+    DEFAULT_PROFILE,
+    LONG_PROFILE,
+    TrainingProfile,
+)
 from repro.text.naturalness import naturalness
 from repro.types import ExamplePair
 
@@ -265,7 +271,7 @@ class TestContextMemo:
 def _pinned_prompts() -> list[str]:
     """Hand-built regime probes, registry slices, then repeats."""
     from repro.datagen.benchmarks.registry import get_dataset
-    from repro.kb import build_default_kb
+    from repro.kb.builtin import build_default_kb
 
     zips = build_default_kb().relation("city_to_zip").pairs
     cities = sorted(zips)

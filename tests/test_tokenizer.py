@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TokenizationError
-from repro.tokenizer import ByteTokenizer, SpecialTokens, Vocabulary
+from repro.tokenizer.byte_tokenizer import ByteTokenizer
+from repro.tokenizer.vocab import SpecialTokens, Vocabulary
 
 printable = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=1000), max_size=40

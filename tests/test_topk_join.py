@@ -21,8 +21,9 @@ from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner, invert_matches
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
-from repro.index import AutoJoiner, IndexCache, IndexedJoiner
 from repro.index import joiner as joiner_module
+from repro.index.cache import IndexCache
+from repro.index.joiner import AutoJoiner, IndexedJoiner
 from repro.types import Prediction
 
 _SEED = 4021

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TransformError
-from repro.transforms import (
+from repro.transforms.composer import Transformation, TransformationComposer
+from repro.transforms.units import (
     Literal,
     Lowercase,
     Replace,
@@ -16,8 +17,6 @@ from repro.transforms import (
     Split,
     Stacked,
     Substring,
-    Transformation,
-    TransformationComposer,
     Uppercase,
 )
 
