@@ -45,14 +45,24 @@ class JoinConfig:
     n_workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_distance is not None and self.max_distance < 0:
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails every
+        # comparison, so it must be refused here or it switches the
+        # rejection rule off.
+        if self.max_distance is not None and not self.max_distance >= 0:
             raise ValueError(
                 f"max_distance must be >= 0, got {self.max_distance}"
             )
-        if self.normalized_threshold is not None and self.normalized_threshold < 0:
+        if (
+            self.normalized_threshold is not None
+            and not self.normalized_threshold >= 0
+        ):
             raise ValueError(
                 "normalized_threshold must be >= 0, "
                 f"got {self.normalized_threshold}"
             )
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        if self.n_workers is not None and (
+            isinstance(self.n_workers, bool) or self.n_workers < 1
+        ):
+            raise ValueError(
+                f"n_workers must be an int >= 1, got {self.n_workers!r}"
+            )

@@ -224,7 +224,7 @@ class EditDistanceJoiner:
         is byte-identical to :meth:`join_many`.
         """
         self._validate_topk(targets, k)
-        if margin is not None and margin < 0:
+        if margin is not None and not margin >= 0:  # NaN too
             raise ValueError(f"margin must be >= 0, got {margin}")
         use_margin = margin is not None and margin > 0
         # The margin rule needs a rank-2 candidate even at k=1; rank

@@ -43,10 +43,6 @@ class JoinError(ReproError):
     """Raised when a join cannot be performed (e.g. empty target table)."""
 
 
-class ExperimentError(ReproError):
-    """Raised by the experiment runner for invalid experiment specs."""
-
-
 class ServeError(ReproError):
     """Base class for serving-layer request failures."""
 

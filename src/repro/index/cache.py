@@ -28,8 +28,6 @@ column, which is one of the reasons batching wins.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -40,26 +38,6 @@ from repro.index.qgram import QGramIndex, adaptive_q
 #: of it: every index is built at its column's :func:`adaptive_q`, a
 #: pure function of the content.
 CacheKey = tuple[str, ...]
-
-
-def column_fingerprint(targets: Sequence[str], q: int) -> str:
-    """Content fingerprint of a target column at a given gram size.
-
-    SHA-256 over the gram size, the row count, and every value as a
-    length-prefixed UTF-8 blob (``surrogatepass``, so lone surrogates
-    hash too).  Length prefixes make the encoding injective — no two
-    distinct columns produce the same byte stream — so same-length
-    in-place cell edits, row reorders, and boundary shifts between
-    adjacent values all change the fingerprint.
-    """
-    digest = hashlib.sha256()
-    digest.update(b"repro.qgram.index")
-    digest.update(struct.pack("<qq", q, len(targets)))
-    for value in targets:
-        blob = value.encode("utf-8", "surrogatepass")
-        digest.update(struct.pack("<q", len(blob)))
-        digest.update(blob)
-    return digest.hexdigest()
 
 
 class IndexCache:

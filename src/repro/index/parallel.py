@@ -6,10 +6,10 @@ process pool, shared with the serving tier — whose workers run
 (``join_many`` and ``topk_many`` alike) from the first parallel batch,
 which starts every worker, until ``close()`` or garbage collection.
 There is **one shard protocol**: every call fans its pending probes out
-through :meth:`JoinWorkerPool.run_probes`, a shard is a list of probes,
-every shard runs :func:`_score_shard` — the serial
+through :meth:`JoinWorkerPool.run_probes`, a shard is ``(probes,
+column, k)``, every shard runs :func:`_score_shard` — the serial
 :meth:`~repro.index.joiner.IndexedJoiner._resolve_probes` at the call's
-``k`` — and every payload has the same shape (per-probe rank counts
+``k`` — and every reply has the same shape (per-probe rank counts
 plus flat value-id / distance arrays), merged deterministically.  The
 argmin is simply ``k = 1``.  The contract is the engine-wide one:
 **byte-identical results to the serial scan**, which the sharding
@@ -17,10 +17,12 @@ preserves by construction —
 
 * a probe's ranking depends only on ``(index, probe, k)``, never on
   which other probes share its call, so the probes can split anywhere;
-* every worker scores against an equal-content index — resolved from
-  its own content-keyed cache (the parent's cache, inherited under the
-  ``fork`` start method, or an empty one rebuilt from the column
-  shipped with the shard; both construct the identical structure); and
+* every worker resolves the index with ``cache.get(column)`` on its
+  own content-keyed :class:`~repro.index.cache.IndexCache` — the
+  parent's, inherited copy-on-write under the ``fork`` start method,
+  or an empty one that the first shard fills under a fresh start; both
+  construct the identical structure, and later shards on the column
+  are cache hits; and
 * the merge keys results by probe value, so completion order is
   irrelevant.
 
@@ -29,16 +31,6 @@ shard to whichever worker just replied, which balances uneven shards
 and sends a column only to an idle worker (never into a full pipe).  A
 worker killed mid-call fails that call with
 :class:`~repro.exceptions.WorkerCrashedError`; the next call respawns it.
-
-Because the pool outlives any single call, shards are addressed by
-**column fingerprint**: a column's bytes ship with its shards only the
-first time the pool sees it, after which shards go fingerprint-only
-and resolve through each worker's fingerprint memo (a worker that
-still misses — freshly respawned, or its memo evicted the entry —
-raises for a one-shot resend with the column attached).  That is what
-makes reuse pay in a serving deployment: repeated joins against the
-same hot target columns stop paying worker startup, index resolution,
-*and* column serialization.
 
 Shards are planned by **candidate mass**, not probe count: a probe's
 cost scales with how many targets sit within its near-length window,
@@ -53,7 +45,6 @@ pickling stays cheap even for very wide batches.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
@@ -61,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.join_config import JoinConfig
-from repro.index.cache import IndexCache, column_fingerprint
+from repro.index.cache import IndexCache
 from repro.index.kernels import pairs_scored_snapshot
 from repro.index.qgram import QGramIndex
 from repro.procs import Handler, WorkerPool
@@ -127,22 +118,9 @@ class JoinStats:
 # the pool idle at the tail of the batch.
 _OVERSPLIT = 4
 
-# Fingerprint -> resolved index entries a worker memoizes, so warm
-# shards carry no column at all.
-_WORKER_INDEX_CAP = 8
-
 # Length-difference radius of a probe's near-length window, the
 # candidate mass a shard plan balances.
 _MASS_WINDOW = 2
-
-
-class _ColumnNeeded(Exception):
-    """A fingerprint-only shard reached a worker that lacks its index.
-
-    A freshly respawned worker, or one whose small fingerprint memo
-    evicted the column, raises it; the parent resubmits the shard with
-    the column attached (one extra round trip on the cold path).
-    """
 
 
 def plan_shards(
@@ -176,26 +154,16 @@ def plan_shards(
     ]
 
 
-
-
 def _score_shard(
-    cache: IndexCache,
-    indexes: OrderedDict[str, QGramIndex],
-    probes: list[str],
-    fingerprint: str,
-    column: tuple[str, ...] | None,
-    k: int,
+    cache: IndexCache, probes: list[str], column: tuple[str, ...], k: int
 ) -> tuple:
     """Rank one shard's probes; ship the results as reduced int32 arrays.
 
-    Shards are addressed by column *fingerprint*: warm shards (the
-    persistent pool's steady state) carry no column bytes at all and
-    resolve through this worker's fingerprint memo ``indexes``; a miss
-    with no column attached raises :class:`_ColumnNeeded` so the parent
-    can resubmit with the column, which the worker then resolves
-    through its content-keyed ``cache`` (a hit, or a build).
+    The index comes from this worker's content-keyed ``cache``: a hit
+    for every shard after the first on a column (and for the first too
+    when the cache was inherited under ``fork``), a build otherwise.
 
-    The payload is ``(kernel_pairs, counts, vids, distances)``: a ragged
+    The reply is ``(kernel_pairs, counts, vids, distances)``: a ragged
     triple of per-probe rank counts plus flat value ids and distances
     in rank order (one entry per probe at ``k = 1``), which the parent
     slices back per probe.  It carries value ids, not matched strings —
@@ -208,16 +176,7 @@ def _score_shard(
     # time for JoinStats and JoinWorkerPool.
     from repro.index.joiner import IndexedJoiner
 
-    index = indexes.get(fingerprint)
-    if index is None:
-        if column is None:
-            raise _ColumnNeeded(fingerprint)
-        index = cache.get(column)
-        indexes[fingerprint] = index
-        while len(indexes) > _WORKER_INDEX_CAP:
-            indexes.popitem(last=False)
-    else:
-        indexes.move_to_end(fingerprint)
+    index = cache.get(column)
     scorer = IndexedJoiner(JoinConfig(n_workers=1), cache=cache)
     pairs_before = pairs_scored_snapshot()
     ranked = scorer._resolve_probes(index, probes, k)
@@ -248,14 +207,13 @@ def _join_handler(inherited: IndexCache | None) -> Handler:
     ``inherited`` (copy-on-write, never pickled), so the worker starts
     with every index the parent had already built; fresh-start and
     respawned workers begin with an empty cache and build from the
-    column a shard ships.
+    column their first shard carries.
     """
     cache = IndexCache() if inherited is None else inherited
-    indexes: OrderedDict[str, QGramIndex] = OrderedDict()
 
     def handle(op: str, payload: tuple) -> object:
         if op == "shard":
-            return _score_shard(cache, indexes, *payload)
+            return _score_shard(cache, *payload)
         return None  # "shutdown": nothing to release
 
     return handle
@@ -285,9 +243,6 @@ class JoinWorkerPool(WorkerPool):
         super().__init__(
             _join_handler, n_workers, inherited=cache, name="join-worker"
         )
-        # Column fingerprints whose columns have already been shipped to
-        # this pool's workers (warm shards go fingerprint-only).
-        self._shipped_fps: set[str] = set()
 
     def run_probes(
         self,
@@ -308,38 +263,27 @@ class JoinWorkerPool(WorkerPool):
         """
         shards = plan_shards(index, probes, self.n_workers)
         column = tuple(targets)
-        fingerprint = column_fingerprint(column, index.q)
-        # First sighting of a column ships its bytes with every shard;
-        # after that, shards go fingerprint-only and a worker that
-        # still misses (respawned process, evicted memo) asks for a
-        # resend.
-        shipped = None if fingerprint in self._shipped_fps else column
-        self._shipped_fps.add(fingerprint)
         inflight: dict[Future, int] = {}
 
-        def send(shard_id: int, attached: tuple[str, ...] | None) -> None:
-            payload = (shards[shard_id], fingerprint, attached, k)
+        def send(shard_id: int) -> None:
+            payload = (shards[shard_id], column, k)
             inflight[self.submit("shard", payload)] = shard_id
 
         queued = iter(range(len(shards)))
         for shard_id in itertools.islice(queued, self.n_workers):
-            send(shard_id, shipped)
+            send(shard_id)
         ranked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         call_pairs: dict[str, int] = {}
         while inflight:
             done, _ = wait(inflight, return_when=FIRST_COMPLETED)
             for future in done:
                 shard_id = inflight.pop(future)
-                try:
-                    shard_pairs, counts, vids, distances = future.result()
-                except _ColumnNeeded:
-                    send(shard_id, column)
-                    continue
+                shard_pairs, counts, vids, distances = future.result()
                 # The worker that just replied is idle again: the
                 # least-inflight dispatch hands it the next shard.
                 next_id = next(queued, None)
                 if next_id is not None:
-                    send(next_id, shipped)
+                    send(next_id)
                 stops = np.cumsum(counts).tolist()
                 for probe, count, stop in zip(
                     shards[shard_id], counts.tolist(), stops, strict=True

@@ -81,13 +81,3 @@ def standardize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     inv_std = 1.0 / np.sqrt(var + eps)
     centered *= inv_std
     return centered, inv_std
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """ReLU activation."""
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(x: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
-    """Gradient of ReLU."""
-    return grad_output * (x > 0.0)

@@ -525,7 +525,7 @@ class TransformService:
             raise JoinError(f"mode must be one of {JOIN_MODES}, got {mode!r}")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise JoinError(f"k must be an int >= 1, got {k!r}")
-        if margin is not None and margin < 0:
+        if margin is not None and not margin >= 0:  # NaN too
             raise JoinError(f"margin must be >= 0, got {margin}")
         return self._submit(
             "join",

@@ -27,8 +27,8 @@ def codepoints(text: str) -> np.ndarray:
     Lone surrogates (e.g. ``surrogateescape`` decoding artifacts) are
     valid length-1 characters for edit-distance purposes but cannot be
     UTF-32-encoded, hence the ``ord`` fallback off the fast path.
-    Shared by the DP here and the batched kernel in
-    :mod:`repro.index.kernel` so the two paths cannot drift.
+    The index layer encodes its columns with its own
+    :func:`repro.index.kernel.code_points`.
     """
     try:
         return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)

@@ -96,17 +96,6 @@ class Uppercase(TransformationUnit):
 
 
 @dataclass(frozen=True)
-class TitleCase(TransformationUnit):
-    """Title-case the input (used by the real-world dataset simulators)."""
-
-    def apply(self, text: str) -> str:
-        return text.title()
-
-    def describe(self) -> str:
-        return "title"
-
-
-@dataclass(frozen=True)
 class Literal(TransformationUnit):
     """Emit a constant string, ignoring the input."""
 

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.index.cache import (
-    IndexCache,
-    column_fingerprint,
-    default_index_cache,
-)
+from repro.index.cache import IndexCache, default_index_cache
 from repro.index.qgram import QGramIndex, adaptive_q
 
 
@@ -126,43 +122,6 @@ class TestIndexCache:
 
     def test_default_cache_is_process_wide(self):
         assert default_index_cache() is default_index_cache()
-
-
-class TestColumnFingerprint:
-    def test_same_length_mutation_changes_fingerprint(self):
-        # The same-length in-place edit is the classic staleness hole:
-        # equal row count, equal lengths, different content.
-        base = ("aaa", "bbb", "ccc")
-        mutated = ("aaa", "zzz", "ccc")
-        assert column_fingerprint(base, 2) != column_fingerprint(mutated, 2)
-
-    def test_value_boundaries_are_unambiguous(self):
-        # Length-prefixed encoding: shifting characters across value
-        # boundaries must not collide.
-        assert column_fingerprint(("ab", "c"), 2) != column_fingerprint(
-            ("a", "bc"), 2
-        )
-        assert column_fingerprint(("ab",), 2) != column_fingerprint(
-            ("a", "b"), 2
-        )
-
-    def test_row_order_and_q_matter(self):
-        assert column_fingerprint(("a", "b"), 2) != column_fingerprint(
-            ("b", "a"), 2
-        )
-        assert column_fingerprint(("ab", "cd"), 2) != column_fingerprint(
-            ("ab", "cd"), 3
-        )
-
-    def test_equal_columns_agree_across_container_types(self):
-        assert column_fingerprint(["ab", "cd"], 2) == column_fingerprint(
-            ("ab", "cd"), 2
-        )
-
-    def test_lone_surrogates_hash(self):
-        assert column_fingerprint(("a\ud800b",), 2) != column_fingerprint(
-            ("ab",), 2
-        )
 
 
 class TestAdaptiveQ:

@@ -137,13 +137,11 @@ class TestParallelEquivalence:
         # inherited locks, so the pool must fall back to a fresh-start
         # method — and stay byte-identical through it.  Fresh-start
         # workers begin with an empty cache: they build the index from
-        # the column their first shard ships, and later calls on that
-        # column go fingerprint-only through each worker's memo.
+        # the column their first shard carries, and later shards on
+        # that column hit each worker's cache.
         from multiprocessing.context import ForkProcess
 
         from repro import procs
-        from repro.index.cache import column_fingerprint
-        from repro.index.qgram import adaptive_q
 
         monkeypatch.setattr(procs.threading, "active_count", lambda: 2)
         assert procs.pool_context().get_start_method() != "fork"
@@ -159,12 +157,6 @@ class TestParallelEquivalence:
             JoinConfig(n_workers=2), cache=IndexCache()
         ) as parallel:
             for call, (column, probes) in enumerate(calls):
-                # Only the second call's column was seen before: its
-                # shards ship no column bytes.
-                fingerprint = column_fingerprint(column, adaptive_q(column))
-                if call:
-                    shipped = parallel._pool._shipped_fps
-                    assert (fingerprint in shipped) == (call == 1)
                 assert parallel.join_many(probes, column) == serial.join_many(
                     probes, column
                 ), call
@@ -251,36 +243,33 @@ class TestPersistentPool:
         joiner.close()
 
     def test_score_shard_fingerprint_protocol(self):
-        # Warm shards are fingerprint-only; an unknown fingerprint with
-        # no column attached must ask for a resend, and a resolved one
-        # must serve later fingerprint-only shards from the memo.  The
-        # handler is the one a fresh-start worker builds (empty cache).
-        from repro.index.cache import column_fingerprint
-        from repro.index.parallel import _ColumnNeeded, _join_handler
-        from repro.index.qgram import adaptive_q
+        # A shard is ``(probes, column, k)``, resolved through the
+        # worker's own IndexCache: the first shard on a column builds
+        # the index, every later one is a cache hit (workers keep their
+        # resolved indexes).  The cache starts empty, as a fresh-start
+        # worker's does; it is handed in so its counters can be read.
+        from repro.index.parallel import _join_handler
 
-        handle = _join_handler(None)
-        with pytest.raises(_ColumnNeeded):
-            handle("shard", (["probe"], "fp?", None, 1))
+        cache = IndexCache()
+        handle = _join_handler(cache)
         column = tuple(f"value-{i:03d}" for i in range(60))
-        fingerprint = column_fingerprint(column, adaptive_q(column))
         kernel_pairs, counts, vids, distances = handle(
-            "shard", (["value-0070"], fingerprint, column, 1)
+            "shard", (["value-0070"], column, 1)
         )
         assert distances.tolist() == [1]
         assert counts.tolist() == [1] and vids.size == 1
         assert sum(dict(kernel_pairs).values()) >= 1
+        assert (cache.hits, cache.misses) == (0, 1)
         # One payload shape at any k: counts slice the flat rank arrays.
+        # The column arrives as a fresh (unpickled) tuple, equal in
+        # content: a hit, not a rebuild.
         _, counts, vids, distances = handle(
-            "shard", (["value-0070", "value-0081"], fingerprint, None, 3)
+            "shard", (["value-0070", "value-0081"], tuple(list(column)), 3)
         )
         assert counts.tolist() == [3, 3] and vids.size == distances.size == 6
         assert distances.tolist()[:3] == sorted(distances.tolist()[:3])
-        # Fingerprint-only now resolves through the memo, no column.
-        _, counts, _, _ = handle(
-            "shard", (["value-0080"], fingerprint, None, 1)
-        )
-        assert counts.tolist() == [1]
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert len(cache) == 1
 
     @pytest.mark.skipif(
         not hasattr(signal, "SIGSTOP"), reason="needs POSIX job control"

@@ -31,7 +31,7 @@ from repro.exceptions import (
 )
 from repro.model.config import TINY_CONFIG
 from repro.model.seq2seq import ByteSeq2SeqModel
-from repro.serve.cache import ResultCache, examples_fingerprint
+from repro.serve.cache import ResultCache, column_key, examples_fingerprint
 from repro.serve.http import start_http_server
 from repro.serve.router import RouteSpec, ServiceRouter
 from repro.serve.service import TransformService
@@ -409,6 +409,32 @@ class TestResultCache:
             ResultCache(ttl_seconds=0)
 
 
+class TestColumnKey:
+    """``column_key`` is the target column's part of a join-cache key."""
+
+    def test_same_length_mutation_changes_key(self):
+        # The same-length in-place edit is the classic staleness hole:
+        # equal row count, equal lengths, different content.
+        assert column_key(("aaa", "bbb", "ccc")) != column_key(
+            ("aaa", "zzz", "ccc")
+        )
+
+    def test_value_boundaries_are_unambiguous(self):
+        # Length-prefixed encoding: shifting characters across value
+        # boundaries must not collide.
+        assert column_key(("ab", "c")) != column_key(("a", "bc"))
+        assert column_key(("ab",)) != column_key(("a", "b"))
+
+    def test_row_order_matters(self):
+        assert column_key(("a", "b")) != column_key(("b", "a"))
+
+    def test_equal_columns_agree_across_container_types(self):
+        assert column_key(["ab", "cd"]) == column_key(("ab", "cd"))
+
+    def test_lone_surrogates_hash(self):
+        assert column_key(("a\ud800b",)) != column_key(("ab",))
+
+
 class TestFingerprints:
     def test_examples_fingerprint_is_order_and_content_sensitive(self):
         pool = [ExamplePair("a", "b"), ExamplePair("c", "d")]
@@ -416,6 +442,14 @@ class TestFingerprints:
         assert examples_fingerprint(pool) != examples_fingerprint(pool[::-1])
         assert examples_fingerprint(pool) != examples_fingerprint(
             [ExamplePair("a", "b"), ExamplePair("c", "x")]
+        )
+        # Length-prefixed framing: moving a character across the
+        # source/target boundary, or across two pairs, changes the key.
+        assert examples_fingerprint(
+            [ExamplePair("ab", "c")]
+        ) != examples_fingerprint([ExamplePair("a", "bc")])
+        assert examples_fingerprint(pool) != examples_fingerprint(
+            [ExamplePair("a", "bc"), ExamplePair("", "d")]
         )
 
     def test_model_fingerprint_tracks_weights(self):
@@ -874,10 +908,11 @@ class TestTopKServing:
                 service.submit_join(["a"], list(_TARGETS), _EXAMPLES, k=0)
             with pytest.raises(JoinError):
                 service.submit_join(["a"], list(_TARGETS), _EXAMPLES, k=True)
-            with pytest.raises(JoinError):
-                service.submit_join(
-                    ["a"], list(_TARGETS), _EXAMPLES, margin=-0.1
-                )
+            for bad_margin in (-0.1, float("nan")):
+                with pytest.raises(JoinError):
+                    service.submit_join(
+                        ["a"], list(_TARGETS), _EXAMPLES, margin=bad_margin
+                    )
 
 
 class TestHttpJoinSchema:

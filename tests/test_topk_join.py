@@ -169,8 +169,11 @@ class TestTopKContract:
                 joiner.topk_many(["a"], ["b"], bad_k)
 
     def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            EditDistanceJoiner().topk_join_many(["a"], ["b"], margin=-0.1)
+        for bad_margin in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                EditDistanceJoiner().topk_join_many(
+                    ["a"], ["b"], margin=bad_margin
+                )
 
 
 class TestK1BackCompat:
@@ -334,12 +337,18 @@ class TestJoinConfig:
         ):
             with pytest.raises(TypeError):
                 JoinConfig(**{removed: 1})
-        with pytest.raises(ValueError):
-            JoinConfig(max_distance=-1)
-        with pytest.raises(ValueError):
-            JoinConfig(normalized_threshold=-0.5)
-        with pytest.raises(ValueError):
-            JoinConfig(n_workers=0)
+        # NaN fails every comparison, so accepting it would switch the
+        # rejection rule off; a bool is not a worker count.
+        for bad in (
+            {"max_distance": -1},
+            {"max_distance": float("nan")},
+            {"normalized_threshold": -0.5},
+            {"normalized_threshold": float("nan")},
+            {"n_workers": 0},
+            {"n_workers": True},
+        ):
+            with pytest.raises(ValueError):
+                JoinConfig(**bad)
 
     def test_config_flows_to_joiner_attributes(self):
         config = JoinConfig(max_distance=3, normalized_threshold=0.5, n_workers=2)
