@@ -1,18 +1,18 @@
-"""One frozen configuration object for every join strategy.
+"""One frozen configuration object for every joiner.
 
 A joiner has three tunables — the two rejection thresholds
 (``max_distance`` / ``normalized_threshold``) and the worker count
 (``n_workers``) — in one validated, frozen dataclass.
-``EditDistanceJoiner``, ``IndexedJoiner``, ``AutoJoiner`` and
-``make_joiner`` take it as their first argument and ``DTTPipeline`` as
-``join_config``; it is the only way to configure a joiner.
+``EditDistanceJoiner`` and ``IndexedJoiner`` take it as their first
+argument and keep it as ``joiner.config``, which every query reads; it
+is the only way to configure a joiner (``DTTPipeline`` takes a
+configured joiner instance).
 
 Everything else is not configuration.  The query mode is a method
 (:data:`JOIN_MODES` names them for the serve schema), and ``k`` /
 ``margin`` are arguments of each top-k call.  The gram size is
-:func:`~repro.index.qgram.adaptive_q` of the column, and the two
-switch-over points are constants of :mod:`repro.index.joiner`:
-``AUTO_THRESHOLD`` (target rows before ``AutoJoiner`` indexes) and
+:func:`~repro.index.qgram.adaptive_q` of the column, and the
+parallel switch-over point is a constant of :mod:`repro.index.joiner`,
 ``PARALLEL_THRESHOLD`` (pending probes before the auto worker count
 starts a pool).  The edit-distance kernel is the bit-parallel fast path
 unless the ``REPRO_KERNEL_BACKEND`` environment variable picks the

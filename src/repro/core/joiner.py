@@ -6,11 +6,12 @@ discrepancies do not affect the join as long as the true row remains the
 closest.  Optional lower/upper distance bounds support many-to-many
 joins, and abstained predictions produce no match (footnote 2).
 
-This module is the brute-force reference implementation: a scalar scan
-over the whole column with best-so-far cap pruning.  For large target
-columns, :mod:`repro.index` provides a q-gram blocked engine
-(:class:`~repro.index.joiner.IndexedJoiner`) with byte-identical results, and
-``DTTPipeline(joiner="auto")`` switches between the two on column size.
+This module is the brute-force reference implementation — the Eq. 5
+oracle: a scalar scan over the whole column with best-so-far cap
+pruning.  The production joiner is the q-gram blocked engine of
+:mod:`repro.index` (:class:`~repro.index.joiner.IndexedJoiner`), which
+``DTTPipeline`` builds by default at every column size and which must
+return byte-identical results.
 
 Beyond the classic argmin query, every joiner exposes the redesigned
 query surface (``k`` and ``margin`` are arguments of each call):
@@ -73,8 +74,9 @@ class EditDistanceJoiner:
             divided by the matched value's length exceeds this) apply
             to the brute scan.
 
-    The config is a constructor-time carrier: the thresholds land on
-    plain mutable attributes that every query reads at call time.
+    Every query reads its thresholds from :attr:`config` at call time,
+    so replacing it (``dataclasses.replace(joiner.config, ...)``)
+    reconfigures the joiner.
     """
 
     def __init__(self, config: JoinConfig | None = None) -> None:
@@ -85,8 +87,6 @@ class EditDistanceJoiner:
                 f"config must be a JoinConfig, got {type(config).__name__}"
             )
         self.config = config
-        self.max_distance = config.max_distance
-        self.normalized_threshold = config.normalized_threshold
 
     def match(self, predicted: str, targets: Sequence[str]) -> tuple[str | None, int]:
         """Return ``(closest_target, distance)`` for one predicted value.
@@ -125,15 +125,17 @@ class EditDistanceJoiner:
     ) -> tuple[str | None, int]:
         """Reject the argmin per ``max_distance`` / ``normalized_threshold``.
 
-        Shared by every strategy so the rejection semantics live in
+        Shared by both joiners so the rejection semantics live in
         exactly one place — the blocked engines' equivalence guarantee
         depends on that.
         """
-        if self.max_distance is not None and best_distance > self.max_distance:
+        max_distance = self.config.max_distance
+        if max_distance is not None and best_distance > max_distance:
             return None, best_distance
-        if self.normalized_threshold is not None:
+        normalized_threshold = self.config.normalized_threshold
+        if normalized_threshold is not None:
             denominator = max(len(best_value), 1)
-            if best_distance / denominator > self.normalized_threshold:
+            if best_distance / denominator > normalized_threshold:
                 return None, best_distance
         return best_value, best_distance
 
@@ -330,12 +332,14 @@ class EditDistanceJoiner:
         Supports the paper's many-to-many generalization of Eq. 5 where a
         source row may match zero or several target rows: one entry per
         matching *row* (duplicate values repeat), ordered by distance,
-        then row.  The blocked joiners inherit this scan unchanged.
+        then row.  The blocked joiner inherits this scan unchanged.
         """
         if not targets:
             raise JoinError("cannot join into an empty target column")
-        if lower > upper:
-            raise ValueError(f"lower ({lower}) must be <= upper ({upper})")
+        if not 0 <= lower <= upper:
+            raise ValueError(
+                f"bounds must satisfy 0 <= lower <= upper, got [{lower}, {upper}]"
+            )
         matches: list[tuple[str, int]] = []
         if predicted == "":
             return matches
@@ -350,7 +354,7 @@ class EditDistanceJoiner:
         """Release execution resources; a no-op for the scalar scan.
 
         Joiners are uniformly closable so long-lived owners (the
-        serving layer, an eval loop) can tear down whichever strategy
+        serving layer, an eval loop) can tear down whichever joiner
         they were handed — the blocked engine overrides this to shut
         down its persistent worker pool.
         """
@@ -380,7 +384,7 @@ class EditDistanceJoiner:
                 f"expected ({len(expected)}) must align with predictions "
                 f"({len(predictions)})"
             )
-        # One join_many call so batch-capable strategies amortize index
+        # One join_many call so the blocked joiner amortizes index
         # lookup, probe dedup, and kernel launches over the column.
         matches = self.join_many([p.value for p in predictions], targets)
         return [

@@ -21,10 +21,9 @@ from itertools import accumulate, pairwise
 
 from repro.core.aggregator import Aggregator
 from repro.core.interface import IncrementalSequenceModel, SequenceModel
-from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.core.serializer import Decomposer, PromptSerializer, SubTask
-from repro.index.joiner import make_joiner
+from repro.index.joiner import IndexedJoiner
 from repro.infer.engine import EngineStats, generate
 from repro.types import ExamplePair, JoinResult, Prediction
 from repro.utils.timing import Stopwatch
@@ -56,22 +55,15 @@ class DTTPipeline:
         context_size: Example pairs per sub-task context (paper: 2).
         n_trials: Trials per row *per model* (paper: 5).
         seed: Seed for context sampling.
-        joiner: Join strategy; a joiner instance, or one of the strategy
-            names ``"brute"`` / ``"indexed"`` / ``"auto"`` resolved via
-            :func:`repro.index.joiner.make_joiner`.  Defaults to ``"auto"``,
-            which is the plain Eq. 5 argmin executed by scalar scan on
-            small target columns and by the q-gram blocked engine on
-            large ones — results are identical either way.  :meth:`join`
-            hands the whole predicted column to the joiner's
-            ``join_many`` batch API in one call, and blocked strategies
-            share q-gram indexes through the process-level
-            :class:`~repro.index.cache.IndexCache`, so repeated
-            pipelines over the same target column never rebuild.
-        join_config: :class:`~repro.core.join_config.JoinConfig` carried
-            into :func:`repro.index.joiner.make_joiner` when ``joiner`` is a
-            strategy name (a joiner instance carries its own settings):
-            the two rejection thresholds, the worker count and the
-            kernel backend in one frozen object.
+        joiner: The Eq. 5 joiner, an instance (configure it through its
+            own :class:`~repro.core.join_config.JoinConfig`); ``None``
+            builds :class:`~repro.index.joiner.IndexedJoiner` with the
+            default config, the q-gram blocked engine at every column
+            size.  :meth:`join` hands the whole predicted column to the
+            joiner's ``join_many`` batch API in one call, and the blocked
+            joiner shares q-gram indexes through the process-level
+            :class:`~repro.index.cache.IndexCache`, so repeated pipelines
+            over the same target column never rebuild.
 
     The prediction stage (:meth:`predict`) hands all prompts of all
     trials to :func:`repro.infer.engine.generate` as one job per model,
@@ -90,8 +82,7 @@ class DTTPipeline:
         context_size: int = 2,
         n_trials: int = 5,
         seed: int = 0,
-        joiner: EditDistanceJoiner | str | None = None,
-        join_config: JoinConfig | None = None,
+        joiner: EditDistanceJoiner | None = None,
     ) -> None:
         models = [model] if isinstance(model, SequenceModel) else list(model)
         if not models:
@@ -102,17 +93,19 @@ class DTTPipeline:
         )
         self.serializer = PromptSerializer()
         self.aggregator = Aggregator()
-        if joiner is None or isinstance(joiner, str):
-            self.joiner = make_joiner(
-                "auto" if joiner is None else joiner, config=join_config
+        if joiner is None:
+            joiner = IndexedJoiner()
+        elif not isinstance(joiner, EditDistanceJoiner):
+            raise TypeError(
+                f"joiner must be a joiner instance or None, got {type(joiner).__name__}"
             )
-        else:
-            self.joiner = joiner
+        self.joiner = joiner
         self.stopwatch = Stopwatch()
         self.last_engine_stats: list[EngineStats] = []
 
     @property
     def name(self) -> str:
+        """Report name: ``DTT[...]`` over the ensemble's model names."""
         return f"DTT[{'+'.join(model.name for model in self.models)}]"
 
     def fingerprint(self) -> str:

@@ -78,12 +78,6 @@ MONTH_ABBREVS = tuple(m[:3] for m in MONTH_NAMES)
 
 PAPER_VENUES = ("SIGMOD", "VLDB", "ICDE", "KDD", "WWW", "CIKM", "EDBT")
 
-AIRPORTS = (
-    "YEG", "YYZ", "YVR", "YUL", "YOW", "YWG", "YHZ", "YYC", "YQB",
-    "JFK", "LAX", "ORD", "SFO", "SEA", "BOS", "DEN", "ATL", "MIA",
-)
-
-
 def pick(rng: np.random.Generator, pool: tuple) -> object:
     """Pick one element of ``pool`` uniformly."""
     return pool[int(rng.integers(0, len(pool)))]

@@ -238,16 +238,6 @@ def _make_citation(table_rng: np.random.Generator) -> RowGenerator:
     return generate
 
 
-def _make_flight(table_rng: np.random.Generator) -> RowGenerator:
-    def generate(rng: np.random.Generator) -> tuple[str, str]:
-        number = int(rng.integers(100, 999))
-        origin = str(pools.pick(rng, pools.AIRPORTS))
-        dest = str(pools.pick(rng, pools.AIRPORTS))
-        return f"AC{number} {origin}-{dest}", f"{origin}/{dest}"
-
-    return generate
-
-
 TOPICS: dict[str, TopicFactory] = {
     "userid": _make_userid,
     "last-first": _make_last_first,

@@ -14,7 +14,6 @@ from dataclasses import asdict
 
 from repro.baselines.base import JoinOutput, TableJoiner
 from repro.core.interface import SequenceModel
-from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.core.pipeline import DTTPipeline
 from repro.datagen.benchmarks.noise import inject_example_noise
@@ -34,10 +33,8 @@ class DTTJoinerAdapter:
         n_trials: Trials per row per model.
         seed: Context-sampling seed.
         name: Report name; defaults to the pipeline's.
-        joiner: Joiner instance or strategy name (``"brute"`` /
-            ``"indexed"`` / ``"auto"``), forwarded to the pipeline.
-        join_config: :class:`~repro.core.join_config.JoinConfig`
-            forwarded to the pipeline's joiner construction.
+        joiner: Joiner instance forwarded to the pipeline (``None`` =
+            the pipeline's default :class:`~repro.index.joiner.IndexedJoiner`).
     """
 
     def __init__(
@@ -47,8 +44,7 @@ class DTTJoinerAdapter:
         n_trials: int = 5,
         seed: int = 0,
         name: str | None = None,
-        joiner: EditDistanceJoiner | str | None = None,
-        join_config: JoinConfig | None = None,
+        joiner: EditDistanceJoiner | None = None,
     ) -> None:
         self.pipeline = DTTPipeline(
             model,
@@ -56,7 +52,6 @@ class DTTJoinerAdapter:
             n_trials=n_trials,
             seed=seed,
             joiner=joiner,
-            join_config=join_config,
         )
         self._name = name or self.pipeline.name
 

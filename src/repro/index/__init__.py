@@ -15,10 +15,10 @@ column:
   Myers bit-parallel (the fast path) and the reference DP as the
   oracle, picked by the ``REPRO_KERNEL_BACKEND`` environment variable;
   bit-parallel is byte-identical to the reference DP.
-* :mod:`repro.index.joiner` — :class:`IndexedJoiner` (drop-in,
-  byte-identical results to :class:`~repro.core.joiner.EditDistanceJoiner`),
-  :class:`AutoJoiner` (switches strategy on target-column size), and the
-  :func:`make_joiner` factory used by ``DTTPipeline(joiner="auto")``.
+* :mod:`repro.index.joiner` — :class:`IndexedJoiner`, the one
+  production joiner (``DTTPipeline``'s default at every column size),
+  byte-identical to the :class:`~repro.core.joiner.EditDistanceJoiner`
+  oracle.
 
 Batch execution rides on top of the same guarantee:
 

@@ -1,4 +1,4 @@
-"""Blocked join strategies, drop-in compatible with the brute joiner.
+"""The production Eq. 5 joiner, drop-in compatible with the brute oracle.
 
 :class:`IndexedJoiner` resolves Eq. 5 through a
 :class:`~repro.index.qgram.QGramIndex` plus the pair DP kernel, with
@@ -28,11 +28,9 @@ Above :data:`PARALLEL_THRESHOLD` pending probes (or at an explicit
 ``n_workers``), the frame shards them across a **persistent** process
 pool (:mod:`repro.index.parallel`) with a deterministic merge,
 byte-identical to the serial engine; long-lived owners should
-``close()`` the joiner (or use it as a context manager).  Below
-``IndexedJoiner.threshold`` target rows every query falls through to
-the inherited brute scan (:class:`AutoJoiner` sets that threshold to
-:data:`AUTO_THRESHOLD`), as does the bounded many-to-many
-``match_many`` at every column size.
+``close()`` the joiner (or use it as a context manager).  Every
+column size runs this engine; only the bounded many-to-many
+``match_many`` is answered by the inherited brute scan.
 """
 
 from __future__ import annotations
@@ -57,11 +55,6 @@ from repro.obs.trace import get_tracer
 # A probe's ranked answer: ``(value_ids, distances)`` in rank order.
 Ranked = tuple[np.ndarray, np.ndarray]
 _NO_RANKS: Ranked = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-
-#: Target rows at which :class:`AutoJoiner` stops scanning and indexes.
-#: Below it, index construction costs more than the brute scan it
-#: saves; either side returns the same bytes, so this is not a knob.
-AUTO_THRESHOLD = 256
 
 #: Pending (deduplicated, non-exact) probes at which an auto worker
 #: count (``JoinConfig.n_workers=None``) starts the process pool.
@@ -94,15 +87,10 @@ class IndexedJoiner(EditDistanceJoiner):
         kernel: The edit-distance backend every kernel call scores
             through, resolved once from ``REPRO_KERNEL_BACKEND``
             (:func:`~repro.index.kernels.resolve_backend`).
-        threshold: Minimum target-column length (in rows) at which the
-            q-gram engine takes over; smaller columns run the inherited
-            brute scan (byte-identical, so the switch never changes
-            results).  ``0`` here — always blocked; :class:`AutoJoiner`
-            sets it to :data:`AUTO_THRESHOLD`.
         last_join_stats: :class:`~repro.index.parallel.JoinStats` for
             the most recent :meth:`join_many` / :meth:`topk_many` call
-            — ``None`` before the first call and after a call that ran
-            the brute scan, which keeps no counters, or had no probes.
+            — ``None`` before the first call and after a call that had
+            no probes.
     """
 
     # Auto mode never spawns more workers than this, however many cores
@@ -137,7 +125,6 @@ class IndexedJoiner(EditDistanceJoiner):
         super().__init__(config)
         self.kernel = resolve_backend()
         self.cache = cache if cache is not None else default_index_cache()
-        self.threshold = 0
         self.last_join_stats: JoinStats | None = None
         self._pool: JoinWorkerPool | None = None
 
@@ -190,8 +177,6 @@ class IndexedJoiner(EditDistanceJoiner):
         the argmin strategy differs.  A scalar match is simply a
         single-probe call at ``k = 1`` of the batch engine's loop.
         """
-        if len(targets) < self.threshold:
-            return super()._argmin(predicted, targets)
         index = self._index_for(targets)
         if index.value_id(predicted) is not None:
             return predicted, 0
@@ -213,9 +198,6 @@ class IndexedJoiner(EditDistanceJoiner):
         :meth:`_resolve_probes` together.
         Counters for the call land in :attr:`last_join_stats`.
         """
-        if len(targets) < self.threshold:
-            self.last_join_stats = None
-            return super().join_many(probes, targets)
         if not probes:
             self.last_join_stats = None
             return []
@@ -246,9 +228,6 @@ class IndexedJoiner(EditDistanceJoiner):
         :meth:`EditDistanceJoiner.topk_join_many`.  Counters for the
         call land in :attr:`last_join_stats`.
         """
-        if len(targets) < self.threshold:
-            self.last_join_stats = None
-            return super().topk_many(probes, targets, k)
         self._validate_topk(targets, k)
         if not probes:
             self.last_join_stats = None
@@ -551,51 +530,3 @@ def _kth_per_probe(
     order = np.lexsort((dists, rep))
     return dists[order][np.searchsorted(rep[order], np.arange(n_probes)) + kk - 1]
 
-
-class AutoJoiner(IndexedJoiner):
-    """Size-adaptive strategy: brute below ``threshold`` rows, else blocked.
-
-    Index construction is linear in the column with a noticeable
-    constant, so tiny columns (the common per-table benchmark case) stay
-    on the scalar scan while large columns get sub-linear candidate
-    generation.  Both sides are exactly equivalent, so the switch never
-    changes results.  This is an :class:`IndexedJoiner` whose
-    ``threshold`` is :data:`AUTO_THRESHOLD` — nothing else.
-    """
-
-    def __init__(
-        self,
-        config: JoinConfig | None = None,
-        *,
-        cache: IndexCache | None = None,
-    ) -> None:
-        super().__init__(config, cache=cache)
-        self.threshold = AUTO_THRESHOLD
-
-
-def make_joiner(
-    strategy: str = "auto",
-    config: JoinConfig | None = None,
-    *,
-    cache: IndexCache | None = None,
-) -> EditDistanceJoiner:
-    """Build a join strategy by name.
-
-    Args:
-        strategy: ``"brute"`` (scalar scan), ``"indexed"`` (q-gram
-            blocked), or ``"auto"`` (switch on target-column size).
-        config: All tunables in one frozen
-            :class:`~repro.core.join_config.JoinConfig` (thresholds,
-            worker count).
-        cache: Index cache for the blocked strategies (``None`` = the
-            process-wide shared cache).
-    """
-    if strategy == "brute":
-        return EditDistanceJoiner(config)
-    if strategy == "indexed":
-        return IndexedJoiner(config, cache=cache)
-    if strategy == "auto":
-        return AutoJoiner(config, cache=cache)
-    raise ValueError(
-        f"unknown join strategy {strategy!r}; expected 'brute', 'indexed', or 'auto'"
-    )

@@ -84,6 +84,12 @@ class KernelBackend:
         cand_lengths: np.ndarray,
         cap: int,
     ) -> np.ndarray:
+        """Capped distances of each ``(query_ids[i], cand_codes[i])`` pair.
+
+        Credits the pairs to this backend's tally, then scores them with
+        ``pair_fn``; arguments and result are those of
+        :func:`repro.index.kernel.edit_distance_pairs`.
+        """
         if cand_codes.shape[0]:
             with _COUNTS_LOCK:
                 _PAIRS_SCORED[self.name] += cand_codes.shape[0]

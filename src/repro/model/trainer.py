@@ -31,10 +31,6 @@ class TrainingReport:
     validation_losses: list[float] = field(default_factory=list)
     epochs_run: int = 0
 
-    @property
-    def best_validation(self) -> float:
-        return min(self.validation_losses) if self.validation_losses else float("inf")
-
 
 class Trainer:
     """Fits a :class:`ByteSeq2SeqModel` on serialized instances.

@@ -945,9 +945,9 @@ class TransformService:
         """JSON-friendly view of the join layer's kernel activity.
 
         ``last_join`` is the most recent :class:`~repro.index.parallel.JoinStats`
-        (``None`` until a blocked join runs — the brute joiner publishes
-        no stats); ``kernel_pairs_total`` accumulates pairs scored per
-        backend across every join this service has executed.
+        (``None`` until the first join with probes runs);
+        ``kernel_pairs_total`` accumulates pairs scored per backend
+        across every join this service has executed.
         """
         last = self.last_join_stats
         return {

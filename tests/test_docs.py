@@ -209,7 +209,6 @@ class TestBrokenDocsAreCaught:
             "EngineStats",
             "DecodeSession",
             "IndexedJoiner",
-            "AutoJoiner",
             "IndexCache",
             "JoinStats",
             "KernelBackend",

@@ -62,7 +62,7 @@ class TestEvaluateOnTable:
                 dataset="PM",
             )
 
-        adapter = DTTJoinerAdapter(PretrainedDTT(), seed=1, joiner="indexed")
+        adapter = DTTJoinerAdapter(PretrainedDTT(), seed=1)
         full = evaluate_on_table(adapter, head(8))
         assert full.stats["engine"]["prompts"] == 20
         assert full.stats["join"]["probes"] == 4

@@ -1,6 +1,6 @@
 """Equivalence harness: the blocked joiner must match brute force exactly.
 
-``IndexedJoiner`` (and ``AutoJoiner`` on both sides of its threshold)
+``IndexedJoiner``, the one production joiner, at every column size,
 must produce **identical** results to ``EditDistanceJoiner`` — same
 matches, same distances, same earliest-row tie-breaks, same abstentions
 under ``max_distance`` / ``normalized_threshold`` — on every registered
@@ -21,9 +21,8 @@ from repro.core.joiner import EditDistanceJoiner
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
 from repro.index import cache as cache_module
-from repro.index import joiner as joiner_module
 from repro.index.cache import IndexCache
-from repro.index.joiner import AutoJoiner, IndexedJoiner, make_joiner
+from repro.index.joiner import IndexedJoiner
 from repro.index.qgram import QGramIndex, adaptive_q
 from repro.types import Prediction
 
@@ -164,7 +163,7 @@ class TestJoinManyEquivalence:
             Prediction(source="s1", value=""),
             Prediction(source="s2", value="ccc"),
         ]
-        for joiner in (EditDistanceJoiner(), IndexedJoiner(), AutoJoiner()):
+        for joiner in (EditDistanceJoiner(), IndexedJoiner()):
             results = joiner.join(predictions, targets, ["aaa", "bbb", "ccc"])
             assert [(r.matched, r.distance) for r in results] == [
                 ("aaa", 1),
@@ -231,11 +230,7 @@ class TestIndexedJoinerContract:
             IndexedJoiner().match_many("a", ["b"], lower=2, upper=1)
         # The bounded many-to-many query is not blocked: every joiner
         # answers it, at any column size, by the brute scan itself.
-        assert (
-            IndexedJoiner.match_many
-            is AutoJoiner.match_many
-            is EditDistanceJoiner.match_many
-        )
+        assert IndexedJoiner.match_many is EditDistanceJoiner.match_many
 
     def test_invalid_q(self):
         # The gram size is derived from the column, never configured.
@@ -302,110 +297,61 @@ class TestIndexedJoinerContract:
         assert joiner.match("zzz", targets) == ("zzz", 0)
 
 
-class TestAutoJoiner:
-    def test_delegates_agree_on_both_sides_of_threshold(self, monkeypatch):
+class TestProductionJoiner:
+    """The blocked engine runs at every column size, however small."""
+
+    def test_match_and_join_many_equal_brute_on_small_and_large_columns(self):
         rng = random.Random(_SEED + 3)
         small = [random_unicode_string(rng, max_length=8) for _ in range(10)]
         large = [random_unicode_string(rng, max_length=8) for _ in range(80)]
-        monkeypatch.setattr(joiner_module, "AUTO_THRESHOLD", 50)
-        auto = AutoJoiner()
+        indexed = IndexedJoiner(cache=IndexCache())
         brute = EditDistanceJoiner()
         for targets in (small, large):
-            for _ in range(10):
-                predicted = random_edits(rng, rng.choice(targets), rng.randint(0, 2))
-                assert auto.match(predicted, targets) == brute.match(
-                    predicted, targets
-                )
-
-    def test_picks_indexed_at_threshold(self, monkeypatch):
-        # Below the threshold nothing is indexed and no stats exist; at
-        # the threshold the blocked engine runs and publishes stats.
-        monkeypatch.setattr(joiner_module, "AUTO_THRESHOLD", 3)
-        cache = IndexCache()
-        auto = AutoJoiner(cache=cache)
-        assert auto.join_many(["a"], ["a", "b"]) == [("a", 0)]
-        assert cache.misses == 0
-        assert auto.last_join_stats is None
-        assert auto.join_many(["a"], ["a", "b", "c"]) == [("a", 0)]
-        assert cache.misses == 1
-        assert auto.last_join_stats.probes == 1
-        # Back below: the previous call's stats must not linger.
-        auto.topk_many(["a"], ["a", "b"], 2)
-        assert cache.misses == 1
-        assert auto.last_join_stats is None
-
-    def test_default_switchover_boundary_at_256(self):
-        cache = IndexCache()
-        auto = AutoJoiner(cache=cache)
-        assert auto.threshold == joiner_module.AUTO_THRESHOLD == 256
-        rng = random.Random(_SEED + 20)
-        below = [f"v{i:03d}" for i in range(255)]
-        exactly = [f"v{i:03d}" for i in range(256)]
-        auto.join_many(["v001"], below)
-        assert cache.misses == 0 and auto.last_join_stats is None
-        auto.join_many(["v001"], exactly)
-        assert cache.misses == 1 and auto.last_join_stats is not None
-        # Crossing the boundary never changes results: match and batch
-        # queries agree with brute on both sides.
-        brute = EditDistanceJoiner()
-        for targets in (below, exactly):
             probes = [
                 random_edits(rng, rng.choice(targets), rng.randint(0, 2))
-                for _ in range(6)
+                for _ in range(10)
             ] + ["", targets[0]]
-            assert auto.join_many(probes, targets) == brute.join_many(
+            assert indexed.join_many(probes, targets) == brute.join_many(
                 probes, targets
             )
             for probe in probes:
-                assert auto.match(probe, targets) == brute.match(probe, targets)
+                assert indexed.match(probe, targets) == brute.match(probe, targets)
 
-    def test_join_inherited_path(self, monkeypatch):
-        monkeypatch.setattr(joiner_module, "AUTO_THRESHOLD", 2)
-        auto = AutoJoiner()
+    def test_small_columns_are_indexed_and_publish_stats(self):
+        cache = IndexCache()
+        joiner = IndexedJoiner(cache=cache)
+        assert joiner.join_many(["a"], ["a", "b"]) == [("a", 0)]
+        assert cache.misses == 1
+        assert joiner.last_join_stats.probes == 1
+        assert joiner.topk_many(["a"], ["a", "c"], 2) == [[(0, 0, "a"), (1, 1, "c")]]
+        assert cache.misses == 2
+        assert joiner.last_join_stats.unique_probes == 1
+
+    def test_join_on_two_row_column(self):
         predictions = [Prediction(source="s", value="aaa")]
-        results = auto.join(predictions, ["aaa", "bbb"], expected=["aaa"])
+        results = IndexedJoiner().join(predictions, ["aaa", "bbb"], expected=["aaa"])
         assert results[0].matched == "aaa"
         assert results[0].correct
 
-    def test_invalid_threshold(self):
-        # The switch-over point is a constant, not a config field.
-        with pytest.raises(TypeError):
-            JoinConfig(auto_threshold=-1)
-        assert AutoJoiner(JoinConfig(max_distance=1)).threshold == 256
-
-    def test_empty_targets_raise_via_delegate(self):
+    def test_empty_column_raises(self):
         with pytest.raises(JoinError):
-            AutoJoiner().match("abc", [])
+            IndexedJoiner().match("abc", [])
 
-
-class TestMakeJoiner:
-    def test_strategy_mapping(self):
-        assert type(make_joiner("brute")) is EditDistanceJoiner
-        assert type(make_joiner("indexed")) is IndexedJoiner
-        assert type(make_joiner("auto")) is AutoJoiner
-
-    def test_parameters_forwarded(self):
-        joiner = make_joiner("indexed", JoinConfig(max_distance=3))
-        assert joiner.max_distance == 3
-        auto = make_joiner("auto", JoinConfig(normalized_threshold=0.5, n_workers=1))
-        assert auto.threshold == 256
-        assert auto.normalized_threshold == 0.5
-        assert auto.config.n_workers == 1
-        assert make_joiner("indexed").threshold == 0
-        assert make_joiner("brute", JoinConfig(max_distance=2)).max_distance == 2
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            make_joiner("fuzzy")
-        with pytest.raises(ValueError):
-            make_joiner("")
-
-    def test_pipeline_rejects_empty_strategy_string(self):
+    def test_pipeline_default_joiner_is_indexed(self):
         from repro.core.pipeline import DTTPipeline
         from repro.surrogate.pretrained import PretrainedDTT
 
-        with pytest.raises(ValueError):
-            DTTPipeline(PretrainedDTT(seed=0), joiner="")
+        assert type(DTTPipeline(PretrainedDTT(seed=0)).joiner) is IndexedJoiner
+        brute = EditDistanceJoiner()
+        assert DTTPipeline(PretrainedDTT(seed=0), joiner=brute).joiner is brute
+
+    def test_pipeline_rejects_a_strategy_string(self):
+        from repro.core.pipeline import DTTPipeline
+        from repro.surrogate.pretrained import PretrainedDTT
+
+        for name in ("indexed", "brute", ""):
+            with pytest.raises(TypeError, match="joiner"):
+                DTTPipeline(PretrainedDTT(seed=0), joiner=name)
 
 
 class TestOutlierColumns:

@@ -2,15 +2,18 @@
 
 :class:`~repro.core.joiner.EditDistanceJoiner` defines Eq. 5; the
 blocked :class:`~repro.index.joiner.IndexedJoiner` must return the same bytes
-for every query mode, serially and sharded over two workers.  Columns
-and probes come from ``join_strategies``: astral, combining and
-lone-surrogate characters, empty values and empty probes, duplicates,
-exact matches, and lengths either side of one 64-bit word.  Columns run
-past the seed count, so candidates are verified in bound order, not
-only seeded.
+for every query mode, serially and sharded over two workers, under
+every rejection rule (a drawn ``JoinConfig``).  Columns and probes come
+from ``join_strategies``: astral, combining and lone-surrogate
+characters, empty values and empty probes, duplicates, exact matches,
+and lengths either side of one 64-bit word.  Columns run past the seed
+count, so candidates are verified in bound order, not only seeded;
+small ones are blocked too, as in production.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -26,17 +29,23 @@ from join_strategies import CHARS, FOREIGN, strings
 
 @st.composite
 def _columns_and_probes(draw):
-    """``(targets, probes)``: duplicated rows, exact and empty probes."""
+    """``(targets, probes, config)``: duplicated rows, exact and empty
+    probes, and the rejection thresholds both joiners run under."""
     values = draw(st.lists(strings(CHARS), min_size=1, max_size=24))
     targets = values + values[: draw(st.integers(0, 4))]
     probes = draw(st.lists(strings(CHARS + FOREIGN), max_size=5))
     probes += draw(st.lists(st.sampled_from(targets), max_size=2))
-    return targets, [*probes, "", *probes[:1]]
+    config = JoinConfig(
+        max_distance=draw(st.none() | st.integers(0, 3)),
+        normalized_threshold=draw(st.none() | st.sampled_from((0.0, 0.1, 0.34, 0.5))),
+    )
+    return targets, [*probes, "", *probes[:1]], config
 
 
 def _queries(joiner, targets, probes):
     distinct = len(set(targets))
     return {
+        "match": [joiner.match(probe, targets) for probe in probes],
         "join_many": joiner.join_many(probes, targets),
         **{
             f"topk_many[k={k}]": joiner.topk_many(probes, targets, k)
@@ -56,16 +65,20 @@ class TestBlockedEqualsBrute:
     @settings(max_examples=40, deadline=None)
     @given(case=_columns_and_probes())
     def test_serial(self, case):
-        targets, probes = case
-        joiner = IndexedJoiner(JoinConfig(n_workers=1), cache=IndexCache())
-        want = _queries(EditDistanceJoiner(), targets, probes)
+        targets, probes, config = case
+        joiner = IndexedJoiner(
+            dataclasses.replace(config, n_workers=1), cache=IndexCache()
+        )
+        want = _queries(EditDistanceJoiner(config), targets, probes)
         assert _queries(joiner, targets, probes) == want
 
     @settings(max_examples=15, deadline=None)
     @given(case=_columns_and_probes())
     def test_two_workers(self, sharded, case):
-        targets, probes = case
-        want = _queries(EditDistanceJoiner(), targets, probes)
+        targets, probes, config = case
+        # Reassigning ``config`` reconfigures the joiner; the pool stays.
+        sharded.config = dataclasses.replace(config, n_workers=2)
+        want = _queries(EditDistanceJoiner(config), targets, probes)
         assert _queries(sharded, targets, probes) == want
 
     def test_k_past_the_length_neighbours(self):

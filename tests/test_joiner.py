@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.exceptions import JoinError
+from repro.index.joiner import IndexedJoiner
 from repro.text.edit_distance import edit_distance
 from repro.types import Prediction
 
@@ -67,6 +70,21 @@ class TestMatch:
         # Duplicates of the winner do not perturb the choice.
         assert joiner.match("x", ["ax", "ax", "bx"]) == ("ax", 1)
 
+    @pytest.mark.parametrize("joiner_type", [EditDistanceJoiner, IndexedJoiner])
+    def test_reassigned_config_takes_effect(self, joiner_type):
+        # The thresholds live only in ``config``: replacing it (the idiom
+        # a serve worker uses for ``n_workers``) reconfigures the joiner.
+        joiner = joiner_type()
+        assert joiner.join_many(["abd"], ["abc", "xyz"]) == [("abc", 1)]
+        joiner.config = dataclasses.replace(joiner.config, max_distance=0)
+        assert joiner.join_many(["abd"], ["abc", "xyz"]) == [(None, 1)]
+        assert joiner.match("abd", ["abc", "xyz"]) == (None, 1)
+        joiner.config = dataclasses.replace(
+            joiner.config, max_distance=None, normalized_threshold=0.2
+        )
+        assert joiner.match("abd", ["abc", "xyz"]) == (None, 1)
+        assert joiner.topk_join_many(["abd"], ["abc", "xyz"])[0].matched is None
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             EditDistanceJoiner(JoinConfig(max_distance=-1))
@@ -103,6 +121,16 @@ class TestMatchMany:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             EditDistanceJoiner().match_many("a", ["b"], lower=2, upper=1)
+
+    @pytest.mark.parametrize(
+        ("predicted", "lower", "upper"),
+        [("a", -2, -1), ("", -2, -1), ("a", -1, 1), ("", -1, 0)],
+    )
+    def test_negative_bounds_rejected_at_the_door(self, predicted, lower, upper):
+        # Checked before any scan: neither the DP's cap check nor the
+        # empty-prediction shortcut may answer a negative bound.
+        with pytest.raises(ValueError, match="0 <= lower <= upper"):
+            EditDistanceJoiner().match_many(predicted, ["b"], lower, upper)
 
     def test_empty_prediction(self):
         assert EditDistanceJoiner().match_many("", ["a"], 0, 3) == []

@@ -309,18 +309,6 @@ class TestPersistentPool:
         finally:
             joiner.close()
 
-    def test_auto_joiner_close_reaches_delegate(self):
-        from repro.index.joiner import AutoJoiner
-
-        targets = [f"value-{i:04d}" for i in range(300)]
-        probes = [f"valu-{i:04d}" for i in range(40)]
-        with AutoJoiner(JoinConfig(n_workers=2), cache=IndexCache()) as joiner:
-            joiner.join_many(probes, targets)
-            pool = joiner._pool
-            assert joiner.last_join_stats.shards >= 1
-        assert joiner._pool is None
-        assert pool.closed
-
 
 class TestWorkerPolicy:
     def test_explicit_workers_validated(self):
@@ -413,9 +401,7 @@ class TestJoinStatsThreading:
         from repro.surrogate.pretrained import PretrainedDTT
 
         table = get_dataset("WT", seed=0, scale=0.05)[0]
-        adapter = DTTJoinerAdapter(
-            PretrainedDTT(seed=0), n_trials=2, joiner="indexed"
-        )
+        adapter = DTTJoinerAdapter(PretrainedDTT(seed=0), n_trials=2)
         report = evaluate_on_table(adapter, table)
         assert report.stats is not None
         assert report.stats["engine"]["prompts"] > 0
@@ -427,7 +413,7 @@ class TestJoinStatsThreading:
         from repro.core.pipeline import DTTPipeline
         from repro.surrogate.pretrained import PretrainedDTT
 
-        pipeline = DTTPipeline(
-            PretrainedDTT(seed=0), join_config=JoinConfig(n_workers=2)
-        )
+        joiner = IndexedJoiner(JoinConfig(n_workers=2))
+        pipeline = DTTPipeline(PretrainedDTT(seed=0), joiner=joiner)
+        assert pipeline.joiner is joiner
         assert pipeline.joiner.config.n_workers == 2

@@ -898,6 +898,16 @@ class TestTopKServing:
             assert credited == total(pairs_scored_snapshot()) - scored_before
             assert snapshot["last_join"]["exact_matches"] == 0
 
+    def test_small_column_join_publishes_stats(self):
+        # The default joiner indexes every column, so a five-row target
+        # column moves the join counters like a large one.
+        with TransformService(_surrogate_pipeline()) as service:
+            assert service.join_stats_snapshot()["last_join"] is None
+            service.join(["Kim Campbell"], list(_TARGETS), _EXAMPLES)
+            snapshot = service.join_stats_snapshot()
+            assert snapshot["last_join"]["probes"] == 1
+            assert "join_calls_total 1" in service.metrics_text()
+
     def test_submit_validation(self):
         with TransformService(_surrogate_pipeline()) as service:
             with pytest.raises(JoinError):

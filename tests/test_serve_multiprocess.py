@@ -31,6 +31,7 @@ from repro.exceptions import (
     UnknownModelError,
     WorkerCrashedError,
 )
+from repro.index.joiner import IndexedJoiner
 from repro.obs.metrics import merge_labeled_snapshots
 from repro.serve.cache import JoinResultCache
 from repro.serve.http import start_http_server
@@ -107,9 +108,7 @@ def _gated_pipeline(gate_dir: str) -> DTTPipeline:
 def _nested_pool_pipeline() -> DTTPipeline:
     """A blocked joiner configured to shard every join over 2 processes."""
     return DTTPipeline(
-        PretrainedDTT(seed=0),
-        joiner="indexed",
-        join_config=JoinConfig(n_workers=2),
+        PretrainedDTT(seed=0), joiner=IndexedJoiner(JoinConfig(n_workers=2))
     )
 
 
@@ -689,8 +688,8 @@ _MASKED_SAMPLE = re.compile(
 def _golden_request_sequence(router) -> None:
     """The fixed sequence behind ``golden/metrics_inprocess.txt``.
 
-    Targets outnumber the ``AutoJoiner`` threshold so the joins run the
-    blocked engine and the ``join_*`` counters move.
+    The 300 filler targets make the joins real blocked-engine work, so
+    the ``join_*`` counters move.
     """
     targets = [f"target-{i:04d}" for i in range(300)] + list(_TARGETS)
     sources = _sources("golden", 2)

@@ -23,7 +23,7 @@ from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
 from repro.index import joiner as joiner_module
 from repro.index.cache import IndexCache
-from repro.index.joiner import AutoJoiner, IndexedJoiner
+from repro.index.joiner import IndexedJoiner
 from repro.types import Prediction
 
 _SEED = 4021
@@ -127,17 +127,13 @@ class TestTopKEquivalence:
                 brute.topk_join_many(probes, targets, k=3, margin=0.08)
             ), table.name
 
-    def test_auto_joiner_delegates_topk(self, monkeypatch):
+    def test_small_column_topk_equals_brute(self):
         targets = [f"value-{i:04d}" for i in range(30)]
         probes = ["value-0007", "valeu-0012", ""]
-        brute = EditDistanceJoiner()
-        for auto_threshold in (1, 10_000):
-            monkeypatch.setattr(joiner_module, "AUTO_THRESHOLD", auto_threshold)
-            auto = AutoJoiner()
-            assert auto.threshold == auto_threshold
-            assert auto.topk_many(probes, targets, 3) == brute.topk_many(
-                probes, targets, 3
-            ), auto_threshold
+        indexed = IndexedJoiner(cache=IndexCache())
+        assert indexed.topk_many(probes, targets, 3) == EditDistanceJoiner().topk_many(
+            probes, targets, 3
+        )
 
 
 class TestTopKContract:
@@ -314,7 +310,6 @@ class TestJoinConfig:
             "n_workers",
         ]
         assert config == JoinConfig(None, None, None)
-        assert joiner_module.AUTO_THRESHOLD == 256
         assert joiner_module.PARALLEL_THRESHOLD == 4096
 
     def test_frozen(self):
@@ -353,13 +348,23 @@ class TestJoinConfig:
     def test_config_flows_to_joiner_attributes(self):
         config = JoinConfig(max_distance=3, normalized_threshold=0.5, n_workers=2)
         joiner = IndexedJoiner(config, cache=IndexCache())
-        for gone in ("mode", "k", "margin", "q", "parallel_threshold"):
+        # The thresholds live only in ``config``: no attribute copies.
+        for gone in (
+            "mode",
+            "k",
+            "margin",
+            "q",
+            "parallel_threshold",
+            "threshold",
+            "max_distance",
+            "normalized_threshold",
+        ):
             assert not hasattr(joiner, gone), gone
-        assert joiner.max_distance == 3
-        assert joiner.normalized_threshold == 0.5
+        assert joiner.config.max_distance == 3
+        assert joiner.config.normalized_threshold == 0.5
         assert joiner.config.n_workers == 2
 
     def test_non_config_argument_is_rejected(self):
-        for joiner_type in (EditDistanceJoiner, IndexedJoiner, AutoJoiner):
+        for joiner_type in (EditDistanceJoiner, IndexedJoiner):
             with pytest.raises(TypeError, match="JoinConfig"):
                 joiner_type(2)

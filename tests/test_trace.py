@@ -347,8 +347,8 @@ class TestEndToEndTracing:
         self, traced_server
     ):
         base, _, _ = traced_server
-        # A target column past the AutoJoiner threshold (256), so the
-        # worker runs the indexed join path and its phase spans.
+        # A 301-row target column, so the worker's indexed join does
+        # real work in each of its phase spans.
         targets = [f"target-{i:04d}" for i in range(300)] + ["jchretien"]
 
         def one(i: int) -> str:
