@@ -39,11 +39,17 @@ candidates by it and scores none whose bound exceeds the cap:
 Duplicated column values are indexed once: candidates are unique-value
 ids, and ``QGramIndex.first_rows`` holds each value's earliest row for
 row-level semantics such as tie-breaking.
+
+The postings are one CSR.  A gram's key reads its characters' alphabet
+ids (ranks among the column's code points, as for the bins; the last is
+for characters the column lacks) as digits; ``gram_keys`` lists the
+distinct keys ascending and ``vids[indptr[g]:indptr[g + 1]]`` the value
+ids of gram ``g``, once per occurrence.  Past 2**63 keys are Python ints.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -111,7 +117,17 @@ class QGramIndex:
         self._bins = np.full(used.size, HISTOGRAM_BINS, dtype=np.uint8)
         self._bins[used] = np.arange(np.count_nonzero(used)) % HISTOGRAM_BINS
         self.histograms = self._histograms(flat, self.lengths)
+        self._alphabet = np.append(np.flatnonzero(used), 0x110000).astype(np.uint32)
+        n = len(self.values)
+        self._key_type = np.int64 if self._alphabet.size**q * n < 2**63 else object
+        ids = (np.cumsum(used, dtype=np.int32) - 1)[flat]
         del flat
+        keys, vids = self._gram_keys(ids, self.lengths)
+        keys = np.sort(keys * n + vids)
+        del ids, vids
+        self.gram_keys, first = np.unique(keys // n, return_index=True)
+        self.indptr = np.append(first, keys.size)
+        self.vids = (keys % n).astype(np.int64, copy=False)
         # Pre-encode the whole column only while the dense matrix stays
         # modest: one pathologically long cell would otherwise inflate
         # every row to its width (n * max_len uint32 cells).  Past the
@@ -121,14 +137,6 @@ class QGramIndex:
             self._codes, _ = encode_strings(self.values)
         else:
             self._codes = None
-        postings: dict[str, list[int]] = {}
-        for vid, value in enumerate(self.values):
-            for i in range(len(value) - q + 1):
-                postings.setdefault(value[i : i + q], []).append(vid)
-        self._postings = {
-            gram: np.asarray(vids, dtype=np.int64)
-            for gram, vids in postings.items()
-        }
 
     # Cells (uint32) allowed for the precomputed code matrix: 1 << 26
     # cells = 256 MB.  Way above any benchmark column, low enough that a
@@ -166,18 +174,17 @@ class QGramIndex:
         """Approximate bytes retained by the index's numpy state.
 
         Covers the dense code matrix (the dominant term when present),
-        the posting lists, the per-value arrays and character
-        histograms, and the code-point-to-bin table; the value strings
+        the postings CSR, the per-value arrays and character histograms,
+        the code-point-to-bin table and the alphabet; the value strings
         themselves are shared with the caller's column and not counted.
         Used by :class:`~repro.index.cache.IndexCache` for its byte
         budget.
         """
         total = self.first_rows.nbytes + self.lengths.nbytes
-        total += self.histograms.nbytes + self._bins.nbytes
+        total += self.histograms.nbytes + self._bins.nbytes + self._alphabet.nbytes
         if self._codes is not None:
             total += self._codes.nbytes
-        for array in self._postings.values():
-            total += array.nbytes
+        total += self.gram_keys.nbytes + self.indptr.nbytes + self.vids.nbytes
         return total
 
     def batch_codes(self, value_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,14 +222,32 @@ class QGramIndex:
         """Exact-match lookup: the value id, or ``None`` if absent."""
         return self._value_ids.get(value)
 
-    def _gram_postings(self, query: str) -> list[np.ndarray]:
-        """Posting arrays for the distinct q-grams of ``query``."""
-        grams = {
-            query[i : i + self.q] for i in range(len(query) - self.q + 1)
-        }
-        return [
-            self._postings[gram] for gram in grams if gram in self._postings
-        ]
+    def _gram_keys(self, ids: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Mixed-radix key and row of each gram of rows laid end to end in ``ids``."""
+        skip = np.minimum(lens, self.q - 1)
+        rows = np.repeat(np.arange(lens.size), lens - skip)
+        starts = np.arange(rows.size) + (np.cumsum(skip) - skip)[rows]
+        keys = ids[starts].astype(self._key_type, copy=False)
+        for j in range(1, self.q):
+            keys = keys * self._alphabet.size + ids[j:][starts]
+        return keys, rows
+
+    def _postings_of(self, queries: list[str]) -> Iterator[np.ndarray]:
+        """Lazily, each query's distinct grams' postings, concatenated."""
+        codes = code_points(queries)
+        ids = np.searchsorted(self._alphabet, codes)
+        ids[self._alphabet[ids] != codes] = self._alphabet.size - 1
+        keys, rows = self._gram_keys(ids, np.fromiter(map(len, queries), np.int64))
+        slots = np.searchsorted(self.gram_keys, keys)
+        hit = np.searchsorted(self.gram_keys, keys, side="right") > slots
+        pairs = np.sort(rows[hit] * self.indptr.size + slots[hit])
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        rows, slots = np.divmod(pairs, self.indptr.size)
+        edges = np.searchsorted(rows, np.arange(len(queries) + 1)).tolist()
+        starts, stops = self.indptr[slots].tolist(), self.indptr[slots + 1].tolist()
+        for a, b in zip(edges, edges[1:]):
+            vids = [self.vids[s:e] for s, e in zip(starts[a:b], stops[a:b])]
+            yield np.concatenate([self.vids[:0], *vids])
 
     def candidates_many(self, queries: Sequence[str], cap: int) -> list[np.ndarray]:
         """Per-query candidate ids for queries of any mix of lengths.
@@ -240,18 +265,13 @@ class QGramIndex:
         """
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
+        bounds = [(len(query) - self.q + 1) - cap * self.q for query in queries]
+        postings = self._postings_of([s for s, b in zip(queries, bounds) if b > 0])
         out: list[np.ndarray] = []
-        for query in queries:
+        for query, bound in zip(queries, bounds):
             admitted = np.abs(self.lengths - len(query)) <= cap
-            bound = (len(query) - self.q + 1) - cap * self.q
             if bound > 0:
-                arrays = self._gram_postings(query)
-                if not arrays:
-                    out.append(np.empty(0, dtype=np.int64))
-                    continue
-                counts = np.bincount(
-                    np.concatenate(arrays), minlength=len(self.values)
-                )
+                counts = np.bincount(next(postings), minlength=len(self.values))
                 admitted &= counts >= bound
             out.append(np.nonzero(admitted)[0])
         return out

@@ -201,3 +201,103 @@ class TestQGramIndex:
         # Guard: the fuzz alphabet really covers BMP and astral planes.
         assert any(ord(ch) > 0xFFFF for ch in FUZZ_ALPHABET)
         assert any(0x7F < ord(ch) <= 0xFFFF for ch in FUZZ_ALPHABET)
+
+
+def _reference_postings(values: list[str], q: int) -> dict[str, list[int]]:
+    """Dict-of-lists postings keyed on the gram strings themselves."""
+    postings: dict[str, list[int]] = {}
+    for vid, value in enumerate(values):
+        for i in range(len(value) - q + 1):
+            postings.setdefault(value[i : i + q], []).append(vid)
+    return postings
+
+
+def _reference_candidates(
+    targets: list[str], queries: list[str], q: int, cap: int
+) -> list[np.ndarray]:
+    """Length and count filters over :func:`_reference_postings`."""
+    values = list(dict.fromkeys(targets))
+    postings = _reference_postings(values, q)
+    lengths = np.array([len(v) for v in values], dtype=np.int64)
+    out = []
+    for query in queries:
+        admitted = np.abs(lengths - len(query)) <= cap
+        bound = (len(query) - q + 1) - cap * q
+        if bound > 0:
+            counts = np.zeros(len(values), dtype=np.int64)
+            for gram in {query[i : i + q] for i in range(len(query) - q + 1)}:
+                for vid in postings.get(gram, ()):
+                    counts[vid] += 1
+            admitted &= counts >= bound
+        out.append(np.flatnonzero(admitted))
+    return out
+
+
+def _wide_column() -> tuple[list[str], list[str]]:
+    """10 000 values over 60 000 distinct CJK code points (BMP and astral)."""
+    rng = random.Random(_SEED + 5)
+    wide = [chr(0x4E00 + i) for i in range(20_000)]
+    wide += [chr(0x20000 + i) for i in range(40_000)]
+    targets = ["".join(wide[i : i + 6]) for i in range(0, len(wide), 6)]
+    queries = [
+        random_edits(rng, rng.choice(targets), rng.randint(0, 2), "".join(wide[:40]))
+        for _ in range(40)
+    ]
+    return targets, queries
+
+
+def _hostile_column() -> tuple[list[str], list[str]]:
+    """Lone surrogates, astral and combining characters, duplicates, empties."""
+    rng = random.Random(_SEED + 6)
+    chars = ["a", "b", " ", "\ud800", "\udfff", "\U0001f600", "\U00010348", "\u0301"]
+    targets = ["".join(rng.choices(chars, k=rng.randint(0, 9))) for _ in range(80)]
+    targets += targets[:10] + ["", ""]
+    # Probes also use characters the column lacks, above and below its top.
+    foreign = chars + ["z", "\U0010ffff", "\ud801"]
+    queries = ["".join(rng.choices(foreign, k=rng.randint(0, 11))) for _ in range(40)]
+    return targets, [*queries, "", *targets[:5]]
+
+
+class TestPostingsCSR:
+    """The sorted CSR postings against a dict built from gram strings."""
+
+    @pytest.mark.parametrize(
+        ("column", "q"),
+        [
+            (_wide_column, 4),
+            (_hostile_column, 1),
+            (_hostile_column, 2),
+            (_hostile_column, 3),
+            # Longer than every value: the column has no gram at all.
+            (_hostile_column, 12),
+        ],
+    )
+    def test_candidates_equal_the_dict_reference(self, column, q):
+        targets, queries = column()
+        index = QGramIndex(targets, q=q)
+        postings = _reference_postings(index.values, q)
+        # One key per distinct gram, ascending, and every occurrence kept.
+        assert index.gram_keys.size == len(postings)
+        assert list(index.gram_keys) == sorted(index.gram_keys)
+        assert index.vids.size == sum(map(len, postings.values()))
+        assert sorted(np.diff(index.indptr).tolist()) == sorted(
+            map(len, postings.values())
+        )
+        for cap in range(9):
+            got = index.candidates_many(queries, cap)
+            want = _reference_candidates(targets, queries, q, cap)
+            for query, a, b in zip(queries, got, want):
+                assert np.array_equal(a, b), (query, cap)
+
+    def test_wide_alphabet_keys_stay_exact_past_2_63(self):
+        targets, _ = _wide_column()
+        index = QGramIndex(targets, q=4)
+        radix = len(set("".join(targets))) + 1
+        # Base ** q alone passes int64, and so do the column's own keys.
+        assert radix**4 >= 2**63
+        assert index.gram_keys.dtype == object
+        assert max(index.gram_keys) >= 2**63
+        # A value's own grams all find it, at the tightest cap.
+        for vid in (0, 1, len(index) - 1):
+            ids = index.candidates_many([index.values[vid]], 0)[0]
+            assert ids.tolist() == [vid]

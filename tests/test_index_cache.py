@@ -90,9 +90,10 @@ class TestIndexCache:
         assert cache.get(("alpha", "beta")) is not first
 
     def test_total_bytes_counts_the_character_histograms(self):
-        # The bag-distance filter's per-value histograms and its
-        # code-point-to-bin table live as long as the index, so the
-        # byte budget must see them.
+        # The bag-distance filter's per-value histograms, its
+        # code-point-to-bin table, the gram alphabet and the three
+        # postings CSR arrays live as long as the index, so the byte
+        # budget must see them.
         cache = IndexCache()
         index = cache.get(tuple(f"value {i}" for i in range(40)))
         assert index.histograms.shape[0] == len(index)
@@ -101,8 +102,11 @@ class TestIndexCache:
             index.lengths,
             index.histograms,
             index._bins,
+            index._alphabet,
             index._codes,
-            *index._postings.values(),
+            index.gram_keys,
+            index.indptr,
+            index.vids,
         )
         assert cache.total_bytes == sum(part.nbytes for part in parts)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.join_config import JoinConfig
@@ -24,7 +24,7 @@ from repro.core.joiner import EditDistanceJoiner
 from repro.index.cache import IndexCache
 from repro.index.joiner import IndexedJoiner
 
-from join_strategies import CHARS, FOREIGN, strings
+from join_strategies import CHARS, FOREIGN, WIDE, strings
 
 
 @st.composite
@@ -40,6 +40,29 @@ def _columns_and_probes(draw):
         normalized_threshold=draw(st.none() | st.sampled_from((0.0, 0.1, 0.34, 0.5))),
     )
     return targets, [*probes, "", *probes[:1]], config
+
+
+# Lengths either side of one and two 64-bit words (the bit-parallel
+# kernel's block edges), each marked at one position, with near misses:
+# more values than seeds, so the rest are verified in bound order.
+_WORDS = "ab\u00e9 c\U0001f600" * 22
+_ACROSS_WORDS = (
+    [
+        _WORDS[:i] + "z" + _WORDS[i + 1 : n]
+        for n in (63, 64, 65, 127, 128, 129)
+        for i in range(0, 9, 3)
+    ],
+    [_WORDS[:64] + "z", _WORDS[1:65], _WORDS[:127] + "\ud800", _WORDS[2:130], ""],
+    JoinConfig(),
+)
+# More distinct characters than histogram bins, so the bag bound's bins
+# fold: rotations and swaps that share every folded bin.
+_FOLDED = (
+    [WIDE[i:] + WIDE[:i] for i in range(0, 84, 12)]
+    + [WIDE[:i] + WIDE[i + 1] + WIDE[i] + WIDE[i + 2 :] for i in range(0, 84, 12)],
+    [WIDE[:-1] + "z", WIDE[::-1], WIDE[32:] + WIDE[:32], WIDE[:66], ""],
+    JoinConfig(max_distance=30),
+)
 
 
 def _queries(joiner, targets, probes):
@@ -64,6 +87,8 @@ class TestBlockedEqualsBrute:
 
     @settings(max_examples=40, deadline=None)
     @given(case=_columns_and_probes())
+    @example(case=_ACROSS_WORDS)
+    @example(case=_FOLDED)
     def test_serial(self, case):
         targets, probes, config = case
         joiner = IndexedJoiner(
@@ -74,6 +99,8 @@ class TestBlockedEqualsBrute:
 
     @settings(max_examples=15, deadline=None)
     @given(case=_columns_and_probes())
+    @example(case=_ACROSS_WORDS)
+    @example(case=_FOLDED)
     def test_two_workers(self, sharded, case):
         targets, probes, config = case
         # Reassigning ``config`` reconfigures the joiner; the pool stays.

@@ -2,12 +2,13 @@
 
 Deliberately generous budgets — wall-clock for the join (the indexed
 join on 5k targets typically finishes in well under a second), traced
-bytes for the encoder and the pair sweep — so genuine regressions — e.g.
-the index silently degenerating to a full scan per query, the batched
-kernel falling back to scalar work, a copy of the probe riding along
-with every candidate pair, or inference holding activations for a
-backward pass that never comes — surface in tier-1 runs without
-flakiness on slow machines.  Deselect with ``-m 'not slow'``.
+bytes for the encoder, the pair sweep and the index build — so genuine
+regressions — e.g. the index silently degenerating to a full scan per
+query, the batched kernel falling back to scalar work, a copy of the
+probe riding along with every candidate pair, an index build padded to
+its longest value, or inference holding activations for a backward pass
+that never comes — surface in tier-1 runs without flakiness on slow
+machines.  Deselect with ``-m 'not slow'``.
 """
 
 from __future__ import annotations
@@ -139,3 +140,35 @@ def test_pair_sweep_memory_does_not_carry_a_query_copy_per_pair(monkeypatch):
     cells = IndexedJoiner._PAIR_CELL_BUDGET
     budget = 4 * 8 * n_pairs + (3 * 4 + 4) * cells + 10 * 8 * (cells // 46) + 64 * kib
     assert peak_40 < budget, f"pair sweep peaked at {peak_40 / kib:.0f} KiB"
+
+
+# Traced peak of one index build, in bytes per code point of the column:
+# measured at 47 (numpy 2.4, q = 2 and 4) on the column below; the budget
+# is twice that, rounded up.
+_BUILD_BYTES_PER_CODE_POINT = 96
+
+
+@pytest.mark.slow
+def test_index_build_memory_is_flat_in_code_points():
+    # 2 000 short values and one 1 MiB cell.  The build works on the
+    # column's code points laid end to end; a matrix padded to the longest
+    # value (2 001 x 2**20 uint32 cells, 8 GiB) would pass the budget
+    # thousands of times over.
+    rng = random.Random(11)
+    column = [
+        random_unicode_string(rng, max_length=16, min_length=4) for _ in range(2000)
+    ]
+    column.append("".join(rng.choices("abcdefghij ", k=1 << 20)))
+    code_points = sum(map(len, column))
+    # numpy imports a few helpers lazily on first use: not the build's memory.
+    QGramIndex(column[:10], q=2)
+    for q in (2, 4):
+        tracemalloc.start()
+        try:
+            index = QGramIndex(column, q=q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.vids.size == code_points - (q - 1) * len(column)
+        per_code_point = peak / code_points
+        assert per_code_point < _BUILD_BYTES_PER_CODE_POINT, per_code_point
