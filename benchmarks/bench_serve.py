@@ -46,10 +46,6 @@ _SEED = 59
 _CLIENTS = 16
 _WAVE_REQUESTS = 64
 _WORKER_COUNTS = (0, 1, 2, 4)
-# Short window: coalescing under load is execution-time-driven (requests
-# queue while the previous batch decodes), so the window only pads the
-# idle tail of a batch.
-_MAX_WAIT_MS = 2.0
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 .-_/"
 
 _EXAMPLES = [
@@ -95,10 +91,7 @@ def _timed_waves(workers: int, smoke: bool) -> tuple[dict, dict[str, list]]:
     router = ServiceRouter(
         [RouteSpec("bench", _pipeline)],
         n_workers=workers,
-        service_kwargs={
-            "max_wait_ms": _MAX_WAIT_MS,
-            "max_queue": 4 * _WAVE_REQUESTS,
-        },
+        service_kwargs={"max_queue": 4 * _WAVE_REQUESTS},
     )
     try:
         with ThreadPoolExecutor(max_workers=_CLIENTS) as clients:
@@ -157,7 +150,6 @@ def run_serve_bench(smoke: bool) -> dict:
     return {
         "seed": _SEED,
         "model": "ByteSeq2Seq(dim=32, 2+1 layers, 48-token decode), untrained",
-        "max_wait_ms": _MAX_WAIT_MS,
         "needs_cores": max(_WORKER_COUNTS),
         "rows": rows,
         "key_metrics": key_metrics,

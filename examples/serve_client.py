@@ -44,9 +44,7 @@ def post(base: str, path: str, payload: dict) -> dict:
 
 
 def main() -> None:
-    service = TransformService(
-        DTTPipeline(PretrainedDTT(), seed=0), max_wait_ms=5.0
-    )
+    service = TransformService(DTTPipeline(PretrainedDTT(), seed=0))
     server = start_http_server(service)  # port 0 = pick a free one
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]

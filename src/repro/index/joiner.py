@@ -50,7 +50,7 @@ from repro.index.kernel import encode_strings
 from repro.index.kernels import pairs_scored_snapshot, resolve_backend
 from repro.index.parallel import JoinStats, JoinWorkerPool
 from repro.index.qgram import QGramIndex
-from repro.obs.trace import get_tracer
+from repro.obs.trace import SpanContext, get_tracer
 
 # A probe's ranked answer: ``(value_ids, distances)`` in rank order.
 Ranked = tuple[np.ndarray, np.ndarray]
@@ -313,26 +313,23 @@ class IndexedJoiner(EditDistanceJoiner):
                 },
             )
             n_workers = self._resolve_workers(len(pending))
-            phase_start = time.monotonic()
             pool_stats = JoinStats()
-            if n_workers > 1 and pending:
-                pooled, pool_stats = self._ensure_pool(n_workers).run_probes(
-                    index, pending, targets, k
+            with tracer.span("join.kernel_sweep", join_span) as sweep:
+                if n_workers > 1 and pending:
+                    pool = self._ensure_pool(n_workers)
+                    pooled, pool_stats = pool.run_probes(index, pending, targets, k)
+                    ranked.update(pooled)
+                elif pending:
+                    ranked.update(
+                        self._resolve_probes(index, pending, k, sweep.context)
+                    )
+                sweep.set_attributes(
+                    {
+                        "n_workers": pool_stats.n_workers,
+                        "shards": pool_stats.shards,
+                        "kernel_backend": self.kernel.name,
+                    }
                 )
-                ranked.update(pooled)
-            elif pending:
-                ranked.update(self._resolve_probes(index, pending, k))
-            tracer.record_span(
-                "join.kernel_sweep",
-                join_span,
-                phase_start,
-                time.monotonic(),
-                attributes={
-                    "n_workers": pool_stats.n_workers,
-                    "shards": pool_stats.shards,
-                    "kernel_backend": self.kernel.name,
-                },
-            )
         except BaseException as error:
             join_span.set_error(repr(error))
             join_span.finish()
@@ -366,7 +363,11 @@ class IndexedJoiner(EditDistanceJoiner):
         return index, ranked
 
     def _resolve_probes(
-        self, index: QGramIndex, probes: list[str], k: int
+        self,
+        index: QGramIndex,
+        probes: list[str],
+        k: int,
+        parent: SpanContext | None = None,
     ) -> dict[str, Ranked]:
         """The ``k`` nearest distinct values for probes of any mix of lengths.
 
@@ -393,6 +394,10 @@ class IndexedJoiner(EditDistanceJoiner):
         ``u``.  A value that beats or ties the final ``u`` has a bound of
         at most ``u``, so it was scored, and the ``(distance, earliest
         row)`` rank (:func:`_rank_topk`) sees every tie.
+
+        The seed pools and the generation past the seed cap are each
+        recorded as a ``join.candidate_filter`` child of ``parent`` (the
+        caller's ``join.kernel_sweep``; pool shards pass none).
         """
         # Only distinct values rank, so a short column caps the answer.
         kk = min(k, len(index.values))
@@ -412,6 +417,7 @@ class IndexedJoiner(EditDistanceJoiner):
             return rep[keep] * radix + bounds[keep] * n_values + vids[keep]
 
         # Reaching n_seeds either side of its length, a pool holds >= kk.
+        tracer, phase_start = get_tracer(), time.monotonic()
         reach = max(self._NEAREST, n_seeds)
         pools = index.candidates_many(probes, self._SEED_CAP)
         by_length = np.argsort(index.lengths, kind="stable")
@@ -420,13 +426,21 @@ class IndexedJoiner(EditDistanceJoiner):
             if pool.size < n_seeds:
                 lo = max(0, near[j] - reach)
                 pools[j] = np.concatenate((pool, by_length[lo : near[j] + reach]))
-        pool = np.unique(keyed(*_flatten(pools), vacuous))
+        pool = _sorted_unique(keyed(*_flatten(pools), vacuous))
+        tracer.record_span(
+            "join.candidate_filter",
+            parent,
+            phase_start,
+            time.monotonic(),
+            attributes={"stage": "seed_pool", "candidates": int(pool.size)},
+        )
         seeded = np.arange(pool.size) - np.searchsorted(pool, pool // radix * radix)
         seeds, pool = pool[seeded < n_seeds], pool[seeded >= n_seeds]
         rep, vids = seeds // radix, seeds % n_values
         found = self._pair_distances(codes, lengths, rep, vids, index, vacuous)
         u = _kth_per_probe(rep, found, len(probes), kk)
         # The pool holds every value within the seed cap; past it, generate.
+        phase_start = time.monotonic()
         parts = [pool[u[pool // radix] <= self._SEED_CAP]]
         wider = np.flatnonzero(u > self._SEED_CAP)
         for cap in np.unique(u[wider]).tolist():
@@ -437,6 +451,13 @@ class IndexedJoiner(EditDistanceJoiner):
         if queue.size:
             at = np.minimum(np.searchsorted(queue, seeds), queue.size - 1)
             queue = np.delete(queue, at[queue[at] == seeds])
+        tracer.record_span(
+            "join.candidate_filter",
+            parent,
+            phase_start,
+            time.monotonic(),
+            attributes={"stage": "generate", "candidates": int(queue.size)},
+        )
         done, stratum = np.searchsorted(queue, rows * radix), self._STRATUM
         while True:
             # A stratum ends before the probe's first bound past its cap.
@@ -497,6 +518,19 @@ class IndexedJoiner(EditDistanceJoiner):
             )
             lo = hi
         return out
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by sort and neighbour compare.
+
+    numpy's own ``np.unique`` hashes, which is several times slower on
+    the int64 candidate keys than sorting them.
+    """
+    keys = np.sort(keys)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _flatten(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -60,7 +60,6 @@ def build_router(args: argparse.Namespace) -> ServiceRouter:
         routes,
         n_workers=args.serve_workers,
         service_kwargs={
-            "max_wait_ms": args.max_wait_ms,
             "max_batch_rows": args.max_batch_rows,
             "max_queue": args.max_queue,
             "default_timeout": args.default_timeout_s,
@@ -112,13 +111,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--context-size", type=int, default=2)
     parser.add_argument("--n-trials", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batching window: how long the first request of a "
-        "batch waits for company",
-    )
     parser.add_argument("--max-batch-rows", type=int, default=256)
     parser.add_argument(
         "--max-queue",

@@ -150,7 +150,7 @@ class ServiceRouter:
             that many worker processes, each hosting all routes.
         service_kwargs: Keyword arguments for every
             :class:`TransformService` built (in-process or in-worker):
-            ``max_wait_ms``, ``max_queue``, cache settings, ...
+            ``max_batch_rows``, ``max_queue``, cache settings, ...
     """
 
     def __init__(

@@ -3,17 +3,19 @@
 :class:`TransformService` turns the one-shot :class:`~repro.core.pipeline.
 DTTPipeline` into a serving subsystem: concurrent callers submit
 ``transform`` / ``join`` requests, and a scheduler thread coalesces
-every request that arrives within a ``max_wait_ms`` window (or up to
-``max_batch_rows`` source rows) into **one** execution — a single
+every request queued while it was busy (up to ``max_batch_rows`` source
+rows) into **one** execution — a single
 :meth:`~repro.core.pipeline.DTTPipeline.predict` call over all
 requests' prompts, and a single joiner call per distinct
 ``(target column, mode, k, margin)`` group — joins support the full
 redesigned query surface (``argmin`` / ``topk`` / ``reverse``, see
-:meth:`TransformService.submit_join`).  Under load, p50 latency stays
-near the single-request cost while throughput scales with concurrency,
-because the engine's
-micro-batches vectorize across requests and the join amortizes its
-index work across every probe of the batch.
+:meth:`TransformService.submit_join`).  Coalescing is execution-driven:
+no request is held back waiting for company, so an idle service starts
+a lone request at once, while under load the requests that arrive
+during one batch form the next.  p50 latency stays near the
+single-request cost while throughput scales with concurrency, because
+the engine's micro-batches vectorize across requests and the join
+amortizes its index work across every probe of the batch.
 
 **Byte-equivalence.**  Service results are byte-identical to calling
 the pipeline directly, whatever the interleaving:
@@ -286,10 +288,9 @@ class TransformService:
             is serialized on the scheduler thread).  Coalescing and
             memoization both rely on its engine's greedy decoding,
             which is the only kind there is.
-        max_wait_ms: How long the scheduler holds the first request of
-            a batch open for more arrivals.  ``0`` still coalesces
-            whatever is already queued.
-        max_batch_rows: Source-row cap per micro-batch.
+        max_batch_rows: Source-row cap per micro-batch.  A batch takes
+            every request queued when the scheduler comes free, up to
+            this cap; it never waits for more to arrive.
         max_queue: Pending-request bound; submits beyond it fail fast
             with :class:`ServiceOverloadedError`.
         default_timeout: Default per-request deadline in seconds
@@ -308,7 +309,6 @@ class TransformService:
     def __init__(
         self,
         pipeline: DTTPipeline,
-        max_wait_ms: float = 2.0,
         max_batch_rows: int = 256,
         max_queue: int = 256,
         default_timeout: float | None = None,
@@ -316,8 +316,6 @@ class TransformService:
         join_cache: JoinResultCache | None = None,
         clock=time.monotonic,
     ) -> None:
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_batch_rows < 1:
             raise ValueError(
                 f"max_batch_rows must be >= 1, got {max_batch_rows}"
@@ -325,7 +323,6 @@ class TransformService:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.pipeline = pipeline
-        self.max_wait_ms = max_wait_ms
         self.max_batch_rows = max_batch_rows
         self.max_queue = max_queue
         self.default_timeout = default_timeout
@@ -622,7 +619,7 @@ class TransformService:
             self.join_cache.sweep()
 
     def _next_batch(self) -> list[_Request] | None:
-        """Pop one micro-batch: wait for work, then hold the window open."""
+        """Wait for work, then pop what is queued, up to the row cap."""
         with self._cond:
             while not self._queue:
                 if self._closing:
@@ -630,16 +627,9 @@ class TransformService:
                 self._cond.wait()
             batch = [self._queue.popleft()]
             rows = len(batch[0].sources)
-            window_end = self._clock() + self.max_wait_ms / 1000.0
-            while rows < self.max_batch_rows:
-                if self._queue:
-                    rows += len(self._queue[0].sources)
-                    batch.append(self._queue.popleft())
-                    continue
-                remaining = window_end - self._clock()
-                if remaining <= 0 or self._closing:
-                    break
-                self._cond.wait(remaining)
+            while self._queue and rows < self.max_batch_rows:
+                rows += len(self._queue[0].sources)
+                batch.append(self._queue.popleft())
             return batch
 
     def _execute(self, batch: list[_Request]) -> None:

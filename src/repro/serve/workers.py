@@ -198,7 +198,7 @@ class ServeWorkerPool(WorkerPool):
             otherwise.
         service_kwargs: Keyword arguments for each worker's
             :class:`~repro.serve.service.TransformService` instances
-            (``max_wait_ms``, ``max_queue``, cache settings, ...).
+            (``max_batch_rows``, ``max_queue``, cache settings, ...).
 
     Dispatch, respawn and shutdown are :class:`~repro.procs.WorkerPool`'s.
     """

@@ -759,7 +759,7 @@ class TestServeExport:
             f"filler-{i:03d}" for i in range(400)
         ]
         pipeline = DTTPipeline(PretrainedDTT(seed=0), n_trials=3, seed=1)
-        with TransformService(pipeline, max_wait_ms=5.0) as service:
+        with TransformService(pipeline) as service:
             service.join(["Justin Trudeau"], targets, examples)
             snapshot = service.join_stats_snapshot()
             assert snapshot["last_join"] is not None

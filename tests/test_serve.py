@@ -106,9 +106,7 @@ class TestByteEquivalence:
             else direct.join(*args, **kwargs)
             for kind, args, kwargs in stream
         ]
-        with TransformService(
-            _surrogate_pipeline(), max_wait_ms=5.0
-        ) as service:
+        with TransformService(_surrogate_pipeline()) as service:
             with ThreadPoolExecutor(max_workers=clients) as pool:
                 futures = [
                     pool.submit(
@@ -134,14 +132,16 @@ class TestByteEquivalence:
         expected = [
             direct.transform_column([value], _EXAMPLES) for value in sources
         ]
-        with TransformService(pipeline(), max_wait_ms=20.0) as service:
+        with TransformService(pipeline()) as service:
             assert service.row_cacheable  # all models incremental
-            with ThreadPoolExecutor(max_workers=12) as pool:
+            # The scheduler pops only under this lock, so every request
+            # is queued before it can start a batch.
+            with service._cond:
                 futures = [
-                    pool.submit(service.transform, [value], _EXAMPLES)
+                    service.submit_transform([value], _EXAMPLES)
                     for value in sources
                 ]
-                results = [future.result() for future in futures]
+            results = [future.result(timeout=30) for future in futures]
         assert results == expected
         stats = service.stats()
         assert stats.batches < stats.batched_requests  # real coalescing
@@ -158,7 +158,7 @@ class TestByteEquivalence:
         expected = direct.transform_column(
             ["Kim Campbell", "Kim Campbell"], _EXAMPLES
         )
-        with TransformService(pipeline(), max_wait_ms=5.0) as service:
+        with TransformService(pipeline()) as service:
             assert not service.row_cacheable  # surrogates in the mix
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [
@@ -177,41 +177,40 @@ class TestByteEquivalence:
         expected_a = direct.join(["Kim Campbell"], list(_TARGETS), _EXAMPLES)
         other_targets = ["kcampbell", "xyz"]
         expected_b = direct.join(["Kim Campbell"], other_targets, _EXAMPLES)
-        with TransformService(
-            _surrogate_pipeline(), max_wait_ms=50.0
-        ) as service:
-            with ThreadPoolExecutor(max_workers=4) as pool:
+        with TransformService(_surrogate_pipeline()) as service:
+            # Queued under the scheduler's lock: one batch, two groups.
+            with service._cond:
                 futures_a = [
-                    pool.submit(
-                        service.join, ["Kim Campbell"], list(_TARGETS), _EXAMPLES
+                    service.submit_join(
+                        ["Kim Campbell"], list(_TARGETS), _EXAMPLES
                     )
                     for _ in range(2)
                 ]
                 futures_b = [
-                    pool.submit(
-                        service.join, ["Kim Campbell"], other_targets, _EXAMPLES
+                    service.submit_join(
+                        ["Kim Campbell"], other_targets, _EXAMPLES
                     )
                     for _ in range(2)
                 ]
-                results_a = [f.result() for f in futures_a]
-                results_b = [f.result() for f in futures_b]
+            results_a = [f.result(timeout=30) for f in futures_a]
+            results_b = [f.result(timeout=30) for f in futures_b]
+            stats = service.stats()
+            joins = service.metrics.snapshot()["join_calls_total"]
         assert all(r == expected_a for r in results_a)
         assert all(r == expected_b for r in results_b)
+        assert (stats.batches, stats.batched_requests) == (1, 4)
+        assert joins == 2  # one joiner call per target column
 
 
 class TestLifecycle:
     def test_deadline_expiry(self):
         clock = FakeClock()
-        service = TransformService(
-            _surrogate_pipeline(), max_wait_ms=0.0, clock=clock
-        )
+        service = TransformService(_surrogate_pipeline(), clock=clock)
         try:
             # Stall the scheduler with a gate so the deadline passes
             # before the batch starts.
             model = SlowModel()
-            stalling = TransformService(
-                DTTPipeline(model, n_trials=1, seed=0), max_wait_ms=0.0
-            )
+            stalling = TransformService(DTTPipeline(model, n_trials=1, seed=0))
             model.gate.clear()
             first = stalling.submit_transform(["a"], _EXAMPLES)
             time.sleep(0.05)  # scheduler is now blocked inside the gate
@@ -238,7 +237,6 @@ class TestLifecycle:
         model = SlowModel()
         service = TransformService(
             DTTPipeline(model, n_trials=1, seed=0),
-            max_wait_ms=0.0,
             max_queue=1,
         )
         try:
@@ -258,9 +256,7 @@ class TestLifecycle:
 
     def test_cancellation_before_batch_starts(self):
         model = SlowModel()
-        service = TransformService(
-            DTTPipeline(model, n_trials=1, seed=0), max_wait_ms=0.0
-        )
+        service = TransformService(DTTPipeline(model, n_trials=1, seed=0))
         try:
             model.gate.clear()
             running = service.submit_transform(["a"], _EXAMPLES)
@@ -279,9 +275,7 @@ class TestLifecycle:
 
     def test_clean_shutdown_completes_in_flight_requests(self):
         model = SlowModel()
-        service = TransformService(
-            DTTPipeline(model, n_trials=1, seed=0), max_wait_ms=0.0
-        )
+        service = TransformService(DTTPipeline(model, n_trials=1, seed=0))
         model.gate.clear()
         futures = [
             service.submit_transform([f"row-{i}"], _EXAMPLES) for i in range(5)
@@ -297,6 +291,16 @@ class TestLifecycle:
             assert len(future.result(timeout=1.0)) == 1
         with pytest.raises(ServiceClosedError):
             service.submit_transform(["late"], _EXAMPLES)
+
+    def test_lone_request_starts_without_waiting_for_company(self):
+        # No hold window: a lone request starts as soon as the scheduler
+        # is free, so even a clock that never moves cannot stall it.
+        clock = FakeClock()
+        with TransformService(_surrogate_pipeline(), clock=clock) as service:
+            future = service.submit_join(
+                ["Kim Campbell"], list(_TARGETS), _EXAMPLES
+            )
+            assert len(future.result(timeout=5)) == 1
 
     def test_empty_sources_resolve_without_a_batch(self):
         with TransformService(_surrogate_pipeline()) as service:
@@ -318,9 +322,7 @@ class TestLifecycle:
 
 class TestResultCaching:
     def test_repeat_requests_hit_the_cache(self):
-        with TransformService(
-            _surrogate_pipeline(), max_wait_ms=0.0
-        ) as service:
+        with TransformService(_surrogate_pipeline()) as service:
             first = service.transform(["Kim Campbell"], _EXAMPLES)
             again = service.transform(["Kim Campbell"], _EXAMPLES)
             assert again == first
@@ -334,7 +336,6 @@ class TestResultCaching:
         cache = ResultCache(ttl_seconds=30.0, clock=clock)
         with TransformService(
             _surrogate_pipeline(),
-            max_wait_ms=0.0,
             result_cache=cache,
             clock=clock,
         ) as service:
@@ -349,16 +350,14 @@ class TestResultCaching:
             assert stats.engine_prompts == 6  # computed twice overall
 
     def test_examples_change_misses(self):
-        with TransformService(
-            _surrogate_pipeline(), max_wait_ms=0.0
-        ) as service:
+        with TransformService(_surrogate_pipeline()) as service:
             service.transform(["Kim Campbell"], _EXAMPLES)
             service.transform(["Kim Campbell"], _EXAMPLES[:-1])
             assert service.stats().cache_hits == 0
 
     def test_row_granular_keys_for_incremental_models(self):
         pipeline = DTTPipeline(ByteSeq2SeqModel(TINY_CONFIG), n_trials=1, seed=2)
-        with TransformService(pipeline, max_wait_ms=0.0) as service:
+        with TransformService(pipeline) as service:
             assert service.row_cacheable
             first = service.transform(["aaa", "bbb"], _EXAMPLES)
             # A different request shape reusing row 0's (position,
@@ -516,8 +515,6 @@ class TestMainEntryPoint:
                     "ensemble",
                     "--n-trials",
                     "2",
-                    "--max-wait-ms",
-                    "1.5",
                     "--max-queue",
                     "7",
                     "--cache-ttl-s",
@@ -525,6 +522,9 @@ class TestMainEntryPoint:
                     "--quiet",
                 ]
             )
+            # The batching window is gone, and so is its flag.
+            with pytest.raises(SystemExit):
+                entry.main(["--port", "0", "--max-wait-ms", "1.5", "--quiet"])
         finally:
             entry.serve_http = original
         router, host, port, verbose = captured
@@ -535,7 +535,6 @@ class TestMainEntryPoint:
         service = router._routes["ensemble"].service
         assert service.closed
         assert service.max_queue == 7
-        assert service.max_wait_ms == 1.5
         assert service.result_cache.ttl_seconds == 60
         assert len(service.pipeline.models) == 2
         # And the default single-model path constructs too.
@@ -546,7 +545,6 @@ class TestMainEntryPoint:
             seed=0,
             context_size=2,
             n_trials=1,
-            max_wait_ms=0.0,
             max_batch_rows=16,
             max_queue=4,
             default_timeout_s=None,
@@ -567,12 +565,11 @@ class TestHttpFrontEnd:
         """A bare service by default; ``param`` = a router's worker count."""
         n_workers = getattr(request, "param", None)
         if n_workers is None:
-            backend = TransformService(_surrogate_pipeline(), max_wait_ms=1.0)
+            backend = TransformService(_surrogate_pipeline())
         else:
             backend = ServiceRouter(
                 [RouteSpec("default", _surrogate_pipeline)],
                 n_workers=n_workers,
-                service_kwargs={"max_wait_ms": 1.0},
             )
         server = start_http_server(backend)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -697,7 +694,7 @@ class TestHttpHardening:
 
     @pytest.fixture()
     def server(self):
-        service = TransformService(_surrogate_pipeline(), max_wait_ms=1.0)
+        service = TransformService(_surrogate_pipeline())
         server = start_http_server(
             service, max_request_bytes=256, request_timeout_s=0.5
         )
@@ -789,9 +786,7 @@ class TestTopKServing:
             expected[row] = direct.joiner.join_topk(
                 predictions, list(_TARGETS), k=3, margin=0.2
             )
-        with TransformService(
-            _surrogate_pipeline(), max_wait_ms=5.0
-        ) as service:
+        with TransformService(_surrogate_pipeline()) as service:
             with ThreadPoolExecutor(max_workers=clients) as pool:
                 futures = {
                     pool.submit(
@@ -821,9 +816,7 @@ class TestTopKServing:
                 [p.value for p in predictions], list(_TARGETS)
             )
             expected[row] = invert_matches(matches, list(_TARGETS))
-        with TransformService(
-            _surrogate_pipeline(), max_wait_ms=5.0
-        ) as service:
+        with TransformService(_surrogate_pipeline()) as service:
             with ThreadPoolExecutor(max_workers=clients) as pool:
                 futures = {
                     pool.submit(
@@ -843,34 +836,35 @@ class TestTopKServing:
         # its own mode's result shape.
         direct = _surrogate_pipeline()
         expected_argmin = direct.join(["Kim Campbell"], list(_TARGETS), _EXAMPLES)
-        with TransformService(
-            _surrogate_pipeline(), max_wait_ms=50.0
-        ) as service:
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                argmin = pool.submit(
-                    service.join, ["Kim Campbell"], list(_TARGETS), _EXAMPLES
+        with TransformService(_surrogate_pipeline()) as service:
+            # Queued under the scheduler's lock, so all three share a batch.
+            with service._cond:
+                argmin = service.submit_join(
+                    ["Kim Campbell"], list(_TARGETS), _EXAMPLES
                 )
-                topk = pool.submit(
-                    service.join,
+                topk = service.submit_join(
                     ["Kim Campbell"],
                     list(_TARGETS),
                     _EXAMPLES,
                     mode="topk",
                     k=2,
                 )
-                reverse = pool.submit(
-                    service.join,
+                reverse = service.submit_join(
                     ["Kim Campbell"],
                     list(_TARGETS),
                     _EXAMPLES,
                     mode="reverse",
                 )
-                assert argmin.result() == expected_argmin
-                topk_result = topk.result()
-                assert len(topk_result) == 1
-                assert len(topk_result[0].candidates) <= 2
-                reverse_result = reverse.result()
-                assert len(reverse_result) == len(_TARGETS)
+            assert argmin.result(timeout=30) == expected_argmin
+            topk_result = topk.result(timeout=30)
+            assert len(topk_result) == 1
+            assert len(topk_result[0].candidates) <= 2
+            reverse_result = reverse.result(timeout=30)
+            assert len(reverse_result) == len(_TARGETS)
+            stats = service.stats()
+            joins = service.metrics.snapshot()["join_calls_total"]
+        assert (stats.batches, stats.batched_requests) == (1, 3)
+        assert joins == 3  # one joiner call per mode
 
     def test_topk_join_credits_its_own_kernel_pairs(self):
         # An argmin join then a top-k join: each must publish its own
@@ -930,7 +924,7 @@ class TestHttpJoinSchema:
 
     @pytest.fixture()
     def server(self):
-        service = TransformService(_surrogate_pipeline(), max_wait_ms=1.0)
+        service = TransformService(_surrogate_pipeline())
         server = start_http_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -47,8 +47,6 @@ _EXAMPLES = (
 )
 _TARGETS = ("jchretien", "kcampbell", "bmulroney", "jturner")
 
-_FAST = {"max_wait_ms": 1.0}
-
 
 def _route(name: str = "pretrained", seed: int = 0) -> RouteSpec:
     return RouteSpec(
@@ -133,7 +131,7 @@ class FakeClock:
 @pytest.fixture(scope="module")
 def reference():
     """Single-process reference outputs for the shared request sets."""
-    service = TransformService(build_pipeline(), **_FAST)
+    service = TransformService(build_pipeline())
     out = {
         "transforms": {},
         "join": service.join(
@@ -160,9 +158,7 @@ class TestWorkerPoolEquivalence:
     def test_byte_equivalence_across_workers_and_clients(
         self, n_workers, reference
     ):
-        router = ServiceRouter(
-            [_route()], n_workers=n_workers, service_kwargs=_FAST
-        )
+        router = ServiceRouter([_route()], n_workers=n_workers)
         try:
             for clients in (1, 4, 16):
                 sources = _sources(f"c{clients}", 12)
@@ -190,9 +186,7 @@ class TestWorkerPoolEquivalence:
             router.close()
 
     def test_closed_router_reports_closed(self):
-        router = ServiceRouter(
-            [_route()], n_workers=1, service_kwargs=_FAST
-        )
+        router = ServiceRouter([_route()], n_workers=1)
         assert not router.closed
         router.close()
         assert router.closed
@@ -208,7 +202,6 @@ class TestWorkerCrash:
                 )
             ],
             n_workers=1,
-            service_kwargs=_FAST,
         )
         try:
             pool = router._pool
@@ -226,9 +219,7 @@ class TestWorkerCrash:
             router.close()
 
     def test_pool_respawns_after_crash(self, reference):
-        router = ServiceRouter(
-            [_route()], n_workers=1, service_kwargs=_FAST
-        )
+        router = ServiceRouter([_route()], n_workers=1)
         try:
             pool = router._pool
             sources = _sources("c1", 12)
@@ -260,14 +251,14 @@ class TestNestedPools:
         spec = RouteSpec("a", _nested_pool_pipeline)
         targets = [f"target-{i:04d}" for i in range(40)] + list(_TARGETS)
         sources = _sources("nest", 6)
-        in_process = ServiceRouter([spec], service_kwargs=_FAST)
+        in_process = ServiceRouter([spec])
         try:
             expected = in_process.join(sources, targets, _EXAMPLES)
             last = in_process.stats()["join"]["last_join"]
             assert last["shards"] >= 1  # in-process, the join pool engages
         finally:
             in_process.close()
-        router = ServiceRouter([spec], n_workers=1, service_kwargs=_FAST)
+        router = ServiceRouter([spec], n_workers=1)
         try:
             assert router.join(sources, targets, _EXAMPLES) == expected
             last = router.stats()["join"]["last_join"]
@@ -287,7 +278,7 @@ class TestCounterConservation:
         request can end.  A cancelled future only exists in-process:
         behind workers the service-side future never leaves the worker.
         """
-        kwargs = {"max_wait_ms": 0.0, "max_queue": 1}
+        kwargs = {"max_queue": 1}
         if n_workers == 0:
             service = TransformService(
                 _gated_pipeline(str(tmp_path)), **kwargs
@@ -370,10 +361,7 @@ class TestCounterConservation:
 
 class TestRouting:
     def test_resolve_by_name_fingerprint_and_prefix(self):
-        router = ServiceRouter(
-            [_route("a", seed=0), _route("b", seed=1)],
-            service_kwargs=_FAST,
-        )
+        router = ServiceRouter([_route("a", seed=0), _route("b", seed=1)])
         try:
             models = {m["name"]: m for m in router.models()}
             fp_a = models["a"]["fingerprint"]
@@ -391,10 +379,7 @@ class TestRouting:
             router.close()
 
     def test_distinct_fingerprints_per_route(self):
-        router = ServiceRouter(
-            [_route("a", seed=0), _route("b", seed=1)],
-            service_kwargs=_FAST,
-        )
+        router = ServiceRouter([_route("a", seed=0), _route("b", seed=1)])
         try:
             fps = [m["fingerprint"] for m in router.models()]
             assert len(set(fps)) == 2
@@ -402,10 +387,7 @@ class TestRouting:
             router.close()
 
     def test_per_route_cache_isolation_inprocess(self):
-        router = ServiceRouter(
-            [_route("a", seed=0), _route("b", seed=1)],
-            service_kwargs=_FAST,
-        )
+        router = ServiceRouter([_route("a", seed=0), _route("b", seed=1)])
         try:
             sources = ["Jean Chretien"]
             first = router.transform(sources, _EXAMPLES, model="a")
@@ -427,7 +409,6 @@ class TestRouting:
         router = ServiceRouter(
             [_route("a", seed=0), _route("b", seed=1)],
             n_workers=1,
-            service_kwargs=_FAST,
         )
         try:
             sources = ["Jean Chretien"]
@@ -449,7 +430,7 @@ class TestRouting:
 
 class TestJoinResultCache:
     def test_join_cache_hit_skips_engine_and_joiner(self):
-        service = TransformService(build_pipeline(), **_FAST)
+        service = TransformService(build_pipeline())
         try:
             sources = ["Jean Chretien", "Kim Campbell"]
             first = service.join(sources, _TARGETS, _EXAMPLES)
@@ -467,7 +448,7 @@ class TestJoinResultCache:
             service.close()
 
     def test_join_cache_keys_cover_query_surface(self):
-        service = TransformService(build_pipeline(), **_FAST)
+        service = TransformService(build_pipeline())
         try:
             sources = ["Jean Chretien"]
             service.join(sources, _TARGETS, _EXAMPLES, mode="topk", k=2)
@@ -482,9 +463,7 @@ class TestJoinResultCache:
     def test_join_cache_ttl_expiry(self):
         clock = FakeClock()
         cache = JoinResultCache(ttl_seconds=60.0, clock=clock)
-        service = TransformService(
-            build_pipeline(), join_cache=cache, **_FAST
-        )
+        service = TransformService(build_pipeline(), join_cache=cache)
         try:
             sources = ["Jean Chretien"]
             first = service.join(sources, _TARGETS, _EXAMPLES)
@@ -506,7 +485,7 @@ class TestJoinResultCache:
             service.close()
 
     def test_reverse_mode_cached_groups_are_fresh_lists(self):
-        service = TransformService(build_pipeline(), **_FAST)
+        service = TransformService(build_pipeline())
         try:
             sources = ["Jean Chretien", "Kim Campbell"]
             first = service.join(
@@ -525,10 +504,7 @@ class TestJoinResultCache:
 class TestHttpMultiRoute:
     @pytest.fixture()
     def server(self):
-        router = ServiceRouter(
-            [_route("a", seed=0), _route("b", seed=1)],
-            service_kwargs=_FAST,
-        )
+        router = ServiceRouter([_route("a", seed=0), _route("b", seed=1)])
         server = start_http_server(router)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -702,9 +678,7 @@ def _golden_request_sequence(router) -> None:
 
 
 def _exposition_after_golden_sequence(n_workers: int) -> str:
-    router = ServiceRouter(
-        [_route()], n_workers=n_workers, service_kwargs=_FAST
-    )
+    router = ServiceRouter([_route()], n_workers=n_workers)
     try:
         _golden_request_sequence(router)
         return router.metrics_text()

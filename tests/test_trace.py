@@ -180,6 +180,32 @@ class TestSpans:
         assert child.parent_id == root.span_id
 
 
+class TestJoinSpans:
+    def test_candidate_filter_is_a_child_of_the_kernel_sweep(self):
+        # The q-gram filter and the bag bounds run inside the
+        # verification loop; their time is a child span, not the sweep's.
+        from repro.index.cache import IndexCache
+        from repro.index.joiner import IndexedJoiner
+
+        tracer = configure_tracing(sample_rate=1.0, capacity=4, slowest=0)
+        targets = [f"target-{i:04d}" for i in range(200)] + ["jchretien"]
+        root = tracer.start_trace("request")
+        with tracer.activate(root):
+            IndexedJoiner(cache=IndexCache()).join_many(
+                ["jchretiem", "target-0x12"], targets
+            )
+        root.finish()
+        trace = tracer.collector.snapshot()["recent"][0]
+        join = next(s for s in trace["spans"] if s["name"] == "join.join_many")
+        assert join["attributes"]["pending"] == 2
+        (sweep,) = (
+            s for s in trace["spans"] if s["name"] == "join.kernel_sweep"
+        )
+        under_sweep = span_tree(trace).get(sweep["span_id"], [])
+        filters = [s for s in under_sweep if s["name"] == "join.candidate_filter"]
+        assert len(filters) >= 1
+
+
 class TestContextPropagation:
     def test_activate_installs_and_restores(self):
         tracer = _tracer(1.0)
@@ -324,7 +350,6 @@ class TestEndToEndTracing:
                 )
             ],
             n_workers=2,
-            service_kwargs={"max_wait_ms": 1.0},
         )
         log_stream = io.StringIO()
         server = start_http_server(
@@ -528,7 +553,6 @@ class TestReadyzNotReady:
                 )
             ],
             n_workers=0,
-            service_kwargs={"max_wait_ms": 1.0},
         )
         server = start_http_server(router)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
