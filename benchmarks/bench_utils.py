@@ -1,10 +1,9 @@
 """The one protocol the ``BENCH_*.json`` emitters share.
 
-Three emitters remain beside the repo benchmark (``benchmarks/e2e``),
+Two emitters remain beside the repo benchmark (``benchmarks/e2e``),
 each for something none of its workloads reaches: ``bench_kernels.py``
-(forced kernel backends), ``bench_join_parallel.py`` (the join worker
-pool) and ``bench_serve.py`` (the serve worker pool).  They differ only
-in what they time; everything else is here:
+(forced kernel backends) and ``bench_serve.py`` (the serve worker
+pool).  They differ only in what they time; everything else is here:
 
 * :func:`measure` — the timing rule.  Every timed row is the median of
   several repeats, each long enough for the clock to resolve, with the

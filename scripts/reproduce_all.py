@@ -3,7 +3,7 @@
 
 Stage one runs the repo benchmark (``benchmarks/e2e/run.py``, unmodified)
 and reads its ``out/results.json`` back: every workload's ``correct`` /
-``attempted`` / ``failed`` and four end-to-end metrics.  Then the three
+``attempted`` / ``failed`` and four end-to-end metrics.  Then the two
 ``BENCH_*.json`` emitters that measure what no workload reaches (via
 their shared ``--smoke`` / ``--json-out`` CLI) and a scaled-down slice
 of the eval tables.  Everything is folded into a single machine-readable

@@ -25,7 +25,7 @@ class JoinOutput:
         predictions: Predicted target strings (generative methods only).
         stats: Optional execution counters for the run — e.g. the DTT
             pipeline reports its generation-engine scheduling stats
-            under ``"engine"`` and its join-engine batch/parallel/cache
+            under ``"engine"`` and its join-engine batch/cache/kernel
             stats under ``"join"``.  Baselines may leave this ``None``.
     """
 

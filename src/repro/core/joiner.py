@@ -22,10 +22,10 @@ query surface (``k`` and ``margin`` are arguments of each call):
 * :meth:`~EditDistanceJoiner.reverse_many` — which probes resolve to
   each target row (shared inversion of the forward join).
 
-The brute implementations here define the contract; the blocked and
-parallel engines must stay byte-identical.  The bounded many-to-many
-form, :meth:`~EditDistanceJoiner.match_many`, exists only here: every
-joiner answers it by this reference scan.
+The brute implementations here define the contract; the blocked engine
+must stay byte-identical.  The bounded many-to-many form,
+:meth:`~EditDistanceJoiner.match_many`, exists only here: every joiner
+answers it by this reference scan.
 """
 
 from __future__ import annotations
@@ -349,21 +349,6 @@ class EditDistanceJoiner:
                 matches.append((candidate, distance))
         matches.sort(key=lambda item: item[1])
         return matches
-
-    def close(self) -> None:
-        """Release execution resources; a no-op for the scalar scan.
-
-        Joiners are uniformly closable so long-lived owners (the
-        serving layer, an eval loop) can tear down whichever joiner
-        they were handed — the blocked engine overrides this to shut
-        down its persistent worker pool.
-        """
-
-    def __enter__(self) -> EditDistanceJoiner:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def join(
         self,

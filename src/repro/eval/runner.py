@@ -70,8 +70,7 @@ class DTTJoinerAdapter:
         # Execution counters ride along with the scores: the generation
         # engine's scheduling stats (totals across every model of the
         # ensemble, plus the per-model breakdown) and the join engine's
-        # batch / parallel-shard / cache stats, all from this table's
-        # run.
+        # batch / cache / kernel-pair stats, all from this table's run.
         per_model = self.pipeline.last_engine_stats
         stats: dict = {"engine": asdict(EngineStats.merged(per_model))}
         if len(per_model) > 1:

@@ -66,7 +66,7 @@ class DeadlineExceededError(ServeError):
 class WorkerCrashedError(ServeError):
     """Raised when a pool worker process dies with requests in flight.
 
-    The requests (or join shards) it carried are lost — HTTP 503 on the
+    The requests it carried are lost — HTTP 503 on the
     serving tier; the pool (:class:`repro.procs.WorkerPool`) respawns the
     worker before dispatching new work, so the failure is bounded to
     the in-flight batch — exactly the blast radius of a crash in any

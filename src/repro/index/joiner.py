@@ -7,13 +7,12 @@ identical matches, distances, earliest-row tie-breaking, and
 ``max_distance`` / ``normalized_threshold`` semantics.
 
 There is **one engine** for every single-column query.  ``join_many``
-(argmin) and ``topk_many`` are the same call frame — dedupe, worker
-dispatch, :class:`~repro.index.parallel.JoinStats` and ``join.*`` spans
-— and differ only in ``k`` and in whether an exact match short-circuits
-(a top-k query needs the runners-up regardless).  The frame
-deduplicates identical probes, resolves exact matches with one
-dictionary lookup each (argmin only), and hands every remaining probe
-to one bound-ordered verification loop,
+(argmin) and ``topk_many`` are the same call frame — dedupe,
+:class:`JoinStats` and ``join.*`` spans — and differ only in ``k`` and
+in whether an exact match short-circuits (a top-k query needs the
+runners-up regardless).  The frame deduplicates identical probes,
+resolves exact matches with one dictionary lookup each (argmin only),
+and hands every remaining probe to one bound-ordered verification loop,
 :meth:`IndexedJoiner._resolve_probes`: a few exactly scored seeds give
 each probe a proven cap, and its candidates are then scored in order of
 their bag-distance lower bound until the next bound exceeds the
@@ -24,21 +23,18 @@ call.  A process-level :class:`~repro.index.cache.IndexCache` shares
 one index per target-column *content* across joiners, pipelines, and
 eval runs.
 
-Above :data:`PARALLEL_THRESHOLD` pending probes (or at an explicit
-``n_workers``), the frame shards them across a **persistent** process
-pool (:mod:`repro.index.parallel`) with a deterministic merge,
-byte-identical to the serial engine; long-lived owners should
-``close()`` the joiner (or use it as a context manager).  Every
-column size runs this engine; only the bounded many-to-many
-``match_many`` is answered by the inherited brute scan.
+Every batch runs in the calling thread: the joins the paper scores and
+the repo benchmark runs resolve at most a few hundred probes a call,
+far below the thousands at which sharding probes across processes pays
+for itself.  Every column size runs this engine; only the bounded
+many-to-many ``match_many`` is answered by the inherited brute scan.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import time
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +44,6 @@ from repro.exceptions import JoinError
 from repro.index.cache import IndexCache, default_index_cache
 from repro.index.kernel import encode_strings
 from repro.index.kernels import pairs_scored_snapshot, resolve_backend
-from repro.index.parallel import JoinStats, JoinWorkerPool
 from repro.index.qgram import QGramIndex
 from repro.obs.trace import SpanContext, get_tracer
 
@@ -56,9 +51,51 @@ from repro.obs.trace import SpanContext, get_tracer
 Ranked = tuple[np.ndarray, np.ndarray]
 _NO_RANKS: Ranked = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-#: Pending (deduplicated, non-exact) probes at which an auto worker
-#: count (``JoinConfig.n_workers=None``) starts the process pool.
-PARALLEL_THRESHOLD = 4096
+
+@dataclass(frozen=True)
+class JoinStats:
+    """Counters from one ``join_many`` / ``topk_many`` call.
+
+    Attributes:
+        probes: Probe rows requested (duplicates included).
+        unique_probes: Distinct probe values after deduplication.
+        exact_matches: Unique probes resolved by exact-match lookup
+            (always 0 for top-k, which takes no shortcut).
+        empty_probes: Unique probes that were abstentions (``""``).
+        pending: Unique probes that went through the verification loop.
+        shards: Always 0: every call runs in-process.  Kept only
+            because ``benchmarks/e2e/offline.py`` reads it into its
+            ``index.parallel.shards`` ledger row; it goes with that row.
+        cache_hits: In-memory index-cache hits during the call.
+        cache_misses: In-memory index-cache misses during the call.
+        kernel_backend: Kernel backend the joiner scored with (see
+            :mod:`repro.index.kernels`).
+        kernel_pairs: ``(backend_name, pairs_scored)`` tuples — how
+            many (probe, candidate) pairs each kernel backend scored
+            during this call.  Zero-count backends are omitted.  The
+            counts come from the process-wide tally, so concurrent
+            joins from other threads of the same process would be
+            attributed to whichever call snapshots last — the engines
+            serialize joins (the serving layer through its batch
+            executor), which keeps the accounting exact.
+    """
+
+    probes: int = 0
+    unique_probes: int = 0
+    exact_matches: int = 0
+    empty_probes: int = 0
+    pending: int = 0
+    shards: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    kernel_backend: str = "bitparallel"
+    kernel_pairs: tuple[tuple[str, int], ...] = ()
+
+    def as_dict(self) -> dict:
+        """JSON-friendly dict form (``kernel_pairs`` becomes a mapping)."""
+        out = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        out["kernel_pairs"] = dict(self.kernel_pairs)
+        return out
 
 
 class IndexedJoiner(EditDistanceJoiner):
@@ -70,14 +107,8 @@ class IndexedJoiner(EditDistanceJoiner):
     in-place cell edits — is detected and forces a rebuild.
 
     Args:
-        config: All tunables in one frozen
-            :class:`~repro.core.join_config.JoinConfig` — thresholds and
-            ``n_workers`` (``None`` auto-picks
-            ``os.cpu_count()`` capped when a batch has at least
-            :data:`PARALLEL_THRESHOLD` unresolved probes and runs
-            serially below; ``1`` forces serial; ``>= 2`` always
-            shards — results are byte-identical in every
-            configuration).
+        config: The rejection thresholds, one frozen
+            :class:`~repro.core.join_config.JoinConfig`.
         cache: Index cache to use; ``None`` means the process-wide
             shared cache (:func:`~repro.index.cache.default_index_cache`).
             An object dependency, so it stays a direct argument rather
@@ -87,17 +118,11 @@ class IndexedJoiner(EditDistanceJoiner):
         kernel: The edit-distance backend every kernel call scores
             through, resolved once from ``REPRO_KERNEL_BACKEND``
             (:func:`~repro.index.kernels.resolve_backend`).
-        last_join_stats: :class:`~repro.index.parallel.JoinStats` for
+        last_join_stats: :class:`JoinStats` for
             the most recent :meth:`join_many` / :meth:`topk_many` call
             — ``None`` before the first call and after a call that had
             no probes.
     """
-
-    # Auto mode never spawns more workers than this, however many cores
-    # the host reports: shard planning targets a few shards per worker,
-    # and past ~8 workers pool startup and result pickling outweigh the
-    # extra parallelism for column-scale batches.
-    _MAX_AUTO_WORKERS = 8
 
     # Cells (candidate characters) per kernel call: bounds a stratum's
     # working set at ~16 bytes a cell (the gather here, the sweep's
@@ -126,48 +151,9 @@ class IndexedJoiner(EditDistanceJoiner):
         self.kernel = resolve_backend()
         self.cache = cache if cache is not None else default_index_cache()
         self.last_join_stats: JoinStats | None = None
-        self._pool: JoinWorkerPool | None = None
 
     def _index_for(self, targets: Sequence[str]) -> QGramIndex:
         return self.cache.get(targets)
-
-    def _resolve_workers(self, pending: int) -> int:
-        """Worker count for a batch with ``pending`` unresolved probes."""
-        n_workers = self.config.n_workers
-        if n_workers is not None:
-            return n_workers if pending else 1
-        if pending >= PARALLEL_THRESHOLD:
-            return max(1, min(os.cpu_count() or 1, self._MAX_AUTO_WORKERS))
-        return 1
-
-    def _ensure_pool(self, n_workers: int) -> JoinWorkerPool:
-        """Get the persistent worker pool, (re)building it on demand.
-
-        One pool lives across batch calls — worker startup and
-        per-worker index resolution amortize over every batch the
-        joiner ever runs — and is replaced only when the resolved
-        worker count changes (auto mode crossing a threshold) or after
-        an explicit :meth:`close`.
-        """
-        pool = self._pool
-        if pool is not None and (pool.closed or pool.n_workers != n_workers):
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = JoinWorkerPool(n_workers, self.cache)
-            self._pool = pool
-        return pool
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (if one was started).
-
-        The joiner remains usable — the next parallel batch simply
-        starts a fresh pool — so ``close()`` is safe to call from
-        teardown paths that might race a late caller.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def _argmin(self, predicted: str, targets: Sequence[str]) -> tuple[str, int]:
         """Earliest-row argmin via the blocked index (same contract as brute).
@@ -259,9 +245,7 @@ class IndexedJoiner(EditDistanceJoiner):
         abstaining ``""`` probe.  With ``exact_shortcut`` a probe equal
         to a target value resolves to that value alone by dictionary
         lookup (only sound at ``k = 1``).  Everything else is resolved
-        together by :meth:`_resolve_probes` — serially, or above
-        :data:`PARALLEL_THRESHOLD` (or at an explicit ``n_workers``)
-        sharded across the persistent process pool.  Publishes the
+        together by one :meth:`_resolve_probes` call.  Publishes the
         call's :class:`JoinStats` and ``join.*`` spans.
         """
         tracer = get_tracer()
@@ -312,24 +296,12 @@ class IndexedJoiner(EditDistanceJoiner):
                     "pending": len(pending),
                 },
             )
-            n_workers = self._resolve_workers(len(pending))
-            pool_stats = JoinStats()
             with tracer.span("join.kernel_sweep", join_span) as sweep:
-                if n_workers > 1 and pending:
-                    pool = self._ensure_pool(n_workers)
-                    pooled, pool_stats = pool.run_probes(index, pending, targets, k)
-                    ranked.update(pooled)
-                elif pending:
+                if pending:
                     ranked.update(
                         self._resolve_probes(index, pending, k, sweep.context)
                     )
-                sweep.set_attributes(
-                    {
-                        "n_workers": pool_stats.n_workers,
-                        "shards": pool_stats.shards,
-                        "kernel_backend": self.kernel.name,
-                    }
-                )
+                sweep.set_attribute("kernel_backend", self.kernel.name)
         except BaseException as error:
             join_span.set_error(repr(error))
             join_span.finish()
@@ -338,10 +310,7 @@ class IndexedJoiner(EditDistanceJoiner):
             name: count - pairs_before.get(name, 0)
             for name, count in pairs_scored_snapshot().items()
         }
-        for name, count in pool_stats.kernel_pairs:
-            kernel_pairs[name] = kernel_pairs.get(name, 0) + count
-        self.last_join_stats = dataclasses.replace(
-            pool_stats,
+        self.last_join_stats = JoinStats(
             probes=len(probes),
             unique_probes=len(unique),
             exact_matches=exact_matches,
@@ -375,7 +344,7 @@ class IndexedJoiner(EditDistanceJoiner):
         earliest row)`` rank order, ``min(k, distinct values)`` entries
         each (callers map ids back to strings through the index).  Each
         probe's result depends only on ``(index, probe, k)``, which makes
-        probe deduplication and parallel sharding byte-identical.
+        probe deduplication byte-identical.
 
         One loop verifies candidates in order of their bag-distance
         lower bound (:meth:`QGramIndex.bag_bounds`), every pending probe
@@ -397,7 +366,7 @@ class IndexedJoiner(EditDistanceJoiner):
 
         The seed pools and the generation past the seed cap are each
         recorded as a ``join.candidate_filter`` child of ``parent`` (the
-        caller's ``join.kernel_sweep``; pool shards pass none).
+        caller's ``join.kernel_sweep``).
         """
         # Only distinct values rank, so a short column caps the answer.
         kk = min(k, len(index.values))

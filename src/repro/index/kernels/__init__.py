@@ -27,8 +27,8 @@ sites.  Unknown names raise ``ValueError``.
 Both backends count the candidate pairs they score — once, at the pair
 door — into a process-wide tally (:func:`pairs_scored_snapshot`),
 which ``IndexedJoiner.join_many`` turns into per-call ``JoinStats``
-deltas — parallel workers report their own deltas per shard — and the
-serving layer exports through ``/v1/stats`` and ``/metrics``.
+deltas and the serving layer exports through ``/v1/stats`` and
+``/metrics``.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ _PAIRS_SCORED: dict[str, int] = dict.fromkeys(KERNEL_BACKENDS, 0)
 def pairs_scored_snapshot() -> dict[str, int]:
     """Cumulative pairs scored per backend, process-wide.
 
-    Callers (``join_many``, parallel shard workers) snapshot before and
-    after a unit of work and report the difference, so the tally never
-    needs resetting between calls.
+    Callers (``join_many``, the repo benchmark's join workloads)
+    snapshot before and after a unit of work and report the difference,
+    so the tally never needs resetting between calls.
     """
     with _COUNTS_LOCK:
         return dict(_PAIRS_SCORED)

@@ -44,8 +44,8 @@ MANIFEST_VERSION = 2
 #: The gated benches (``BENCH_<name>.json`` at the repo root) every
 #: reproduction covers; ``reproduce_all.py`` fails when one is missing.
 #: Each measures something no repo-benchmark workload reaches: forced
-#: kernel backends, the join worker pool, the serve worker pool.
-GATED_BENCHES = ("join_parallel", "kernels", "serve")
+#: kernel backends, the serve worker pool.
+GATED_BENCHES = ("kernels", "serve")
 
 #: Smoke-floor schema: the single source of truth for the CI acceptance
 #: bars, keyed by :data:`GATED_BENCHES` name.  Each spec names a label of
@@ -68,13 +68,6 @@ BENCH_FLOORS: dict[str, tuple[dict, ...]] = {
     # of three full sweeps reading 0.67 / 0.96 / 1.04, beside ten smoke
     # readings of 0.67-1.35); the floor is one third of it.
     "kernels": ({"metric": "mpairs_per_s", "min": 0.32},),
-    "join_parallel": (
-        # Sharded vs serial join of the same column in the same run.
-        {"metric": "speedup[workers=4]", "min": 1.3, "min_cores": 4},
-        # 0.8 x the lowest of twelve smoke readings on the 2-core
-        # recording host (1.50 of 1.50-2.43), rounded down to a decimal.
-        {"metric": "speedup[workers=2]", "min": 1.2, "min_cores": 2},
-    ),
     # Serve worker pool vs in-process serving of the same route in the
     # same run.
     "serve": (
@@ -250,10 +243,10 @@ def artifact_flags(report: dict) -> list[str]:
 
     One rule: a report states the cores its widest row needs
     (``needs_cores``), and a recording host that granted fewer is
-    flagged — its parallel "speedups" measure shard locality and
-    dispatch overhead, not parallelism.  CI skips the ``min_cores``
-    floors on such hosts instead of failing them, and readers see the
-    caveat in the artifact itself.
+    flagged — its parallel "speedups" measure dispatch overhead, not
+    parallelism.  CI skips the ``min_cores`` floors on such hosts
+    instead of failing them, and readers see the caveat in the artifact
+    itself.
     """
     prov = report.get("provenance") or {}
     cores = prov.get("cpu_affinity") or prov.get("cpu_count")

@@ -6,8 +6,8 @@ request, the :class:`~repro.serve.service.TransformService` scheduler
 adds queue-wait and batch-execute children,
 :func:`repro.infer.engine.generate` adds one decode span per job, and
 the Eq. 5 join layer adds index-build / candidate-filter / kernel-sweep
-spans tagged with its :class:`~repro.index.parallel.JoinStats`
-counters.  Worker processes serialize their span context over the
+spans tagged with its :class:`~repro.index.joiner.JoinStats`
+counters.  Serve worker processes serialize their span context over the
 dispatch pipe and ship finished spans back with each reply, so a trace
 fans back in with correct parentage whichever worker served it.
 

@@ -1,9 +1,7 @@
 """Worker processes behind one pipe protocol: the repository's process pool.
 
-Both process-parallel subsystems run on this module: the serving tier's
-worker processes (:class:`~repro.serve.workers.ServeWorkerPool`) and the
-join engine's shard workers
-(:class:`~repro.index.parallel.JoinWorkerPool`).  A :class:`WorkerPool`
+One client runs on this module: the serving tier's worker processes
+(:class:`~repro.serve.workers.ServeWorkerPool`).  A :class:`WorkerPool`
 starts its N processes at construction and talks to each over a duplex
 :mod:`multiprocessing` pipe; each process runs :func:`_worker_main`, a
 reply loop around a **handler built in the child**.
@@ -24,8 +22,8 @@ replies are ``(request_id, ok, value_or_error)``.
 **Fork-first startup.**  :func:`pool_context` picks ``fork`` while the
 parent is single-threaded, and every process starts before the pool's
 first reader thread exists, so no fork ever happens late.  Fork-started
-children receive ``inherited`` — the parent's built state (pipelines,
-an index cache) — copy-on-write; fresh-start children receive ``None``
+children receive ``inherited`` — the parent's built state (the
+pipelines) — copy-on-write; fresh-start children receive ``None``
 and build their own from the handler's picklable arguments.
 
 **Crash containment.**  A worker that dies (OOM kill, signal, bug)

@@ -29,8 +29,12 @@ Endpoints (all bodies JSON; successful responses carry
   ``{"schema_version", "models": [{"name", "fingerprint", "default"}],
   "n_workers"}``.
 * ``GET /v1/stats`` — the service's :class:`ServeStats` snapshot, plus
-  a ``"join"`` block (last join's :class:`~repro.index.parallel.JoinStats`
-  and cumulative pairs scored per kernel backend) and a ``"metrics"``
+  a ``"join"`` block — ``"last_join"``, the last join's
+  :class:`~repro.index.joiner.JoinStats` as a dict (``probes``,
+  ``unique_probes``, ``exact_matches``, ``empty_probes``, ``pending``,
+  ``shards`` (always 0), ``cache_hits``, ``cache_misses``,
+  ``kernel_backend``, ``kernel_pairs``), and ``"kernel_pairs_total"``,
+  cumulative pairs scored per kernel backend — and a ``"metrics"``
   block with the latency/occupancy histograms and live gauges.
 * ``GET /metrics`` — the same metrics in the Prometheus text
   exposition format (scrape-friendly plain text).

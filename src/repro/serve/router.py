@@ -190,10 +190,6 @@ class ServiceRouter:
                 prebuilt=pipelines,
                 service_kwargs=service_kwargs,
             )
-            # The parent-built pipelines only routed fingerprints (and
-            # seeded fork COW); release whatever their joiners hold.
-            for pipeline in pipelines.values():
-                pipeline.joiner.close()
         self.default_route = routes[0].name
         self._closed = False
         self._lock = threading.Lock()

@@ -46,8 +46,7 @@ starts), carries an optional deadline (expired requests fail with
 batch slot), and passes through a bounded queue —
 :class:`~repro.exceptions.ServiceOverloadedError` is backpressure, not
 a crash.  :meth:`TransformService.close` drains everything already
-queued, then stops the scheduler and tears down the join engine's
-persistent worker pool.
+queued, then stops the scheduler.
 """
 
 from __future__ import annotations
@@ -934,7 +933,7 @@ class TransformService:
     def join_stats_snapshot(self) -> dict:
         """JSON-friendly view of the join layer's kernel activity.
 
-        ``last_join`` is the most recent :class:`~repro.index.parallel.JoinStats`
+        ``last_join`` is the most recent :class:`~repro.index.joiner.JoinStats`
         (``None`` until the first join with probes runs);
         ``kernel_pairs_total`` accumulates pairs scored per backend
         across every join this service has executed.
@@ -964,16 +963,12 @@ class TransformService:
         Requests already queued complete normally (a clean shutdown
         never drops accepted work); new submits fail with
         :class:`ServiceClosedError`.  Idempotent.  With a ``timeout``,
-        the call may return while the scheduler is still draining — the
-        joiner's worker pool is then left alive for the in-flight batch
-        and released by a later ``close()`` once the drain finishes.
+        the call may return while the scheduler is still draining.
         """
         with self._cond:
             self._closing = True
             self._cond.notify_all()
         self._thread.join(timeout)
-        if not self._thread.is_alive():
-            self.pipeline.joiner.close()
 
     def __enter__(self) -> TransformService:
         return self

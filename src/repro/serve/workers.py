@@ -36,7 +36,6 @@ tree — whichever worker ran it — commits as one trace.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 from collections.abc import Callable, Mapping
@@ -153,13 +152,6 @@ def _serve_handler(
     get_tracer().reseed()
     if pipelines is None:
         pipelines = {name: factory() for name, factory in factories.items()}
-    for pipeline in pipelines.values():
-        # Nesting policy: the serve worker is the unit of parallelism,
-        # so a joiner it hosts resolves in-process.  N serve workers x
-        # M join workers on N cores is nobody's intent, and a daemonic
-        # process may not have children at all.
-        joiner = pipeline.joiner
-        joiner.config = dataclasses.replace(joiner.config, n_workers=1)
     services = {
         name: build_service(pipeline, service_kwargs)
         for name, pipeline in pipelines.items()

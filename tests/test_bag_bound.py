@@ -12,8 +12,7 @@ that bins fold.  A second oracle, ``collections.Counter``, pins the
 bound to the exact bag distance whenever nothing folds.
 
 The joiner-level case is an abbreviation column where the kernel never
-sees most of the pairs the bound orders, checked against the brute scan
-serially and at two workers.
+sees most of the pairs the bound orders, checked against the brute scan.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ class TestJoinerOnAbbreviations:
         # Every candidate pair is bounded before any is swept; the
         # bound orders them and keeps the kernel off most.
         targets, probes, want = column
-        joiner = IndexedJoiner(JoinConfig(n_workers=1), cache=IndexCache())
+        joiner = IndexedJoiner(cache=IndexCache())
         offered = []
         inner = QGramIndex.bag_bounds
 
@@ -159,13 +158,5 @@ class TestJoinerOnAbbreviations:
         swept = sum(dict(joiner.last_join_stats.kernel_pairs).values())
         assert 2 * swept < sum(offered), (swept, sum(offered))
         got = self._queries(joiner, targets, probes)
-        for query in want:
-            assert got[query] == want[query], query
-
-    def test_two_workers_match_brute(self, column):
-        targets, probes, want = column
-        with IndexedJoiner(JoinConfig(n_workers=2), cache=IndexCache()) as joiner:
-            got = self._queries(joiner, targets, probes)
-            assert joiner.last_join_stats.shards > 1
         for query in want:
             assert got[query] == want[query], query

@@ -220,10 +220,11 @@ class TestBrokenDocsAreCaught:
         } <= set(check_docs.member_owners())
         (fake_repo / "docs" / "architecture.md").write_text(
             "# Arch\n`EngineStats.row_steps` and `KVCache.append` and\n"
-            "`MultiHeadAttention._cache` and `JoinConfig.n_workers` and\n"
-            "`DTTPipeline.last_engine_stats` and `JoinStats.shard_sizes` stay;\n"
+            "`MultiHeadAttention._cache` and `JoinConfig.max_distance` and\n"
+            "`DTTPipeline.last_engine_stats` and `JoinStats.kernel_pairs` stay;\n"
             "`DTTPipeline.ensemble`, `EngineStats.bucket_width`,\n"
             "`JoinStats.workers`, `JoinConfig.auto_threshold`,\n"
+            "`JoinConfig.n_workers`, `JoinStats.n_workers`,\n"
             "`MultiHeadAttention.attend_cached`, `DecoderBlock.step_3d`,\n"
             "`DecodeSession.memory_mask` and `Seq2SeqTransformer.step` went;\n"
             "`Stopwatch.gone` and `_Workload.rows` are nobody's business here.\n"
@@ -237,6 +238,8 @@ class TestBrokenDocsAreCaught:
                 "DecoderBlock.step_3d",
                 "EngineStats.bucket_width",
                 "JoinConfig.auto_threshold",
+                "JoinConfig.n_workers",
+                "JoinStats.n_workers",
                 "JoinStats.workers",
                 "MultiHeadAttention.attend_cached",
                 "Seq2SeqTransformer.step",

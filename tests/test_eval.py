@@ -7,8 +7,10 @@ from dataclasses import asdict
 import pytest
 
 from repro.baselines.cst import CSTJoiner
+from repro.datagen.benchmarks.registry import get_dataset
 from repro.eval.runner import DTTJoinerAdapter, evaluate_on_dataset, evaluate_on_table
 from repro.eval.tables import render_dataset_table
+from repro.index.kernels import KERNEL_BACKENDS
 from repro.infer.engine import EngineStats
 from repro.surrogate.pretrained import PretrainedDTT
 from repro.types import TablePair
@@ -68,6 +70,16 @@ class TestEvaluateOnTable:
         assert full.stats["join"]["probes"] == 4
         empty = evaluate_on_table(adapter, head(1))
         assert empty.stats == {"engine": asdict(EngineStats())}
+
+    def test_report_carries_engine_and_join_stats(self):
+        table = get_dataset("WT", seed=0, scale=0.05)[0]
+        adapter = DTTJoinerAdapter(PretrainedDTT(seed=0), n_trials=2)
+        report = evaluate_on_table(adapter, table)
+        assert report.stats is not None
+        assert report.stats["engine"]["prompts"] > 0
+        join_stats = report.stats["join"]
+        assert join_stats["probes"] == len(table.split(0.5)[1])
+        assert join_stats["kernel_backend"] in KERNEL_BACKENDS
 
     def test_method_name_recorded(self, small_table):
         report = evaluate_on_table(CSTJoiner(), small_table)

@@ -29,6 +29,10 @@ _FOREIGN = (
     "repro.metrics",
 )
 
+#: The process layer: a worker process loads it, a join never does
+#: (every join runs in the calling thread).
+_PROCESSES = ("multiprocessing", "repro.procs")
+
 #: Every module whose top level is imported (but whose ``main()`` is
 #: not run) by the body check.
 _BODIES = sorted(
@@ -80,7 +84,9 @@ def test_the_join_layers_do_not_load_serving_or_evaluation(module):
     foreign = sorted(
         name
         for name in loaded
-        if any(name == f or name.startswith(f"{f}.") for f in _FOREIGN)
+        if any(
+            name == f or name.startswith(f"{f}.") for f in _FOREIGN + _PROCESSES
+        )
     )
     assert foreign == []
 
@@ -101,4 +107,4 @@ def test_script_example_and_benchmark_bodies_import():
         "print(json.dumps(failures))"
     )
     assert failures == {}
-    assert len(_BODIES) >= 30
+    assert len(_BODIES) >= 29

@@ -22,7 +22,7 @@ from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
 from repro.index import cache as cache_module
 from repro.index.cache import IndexCache
-from repro.index.joiner import IndexedJoiner
+from repro.index.joiner import IndexedJoiner, JoinStats
 from repro.index.qgram import QGramIndex, adaptive_q
 from repro.types import Prediction
 
@@ -327,6 +327,26 @@ class TestProductionJoiner:
         assert cache.misses == 2
         assert joiner.last_join_stats.unique_probes == 1
 
+    def test_join_stats_shape(self):
+        joiner = IndexedJoiner(cache=IndexCache())
+        targets = ["alpha", "beta", "gamma", "beta"]
+        probes = ["alpha", "alpha", "betta", "", "zzz"]
+        joiner.join_many(probes, targets)
+        stats = joiner.last_join_stats
+        assert isinstance(stats, JoinStats)
+        assert stats.probes == 5
+        assert stats.unique_probes == 4
+        assert stats.exact_matches == 1
+        assert stats.empty_probes == 1
+        assert stats.pending == 2
+        assert stats.shards == 0
+        assert stats.cache_misses == 1
+        assert stats.kernel_backend == joiner.kernel.name
+        as_dict = stats.as_dict()
+        assert as_dict["probes"] == 5
+        assert as_dict["kernel_pairs"] == dict(stats.kernel_pairs)
+        assert sum(as_dict["kernel_pairs"].values()) > 0
+
     def test_join_on_two_row_column(self):
         predictions = [Prediction(source="s", value="aaa")]
         results = IndexedJoiner().join(predictions, ["aaa", "bbb"], expected=["aaa"])
@@ -344,6 +364,15 @@ class TestProductionJoiner:
         assert type(DTTPipeline(PretrainedDTT(seed=0)).joiner) is IndexedJoiner
         brute = EditDistanceJoiner()
         assert DTTPipeline(PretrainedDTT(seed=0), joiner=brute).joiner is brute
+
+    def test_pipeline_keeps_the_configured_joiner(self):
+        from repro.core.pipeline import DTTPipeline
+        from repro.surrogate.pretrained import PretrainedDTT
+
+        joiner = IndexedJoiner(JoinConfig(max_distance=2))
+        pipeline = DTTPipeline(PretrainedDTT(seed=0), joiner=joiner)
+        assert pipeline.joiner is joiner
+        assert pipeline.joiner.config.max_distance == 2
 
     def test_pipeline_rejects_a_strategy_string(self):
         from repro.core.pipeline import DTTPipeline

@@ -2,18 +2,17 @@
 
 :class:`~repro.core.joiner.EditDistanceJoiner` defines Eq. 5; the
 blocked :class:`~repro.index.joiner.IndexedJoiner` must return the same bytes
-for every query mode, serially and sharded over two workers, under
-every rejection rule (a drawn ``JoinConfig``).  Columns and probes come
-from ``join_strategies``: astral, combining and lone-surrogate
-characters, empty values and empty probes, duplicates, exact matches,
-and lengths either side of one 64-bit word.  Columns run past the seed
-count, so candidates are verified in bound order, not only seeded;
-small ones are blocked too, as in production.
+for every query mode, on the kernel backend the environment picks and
+on the reference one, under every rejection rule (a drawn
+``JoinConfig``).  Columns and probes come from ``join_strategies``:
+astral, combining and lone-surrogate characters, empty values and empty
+probes, duplicates, exact matches, and lengths either side of one 64-bit
+word.  Columns run past the seed count, so candidates are verified in
+bound order, not only seeded; small ones are blocked too, as in
+production.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 from hypothesis import example, given, settings
@@ -81,9 +80,14 @@ def _queries(joiner, targets, probes):
 
 class TestBlockedEqualsBrute:
     @pytest.fixture(scope="class")
-    def sharded(self):
-        with IndexedJoiner(JoinConfig(n_workers=2), cache=IndexCache()) as joiner:
-            yield joiner
+    def reference_kernel(self):
+        # The backend is resolved when the joiner is built, so the
+        # environment only has to name it for the construction.
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
+            joiner = IndexedJoiner(cache=IndexCache())
+        assert joiner.kernel.name == "reference"
+        return joiner
 
     @settings(max_examples=40, deadline=None)
     @given(case=_columns_and_probes())
@@ -91,9 +95,7 @@ class TestBlockedEqualsBrute:
     @example(case=_FOLDED)
     def test_serial(self, case):
         targets, probes, config = case
-        joiner = IndexedJoiner(
-            dataclasses.replace(config, n_workers=1), cache=IndexCache()
-        )
+        joiner = IndexedJoiner(config, cache=IndexCache())
         want = _queries(EditDistanceJoiner(config), targets, probes)
         assert _queries(joiner, targets, probes) == want
 
@@ -101,12 +103,12 @@ class TestBlockedEqualsBrute:
     @given(case=_columns_and_probes())
     @example(case=_ACROSS_WORDS)
     @example(case=_FOLDED)
-    def test_two_workers(self, sharded, case):
+    def test_reference_kernel(self, reference_kernel, case):
         targets, probes, config = case
-        # Reassigning ``config`` reconfigures the joiner; the pool stays.
-        sharded.config = dataclasses.replace(config, n_workers=2)
+        # Reassigning ``config`` reconfigures the joiner; the kernel stays.
+        reference_kernel.config = config
         want = _queries(EditDistanceJoiner(config), targets, probes)
-        assert _queries(sharded, targets, probes) == want
+        assert _queries(reference_kernel, targets, probes) == want
 
     def test_k_past_the_length_neighbours(self):
         # A short seed pool is topped up with the values nearest the
@@ -115,7 +117,7 @@ class TestBlockedEqualsBrute:
             ("ab" * 20)[: 3 + i % 37] + "xyz"[i % 3] * (i // 37) for i in range(300)
         ]
         probes = ["ba" * 6, "zzzz", "ab" * 15 + "q"]
-        joiner = IndexedJoiner(JoinConfig(n_workers=1), cache=IndexCache())
+        joiner = IndexedJoiner(cache=IndexCache())
         for k in (129, 200):
             assert joiner.topk_many(probes, targets, k) == (
                 EditDistanceJoiner().topk_many(probes, targets, k)
@@ -134,7 +136,7 @@ class TestBlockedEqualsBrute:
             "abefcd", "abefdc", "abfced", "abfdce", "abfecd",
         ]
         targets = ["abcdxy", "bacdef", *permutations]
-        joiner = IndexedJoiner(JoinConfig(n_workers=1), cache=IndexCache())
+        joiner = IndexedJoiner(cache=IndexCache())
         assert joiner.join_many([probe], targets) == [("abcdxy", 2)]
         assert joiner.topk_many([probe], targets, 2) == [
             [(2, 0, "abcdxy"), (2, 1, "bacdef")]

@@ -6,8 +6,9 @@ and, transitively, to the scalar
 :func:`repro.text.edit_distance.edit_distance` oracle.  These tests
 enforce that claim with randomized cross-backend fuzz (caps 0-8, empty
 strings, multi-block queries past 64 characters, pad-boundary lengths
-63/64/65), end-to-end joiner equivalence on every registered dataset
-at 1/2/4 workers, registry/env resolution semantics, and the
+63/64/65), end-to-end joiner equivalence on every registered dataset,
+backend inheritance by worker processes, registry/env resolution
+semantics, and the
 per-backend pairs-scored accounting surfaced through ``JoinStats`` and
 the serving layer.
 """
@@ -447,6 +448,21 @@ def _hostile_column():
     return targets, probes, want
 
 
+def _joiner_worker(inherited):
+    """Worker handler: join one shard of probes with a fresh joiner."""
+    joiner = IndexedJoiner(cache=IndexCache())
+
+    def handle(op, payload):
+        if op != "join":
+            return None
+        probes, targets = payload
+        matches = joiner.join_many(probes, targets)
+        stats = joiner.last_join_stats
+        return matches, stats.kernel_backend, dict(stats.kernel_pairs)
+
+    return handle
+
+
 class TestJoinerEquivalence:
     """Forcing each backend must leave every join surface byte-identical."""
 
@@ -474,8 +490,10 @@ class TestJoinerEquivalence:
     @pytest.mark.parametrize("backend", ("bitparallel",))
     @pytest.mark.parametrize("n_workers", (2, 4))
     def test_workers_inherit_backend(self, monkeypatch, backend, n_workers):
-        # Workers get no backend name with their shards: they read the
-        # environment they inherited from the parent.
+        # Workers get no backend name with their shards: the joiner each
+        # builds reads the environment it inherited from the parent.
+        from repro import procs
+
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
         rng = random.Random(_SEED + 5)
         targets = [
@@ -484,50 +502,36 @@ class TestJoinerEquivalence:
         ]
         probes = [random_edits(rng, t, 1) for t in targets[:40]]
         brute = EditDistanceJoiner(JoinConfig())
-        joiner = IndexedJoiner(JoinConfig(n_workers=n_workers), cache=IndexCache())
+        pool = procs.WorkerPool(_joiner_worker, n_workers, name="join-test")
         try:
-            assert joiner.join_many(probes, targets) == brute.join_many(
-                probes, targets
-            )
-            stats = joiner.last_join_stats
-            assert stats.kernel_backend == backend
-            # Worker deltas fold into the same per-backend ledger, and
-            # the parent's backend must be the only one that scored.
-            assert stats.shards > 1
-            assert set(dict(stats.kernel_pairs)) == {backend}
+            # Submitted together, the shards land one per worker.
+            shards = [probes[i::n_workers] for i in range(n_workers)]
+            futures = [pool.submit("join", (s, targets)) for s in shards]
+            replies = [future.result(timeout=60) for future in futures]
         finally:
-            joiner.close()
+            pool.close()
+        for shard, (matches, kernel_backend, kernel_pairs) in zip(
+            shards, replies
+        ):
+            assert matches == brute.join_many(shard, targets)
+            assert kernel_backend == backend
+            # The inherited backend is the only one that scored.
+            assert set(kernel_pairs) == {backend}
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_hostile_single_column_matches_brute(self, monkeypatch, backend):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
         targets, probes, want = _hostile_column()
+        # Its probes span well over ten lengths, several past one word,
+        # so every kernel call of the join mixes lengths.
+        lengths = {len(probe) for probe in probes}
+        assert len(lengths) >= 10 and sum(m > 64 for m in lengths) >= 2
         joiner = IndexedJoiner(cache=IndexCache())
         got = {
             "join_many": joiner.join_many(probes, targets),
             "topk_many": joiner.topk_many(probes, targets, k=3),
             "reverse_many": joiner.reverse_many(probes, targets),
         }
-        for query in want:
-            assert got[query] == want[query], (backend, query)
-
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_hostile_single_column_matches_brute_at_two_workers(
-        self, monkeypatch, backend
-    ):
-        # The same column sharded: its probes span well over ten lengths,
-        # several past one word, so every shard's kernel calls mix lengths.
-        targets, probes, want = _hostile_column()
-        lengths = {len(probe) for probe in probes}
-        assert len(lengths) >= 10 and sum(m > 64 for m in lengths) >= 2
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        with IndexedJoiner(JoinConfig(n_workers=2), cache=IndexCache()) as joiner:
-            got = {
-                "join_many": joiner.join_many(probes, targets),
-                "topk_many": joiner.topk_many(probes, targets, k=3),
-                "reverse_many": joiner.reverse_many(probes, targets),
-            }
-            assert joiner.last_join_stats.shards > 1
         for query in want:
             assert got[query] == want[query], (backend, query)
 

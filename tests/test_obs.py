@@ -298,21 +298,21 @@ class TestBuildManifest:
     def test_every_regression_class_fails_the_verdict(self):
         benches = {name: _passing_block() for name in GATED_BENCHES}
         benches["kernels"]["ran"] = False
-        benches["join_parallel"]["committed_artifact"] = "unreadable"
+        benches["serve"]["committed_artifact"] = "unreadable"
         benches["serve"]["floors"] = {"passed": False, "detail": "2x floor"}
         manifest = build_manifest("run-2", {}, _passing_benchmark(), benches)
         failures = manifest["verdict"]["failures"]
         assert manifest["verdict"]["passed"] is False
         assert "bench kernels: did not run" in failures
-        assert "bench join_parallel: committed artifact unreadable" in failures
+        assert "bench serve: committed artifact unreadable" in failures
         assert "bench serve: floor check failed (2x floor)" in failures
-        del benches["serve"]  # absent entirely
-        del benches["join_parallel"]["committed_artifact"]
+        del benches["kernels"]  # absent entirely
+        del benches["serve"]["committed_artifact"]
         failures = build_manifest("run-2", {}, _passing_benchmark(), benches)[
             "verdict"
         ]["failures"]
-        assert "bench serve: did not run" in failures
-        assert "bench join_parallel: committed artifact missing" in failures
+        assert "bench kernels: did not run" in failures
+        assert "bench serve: committed artifact missing" in failures
 
     @pytest.mark.parametrize(
         ("damage", "failure"),
@@ -446,22 +446,18 @@ class TestCheckFloors:
         # A starved host recording speedup 0.5 must not fail the gated
         # bar it could never meet — the floor is skipped with a reason.
         result = check_floors(
-            "join_parallel",
-            {"speedup[workers=4]": 0.5, "speedup[workers=2]": 0.5},
-            cores=1,
+            "serve", {"speedup[serve_workers=4]": 0.5}, cores=1
         )
         assert result["passed"] is True
+        assert not result["checked"]
         assert any("needs >= 4 cores" in s for s in result["skipped"])
-        assert any("needs >= 2 cores" in s for s in result["skipped"])
 
     def test_absent_metric_is_a_skip_not_a_regression(self):
-        result = check_floors(
-            "join_parallel", {"speedup[workers=4]": 3.0}, cores=16
-        )
+        result = check_floors("serve", {"speedup[workers=4]": 3.0}, cores=16)
         assert result["passed"] is True
-        assert len(result["checked"]) == 1
+        assert not result["checked"]
         assert result["skipped"] == [
-            "speedup[workers=2] skipped: absent from report"
+            "speedup[serve_workers=4] skipped: absent from report"
         ]
 
     def test_unknown_bench_checks_nothing(self):

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.join_config import JoinConfig
 from repro.core.pipeline import DTTPipeline
 from repro.exceptions import (
     DeadlineExceededError,
@@ -31,13 +30,12 @@ from repro.exceptions import (
     UnknownModelError,
     WorkerCrashedError,
 )
-from repro.index.joiner import IndexedJoiner
+from repro.index.kernels import KERNEL_BACKENDS
 from repro.obs.metrics import merge_labeled_snapshots
 from repro.serve.cache import JoinResultCache
 from repro.serve.http import start_http_server
 from repro.serve.router import RouteSpec, ServiceRouter, build_pipeline
 from repro.serve.service import TransformService
-from repro.surrogate.pretrained import PretrainedDTT
 from repro.types import ExamplePair
 
 _EXAMPLES = (
@@ -101,13 +99,6 @@ class FileGatedModel:
 
 def _gated_pipeline(gate_dir: str) -> DTTPipeline:
     return DTTPipeline(FileGatedModel(gate_dir), n_trials=1, seed=0)
-
-
-def _nested_pool_pipeline() -> DTTPipeline:
-    """A blocked joiner configured to shard every join over 2 processes."""
-    return DTTPipeline(
-        PretrainedDTT(seed=0), joiner=IndexedJoiner(JoinConfig(n_workers=2))
-    )
 
 
 def _wait_until(condition, timeout_s: float = 20.0) -> None:
@@ -240,29 +231,64 @@ class TestWorkerCrash:
             router.close()
 
 
-class TestNestedPools:
-    def test_worker_hosted_joiner_resolves_in_process(self):
-        """A serve worker never starts a join pool of its own.
+class TestFreshStartWorkers:
+    """Workers that start from a clean interpreter (``inherited=None``)."""
 
-        The factory asks for a 2-process join pool; daemonic serve
-        workers may not have children, so before the nesting policy
-        this crashed the first blocked join.
-        """
-        spec = RouteSpec("a", _nested_pool_pipeline)
-        targets = [f"target-{i:04d}" for i in range(40)] + list(_TARGETS)
-        sources = _sources("nest", 6)
-        in_process = ServiceRouter([spec])
+    def test_non_fork_start_method_with_live_threads(self, monkeypatch, reference):
+        # Forking a multi-threaded process can deadlock workers on
+        # inherited locks, so the pool must fall back to a fresh-start
+        # method — and stay byte-identical through it.  Fresh-start
+        # workers get no prebuilt pipelines: each rebuilds its routes
+        # from the picklable factories.
+        from multiprocessing.context import ForkProcess
+
+        from repro import procs
+
+        monkeypatch.setattr(procs.threading, "active_count", lambda: 2)
+        assert procs.pool_context().get_start_method() != "fork"
+        router = ServiceRouter([_route()], n_workers=2)
         try:
-            expected = in_process.join(sources, targets, _EXAMPLES)
-            last = in_process.stats()["join"]["last_join"]
-            assert last["shards"] >= 1  # in-process, the join pool engages
+            assert not any(
+                isinstance(worker.process, ForkProcess)
+                for worker in router._pool.workers
+            )
+            sources = _sources("c4", 12)
+            assert (
+                _concurrent_transforms(router, sources, 4)
+                == reference["transforms"][4]
+            )
+            assert (
+                router.join(_sources("ref", 4), _TARGETS, _EXAMPLES)
+                == reference["join"]
+            )
         finally:
-            in_process.close()
-        router = ServiceRouter([spec], n_workers=1)
+            router.close()
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_workers_inherit_backend(self, monkeypatch, reference, backend):
+        # Nothing tells a worker which kernel to use: the joiner it
+        # builds reads REPRO_KERNEL_BACKEND from the environment the
+        # worker started with.  ``spawn`` starts it with the parent's
+        # environment as it is now (a forkserver child would have the
+        # server's), and a spawned worker builds its own joiner.
+        import multiprocessing
+
+        from repro import procs
+
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        monkeypatch.setattr(
+            procs, "pool_context", lambda: multiprocessing.get_context("spawn")
+        )
+        router = ServiceRouter([_route()], n_workers=1)
         try:
-            assert router.join(sources, targets, _EXAMPLES) == expected
-            last = router.stats()["join"]["last_join"]
-            assert (last["n_workers"], last["shards"]) == (1, 0)
+            assert (
+                router.join(_sources("ref", 4), _TARGETS, _EXAMPLES)
+                == reference["join"]
+            )
+            join = router.stats()["join"]
+            assert join["last_join"]["kernel_backend"] == backend
+            assert join["last_join"]["pending"] > 0
+            assert set(join["kernel_pairs_total"]) == {backend}
         finally:
             router.close()
 

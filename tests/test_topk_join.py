@@ -1,10 +1,10 @@
 """Contract tests for the redesigned join API (top-k / reverse).
 
 The brute reference (``EditDistanceJoiner``) defines every contract;
-the blocked (``IndexedJoiner``) and parallel (``n_workers > 1``) paths
-must be byte-identical to it — same ranked triples, same earliest-row
-tie-breaks, same margin abstentions — on every registered benchmark
-dataset including the journal-abbreviation family.  ``k=1`` with the
+the blocked engine (``IndexedJoiner``) must be byte-identical to it —
+same ranked triples, same earliest-row tie-breaks, same margin
+abstentions — on every registered benchmark dataset including the
+journal-abbreviation family.  ``k=1`` with the
 margin disabled must collapse back to ``join_many`` exactly, so the
 old argmin surface is a special case of the new one, not a sibling.
 """
@@ -21,7 +21,6 @@ from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner, invert_matches
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
-from repro.index import joiner as joiner_module
 from repro.index.cache import IndexCache
 from repro.index.joiner import IndexedJoiner
 from repro.types import Prediction
@@ -101,19 +100,6 @@ class TestTopKEquivalence:
                 assert blocked.topk_many(probes, targets, k) == brute.topk_many(
                     probes, targets, k
                 ), (name, label, k)
-
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    @pytest.mark.parametrize("name", _TOPK_INPUTS)
-    def test_parallel_topk_identical_on_dataset(self, name, n_workers):
-        rng = random.Random(_SEED + n_workers)
-        brute = EditDistanceJoiner()
-        config = JoinConfig(n_workers=n_workers)
-        with IndexedJoiner(config, cache=IndexCache()) as sharded:
-            for label, targets in _topk_columns(name):
-                probes = _probes_for(targets, rng)
-                assert sharded.topk_many(probes, targets, 4) == brute.topk_many(
-                    probes, targets, 4
-                ), (name, label, n_workers)
 
     def test_topk_join_many_identical_with_margin(self):
         rng = random.Random(_SEED + 50)
@@ -307,10 +293,8 @@ class TestJoinConfig:
         assert [field.name for field in dataclasses.fields(config)] == [
             "max_distance",
             "normalized_threshold",
-            "n_workers",
         ]
-        assert config == JoinConfig(None, None, None)
-        assert joiner_module.PARALLEL_THRESHOLD == 4096
+        assert config == JoinConfig(None, None)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -318,9 +302,9 @@ class TestJoinConfig:
 
     def test_validation(self):
         # The query mode is a method, k and margin are arguments of each
-        # call, the gram size is adaptive and the two switch-over points
-        # are constants, and the kernel comes from the environment:
-        # none of them is a config field.
+        # call, the gram size is adaptive, every join runs in the calling
+        # thread, and the kernel comes from the environment: none of
+        # them is a config field.
         for removed in (
             "mode",
             "k",
@@ -328,25 +312,24 @@ class TestJoinConfig:
             "q",
             "auto_threshold",
             "parallel_threshold",
+            "n_workers",
             "kernel_backend",
         ):
             with pytest.raises(TypeError):
                 JoinConfig(**{removed: 1})
         # NaN fails every comparison, so accepting it would switch the
-        # rejection rule off; a bool is not a worker count.
+        # rejection rule off.
         for bad in (
             {"max_distance": -1},
             {"max_distance": float("nan")},
             {"normalized_threshold": -0.5},
             {"normalized_threshold": float("nan")},
-            {"n_workers": 0},
-            {"n_workers": True},
         ):
             with pytest.raises(ValueError):
                 JoinConfig(**bad)
 
     def test_config_flows_to_joiner_attributes(self):
-        config = JoinConfig(max_distance=3, normalized_threshold=0.5, n_workers=2)
+        config = JoinConfig(max_distance=3, normalized_threshold=0.5)
         joiner = IndexedJoiner(config, cache=IndexCache())
         # The thresholds live only in ``config``: no attribute copies.
         for gone in (
@@ -362,7 +345,6 @@ class TestJoinConfig:
             assert not hasattr(joiner, gone), gone
         assert joiner.config.max_distance == 3
         assert joiner.config.normalized_threshold == 0.5
-        assert joiner.config.n_workers == 2
 
     def test_non_config_argument_is_rejected(self):
         for joiner_type in (EditDistanceJoiner, IndexedJoiner):
