@@ -40,7 +40,6 @@ from repro.model.config import DTTModelConfig
 from repro.model.seq2seq import ByteSeq2SeqModel
 from repro.serve.router import RouteSpec, ServiceRouter
 from repro.types import ExamplePair
-from repro.utils.fuzz import random_unicode_string
 
 _SEED = 59
 _CLIENTS = 16
@@ -72,16 +71,16 @@ def _pipeline() -> DTTPipeline:
     return DTTPipeline(ByteSeq2SeqModel(_MODEL_CONFIG), n_trials=1, seed=_SEED)
 
 
+def _random_source(rng: random.Random) -> str:
+    """6-14 characters of ``_ALPHABET`` (the length drawn first)."""
+    length = rng.randint(6, 14)
+    return "".join(rng.choice(_ALPHABET) for _ in range(length))
+
+
 def _wave(index: int) -> list[str]:
     """The ``index``-th wave: requests no other wave contains."""
     rng = random.Random(_SEED * 100003 + index)
-    return [
-        random_unicode_string(
-            rng, max_length=14, min_length=6, alphabet=_ALPHABET
-        )
-        + f"-{index}-{i}"
-        for i in range(_WAVE_REQUESTS)
-    ]
+    return [_random_source(rng) + f"-{index}-{i}" for i in range(_WAVE_REQUESTS)]
 
 
 def _timed_waves(workers: int, smoke: bool) -> tuple[dict, dict[str, list]]:

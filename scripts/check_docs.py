@@ -30,12 +30,11 @@ Eight classes of rot this catches, each a CI failure:
   here instead of rotting in the prose.
 * **Vanished methods** — every ``<Class>.<name>`` the docs (and the
   verify skill page under ``.claude/skills/``) write in backticks, for
-  every public class defined in a module of ``repro.core``,
-  ``repro.index``, ``repro.infer`` or ``repro.nn``, must resolve with
-  ``getattr`` on the class or be an attribute its methods set on
-  ``self``, so a deleted or renamed member cannot stay documented (and
-  a deleted class drops out of the owner set with its module's
-  definition).
+  every public class defined in any module of the ``repro`` package,
+  must resolve with ``getattr`` on the class or be an attribute its
+  methods set on ``self``, so a deleted or renamed member cannot stay
+  documented (and a deleted class drops out of the owner set with its
+  module's definition).
 * **Stale environment variables** — every ``REPRO_*`` variable the docs
   name must occur in ``src/``, and every one ``src/`` names must be
   documented in ``docs/operations.md``, so a removed knob cannot linger
@@ -268,7 +267,7 @@ def check_metric_series(
 
 
 #: The packages whose modules' public classes own documented members.
-MEMBER_PACKAGES = ("repro.core", "repro.index", "repro.infer", "repro.nn")
+MEMBER_PACKAGES = ("repro",)
 
 
 def _has_member(cls: type, name: str) -> bool:

@@ -3,9 +3,6 @@
 * :class:`CSTJoiner` — Common String-based Transformer (Nobari et al.):
   per-example transformation synthesis over the basic units, coverage
   ranking, exact-match joining.
-* :class:`AutoJoinJoiner` — Auto-join (Zhu et al.): backtracking search
-  for a single unit sequence covering the examples, with noise handling
-  via example subsets.
 * :class:`AFJJoiner` — Auto-FuzzyJoin (Li et al.): similarity-function
   fuzzy join with an automatically tuned precision threshold; uses no
   examples.

@@ -1,7 +1,6 @@
-"""Transformation units and synthesis shared by the CST and Auto-join
-baselines.
+"""Transformation units and synthesis of the CST baseline.
 
-Both systems (Zhu et al. [58], Nobari et al. [31]) describe a
+CST (Nobari et al. [31]), like Auto-join (Zhu et al. [58]), describes a
 transformation as a *flat* sequence of basic units — ``substring``,
 ``split``, ``lowercase``, ``uppercase``, ``literal`` — each applied to
 the **original** input, with the unit outputs concatenated.  Crucially,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -58,10 +57,6 @@ class PromptSerializer:
             pieces.append(f"{pair.source}{self.TR}{pair.target}{self.EOE}")
         pieces.append(f"{query}{self.TR}{self.EOS}")
         return "".join(pieces)
-
-    def serialize_label(self, target: str) -> str:
-        """Render the expected label ``<sos>target<eos>``."""
-        return f"{self.SOS}{target}{self.EOS}"
 
     def parse(self, prompt: str) -> tuple[list[ExamplePair], str]:
         """Parse a serialized prompt back into ``(context, query)``.
@@ -115,16 +110,6 @@ class Decomposer:
         self.context_size = context_size
         self.n_trials = n_trials
         self.seed = seed
-
-    def enumerate_contexts(
-        self, examples: Sequence[ExamplePair]
-    ) -> list[tuple[ExamplePair, ...]]:
-        """Return all contexts E_k = subsets of the pool of size k (Eq. 2)."""
-        if len(examples) < self.context_size:
-            raise SerializationError(
-                f"need at least {self.context_size} examples, got {len(examples)}"
-            )
-        return [tuple(combo) for combo in combinations(examples, self.context_size)]
 
     def decompose(
         self,

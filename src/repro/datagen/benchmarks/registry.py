@@ -35,11 +35,6 @@ _BUILDERS: dict[str, tuple[Callable[..., list[TablePair]], int, int]] = {
 }
 
 
-def dataset_names() -> list[str]:
-    """All benchmark names, in the paper's Table 1 order."""
-    return list(_BUILDERS)
-
-
 def get_dataset(
     name: str,
     seed: int = 0,
@@ -49,7 +44,7 @@ def get_dataset(
     """Build a benchmark dataset by name.
 
     Args:
-        name: One of :func:`dataset_names`.
+        name: A benchmark name: a Table 1 dataset or ``JAB``.
         seed: Base seed for generation.
         scale: Multiplier in (0, 1] applied to the default table and row
             counts (minimums: 2 tables, 12 rows).

@@ -46,13 +46,6 @@ class Relation:
         """Return the object for ``subject``, or None when absent."""
         return self.pairs.get(subject)
 
-    def reverse_lookup(self, obj: str) -> str | None:
-        """Return some subject mapping to ``obj``, or None when absent."""
-        for subject, candidate in self.pairs.items():
-            if candidate == obj:
-                return subject
-        return None
-
     def __len__(self) -> int:
         return len(self.pairs)
 

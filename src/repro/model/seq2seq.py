@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from repro.infer import engine
 from repro.infer.session import DecodeSession
 from repro.model.config import DTTModelConfig
 from repro.nn.loss import masked_cross_entropy
-from repro.nn.serialization import load_weights, save_weights
 from repro.nn.transformer import Seq2SeqTransformer
 from repro.tokenizer.byte_tokenizer import ByteTokenizer
 
@@ -188,13 +186,3 @@ class ByteSeq2SeqModel:
             self.tokenizer.decode(row[1:], strip_special=True)
             for row in sequences
         ]
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Save network weights to ``path`` (``.npz``)."""
-        save_weights(self.network, path)
-
-    def load(self, path: str | Path) -> None:
-        """Load network weights saved by :meth:`save`."""
-        load_weights(self.network, path)

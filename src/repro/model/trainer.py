@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.datagen.training import TrainingDataGenerator, TrainingInstance
+from repro.datagen.training import TrainingInstance
 from repro.model.seq2seq import ByteSeq2SeqModel
 from repro.nn.optim import Adam, clip_gradients
 from repro.utils.rng import derive_rng
@@ -118,17 +118,3 @@ class Trainer:
                     if bad_epochs >= self.patience:
                         break
         return report
-
-
-def build_training_set(
-    n_groupings: int,
-    seed: int = 0,
-    subsets_per_grouping: int = 4,
-    min_length: int = 8,
-    max_length: int = 35,
-) -> list[TrainingInstance]:
-    """Convenience: the paper's §5.1 corpus as serialized instances."""
-    generator = TrainingDataGenerator(
-        seed=seed, min_length=min_length, max_length=max_length
-    )
-    return generator.generate_instances(n_groupings, subsets_per_grouping)

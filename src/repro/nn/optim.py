@@ -1,4 +1,4 @@
-"""Optimizers: SGD and Adam, plus global-norm gradient clipping."""
+"""The Adam optimizer, plus global-norm gradient clipping."""
 
 from __future__ import annotations
 
@@ -21,34 +21,6 @@ def clip_gradients(parameters: list[Parameter], max_norm: float) -> float:
         for parameter in parameters:
             parameter.grad *= scale
     return norm
-
-
-class SGD:
-    """Plain (optionally momentum) stochastic gradient descent."""
-
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        learning_rate: float = 0.1,
-        momentum: float = 0.0,
-    ) -> None:
-        self.parameters = parameters
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity, strict=True):
-            if self.momentum > 0.0:
-                velocity *= self.momentum
-                velocity += parameter.grad
-                parameter.value -= self.learning_rate * velocity
-            else:
-                parameter.value -= self.learning_rate * parameter.grad
-
-    def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.zero_grad()
 
 
 class Adam:

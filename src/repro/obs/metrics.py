@@ -27,7 +27,6 @@ or better, so the byte-equivalence suites run with metrics enabled.
 from __future__ import annotations
 
 import bisect
-import math
 import threading
 from collections.abc import Callable, Sequence
 
@@ -219,25 +218,6 @@ class LatencyHistogram:
             "sum": observed_sum,
             "mean": observed_sum / total if total else 0.0,
         }
-
-    def quantile(self, q: float) -> float:
-        """Coarse quantile: the upper bound of the bucket holding ``q``.
-
-        Accurate to one bucket width — good enough for dashboards and
-        floor checks; the raw buckets are exported for anything finer.
-        Returns 0.0 when empty; the last finite bound when ``q`` lands
-        in the overflow bucket.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        snap = self.snapshot()
-        if snap["count"] == 0:
-            return 0.0
-        rank = math.ceil(q * snap["count"])
-        for bucket in snap["buckets"]:
-            if bucket["count"] >= rank:
-                return bucket["le"]
-        return self.bounds[-1]
 
 
 def _format_number(value: float) -> str:

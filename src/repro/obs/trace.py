@@ -221,11 +221,6 @@ _CURRENT_SPAN: ContextVar[Span | None] = ContextVar(
 )
 
 
-def current_span() -> Span | None:
-    """The span active in this thread/task context, or ``None``."""
-    return _CURRENT_SPAN.get()
-
-
 def current_context() -> SpanContext | None:
     """The active *sampled* span's context, or ``None``.
 
@@ -581,15 +576,3 @@ def configure_tracing(
             slowest=slowest if slowest is not None else DEFAULT_SLOWEST,
         )
     return tracer
-
-
-def span_tree(trace: dict) -> dict[str | None, list[dict]]:
-    """Index a trace's spans by ``parent_id`` (test/debug helper).
-
-    ``tree[None]`` is the root list; ``tree[span_id]`` the children of
-    that span, in finish order.
-    """
-    tree: dict[str | None, list[dict]] = {}
-    for record in trace["spans"]:
-        tree.setdefault(record["parent_id"], []).append(record)
-    return tree

@@ -363,8 +363,8 @@ class TransformService:
         """The service's registry — the only store of its event counts.
 
         Event sites ``inc()`` the stored counters in ``self._count``
-        (keyed by series name); :meth:`stats` and
-        :meth:`join_stats_snapshot` are views of its ``snapshot()``.
+        (keyed by series name); :meth:`stats` is a view of its
+        ``snapshot()``.
         Gauges and the counts the caches own read live through
         callbacks, and a count exported under two names is one stored
         counter plus a read-through alias: an event is counted once.
@@ -929,20 +929,6 @@ class TransformService:
     def stats(self) -> ServeStats:
         """The service counters, read out of one registry snapshot."""
         return ServeStats.from_snapshot(self.metrics.snapshot())
-
-    def join_stats_snapshot(self) -> dict:
-        """JSON-friendly view of the join layer's kernel activity.
-
-        ``last_join`` is the most recent :class:`~repro.index.joiner.JoinStats`
-        (``None`` until the first join with probes runs);
-        ``kernel_pairs_total`` accumulates pairs scored per backend
-        across every join this service has executed.
-        """
-        last = self.last_join_stats
-        return {
-            "last_join": last.as_dict() if last is not None else None,
-            "kernel_pairs_total": kernel_pairs_total(self.metrics.snapshot()),
-        }
 
     def metrics_snapshot(self) -> dict:
         """JSON-friendly export of every metric (histograms included)."""

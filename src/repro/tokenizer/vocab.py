@@ -59,26 +59,12 @@ class Vocabulary:
     def eos_id(self) -> int:
         return self._special_ids[self.special.eos]
 
-    @property
-    def tr_id(self) -> int:
-        return self._special_ids[self.special.tr]
-
-    @property
-    def eoe_id(self) -> int:
-        return self._special_ids[self.special.eoe]
-
     def special_id(self, token: str) -> int:
         """Return the id of a special token, raising on unknown tokens."""
         try:
             return self._special_ids[token]
         except KeyError:
             raise TokenizationError(f"unknown special token: {token!r}") from None
-
-    def byte_id(self, byte: int) -> int:
-        """Return the token id for a raw byte value (0..255)."""
-        if not 0 <= byte <= 255:
-            raise TokenizationError(f"byte value out of range: {byte}")
-        return self.byte_offset + byte
 
     def is_special(self, token_id: int) -> bool:
         """True when ``token_id`` denotes a special token."""

@@ -20,8 +20,8 @@ wire format and the report format cannot drift apart.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,6 @@ class TablePair:
         all_rows = list(self.rows())
         return all_rows[:cut], all_rows[cut:]
 
-    def with_rows(
-        self, sources: Sequence[str], targets: Sequence[str]
-    ) -> TablePair:
-        """Return a copy of this pair with replaced rows."""
-        return replace(self, sources=tuple(sources), targets=tuple(targets))
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -124,11 +118,6 @@ class Prediction:
     value: str
     candidates: tuple[str, ...] = ()
     votes: int = 0
-
-    @property
-    def abstained(self) -> bool:
-        """True when the model produced no usable output."""
-        return self.value == ""
 
     @property
     def consistency(self) -> float:

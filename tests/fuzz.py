@@ -1,9 +1,9 @@
-"""Seeded random-string and corruption helpers.
+"""Seeded random-string and corruption helpers for the join-engine tests.
 
-Shared by the join-engine fuzz/equivalence tests and the scaling
-benchmark so the edit-corruption model lives in one place.  Uses the
-stdlib ``random.Random`` (not numpy) because callers thread an explicit
-generator for reproducibility.
+The index, kernel, joiner and perf-smoke tests share them, so the
+edit-corruption model lives in one place; hypothesis strategies live in
+``join_strategies``.  Uses the stdlib ``random.Random`` (not numpy)
+because callers thread an explicit generator for reproducibility.
 """
 
 from __future__ import annotations

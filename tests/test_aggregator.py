@@ -53,11 +53,11 @@ class TestAggregator:
 
     def test_empty_candidates_abstain(self):
         prediction = Aggregator().aggregate("s", [])
-        assert prediction.abstained
+        assert prediction.value == ""
 
     def test_all_empty_candidates_abstain(self):
         prediction = Aggregator().aggregate("s", ["", "", ""])
-        assert prediction.abstained
+        assert prediction.value == ""
 
     def test_empties_never_beat_content(self):
         prediction = Aggregator().aggregate("s", ["", "", "", "x"])
@@ -103,7 +103,7 @@ class TestAggregator:
         prediction = Aggregator().aggregate("s", candidates)
         non_empty = [c for c in candidates if c]
         if not non_empty:
-            assert prediction.abstained
+            assert prediction.value == ""
         else:
             max_count = max(non_empty.count(v) for v in set(non_empty))
             assert non_empty.count(prediction.value) == max_count

@@ -1,8 +1,6 @@
-"""Tests for the baseline joiners: CST, Auto-join, AFJ, Ditto, DataXFormer."""
+"""Tests for the baseline joiners: CST, AFJ, Ditto, DataXFormer."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.baselines._units import (
     ULiteral,
@@ -14,7 +12,6 @@ from repro.baselines._units import (
     synthesize_transformations,
 )
 from repro.baselines.afj import AFJJoiner
-from repro.baselines.autojoin import AutoJoinJoiner
 from repro.baselines.cst import CSTJoiner
 from repro.baselines.dataxformer import DataXFormerJoiner
 from repro.baselines.ditto import DittoJoiner
@@ -111,36 +108,6 @@ class TestCST:
 
     def test_name(self):
         assert CSTJoiner().name == "CST"
-
-
-class TestAutoJoin:
-    def test_learns_single_covering_transformation(self):
-        joiner = AutoJoinJoiner()
-        examples = _examples(("John Smith", "Smith"), ("Mary Jones", "Jones"))
-        transformation = joiner.learn(examples)
-        assert transformation is not None
-        assert transformation.apply("Alice Brown") == "Brown"
-
-    def test_noise_handling_via_subsets(self):
-        joiner = AutoJoinJoiner(seed=1)
-        examples = _examples(
-            ("John Smith", "Smith"),
-            ("Mary Jones", "Jones"),
-            ("Bob Lee", "Lee"),
-            ("Ann Ray", "GARBAGE###"),
-        )
-        transformation = joiner.learn(examples)
-        assert transformation is not None
-        assert transformation.apply("Alice Brown") == "Brown"
-
-    def test_empty_examples(self):
-        assert AutoJoinJoiner().learn([]) is None
-
-    def test_join(self):
-        joiner = AutoJoinJoiner()
-        examples = _examples(("a b", "b"), ("c d", "d"))
-        output = joiner.join_table(["e f"], ["f", "x"], examples)
-        assert output.matches == ("f",)
 
 
 class TestAFJ:

@@ -197,11 +197,11 @@ class TestBrokenDocsAreCaught:
         ]
 
     def test_vanished_decode_member_fails(self, fake_repo):
-        # Every public class defined in a module of repro.core / index /
-        # infer / nn owns its members; a member may be a method, a class
-        # attribute (a dataclass field) or something __init__ sets on
-        # self.  A class deleted from its module stops being an owner,
-        # and the owners do not depend on what any __init__ re-exports.
+        # Every public class defined in a module of the repro package
+        # owns its members; a member may be a method, a class attribute
+        # (a dataclass field) or something __init__ sets on self.  A
+        # class deleted from its module stops being an owner, and the
+        # owners do not depend on what any __init__ re-exports.
         assert {
             "DTTPipeline",
             "EditDistanceJoiner",
@@ -217,6 +217,10 @@ class TestBrokenDocsAreCaught:
             "MultiHeadAttention",
             "DecoderBlock",
             "Seq2SeqTransformer",
+            "TransformService",
+            "LatencyHistogram",
+            "Vocabulary",
+            "Stopwatch",
         } <= set(check_docs.member_owners())
         (fake_repo / "docs" / "architecture.md").write_text(
             "# Arch\n`EngineStats.row_steps` and `KVCache.append` and\n"
@@ -227,7 +231,10 @@ class TestBrokenDocsAreCaught:
             "`JoinConfig.n_workers`, `JoinStats.n_workers`,\n"
             "`MultiHeadAttention.attend_cached`, `DecoderBlock.step_3d`,\n"
             "`DecodeSession.memory_mask` and `Seq2SeqTransformer.step` went;\n"
-            "`Stopwatch.gone` and `_Workload.rows` are nobody's business here.\n"
+            "`TransformService.last_join_stats` stays, and\n"
+            "`TransformService.join_stats_snapshot`, `LatencyHistogram.quantile`,\n"
+            "`Vocabulary.byte_id` and `Stopwatch.gone` went;\n"
+            "`_Workload.rows` is nobody's business here.\n"
         )
         files = check_docs.collect_doc_files(fake_repo)
         assert check_docs.check_documented_members(files, fake_repo) == [
@@ -241,8 +248,12 @@ class TestBrokenDocsAreCaught:
                 "JoinConfig.n_workers",
                 "JoinStats.n_workers",
                 "JoinStats.workers",
+                "LatencyHistogram.quantile",
                 "MultiHeadAttention.attend_cached",
                 "Seq2SeqTransformer.step",
+                "Stopwatch.gone",
+                "TransformService.join_stats_snapshot",
+                "Vocabulary.byte_id",
             )
         ]
 

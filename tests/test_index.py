@@ -19,11 +19,12 @@ import random
 
 import numpy as np
 import pytest
-from repro.utils.fuzz import FUZZ_ALPHABET, random_edits, random_unicode_string
 
 from repro.index.kernel import edit_distance_pairs, encode_strings
 from repro.index.qgram import QGramIndex
 from repro.text.edit_distance import edit_distance, edit_distance_capped
+
+from fuzz import FUZZ_ALPHABET, random_edits, random_unicode_string
 
 _SEED = 20260728
 

@@ -14,17 +14,22 @@ from __future__ import annotations
 import random
 
 import pytest
-from repro.utils.fuzz import random_edits, random_unicode_string
 
 from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
-from repro.datagen.benchmarks.registry import dataset_names, get_dataset
+from repro.datagen.benchmarks.registry import get_dataset
+from repro.eval.experiments import TABLE1_DATASETS
 from repro.exceptions import JoinError
 from repro.index import cache as cache_module
 from repro.index.cache import IndexCache
 from repro.index.joiner import IndexedJoiner, JoinStats
 from repro.index.qgram import QGramIndex, adaptive_q
 from repro.types import Prediction
+
+from fuzz import random_edits, random_unicode_string
+
+#: Every registered benchmark: the Table 1 datasets, then JAB.
+_DATASETS = (*TABLE1_DATASETS, "JAB")
 
 _SEED = 987
 
@@ -64,7 +69,7 @@ def _predictions_for(targets, rng):
 
 
 class TestRegistryDatasetEquivalence:
-    @pytest.mark.parametrize("name", dataset_names())
+    @pytest.mark.parametrize("name", _DATASETS)
     def test_join_results_identical_on_dataset(self, name):
         rng = random.Random(_SEED)
         tables = get_dataset(name, seed=0, scale=0.05)
@@ -87,7 +92,7 @@ class TestRegistryDatasetEquivalence:
 class TestJoinManyEquivalence:
     """The batch API must be byte-identical to per-probe match loops."""
 
-    @pytest.mark.parametrize("name", dataset_names())
+    @pytest.mark.parametrize("name", _DATASETS)
     def test_batch_vs_scalar_on_dataset(self, name):
         rng = random.Random(_SEED + 10)
         tables = get_dataset(name, seed=0, scale=0.05)

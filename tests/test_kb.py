@@ -15,11 +15,6 @@ class TestRelation:
         assert relation.lookup("a") == "1"
         assert relation.lookup("missing") is None
 
-    def test_reverse_lookup(self):
-        relation = Relation("r", {"a": "1"})
-        assert relation.reverse_lookup("1") == "a"
-        assert relation.reverse_lookup("2") is None
-
     def test_len(self):
         assert len(Relation("r", {"a": "1"})) == 1
 

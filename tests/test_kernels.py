@@ -28,13 +28,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from repro.utils.fuzz import FUZZ_ALPHABET, random_edits, random_unicode_string
 
 import repro.index
 from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.datagen.benchmarks.journals import JOURNAL_TITLES
-from repro.datagen.benchmarks.registry import dataset_names, get_dataset
+from repro.datagen.benchmarks.registry import get_dataset
+from repro.eval.experiments import TABLE1_DATASETS
 from repro.index.cache import IndexCache
 from repro.index.joiner import IndexedJoiner
 from repro.index.kernel import encode_strings
@@ -47,6 +47,11 @@ from repro.index.kernels import (
     resolve_backend,
 )
 from repro.text.edit_distance import edit_distance
+
+from fuzz import FUZZ_ALPHABET, random_edits, random_unicode_string
+
+#: Every registered benchmark: the Table 1 datasets, then JAB.
+_DATASETS = (*TABLE1_DATASETS, "JAB")
 
 _SEED = 987
 
@@ -467,7 +472,7 @@ class TestJoinerEquivalence:
     """Forcing each backend must leave every join surface byte-identical."""
 
     @pytest.mark.parametrize("backend", ("bitparallel",))
-    @pytest.mark.parametrize("name", dataset_names())
+    @pytest.mark.parametrize("name", _DATASETS)
     def test_backends_match_brute_on_dataset(self, monkeypatch, backend, name):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
         rng = random.Random(_SEED + 4)
@@ -749,9 +754,9 @@ class TestPairsAccounting:
 
 
 class TestServeExport:
-    def test_join_stats_snapshot_surfaces_kernel_pairs(self):
+    def test_service_metrics_surface_kernel_pairs(self):
         from repro.core.pipeline import DTTPipeline
-        from repro.serve.service import TransformService
+        from repro.serve.service import TransformService, kernel_pairs_total
         from repro.surrogate.pretrained import PretrainedDTT
         from repro.types import ExamplePair
 
@@ -765,8 +770,8 @@ class TestServeExport:
         pipeline = DTTPipeline(PretrainedDTT(seed=0), n_trials=3, seed=1)
         with TransformService(pipeline) as service:
             service.join(["Justin Trudeau"], targets, examples)
-            snapshot = service.join_stats_snapshot()
-            assert snapshot["last_join"] is not None
-            assert sum(snapshot["kernel_pairs_total"].values()) > 0
+            assert service.last_join_stats is not None
+            pairs = kernel_pairs_total(service.metrics_snapshot())
+            assert sum(pairs.values()) > 0
             text = service.metrics_text()
         assert "serve_join_kernel_pairs_" in text

@@ -9,7 +9,7 @@ from repro.datagen.training import TrainingInstance
 from repro.exceptions import ModelError
 from repro.model.config import TINY_CONFIG, DTTModelConfig
 from repro.model.seq2seq import ByteSeq2SeqModel
-from repro.model.trainer import Trainer, build_training_set
+from repro.model.trainer import Trainer
 
 
 class TestConfig:
@@ -110,15 +110,6 @@ class TestByteSeq2SeqModel:
         ):
             assert np.array_equal(plain, interleaved)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        model = ByteSeq2SeqModel(TINY_CONFIG)
-        path = tmp_path / "model.npz"
-        model.save(path)
-        clone = ByteSeq2SeqModel(TINY_CONFIG)
-        clone.load(path)
-        prompt = ["<sos>xy<tr><eos>"]
-        assert clone.generate(prompt) == model.generate(prompt)
-
     def test_implements_sequence_model_protocol(self):
         from repro.core.interface import SequenceModel
 
@@ -169,9 +160,3 @@ class TestTrainer:
     def test_invalid_validation_fraction(self):
         with pytest.raises(ValueError):
             Trainer(ByteSeq2SeqModel(TINY_CONFIG), validation_fraction=1.0)
-
-    def test_build_training_set(self):
-        instances = build_training_set(n_groupings=3, seed=1)
-        assert len(instances) == 12  # 3 groupings x 4 subsets
-        assert all("<tr>" in inst.prompt for inst in instances)
-        assert all(inst.prompt.startswith("<sos>") for inst in instances)

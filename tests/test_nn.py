@@ -1,5 +1,5 @@
-"""Tests for the numpy deep-learning stack: layers, attention, loss,
-optimizers, serialization — including finite-difference gradient checks."""
+"""Tests for the numpy deep-learning stack: layers, attention, loss and
+the optimizer — including finite-difference gradient checks."""
 
 from __future__ import annotations
 
@@ -24,9 +24,8 @@ from repro.nn.functional import (
 )
 from repro.nn.layers import Dense, Embedding, LayerNorm
 from repro.nn.loss import masked_cross_entropy
-from repro.nn.optim import SGD, Adam, clip_gradients
+from repro.nn.optim import Adam, clip_gradients
 from repro.nn.parameter import Module, Parameter
-from repro.nn.serialization import load_weights, save_weights
 from repro.nn.transformer import FeedForward, Seq2SeqTransformer
 
 
@@ -323,24 +322,6 @@ class TestOptimizers:
     def _quadratic_parameter(self) -> Parameter:
         return Parameter(np.array([4.0, -3.0]), name="x")
 
-    def test_sgd_minimizes_quadratic(self):
-        parameter = self._quadratic_parameter()
-        optimizer = SGD([parameter], learning_rate=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            parameter.accumulate(2 * parameter.value)
-            optimizer.step()
-        assert np.allclose(parameter.value, 0.0, atol=1e-4)
-
-    def test_sgd_momentum(self):
-        parameter = self._quadratic_parameter()
-        optimizer = SGD([parameter], learning_rate=0.05, momentum=0.9)
-        for _ in range(200):
-            optimizer.zero_grad()
-            parameter.accumulate(2 * parameter.value)
-            optimizer.step()
-        assert np.allclose(parameter.value, 0.0, atol=1e-3)
-
     def test_adam_minimizes_quadratic(self):
         parameter = self._quadratic_parameter()
         optimizer = Adam([parameter], learning_rate=0.3)
@@ -473,22 +454,3 @@ class TestInferenceForward:
                 seen.add(type(module))
                 assert getattr(module, attribute) is None, (module, attribute)
         assert seen == set(caches)
-
-
-class TestSerialization:
-    def test_save_load_roundtrip(self, tmp_path):
-        model = Seq2SeqTransformer(vocab_size=8, dim=8, n_heads=2, max_length=8)
-        path = tmp_path / "weights.npz"
-        save_weights(model, path)
-        clone = Seq2SeqTransformer(vocab_size=8, dim=8, n_heads=2, max_length=8, seed=99)
-        load_weights(clone, path)
-        for a, b in zip(model.parameters(), clone.parameters()):
-            assert np.array_equal(a.value, b.value)
-
-    def test_load_shape_mismatch(self, tmp_path):
-        model = Seq2SeqTransformer(vocab_size=8, dim=8, n_heads=2, max_length=8)
-        path = tmp_path / "weights.npz"
-        save_weights(model, path)
-        other = Seq2SeqTransformer(vocab_size=8, dim=16, n_heads=2, max_length=8)
-        with pytest.raises(ModelError):
-            load_weights(other, path)

@@ -19,12 +19,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from repro.utils.fuzz import random_edits, random_unicode_string
 
 from repro.index.joiner import IndexedJoiner
 from repro.index.kernel import encode_strings
 from repro.index.qgram import QGramIndex
 from repro.model.seq2seq import ByteSeq2SeqModel
+
+from fuzz import random_edits, random_unicode_string
 
 _TARGET_ROWS = 5000
 _QUERIES = 40

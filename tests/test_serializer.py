@@ -26,9 +26,6 @@ class TestPromptSerializer:
             "Jean Chretien<tr><eos>"
         )
 
-    def test_label_serialization(self):
-        assert PromptSerializer().serialize_label("jchretien") == "<sos>jchretien<eos>"
-
     def test_parse_roundtrip(self, pm_examples):
         serializer = PromptSerializer()
         prompt = serializer.serialize(pm_examples, "Kim Campbell")
@@ -63,15 +60,9 @@ class TestPromptSerializer:
 
 
 class TestDecomposer:
-    def test_enumerate_contexts_is_eq2(self, pm_examples):
-        decomposer = Decomposer(context_size=2)
-        contexts = decomposer.enumerate_contexts(pm_examples)
-        assert len(contexts) == 3  # C(3, 2)
-        assert all(len(c) == 2 for c in contexts)
-
-    def test_enumerate_needs_enough_examples(self, pm_examples):
+    def test_decompose_needs_enough_examples(self, pm_examples):
         with pytest.raises(SerializationError):
-            Decomposer(context_size=5).enumerate_contexts(pm_examples)
+            Decomposer(context_size=5).decompose(["a"], pm_examples)
 
     def test_decompose_counts(self, pm_examples):
         decomposer = Decomposer(context_size=2, n_trials=5, seed=1)

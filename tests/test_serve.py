@@ -34,7 +34,7 @@ from repro.model.seq2seq import ByteSeq2SeqModel
 from repro.serve.cache import ResultCache, column_key, examples_fingerprint
 from repro.serve.http import start_http_server
 from repro.serve.router import RouteSpec, ServiceRouter
-from repro.serve.service import TransformService
+from repro.serve.service import TransformService, kernel_pairs_total
 from repro.surrogate.llm import GPT3Surrogate
 from repro.surrogate.pretrained import PretrainedDTT
 from repro.types import ExamplePair
@@ -875,31 +875,29 @@ class TestTopKServing:
 
         targets = [f"target-{i:04d}" for i in range(300)] + list(_TARGETS)
 
-        def total(pairs: dict) -> int:
-            return sum(pairs.values())
+        def scored() -> int:
+            return sum(pairs_scored_snapshot().values())
+
+        def credited(service: TransformService) -> int:
+            return sum(kernel_pairs_total(service.metrics.snapshot()).values())
 
         with TransformService(_surrogate_pipeline()) as service:
-            scored_before = total(pairs_scored_snapshot())
+            scored_before = scored()
             service.join(["Kim Campbell"], targets, _EXAMPLES)
-            after_argmin = total(
-                service.join_stats_snapshot()["kernel_pairs_total"]
-            )
-            assert after_argmin == total(pairs_scored_snapshot()) - scored_before
+            after_argmin = credited(service)
+            assert after_argmin == scored() - scored_before
             service.join(["Paul Martin"], targets, _EXAMPLES, mode="topk", k=3)
-            snapshot = service.join_stats_snapshot()
-            credited = total(snapshot["kernel_pairs_total"])
-            assert credited > after_argmin
-            assert credited == total(pairs_scored_snapshot()) - scored_before
-            assert snapshot["last_join"]["exact_matches"] == 0
+            assert credited(service) > after_argmin
+            assert credited(service) == scored() - scored_before
+            assert service.last_join_stats.exact_matches == 0
 
     def test_small_column_join_publishes_stats(self):
         # The default joiner indexes every column, so a five-row target
         # column moves the join counters like a large one.
         with TransformService(_surrogate_pipeline()) as service:
-            assert service.join_stats_snapshot()["last_join"] is None
+            assert service.last_join_stats is None
             service.join(["Kim Campbell"], list(_TARGETS), _EXAMPLES)
-            snapshot = service.join_stats_snapshot()
-            assert snapshot["last_join"]["probes"] == 1
+            assert service.last_join_stats.probes == 1
             assert "join_calls_total 1" in service.metrics_text()
 
     def test_submit_validation(self):

@@ -23,18 +23,25 @@ class TestVocabulary:
 
     def test_special_ids_are_distinct(self):
         vocab = Vocabulary()
-        ids = {vocab.pad_id, vocab.sos_id, vocab.eos_id, vocab.tr_id, vocab.eoe_id}
+        ids = {
+            vocab.pad_id,
+            vocab.sos_id,
+            vocab.eos_id,
+            vocab.special_id("<tr>"),
+            vocab.special_id("<eoe>"),
+        }
         assert len(ids) == 5
 
     def test_byte_id_roundtrip(self):
         vocab = Vocabulary()
         for byte in (0, 65, 255):
-            assert vocab.id_to_byte(vocab.byte_id(byte)) == byte
+            assert vocab.id_to_byte(vocab.byte_offset + byte) == byte
 
     def test_byte_id_out_of_range(self):
         vocab = Vocabulary()
-        with pytest.raises(TokenizationError):
-            vocab.byte_id(256)
+        for token_id in (vocab.pad_id, vocab.size):
+            with pytest.raises(TokenizationError):
+                vocab.id_to_byte(token_id)
 
     def test_unknown_special(self):
         vocab = Vocabulary()
@@ -53,7 +60,7 @@ class TestByteTokenizer:
 
     def test_markup_becomes_single_ids(self, tokenizer):
         ids = tokenizer.encode("a<tr>b")
-        assert ids[1] == tokenizer.vocab.tr_id
+        assert ids[1] == tokenizer.vocab.special_id("<tr>")
         assert len(ids) == 3
 
     def test_add_sos_eos(self, tokenizer):

@@ -15,15 +15,20 @@ import dataclasses
 import random
 
 import pytest
-from repro.utils.fuzz import random_edits, random_unicode_string
 
 from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner, invert_matches
-from repro.datagen.benchmarks.registry import dataset_names, get_dataset
+from repro.datagen.benchmarks.registry import get_dataset
+from repro.eval.experiments import TABLE1_DATASETS
 from repro.exceptions import JoinError
 from repro.index.cache import IndexCache
 from repro.index.joiner import IndexedJoiner
 from repro.types import Prediction
+
+from fuzz import random_edits, random_unicode_string
+
+#: Every registered benchmark: the Table 1 datasets, then JAB.
+_DATASETS = (*TABLE1_DATASETS, "JAB")
 
 _SEED = 4021
 
@@ -75,7 +80,7 @@ _EXTRA_COLUMNS = {
     # k >= the number of distinct values: the whole column ranks.
     "few-distinct-values": lambda: ["aa", "ab", "zz"] * 4,
 }
-_TOPK_INPUTS = [*dataset_names(), *_EXTRA_COLUMNS]
+_TOPK_INPUTS = [*_DATASETS, *_EXTRA_COLUMNS]
 
 
 def _topk_columns(name):
@@ -161,7 +166,7 @@ class TestTopKContract:
 class TestK1BackCompat:
     """``k=1`` margin-disabled must be byte-identical to ``join_many``."""
 
-    @pytest.mark.parametrize("name", dataset_names())
+    @pytest.mark.parametrize("name", _DATASETS)
     def test_k1_matches_join_many(self, name):
         rng = random.Random(_SEED + 100)
         tables = get_dataset(name, seed=0, scale=0.05)
@@ -257,7 +262,7 @@ class TestJoinTopK:
 
 
 class TestReverseJoin:
-    @pytest.mark.parametrize("name", dataset_names())
+    @pytest.mark.parametrize("name", _DATASETS)
     def test_reverse_identical_on_dataset(self, name):
         rng = random.Random(_SEED + 200)
         tables = get_dataset(name, seed=0, scale=0.05)

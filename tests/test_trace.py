@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.obs import trace as trace_module
 from repro.obs.trace import (
     DEFAULT_CAPACITY,
     DEFAULT_SLOWEST,
@@ -37,9 +38,7 @@ from repro.obs.trace import (
     Tracer,
     configure_tracing,
     current_context,
-    current_span,
     get_tracer,
-    span_tree,
 )
 from repro.serve.http import start_http_server
 from repro.serve.router import RouteSpec, ServiceRouter, build_pipeline
@@ -74,6 +73,23 @@ def _tracer(
         sample_rate=sample_rate,
         rng=random.Random(7),
     )
+
+
+def current_span():
+    """The span :meth:`Tracer.activate` installed in this context, or ``None``."""
+    return trace_module._CURRENT_SPAN.get()
+
+
+def span_tree(trace: dict) -> dict[str | None, list[dict]]:
+    """Index a trace's spans by ``parent_id``.
+
+    ``tree[None]`` is the root list; ``tree[span_id]`` the children of
+    that span, in finish order.
+    """
+    tree: dict[str | None, list[dict]] = {}
+    for record in trace["spans"]:
+        tree.setdefault(record["parent_id"], []).append(record)
+    return tree
 
 
 class TestSampling:

@@ -54,18 +54,8 @@ class TestTablePair:
         with pytest.raises(ValueError):
             table.split(1.0)
 
-    def test_with_rows(self):
-        table = TablePair(name="t", sources=("a",), targets=("x",))
-        replaced = table.with_rows(["b", "c"], ["y", "z"])
-        assert replaced.sources == ("b", "c")
-        assert replaced.name == "t"
-
 
 class TestPrediction:
-    def test_abstained(self):
-        assert Prediction(source="s", value="").abstained
-        assert not Prediction(source="s", value="v").abstained
-
     def test_consistency(self):
         pred = Prediction(source="s", value="v", candidates=("v", "v", "x"), votes=2)
         assert pred.consistency == pytest.approx(2 / 3)
