@@ -14,15 +14,13 @@ Three parts, all dependency-free:
   ``GET /debug/traces``).
 * :mod:`repro.obs.manifest` — the run-manifest schema behind
   ``scripts/reproduce_all.py``: environment provenance (interpreter,
-  numpy, platform, host ``cpu_count``), per-bench key-metric extraction
-  from ``BENCH_*.json`` reports, delta computation against the
-  committed artifacts, the :data:`BENCH_FLOORS` acceptance-bar schema
-  shared by CI and the bench emitters, and run-over-run trend history
-  (:func:`manifest_trends`).
+  numpy, platform, host ``cpu_count`` and granted cores), the repo
+  benchmark's block and the verdict read from it.
 
-Every later perf claim in this repository reports through this layer:
-benches stamp their reports with :func:`~repro.obs.manifest.provenance`,
-the serving tier exports its latency/occupancy/cache counters live, and
-one command (``python scripts/reproduce_all.py``) folds all of it into a
-single machine-readable ledger.
+Every perf claim in this repository reports through this layer: the
+repo benchmark stamps its results with
+:func:`~repro.obs.manifest.provenance`, the serving tier exports its
+latency/occupancy/cache counters live, and one command
+(``python scripts/reproduce_all.py``) folds the benchmark and an eval
+slice into a single machine-readable ledger.
 """

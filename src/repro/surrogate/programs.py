@@ -48,10 +48,6 @@ class Program(ABC):
     def apply(self, source: str) -> str | None:
         """Apply to ``source``; ``None`` when the program does not fit."""
 
-    @abstractmethod
-    def describe(self) -> str:
-        """Compact human-readable form, for debugging and reports."""
-
     #: Relative ordering of how 'surprising' a program family is for a
     #: model trained on the paper's unit repertoire.  Families present in
     #: training data are easy; unseen families (replace, reverse) depend
@@ -69,9 +65,6 @@ class IdentityProgram(Program):
     def apply(self, source: str) -> str | None:
         return apply_case(source, self.case)
 
-    def describe(self) -> str:
-        return f"identity[{self.case}]"
-
 
 @dataclass(frozen=True)
 class ReplaceProgram(Program):
@@ -84,9 +77,6 @@ class ReplaceProgram(Program):
     def apply(self, source: str) -> str | None:
         return source.replace(self.old, self.new)
 
-    def describe(self) -> str:
-        return f"replace[{self.old!r}->{self.new!r}]"
-
 
 @dataclass(frozen=True)
 class ReverseProgram(Program):
@@ -97,9 +87,6 @@ class ReverseProgram(Program):
 
     def apply(self, source: str) -> str | None:
         return apply_case(source[::-1], self.case)
-
-    def describe(self) -> str:
-        return f"reverse[{self.case}]"
 
 
 @dataclass(frozen=True)
@@ -134,16 +121,6 @@ class SliceProgram(Program):
         end = max(start, min(end, length))
         return apply_case(source[start:end], self.case)
 
-    def describe(self) -> str:
-        start = (
-            f"-{self.start_offset}" if self.start_from_end else f"{self.start_offset}"
-        )
-        if self.end_offset is None:
-            end = "$"
-        else:
-            end = f"-{self.end_offset}" if self.end_from_end else f"{self.end_offset}"
-        return f"slice[{start}:{end},{self.case}]"
-
 
 @dataclass(frozen=True)
 class LiteralSegment:
@@ -153,9 +130,6 @@ class LiteralSegment:
 
     def apply(self, source: str) -> str | None:
         return self.text
-
-    def describe(self) -> str:
-        return f"lit({self.text!r})"
 
     @property
     def generality(self) -> int:
@@ -197,11 +171,6 @@ class TokenPieceSegment:
             raise ValueError(f"unknown token part: {self.part!r}")
         return apply_case(piece, self.case)
 
-    def describe(self) -> str:
-        anchor = f"-{self.index + 1}" if self.from_end else f"{self.index}"
-        length = self.length if self.part != "full" else ""
-        return f"tok[{anchor}].{self.part}{length}({self.case})"
-
     @property
     def generality(self) -> int:
         # Token-relative specs generalize best for tabular text.
@@ -231,11 +200,6 @@ class CharSliceSegment:
         end = max(start, min(end, size))
         return apply_case(source[start:end], self.case)
 
-    def describe(self) -> str:
-        anchor = f"-{self.offset}" if self.from_end else f"{self.offset}"
-        length = "$" if self.length is None else f"+{self.length}"
-        return f"chars[{anchor}{length},{self.case}]"
-
     @property
     def generality(self) -> int:
         return 2 if self.length is None else 1
@@ -261,10 +225,6 @@ class DelimiterPartSegment:
         if not 0 <= position < len(parts):
             return ""  # like the paper's split unit: missing part -> empty
         return apply_case(parts[position], self.case)
-
-    def describe(self) -> str:
-        anchor = f"-{self.index + 1}" if self.from_end else f"{self.index}"
-        return f"part[{self.delimiter!r}:{anchor},{self.case}]"
 
     @property
     def generality(self) -> int:
@@ -300,15 +260,6 @@ class PartSliceSegment:
         end = max(start, min(end, len(part)))
         return apply_case(part[start:end], self.case)
 
-    def describe(self) -> str:
-        part_anchor = f"-{self.index + 1}" if self.from_end else f"{self.index}"
-        start = f"-{self.start}" if self.start_from_end else f"{self.start}"
-        length = "$" if self.length is None else f"+{self.length}"
-        return (
-            f"part[{self.delimiter!r}:{part_anchor}]"
-            f"[{start}{length},{self.case}]"
-        )
-
     @property
     def generality(self) -> int:
         return 2
@@ -338,9 +289,6 @@ class ConcatProgram(Program):
                 return None
             pieces.append(piece)
         return "".join(pieces)
-
-    def describe(self) -> str:
-        return "+".join(segment.describe() for segment in self.segments)
 
     @property
     def generality(self) -> int:

@@ -138,7 +138,7 @@ def test_script_example_and_benchmark_bodies_import():
         "print(json.dumps(failures))"
     )
     assert failures == {}
-    assert len(_BODIES) >= 29
+    assert len(_BODIES) >= 26
 
 
 def _production_files(root: Path) -> list[Path]:

@@ -3,10 +3,11 @@
 The metrics side enforces the scrape contract: fixed log-spaced
 buckets, cumulative ``le`` semantics, callback-backed counters that
 never double-count, and a Prometheus text rendering a real scraper can
-parse.  The manifest side enforces the reproduction contract: key
-metrics read from the report's own block, deltas that never silently
-shrink, self-describing artifact flags, and a verdict that fails on
-every regression class ``reproduce_all.py`` exists to catch.
+parse.  The manifest side enforces the reproduction contract: a
+verdict that fails on every regression class of the repo benchmark
+``reproduce_all.py`` exists to catch, and names the workload at fault.
+The slow-lane floor check fails below a floor with the reading in the
+message, and skips a floor the host lacks the cores to measure.
 """
 
 from __future__ import annotations
@@ -18,16 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs.manifest import (
-    BENCH_FLOORS,
-    GATED_BENCHES,
     MANIFEST_VERSION,
-    artifact_flags,
-    bench_deltas,
     build_manifest,
-    check_floors,
-    key_metrics,
-    load_manifest,
-    manifest_trends,
     new_run_id,
     provenance,
     save_manifest,
@@ -42,6 +35,8 @@ from repro.obs.metrics import (
     log_spaced_buckets,
     merge_labeled_snapshots,
 )
+
+from timing import check_floor
 
 
 class TestBuckets:
@@ -176,82 +171,6 @@ class TestProvenance:
         assert new_run_id(now=0.0) != new_run_id(now=0.0)
 
 
-class TestKeyMetrics:
-    def test_returns_the_reports_own_block(self):
-        report = {
-            "rows": [{"workers": 4, "speedup_vs_serial": 9.9}],
-            "key_metrics": {"speedup[workers=4]": 1.4, "pairs": 3},
-        }
-        assert key_metrics(report) == {"speedup[workers=4]": 1.4, "pairs": 3.0}
-
-    def test_unknown_bench_or_empty_report_is_a_hole_not_a_crash(self):
-        # Nothing is derived from a report's rows: without a block of
-        # its own a report contributes no metrics, whatever it is.
-        assert key_metrics({"bench": "nope", "rows": [{"speedup": 2.0}]}) == {}
-        assert key_metrics({}) == {}
-        assert key_metrics({"key_metrics": ["not", "a", "mapping"]}) == {}
-
-
-class TestBenchDeltas:
-    def test_shared_keys_produce_deltas(self):
-        deltas = bench_deltas(
-            {"headline": 2.0, "speedup[rows=500]": 1.5},
-            {"headline": 1.6, "speedup[rows=20000]": 4.0},
-        )
-        assert deltas["metrics"]["headline"]["delta"] == pytest.approx(0.4)
-        assert deltas["metrics"]["headline"]["ratio"] == pytest.approx(1.25)
-        assert deltas["only_current"] == ["speedup[rows=500]"]
-        assert deltas["only_committed"] == ["speedup[rows=20000]"]
-
-    def test_zero_committed_value_has_null_ratio(self):
-        deltas = bench_deltas({"headline": 1.0}, {"headline": 0.0})
-        assert deltas["metrics"]["headline"]["ratio"] is None
-
-
-class TestArtifactFlags:
-    def test_starved_parallel_artifact_is_flagged(self):
-        # The shape the 1-core recordings had: rows up to 4 workers.
-        report = {
-            "provenance": {"cpu_count": 1, "cpu_affinity": 1},
-            "needs_cores": 4,
-        }
-        assert artifact_flags(report) == [
-            "recorded_with_1_cores_for_rows_needing_4:"
-            "_parallel_speedups_do_not_measure_parallelism"
-        ]
-
-    def test_well_provisioned_artifact_is_clean(self):
-        report = {
-            "provenance": {"cpu_count": 8, "cpu_affinity": 8},
-            "needs_cores": 4,
-        }
-        assert artifact_flags(report) == []
-
-    def test_missing_provenance_is_itself_a_flag(self):
-        assert artifact_flags({}) == ["no_host_provenance"]
-
-    def test_single_core_serve_artifact_is_flagged(self):
-        # Affinity, not the raw count, is what the scheduler grants.
-        report = {
-            "provenance": {"cpu_count": 8, "cpu_affinity": 1},
-            "needs_cores": 2,
-        }
-        assert artifact_flags(report) == [
-            "recorded_with_1_cores_for_rows_needing_2:"
-            "_parallel_speedups_do_not_measure_parallelism"
-        ]
-        # A report that needs one core is clean on any host.
-        assert artifact_flags({"provenance": {"cpu_affinity": 1}}) == []
-
-
-def _passing_block() -> dict:
-    return {
-        "ran": True,
-        "committed_artifact": "found",
-        "floors": {"passed": True, "detail": ""},
-    }
-
-
 def _passing_benchmark() -> dict:
     def workload(attempted: int) -> dict:
         return {
@@ -269,32 +188,25 @@ def _passing_benchmark() -> dict:
 
 class TestBuildManifest:
     def test_all_green_verdict_passes(self):
-        benches = {name: _passing_block() for name in GATED_BENCHES}
         manifest = build_manifest(
-            "run-1", provenance(), _passing_benchmark(), benches, mode="smoke"
+            "run-1", provenance(), _passing_benchmark(), mode="smoke"
         )
         assert manifest["verdict"] == {"passed": True, "failures": []}
         assert manifest["manifest_version"] == MANIFEST_VERSION
         assert manifest["benchmark"] == _passing_benchmark()
 
     def test_every_regression_class_fails_the_verdict(self):
-        benches = {name: _passing_block() for name in GATED_BENCHES}
-        benches["kernels"]["ran"] = False
-        benches["serve"]["committed_artifact"] = "unreadable"
-        benches["serve"]["floors"] = {"passed": False, "detail": "2x floor"}
-        manifest = build_manifest("run-2", {}, _passing_benchmark(), benches)
-        failures = manifest["verdict"]["failures"]
-        assert manifest["verdict"]["passed"] is False
-        assert "bench kernels: did not run" in failures
-        assert "bench serve: committed artifact unreadable" in failures
-        assert "bench serve: floor check failed (2x floor)" in failures
-        del benches["kernels"]  # absent entirely
-        del benches["serve"]["committed_artifact"]
-        failures = build_manifest("run-2", {}, _passing_benchmark(), benches)[
-            "verdict"
-        ]["failures"]
-        assert "bench kernels: did not run" in failures
-        assert "bench serve: committed artifact missing" in failures
+        benchmark = _passing_benchmark()
+        benchmark["exit_code"] = 1
+        benchmark["workloads"]["offline_join"].update(correct=False, failed=3)
+        verdict = build_manifest("run-2", {}, benchmark)["verdict"]
+        assert verdict == {
+            "passed": False,
+            "failures": [
+                "repo benchmark: exited with 1",
+                "repo benchmark offline_join: 3 of 25 output checks failed",
+            ],
+        }
 
     @pytest.mark.parametrize(
         ("damage", "failure"),
@@ -309,9 +221,8 @@ class TestBuildManifest:
         ],
     )
     def test_benchmark_block_fails_the_verdict(self, damage, failure):
-        benches = {name: _passing_block() for name in GATED_BENCHES}
         benchmark = {**_passing_benchmark(), **damage}
-        verdict = build_manifest("run-4", {}, benchmark, benches)["verdict"]
+        verdict = build_manifest("run-4", {}, benchmark)["verdict"]
         assert verdict == {"passed": False, "failures": [failure]}
 
     def test_save_load_round_trip(self, tmp_path):
@@ -319,20 +230,11 @@ class TestBuildManifest:
             "run-3",
             provenance(),
             _passing_benchmark(),
-            {name: _passing_block() for name in GATED_BENCHES},
             eval_rows=[{"dataset": "WT", "f1": 0.9}],
         )
         path = tmp_path / "run_manifest.json"
         save_manifest(manifest, path)
-        assert load_manifest(path) == manifest
-
-    def test_version_mismatch_refuses_to_load(self, tmp_path):
-        # Version 1 had no benchmark block; trending against one would
-        # compare a run that was checked with one that was not.
-        path = tmp_path / "old.json"
-        save_manifest({"manifest_version": 1}, path)
-        with pytest.raises(ValueError, match="version"):
-            load_manifest(path)
+        assert json.loads(path.read_text()) == manifest
 
 
 class TestCallbackDegradation:
@@ -401,123 +303,33 @@ class TestMergeLabeledSnapshots:
             )
 
 
-class TestBenchFloors:
-    def test_schema_covers_every_gated_bench(self):
-        assert set(BENCH_FLOORS) == set(GATED_BENCHES)
-
-    def test_every_spec_names_a_metric_and_a_positive_floor(self):
-        for specs in BENCH_FLOORS.values():
-            assert specs
-            for spec in specs:
-                assert spec["metric"]
-                assert spec["min"] > 0
-
-
 class TestCheckFloors:
     def test_all_floors_held(self):
-        result = check_floors("kernels", {"mpairs_per_s": 1.1}, cores=8)
-        assert result["passed"] is True
-        assert result["checked"] and not result["skipped"]
+        check_floor("mpairs_per_s", 1.1, 0.32, cores=8)
+        check_floor("mpairs_per_s", 0.32, 0.32, cores=1)
 
     def test_below_floor_fails_with_detail(self):
-        result = check_floors("kernels", {"mpairs_per_s": 0.1})
-        assert result["passed"] is False
-        assert "0.10 < floor 0.32" in result["detail"]
+        with pytest.raises(AssertionError, match="mpairs_per_s 0.10 < floor 0.32"):
+            check_floor("mpairs_per_s", 0.1, 0.32)
 
     def test_min_cores_unmet_skips_instead_of_failing(self):
         # A starved host recording speedup 0.5 must not fail the gated
         # bar it could never meet — the floor is skipped with a reason.
-        result = check_floors(
-            "serve", {"speedup[serve_workers=4]": 0.5}, cores=1
-        )
-        assert result["passed"] is True
-        assert not result["checked"]
-        assert any("needs >= 4 cores" in s for s in result["skipped"])
-
-    def test_absent_metric_is_a_skip_not_a_regression(self):
-        result = check_floors("serve", {"speedup[workers=4]": 3.0}, cores=16)
-        assert result["passed"] is True
-        assert not result["checked"]
-        assert result["skipped"] == [
-            "speedup[serve_workers=4] skipped: absent from report"
-        ]
-
-    def test_unknown_bench_checks_nothing(self):
-        result = check_floors("nope", {"headline": 0.0})
-        assert result["passed"] is True
-        assert not result["checked"] and not result["skipped"]
-
-
-class TestManifestTrends:
-    @staticmethod
-    def _manifest(run_id: str, mode: str, headline: float) -> dict:
-        return {
-            "run_id": run_id,
-            "mode": mode,
-            "benches": {"kernels": {"metrics": {"headline": headline}}},
-        }
-
-    def test_identical_runs_report_zero_deltas(self):
-        trends = manifest_trends(
-            self._manifest("b", "smoke", 4.0),
-            self._manifest("a", "smoke", 4.0),
-        )
-        assert trends["against_run_id"] == "a"
-        assert trends["against_mode"] == "smoke"
-        assert trends["comparable"] is True
-        row = trends["benches"]["kernels"]["metrics"]["headline"]
-        assert row == {
-            "current": 4.0,
-            "previous": 4.0,
-            "delta": 0.0,
-            "ratio": 1.0,
-        }
-
-    def test_mode_mismatch_is_flagged_not_hidden(self):
-        trends = manifest_trends(
-            self._manifest("b", "smoke", 4.0),
-            self._manifest("a", "full", 5.0),
-        )
-        assert trends["comparable"] is False
-        row = trends["benches"]["kernels"]["metrics"]["headline"]
-        assert row["delta"] == -1.0
-        assert row["ratio"] == 0.8
-
-    def test_one_sided_metrics_are_listed_not_dropped(self):
-        cur = {
-            "run_id": "b",
-            "mode": "smoke",
-            "benches": {
-                "serve": {"metrics": {"inprocess_rps": 300.0}}
-            },
-        }
-        prev = {
-            "run_id": "a",
-            "mode": "smoke",
-            "benches": {
-                "serve": {"metrics": {"speedup[serve_workers=4]": 3.0}}
-            },
-        }
-        trends = manifest_trends(cur, prev)
-        block = trends["benches"]["serve"]
-        assert block["metrics"] == {}
-        assert block["only_current"] == ["inprocess_rps"]
-        assert block["only_previous"] == ["speedup[serve_workers=4]"]
-
-
-_FAKE_EMITTER = """\
-import json, sys
-path = sys.argv[sys.argv.index("--json-out") + 1]
-report = {"seed": 1, "key_metrics": {}, "provenance": {"cpu_affinity": 1}}
-open(path, "w").write(json.dumps(report))
-"""
+        with pytest.raises(pytest.skip.Exception, match="needs >= 4 cores"):
+            check_floor(
+                "speedup[serve_workers=4]", 0.5, 2.0, min_cores=4, cores=1
+            )
+        with pytest.raises(AssertionError, match="0.50 < floor 2.0"):
+            check_floor(
+                "speedup[serve_workers=4]", 0.5, 2.0, min_cores=4, cores=4
+            )
 
 
 class TestReproduceAll:
-    """``scripts/reproduce_all.py`` over a fake repo of trivial emitters."""
+    """``scripts/reproduce_all.py`` with the repo benchmark stubbed out."""
 
     @pytest.fixture()
-    def reproduce_all(self, tmp_path, monkeypatch):
+    def reproduce_all(self):
         spec = importlib.util.spec_from_file_location(
             "reproduce_all",
             Path(__file__).resolve().parent.parent
@@ -526,27 +338,35 @@ class TestReproduceAll:
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        (tmp_path / "benchmarks").mkdir()
-        for name in GATED_BENCHES:
-            script = tmp_path / "benchmarks" / f"bench_{name}.py"
-            script.write_text(_FAKE_EMITTER)
-            (tmp_path / f"BENCH_{name}.json").write_text('{"key_metrics": {}}')
-        monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
-        monkeypatch.setattr(
-            module, "run_benchmark", lambda smoke: _passing_benchmark()
-        )
         return module
 
-    def test_truncated_committed_artifact_is_a_verdict_line(
-        self, reproduce_all, tmp_path, capsys
-    ):
+    @staticmethod
+    def _run(reproduce_all, monkeypatch, tmp_path, benchmark: dict):
+        monkeypatch.setattr(reproduce_all, "run_benchmark", lambda smoke: benchmark)
         out = tmp_path / "manifest.json"
-        argv = ["--smoke", "--skip-eval", "--out", str(out)]
-        assert reproduce_all.main(argv) == 0
-        (tmp_path / "BENCH_serve.json").write_text('{"key_metrics": {"spe')
-        assert reproduce_all.main(argv) == 1
-        verdict = json.loads(out.read_text())["verdict"]
-        assert verdict["failures"] == [
-            "bench serve: committed artifact unreadable"
+        code = reproduce_all.main(["--smoke", "--skip-eval", "--out", str(out)])
+        return code, json.loads(out.read_text())
+
+    def test_correct_workload_writes_a_passing_manifest(
+        self, reproduce_all, monkeypatch, tmp_path
+    ):
+        workload = {"correct": True, "attempted": 25, "failed": 0, "metrics": {}}
+        benchmark = {"exit_code": 0, "workloads": {"offline_join": workload}}
+        code, manifest = self._run(reproduce_all, monkeypatch, tmp_path, benchmark)
+        assert code == 0
+        assert manifest["manifest_version"] == 3
+        assert "benches" not in manifest
+        assert manifest["benchmark"] == benchmark
+        assert manifest["verdict"] == {"passed": True, "failures": []}
+
+    def test_failing_workload_is_named_in_the_verdict(
+        self, reproduce_all, monkeypatch, tmp_path, capsys
+    ):
+        workload = {"correct": False, "attempted": 74, "failed": 2, "metrics": {}}
+        benchmark = {"exit_code": 0, "workloads": {"serve_join": workload}}
+        code, manifest = self._run(reproduce_all, monkeypatch, tmp_path, benchmark)
+        assert code == 1
+        assert manifest["verdict"]["failures"] == [
+            "repo benchmark serve_join: 2 of 74 output checks failed"
         ]
         assert "VERDICT: FAIL" in capsys.readouterr().out

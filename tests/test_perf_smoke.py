@@ -2,13 +2,15 @@
 
 Deliberately generous budgets — wall-clock for the join (the indexed
 join on 5k targets typically finishes in well under a second), traced
-bytes for the encoder, the pair sweep and the index build — so genuine
-regressions — e.g. the index silently degenerating to a full scan per
-query, the batched kernel falling back to scalar work, a copy of the
-probe riding along with every candidate pair, an index build padded to
-its longest value, or inference holding activations for a backward pass
-that never comes — surface in tier-1 runs without flakiness on slow
-machines.  Deselect with ``-m 'not slow'``.
+bytes for the encoder, the pair sweep and the index build, and a
+throughput floor a third of the recorded median for the bit-parallel
+pair sweep — so genuine regressions — e.g. the index silently
+degenerating to a full scan per query, the batched kernel falling back
+to scalar work, a copy of the probe riding along with every candidate
+pair, an index build padded to its longest value, or inference holding
+activations for a backward pass that never comes — surface in tier-1
+runs without flakiness on slow machines.  Deselect with
+``-m 'not slow'``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.datagen.benchmarks.journals import JOURNAL_TITLES
 from repro.index.joiner import IndexedJoiner
 from repro.index.kernel import encode_strings
+from repro.index.kernels import get_backend
 from repro.index.qgram import QGramIndex
 from repro.model.seq2seq import ByteSeq2SeqModel
 
 from fuzz import random_edits, random_unicode_string
+from timing import check_floor, median_seconds
 
 _TARGET_ROWS = 5000
 _QUERIES = 40
@@ -173,3 +178,79 @@ def test_index_build_memory_is_flat_in_code_points():
         assert index.vids.size == code_points - (q - 1) * len(column)
         per_code_point = peak / code_points
         assert per_code_point < _BUILD_BYTES_PER_CODE_POINT, per_code_point
+
+
+# The pair sweep's throughput floor, on one wide stratum's chunk of the
+# JAB shape: 20 noised probes of m = 27 (one 64-bit word) against a
+# journal-title column scaled to 4 000 rows, 100 candidates each from
+# the cap's length window, cap 2 — 2 000 pairs.  An absolute rate, not
+# a ratio over the reference DP: the oracle is kept plain on purpose, so
+# a ratio over it moves when the oracle does.
+_SWEEP_SEED = 31
+_SWEEP_COLUMN_ROWS = 4000
+_SWEEP_M, _SWEEP_CAP = 27, 2
+_SWEEP_PROBES, _SWEEP_PER_PROBE = 20, 100
+# Recorded median 0.96 Mpairs/s (the 2-core host: the middle of three
+# full sweeps reading 0.67 / 0.96 / 1.04, beside ten smoke readings of
+# 0.67-1.35); the floor is one third of it.
+_MIN_MPAIRS_PER_S = 0.32
+
+
+def _scaled_titles(rng: np.random.Generator, n_rows: int) -> list[str]:
+    """The canonical titles, scaled past the real pool from their own words."""
+    vocabulary = sorted({word for title in JOURNAL_TITLES for word in title.split()})
+    titles = list(JOURNAL_TITLES)
+    seen = set(titles)
+    while len(titles) < n_rows:
+        n_words = int(rng.integers(2, 6))
+        picks = rng.integers(0, len(vocabulary), size=n_words)
+        title = " ".join(vocabulary[int(i)] for i in picks)
+        if title not in seen:
+            seen.add(title)
+            titles.append(title)
+    return titles[:n_rows]
+
+
+def _sweep_chunk(rng: np.random.Generator, values: list[str]) -> tuple:
+    """One pair-door call: what ``IndexedJoiner._pair_distances`` hands the kernel.
+
+    Each probe scores its own (noised) base value plus other values drawn
+    from the cap's length window around ``_SWEEP_M``; ids come in
+    ascending runs.
+    """
+    m, cap = _SWEEP_M, _SWEEP_CAP
+    window = [value for value in values if abs(len(value) - m) <= cap]
+    probes, candidates = [], []
+    for _ in range(_SWEEP_PROBES):
+        base = window[int(rng.integers(0, len(window)))]
+        chars = list(base[:m].ljust(m, "x"))
+        for _ in range(int(rng.integers(0, cap + 1))):
+            letter = chr(ord("a") + int(rng.integers(0, 26)))
+            chars[int(rng.integers(0, m))] = letter  # letter drawn first
+        probes.append("".join(chars))
+        others = rng.integers(0, len(window), size=_SWEEP_PER_PROBE - 1)
+        candidates += [base, *(window[int(i)] for i in others)]
+    query_rows, query_lengths = encode_strings(probes)
+    query_ids = np.repeat(np.arange(_SWEEP_PROBES), _SWEEP_PER_PROBE)
+    cand_codes, cand_lengths = encode_strings(candidates)
+    return query_rows, query_lengths, query_ids, cand_codes, cand_lengths
+
+
+@pytest.mark.slow
+def test_bitparallel_pair_sweep_floor():
+    # Seed offsets as first recorded: the column draws from seed + 1,
+    # the chunk from seed + the probe count.
+    rng = np.random.default_rng(_SWEEP_SEED + 1)
+    values = _scaled_titles(rng, _SWEEP_COLUMN_ROWS)
+    chunk = _sweep_chunk(np.random.default_rng(_SWEEP_SEED + _SWEEP_PROBES), values)
+    bitparallel = get_backend("bitparallel")
+    # Equivalence before any clock is trusted.
+    want = get_backend("reference").edit_distance_pairs(*chunk, _SWEEP_CAP)
+    got = bitparallel.edit_distance_pairs(*chunk, _SWEEP_CAP)
+    assert np.array_equal(got, want)
+    seconds = median_seconds(
+        lambda: bitparallel.edit_distance_pairs(*chunk, _SWEEP_CAP)
+    )
+    n_pairs = _SWEEP_PROBES * _SWEEP_PER_PROBE
+    mpairs_per_s = n_pairs / seconds / 1e6
+    check_floor("mpairs_per_s", mpairs_per_s, _MIN_MPAIRS_PER_S)

@@ -167,7 +167,3 @@ class TestConcatProgram:
         )
         literal_based = ConcatProgram(segments=(LiteralSegment("x"),))
         assert token_based.generality > literal_based.generality
-
-    def test_describe_is_compact(self):
-        program = ConcatProgram(segments=(LiteralSegment("x"),))
-        assert "lit" in program.describe()

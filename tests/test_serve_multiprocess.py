@@ -5,14 +5,17 @@ worker-pool router and the single-process path at every worker count ×
 client count, worker crash containment (structured failure + respawn),
 per-route cache isolation, join-result cache hit/expiry semantics, and
 the new HTTP surface (``/v1/models``, ``model`` selectors, the
-``worker_crashed``/``unknown_model`` error codes, labeled metrics).
+``worker_crashed``/``unknown_model`` error codes, labeled metrics), and
+the pool's throughput floor against in-process serving (slow lane).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
+import random
 import re
 import threading
 import time
@@ -31,12 +34,16 @@ from repro.exceptions import (
     WorkerCrashedError,
 )
 from repro.index.kernels import KERNEL_BACKENDS
+from repro.model.config import DTTModelConfig
+from repro.model.seq2seq import ByteSeq2SeqModel
 from repro.obs.metrics import merge_labeled_snapshots
 from repro.serve.cache import JoinResultCache
 from repro.serve.http import start_http_server
 from repro.serve.router import RouteSpec, ServiceRouter, build_pipeline
 from repro.serve.service import TransformService
 from repro.types import ExamplePair
+
+from timing import check_floor, median_seconds
 
 _EXAMPLES = (
     ExamplePair("Justin Trudeau", "jtrudeau"),
@@ -740,3 +747,92 @@ class TestMetricsExpositionGolden:
             assert re.match(
                 r'\w+\{worker="[01]",route="pretrained"[,}]', line
             ), line
+
+
+# The pool's throughput floor: one route in-process against 4 worker
+# processes in the same run.  The route is the tiny incremental
+# transformer (per-step overhead dominates, which is what cross-request
+# batching amortizes) with a full-length decode budget, driven by 16
+# clients issuing single-row transforms.
+_FLOOR_SEED = 59
+_FLOOR_CLIENTS = 16
+_WAVE_REQUESTS = 64
+_WAVE_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 .-_/"
+_FLOOR_MODEL = DTTModelConfig(
+    dim=32,
+    n_heads=2,
+    encoder_layers=2,
+    decoder_layers=1,
+    ffn_hidden=64,
+    max_input_length=96,
+    max_output_length=48,
+)
+_MIN_SPEEDUP_AT_4_WORKERS = 2.0
+
+
+def _floor_pipeline() -> DTTPipeline:
+    return DTTPipeline(
+        ByteSeq2SeqModel(_FLOOR_MODEL), n_trials=1, seed=_FLOOR_SEED
+    )
+
+
+def _wave(index: int) -> list[str]:
+    """The ``index``-th wave: 64 requests no other wave contains."""
+    rng = random.Random(_FLOOR_SEED * 100003 + index)
+    sources = []
+    for i in range(_WAVE_REQUESTS):
+        length = rng.randint(6, 14)
+        source = "".join(rng.choice(_WAVE_ALPHABET) for _ in range(length))
+        sources.append(f"{source}-{index}-{i}")
+    return sources
+
+
+def _timed_waves(workers: int) -> tuple[float, dict[str, list]]:
+    """Median seconds per wave at ``workers``, and every reply it got.
+
+    Each timed call sends a wave no earlier one sent, so no cache tier
+    answers a request and the figure is pure scheduling.
+    """
+    replies: dict[str, list] = {}
+    wave_ids = itertools.count()
+    router = ServiceRouter(
+        [RouteSpec("bench", _floor_pipeline)],
+        n_workers=workers,
+        service_kwargs={"max_queue": 4 * _WAVE_REQUESTS},
+    )
+    try:
+        with ThreadPoolExecutor(max_workers=_FLOOR_CLIENTS) as clients:
+
+            def send_wave() -> None:
+                sources = _wave(next(wave_ids))
+                futures = [
+                    clients.submit(router.transform, [source], _EXAMPLES)
+                    for source in sources
+                ]
+                for source, future in zip(sources, futures):
+                    replies[source] = future.result()
+
+            send_wave()  # untimed: workers imported, BLAS warm, threads up
+            seconds = median_seconds(send_wave)
+    finally:
+        router.close()
+    return seconds, replies
+
+
+@pytest.mark.slow
+def test_four_workers_double_inprocess_throughput():
+    direct = _floor_pipeline()
+    expected: dict[str, list] = {}
+    seconds = {}
+    for workers in (0, 4):
+        seconds[workers], replies = _timed_waves(workers)
+        for source, reply in replies.items():
+            if source not in expected:
+                expected[source] = direct.transform_column([source], _EXAMPLES)
+            assert reply == expected[source], (workers, source)
+    check_floor(
+        "speedup[serve_workers=4]",
+        seconds[0] / seconds[4],
+        _MIN_SPEEDUP_AT_4_WORKERS,
+        min_cores=4,
+    )
