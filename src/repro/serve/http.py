@@ -303,27 +303,37 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        self._last_status = status
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._root_span is not None:
-            self.send_header("X-Repro-Trace-Id", self._root_span.trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+    def handle_one_request(self) -> None:
+        """Serve one request; a client that resets ends the connection.
 
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
+        A peer that resets mid-request or between keep-alive requests
+        is a normal end of the connection, not a server fault, so it
+        must not reach ``socketserver``'s error printer.
+        """
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            self.close_connection = True
+
+    def _send_json(self, status: int, payload: dict) -> None:
+        self._reply(
+            status, "application/json", json.dumps(payload).encode("utf-8")
+        )
+
+    def _reply(self, status: int, content_type: str, data: bytes) -> None:
         self._last_status = status
-        data = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         if self._root_span is not None:
             self.send_header("X-Repro-Trace-Id", self._root_span.trace_id)
-        self.end_headers()
-        self.wfile.write(data)
+        if self.request_version == "HTTP/0.9":  # a bare-body reply
+            self.wfile.write(data)
+            return
+        # One write: a body sent after the headers waits on Nagle for
+        # the client's delayed ACK (~44 ms per keep-alive reply).
+        self._headers_buffer.append(b"\r\n" + data)
+        self.flush_headers()
 
     def _access_log(self, method: str, path: str, started: float) -> None:
         """One structured JSON access-log line (``log_json`` mode only)."""
@@ -427,10 +437,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             elif path == "/v1/stats":
                 self._send_json(200, router.stats())
             elif path == "/metrics":
-                self._send_text(
+                self._reply(
                     200,
-                    router.metrics_text(),
                     "text/plain; version=0.0.4; charset=utf-8",
+                    router.metrics_text().encode("utf-8"),
                 )
             else:
                 self._send_json(

@@ -41,6 +41,7 @@ _ENTRY_POINTS = {
     # ``http.server.BaseHTTPRequestHandler`` calls these by name.
     "do_GET",
     "do_POST",
+    "handle_one_request",
     "log_message",
     # The bounded many-to-many form of Eq. 5 (paper footnote 2), which
     # the README claims; it stays until an experiment calls it or it goes.

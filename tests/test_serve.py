@@ -12,11 +12,14 @@ work), the TTL + LRU result cache, and the stdlib JSON front end.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import struct
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -668,6 +671,41 @@ class TestHttpFrontEnd:
         assert "serve_cache_hits_total 1" in body
         assert "serve_requests_total 2" in body
 
+    def test_keep_alive_replies_do_not_stall(self, server):
+        """Back-to-back requests on one connection answer in compute time.
+
+        A reply whose body goes out as a second segment waits for the
+        client's delayed ACK of the headers (Nagle), about 44 ms each;
+        one write per reply answers well under 1 ms.
+        """
+        split = urllib.parse.urlsplit(server)
+        connection = http.client.HTTPConnection(split.hostname, split.port)
+        join = json.dumps(
+            {
+                "sources": ["Kim Campbell"],
+                "targets": list(_TARGETS),
+                "examples": [pair.as_tuple() for pair in _EXAMPLES],
+            }
+        ).encode("utf-8")
+        requests = {
+            "healthz": ("GET", "/healthz", None),
+            "join": ("POST", "/v1/join", join),
+        }
+        try:
+            for name, (method, path, body) in requests.items():
+                elapsed_ms = []
+                for _ in range(20):
+                    started = time.perf_counter()
+                    connection.request(method, path, body)
+                    response = connection.getresponse()
+                    response.read()
+                    elapsed_ms.append((time.perf_counter() - started) * 1e3)
+                    assert response.status == 200
+                median_ms = sorted(elapsed_ms)[len(elapsed_ms) // 2]
+                assert median_ms < 20.0, (name, elapsed_ms)
+        finally:
+            connection.close()
+
     @pytest.mark.parametrize("server", [0, 2], indirect=True)
     def test_stats_nests_the_metrics_snapshot(self, server):
         """Behind workers the block is the per-worker snapshots, summed."""
@@ -701,7 +739,7 @@ class TestHttpHardening:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
-        yield host, port, service
+        yield host, port, service, server
         server.shutdown()
         server.server_close()
         service.close()
@@ -724,33 +762,33 @@ class TestHttpHardening:
         return "\r\n".join(lines).encode("latin-1") + body
 
     def test_malformed_content_length_is_400(self, server):
-        host, port, _ = server
+        host, port, *_ = server
         request = self._request(["Content-Length: banana"])
         assert self._raw(host, port, request) == 400
 
     def test_missing_content_length_is_400(self, server):
-        host, port, _ = server
+        host, port, *_ = server
         assert self._raw(host, port, self._request([])) == 400
 
     def test_nonpositive_content_length_is_400(self, server):
-        host, port, _ = server
+        host, port, *_ = server
         request = self._request(["Content-Length: -5"])
         assert self._raw(host, port, request) == 400
 
     def test_oversized_body_is_413_without_reading_it(self, server):
-        host, port, _ = server
+        host, port, *_ = server
         # Declared far beyond max_request_bytes=256; no body is sent at
         # all, so a 413 here proves the server rejected on the header.
         request = self._request(["Content-Length: 1000000"])
         assert self._raw(host, port, request) == 413
 
     def test_truncated_body_is_400(self, server):
-        host, port, _ = server
+        host, port, *_ = server
         request = self._request(["Content-Length: 100"], body=b'{"sour')
         assert self._raw(host, port, request, half_close=True) == 400
 
     def test_stalled_body_times_out_as_408(self, server):
-        host, port, _ = server
+        host, port, *_ = server
         # Declares 100 bytes, sends 6, keeps the socket open: the read
         # timeout (0.5 s here) must turn the stall into a 408 instead
         # of pinning the worker thread forever.
@@ -758,7 +796,7 @@ class TestHttpHardening:
         assert self._raw(host, port, request) == 408
 
     def test_closed_service_submit_is_503(self, server):
-        host, port, service = server
+        host, port, service, _ = server
         service.close()
         body = json.dumps(
             {
@@ -771,6 +809,56 @@ class TestHttpHardening:
             body=body,
         )
         assert self._raw(host, port, request) == 503
+
+    @staticmethod
+    def _reset(sock: socket.socket) -> None:
+        """Close with ``SO_LINGER`` 0: the server sees a reset, not a FIN."""
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+
+    def test_client_reset_never_reaches_the_error_printer(self, server):
+        host, port, _, http_server = server
+        errors = []
+        finished = threading.Semaphore(0)
+        shutdown_request = http_server.shutdown_request
+
+        def count_finished(request) -> None:
+            shutdown_request(request)
+            finished.release()
+
+        # ``socketserver`` calls ``handle_error`` for any exception that
+        # leaves the handler, then ``shutdown_request`` either way.
+        http_server.handle_error = lambda request, address: errors.append(
+            address
+        )
+        http_server.shutdown_request = count_finished
+        for _ in range(5):
+            # A reset after a served keep-alive request ...
+            sock = socket.create_connection((host, port), timeout=5.0)
+            sock.sendall(b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n")
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            response.read()
+            assert response.status == 200
+            self._reset(sock)
+            # ... and a reset mid-body on a POST that declares 100 bytes.
+            sock = socket.create_connection((host, port), timeout=5.0)
+            sock.sendall(
+                self._request(["Content-Length: 100"], body=b'{"sour')
+            )
+            self._reset(sock)
+        for _ in range(10):
+            assert finished.acquire(timeout=5.0)
+        assert errors == []
+
+    def test_http09_get_is_a_bare_body(self, server):
+        host, port, *_ = server
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            body = sock.makefile("rb").read()
+        assert json.loads(body) == {"schema_version": 1, "ok": True}
 
 
 class TestTopKServing:
