@@ -1,7 +1,8 @@
 """Drive the serving layer over HTTP, end to end, in one process.
 
-Starts a ``TransformService`` (the same thing ``python -m repro.serve``
-runs) behind the stdlib JSON front end on an ephemeral port, then acts
+Starts a one-route ``ServiceRouter`` with in-process services (the same
+thing ``python -m repro.serve`` runs) behind the stdlib JSON front end
+on an ephemeral port, then acts
 as a swarm of HTTP clients: concurrent transform requests that the
 service coalesces into shared micro-batches, a join request, a repeat
 request served from the memoized result cache, and a stats read.
@@ -17,10 +18,8 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.pipeline import DTTPipeline
 from repro.serve.http import start_http_server
-from repro.serve.service import TransformService
-from repro.surrogate.pretrained import PretrainedDTT
+from repro.serve.router import RouteSpec, ServiceRouter, build_pipeline
 
 EXAMPLES = [
     ["Justin Trudeau", "jtrudeau"],
@@ -44,8 +43,8 @@ def post(base: str, path: str, payload: dict) -> dict:
 
 
 def main() -> None:
-    service = TransformService(DTTPipeline(PretrainedDTT(), seed=0))
-    server = start_http_server(service)  # port 0 = pick a free one
+    router = ServiceRouter([RouteSpec("pretrained", build_pipeline)])
+    server = start_http_server(router)  # port 0 = pick a free one
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
     base = f"http://{host}:{port}"
@@ -94,7 +93,7 @@ def main() -> None:
 
     server.shutdown()
     server.server_close()
-    service.close()
+    router.close()
     print("clean shutdown complete")
 
 

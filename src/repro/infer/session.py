@@ -26,7 +26,7 @@ a reduction over the contiguous last axis, so a row's bytes do not
 depend on which tile carried it.  The helpers live for one encode and
 are joined before the session returns: no idle thread outlives it, so
 a forked child inherits no executor whose threads it lacks, and the
-fork-first policy of :func:`repro.procs.pool_context` (never
+fork-first policy of :func:`repro.serve.workers.pool_context` (never
 fork a multi-threaded parent) still forks after a transform.  A
 one-tile session starts no helper.
 """

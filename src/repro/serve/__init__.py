@@ -13,16 +13,16 @@ TTL + LRU + byte-bounded), and full request lifecycle machinery
 Above the single service sit two scaling tiers:
 
 * :class:`ServeWorkerPool` — N pre-fork worker **processes**, each
-  hosting the full service stack, with copy-on-write pipeline reuse;
-  it runs on :class:`repro.procs.WorkerPool`, the process pool the
-  parallel join shares, which owns crash containment and respawn;
+  hosting the full service stack, with copy-on-write pipeline reuse,
+  crash containment and respawn (:mod:`repro.serve.workers`, the
+  repository's one process pool);
 * :class:`ServiceRouter` — multi-pipeline routing: one deployment
   fronting several model fingerprints (``model=<name | fingerprint>``
   selectors, a ``/v1/models`` listing) over in-process services or a
-  shared worker pool, with parent-side per-route caches.
+  shared worker pool, with parent-side per-route caches in pool mode.
 
-:mod:`repro.serve.http` puts a dependency-free JSON front end over
-either tier — ``python -m repro.serve`` starts a server (see
+:mod:`repro.serve.http` puts a dependency-free JSON front end over a
+router — ``python -m repro.serve`` starts a server (see
 ``--serve-workers`` and ``--route``).  ``docs/architecture.md`` walks
 the request lifecycle end to end; ``docs/http_api.md`` specifies the
 wire format; ``docs/operations.md`` covers deployment and tuning.

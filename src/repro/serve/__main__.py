@@ -52,7 +52,6 @@ def build_router(args: argparse.Namespace) -> ServiceRouter:
                 n_trials=args.n_trials,
                 seed=args.seed,
             ),
-            cache_kwargs=_cache_kwargs(args),
         )
         for name in route_names
     ]
@@ -63,11 +62,10 @@ def build_router(args: argparse.Namespace) -> ServiceRouter:
             "max_batch_rows": args.max_batch_rows,
             "max_queue": args.max_queue,
             "default_timeout": args.default_timeout_s,
-            # Parameters, not cache objects: they must survive the
-            # pickle into spawn-started workers (see
-            # repro.serve.workers.build_service).
-            "result_cache_kwargs": _cache_kwargs(args),
-            "join_cache_kwargs": _cache_kwargs(args),
+            # One cache configuration for every tier: each service's
+            # result and join caches and, behind workers, the router's
+            # parent-side caches.
+            "cache_kwargs": _cache_kwargs(args),
         },
     )
 

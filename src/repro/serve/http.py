@@ -1,11 +1,12 @@
-"""A stdlib JSON/HTTP front end over :class:`TransformService`.
+"""A stdlib JSON/HTTP front end over a :class:`ServiceRouter`.
 
 Deliberately dependency-free (``http.server`` + ``json``): the point is
 that the serving subsystem is drivable end-to-end — start a server,
 ``curl`` a transform or join, read the stats — without installing
-anything.  The threading server gives each connection its own thread,
-and those threads are exactly the concurrent clients the service's
-micro-batching scheduler coalesces.
+anything.  Every handler dispatches into one
+:class:`~repro.serve.router.ServiceRouter`, in-process or pool-backed.
+The threading server gives each connection its own thread, and those
+threads are the concurrent clients the services' schedulers coalesce.
 
 Endpoints (all bodies JSON; successful responses carry
 ``"schema_version": 1``):
@@ -66,7 +67,8 @@ the request in flight → 503 (the latter with code ``worker_crashed``;
 the pool respawns the worker, so retrying is safe).
 Body reads are bounded in both bytes (``max_request_bytes``) and time
 (``request_timeout_s``), so a hostile or broken client can neither
-balloon memory nor pin a handler thread forever.
+balloon memory nor pin a handler thread forever; a client that resets
+mid-body just ends its connection (no status, no errored trace).
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ from repro.exceptions import (
 )
 from repro.obs.trace import Span, get_tracer
 from repro.serve.router import ServiceRouter
-from repro.serve.service import TransformService
 from repro.types import ExamplePair
 
 _MAX_BODY_BYTES = 16 << 20
@@ -129,6 +130,10 @@ class _BadRequest(ValueError):
 
 class _PayloadTooLarge(ValueError):
     """Declared body exceeds the configured bound (mapped to 413)."""
+
+
+class _ClientGone(ConnectionError):
+    """The client reset while its body was read: nobody to answer."""
 
 
 def _error_body(code: str, detail: str, field: str | None = None) -> dict:
@@ -275,7 +280,7 @@ def _join_margin(payload: dict) -> float | None:
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Maps the JSON API onto the owning server's ``service``."""
+    """Maps the JSON API onto the owning server's ``router``."""
 
     server: TransformServiceServer
     protocol_version = "HTTP/1.1"
@@ -380,7 +385,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{self.server.max_request_bytes}-byte limit"
             )
-        data = self.rfile.read(length)
+        try:
+            data = self.rfile.read(length)
+        except ConnectionError as error:
+            # Not a server fault: handle_one_request ends the
+            # connection without a reply.
+            self.close_connection = True
+            raise _ClientGone from error
         if len(data) < length:
             # The client closed early: a truncated body, not a batch of
             # whatever bytes did arrive.
@@ -519,6 +530,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     404,
                     _error_body("not_found", f"unknown path {self.path!r}"),
                 )
+        except _ClientGone:
+            raise
         except _BadRequest as error:
             self._send_json(
                 400, _error_body(error.code, str(error), error.field)
@@ -627,12 +640,8 @@ class TransformServiceServer(ThreadingHTTPServer):
 
     Args:
         address: ``(host, port)`` to bind.
-        service: The backend every handler dispatches into — either a
-            :class:`~repro.serve.router.ServiceRouter` (multi-route
-            and/or multi-process), or a bare :class:`TransformService`,
-            which is adopted as a single-route router
-            (:meth:`ServiceRouter.from_service`) without behavior
-            change.
+        router: The :class:`~repro.serve.router.ServiceRouter` every
+            handler dispatches into.
         verbose: Log each request line.
         max_request_bytes: Declared-body bound; larger requests are
             refused with 413 before any body byte is read.
@@ -649,7 +658,7 @@ class TransformServiceServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        service: TransformService | ServiceRouter,
+        router: ServiceRouter,
         verbose: bool = False,
         max_request_bytes: int = _MAX_BODY_BYTES,
         request_timeout_s: float = _READ_TIMEOUT_S,
@@ -665,15 +674,7 @@ class TransformServiceServer(ThreadingHTTPServer):
                 f"request_timeout_s must be positive, got {request_timeout_s}"
             )
         super().__init__(address, ServiceRequestHandler)
-        #: The backend exactly as handed in (kept for callers that
-        #: reach through the server to their service).
-        self.service = service
-        #: What handlers dispatch into: always a router.
-        self.router = (
-            service
-            if isinstance(service, ServiceRouter)
-            else ServiceRouter.from_service(service)
-        )
+        self.router = router
         self.verbose = verbose
         self.max_request_bytes = max_request_bytes
         self.request_timeout_s = request_timeout_s
@@ -682,7 +683,7 @@ class TransformServiceServer(ThreadingHTTPServer):
 
 
 def start_http_server(
-    service: TransformService | ServiceRouter,
+    router: ServiceRouter,
     host: str = "127.0.0.1",
     port: int = 0,
     verbose: bool = False,
@@ -699,7 +700,7 @@ def start_http_server(
     """
     return TransformServiceServer(
         (host, port),
-        service,
+        router,
         verbose=verbose,
         max_request_bytes=max_request_bytes,
         request_timeout_s=request_timeout_s,
@@ -709,7 +710,7 @@ def start_http_server(
 
 
 def serve_http(
-    service: TransformService | ServiceRouter,
+    router: ServiceRouter,
     host: str = "127.0.0.1",
     port: int = 8080,
     verbose: bool = True,
@@ -720,7 +721,7 @@ def serve_http(
 ) -> None:
     """Serve in the foreground until interrupted, then shut down cleanly."""
     server = start_http_server(
-        service,
+        router,
         host,
         port,
         verbose=verbose,
@@ -738,4 +739,4 @@ def serve_http(
     finally:
         server.shutdown()
         server.server_close()
-        service.close()
+        router.close()

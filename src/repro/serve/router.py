@@ -8,15 +8,17 @@ fingerprint, or unambiguous fingerprint prefix) to the service that
 runs it.  Execution lives in one of two places:
 
 * ``n_workers == 0`` — one in-process
-  :class:`~repro.serve.service.TransformService` per route, exactly the
-  pre-PR-9 serving stack (this is what wrapping a bare service with
-  :meth:`ServiceRouter.from_service` gives you);
+  :class:`~repro.serve.service.TransformService` per route;
 * ``n_workers >= 1`` — a :class:`~repro.serve.workers.ServeWorkerPool`
   whose worker processes each host every route's full service stack;
   the router dispatches whole requests to the least-loaded live worker
   and keeps **parent-side per-route caches** (whole-request transform
   and join memoization) so repeated requests hit without crossing a
   pipe — and regardless of which worker happened to serve them first.
+
+One configuration feeds every tier: ``service_kwargs`` reaches every
+service unchanged (in-process or in-worker, so it must pickle), and its
+``cache_kwargs`` also sizes the pool mode's parent-side caches.
 
 Byte-equivalence is preserved through every tier: per-route pipelines
 are content-identical across workers (same factory or the same forked
@@ -28,9 +30,8 @@ process placement can change latency, never answers.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.pipeline import DTTPipeline
 from repro.exceptions import JoinError, UnknownModelError
@@ -50,7 +51,6 @@ from repro.serve.service import (
 from repro.serve.workers import (
     PipelineFactory,
     ServeWorkerPool,
-    build_service,
     snapshot_services,
 )
 from repro.types import ExamplePair, Prediction
@@ -105,18 +105,14 @@ class RouteSpec:
         factory: Zero-argument, picklable, deterministic pipeline
             constructor (see
             :data:`~repro.serve.workers.PipelineFactory`).
-        cache_kwargs: Keyword arguments for this route's parent-side
-            caches (``max_entries`` / ``max_bytes`` / ``ttl_seconds``),
-            applied to both the transform and the join tier.
     """
 
     name: str
     factory: PipelineFactory
-    cache_kwargs: dict = field(default_factory=dict)
 
 
 class _Route:
-    """Parent-side state of one route."""
+    """Parent-side state of one route: a service or a cache tier."""
 
     __slots__ = (
         "spec",
@@ -131,13 +127,18 @@ class _Route:
         spec: RouteSpec,
         fingerprint: str,
         service: TransformService | None,
+        cache_kwargs: dict,
     ) -> None:
         self.spec = spec
         self.fingerprint = fingerprint
         #: The in-process service (``n_workers == 0`` mode only).
         self.service = service
-        self.transform_cache = ResultCache(**spec.cache_kwargs)
-        self.join_cache = JoinResultCache(**spec.cache_kwargs)
+        #: The parent-side caches (worker-pool mode only: an in-process
+        #: service memoizes in its own).
+        self.transform_cache = self.join_cache = None
+        if service is None:
+            self.transform_cache = ResultCache(**cache_kwargs)
+            self.join_cache = JoinResultCache(**cache_kwargs)
 
 
 class ServiceRouter:
@@ -148,9 +149,11 @@ class ServiceRouter:
             default route (used when a request names no model).
         n_workers: ``0`` runs every route in-process; ``>= 1`` starts
             that many worker processes, each hosting all routes.
-        service_kwargs: Keyword arguments for every
+        service_kwargs: Picklable keyword arguments for every
             :class:`TransformService` built (in-process or in-worker):
-            ``max_batch_rows``, ``max_queue``, cache settings, ...
+            ``max_batch_rows``, ``max_queue``, ``cache_kwargs``, ...
+            In pool mode ``cache_kwargs`` also sizes the parent-side
+            caches.
     """
 
     def __init__(
@@ -176,9 +179,10 @@ class ServiceRouter:
             spec.name: _Route(
                 spec,
                 pipelines[spec.name].fingerprint(),
-                build_service(pipelines[spec.name], service_kwargs)
+                TransformService(pipelines[spec.name], **service_kwargs)
                 if n_workers == 0
                 else None,
+                service_kwargs.get("cache_kwargs") or {},
             )
             for spec in routes
         }
@@ -191,32 +195,6 @@ class ServiceRouter:
                 service_kwargs=service_kwargs,
             )
         self.default_route = routes[0].name
-        self._closed = False
-        self._lock = threading.Lock()
-
-    @classmethod
-    def from_service(
-        cls, service: TransformService, name: str = "default"
-    ) -> ServiceRouter:
-        """Wrap one already-running in-process service as a router.
-
-        The compatibility path for callers (and tests) that build a
-        :class:`TransformService` directly and hand it to the HTTP
-        layer: the router adopts the service as its single route — no
-        new processes, no second cache tier — and ``close()`` closes
-        it.
-        """
-        router = cls.__new__(cls)
-        router.n_workers = 0
-        router._pool = None
-        spec = RouteSpec(name=name, factory=lambda: service.pipeline)
-        router._routes = {
-            name: _Route(spec, service.model_fingerprint, service)
-        }
-        router.default_route = name
-        router._closed = False
-        router._lock = threading.Lock()
-        return router
 
     # -- routing -----------------------------------------------------------
 
@@ -503,11 +481,7 @@ class ServiceRouter:
         )
 
     def close(self) -> None:
-        """Shut down every backend (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        """Shut down every backend (idempotent, as each backend is)."""
         if self._pool is not None:
             self._pool.close()
         else:

@@ -294,15 +294,17 @@ class TransformService:
             with :class:`ServiceOverloadedError`.
         default_timeout: Default per-request deadline in seconds
             (``None`` = no deadline unless the caller passes one).
-        result_cache: The memoized result cache; ``None`` builds a
-            default :class:`ResultCache`.  Pass a cache with
-            ``ttl_seconds`` to bound staleness.
-        join_cache: The join-result cache tier; ``None`` builds a
-            default :class:`JoinResultCache`.  Join requests memoize
+        cache_kwargs: Bounds of both caches — ``max_entries`` /
+            ``max_bytes`` / ``ttl_seconds`` (see
+            :class:`~repro.serve.cache.TTLLRUCache`; ``None`` = the
+            defaults).  The :class:`ResultCache` memoizes transforms;
+            the :class:`JoinResultCache` memoizes join requests
             end-to-end (transform *and* Eq. 5 resolution) at
             whole-request granularity, keyed by
-            :func:`~repro.serve.cache.join_cache_key`.
-        clock: Monotonic time source (injectable for tests).
+            :func:`~repro.serve.cache.join_cache_key`.  Set
+            ``ttl_seconds`` to bound staleness.
+        clock: Monotonic time source of the scheduler and both caches
+            (injectable for tests).
     """
 
     def __init__(
@@ -311,8 +313,7 @@ class TransformService:
         max_batch_rows: int = 256,
         max_queue: int = 256,
         default_timeout: float | None = None,
-        result_cache: ResultCache | None = None,
-        join_cache: JoinResultCache | None = None,
+        cache_kwargs: Mapping | None = None,
         clock=time.monotonic,
     ) -> None:
         if max_batch_rows < 1:
@@ -325,14 +326,9 @@ class TransformService:
         self.max_batch_rows = max_batch_rows
         self.max_queue = max_queue
         self.default_timeout = default_timeout
-        # Explicit None check: an empty ResultCache is len() == 0 and
-        # therefore falsy, so ``or`` would silently discard it.
-        self.result_cache = (
-            result_cache if result_cache is not None else ResultCache()
-        )
-        self.join_cache = (
-            join_cache if join_cache is not None else JoinResultCache()
-        )
+        cache_kwargs = cache_kwargs or {}
+        self.result_cache = ResultCache(**cache_kwargs, clock=clock)
+        self.join_cache = JoinResultCache(**cache_kwargs, clock=clock)
         self._clock = clock
         #: Snapshot of the pipeline's content fingerprint; models must
         #: not be retrained while the service is live (build a new

@@ -2,8 +2,8 @@
 
 Importing one layer loads that layer only.  Package ``__init__`` files
 re-export nothing beyond the names ``benchmarks/e2e`` imports from
-``repro.index``, ``repro.serve`` and ``repro.model``, so a worker
-process or a batch join never pays for the HTTP tier.  Each import
+``repro.index``, ``repro.serve`` and ``repro.model``, so a batch join
+never pays for the HTTP tier or the process pool.  Each import
 check runs in a fresh interpreter: the test process itself has long
 since imported everything.
 
@@ -50,7 +50,7 @@ _ENTRY_POINTS = {
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 
-#: Layers a join or a worker process never needs.
+#: Layers a join never needs.
 _FOREIGN = (
     "repro.serve",
     "http.server",
@@ -61,9 +61,9 @@ _FOREIGN = (
     "repro.metrics",
 )
 
-#: The process layer: a worker process loads it, a join never does
-#: (every join runs in the calling thread).
-_PROCESSES = ("multiprocessing", "repro.procs")
+#: The process layer: the serving tier's worker pool loads it, a join
+#: never does (every join runs in the calling thread).
+_PROCESSES = ("multiprocessing",)
 
 #: Every module whose top level is imported (but whose ``main()`` is
 #: not run) by the body check.
@@ -101,12 +101,6 @@ def _run(code: str) -> object:
 
 def _loaded_after(statement: str) -> set[str]:
     return set(_run(f"{statement}\nprint(json.dumps(sorted(sys.modules)))"))
-
-
-def test_the_worker_layer_loads_nothing_else():
-    loaded = _loaded_after("import repro.procs")
-    ours = {name for name in loaded if name.split(".")[0] == "repro"}
-    assert ours == {"repro", "repro.exceptions", "repro.procs"}
 
 
 @pytest.mark.parametrize("module", ["repro.index", "repro.core.pipeline"])

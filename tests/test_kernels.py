@@ -7,8 +7,7 @@ and, transitively, to the scalar
 enforce that claim with randomized cross-backend fuzz (caps 0-8, empty
 strings, multi-block queries past 64 characters, pad-boundary lengths
 63/64/65), end-to-end joiner equivalence on every registered dataset,
-backend inheritance by worker processes, registry/env resolution
-semantics, and the
+registry/env resolution semantics, and the
 per-backend pairs-scored accounting surfaced through ``JoinStats`` and
 the serving layer.
 """
@@ -453,21 +452,6 @@ def _hostile_column():
     return targets, probes, want
 
 
-def _joiner_worker(inherited):
-    """Worker handler: join one shard of probes with a fresh joiner."""
-    joiner = IndexedJoiner(cache=IndexCache())
-
-    def handle(op, payload):
-        if op != "join":
-            return None
-        probes, targets = payload
-        matches = joiner.join_many(probes, targets)
-        stats = joiner.last_join_stats
-        return matches, stats.kernel_backend, dict(stats.kernel_pairs)
-
-    return handle
-
-
 class TestJoinerEquivalence:
     """Forcing each backend must leave every join surface byte-identical."""
 
@@ -491,37 +475,6 @@ class TestJoinerEquivalence:
             assert joiner.topk_many(probes, targets, k=3) == brute.topk_many(
                 probes, targets, k=3
             ), (backend, name, table.name)
-
-    @pytest.mark.parametrize("backend", ("bitparallel",))
-    @pytest.mark.parametrize("n_workers", (2, 4))
-    def test_workers_inherit_backend(self, monkeypatch, backend, n_workers):
-        # Workers get no backend name with their shards: the joiner each
-        # builds reads the environment it inherited from the parent.
-        from repro import procs
-
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        rng = random.Random(_SEED + 5)
-        targets = [
-            random_unicode_string(rng, max_length=20, min_length=4) + f"#{i}"
-            for i in range(240)
-        ]
-        probes = [random_edits(rng, t, 1) for t in targets[:40]]
-        brute = EditDistanceJoiner(JoinConfig())
-        pool = procs.WorkerPool(_joiner_worker, n_workers, name="join-test")
-        try:
-            # Submitted together, the shards land one per worker.
-            shards = [probes[i::n_workers] for i in range(n_workers)]
-            futures = [pool.submit("join", (s, targets)) for s in shards]
-            replies = [future.result(timeout=60) for future in futures]
-        finally:
-            pool.close()
-        for shard, (matches, kernel_backend, kernel_pairs) in zip(
-            shards, replies
-        ):
-            assert matches == brute.join_many(shard, targets)
-            assert kernel_backend == backend
-            # The inherited backend is the only one that scored.
-            assert set(kernel_pairs) == {backend}
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_hostile_single_column_matches_brute(self, monkeypatch, backend):

@@ -13,6 +13,7 @@ work), the TTL + LRU result cache, and the stdlib JSON front end.
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import socket
 import struct
@@ -34,6 +35,7 @@ from repro.exceptions import (
 )
 from repro.model.config import TINY_CONFIG
 from repro.model.seq2seq import ByteSeq2SeqModel
+from repro.obs.trace import get_tracer
 from repro.serve.cache import ResultCache, column_key, examples_fingerprint
 from repro.serve.http import start_http_server
 from repro.serve.router import RouteSpec, ServiceRouter
@@ -336,10 +338,9 @@ class TestResultCaching:
 
     def test_ttl_expiry_forces_recompute(self):
         clock = FakeClock()
-        cache = ResultCache(ttl_seconds=30.0, clock=clock)
         with TransformService(
             _surrogate_pipeline(),
-            result_cache=cache,
+            cache_kwargs={"ttl_seconds": 30.0},
             clock=clock,
         ) as service:
             first = service.transform(["Kim Campbell"], _EXAMPLES)
@@ -489,7 +490,7 @@ class TestFingerprints:
 
 
 class TestMainEntryPoint:
-    def test_build_service_from_cli_options(self):
+    def test_build_router_from_cli_options(self):
         # Every CLI start goes through build_router; --serve-workers 0
         # (the default) means one in-process service per route.
         import argparse
@@ -565,23 +566,19 @@ class TestMainEntryPoint:
 class TestHttpFrontEnd:
     @pytest.fixture()
     def server(self, request):
-        """A bare service by default; ``param`` = a router's worker count."""
-        n_workers = getattr(request, "param", None)
-        if n_workers is None:
-            backend = TransformService(_surrogate_pipeline())
-        else:
-            backend = ServiceRouter(
-                [RouteSpec("default", _surrogate_pipeline)],
-                n_workers=n_workers,
-            )
-        server = start_http_server(backend)
+        """A one-route router; ``param`` = its worker count (default 0)."""
+        router = ServiceRouter(
+            [RouteSpec("default", _surrogate_pipeline)],
+            n_workers=getattr(request, "param", 0),
+        )
+        server = start_http_server(router)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}"
         server.shutdown()
         server.server_close()
-        backend.close()
+        router.close()
 
     @staticmethod
     def _post(base: str, path: str, payload: dict) -> dict:
@@ -732,17 +729,21 @@ class TestHttpHardening:
 
     @pytest.fixture()
     def server(self):
-        service = TransformService(_surrogate_pipeline())
+        router = ServiceRouter([RouteSpec("default", _surrogate_pipeline)])
         server = start_http_server(
-            service, max_request_bytes=256, request_timeout_s=0.5
+            router,
+            max_request_bytes=256,
+            request_timeout_s=0.5,
+            log_json=True,
+            log_stream=io.StringIO(),
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
-        yield host, port, service, server
+        yield host, port, router, server
         server.shutdown()
         server.server_close()
-        service.close()
+        router.close()
 
     @staticmethod
     def _raw(host: str, port: int, request: bytes, half_close: bool = False):
@@ -796,8 +797,8 @@ class TestHttpHardening:
         assert self._raw(host, port, request) == 408
 
     def test_closed_service_submit_is_503(self, server):
-        host, port, service, _ = server
-        service.close()
+        host, port, router, _ = server
+        router.close()
         body = json.dumps(
             {
                 "sources": ["Kim Campbell"],
@@ -818,9 +819,13 @@ class TestHttpHardening:
         )
         sock.close()
 
-    def test_client_reset_never_reaches_the_error_printer(self, server):
-        host, port, _, http_server = server
-        errors = []
+    @staticmethod
+    def _count_finished(http_server) -> threading.Semaphore:
+        """Release the returned semaphore as each connection finishes.
+
+        ``socketserver`` calls ``shutdown_request`` once per connection,
+        after ``handle_error`` when an exception left the handler.
+        """
         finished = threading.Semaphore(0)
         shutdown_request = http_server.shutdown_request
 
@@ -828,12 +833,16 @@ class TestHttpHardening:
             shutdown_request(request)
             finished.release()
 
-        # ``socketserver`` calls ``handle_error`` for any exception that
-        # leaves the handler, then ``shutdown_request`` either way.
+        http_server.shutdown_request = count_finished
+        return finished
+
+    def test_client_reset_never_reaches_the_error_printer(self, server):
+        host, port, _, http_server = server
+        errors = []
         http_server.handle_error = lambda request, address: errors.append(
             address
         )
-        http_server.shutdown_request = count_finished
+        finished = self._count_finished(http_server)
         for _ in range(5):
             # A reset after a served keep-alive request ...
             sock = socket.create_connection((host, port), timeout=5.0)
@@ -852,6 +861,30 @@ class TestHttpHardening:
         for _ in range(10):
             assert finished.acquire(timeout=5.0)
         assert errors == []
+
+    def test_client_reset_mid_body_is_not_a_server_error(self, server):
+        # A client that resets while its body is read has nobody left
+        # to answer: its request must neither log a 500 nor commit an
+        # errored trace, although the tracer samples nothing here.
+        host, port, _, http_server = server
+        tracer = get_tracer()
+        assert tracer.sample_rate == 0.0
+        committed = tracer.collector.collected
+        finished = self._count_finished(http_server)
+        for _ in range(5):
+            sock = socket.create_connection((host, port), timeout=5.0)
+            sock.sendall(
+                self._request(["Content-Length: 100"], body=b'{"sour')
+            )
+            self._reset(sock)
+        for _ in range(5):
+            assert finished.acquire(timeout=5.0)
+        log = [
+            json.loads(line)
+            for line in http_server.log_stream.getvalue().splitlines()
+        ]
+        assert [record["status"] for record in log if record["status"]] == []
+        assert tracer.collector.collected == committed
 
     def test_http09_get_is_a_bare_body(self, server):
         host, port, *_ = server
@@ -1010,15 +1043,15 @@ class TestHttpJoinSchema:
 
     @pytest.fixture()
     def server(self):
-        service = TransformService(_surrogate_pipeline())
-        server = start_http_server(service)
+        router = ServiceRouter([RouteSpec("default", _surrogate_pipeline)])
+        server = start_http_server(router)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}"
         server.shutdown()
         server.server_close()
-        service.close()
+        router.close()
 
     @staticmethod
     def _post(base: str, path: str, payload: dict) -> dict:

@@ -37,7 +37,6 @@ from repro.index.kernels import KERNEL_BACKENDS
 from repro.model.config import DTTModelConfig
 from repro.model.seq2seq import ByteSeq2SeqModel
 from repro.obs.metrics import merge_labeled_snapshots
-from repro.serve.cache import JoinResultCache
 from repro.serve.http import start_http_server
 from repro.serve.router import RouteSpec, ServiceRouter, build_pipeline
 from repro.serve.service import TransformService
@@ -249,10 +248,10 @@ class TestFreshStartWorkers:
         # from the picklable factories.
         from multiprocessing.context import ForkProcess
 
-        from repro import procs
+        from repro.serve import workers
 
-        monkeypatch.setattr(procs.threading, "active_count", lambda: 2)
-        assert procs.pool_context().get_start_method() != "fork"
+        monkeypatch.setattr(workers.threading, "active_count", lambda: 2)
+        assert workers.pool_context().get_start_method() != "fork"
         router = ServiceRouter([_route()], n_workers=2)
         try:
             assert not any(
@@ -280,11 +279,11 @@ class TestFreshStartWorkers:
         # server's), and a spawned worker builds its own joiner.
         import multiprocessing
 
-        from repro import procs
+        from repro.serve import workers
 
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
         monkeypatch.setattr(
-            procs, "pool_context", lambda: multiprocessing.get_context("spawn")
+            workers, "pool_context", lambda: multiprocessing.get_context("spawn")
         )
         router = ServiceRouter([_route()], n_workers=1)
         try:
@@ -311,17 +310,11 @@ class TestCounterConservation:
         request can end.  A cancelled future only exists in-process:
         behind workers the service-side future never leaves the worker.
         """
-        kwargs = {"max_queue": 1}
-        if n_workers == 0:
-            service = TransformService(
-                _gated_pipeline(str(tmp_path)), **kwargs
-            )
-            router = ServiceRouter.from_service(service, "gated")
-        else:
-            factory = functools.partial(_gated_pipeline, str(tmp_path))
-            router = ServiceRouter(
-                [RouteSpec("gated", factory)], n_workers, kwargs
-            )
+        factory = functools.partial(_gated_pipeline, str(tmp_path))
+        router = ServiceRouter(
+            [RouteSpec("gated", factory)], n_workers, {"max_queue": 1}
+        )
+        service = router._routes["gated"].service  # None behind workers
         width = max(1, n_workers)
         ok = 0
         try:
@@ -460,6 +453,30 @@ class TestRouting:
         finally:
             router.close()
 
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    def test_one_cache_config_reaches_every_tier(self, n_workers):
+        router = ServiceRouter(
+            [_route()], n_workers, {"cache_kwargs": {"max_entries": 1}}
+        )
+        try:
+            for i in range(3):
+                router.transform([f"Kim Campbell {i}"], _EXAMPLES)
+            stats = router.stats()
+            assert stats["cache_entries"] <= 1
+            route = router._routes["pretrained"]
+            if n_workers == 0:
+                # An in-process service memoizes in its own caches; a
+                # parent-side tier in front of it would never be read.
+                assert route.transform_cache is None
+                assert route.join_cache is None
+                assert "router_caches" not in stats
+            else:
+                caches = stats["router_caches"]["pretrained"]
+                assert caches["transform"]["entries"] == 1
+                assert caches["transform"]["misses"] == 3
+        finally:
+            router.close()
+
 
 class TestJoinResultCache:
     def test_join_cache_hit_skips_engine_and_joiner(self):
@@ -495,8 +512,9 @@ class TestJoinResultCache:
 
     def test_join_cache_ttl_expiry(self):
         clock = FakeClock()
-        cache = JoinResultCache(ttl_seconds=60.0, clock=clock)
-        service = TransformService(build_pipeline(), join_cache=cache)
+        service = TransformService(
+            build_pipeline(), cache_kwargs={"ttl_seconds": 60.0}, clock=clock
+        )
         try:
             sources = ["Jean Chretien"]
             first = service.join(sources, _TARGETS, _EXAMPLES)
@@ -510,7 +528,7 @@ class TestJoinResultCache:
             recomputed = service.join(sources, _TARGETS, _EXAMPLES)
             stats = service.stats()
             assert stats.join_cache_hits == 1
-            assert cache.expirations >= 1
+            assert service.join_cache.expirations >= 1
             assert [r.to_dict() for r in recomputed] == [
                 r.to_dict() for r in first
             ]
